@@ -242,7 +242,7 @@ func BenchmarkEndToEndPrediction(b *testing.B) {
 	}
 }
 
-// ---- STA and engine benchmarks (serial vs levelized vs parallel) ----
+// ---- STA and engine benchmarks (reference vs analyzer vs sharded) ----
 
 var (
 	staGraphOnce sync.Once
@@ -289,8 +289,9 @@ func BenchmarkSTAReference(b *testing.B) {
 	}
 }
 
-// BenchmarkSTALevelized is the CSR-based analyzer with the period-
-// independent state amortized across calls (the engine's usage pattern).
+// BenchmarkSTALevelized is the analyzer's serial forward pass over node
+// fanins, with the period-independent state amortized across calls (the
+// engine's usage pattern).
 func BenchmarkSTALevelized(b *testing.B) {
 	g := largestSeedGraph(b)
 	a := sta.NewAnalyzer(g, liberty.DefaultPseudoLib())
@@ -304,35 +305,18 @@ func BenchmarkSTALevelized(b *testing.B) {
 	}
 }
 
-// BenchmarkSTALevelizedParallel adds level-parallel arrival propagation.
-func BenchmarkSTALevelizedParallel(b *testing.B) {
-	g := largestSeedGraph(b)
-	a := sta.NewAnalyzer(g, liberty.DefaultPseudoLib())
-	jobs := runtime.GOMAXPROCS(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := a.AnalyzeJobs(0.5, jobs)
-		if r.WNS > 1e9 {
-			b.Fatal("bogus WNS")
-		}
-	}
-}
-
-// benchShards is the shard count of the sharded-STA benchmarks, matched
-// to the 8 workers the acceptance target names.
+// benchShards is the shard count of the sharded-STA benchmarks.
 const benchShards = 8
 
-// BenchmarkMonolithicSTA is the sharding baseline: the monolithic forward
-// max-plus pass over the whole Rocket3 graph with 8 workers cooperating
-// level by level (one barrier per level, narrow levels serial).
+// BenchmarkMonolithicSTA is the sharding baseline: one serial forward
+// max-plus pass over the whole Rocket3 graph.
 func BenchmarkMonolithicSTA(b *testing.B) {
 	g := largestSeedGraph(b)
 	a := sta.NewAnalyzer(g, liberty.DefaultPseudoLib())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arr := a.Arrivals(benchShards)
+		arr := a.Arrivals(1)
 		if arr[len(arr)-1] > 1e9 {
 			b.Fatal("bogus arrival")
 		}
@@ -340,7 +324,8 @@ func BenchmarkMonolithicSTA(b *testing.B) {
 }
 
 // benchShardedSTA runs the sharded forward pass under one partitioning
-// policy, reporting the partition's replication factor and shape next to
+// policy — every shard's serial pass, then Stitch, as the engine's build
+// does — reporting the partition's replication factor and shape next to
 // the timing so the packer trade-off is visible in the bench trajectory.
 func benchShardedSTA(b *testing.B, newPart func(*bog.Graph, int) (*part.Partition, error)) {
 	g := largestSeedGraph(b)
@@ -355,8 +340,15 @@ func benchShardedSTA(b *testing.B, newPart func(*bog.Graph, int) (*part.Partitio
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	locals := make([][]float64, p.K)
 	for i := 0; i < b.N; i++ {
-		arr := sa.Arrivals(benchShards)
+		for s := range locals {
+			locals[s] = sa.ShardArrivals(s)
+		}
+		arr, err := sa.Stitch(locals)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if arr[len(arr)-1] > 1e9 {
 			b.Fatal("bogus arrival")
 		}
@@ -368,10 +360,10 @@ func benchShardedSTA(b *testing.B, newPart func(*bog.Graph, int) (*part.Partitio
 }
 
 // BenchmarkShardedSTA is the same forward pass over 8 register-bounded
-// shards: 8 workers each run one barrier-free serial pass over one shard,
-// and the stitched vector is bit-identical to the monolithic pass. CI
-// tracks this pair; the target is >= 2x over BenchmarkMonolithicSTA.
-// Uses the default portfolio partitioner (part.New).
+// shards, run one after another on one goroutine and stitched into a
+// vector bit-identical to the monolithic pass; its cost over
+// BenchmarkMonolithicSTA is the replication plus the stitch. Uses the
+// default portfolio partitioner (part.New).
 func BenchmarkShardedSTA(b *testing.B) { benchShardedSTA(b, part.New) }
 
 // BenchmarkShardedSTAOverlapAware pins the overlap-aware packer alone
@@ -384,41 +376,9 @@ func BenchmarkShardedSTAOverlapAware(b *testing.B) { benchShardedSTA(b, part.New
 // replication baseline the overlap-aware numbers are measured against.
 func BenchmarkShardedSTAGreedy(b *testing.B) { benchShardedSTA(b, part.NewGreedy) }
 
-// sweepPeriods is the clock-period grid shared by the multi-period
-// benchmarks (a typical fmax-search / WNS-vs-clock workload).
+// sweepPeriods is the clock-period grid of BenchmarkSweepEngine (a
+// typical fmax-search / WNS-vs-clock workload).
 var sweepPeriods = []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-
-// BenchmarkAnalyzePerPeriodLoop is the pre-batching baseline: K
-// independent Analyze calls, each paying its own forward pass.
-func BenchmarkAnalyzePerPeriodLoop(b *testing.B) {
-	a := sta.NewAnalyzer(largestSeedGraph(b), liberty.DefaultPseudoLib())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range sweepPeriods {
-			if r := a.Analyze(p); r.WNS > 1e9 {
-				b.Fatal("bogus WNS")
-			}
-		}
-	}
-}
-
-// BenchmarkAnalyzeBatch amortizes one forward pass across the same K
-// periods; each period only pays the endpoint slack loop (compare against
-// BenchmarkAnalyzePerPeriodLoop — the one-pass-per-sweep property the
-// ROADMAP tracks).
-func BenchmarkAnalyzeBatch(b *testing.B) {
-	a := sta.NewAnalyzer(largestSeedGraph(b), liberty.DefaultPseudoLib())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range a.AnalyzeBatch(sweepPeriods, 1) {
-			if r.WNS > 1e9 {
-				b.Fatal("bogus WNS")
-			}
-		}
-	}
-}
 
 // BenchmarkSweepEngine is the CLI -sweep workload through the engine: one
 // cached representation build (bit-blast + forward pass) per variant,

@@ -117,9 +117,8 @@ func main() {
 		log.Printf("representation cache: %d graph builds, %d memory hits, %d delta derivations (%d shard-local), %d evictions",
 			st.Builds, st.Hits, st.Edits, st.ShardEdits, st.Evictions)
 		if *cacheDir != "" {
-			log.Printf("disk cache %s: %d hits, %d misses, %d entries written, %d I/O errors, %d quarantined (shard entries: %d hits, %d misses, %d written)",
-				*cacheDir, st.DiskHits, st.DiskMisses, st.DiskWrites, st.DiskErrors, st.Quarantined,
-				st.ShardHits, st.ShardMisses, st.ShardWrites)
+			log.Printf("disk cache %s: %d hits, %d misses, %d entries written, %d I/O errors, %d quarantined",
+				*cacheDir, st.DiskHits, st.DiskMisses, st.DiskWrites, st.DiskErrors, st.Quarantined)
 		}
 	}
 }

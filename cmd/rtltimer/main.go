@@ -15,11 +15,9 @@
 // engine's delta-keyed cache.
 //
 // -shards N times each design as N register-bounded shards (0 = automatic
-// by register count, 1 = monolithic): per-shard forward passes run
-// barrier-free on the worker pool, persist as content-addressed shard
-// entries under -cache-dir, and single-shard edits derive through
-// shard-local incremental sessions — all bit-identical to the monolithic
-// analysis.
+// by register count, 1 = monolithic): per-shard forward passes run on
+// the worker pool, and single-shard edits derive through shard-local
+// incremental sessions — all bit-identical to the monolithic analysis.
 //
 // Usage:
 //
@@ -34,9 +32,9 @@
 // concurrent processes sharing that directory split the build work via
 // crash-safe claim files instead of duplicating it. -cache-scrub is the
 // offline maintenance mode: it validates every entry the way a warm load
-// would, quarantines corrupt ones under quarantine/, reclaims temp files
-// and claim markers orphaned by killed processes, and (with -cache-budget)
-// evicts least-recently-modified entries to a size budget.
+// would, quarantines corrupt and retired ones under quarantine/, reclaims
+// temp files and claim markers orphaned by killed processes, and (with
+// -cache-budget) evicts least-recently-modified entries to a size budget.
 package main
 
 import (
@@ -77,7 +75,7 @@ func main() {
 	optimize := flag.Bool("optimize", false, "run the incremental-STA reassociation optimizer on every representation")
 	optPasses := flag.Int("opt-passes", 4, "greedy passes of the -optimize loop")
 	cacheDir := flag.String("cache-dir", "", "persistent representation cache directory (empty = memory only)")
-	cacheScrub := flag.Bool("cache-scrub", false, "validate every entry under -cache-dir, quarantine corrupt ones, reclaim stale temps and claims, then exit")
+	cacheScrub := flag.Bool("cache-scrub", false, "validate every entry under -cache-dir, quarantine corrupt and retired ones, reclaim stale temps and claims, then exit")
 	cacheBudget := flag.String("cache-budget", "", "with -cache-scrub: evict least-recently-modified entries until the cache fits this size (e.g. 64M, 2G)")
 	cacheClaim := flag.Bool("cache-claim", false, "coordinate cache builds with other processes sharing -cache-dir via claim files")
 	stats := flag.Bool("stats", false, "print engine cache statistics at the end of the run")
@@ -300,10 +298,6 @@ func printStats(eng *engine.Engine, enabled bool) {
 	if eng.CacheDir() != "" {
 		fmt.Printf("disk cache %s: %d hits, %d misses, %d entries written, %d I/O errors, %d quarantined\n",
 			eng.CacheDir(), st.DiskHits, st.DiskMisses, st.DiskWrites, st.DiskErrors, st.Quarantined)
-		if st.ShardHits+st.ShardMisses+st.ShardWrites > 0 {
-			fmt.Printf("shard entries: %d forward passes restored, %d computed, %d written\n",
-				st.ShardHits, st.ShardMisses, st.ShardWrites)
-		}
 		if eng.Claiming() {
 			fmt.Printf("work claiming: %d claims won, %d builds served by peers, %d stolen from dead claimants\n",
 				st.Claims, st.ClaimWaits, st.ClaimSteals)

@@ -7,10 +7,7 @@
 // liberty, enabling pseudo-STA directly on the RTL.
 package bog
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Op is a bit-level operator.
 type Op uint8
@@ -140,10 +137,6 @@ type Graph struct {
 	SigNames []string
 
 	hash map[hashKey]NodeID
-
-	// csr caches the flat connectivity/levelization view; cleared whenever
-	// a node is added so it never goes stale.
-	csr atomic.Pointer[CSR]
 }
 
 type hashKey struct {
@@ -214,7 +207,6 @@ func (g *Graph) raw(n Node) NodeID {
 	}
 	id := NodeID(len(g.Nodes))
 	g.Nodes = append(g.Nodes, n)
-	g.csr.Store(nil)
 	if n.Op != RegQ && n.Op != Input {
 		g.hash[k] = id
 	}

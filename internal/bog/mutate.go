@@ -170,13 +170,11 @@ func (g *Graph) SetFanin(n NodeID, slot int, to NodeID) error {
 	g.hashRemove(n)
 	nd.Fanin[slot] = to
 	g.hashAdd(n)
-	g.csr.Store(nil)
 	return nil
 }
 
 // SetOp replaces node n's operator with a same-arity operator from the
-// variant's alphabet. Connectivity is untouched, so the cached CSR view
-// (pure connectivity and levels) stays valid.
+// variant's alphabet. Connectivity is untouched.
 func (g *Graph) SetOp(n NodeID, op Op) error {
 	if n < 0 || int(n) >= len(g.Nodes) {
 		return fmt.Errorf("bog: set-op node %d outside graph of %d nodes", n, len(g.Nodes))
@@ -234,7 +232,6 @@ func (g *Graph) InsertNode(op Op, fanin ...NodeID) (NodeID, error) {
 	id := NodeID(len(g.Nodes))
 	g.Nodes = append(g.Nodes, nd)
 	g.hashAdd(id)
-	g.csr.Store(nil)
 	return id, nil
 }
 

@@ -102,121 +102,6 @@ func (e *Engine) getEntry(name string) ([]byte, bool) {
 	return data, true
 }
 
-// ---- Per-shard entries (sharded builds) ----
-//
-// Alongside the full ".rep" entries, sharded builds persist one ".shard"
-// file per shard, holding that shard's local arrival vector:
-//
-//	magic    [4]byte "RTLS"
-//	version  uint32 (shardEntryVersion)
-//	n        uint32 (local node count)
-//	arrival  [n]float64
-//	checksum [32]byte — SHA-256 of every preceding byte
-//
-// The file name is a digest of the shard's *timing-relevant content* —
-// the local operator/fanin structure plus the gathered per-node delay
-// vector, which together fully determine the forward pass (arrival =
-// max(fanin arrivals) + delay) — not of the design it came from. Signal
-// names, input lists and endpoint references deliberately stay out of
-// the digest (endpoint loads are already baked into the delays), so a
-// rename elsewhere in the design leaves an unchanged shard's entry
-// valid. Editing a design therefore invalidates only the shard entries
-// whose content actually changed: a rebuild re-partitions, recomputes
-// each shard's digest, reuses every entry that still matches and
-// re-times only the shards that miss. This addition is purely additive
-// to the cache format: ".rep" entries are written and read exactly as
-// before, so pre-shard caches stay valid.
-const shardEntryVersion = 1
-
-var shardMagic = [4]byte{'R', 'T', 'L', 'S'}
-
-// shardEntryDigest computes shard i's content address under lib.
-func (e *Engine) shardEntryDigest(sh *sta.ShardedAnalyzer, i int, lib *liberty.PseudoLib) string {
-	a := sh.ShardAnalyzer(i)
-	_, _, delay, _ := a.State()
-	h := sha256.New()
-	frame := func(b []byte) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
-		h.Write(n[:])
-		h.Write(b)
-	}
-	frame([]byte("rtltimer-shardcache"))
-	h.Write([]byte{shardEntryVersion})
-	// The delay vector already encodes the library's effect on the cached
-	// arrivals; the fingerprint is defensive headroom for future formula
-	// changes.
-	frame([]byte(lib.Fingerprint()))
-	structure := make([]byte, 0, len(a.G.Nodes)*13)
-	for n := range a.G.Nodes {
-		nd := &a.G.Nodes[n]
-		structure = append(structure, byte(nd.Op))
-		for j := 0; j < 3; j++ {
-			structure = binary.LittleEndian.AppendUint32(structure, uint32(nd.Fanin[j]))
-		}
-	}
-	frame(structure)
-	frame(appendF64s(nil, delay))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// parseShardEntry validates one shard-entry payload and returns its
-// arrival vector, or nil on any violation (corruption, truncation,
-// version mismatch, internally inconsistent shape).
-func parseShardEntry(data []byte) []float64 {
-	if len(data) < 4+4+4+checksumSize {
-		return nil
-	}
-	body, sum := data[:len(data)-checksumSize], data[len(data)-checksumSize:]
-	if sha256.Sum256(body) != [checksumSize]byte(sum) {
-		return nil
-	}
-	if [4]byte(body[:4]) != shardMagic {
-		return nil
-	}
-	if binary.LittleEndian.Uint32(body[4:]) != shardEntryVersion {
-		return nil
-	}
-	n := int(binary.LittleEndian.Uint32(body[8:]))
-	if len(body) != 12+8*n {
-		return nil
-	}
-	arr, _ := readF64s(body[12:], n)
-	return arr
-}
-
-// diskLoadShard restores one shard's arrival vector by content digest; ok
-// is false on any miss. Invalid payloads are quarantined like full
-// entries; a shape mismatch against the expected node count (a digest
-// collision in practice can't happen, so this means the entry belongs to
-// different code) is treated the same way.
-func (e *Engine) diskLoadShard(digest string, wantNodes int) ([]float64, bool) {
-	name := digest + ".shard"
-	data, ok := e.getEntry(name)
-	if !ok {
-		return nil, false
-	}
-	arr := parseShardEntry(data)
-	if arr == nil || len(arr) != wantNodes {
-		e.quarantine(name, data)
-		return nil, false
-	}
-	return arr, true
-}
-
-// diskStoreShard persists one shard's arrival vector under its content
-// digest. Failures are advisory, exactly like diskStore, but counted.
-func (e *Engine) diskStoreShard(digest string, arrival []float64) bool {
-	buf := make([]byte, 0, 12+8*len(arrival)+checksumSize)
-	buf = append(buf, shardMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, shardEntryVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(arrival)))
-	buf = appendF64s(buf, arrival)
-	sum := sha256.Sum256(buf)
-	buf = append(buf, sum[:]...)
-	return e.putEntry(digest+".shard", buf)
-}
-
 // putEntry writes one entry through the store. A failed write degrades to
 // a cold cache, never to a failed run, but is counted in DiskErrors.
 func (e *Engine) putEntry(name string, payload []byte) bool {

@@ -23,12 +23,11 @@
 // re-running the forward pass (see diskcache.go for the entry format).
 //
 // Determinism is a hard requirement (tests assert byte-identical results
-// at jobs=1 and jobs=8, and warm disk loads against cold builds): tasks
-// write only to their own index of caller-provided slices, every random
-// component is seeded per task, and the levelized STA is bit-exact for
-// every worker count. The engine is the scaling substrate for the ROADMAP
-// north star — design sharding, batching and multi-backend dispatch all
-// plug in behind this interface.
+// at jobs=1 and jobs=8, sharded against monolithic builds, and warm disk
+// loads against cold builds): tasks write only to their own index of
+// caller-provided slices, every random component is seeded per task, and
+// each forward pass — monolithic, or one per shard stitched back into
+// node order — runs serially inside one pool task.
 package engine
 
 import (
@@ -439,11 +438,7 @@ type repEntry struct {
 // (cache misses on edit keys — repeated Edits with the same delta are
 // Hits); an Edit is never a Build, since it clones and incrementally
 // re-times instead of bit-blasting. ShardEdits counts the subset of Edits
-// served by a shard-local incremental session. The Shard* disk counters
-// only move on sharded builds with a cache directory: each ShardHit is
-// one per-shard forward pass avoided by a content-addressed shard entry,
-// ShardMisses are shard passes that had to run, ShardWrites are shard
-// entries persisted.
+// served by a shard-local incremental session.
 //
 // The failure counters make degraded paths visible instead of silent:
 // DiskErrors counts real I/O failures (read errors other than not-exist,
@@ -477,9 +472,6 @@ type Stats struct {
 	DiskWrites      int64
 	DiskErrors      int64
 	Quarantined     int64
-	ShardHits       int64
-	ShardMisses     int64
-	ShardWrites     int64
 	Claims          int64
 	ClaimWaits      int64
 	ClaimSteals     int64
@@ -524,9 +516,6 @@ type Engine struct {
 	diskWrites  atomic.Int64
 	diskErrors  atomic.Int64
 	quarantined atomic.Int64
-	shardHits   atomic.Int64
-	shardMisses atomic.Int64
-	shardWrites atomic.Int64
 	claims      atomic.Int64
 	claimWaits  atomic.Int64
 	claimSteals atomic.Int64
@@ -630,7 +619,8 @@ func (e *Engine) CacheDir() string { return e.cacheDir }
 // count automatically from each design's register-bit count (part.Auto —
 // small designs stay monolithic), and k > 1 forces k register-bounded
 // shards. Results are bit-identical for every setting; sharding changes
-// how the forward pass is scheduled and cached, never what it computes.
+// how the forward pass is scheduled and how edits derive, never what
+// either computes.
 // Negative values are coerced to automatic so the setter stays total;
 // entry points exposing this knob to users must reject negatives first
 // with ValidateConcurrency (the CLIs and the public Options do). Call
@@ -860,10 +850,9 @@ func (e *Engine) buildRepClaimed(key Key, lib *liberty.PseudoLib, src DesignSour
 	if err != nil {
 		return nil, err
 	}
-	// Serial STA per shard: the engine's parallelism comes from fanning
-	// builds and shards out across pool workers; nesting a parallel
-	// forward pass here would multiply goroutines past the configured
-	// jobs bound.
+	// The forward pass is serial (per shard, when sharded): the engine's
+	// parallelism comes from fanning builds and shards out across pool
+	// workers.
 	an := sta.NewAnalyzer(g, lib)
 	var arr []float64
 	var sh *sta.ShardedAnalyzer
@@ -872,7 +861,7 @@ func (e *Engine) buildRepClaimed(key Key, lib *liberty.PseudoLib, src DesignSour
 		return nil, err
 	}
 	if p != nil {
-		if sh, arr, err = e.shardedArrivals(an, p, lib); err != nil {
+		if sh, arr, err = e.shardedArrivals(an, p); err != nil {
 			return nil, err
 		}
 	} else {
@@ -906,32 +895,16 @@ func (e *Engine) adoptDiskResult(res *RepResult, key Key) *RepResult {
 	return res
 }
 
-// shardedArrivals runs (or restores from the disk tier's
-// content-addressed shard entries) the per-shard forward passes of a
-// partitioned build on the worker pool and stitches the canonical arrival
-// vector — bit-identical to an.Arrivals(1).
-func (e *Engine) shardedArrivals(an *sta.Analyzer, p *part.Partition, lib *liberty.PseudoLib) (*sta.ShardedAnalyzer, []float64, error) {
+// shardedArrivals runs the per-shard forward passes of a partitioned
+// build on the worker pool and stitches the canonical arrival vector —
+// bit-identical to an.Arrivals(1).
+func (e *Engine) shardedArrivals(an *sta.Analyzer, p *part.Partition) (*sta.ShardedAnalyzer, []float64, error) {
 	sh, err := sta.NewShardedAnalyzer(an, p)
 	if err != nil {
 		return nil, nil, err
 	}
 	locals := make([][]float64, p.K)
-	e.ForEach(p.K, func(i int) {
-		var digest string
-		if e.store != nil {
-			digest = e.shardEntryDigest(sh, i, lib)
-			if local, ok := e.diskLoadShard(digest, len(p.Shards[i].Nodes)); ok {
-				e.shardHits.Add(1)
-				locals[i] = local
-				return
-			}
-			e.shardMisses.Add(1)
-		}
-		locals[i] = sh.ShardArrivals(i)
-		if e.store != nil && e.diskStoreShard(digest, locals[i]) {
-			e.shardWrites.Add(1)
-		}
-	})
+	e.ForEach(p.K, func(i int) { locals[i] = sh.ShardArrivals(i) })
 	arr, err := sh.Stitch(locals)
 	if err != nil {
 		return nil, nil, err
@@ -952,9 +925,6 @@ func (e *Engine) Stats() Stats {
 		DiskWrites:  e.diskWrites.Load(),
 		DiskErrors:  e.diskErrors.Load(),
 		Quarantined: e.quarantined.Load(),
-		ShardHits:   e.shardHits.Load(),
-		ShardMisses: e.shardMisses.Load(),
-		ShardWrites: e.shardWrites.Load(),
 		Claims:      e.claims.Load(),
 		ClaimWaits:  e.claimWaits.Load(),
 		ClaimSteals: e.claimSteals.Load(),

@@ -58,9 +58,8 @@ func (e *Engine) MemUsed() int64 {
 // approxEntryCost estimates the resident footprint of one settled entry
 // from its graph and vector sizes: the node table (op, fanin, signal
 // coordinates, padding), the four per-node float64 vectors the analyzer
-// and cache hold (arrival, load, slew, delay), the fanout vector, the CSR
-// connectivity view, per-endpoint extractor state, and the signal-name
-// table. The constants are struct-size approximations, not heap
+// and cache hold (arrival, load, slew, delay), the fanout vector,
+// per-endpoint extractor state, and the signal-name table. The constants are struct-size approximations, not heap
 // accounting; what matters for the budget is that cost scales with the
 // design, so evicting one Rocket3 frees ~hundreds of small designs' worth.
 func approxEntryCost(res *RepResult) int64 {
@@ -68,9 +67,9 @@ func approxEntryCost(res *RepResult) int64 {
 		return 1
 	}
 	const (
-		perNode     = 24 + 4*8 + 4 + 3*8 // node struct + 4 f64 vectors + fanout + CSR edges/levels
-		perEndpoint = 3*4 + 8 + 48       // cone state + rank percentile + endpoint struct
-		perEntry    = 1 << 10            // fixed overhead: analyzer, extractor, headers
+		perNode     = 24 + 4*8 + 4 // node struct + 4 f64 vectors + fanout
+		perEndpoint = 3*4 + 8 + 48 // cone state + rank percentile + endpoint struct
+		perEntry    = 1 << 10      // fixed overhead: analyzer, extractor, headers
 	)
 	c := int64(len(res.Graph.Nodes))*perNode + int64(len(res.Graph.Endpoints))*perEndpoint + perEntry
 	for _, s := range res.Graph.SigNames {

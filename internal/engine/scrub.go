@@ -2,9 +2,10 @@
 // and ScrubCache — the explicit offline maintenance pass behind the CLIs'
 // -cache-scrub mode. Scrubbing validates every entry the way a warm load
 // would (checksum, magic, version, codec, shape), quarantines the invalid
-// ones, reclaims temp files and claim markers orphaned by killed
-// processes, and optionally enforces a size budget by evicting the
-// least-recently-modified entries first.
+// ones along with entries of retired formats that nothing reads any more,
+// reclaims temp files and claim markers orphaned by killed processes, and
+// optionally enforces a size budget by evicting the least-recently-modified
+// entries first.
 //
 // Scrubbing is safe to run concurrently with live engines sharing the
 // directory: entries are advisory, so the worst a lost race can cost is
@@ -65,13 +66,18 @@ func cleanStaleTemps(dir string, age time.Duration) (temps, claims int) {
 	return temps, claims
 }
 
+// retiredShardSuffix names the per-shard arrival entries older caches
+// hold. No engine reads them any more, so a scrub quarantines them
+// regardless of their contents.
+const retiredShardSuffix = ".shard"
+
 // ScrubOptions configures one ScrubCache pass.
 type ScrubOptions struct {
-	// Budget caps the total bytes of valid ".rep"/".shard" entries; when
-	// exceeded, entries are evicted oldest-modification-time first until
-	// the cache fits. 0 disables the GC. Quarantined bytes do not count
-	// toward the budget — quarantine is an inspection area, emptied by
-	// deleting the directory.
+	// Budget caps the total bytes of valid entries; when exceeded,
+	// entries are evicted oldest-modification-time first until the cache
+	// fits. 0 disables the GC. Quarantined bytes do not count toward the
+	// budget — quarantine is an inspection area, emptied by deleting the
+	// directory.
 	Budget int64
 	// TempAge overrides how old temp files and claim markers must be to
 	// be reclaimed (0 = the default staleTempAge). Crash-recovery
@@ -82,9 +88,9 @@ type ScrubOptions struct {
 
 // ScrubReport is what one ScrubCache pass found and did.
 type ScrubReport struct {
-	Scanned         int   // entries examined (.rep + .shard)
+	Scanned         int   // entries examined
 	Valid           int   // entries that passed full validation
-	Quarantined     int   // invalid entries moved to quarantine/
+	Quarantined     int   // invalid or retired entries moved to quarantine/
 	TempsReclaimed  int   // stale ".rep-*" temp files removed
 	ClaimsReclaimed int   // stale claim markers removed
 	Evicted         int   // valid entries removed by the size budget
@@ -103,9 +109,10 @@ func (r *ScrubReport) String() string {
 }
 
 // ScrubCache validates every cache entry under dir, quarantines corrupt
-// ones, reclaims stale temps and claims, and applies the optional size
-// budget. The error is non-nil only when the directory itself cannot be
-// read — per-entry failures are what the scrub exists to absorb.
+// and retired ones, reclaims stale temps and claims, and applies the
+// optional size budget. The error is non-nil only when the directory
+// itself cannot be read — per-entry failures are what the scrub exists
+// to absorb.
 func ScrubCache(dir string, opts ScrubOptions) (*ScrubReport, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -131,19 +138,14 @@ func ScrubCache(dir string, opts ScrubOptions) (*ScrubReport, error) {
 			continue
 		}
 		isRep := strings.HasSuffix(name, ".rep")
-		isShard := strings.HasSuffix(name, ".shard")
-		if !isRep && !isShard {
+		if !isRep && !strings.HasSuffix(name, retiredShardSuffix) {
 			continue
 		}
 		rep.Scanned++
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		ok := err == nil
-		if ok && isRep {
-			ok = decodeEntry(data, lib) != nil
-		}
-		if ok && isShard {
-			ok = parseShardEntry(data) != nil
+		ok := false
+		if isRep {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			ok = err == nil && decodeEntry(data, lib) != nil
 		}
 		if !ok {
 			quarantineFile(dir, name)

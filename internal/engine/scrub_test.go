@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,8 +14,9 @@ import (
 )
 
 // TestScrubCacheQuarantinesCorruptEntries: a scrub pass over a cache with
-// one corrupted .rep and one corrupted .shard moves exactly those two into
-// quarantine/, leaves the valid entries serving, and reports the tally.
+// one corrupted .rep, one corrupted .shard and one well-formed .shard of
+// the retired per-shard format moves exactly those three into quarantine/,
+// leaves the valid entries serving, and reports the tally.
 func TestScrubCacheQuarantinesCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
 	_, tag := populateCache(t, dir, 2)
@@ -21,10 +25,22 @@ func TestScrubCacheQuarantinesCorruptEntries(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, badRep), []byte("corrupt"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A hand-made invalid shard entry (no sharded build ran: syscdes is
-	// below the sharding threshold, so fabricate the file).
+	// Hand-made .shard files: one corrupt, one well-formed in the retired
+	// format (magic "RTLS", version 1, node count, arrivals, SHA-256 of
+	// everything before it). Nothing reads either any more.
 	badShard := "deadbeef.shard"
 	if err := os.WriteFile(filepath.Join(dir, badShard), []byte("also corrupt"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	oldShard := "cafef00d.shard"
+	old := []byte("RTLS")
+	old = binary.LittleEndian.AppendUint32(old, 1)
+	old = binary.LittleEndian.AppendUint32(old, 2)
+	for _, arr := range []float64{0.25, 0.5} {
+		old = binary.LittleEndian.AppendUint64(old, math.Float64bits(arr))
+	}
+	sum := sha256.Sum256(old)
+	if err := os.WriteFile(filepath.Join(dir, oldShard), append(old, sum[:]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -33,10 +49,10 @@ func TestScrubCacheQuarantinesCorruptEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	variants := len(bog.Variants())
-	if rep.Scanned != variants+1 || rep.Valid != variants-1 || rep.Quarantined != 2 {
-		t.Fatalf("report %+v, want %d scanned, %d valid, 2 quarantined", rep, variants+1, variants-1)
+	if rep.Scanned != variants+2 || rep.Valid != variants-1 || rep.Quarantined != 3 {
+		t.Fatalf("report %+v, want %d scanned, %d valid, 3 quarantined", rep, variants+2, variants-1)
 	}
-	for _, name := range []string{badRep, badShard} {
+	for _, name := range []string{badRep, badShard, oldShard} {
 		if _, err := os.Stat(filepath.Join(dir, "quarantine", name)); err != nil {
 			t.Fatalf("%s not in quarantine: %v", name, err)
 		}

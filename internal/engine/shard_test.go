@@ -2,13 +2,10 @@ package engine
 
 import (
 	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"rtltimer/internal/bog"
 	"rtltimer/internal/liberty"
-	"rtltimer/internal/part"
 	"rtltimer/internal/sta"
 )
 
@@ -82,102 +79,6 @@ func TestShardedWarmRunZeroBuilds(t *testing.T) {
 				requireIdentical(t, coldRes[v], warmRes[v])
 			}
 		})
-	}
-}
-
-// TestShardEntriesServeRebuilds: when the full entries are gone but the
-// content-addressed shard entries survive, a rebuild re-partitions and
-// restores every per-shard forward pass from disk (ShardHits == shard
-// count, zero shard misses), bit-identical to the original build.
-func TestShardEntriesServeRebuilds(t *testing.T) {
-	d, src := buildDesign(t)
-	tag := DesignTag(d.Name, src)
-	dir := t.TempDir()
-
-	cold := New(2).withDir(dir)
-	cold.SetShards(4)
-	coldRes := evalAll(t, cold, FixedDesign(d), tag)
-	cst := cold.Stats()
-	if cst.ShardWrites == 0 || cst.ShardMisses != cst.ShardWrites {
-		t.Fatalf("cold sharded run stats %+v, want every shard missed and written", cst)
-	}
-
-	// Drop the full entries; keep the shard entries.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardFiles := 0
-	for _, ent := range ents {
-		switch {
-		case strings.HasSuffix(ent.Name(), ".rep"):
-			if err := os.Remove(filepath.Join(dir, ent.Name())); err != nil {
-				t.Fatal(err)
-			}
-		case strings.HasSuffix(ent.Name(), ".shard"):
-			shardFiles++
-		}
-	}
-	if int64(shardFiles) != cst.ShardWrites {
-		t.Fatalf("%d shard files on disk, want %d", shardFiles, cst.ShardWrites)
-	}
-
-	rebuild := New(2).withDir(dir)
-	rebuild.SetShards(4)
-	rebuilt := evalAll(t, rebuild, FixedDesign(d), tag)
-	st := rebuild.Stats()
-	if st.Builds != int64(len(bog.Variants())) {
-		t.Fatalf("rebuild stats %+v, want %d builds", st, len(bog.Variants()))
-	}
-	if st.ShardMisses != 0 || st.ShardHits != cst.ShardWrites || st.ShardWrites != 0 {
-		t.Fatalf("rebuild stats %+v, want all %d shard passes served from disk", st, cst.ShardWrites)
-	}
-	for _, v := range bog.Variants() {
-		requireIdentical(t, coldRes[v], rebuilt[v])
-	}
-}
-
-// TestShardDigestIgnoresNames: the shard content address covers only
-// timing-relevant state (local structure + delays), so renaming signals
-// or the design itself leaves every digest — and therefore every .shard
-// entry — valid.
-func TestShardDigestIgnoresNames(t *testing.T) {
-	d, _ := buildDesign(t)
-	g, err := bog.Build(d, bog.AIG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib := liberty.DefaultPseudoLib()
-	digests := func(g *bog.Graph) []string {
-		t.Helper()
-		p, err := part.New(g, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh, err := sta.NewShardedAnalyzer(sta.NewAnalyzer(g, lib), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := New(1)
-		out := make([]string, p.K)
-		for i := range out {
-			out[i] = e.shardEntryDigest(sh, i, lib)
-		}
-		return out
-	}
-	base := digests(g)
-	renamed := g.Clone()
-	renamed.Design = "completely-different"
-	for i := range renamed.SigNames {
-		renamed.SigNames[i] = "renamed_" + renamed.SigNames[i]
-	}
-	for i := range renamed.Endpoints {
-		renamed.Endpoints[i].Ref.Signal = "renamed_" + renamed.Endpoints[i].Ref.Signal
-	}
-	for i, got := range digests(renamed) {
-		if got != base[i] {
-			t.Fatalf("shard %d digest changed on a pure rename", i)
-		}
 	}
 }
 

@@ -31,8 +31,8 @@ import (
 //     one. Node ids are topological, so every pop is final.
 //
 // The session maintains its own fanout adjacency (sorted consumer lists,
-// one entry per fanin slot) incrementally, so no O(graph) CSR rebuild ever
-// runs inside Apply. Cost per Apply is proportional to the affected cone,
+// one entry per fanin slot) incrementally, so no O(graph) adjacency
+// rebuild ever runs inside Apply. Cost per Apply is proportional to the affected cone,
 // not the design — the property BenchmarkIncrementalSTA tracks against
 // BenchmarkFullReanalyze.
 //

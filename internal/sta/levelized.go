@@ -3,7 +3,6 @@ package sta
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"rtltimer/internal/bog"
 	"rtltimer/internal/liberty"
@@ -18,14 +17,10 @@ const endpointCap = 1.1
 // output slews and delay increments. Loads and slews are functions of the
 // graph structure alone, and because a node's output slew does not depend
 // on its inputs' arrival, the slew term of every delay is static too — so
-// one Analyze call reduces to a single forward max-plus pass over the CSR
-// fanin array plus the endpoint slack loop. Construction costs one
-// reference-style pass; every subsequent Analyze is allocation-light (only
-// the Result slices) and, because each level of the CSR levelization only
-// reads values from strictly lower levels, safely parallelizable level by
-// level. The CSR view itself is fetched lazily from the graph's cache: an
-// analyzer whose arrival vector was restored from the on-disk cache never
-// pays the levelization unless a fresh forward pass is actually requested.
+// one Analyze call reduces to a single serial forward max-plus pass over
+// each node's fanins plus the endpoint slack loop. Construction costs one
+// reference-style pass; every subsequent Analyze allocates only the
+// arrival vector and the Result slices.
 //
 // An Analyzer is immutable after NewAnalyzer and safe for concurrent use.
 type Analyzer struct {
@@ -51,9 +46,8 @@ func NewAnalyzer(g *bog.Graph, lib *liberty.PseudoLib) *Analyzer {
 		fanout: g.FanoutCounts(),
 	}
 	// Loads: consumer input caps (in consumer-id order), endpoint caps,
-	// then wire load — the reference accumulation order. Iterating the
-	// node fanin slots directly visits edges in exactly the CSR fanin-array
-	// order, so the float accumulation stays bit-identical.
+	// then wire load — the reference accumulation order, so the float
+	// accumulation stays bit-identical.
 	for i := range g.Nodes {
 		nd := &g.Nodes[i]
 		cell := &lib.Cells[nd.Op]
@@ -134,34 +128,26 @@ func NewAnalyzerFromState(g *bog.Graph, lib *liberty.PseudoLib, load, slew, dela
 }
 
 // Analyze runs pseudo-STA at the given clock period: a serial forward
-// pass in topological id order.
+// pass in topological id order, then the endpoint slack loop.
 func (a *Analyzer) Analyze(period float64) *Result {
-	return a.AnalyzeJobs(period, 1)
-}
-
-// parallelLevelMin is the level width below which a level is processed
-// serially: narrow levels cost less to compute than to hand out.
-const parallelLevelMin = 256
-
-// AnalyzeJobs runs pseudo-STA with up to jobs workers cooperating on each
-// sufficiently wide level. Results are bit-identical for every jobs value:
-// nodes within a level are independent, and each node's computation does
-// not depend on how the level is chunked.
-func (a *Analyzer) AnalyzeJobs(period float64, jobs int) *Result {
-	return a.At(a.Arrivals(jobs), period)
+	return a.At(a.Arrivals(1), period)
 }
 
 // Arrivals runs the forward max-plus pass alone and returns the per-node
 // arrival vector. Arrival times are period-free — only slack depends on
 // the clock — so one Arrivals call can back any number of At
-// materializations. The returned slice is bit-identical for every jobs
-// value.
+// materializations. The pass is always serial; jobs is ignored.
 func (a *Analyzer) Arrivals(jobs int) []float64 {
 	arr := make([]float64, len(a.G.Nodes))
-	if jobs > 1 {
-		a.forwardParallel(arr, jobs)
-	} else {
-		a.forwardSerial(arr)
+	for i := range a.G.Nodes {
+		nd := &a.G.Nodes[i]
+		worst := 0.0
+		for j := 0; j < nd.NumFanin(); j++ {
+			if f := arr[nd.Fanin[j]]; f > worst {
+				worst = f
+			}
+		}
+		arr[i] = worst + a.delay[i]
 	}
 	return arr
 }
@@ -179,108 +165,16 @@ func (a *Analyzer) At(arr []float64, period float64) *Result {
 		Load:        a.load,
 		Fanout:      a.fanout,
 	}
-	a.finish(r, period)
-	return r
-}
-
-// AnalyzeBatch analyzes every clock period in periods with one shared
-// forward pass: the arrival vector is computed once (with up to jobs
-// workers) and each period only pays the endpoint slack loop. Each
-// returned Result is bit-identical to an independent Analyze(periods[i])
-// call; the per-node vectors are shared between the K Results, and the
-// per-period endpoint vectors are carved out of two batch-wide backing
-// arrays, so a K-period sweep costs three allocations instead of 3K+1.
-func (a *Analyzer) AnalyzeBatch(periods []float64, jobs int) []*Result {
-	arr := a.Arrivals(jobs)
-	out := make([]*Result, len(periods))
-	res := make([]Result, len(periods))
-	ep := len(a.G.Endpoints)
-	back := make([]float64, 2*ep*len(periods))
-	for i, p := range periods {
-		r := &res[i]
-		r.ClockPeriod = p
-		r.Arrival = arr
-		r.Slew = a.slew
-		r.Load = a.load
-		r.Fanout = a.fanout
-		r.EndpointAT, back = back[:ep:ep], back[ep:]
-		r.Slack, back = back[:ep:ep], back[ep:]
-		a.finish(r, p)
-		out[i] = r
-	}
-	return out
-}
-
-// forwardSerial propagates arrivals over all nodes in topological order.
-func (a *Analyzer) forwardSerial(arr []float64) {
-	c := a.G.CSR()
-	for i := range arr {
-		worst := 0.0
-		s, e := c.FaninStart[i], c.FaninStart[i+1]
-		for _, f := range c.Fanin[s:e] {
-			if arr[f] > worst {
-				worst = arr[f]
-			}
-		}
-		arr[i] = worst + a.delay[i]
-	}
-}
-
-// forwardParallel propagates arrivals level by level, splitting wide
-// levels across jobs goroutines.
-func (a *Analyzer) forwardParallel(arr []float64, jobs int) {
-	c := a.G.CSR()
-	var wg sync.WaitGroup
-	for l := 0; l < c.NumLevels(); l++ {
-		nodes := c.LevelNodes[c.LevelStart[l]:c.LevelStart[l+1]]
-		if len(nodes) < parallelLevelMin {
-			a.forwardNodes(arr, nodes)
-			continue
-		}
-		chunk := (len(nodes) + jobs - 1) / jobs
-		for lo := 0; lo < len(nodes); lo += chunk {
-			hi := lo + chunk
-			if hi > len(nodes) {
-				hi = len(nodes)
-			}
-			wg.Add(1)
-			go func(sub []bog.NodeID) {
-				defer wg.Done()
-				a.forwardNodes(arr, sub)
-			}(nodes[lo:hi])
-		}
-		wg.Wait()
-	}
-}
-
-func (a *Analyzer) forwardNodes(arr []float64, nodes []bog.NodeID) {
-	c := a.G.CSR()
-	for _, i := range nodes {
-		worst := 0.0
-		for _, f := range c.Fanin[c.FaninStart[i]:c.FaninStart[i+1]] {
-			if arr[f] > worst {
-				worst = arr[f]
-			}
-		}
-		arr[i] = worst + a.delay[i]
-	}
-}
-
-// finish fills the endpoint arrivals, slacks, WNS and TNS.
-func (a *Analyzer) finish(r *Result, period float64) {
 	finishResult(a.G, a.Lib, r, period)
+	return r
 }
 
 // finishResult is the endpoint slack loop shared by the analyzer and the
 // incremental session: identical accumulation, so their Results are
-// bit-identical for the same arrival vector. Pre-sized EndpointAT/Slack
-// slices (AnalyzeBatch's batch-wide scratch) are reused; anything else is
-// allocated fresh.
+// bit-identical for the same arrival vector.
 func finishResult(g *bog.Graph, lib *liberty.PseudoLib, r *Result, period float64) {
-	if len(r.EndpointAT) != len(g.Endpoints) || len(r.Slack) != len(g.Endpoints) {
-		r.EndpointAT = make([]float64, len(g.Endpoints))
-		r.Slack = make([]float64, len(g.Endpoints))
-	}
+	r.EndpointAT = make([]float64, len(g.Endpoints))
+	r.Slack = make([]float64, len(g.Endpoints))
 	r.WNS = math.Inf(1)
 	r.TNS = 0
 	for i, ep := range g.Endpoints {

@@ -87,85 +87,6 @@ func TestLevelizedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAnalyzeJobsDeterministic: worker count must not change a single bit
-// of the result, and repeated calls through one Analyzer must agree with
-// one-shot Analyze calls.
-func TestAnalyzeJobsDeterministic(t *testing.T) {
-	lib := liberty.DefaultPseudoLib()
-	for _, g := range seedGraphs(t) {
-		a := sta.NewAnalyzer(g, lib)
-		serial := a.AnalyzeJobs(0.5, 1)
-		for _, jobs := range []int{2, 8} {
-			par := a.AnalyzeJobs(0.5, jobs)
-			sameResult(t, g, serial, par)
-		}
-		sameResult(t, g, serial, sta.Analyze(g, lib, 0.5))
-	}
-}
-
-// TestCSRConsistency: the CSR view must agree with the per-node layout.
-func TestCSRConsistency(t *testing.T) {
-	for _, g := range seedGraphs(t) {
-		c := g.CSR()
-		lv := g.Levels()
-		fo := g.FanoutCounts()
-		for i := range g.Nodes {
-			nd := &g.Nodes[i]
-			s, e := c.FaninStart[i], c.FaninStart[i+1]
-			if int(e-s) != nd.NumFanin() {
-				t.Fatalf("%s/%v: node %d fanin count %d != %d", g.Design, g.Variant, i, e-s, nd.NumFanin())
-			}
-			for j := 0; j < nd.NumFanin(); j++ {
-				if c.Fanin[s+int32(j)] != nd.Fanin[j] {
-					t.Fatalf("%s/%v: node %d fanin %d mismatch", g.Design, g.Variant, i, j)
-				}
-			}
-			if c.Level[i] != lv[i] {
-				t.Fatalf("%s/%v: node %d level %d != %d", g.Design, g.Variant, i, c.Level[i], lv[i])
-			}
-			if c.FanoutCount(bog.NodeID(i)) != fo[i] {
-				t.Fatalf("%s/%v: node %d fanout %d != %d", g.Design, g.Variant, i, c.FanoutCount(bog.NodeID(i)), fo[i])
-			}
-		}
-		// Level buckets partition the nodes and respect level order.
-		seen := 0
-		for l := 0; l < c.NumLevels(); l++ {
-			for _, id := range c.LevelNodes[c.LevelStart[l]:c.LevelStart[l+1]] {
-				if c.Level[id] != int32(l) {
-					t.Fatalf("%s/%v: node %d in bucket %d has level %d", g.Design, g.Variant, id, l, c.Level[id])
-				}
-				seen++
-			}
-		}
-		if seen != len(g.Nodes) {
-			t.Fatalf("%s/%v: level buckets cover %d of %d nodes", g.Design, g.Variant, seen, len(g.Nodes))
-		}
-	}
-}
-
-// TestAnalyzeBatchMatchesAnalyze: AnalyzeBatch over K periods must be
-// bit-identical to K independent per-period Analyze calls, on every seed
-// design, every representation, and for jobs in {1, 8}.
-func TestAnalyzeBatchMatchesAnalyze(t *testing.T) {
-	lib := liberty.DefaultPseudoLib()
-	periods := []float64{0.2, 0.3, 0.45, 0.55, 0.7, 0.85, 1.0, 1.3}
-	for _, g := range seedGraphs(t) {
-		a := sta.NewAnalyzer(g, lib)
-		for _, jobs := range []int{1, 8} {
-			batch := a.AnalyzeBatch(periods, jobs)
-			if len(batch) != len(periods) {
-				t.Fatalf("%s/%v: %d results for %d periods", g.Design, g.Variant, len(batch), len(periods))
-			}
-			for i, p := range periods {
-				if batch[i].ClockPeriod != p {
-					t.Fatalf("%s/%v: result %d period %v != %v", g.Design, g.Variant, i, batch[i].ClockPeriod, p)
-				}
-				sameResult(t, g, sta.Analyze(g, lib, p), batch[i])
-			}
-		}
-	}
-}
-
 // TestArrivalsAtComposition: Analyze must equal Arrivals + At, and one
 // arrival vector must serve every period.
 func TestArrivalsAtComposition(t *testing.T) {

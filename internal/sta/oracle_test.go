@@ -13,7 +13,7 @@ import (
 // codec (exactly what a warm cache load deserializes) and analyzed with
 // the levelized Analyzer must be bit-identical to the retained
 // AnalyzeReference oracle on the original graph — for every seed design,
-// every variant, serial and parallel passes, at several clock periods.
+// every variant, at several clock periods.
 func TestDecodedGraphAnalyzerMatchesReference(t *testing.T) {
 	lib := liberty.DefaultPseudoLib()
 	for _, g := range seedGraphs(t) {
@@ -23,10 +23,7 @@ func TestDecodedGraphAnalyzerMatchesReference(t *testing.T) {
 		}
 		an := sta.NewAnalyzer(dec, lib)
 		for _, period := range []float64{0.3, 0.55, 1.0} {
-			ref := sta.AnalyzeReference(g, lib, period)
-			for _, jobs := range []int{1, 8} {
-				sameResult(t, g, ref, an.AnalyzeJobs(period, jobs))
-			}
+			sameResult(t, g, sta.AnalyzeReference(g, lib, period), an.Analyze(period))
 		}
 	}
 }

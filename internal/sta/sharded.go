@@ -2,28 +2,27 @@ package sta
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"rtltimer/internal/part"
 )
 
 // ShardedAnalyzer runs the forward max-plus pass shard-by-shard over a
-// register-bounded partition (package part) instead of level-by-level over
-// the whole graph. Each shard gets its own Analyzer over the extracted
+// register-bounded partition (package part) instead of over the whole
+// graph at once. Each shard gets its own Analyzer over the extracted
 // subgraph, seeded with the *global* analyzer's static load/slew/delay
 // state gathered through the shard's node map — a shard never recomputes
 // loads from its local view, so replicated boundary sources carry exactly
 // the timing they have in the monolithic analysis. One ShardArrivals call
 // is a plain serial forward pass over one shard; shards are mutually
-// independent (combinational cones never cross a shard boundary), so
-// Arrivals fans them out with no level barriers at all and stitches the
-// local vectors back into canonical node order.
+// independent (combinational cones never cross a shard boundary), so a
+// caller may run them in any order or concurrently — the engine fans them
+// out on its worker pool — and Stitch scatters the local vectors back
+// into canonical node order.
 //
-// The stitched vector is bit-identical to Analyzer.Arrivals for every
-// jobs value: per node, the computation is the same max over the same
-// fanin arrivals (max is order-insensitive bit-wise) plus the same static
-// delay, and replicas of a node in different shards therefore compute
-// identical bits.
+// The stitched vector is bit-identical to Analyzer.Arrivals: per node,
+// the computation is the same max over the same fanin arrivals (max is
+// order-insensitive bit-wise) plus the same static delay, and replicas of
+// a node in different shards therefore compute identical bits.
 //
 // A ShardedAnalyzer is immutable after construction and safe for
 // concurrent use.
@@ -36,9 +35,8 @@ type ShardedAnalyzer struct {
 	// writes[s] lists the local ids shard s scatters into the global
 	// arrival vector: its "first-cover" nodes, i.e. those no lower shard
 	// also holds. Every covered node appears in exactly one list, so the
-	// scatter is disjoint across shards (replicas compute identical bits,
-	// so which replica writes is immaterial) and can run inside the
-	// per-shard workers without synchronization.
+	// scatter writes each slot once (replicas compute identical bits, so
+	// which replica writes is immaterial).
 	writes [][]int32
 
 	// fill lists the nodes no shard covers — unreferenced sources, whose
@@ -108,7 +106,7 @@ func (sa *ShardedAnalyzer) ShardArrivals(i int) []float64 {
 }
 
 // Stitch scatters per-shard arrival vectors (locals[i] from
-// ShardArrivals(i), or a cache) back into canonical global node order.
+// ShardArrivals(i)) back into canonical global node order.
 // Each covered node is written by exactly one shard (its first-cover
 // shard; replicas compute identical bits, so the choice is immaterial),
 // and sources outside every shard are filled from their static delay — a
@@ -128,64 +126,12 @@ func (sa *ShardedAnalyzer) Stitch(locals [][]float64) ([]float64, error) {
 		arr[i] = sa.An.delay[i]
 	}
 	for s, local := range locals {
-		sa.scatter(arr, s, local)
+		nodes := sa.P.Shards[s].Nodes
+		for _, l := range sa.writes[s] {
+			arr[nodes[l]] = local[l]
+		}
 	}
 	return arr, nil
-}
-
-// scatter writes shard s's first-cover arrivals into the global vector.
-// Write sets are disjoint across shards, so concurrent scatters of
-// different shards never touch the same slot.
-func (sa *ShardedAnalyzer) scatter(arr []float64, s int, local []float64) {
-	nodes := sa.P.Shards[s].Nodes
-	for _, l := range sa.writes[s] {
-		arr[nodes[l]] = local[l]
-	}
-}
-
-// Arrivals computes the global arrival vector by running the per-shard
-// forward passes on up to jobs goroutines, each scattering its own
-// disjoint write set as it finishes. The result is bit-identical to
-// An.Arrivals for every jobs value.
-func (sa *ShardedAnalyzer) Arrivals(jobs int) []float64 {
-	k := len(sa.shards)
-	arr := make([]float64, len(sa.An.G.Nodes))
-	for _, i := range sa.fill {
-		arr[i] = sa.An.delay[i]
-	}
-	if jobs < 2 || k < 2 {
-		for i := 0; i < k; i++ {
-			sa.scatter(arr, i, sa.ShardArrivals(i))
-		}
-		return arr
-	}
-	if jobs > k {
-		jobs = k
-	}
-	var next atomic.Int32
-	done := make(chan struct{}, jobs)
-	for w := 0; w < jobs; w++ {
-		go func() {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= k {
-					done <- struct{}{}
-					return
-				}
-				sa.scatter(arr, i, sa.ShardArrivals(i))
-			}
-		}()
-	}
-	for w := 0; w < jobs; w++ {
-		<-done
-	}
-	return arr
-}
-
-// AnalyzeJobs runs the sharded pseudo-STA at one clock period,
-// bit-identical to An.AnalyzeJobs.
-func (sa *ShardedAnalyzer) AnalyzeJobs(period float64, jobs int) *Result {
-	return sa.An.At(sa.Arrivals(jobs), period)
 }
 
 // WithEditedShard returns the sharded view of an analysis derived from sa

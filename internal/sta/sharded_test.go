@@ -10,11 +10,40 @@ import (
 	"rtltimer/internal/sta"
 )
 
+// stitchedArrivals runs every shard's forward pass and stitches the
+// canonical arrival vector — the engine's sharded build path, serially.
+func stitchedArrivals(t *testing.T, sa *sta.ShardedAnalyzer) []float64 {
+	t.Helper()
+	locals := make([][]float64, sa.NumShards())
+	for i := range locals {
+		locals[i] = sa.ShardArrivals(i)
+	}
+	arr, err := sa.Stitch(locals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arr
+}
+
+// shardedAnalyzer partitions g into shards and builds the sharded view of
+// an.
+func shardedAnalyzer(t *testing.T, an *sta.Analyzer, shards int) *sta.ShardedAnalyzer {
+	t.Helper()
+	p, err := part.New(an.G, shards)
+	if err != nil {
+		t.Fatalf("%v shards %d: %v", an.G.Variant, shards, err)
+	}
+	sa, err := sta.NewShardedAnalyzer(an, p)
+	if err != nil {
+		t.Fatalf("%v shards %d: %v", an.G.Variant, shards, err)
+	}
+	return sa
+}
+
 // TestShardedArrivalsBitIdentical is the sharding determinism property:
-// partition → per-shard analysis → stitch must be bit-identical to the
-// monolithic forward pass for random graphs in all four variants, every
-// shard count, and every jobs value (run under -race in CI, which also
-// vets the shard fan-out for data races).
+// partition → per-shard forward passes → Stitch must be bit-identical to
+// the monolithic forward pass for random graphs in all four variants and
+// every shard count.
 func TestShardedArrivalsBitIdentical(t *testing.T) {
 	lib := liberty.DefaultPseudoLib()
 	for _, v := range bog.Variants() {
@@ -23,25 +52,15 @@ func TestShardedArrivalsBitIdentical(t *testing.T) {
 			an := sta.NewAnalyzer(g, lib)
 			want := an.Arrivals(1)
 			for _, shards := range []int{1, 2, 4, 8} {
-				p, err := part.New(g, shards)
-				if err != nil {
-					t.Fatalf("%v seed %d shards %d: %v", v, seed, shards, err)
+				got := stitchedArrivals(t, shardedAnalyzer(t, an, shards))
+				if len(got) != len(want) {
+					t.Fatalf("%v seed %d shards %d: %d arrivals, want %d",
+						v, seed, shards, len(got), len(want))
 				}
-				sa, err := sta.NewShardedAnalyzer(an, p)
-				if err != nil {
-					t.Fatalf("%v seed %d shards %d: %v", v, seed, shards, err)
-				}
-				for _, jobs := range []int{1, 8} {
-					got := sa.Arrivals(jobs)
-					if len(got) != len(want) {
-						t.Fatalf("%v seed %d shards %d jobs %d: %d arrivals, want %d",
-							v, seed, shards, jobs, len(got), len(want))
-					}
-					for i := range got {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("%v seed %d shards %d jobs %d: arrival[%d] = %v, want %v (bitwise)",
-								v, seed, shards, jobs, i, got[i], want[i])
-						}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%v seed %d shards %d: arrival[%d] = %v, want %v (bitwise)",
+							v, seed, shards, i, got[i], want[i])
 					}
 				}
 			}
@@ -50,64 +69,63 @@ func TestShardedArrivalsBitIdentical(t *testing.T) {
 }
 
 // TestShardedResultMatchesMonolithic checks the period-level view too:
-// WNS/TNS and every endpoint slack from the sharded pass equal the
+// WNS/TNS and every endpoint slack from the stitched arrivals equal the
 // monolithic analysis bit-for-bit.
 func TestShardedResultMatchesMonolithic(t *testing.T) {
 	lib := liberty.DefaultPseudoLib()
 	for _, v := range bog.Variants() {
 		g := randomEditGraph(v, 7)
 		an := sta.NewAnalyzer(g, lib)
-		p, err := part.New(g, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sa, err := sta.NewShardedAnalyzer(an, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, period := range []float64{0.2, 0.5, 1.0} {
-			want := an.AnalyzeJobs(period, 1)
-			got := sa.AnalyzeJobs(period, 8)
-			if math.Float64bits(got.WNS) != math.Float64bits(want.WNS) ||
-				math.Float64bits(got.TNS) != math.Float64bits(want.TNS) {
-				t.Fatalf("%v period %v: WNS/TNS %v/%v, want %v/%v", v, period, got.WNS, got.TNS, want.WNS, want.TNS)
-			}
-			for i := range want.Slack {
-				if math.Float64bits(got.Slack[i]) != math.Float64bits(want.Slack[i]) {
-					t.Fatalf("%v period %v: slack[%d] differs", v, period, i)
+		for _, shards := range []int{1, 2, 4, 8} {
+			arr := stitchedArrivals(t, shardedAnalyzer(t, an, shards))
+			for _, period := range []float64{0.2, 0.5, 1.0} {
+				want := an.Analyze(period)
+				got := an.At(arr, period)
+				if math.Float64bits(got.WNS) != math.Float64bits(want.WNS) ||
+					math.Float64bits(got.TNS) != math.Float64bits(want.TNS) {
+					t.Fatalf("%v shards %d period %v: WNS/TNS %v/%v, want %v/%v",
+						v, shards, period, got.WNS, got.TNS, want.WNS, want.TNS)
+				}
+				for i := range want.Slack {
+					if math.Float64bits(got.Slack[i]) != math.Float64bits(want.Slack[i]) {
+						t.Fatalf("%v shards %d period %v: slack[%d] differs", v, shards, period, i)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestAnalyzeBatchReuseBitIdentical guards the batch's allocation
-// discipline: the per-period Results must still be bit-identical to
-// independent At calls (the scratch reuse must never change values).
-func TestAnalyzeBatchReuseBitIdentical(t *testing.T) {
-	lib := liberty.DefaultPseudoLib()
-	g := randomEditGraph(bog.SOG, 3)
-	an := sta.NewAnalyzer(g, lib)
-	periods := []float64{0.2, 0.4, 0.6, 0.8}
-	batch := an.AnalyzeBatch(periods, 1)
-	arr := an.Arrivals(1)
-	for i, p := range periods {
-		want := an.At(arr, p)
-		got := batch[i]
-		if math.Float64bits(got.WNS) != math.Float64bits(want.WNS) ||
-			math.Float64bits(got.TNS) != math.Float64bits(want.TNS) {
-			t.Fatalf("period %v: WNS/TNS differ from At", p)
-		}
-		for e := range want.Slack {
-			if math.Float64bits(got.Slack[e]) != math.Float64bits(want.Slack[e]) ||
-				math.Float64bits(got.EndpointAT[e]) != math.Float64bits(want.EndpointAT[e]) {
-				t.Fatalf("period %v endpoint %d: batch differs from At", p, e)
-			}
-		}
+// TestStitchRejectsMismatchedVectors: Stitch refuses a vector count other
+// than the shard count and a vector whose length differs from its shard's
+// node count, instead of scattering out of range.
+func TestStitchRejectsMismatchedVectors(t *testing.T) {
+	an := sta.NewAnalyzer(randomEditGraph(bog.AIG, 7), liberty.DefaultPseudoLib())
+	sa := shardedAnalyzer(t, an, 4)
+	if sa.NumShards() < 2 {
+		t.Fatalf("want at least 2 shards, got %d", sa.NumShards())
 	}
-	// The batch results must not share endpoint vectors with each other.
-	batch[0].Slack[0] = 12345
-	if batch[1].Slack[0] == 12345 {
-		t.Fatal("batch results alias each other's Slack vectors")
+	locals := make([][]float64, sa.NumShards())
+	for i := range locals {
+		locals[i] = sa.ShardArrivals(i)
+	}
+	if _, err := sa.Stitch(locals[:len(locals)-1]); err == nil {
+		t.Fatal("Stitch accepted one vector too few")
+	}
+	if _, err := sa.Stitch(append(locals, locals[0])); err == nil {
+		t.Fatal("Stitch accepted one vector too many")
+	}
+	short := append([][]float64(nil), locals...)
+	short[1] = short[1][:len(short[1])-1]
+	if _, err := sa.Stitch(short); err == nil {
+		t.Fatal("Stitch accepted a truncated shard vector")
+	}
+	long := append([][]float64(nil), locals...)
+	long[0] = append(append([]float64(nil), long[0]...), 0)
+	if _, err := sa.Stitch(long); err == nil {
+		t.Fatal("Stitch accepted an overlong shard vector")
+	}
+	if _, err := sa.Stitch(locals); err != nil {
+		t.Fatalf("well-formed vectors rejected: %v", err)
 	}
 }

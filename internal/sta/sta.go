@@ -26,8 +26,9 @@ type RandSource interface {
 
 // Result holds the pseudo-STA outcome for one graph. Results are shared
 // read-only: the per-node vectors of Analyzer-produced Results alias the
-// analyzer's immutable precomputed state (and, across an AnalyzeBatch,
-// one shared arrival vector), so consumers must not mutate them.
+// analyzer's immutable precomputed state and the arrival vector passed to
+// At, which callers such as the engine share across every period they
+// materialize, so consumers must not mutate them.
 type Result struct {
 	ClockPeriod float64
 	Arrival     []float64 // per node: worst arrival at node output

@@ -50,8 +50,8 @@ type Options struct {
 	// 0 (the default) picks a per-design shard count automatically by
 	// register count (small designs stay monolithic), 1 forces monolithic
 	// analysis, and k > 1 forces k shards. Sharded designs run one forward
-	// STA pass per shard on the worker pool and persist per-shard state
-	// through CacheDir. Results are byte-identical for every setting.
+	// STA pass per shard on the worker pool. Results are byte-identical
+	// for every setting.
 	Shards int
 	// CacheDir enables the persistent on-disk representation cache
 	// ("" = memory only): training and prediction then warm-start by
