@@ -27,6 +27,7 @@ import (
 	"rtltimer/internal/elab"
 	"rtltimer/internal/engine"
 	"rtltimer/internal/exp"
+	"rtltimer/internal/features"
 	"rtltimer/internal/liberty"
 	"rtltimer/internal/part"
 	"rtltimer/internal/service"
@@ -423,9 +424,10 @@ func BenchmarkSweepEngine(b *testing.B) {
 
 // BenchmarkEngineColdBuild is the cold-start cost the persistent cache
 // eliminates: per iteration, a fresh engine parses, elaborates, bit-blasts
-// all four BOG variants of the largest benchmark design and runs the
-// forward STA pass for each — exactly what every CLI invocation paid
-// before the disk tier existed.
+// all four BOG variants of the largest benchmark design, runs the forward
+// STA pass for each and extracts its features (one input-cone walk per
+// endpoint) — exactly what every CLI invocation paid before the disk tier
+// existed.
 func BenchmarkEngineColdBuild(b *testing.B) {
 	spec, ok := designs.ByName("Rocket3")
 	if !ok {
@@ -450,11 +452,52 @@ func BenchmarkEngineColdBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkFeatureExtraction is the extraction stage of a cold build on
+// its own: features.NewExtractor — one input-cone walk per endpoint plus
+// the rank sort — over the four BOG variants of the largest benchmark
+// design. The graphs and their timing results are built before the timer
+// starts.
+func BenchmarkFeatureExtraction(b *testing.B) {
+	spec, ok := designs.ByName("Rocket3")
+	if !ok {
+		b.Fatal("no Rocket3")
+	}
+	parsed, err := verilog.Parse(designs.Generate(spec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := elab.Elaborate(parsed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lib := liberty.DefaultPseudoLib()
+	var graphs []*bog.Graph
+	var results []*sta.Result
+	for _, v := range bog.Variants() {
+		g, err := bog.Build(d, v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		an := sta.NewAnalyzer(g, lib)
+		graphs = append(graphs, g)
+		results = append(results, an.At(an.Arrivals(1), 0))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, g := range graphs {
+			if ext := features.NewExtractor(g, results[j]); len(ext.Cones) != len(g.Endpoints) {
+				b.Fatalf("%v: %d cones for %d endpoints", g.Variant, len(ext.Cones), len(g.Endpoints))
+			}
+		}
+	}
+}
+
 // BenchmarkEngineWarmLoad is the same workload served by a warm on-disk
 // representation cache: per iteration, a fresh engine restores all four
-// variants from disk — no parsing, no bit-blasting, no forward pass. The
-// warm/cold ratio is the cache's headline win and is tracked per PR in CI
-// (target: >= 5x).
+// variants from disk — no parsing, no bit-blasting, no forward pass, no
+// cone walks. The warm/cold ratio is the cache's headline win and is
+// tracked per PR in CI.
 func BenchmarkEngineWarmLoad(b *testing.B) {
 	spec, ok := designs.ByName("Rocket3")
 	if !ok {
@@ -795,8 +838,7 @@ func BenchmarkIncrementalSTA(b *testing.B) {
 
 // BenchmarkRepResultEdit measures the engine's delta-derivation path on a
 // cache miss: clone + incremental re-timing + snapshot + extractor
-// rebuild (cheaper than a build, pricier than a raw session Apply — the
-// extractor's cone walks dominate).
+// rebuild (cheaper than a build, pricier than a raw session Apply).
 func BenchmarkRepResultEdit(b *testing.B) {
 	spec, ok := designs.ByName("Rocket3")
 	if !ok {

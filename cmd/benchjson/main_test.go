@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -9,7 +10,7 @@ import (
 // has to survive: plain -benchmem lines, custom b.ReportMetric units
 // (replication_x, graph_nodes, ...), scientific-notation values,
 // GOMAXPROCS-suffix stripping, and the noise go test interleaves with
-// results. Guard rail for adding more custom metrics (ROADMAP 5c).
+// results. Guard rail for adding more custom metrics.
 func TestParseLine(t *testing.T) {
 	tests := []struct {
 		desc  string
@@ -95,5 +96,68 @@ func TestParseLine(t *testing.T) {
 		if _, leaked := r.Extra["B/op"]; leaked {
 			t.Errorf("%s: B/op leaked into extra metrics", tc.desc)
 		}
+	}
+}
+
+// TestConvertRecordsMedians covers -count N streams: each value is the
+// median over a benchmark's lines, whatever order they arrive in, and the
+// mean of the middle two for an even count. A single line passes through
+// as it is.
+func TestConvertRecordsMedians(t *testing.T) {
+	tests := []struct {
+		desc string
+		in   string
+		want string
+	}{
+		{
+			desc: "one sample per name",
+			in: `goos: linux
+BenchmarkB-2 1 2.5e+06 ns/op 1.014 replication_x 1024 B/op 7 allocs/op
+BenchmarkA-2 10 1500 ns/op 3 allocs/op
+PASS
+`,
+			want: `{
+  "BenchmarkA": {"ns_op":1500,"allocs_op":3},
+  "BenchmarkB": {"ns_op":2500000,"allocs_op":7,"extra":{"replication_x":1.014}}
+}
+`,
+		},
+		{
+			desc: "three repeats, shuffled and interleaved",
+			in: `BenchmarkA-2 10 300 ns/op 9 allocs/op
+BenchmarkB-2 1 40 ns/op 2.5 replication_x 1 allocs/op
+BenchmarkA-2 10 100 ns/op 7 allocs/op
+BenchmarkB-2 1 20 ns/op 1.5 replication_x 1 allocs/op
+BenchmarkA-2 10 200 ns/op 8 allocs/op
+BenchmarkB-2 1 30 ns/op 3.5 replication_x 1 allocs/op
+`,
+			want: `{
+  "BenchmarkA": {"ns_op":200,"allocs_op":8},
+  "BenchmarkB": {"ns_op":30,"allocs_op":1,"extra":{"replication_x":2.5}}
+}
+`,
+		},
+		{
+			desc: "two repeats take the mean of the middle two",
+			in: `BenchmarkA-2 10 300 ns/op 9 allocs/op 4 graph_nodes
+BenchmarkA-2 10 100 ns/op 6 allocs/op 4 graph_nodes
+`,
+			want: `{
+  "BenchmarkA": {"ns_op":200,"allocs_op":7.5,"extra":{"graph_nodes":4}}
+}
+`,
+		},
+	}
+	for _, tc := range tests {
+		got, err := convert(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.desc, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: got\n%s\nwant\n%s", tc.desc, got, tc.want)
+		}
+	}
+	if _, err := convert(strings.NewReader("PASS\n")); err == nil {
+		t.Error("a stream without result lines must be an error")
 	}
 }

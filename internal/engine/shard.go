@@ -215,8 +215,9 @@ func (rr *RepResult) deriveShard(sh *sta.ShardedAnalyzer, s int, delta bog.Delta
 	// NewExtractor uses.
 	baseCones, _ := rr.Ext.State()
 	cones := append([]sta.ConeInfo(nil), baseCones...)
+	w := sta.NewConeWalker(g2)
 	for _, ep := range shard.Endpoints {
-		cones[ep] = sta.InputCone(g2, ep)
+		cones[ep] = w.InputCone(ep)
 	}
 	ext2, err := features.NewExtractorFromState(g2, r2, cones, features.RankPercentiles(r2.EndpointAT))
 	if err != nil {

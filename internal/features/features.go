@@ -35,8 +35,9 @@ func NewExtractor(g *bog.Graph, r *sta.Result) *Extractor {
 	e := &Extractor{G: g, R: r}
 	e.countCells()
 	e.Cones = make([]sta.ConeInfo, len(g.Endpoints))
+	w := sta.NewConeWalker(g)
 	for ep := range g.Endpoints {
-		e.Cones[ep] = sta.InputCone(g, ep)
+		e.Cones[ep] = w.InputCone(ep)
 	}
 	e.RankPct = RankPercentiles(r.EndpointAT)
 	return e
@@ -65,7 +66,7 @@ func RankPercentiles(endpointAT []float64) []float64 {
 // State exposes the extractor's precomputed per-endpoint vectors for
 // persistence (the engine's on-disk representation cache). The input-cone
 // walks behind Cones are the expensive part of extractor construction —
-// one backward BFS per endpoint — which is exactly what a warm cache load
+// one backward DFS per endpoint — which is exactly what a warm cache load
 // wants to skip. The returned slices alias the extractor's state and must
 // be treated as read-only.
 func (e *Extractor) State() (cones []sta.ConeInfo, rankPct []float64) {

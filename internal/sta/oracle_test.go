@@ -66,3 +66,55 @@ func TestDecodedGraphIncrementalMatchesReference(t *testing.T) {
 		sameFloats(t, "Arrival", g, fresh.Arrivals(1), inc.Arrivals())
 	}
 }
+
+// TestConeWalkerMatchesReference pins the epoch-stamped cone walker to the
+// retained map-based walk on every endpoint of every seed design under
+// every variant. One walker walks each graph forward and then in reverse,
+// so every walk after the first runs over stamps other walks left behind.
+// The last case reuses a walker across an edit that re-points a fanin
+// inside an endpoint's cone and appends a node past the walker's stamps.
+func TestConeWalkerMatchesReference(t *testing.T) {
+	graphs := seedGraphs(t)
+	check := func(what string, g *bog.Graph, w *sta.ConeWalker) {
+		t.Helper()
+		n := len(g.Endpoints)
+		for i := 0; i < 2*n; i++ {
+			ep := i
+			if i >= n {
+				ep = 2*n - 1 - i
+			}
+			if got, want := w.InputCone(ep), sta.InputConeRef(g, ep); got != want {
+				t.Fatalf("%s/%v%s: endpoint %d cone %+v, want %+v", g.Design, g.Variant, what, ep, got, want)
+			}
+		}
+	}
+	for _, g := range graphs {
+		check("", g, sta.NewConeWalker(g))
+	}
+
+	g := graphs[0].Clone()
+	w := sta.NewConeWalker(g)
+	check("", g, w)
+	ep, d := -1, bog.Nil
+	for i, e := range g.Endpoints {
+		if nd := &g.Nodes[e.D]; nd.NumFanin() >= 2 && nd.Fanin[0] != nd.Fanin[1] {
+			ep, d = i, e.D
+			break
+		}
+	}
+	if ep < 0 {
+		t.Fatalf("%s/%v: no endpoint driver with two distinct fanins", g.Design, g.Variant)
+	}
+	before := sta.InputConeRef(g, ep)
+	delta := bog.Delta{
+		bog.SetFaninEdit(d, 0, g.Nodes[d].Fanin[1]),
+		bog.InsertEdit(bog.Not, d),
+	}
+	if _, err := g.Apply(delta); err != nil {
+		t.Fatalf("%s/%v: edit: %v", g.Design, g.Variant, err)
+	}
+	if sta.InputConeRef(g, ep) == before {
+		t.Fatalf("%s/%v: the edit left endpoint %d's cone unchanged", g.Design, g.Variant, ep)
+	}
+	check(" after the edit", g, w)
+}

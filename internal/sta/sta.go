@@ -146,19 +146,42 @@ type ConeInfo struct {
 	Inputs      int // distinct primary-input bits driving the cone
 }
 
-// InputCone walks backward from the endpoint's D pin to all timing sources.
-func InputCone(g *bog.Graph, ep int) ConeInfo {
+// ConeWalker walks the input cones of one graph's endpoints. Its visited
+// set is a dense stamp array that every walk reuses: a walk bumps the
+// epoch instead of clearing the array, so it costs only the nodes of its
+// cone, and the stack is reused too. The array is sized to the graph when
+// the walker is made; bog edits keep every cone inside it, because an
+// inserted node can never feed an existing node or endpoint. A ConeWalker
+// is not safe for concurrent use.
+type ConeWalker struct {
+	g     *bog.Graph
+	stamp []uint32 // stamp[n] == epoch: n was pushed during the current walk
+	epoch uint32
+	stack []bog.NodeID
+}
+
+// NewConeWalker returns a walker over g's endpoint cones.
+func NewConeWalker(g *bog.Graph) *ConeWalker {
+	return &ConeWalker{g: g, stamp: make([]uint32, len(g.Nodes))}
+}
+
+// InputCone walks backward from endpoint ep's D pin to all timing sources.
+func (w *ConeWalker) InputCone(ep int) ConeInfo {
+	w.epoch++
+	if w.epoch == 0 {
+		// The epoch wrapped: stamps from 2³² walks ago would read as
+		// visited, so start over from a clean array.
+		clear(w.stamp)
+		w.epoch = 1
+	}
 	var info ConeInfo
-	seen := map[bog.NodeID]bool{}
-	stack := []bog.NodeID{g.Endpoints[ep].D}
+	d := w.g.Endpoints[ep].D
+	w.stamp[d] = w.epoch
+	stack := append(w.stack[:0], d)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		nd := &g.Nodes[cur]
+		nd := &w.g.Nodes[cur]
 		switch nd.Op {
 		case bog.RegQ:
 			info.DrivingRegs++
@@ -171,9 +194,13 @@ func InputCone(g *bog.Graph, ep int) ConeInfo {
 		}
 		info.Nodes++
 		for j := 0; j < nd.NumFanin(); j++ {
-			stack = append(stack, nd.Fanin[j])
+			if f := nd.Fanin[j]; w.stamp[f] != w.epoch {
+				w.stamp[f] = w.epoch
+				stack = append(stack, f)
+			}
 		}
 	}
+	w.stack = stack
 	return info
 }
 

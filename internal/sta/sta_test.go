@@ -170,11 +170,12 @@ func TestRandomPathsValid(t *testing.T) {
 func TestInputCone(t *testing.T) {
 	g := buildGraph(t, pipelineSrc, bog.SOG)
 	// Find an s3 endpoint: its cone must include both s1 and s2 registers.
+	w := NewConeWalker(g)
 	for ep, e := range g.Endpoints {
 		if e.Ref.Signal != "s3" || e.Ref.Bit != 7 {
 			continue
 		}
-		info := InputCone(g, ep)
+		info := w.InputCone(ep)
 		if info.DrivingRegs < 8 {
 			t.Errorf("s3[7] cone driving regs = %d, want >= 8", info.DrivingRegs)
 		}
