@@ -3,8 +3,8 @@ package main
 // Real-process fault harnesses for the cache fabric: unlike the in-process
 // torture suite (internal/engine/torture_test.go), these re-exec the test
 // binary so a build can be killed with SIGKILL mid-write and two genuinely
-// separate processes can race one cache directory through the claim
-// protocol. TestMain dispatches the child roles via environment variables.
+// separate processes can race one cache directory. TestMain dispatches the
+// child roles via environment variables.
 
 import (
 	"bytes"
@@ -42,7 +42,7 @@ func TestMain(m *testing.M) {
 
 // crashDesign is the corpus the crash child builds: the largest benchmark,
 // so each variant's build leaves the parent a wide window to land SIGKILL
-// between a claim, a temp-file write, and the publishing rename.
+// between a temp-file write and the publishing rename.
 func crashDesign() designs.Spec {
 	spec, ok := designs.ByName("Rocket3")
 	if !ok {
@@ -51,15 +51,14 @@ func crashDesign() designs.Spec {
 	return spec
 }
 
-// crashChildBuild is the victim: a serial cold corpus build with claiming
-// on, exactly what `rtltimer -cache-dir ... -cache-claim` does. The parent
-// kills it after the first entry publishes.
+// crashChildBuild is the victim: a serial cold corpus build, exactly what
+// `rtltimer -cache-dir ...` does. The parent kills it after the first
+// entry publishes.
 func crashChildBuild(dir string) {
 	spec := crashDesign()
 	src := designs.Generate(spec)
 	eng := engine.New(1)
 	eng.SetCacheDir(dir)
-	eng.SetClaiming(true)
 	tag := engine.DesignTag(spec.Name, src)
 	lib := liberty.DefaultPseudoLib()
 	for _, v := range bog.Variants() {
@@ -95,10 +94,26 @@ func corpusResults(t *testing.T, eng *engine.Engine, spec designs.Spec, src stri
 	return out
 }
 
+// requireSameResults fails the test unless got carries the same
+// WNS/TNS/slack bits as the undisturbed reference for every variant.
+func requireSameResults(t *testing.T, design string, ref, got map[bog.Variant][]uint64) {
+	t.Helper()
+	for _, v := range bog.Variants() {
+		if len(ref[v]) != len(got[v]) {
+			t.Fatalf("%s %v: fingerprint length %d vs %d", design, v, len(ref[v]), len(got[v]))
+		}
+		for i := range ref[v] {
+			if ref[v][i] != got[v][i] {
+				t.Fatalf("%s %v: result diverges from the undisturbed reference at word %d", design, v, i)
+			}
+		}
+	}
+}
+
 // TestCrashRecoveryMidBuild kills a real child process mid-corpus-build
 // with SIGKILL, then proves the three recovery properties: a scrub pass
-// reclaims whatever the corpse left (temps, claim markers) and quarantines
-// nothing valid; a recovery run completes the corpus bit-identical to an
+// reclaims whatever the corpse left (temps) and quarantines nothing
+// valid; a recovery run completes the corpus bit-identical to an
 // undisturbed reference; and a third run is served entirely from disk.
 func TestCrashRecoveryMidBuild(t *testing.T) {
 	if testing.Short() {
@@ -115,8 +130,8 @@ func TestCrashRecoveryMidBuild(t *testing.T) {
 	if err := child.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill as soon as the first entry publishes: the child is then claiming
-	// or mid-build on the second variant.
+	// Kill as soon as the first entry publishes: the child is then
+	// mid-build on the second variant.
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		if ents, _ := filepath.Glob(filepath.Join(dir, "*.rep")); len(ents) > 0 {
@@ -139,11 +154,10 @@ func TestCrashRecoveryMidBuild(t *testing.T) {
 		t.Fatalf("kill landed outside the mid-build window: %d entries published", len(published))
 	}
 
-	// Recovery step 1: scrub. Everything the corpse left (stale temps,
-	// orphaned claim markers) is reclaimed — TempAge 1ns treats any
-	// leftover as stale — and every published entry must validate: a
-	// SIGKILL can never leave a torn entry visible, because publishes are
-	// temp+rename.
+	// Recovery step 1: scrub. Every stale temp the corpse left is
+	// reclaimed — TempAge 1ns treats any leftover as stale — and every
+	// published entry must validate: a SIGKILL can never leave a torn
+	// entry visible, because publishes are temp+rename.
 	report, err := engine.ScrubCache(dir, engine.ScrubOptions{TempAge: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +168,6 @@ func TestCrashRecoveryMidBuild(t *testing.T) {
 	if report.Valid != len(published) {
 		t.Fatalf("scrub validated %d entries, want the %d published", report.Valid, len(published))
 	}
-	if claims, _ := filepath.Glob(filepath.Join(dir, "claims", "*.claim")); len(claims) != 0 {
-		t.Fatalf("claim markers survived the scrub: %v", claims)
-	}
 	if temps, _ := filepath.Glob(filepath.Join(dir, ".rep-*")); len(temps) != 0 {
 		t.Fatalf("temp files survived the scrub: %v", temps)
 	}
@@ -166,23 +177,11 @@ func TestCrashRecoveryMidBuild(t *testing.T) {
 	refEng.SetCacheDir(filepath.Join(t.TempDir(), "ref"))
 	ref := corpusResults(t, refEng, spec, src)
 
-	// Recovery step 2: a fresh engine (claiming on, like the victim)
-	// completes the corpus — partial disk hits, the rest rebuilt —
-	// bit-identical to the reference.
+	// Recovery step 2: a fresh engine completes the corpus — partial disk
+	// hits, the rest rebuilt — bit-identical to the reference.
 	rec := engine.New(2)
 	rec.SetCacheDir(dir)
-	rec.SetClaiming(true)
-	got := corpusResults(t, rec, spec, src)
-	for _, v := range bog.Variants() {
-		if len(ref[v]) != len(got[v]) {
-			t.Fatalf("%v: fingerprint length %d vs %d", v, len(ref[v]), len(got[v]))
-		}
-		for i := range ref[v] {
-			if ref[v][i] != got[v][i] {
-				t.Fatalf("%v: recovered result diverges from the undisturbed reference at word %d", v, i)
-			}
-		}
-	}
+	requireSameResults(t, spec.Name, ref, corpusResults(t, rec, spec, src))
 	st := rec.Stats()
 	if st.DiskHits != int64(len(published)) || st.Builds != int64(len(bog.Variants())-len(published)) {
 		t.Fatalf("recovery stats %+v, want %d hits + %d rebuilds", st, len(published), len(bog.Variants())-len(published))
@@ -213,9 +212,8 @@ func raceCorpus() []designs.Spec {
 }
 
 // raceChildBuild is one of two racing processes: it gates on the parent's
-// "go" file (so exec latency cannot skew the start), walks the corpus in
-// the given order with claiming enabled, and reports its build count on
-// stdout for the parent to sum.
+// "go" file (so exec latency cannot skew the start) and walks the corpus
+// in the given order, building whatever it misses in the shared directory.
 func raceChildBuild(dir string, reverse bool) {
 	gate := filepath.Join(dir, "go-signal")
 	for {
@@ -241,7 +239,6 @@ func raceChildBuild(dir string, reverse bool) {
 	}
 	eng := engine.New(2)
 	eng.SetCacheDir(dir)
-	eng.SetClaiming(true)
 	lib := liberty.DefaultPseudoLib()
 	for _, j := range jobs {
 		src := designs.Generate(j.spec)
@@ -251,33 +248,32 @@ func raceChildBuild(dir string, reverse bool) {
 			os.Exit(1)
 		}
 	}
-	st := eng.Stats()
-	fmt.Printf("builds=%d claims=%d waits=%d steals=%d\n", st.Builds, st.Claims, st.ClaimWaits, st.ClaimSteals)
 }
 
-// TestTwoProcessesSplitTheCacheBuild races two real rtltimer-shaped
-// processes on one cache directory with -cache-claim semantics: the corpus
-// must be built exactly once across both (strictly fewer total builds than
-// either would pay alone), each process must carry part of it, and a
-// follow-up in-process run must find a complete, valid cache.
-func TestTwoProcessesSplitTheCacheBuild(t *testing.T) {
+// TestTwoProcessesShareOneCacheDir races two real rtltimer-shaped
+// processes on one cache directory, walking the corpus in opposite
+// orders. Each builds what it misses, so an entry may be built by both;
+// publishes are atomic and deterministic, so that costs time, never
+// correctness. Both processes must exit cleanly, the directory must hold
+// the whole corpus with every entry valid and no temp file left behind,
+// and a warm run must serve it from disk bit-identical to an undisturbed
+// build in a private directory.
+func TestTwoProcessesShareOneCacheDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-process race harness")
 	}
 	dir := t.TempDir()
-	spawn := func(order string) (*exec.Cmd, *bytes.Buffer) {
+	spawn := func(order string) *exec.Cmd {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), raceChildEnv+"="+dir, raceOrderEnv+"="+order)
-		var out bytes.Buffer
-		cmd.Stdout = &out
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
-		return cmd, &out
+		return cmd
 	}
-	fwd, fwdOut := spawn("forward")
-	rev, revOut := spawn("reverse")
+	fwd := spawn("forward")
+	rev := spawn("reverse")
 	// Both children are alive and polling; open the gate.
 	if err := os.WriteFile(filepath.Join(dir, "go-signal"), nil, 0o644); err != nil {
 		t.Fatal(err)
@@ -288,43 +284,27 @@ func TestTwoProcessesSplitTheCacheBuild(t *testing.T) {
 	if err := rev.Wait(); err != nil {
 		t.Fatalf("reverse child: %v", err)
 	}
-	parse := func(out *bytes.Buffer) int64 {
-		var builds, claims, waits, steals int64
-		if _, err := fmt.Sscanf(out.String(), "builds=%d claims=%d waits=%d steals=%d",
-			&builds, &claims, &waits, &steals); err != nil {
-			t.Fatalf("child output %q: %v", out.String(), err)
-		}
-		return builds
-	}
-	total := int64(len(raceCorpus()) * len(bog.Variants()))
-	fwdBuilds, revBuilds := parse(fwdOut), parse(revOut)
-	if fwdBuilds+revBuilds != total {
-		t.Fatalf("combined builds %d+%d, want exactly %d — claiming must eliminate duplicate work",
-			fwdBuilds, revBuilds, total)
-	}
-	if fwdBuilds == 0 || revBuilds == 0 {
-		t.Fatalf("build split %d/%d: both processes must carry part of the corpus", fwdBuilds, revBuilds)
-	}
 
 	// The shared directory now holds the whole corpus, every entry valid.
+	total := int64(len(raceCorpus()) * len(bog.Variants()))
 	report, err := engine.ScrubCache(dir, engine.ScrubOptions{TempAge: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Valid != int(total) || report.Quarantined != 0 {
-		t.Fatalf("post-race scrub %+v, want %d valid and none quarantined", report, total)
+	if report.Valid != int(total) || report.Quarantined != 0 || report.TempsReclaimed != 0 {
+		t.Fatalf("post-race scrub %+v, want %d valid, none quarantined and no temps left by clean exits", report, total)
 	}
+	if temps, _ := filepath.Glob(filepath.Join(dir, ".rep-*")); len(temps) != 0 {
+		t.Fatalf("temp files survived the scrub: %v", temps)
+	}
+
+	refEng := engine.New(2)
+	refEng.SetCacheDir(filepath.Join(t.TempDir(), "ref"))
 	warm := engine.New(2)
 	warm.SetCacheDir(dir)
-	lib := liberty.DefaultPseudoLib()
 	for _, spec := range raceCorpus() {
 		src := designs.Generate(spec)
-		tag := engine.DesignTag(spec.Name, src)
-		for _, v := range bog.Variants() {
-			if _, err := warm.EvalRep(engine.Key{Design: tag, Variant: v}, lib, engine.LazyDesign(src)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		requireSameResults(t, spec.Name, corpusResults(t, refEng, spec, src), corpusResults(t, warm, spec, src))
 	}
 	if st := warm.Stats(); st.Builds != 0 || st.DiskHits != total {
 		t.Fatalf("post-race warm run %+v, want %d pure disk hits", st, total)

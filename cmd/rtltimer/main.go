@@ -28,12 +28,12 @@
 //	rtltimer -bench b18_1 -optimize [-opt-passes 4]
 //	rtltimer -cache-dir .cache -cache-scrub [-cache-budget 64M]
 //
-// -cache-dir persists representations across runs; -cache-claim makes
-// concurrent processes sharing that directory split the build work via
-// crash-safe claim files instead of duplicating it. -cache-scrub is the
-// offline maintenance mode: it validates every entry the way a warm load
-// would, quarantines corrupt and retired ones under quarantine/, reclaims
-// temp files and claim markers orphaned by killed processes, and (with
+// -cache-dir persists representations across runs. Processes may share
+// one directory: each builds the entries it misses, and publishes are
+// atomic, so a duplicate build rewrites the same bytes. -cache-scrub is
+// the offline maintenance mode: it validates every entry the way a warm
+// load would, quarantines corrupt and retired ones under quarantine/,
+// reclaims temp files orphaned by killed processes, and (with
 // -cache-budget) evicts least-recently-modified entries to a size budget.
 package main
 
@@ -41,7 +41,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"runtime"
@@ -75,9 +74,8 @@ func main() {
 	optimize := flag.Bool("optimize", false, "run the incremental-STA reassociation optimizer on every representation")
 	optPasses := flag.Int("opt-passes", 4, "greedy passes of the -optimize loop")
 	cacheDir := flag.String("cache-dir", "", "persistent representation cache directory (empty = memory only)")
-	cacheScrub := flag.Bool("cache-scrub", false, "validate every entry under -cache-dir, quarantine corrupt and retired ones, reclaim stale temps and claims, then exit")
+	cacheScrub := flag.Bool("cache-scrub", false, "validate every entry under -cache-dir, quarantine corrupt and retired ones, reclaim stale temps, then exit")
 	cacheBudget := flag.String("cache-budget", "", "with -cache-scrub: evict least-recently-modified entries until the cache fits this size (e.g. 64M, 2G)")
-	cacheClaim := flag.Bool("cache-claim", false, "coordinate cache builds with other processes sharing -cache-dir via claim files")
 	stats := flag.Bool("stats", false, "print engine cache statistics at the end of the run")
 	flag.Parse()
 
@@ -111,8 +109,8 @@ func main() {
 	if err := engine.ValidateConcurrency(*jobs, *shards); err != nil {
 		log.Fatal(err)
 	}
-	if *cacheClaim && *cacheDir == "" {
-		log.Fatal("-cache-claim requires -cache-dir")
+	if err := dataset.ValidatePeriod(*period); err != nil {
+		log.Fatalf("-period: %v", err)
 	}
 
 	eng := engine.New(*jobs)
@@ -122,7 +120,6 @@ func main() {
 			log.Fatalf("-cache-dir: %v", err)
 		}
 		eng.SetCacheDir(*cacheDir)
-		eng.SetClaiming(*cacheClaim)
 	}
 
 	// Resolve the target's name and source up front: every mode needs them.
@@ -156,19 +153,22 @@ func main() {
 		var periods []float64
 		if *sweep != "" {
 			var perr error
-			if periods, perr = parseSweep(*sweep); perr != nil {
+			if periods, perr = service.ParseSweep(*sweep); perr != nil {
 				log.Fatal(perr)
 			}
 		}
-		reps, err := buildSweepReps(eng, targetName, srcText)
+		// The fan-out and renderers live in internal/service, shared with
+		// rtltimerd, so a daemon response is byte-identical to this output
+		// by construction.
+		reps, err := service.BuildSweepReps(context.Background(), eng, targetName, srcText)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if *sweep != "" {
-			runSweep(os.Stdout, targetName, reps, periods)
+			service.RenderSweep(os.Stdout, targetName, reps, periods)
 		}
 		if *fmax {
-			runFmax(os.Stdout, targetName, reps)
+			service.RenderFmax(os.Stdout, targetName, reps)
 		}
 		if *optimize {
 			if err := runOptimize(os.Stdout, targetName, reps, *period, *optPasses); err != nil {
@@ -269,22 +269,6 @@ func main() {
 	printStats(eng, *stats)
 }
 
-// The sweep/fmax renderers and the representation fan-out live in
-// internal/service, shared verbatim with the resident rtltimerd daemon so
-// a daemon response is byte-identical to this CLI's output by
-// construction. These wrappers keep the CLI's historical names (and its
-// tests) intact.
-
-func buildSweepReps(eng *engine.Engine, name, src string) (map[bog.Variant]*engine.RepResult, error) {
-	// The one-shot CLI has no deadline to enforce: context.Background keeps
-	// its behavior exactly as before the daemon grew cancelable waits.
-	return service.BuildSweepReps(context.Background(), eng, name, src)
-}
-
-func parseSweep(s string) ([]float64, error) {
-	return service.ParseSweep(s)
-}
-
 // printStats reports the engine's cache counters when -stats is set: how
 // many graph builds ran, how many were avoided by each cache tier, and
 // what the run persisted for the next one.
@@ -298,21 +282,5 @@ func printStats(eng *engine.Engine, enabled bool) {
 	if eng.CacheDir() != "" {
 		fmt.Printf("disk cache %s: %d hits, %d misses, %d entries written, %d I/O errors, %d quarantined\n",
 			eng.CacheDir(), st.DiskHits, st.DiskMisses, st.DiskWrites, st.DiskErrors, st.Quarantined)
-		if eng.Claiming() {
-			fmt.Printf("work claiming: %d claims won, %d builds served by peers, %d stolen from dead claimants\n",
-				st.Claims, st.ClaimWaits, st.ClaimSteals)
-		}
 	}
-}
-
-func runSweep(w io.Writer, name string, reps map[bog.Variant]*engine.RepResult, periods []float64) {
-	service.RenderSweep(w, name, reps, periods)
-}
-
-func fmaxSearch(rr *engine.RepResult) (period float64, ok bool) {
-	return service.FmaxSearch(rr)
-}
-
-func runFmax(w io.Writer, name string, reps map[bog.Variant]*engine.RepResult) {
-	service.RenderFmax(w, name, reps)
 }

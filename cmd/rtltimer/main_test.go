@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"rtltimer/internal/designs"
 	"rtltimer/internal/engine"
+	"rtltimer/internal/service"
 )
 
 func TestParseSweep(t *testing.T) {
@@ -47,24 +49,24 @@ func TestParseSweep(t *testing.T) {
 		{in: "0.3:0.9:99999999999", wantErr: true},
 	}
 	for _, tc := range cases {
-		got, err := parseSweep(tc.in)
+		got, err := service.ParseSweep(tc.in)
 		if tc.wantErr {
 			if err == nil {
-				t.Errorf("parseSweep(%q) = %v, want error", tc.in, got)
+				t.Errorf("service.ParseSweep(%q) = %v, want error", tc.in, got)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("parseSweep(%q): %v", tc.in, err)
+			t.Errorf("service.ParseSweep(%q): %v", tc.in, err)
 			continue
 		}
 		if len(got) != len(tc.want) {
-			t.Errorf("parseSweep(%q) has %d points, want %d", tc.in, len(got), len(tc.want))
+			t.Errorf("service.ParseSweep(%q) has %d points, want %d", tc.in, len(got), len(tc.want))
 			continue
 		}
 		for i := range got {
 			if math.Abs(got[i]-tc.want[i]) > 1e-12 {
-				t.Errorf("parseSweep(%q)[%d] = %v, want %v", tc.in, i, got[i], tc.want[i])
+				t.Errorf("service.ParseSweep(%q)[%d] = %v, want %v", tc.in, i, got[i], tc.want[i])
 			}
 		}
 	}
@@ -119,7 +121,7 @@ func TestSweepWarmCacheZeroBuilds(t *testing.T) {
 	dir := t.TempDir()
 	spec := designs.All()[0]
 	src := designs.Generate(spec)
-	periods, err := parseSweep("0.3:0.9:7")
+	periods, err := service.ParseSweep("0.3:0.9:7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +129,13 @@ func TestSweepWarmCacheZeroBuilds(t *testing.T) {
 	render := func(jobs int) (string, engine.Stats) {
 		eng := engine.New(jobs)
 		eng.SetCacheDir(dir)
-		reps, err := buildSweepReps(eng, spec.Name, src)
+		reps, err := service.BuildSweepReps(context.Background(), eng, spec.Name, src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		runSweep(&buf, spec.Name, reps, periods)
-		runFmax(&buf, spec.Name, reps)
+		service.RenderSweep(&buf, spec.Name, reps, periods)
+		service.RenderFmax(&buf, spec.Name, reps)
 		return buf.String(), eng.Stats()
 	}
 
@@ -165,7 +167,7 @@ func TestOptimizeMode(t *testing.T) {
 
 	render := func(jobs int) (string, engine.Stats) {
 		eng := engine.New(jobs)
-		reps, err := buildSweepReps(eng, spec.Name, src)
+		reps, err := service.BuildSweepReps(context.Background(), eng, spec.Name, src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@
 // Usage:
 //
 //	rtltimerd [-listen 127.0.0.1:8723] [-jobs N] [-shards K]
-//	          [-cache-dir .cache] [-cache-claim] [-mem-budget 256M]
+//	          [-cache-dir .cache] [-mem-budget 256M]
 //	          [-model model.bin] [-seed 1]
 //	          [-max-inflight N] [-queue-wait 500ms] [-request-timeout 0]
 //	          [-max-sessions 1024] [-session-ttl 1h]
@@ -68,7 +68,6 @@ func main() {
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent evaluation workers (0 = all cores)")
 	shards := flag.Int("shards", 0, "register-bounded design shards per graph (0 = auto, 1 = monolithic)")
 	cacheDir := flag.String("cache-dir", "", "persistent representation cache directory (empty = memory only)")
-	cacheClaim := flag.Bool("cache-claim", false, "coordinate cache builds with other processes sharing -cache-dir via claim files")
 	memBudget := flag.String("mem-budget", "", "approximate resident bytes for the memory tier, e.g. 256M (empty = unlimited)")
 	modelPath := flag.String("model", "", "saved model file enabling /annotate (train with rtltimer -save-model)")
 	seed := flag.Int64("seed", 1, "model/dataset seed for /annotate builds")
@@ -83,7 +82,6 @@ func main() {
 		Jobs:           *jobs,
 		Shards:         *shards,
 		CacheDir:       *cacheDir,
-		Claim:          *cacheClaim,
 		ModelPath:      *modelPath,
 		Seed:           *seed,
 		MaxInflight:    *maxInflight,

@@ -78,6 +78,17 @@ type BuildOptions struct {
 	Engine *engine.Engine
 }
 
+// ValidatePeriod checks a user-supplied clock period: a finite number of
+// nanoseconds, or 0 for the automatic per-design clock. A negative, NaN or
+// infinite period would run synthesis and prediction against a clock no
+// design can have.
+func ValidatePeriod(period float64) error {
+	if period < 0 || math.IsNaN(period) || math.IsInf(period, 0) {
+		return fmt.Errorf("period must be a finite number of ns >= 0 (0 = automatic), got %v", period)
+	}
+	return nil
+}
+
 func (o BuildOptions) withDefaults() BuildOptions {
 	if o.MinSamples == 0 {
 		o.MinSamples = 2

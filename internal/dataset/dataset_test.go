@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rtltimer/internal/bog"
@@ -177,6 +178,22 @@ func TestFoldsClampsK(t *testing.T) {
 			if a[i][j] != b[i][j] {
 				t.Fatal("Folds not deterministic")
 			}
+		}
+	}
+}
+
+// TestValidatePeriod: 0 (automatic) and finite positive clocks pass;
+// negative, NaN and infinite ones are rejected with a message naming the
+// period.
+func TestValidatePeriod(t *testing.T) {
+	for _, p := range []float64{0, 0.5, 1000} {
+		if err := ValidatePeriod(p); err != nil {
+			t.Errorf("ValidatePeriod(%v) = %v, want ok", p, err)
+		}
+	}
+	for _, p := range []float64{-1, -1e-9, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := ValidatePeriod(p); err == nil || !strings.Contains(err.Error(), "period") {
+			t.Errorf("ValidatePeriod(%v) = %v, want an error naming the period", p, err)
 		}
 	}
 }

@@ -38,7 +38,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rtltimer/internal/bog"
 	"rtltimer/internal/elab"
@@ -442,18 +441,10 @@ type repEntry struct {
 //
 // The failure counters make degraded paths visible instead of silent:
 // DiskErrors counts real I/O failures (read errors other than not-exist,
-// failed writes, failed claims — every one degraded to a rebuild or a
-// cold cache, never to a wrong result), and Quarantined counts invalid
-// entries moved to quarantine/ — each was detected by checksum or shape
-// validation and will never be re-read.
-//
-// The claim counters only move with SetClaiming(true) on a shared cache
-// directory: Claims counts entries this engine claimed and built,
-// ClaimWaits counts entries served by waiting out another process's
-// claim (each also counts the initial DiskMiss and the eventual
-// DiskHit), and ClaimSteals counts claims this engine overrode after the
-// poll schedule ran dry — a crashed or stalled claimant, degraded to a
-// duplicate (but bit-identical) build.
+// failed writes — every one degraded to a rebuild or a cold cache, never
+// to a wrong result), and Quarantined counts invalid entries moved to
+// quarantine/ — each was detected by checksum or shape validation and
+// will never be re-read.
 //
 // The survivability counters (cancel.go) make daemon-side request
 // mortality visible: Canceled counts waits abandoned by caller
@@ -472,9 +463,6 @@ type Stats struct {
 	DiskWrites      int64
 	DiskErrors      int64
 	Quarantined     int64
-	Claims          int64
-	ClaimWaits      int64
-	ClaimSteals     int64
 	Evictions       int64
 	Canceled        int64
 	DeadlineExpired int64
@@ -496,12 +484,6 @@ type Engine struct {
 	cacheDir string
 	store    Store
 
-	// claiming enables cooperative multi-process work claiming (see
-	// claim.go); claimPoll overrides the poll schedule (nil = the
-	// default claimPollSchedule), a test seam.
-	claiming  bool
-	claimPoll []time.Duration
-
 	// shards is the design-sharding policy: 1 = monolithic (the default),
 	// 0 = automatic by register count, >1 = fixed shard count. Set once via
 	// SetShards before the engine is shared between goroutines.
@@ -516,9 +498,6 @@ type Engine struct {
 	diskWrites  atomic.Int64
 	diskErrors  atomic.Int64
 	quarantined atomic.Int64
-	claims      atomic.Int64
-	claimWaits  atomic.Int64
-	claimSteals atomic.Int64
 	evictions   atomic.Int64
 
 	canceled        atomic.Int64
@@ -585,9 +564,10 @@ func (e *Engine) Jobs() int { return e.jobs }
 // errors) over a DirStore (atomic temp+rename writes). The directory is
 // created lazily on the first write; entries are advisory — corrupt,
 // truncated or version-mismatched files are quarantined and rebuilt — so
-// pointing several processes at one directory is safe. Temp files and
-// claim markers orphaned by killed writers are swept on the way in. Call
-// before the engine is shared between goroutines.
+// pointing several processes at one directory is safe: each builds what
+// it misses, and a duplicate build publishes the same bytes. Temp files
+// orphaned by killed writers are swept on the way in. Call before the
+// engine is shared between goroutines.
 func (e *Engine) SetCacheDir(dir string) {
 	e.cacheDir = dir
 	if dir == "" {
@@ -791,9 +771,10 @@ func (e *Engine) EvalRepCtx(ctx context.Context, key Key, lib *liberty.PseudoLib
 	return e.await(ctx, ent, existed)
 }
 
-// buildRep is the single-flight resolution body behind EvalRepCtx: disk
-// tier (with optional multi-process claiming), then a from-scratch build.
-// It runs on the detached resolver goroutine, at most once per slot.
+// buildRep is the single-flight resolution body behind EvalRepCtx: a disk
+// load, otherwise the from-scratch build — frontend, bit-blast, forward
+// pass (sharded when the partition wins) — and its disk publish. It runs
+// on the detached resolver goroutine, at most once per slot.
 func (e *Engine) buildRep(key Key, lib *liberty.PseudoLib, src DesignSource) (*RepResult, error) {
 	if e.store != nil {
 		if res, ok := e.diskLoad(key, lib); ok {
@@ -801,46 +782,7 @@ func (e *Engine) buildRep(key Key, lib *liberty.PseudoLib, src DesignSource) (*R
 			return e.adoptDiskResult(res, key), nil
 		}
 		e.diskMisses.Add(1)
-		if e.claiming {
-			won, release := e.tryClaim(entryName(key, lib))
-			if won {
-				defer e.releaseClaim(release)
-				// Recheck once with the claim held: the previous
-				// claimant may have published the entry after our
-				// miss but released before our claim.
-				if res, ok := e.diskLoad(key, lib); ok {
-					e.diskHits.Add(1)
-					return e.adoptDiskResult(res, key), nil
-				}
-				return e.buildRepClaimed(key, lib, src)
-			}
-			// Another process claimed this entry; wait its build out
-			// instead of duplicating it.
-			var waited *RepResult
-			if e.awaitClaimedEntry(func() bool {
-				res, ok := e.diskLoad(key, lib)
-				if ok {
-					waited = e.adoptDiskResult(res, key)
-				}
-				return ok
-			}) {
-				e.claimWaits.Add(1)
-				e.diskHits.Add(1)
-				return waited, nil
-			}
-			// The claimant crashed or stalled past the whole poll
-			// schedule: steal the work. Bit-identity makes the
-			// duplicate build harmless.
-			e.claimSteals.Add(1)
-		}
 	}
-	return e.buildRepClaimed(key, lib, src)
-}
-
-// buildRepClaimed is the from-scratch build: frontend, bit-blast, forward
-// pass (sharded when the partition wins), disk publish. Named for when it
-// runs — after the disk tier missed and any claim was won or stolen.
-func (e *Engine) buildRepClaimed(key Key, lib *liberty.PseudoLib, src DesignSource) (*RepResult, error) {
 	e.builds.Add(1)
 	d, err := src()
 	if err != nil {
@@ -925,9 +867,6 @@ func (e *Engine) Stats() Stats {
 		DiskWrites:  e.diskWrites.Load(),
 		DiskErrors:  e.diskErrors.Load(),
 		Quarantined: e.quarantined.Load(),
-		Claims:      e.claims.Load(),
-		ClaimWaits:  e.claimWaits.Load(),
-		ClaimSteals: e.claimSteals.Load(),
 		Evictions:   e.evictions.Load(),
 
 		Canceled:        e.canceled.Load(),

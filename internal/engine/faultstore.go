@@ -24,7 +24,7 @@ const FaultEvery = -1
 // model both a glitch that a retry heals and a persistently failing
 // device.
 type InjectedFault struct {
-	Op          string // "get", "put", "claim"
+	Op          string // "get", "put"
 	Ordinal     int
 	IsTransient bool
 }
@@ -65,8 +65,6 @@ type FaultPlan struct {
 	// PutFlipBit flips the given bit of the matching Put's payload and
 	// reports success — silent corruption at rest.
 	PutFlipBit map[int]int
-	// ClaimErr fails the matching Claim with the given transience.
-	ClaimErr map[int]bool
 	// OpDelay stalls every operation by a fixed duration — injected
 	// latency (slow NFS, contended disk). Purely a scheduling
 	// perturbation; results must be unaffected.
@@ -91,8 +89,8 @@ type FaultStore struct {
 	Inner Store
 	Plan  FaultPlan
 
-	mu                 sync.Mutex
-	gets, puts, claims int
+	mu         sync.Mutex
+	gets, puts int
 }
 
 // NewFaultStore wraps inner with plan.
@@ -165,23 +163,6 @@ func (s *FaultStore) List() ([]string, error) {
 func (s *FaultStore) Delete(name string) error {
 	s.delay()
 	return s.Inner.Delete(name)
-}
-
-// Claim forwards to the inner Claimer, injecting planned claim faults.
-func (s *FaultStore) Claim(name string) (bool, error) {
-	s.mu.Lock()
-	ord := s.claims
-	s.claims++
-	s.mu.Unlock()
-	s.delay()
-	if transient, ok := lookup(s.Plan.ClaimErr, ord); ok {
-		return false, &InjectedFault{Op: "claim", Ordinal: ord, IsTransient: transient}
-	}
-	c, ok := s.Inner.(Claimer)
-	if !ok {
-		return false, &InjectedFault{Op: "claim", Ordinal: ord}
-	}
-	return c.Claim(name)
 }
 
 // flipBit returns a copy of data with bit i (modulo the payload size)

@@ -1,11 +1,13 @@
-// Cache maintenance: the stale-temp/claim sweep that runs on SetCacheDir,
-// and ScrubCache — the explicit offline maintenance pass behind the CLIs'
+// Cache maintenance: the stale-temp sweep that runs on SetCacheDir, and
+// ScrubCache — the explicit offline maintenance pass behind the CLIs'
 // -cache-scrub mode. Scrubbing validates every entry the way a warm load
 // would (checksum, magic, version, codec, shape), quarantines the invalid
 // ones along with entries of retired formats that nothing reads any more,
-// reclaims temp files and claim markers orphaned by killed processes, and
-// optionally enforces a size budget by evicting the least-recently-modified
-// entries first.
+// reclaims temp files orphaned by killed processes, and optionally
+// enforces a size budget by evicting the least-recently-modified entries
+// first. Subdirectories are never scanned: a "claims/" directory left by
+// an older version that coordinated builds through claim files is inert,
+// and may be deleted.
 //
 // Scrubbing is safe to run concurrently with live engines sharing the
 // directory: entries are advisory, so the worst a lost race can cost is
@@ -28,42 +30,35 @@ import (
 	"rtltimer/internal/liberty"
 )
 
-// staleTempAge is how old a leftover temp file or claim marker must be
-// before a sweep reclaims it; generous enough that no live writer —
-// entries are written in one Write+Rename, claims span one build — can
-// be holding one.
+// staleTempAge is how old a leftover temp file must be before a sweep
+// reclaims it; generous enough that no live writer — entries are written
+// in one Write+Rename — can be holding one.
 const staleTempAge = time.Hour
 
 // cleanStaleTemps removes orphaned ".rep-*" temp files left behind by
-// processes killed between CreateTemp and Rename, and stale "claims/"
-// markers left by claimants that died mid-build, so a long-lived shared
+// processes killed between CreateTemp and Rename, so a long-lived shared
 // cache directory does not accumulate dead files. Entirely best-effort;
-// returns how many of each it reclaimed. age <= 0 selects staleTempAge.
-func cleanStaleTemps(dir string, age time.Duration) (temps, claims int) {
+// returns how many it reclaimed. age <= 0 selects staleTempAge.
+func cleanStaleTemps(dir string, age time.Duration) int {
 	if age <= 0 {
 		age = staleTempAge
 	}
-	reclaim := func(d, prefix, suffix string) int {
-		ents, err := os.ReadDir(d)
-		if err != nil {
-			return 0
-		}
-		n := 0
-		for _, ent := range ents {
-			if !strings.HasPrefix(ent.Name(), prefix) || !strings.HasSuffix(ent.Name(), suffix) {
-				continue
-			}
-			if info, err := ent.Info(); err == nil && time.Since(info.ModTime()) > age {
-				if os.Remove(filepath.Join(d, ent.Name())) == nil {
-					n++
-				}
-			}
-		}
-		return n
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return 0
 	}
-	temps = reclaim(dir, ".rep-", "")
-	claims = reclaim(filepath.Join(dir, "claims"), "", ".claim")
-	return temps, claims
+	n := 0
+	for _, ent := range ents {
+		if !strings.HasPrefix(ent.Name(), ".rep-") {
+			continue
+		}
+		if info, err := ent.Info(); err == nil && time.Since(info.ModTime()) > age {
+			if os.Remove(filepath.Join(dir, ent.Name())) == nil {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // retiredShardSuffix names the per-shard arrival entries older caches
@@ -79,29 +74,27 @@ type ScrubOptions struct {
 	// budget — quarantine is an inspection area, emptied by deleting the
 	// directory.
 	Budget int64
-	// TempAge overrides how old temp files and claim markers must be to
-	// be reclaimed (0 = the default staleTempAge). Crash-recovery
-	// harnesses pass a tiny age to reclaim a known-dead process's
-	// leftovers immediately.
+	// TempAge overrides how old temp files must be to be reclaimed (0 =
+	// the default staleTempAge). Crash-recovery harnesses pass a tiny age
+	// to reclaim a known-dead process's leftovers immediately.
 	TempAge time.Duration
 }
 
 // ScrubReport is what one ScrubCache pass found and did.
 type ScrubReport struct {
-	Scanned         int   // entries examined
-	Valid           int   // entries that passed full validation
-	Quarantined     int   // invalid or retired entries moved to quarantine/
-	TempsReclaimed  int   // stale ".rep-*" temp files removed
-	ClaimsReclaimed int   // stale claim markers removed
-	Evicted         int   // valid entries removed by the size budget
-	BytesBefore     int64 // valid entry bytes before the budget GC
-	BytesAfter      int64 // valid entry bytes after the budget GC
+	Scanned        int   // entries examined
+	Valid          int   // entries that passed full validation
+	Quarantined    int   // invalid or retired entries moved to quarantine/
+	TempsReclaimed int   // stale ".rep-*" temp files removed
+	Evicted        int   // valid entries removed by the size budget
+	BytesBefore    int64 // valid entry bytes before the budget GC
+	BytesAfter     int64 // valid entry bytes after the budget GC
 }
 
 // String renders the report the way the CLIs print it.
 func (r *ScrubReport) String() string {
-	s := fmt.Sprintf("scanned %d entries: %d valid, %d quarantined; reclaimed %d stale temps, %d stale claims",
-		r.Scanned, r.Valid, r.Quarantined, r.TempsReclaimed, r.ClaimsReclaimed)
+	s := fmt.Sprintf("scanned %d entries: %d valid, %d quarantined; reclaimed %d stale temps",
+		r.Scanned, r.Valid, r.Quarantined, r.TempsReclaimed)
 	if r.Evicted > 0 || r.BytesBefore != r.BytesAfter {
 		s += fmt.Sprintf("; budget evicted %d entries (%d -> %d bytes)", r.Evicted, r.BytesBefore, r.BytesAfter)
 	}
@@ -109,17 +102,16 @@ func (r *ScrubReport) String() string {
 }
 
 // ScrubCache validates every cache entry under dir, quarantines corrupt
-// and retired ones, reclaims stale temps and claims, and applies the
-// optional size budget. The error is non-nil only when the directory
-// itself cannot be read — per-entry failures are what the scrub exists
-// to absorb.
+// and retired ones, reclaims stale temps, and applies the optional size
+// budget. The error is non-nil only when the directory itself cannot be
+// read — per-entry failures are what the scrub exists to absorb.
 func ScrubCache(dir string, opts ScrubOptions) (*ScrubReport, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	rep := &ScrubReport{}
-	rep.TempsReclaimed, rep.ClaimsReclaimed = cleanStaleTemps(dir, opts.TempAge)
+	rep.TempsReclaimed = cleanStaleTemps(dir, opts.TempAge)
 
 	// Validation uses the default library only as a binding target for
 	// the analyzer/extractor state; every structural check (checksum,

@@ -132,19 +132,14 @@ func TestScrubQuarantineAccumulatesSpecimens(t *testing.T) {
 	}
 }
 
-// TestScrubCacheReclaimsTempsAndClaims: stale temp files and claim markers
-// are swept; fresh ones (live writers/claimants) survive.
-func TestScrubCacheReclaimsTempsAndClaims(t *testing.T) {
+// TestScrubCacheReclaimsTemps: stale temp files are swept; fresh ones
+// (live writers) survive.
+func TestScrubCacheReclaimsTemps(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "claims"), 0o755); err != nil {
-		t.Fatal(err)
-	}
 	files := map[string]bool{ // name -> stale
-		".rep-orphan1":          true,
-		".rep-orphan2":          true,
-		".rep-live":             false,
-		"claims/dead.rep.claim": true,
-		"claims/live.rep.claim": false,
+		".rep-orphan1": true,
+		".rep-orphan2": true,
+		".rep-live":    false,
 	}
 	old := time.Now().Add(-2 * staleTempAge)
 	for name, stale := range files {
@@ -162,8 +157,8 @@ func TestScrubCacheReclaimsTempsAndClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.TempsReclaimed != 2 || rep.ClaimsReclaimed != 1 {
-		t.Fatalf("report %+v, want 2 temps and 1 claim reclaimed", rep)
+	if rep.TempsReclaimed != 2 {
+		t.Fatalf("report %+v, want 2 temps reclaimed", rep)
 	}
 	for name, stale := range files {
 		_, err := os.Stat(filepath.Join(dir, name))

@@ -1,6 +1,6 @@
 // The byte-level substrate of the disk tier: a small Store interface
-// between the cache logic (content addressing, entry codecs, quarantine,
-// claiming — diskcache.go) and the actual I/O, so the failure model of the
+// between the cache logic (content addressing, entry codecs, quarantine —
+// diskcache.go) and the actual I/O, so the failure model of the
 // cache fabric is explicit and injectable instead of being whatever the
 // filesystem happens to do.
 //
@@ -33,11 +33,10 @@ import (
 )
 
 // Store is the disk tier's I/O interface. Entry names are slash-separated
-// relative paths ("<digest>.rep", "quarantine/<digest>.rep",
-// "claims/<digest>.rep.claim"); implementations map them to whatever
-// addressing their backend has. All methods must be safe for concurrent
-// use by multiple goroutines and — for shared-directory backends —
-// multiple processes.
+// relative paths ("<digest>.rep", "quarantine/<digest>.rep");
+// implementations map them to whatever addressing their backend has. All
+// methods must be safe for concurrent use by multiple goroutines and — for
+// shared-directory backends — multiple processes.
 type Store interface {
 	// Get returns the full contents of the named entry. A missing entry
 	// returns an error satisfying errors.Is(err, fs.ErrNotExist); any
@@ -53,19 +52,6 @@ type Store interface {
 	// Delete removes the named entry. Deleting a missing entry returns
 	// an error satisfying errors.Is(err, fs.ErrNotExist).
 	Delete(name string) error
-}
-
-// Claimer is an optional Store capability: atomic create-exclusive of a
-// claim marker, the primitive behind crash-safe multi-process work
-// claiming (see claim.go). Stores that cannot provide atomic exclusive
-// creation simply don't implement it, and the engine degrades to
-// uncoordinated (but still correct) builds.
-type Claimer interface {
-	// Claim atomically creates the named marker entry. It returns
-	// (true, nil) when this caller created it, (false, nil) when the
-	// marker already existed — some other worker holds the claim — and
-	// a non-nil error only for real I/O failures.
-	Claim(name string) (bool, error)
 }
 
 // entryFileMode is the permission bits entries are given before the
@@ -182,24 +168,6 @@ func (s *DirStore) Delete(name string) error {
 	return os.Remove(s.path(name))
 }
 
-// Claim atomically creates the named marker with O_CREATE|O_EXCL: exactly
-// one of any number of racing processes sees (true, nil).
-func (s *DirStore) Claim(name string) (bool, error) {
-	path := s.path(name)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return false, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, entryFileMode)
-	if err != nil {
-		if errors.Is(err, fs.ErrExist) {
-			return false, nil
-		}
-		return false, err
-	}
-	f.Close()
-	return true, nil
-}
-
 // retrySchedule is the default backoff schedule of RetryStore: fixed,
 // bounded, entropy-free. Three retries spaced ~geometrically cover the
 // transient window of a loaded filesystem (interrupted syscalls, momentary
@@ -271,19 +239,6 @@ func (s *RetryStore) List() (names []string, err error) {
 
 func (s *RetryStore) Delete(name string) error {
 	return s.do(func() error { return s.Inner.Delete(name) })
-}
-
-// Claim forwards to the inner store's Claimer, retrying transient I/O
-// errors. A lost claim ((false, nil)) is a result, not an error, and is
-// never retried. When the inner store has no Claimer, Claim reports an
-// error so the engine degrades to uncoordinated builds.
-func (s *RetryStore) Claim(name string) (won bool, err error) {
-	c, ok := s.Inner.(Claimer)
-	if !ok {
-		return false, errors.New("engine: inner store does not support claims")
-	}
-	err = s.do(func() error { won, err = c.Claim(name); return err })
-	return won, err
 }
 
 // transientErrnos are the syscall errors worth retrying: conditions that

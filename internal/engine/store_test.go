@@ -22,11 +22,11 @@ func TestDirStoreRoundTrip(t *testing.T) {
 		t.Fatalf("List of missing root: %v, %v, want empty", names, err)
 	}
 	entries := map[string][]byte{
-		"b.rep":               []byte("bravo"),
-		"a.rep":               []byte("alpha"),
-		"quarantine/c.rep":    []byte("charlie"),
-		"claims/d.rep.claim":  nil,
-		"claims/e2.rep.claim": []byte("x"),
+		"b.rep":            []byte("bravo"),
+		"a.rep":            []byte("alpha"),
+		"quarantine/c.rep": []byte("charlie"),
+		"quarantine/d.rep": nil,
+		"nested/e2.rep":    []byte("x"),
 	}
 	for name, payload := range entries {
 		if err := s.Put(name, payload); err != nil {
@@ -46,7 +46,7 @@ func TestDirStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"a.rep", "b.rep", "claims/d.rep.claim", "claims/e2.rep.claim", "quarantine/c.rep"}
+	want := []string{"a.rep", "b.rep", "nested/e2.rep", "quarantine/c.rep", "quarantine/d.rep"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("List = %v, want %v", names, want)
 	}
@@ -100,27 +100,6 @@ func TestDirStorePutAtomic(t *testing.T) {
 	temps, err := filepath.Glob(filepath.Join(dir, ".rep-*"))
 	if err != nil || len(temps) != 0 {
 		t.Fatalf("leftover temp files after Put: %v (%v)", temps, err)
-	}
-}
-
-// TestDirStoreClaim: exactly one claimant wins; a second Claim on the same
-// name loses without error; Delete releases the claim for re-claiming.
-func TestDirStoreClaim(t *testing.T) {
-	s := NewDirStore(t.TempDir())
-	name := claimName("entry.rep")
-	won, err := s.Claim(name)
-	if err != nil || !won {
-		t.Fatalf("first Claim = %v, %v, want won", won, err)
-	}
-	won, err = s.Claim(name)
-	if err != nil || won {
-		t.Fatalf("second Claim = %v, %v, want lost without error", won, err)
-	}
-	if err := s.Delete(name); err != nil {
-		t.Fatal(err)
-	}
-	if won, err = s.Claim(name); err != nil || !won {
-		t.Fatalf("Claim after release = %v, %v, want won", won, err)
 	}
 }
 
@@ -179,22 +158,6 @@ func TestRetryStoreExhaustsSchedule(t *testing.T) {
 	}
 	if _, puts := faulty.Ops(); puts != len(retrySchedule)+1 {
 		t.Fatalf("%d puts, want initial + %d retries", puts, len(retrySchedule))
-	}
-}
-
-// TestRetryStoreLostClaimNotRetried: (false, nil) is a result — some other
-// worker holds the claim — and must never be retried as if it were an
-// error.
-func TestRetryStoreLostClaimNotRetried(t *testing.T) {
-	inner := NewDirStore(t.TempDir())
-	name := claimName("x.rep")
-	if won, err := inner.Claim(name); err != nil || !won {
-		t.Fatalf("setup claim: %v, %v", won, err)
-	}
-	s := &RetryStore{Inner: inner, Sleep: func(time.Duration) { t.Fatal("lost claim slept") }}
-	won, err := s.Claim(name)
-	if err != nil || won {
-		t.Fatalf("Claim = %v, %v, want clean loss", won, err)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 
 // requireOracle asserts one evaluation against the retained reference STA:
 // whatever the cache fabric went through — torn writes, bit flips, EIO,
-// claim failures — the served result must stay bit-identical to a from-
-// scratch sta.AnalyzeReference pass.
+// latency — the served result must stay bit-identical to a from-scratch
+// sta.AnalyzeReference pass.
 func requireOracle(t *testing.T, rr *RepResult, lib *liberty.PseudoLib) {
 	t.Helper()
 	for _, p := range []float64{0.25, 0.5, 0.9} {
@@ -34,11 +34,11 @@ func requireOracle(t *testing.T, rr *RepResult, lib *liberty.PseudoLib) {
 }
 
 // TestCacheTortureSuite property-tests the whole fabric: for every planned
-// failure mode, at jobs 1 and 8, with claiming on and off, two engine
-// generations sharing the faulty store must (a) never return an error,
-// (b) serve every variant bit-identical to the reference oracle and to
-// each other, and (c) account for every variant as either a rebuild or a
-// disk hit — degraded, never wrong, never stuck.
+// failure mode, at jobs 1 and 8, two engine generations sharing the
+// faulty store must (a) never return an error, (b) serve every variant
+// bit-identical to the reference oracle and to each other, and (c)
+// account for every variant as either a rebuild or a disk hit — degraded,
+// never wrong, never stuck.
 func TestCacheTortureSuite(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -67,9 +67,6 @@ func TestCacheTortureSuite(t *testing.T) {
 		// Every write lands corrupted at rest (bad device): the first warm
 		// read quarantines it and rebuilds.
 		{"put-bitflip", FaultPlan{PutFlipBit: map[int]int{FaultEvery: 40009}}},
-		// Claim infrastructure is down: claiming engines degrade to
-		// uncoordinated builds.
-		{"claim-down", FaultPlan{ClaimErr: map[int]bool{FaultEvery: false}}},
 		// Slow store (contended NFS): purely a scheduling perturbation.
 		{"latency", FaultPlan{OpDelay: 200 * time.Microsecond}},
 	}
@@ -79,42 +76,35 @@ func TestCacheTortureSuite(t *testing.T) {
 	variants := bog.Variants()
 	for _, sc := range scenarios {
 		for _, jobs := range []int{1, 8} {
-			for _, claiming := range []bool{false, true} {
-				name := sc.name
-				if claiming {
-					name += "-claiming"
-				}
-				t.Run(name+"-jobs"+string(rune('0'+jobs)), func(t *testing.T) {
-					store := NewRetryStore(NewFaultStore(NewDirStore(t.TempDir()), sc.plan))
-					var prev []*RepResult
-					for gen := 0; gen < 2; gen++ {
-						e := New(jobs)
-						e.SetCacheStore(store)
-						e.SetClaiming(claiming)
-						results := make([]*RepResult, len(variants))
-						err := e.ForEachErr(len(variants), func(vi int) error {
-							rr, rerr := e.EvalRep(Key{Design: tag, Variant: variants[vi]}, lib, FixedDesign(d))
-							results[vi] = rr
-							return rerr
-						})
-						if err != nil {
-							t.Fatalf("gen %d: the fabric surfaced an error instead of degrading: %v", gen, err)
-						}
-						st := e.Stats()
-						if st.Builds+st.DiskHits != int64(len(variants)) {
-							t.Fatalf("gen %d: %d builds + %d hits, want every variant accounted (%+v)",
-								gen, st.Builds, st.DiskHits, st)
-						}
-						for vi := range results {
-							requireOracle(t, results[vi], lib)
-							if prev != nil {
-								requireIdentical(t, prev[vi], results[vi])
-							}
-						}
-						prev = results
+			t.Run(sc.name+"-jobs"+string(rune('0'+jobs)), func(t *testing.T) {
+				store := NewRetryStore(NewFaultStore(NewDirStore(t.TempDir()), sc.plan))
+				var prev []*RepResult
+				for gen := 0; gen < 2; gen++ {
+					e := New(jobs)
+					e.SetCacheStore(store)
+					results := make([]*RepResult, len(variants))
+					err := e.ForEachErr(len(variants), func(vi int) error {
+						rr, rerr := e.EvalRep(Key{Design: tag, Variant: variants[vi]}, lib, FixedDesign(d))
+						results[vi] = rr
+						return rerr
+					})
+					if err != nil {
+						t.Fatalf("gen %d: the fabric surfaced an error instead of degrading: %v", gen, err)
 					}
-				})
-			}
+					st := e.Stats()
+					if st.Builds+st.DiskHits != int64(len(variants)) {
+						t.Fatalf("gen %d: %d builds + %d hits, want every variant accounted (%+v)",
+							gen, st.Builds, st.DiskHits, st)
+					}
+					for vi := range results {
+						requireOracle(t, results[vi], lib)
+						if prev != nil {
+							requireIdentical(t, prev[vi], results[vi])
+						}
+					}
+					prev = results
+				}
+			})
 		}
 	}
 }

@@ -8,7 +8,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -256,9 +255,3 @@ func coreTrainAll(s *Suite, data []*dataset.DesignData) (*core.Model, error) {
 }
 
 func meanOf(xs []float64) float64 { return metrics.Mean(xs) }
-
-func sortedCopy(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	sort.Float64s(out)
-	return out
-}

@@ -44,7 +44,6 @@ type Config struct {
 	Jobs      int    // evaluation workers (0 = all cores)
 	Shards    int    // register-bounded shards per graph (0 = auto, 1 = monolithic)
 	CacheDir  string // persistent representation cache (empty = memory only)
-	Claim     bool   // coordinate cache builds with peer processes via claim files
 	MemBudget int64  // approximate resident bytes for the memory tier (0 = unlimited)
 	ModelPath string // saved model enabling Annotate (empty = Annotate errors)
 	Seed      int64  // model/dataset seed for Annotate builds
@@ -120,9 +119,6 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("service: cache dir: %w", err)
 		}
 		eng.SetCacheDir(cfg.CacheDir)
-		eng.SetClaiming(cfg.Claim)
-	} else if cfg.Claim {
-		return nil, fmt.Errorf("service: claiming requires a cache directory")
 	}
 	eng.SetMemBudget(cfg.MemBudget)
 	s := &Service{
@@ -383,6 +379,9 @@ type AnnotateResponse struct {
 // Annotate predicts per-signal slack with the loaded model and returns the
 // annotated source. Errors when the daemon was started without a model.
 func (s *Service) Annotate(ctx context.Context, req AnnotateRequest) (*AnnotateResponse, error) {
+	if err := dataset.ValidatePeriod(req.Period); err != nil {
+		return nil, badRequest(err)
+	}
 	if s.model == nil {
 		return nil, badRequestf("annotate needs a trained model: start the daemon with -model")
 	}

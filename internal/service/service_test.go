@@ -300,6 +300,10 @@ func TestHTTPSurface(t *testing.T) {
 	if code, body := postJSON(t, c, srv.URL+"/annotate", AnnotateRequest{Design: DesignRef{Bench: name}}); code != http.StatusBadRequest || !strings.Contains(string(body), "-model") {
 		t.Fatalf("/annotate without model: %d %s", code, body)
 	}
+	// A negative clock is rejected for what it is, before the model check.
+	if code, body := postJSON(t, c, srv.URL+"/annotate", AnnotateRequest{Design: DesignRef{Bench: name}, Period: -1}); code != http.StatusBadRequest || !strings.Contains(string(body), "period") {
+		t.Fatalf("/annotate with period -1: %d %s", code, body)
+	}
 
 	// Full session round trip over HTTP.
 	code, body = postJSON(t, c, srv.URL+"/session/open", SessionOpenRequest{Design: DesignRef{Bench: name}, Variant: "SOG"})

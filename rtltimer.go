@@ -105,6 +105,9 @@ func TrainBenchmarkPredictor(opts Options) (*Predictor, error) {
 	if err := engine.ValidateConcurrency(0, opts.Shards); err != nil {
 		return nil, fmt.Errorf("rtltimer: %w", err)
 	}
+	if err := dataset.ValidatePeriod(opts.Period); err != nil {
+		return nil, fmt.Errorf("rtltimer: %w", err)
+	}
 	eng := engine.New(opts.Jobs)
 	eng.SetShards(opts.Shards)
 	if opts.CacheDir != "" {

@@ -1,6 +1,7 @@
 package rtltimer
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,16 @@ func TestPublicAPIBenchmarks(t *testing.T) {
 	}
 	if _, err := BenchmarkVerilog("nope"); err == nil {
 		t.Error("expected error for unknown benchmark")
+	}
+}
+
+// TestTrainBenchmarkPredictorRejectsBadPeriod: a clock no design can have
+// fails up front instead of training a model to predict against it.
+func TestTrainBenchmarkPredictorRejectsBadPeriod(t *testing.T) {
+	for _, p := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := TrainBenchmarkPredictor(Options{Fast: true, Period: p}); err == nil || !strings.Contains(err.Error(), "period") {
+			t.Errorf("Period %v: err = %v, want an error naming the period", p, err)
+		}
 	}
 }
 
