@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
@@ -493,6 +494,38 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 	}
 }
 
+// BenchmarkArrivalDigest is the fingerprint stage on its own:
+// engine.ArrivalDigest over the arrival vectors of the four BOG variants
+// of the largest benchmark design, the work each build, disk load or edit
+// does once so warm queries never re-hash. The vectors are built before
+// the timer starts.
+func BenchmarkArrivalDigest(b *testing.B) {
+	spec, ok := designs.ByName("Rocket3")
+	if !ok {
+		b.Fatal("no Rocket3")
+	}
+	src := designs.Generate(spec)
+	lib := liberty.DefaultPseudoLib()
+	eng := engine.New(1)
+	var arrivals [][]float64
+	for _, v := range bog.Variants() {
+		rr, err := eng.EvalRep(engine.Key{Design: engine.DesignTag(spec.Name, src), Variant: v}, lib, engine.LazyDesign(src))
+		if err != nil {
+			b.Fatal(err)
+		}
+		arrivals = append(arrivals, rr.Arrival)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, arr := range arrivals {
+			if len(engine.ArrivalDigest(arr)) != 64 {
+				b.Fatal("digest is not 64 hex digits")
+			}
+		}
+	}
+}
+
 // BenchmarkEngineWarmLoad is the same workload served by a warm on-disk
 // representation cache: per iteration, a fresh engine restores all four
 // variants from disk — no parsing, no bit-blasting, no forward pass, no
@@ -869,50 +902,77 @@ func BenchmarkRepResultEdit(b *testing.B) {
 	}
 }
 
-// BenchmarkDaemonWarmQuery measures one fully warm rtltimerd /eval round
-// trip — JSON decode, four memory-tier hits, endpoint slack loops, JSON
-// encode — over real HTTP. This is the number the resident daemon exists
-// for: the marginal cost of a timing query once the representations are
-// resident (the one-shot CLI pays the builds, or at best the disk loads,
-// every invocation).
-func BenchmarkDaemonWarmQuery(b *testing.B) {
+// benchPost sends one POST and drains the response, failing the benchmark
+// on anything but a 200.
+func benchPost(b *testing.B, client *http.Client, url string, body []byte) {
+	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		b.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		b.Fatal(resp.Status)
+	}
+}
+
+// benchDaemonWarm measures one fully warm rtltimerd round trip on path
+// over real HTTP: the first request pays the builds outside the timer, and
+// the timed requests must not build again.
+func benchDaemonWarm(b *testing.B, path string, req any) {
 	svc, err := service.New(service.Config{Jobs: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		b.Fatal(err)
 	}
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
-	body, err := json.Marshal(service.EvalRequest{
-		Design: service.DesignRef{Bench: "syscdes"},
-		Period: 0.55,
-	})
+	body, err := json.Marshal(req)
 	if err != nil {
 		b.Fatal(err)
 	}
 	client := srv.Client()
-	post := func() {
-		resp, perr := client.Post(srv.URL+"/eval", "application/json", bytes.NewReader(body))
-		if perr != nil {
-			b.Fatal(perr)
-		}
-		if _, cerr := io.Copy(io.Discard, resp.Body); cerr != nil {
-			b.Fatal(cerr)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			b.Fatal(resp.Status)
-		}
-	}
-	post() // pay the builds outside the timer
+	benchPost(b, client, srv.URL+path, body)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		post()
+		benchPost(b, client, srv.URL+path, body)
 	}
 	b.StopTimer()
 	if builds := svc.Engine().Stats().Builds; builds != int64(len(bog.Variants())) {
 		b.Fatalf("warm queries ran %d builds, want the initial %d only", builds, len(bog.Variants()))
 	}
+}
+
+// BenchmarkDaemonWarmQuery measures one fully warm rtltimerd /eval round
+// trip — JSON decode, four memory-tier hits, four WNS/TNS summaries, JSON
+// encode — over real HTTP. This is the number the resident daemon exists
+// for: the marginal cost of a timing query once the representations are
+// resident (the one-shot CLI pays the builds, or at best the disk loads,
+// every invocation).
+func BenchmarkDaemonWarmQuery(b *testing.B) {
+	benchDaemonWarm(b, "/eval", service.EvalRequest{
+		Design: service.DesignRef{Bench: "syscdes"},
+		Period: 0.55,
+	})
+}
+
+// BenchmarkDaemonWarmSweep is the warm /sweep round trip: a 13-point
+// WNS/TNS curve over the four variants, rendered as the CLI's text.
+func BenchmarkDaemonWarmSweep(b *testing.B) {
+	benchDaemonWarm(b, "/sweep", service.SweepRequest{
+		Design: service.DesignRef{Bench: "syscdes"},
+		Sweep:  "0.3:0.9:13",
+	})
+}
+
+// BenchmarkDaemonWarmFmax is the warm /fmax round trip: one bisection per
+// variant, rendered as the CLI's text.
+func BenchmarkDaemonWarmFmax(b *testing.B) {
+	benchDaemonWarm(b, "/fmax", service.FmaxRequest{
+		Design: service.DesignRef{Bench: "syscdes"},
+	})
 }
 
 // BenchmarkDaemonSheddingOverhead measures the same fully warm /eval
@@ -923,7 +983,7 @@ func BenchmarkDaemonWarmQuery(b *testing.B) {
 // handler), and the session TTL janitor ticking in the background. The
 // two benchmarks should be statistically indistinguishable — the
 // admission and deadline machinery must cost channel-op noise, not a
-// visible fraction of the ~400µs query.
+// visible fraction of the query.
 func BenchmarkDaemonSheddingOverhead(b *testing.B) {
 	svc, err := service.New(service.Config{
 		Jobs:           runtime.GOMAXPROCS(0),
@@ -946,24 +1006,11 @@ func BenchmarkDaemonSheddingOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	client := srv.Client()
-	post := func() {
-		resp, perr := client.Post(srv.URL+"/eval", "application/json", bytes.NewReader(body))
-		if perr != nil {
-			b.Fatal(perr)
-		}
-		if _, cerr := io.Copy(io.Discard, resp.Body); cerr != nil {
-			b.Fatal(cerr)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			b.Fatal(resp.Status)
-		}
-	}
-	post() // pay the builds outside the timer
+	benchPost(b, client, srv.URL+"/eval", body) // pay the builds outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		post()
+		benchPost(b, client, srv.URL+"/eval", body)
 	}
 	b.StopTimer()
 	if shed := svc.Stats().Shed; shed != 0 {
@@ -988,19 +1035,6 @@ func BenchmarkDaemonEvictionChurn(b *testing.B) {
 	defer srv.Close()
 	client := srv.Client()
 	bodies := make([][]byte, len(names))
-	post := func(body []byte) {
-		resp, perr := client.Post(srv.URL+"/eval", "application/json", bytes.NewReader(body))
-		if perr != nil {
-			b.Fatal(perr)
-		}
-		if _, cerr := io.Copy(io.Discard, resp.Body); cerr != nil {
-			b.Fatal(cerr)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			b.Fatal(resp.Status)
-		}
-	}
 	for i, n := range names {
 		bodies[i], err = json.Marshal(service.EvalRequest{
 			Design: service.DesignRef{Bench: n},
@@ -1009,7 +1043,7 @@ func BenchmarkDaemonEvictionChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		post(bodies[i]) // build + persist everything once
+		benchPost(b, client, srv.URL+"/eval", bodies[i]) // build + persist everything once
 	}
 	coldBuilds := svc.Engine().Stats().Builds
 	// Budget for roughly one design's four variants: every rotation step
@@ -1018,7 +1052,7 @@ func BenchmarkDaemonEvictionChurn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		post(bodies[i%len(bodies)])
+		benchPost(b, client, srv.URL+"/eval", bodies[i%len(bodies)])
 	}
 	b.StopTimer()
 	st := svc.Engine().Stats()

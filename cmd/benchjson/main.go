@@ -13,7 +13,9 @@
 // units (replication_x, max_shard_nodes, ...) are carried through as
 // extra keys when present. A benchmark repeated with -count N records the
 // median of each value over its N lines (the mean of the middle two when
-// N is even); a single line is recorded as it is.
+// N is even), plus the fastest and slowest ns/op as ns_min and ns_max so
+// the spread behind the median is on record; a single line is recorded
+// as it is.
 package main
 
 import (
@@ -23,15 +25,19 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// result holds the per-benchmark numbers we track across PRs. Extra
+// result holds the per-benchmark numbers we track across PRs. NsMin and
+// NsMax are set only for a benchmark with more than one sample. Extra
 // holds custom ReportMetric units keyed by unit name.
 type result struct {
 	NsOp     float64            `json:"ns_op"`
+	NsMin    *float64           `json:"ns_min,omitempty"`
+	NsMax    *float64           `json:"ns_max,omitempty"`
 	AllocsOp float64            `json:"allocs_op"`
 	Extra    map[string]float64 `json:"extra,omitempty"`
 }
@@ -83,8 +89,9 @@ func parseLine(line string) (name string, r result, ok bool) {
 }
 
 // summarize reduces one benchmark's result lines to the median of each
-// value. An extra unit missing from some lines takes the median of the
-// lines that report it.
+// value, and records the ns/op range when there is more than one line. An
+// extra unit missing from some lines takes the median of the lines that
+// report it.
 func summarize(rs []result) result {
 	var ns, allocs []float64
 	extra := make(map[string][]float64)
@@ -96,6 +103,10 @@ func summarize(rs []result) result {
 		}
 	}
 	out := result{NsOp: median(ns), AllocsOp: median(allocs)}
+	if len(ns) > 1 {
+		lo, hi := slices.Min(ns), slices.Max(ns)
+		out.NsMin, out.NsMax = &lo, &hi
+	}
 	if len(extra) > 0 {
 		out.Extra = make(map[string]float64, len(extra))
 		for unit, vs := range extra {

@@ -101,8 +101,8 @@ func TestParseLine(t *testing.T) {
 
 // TestConvertRecordsMedians covers -count N streams: each value is the
 // median over a benchmark's lines, whatever order they arrive in, and the
-// mean of the middle two for an even count. A single line passes through
-// as it is.
+// mean of the middle two for an even count, with the ns/op range beside
+// the median. A single line passes through as it is, with no range.
 func TestConvertRecordsMedians(t *testing.T) {
 	tests := []struct {
 		desc string
@@ -132,8 +132,8 @@ BenchmarkA-2 10 200 ns/op 8 allocs/op
 BenchmarkB-2 1 30 ns/op 3.5 replication_x 1 allocs/op
 `,
 			want: `{
-  "BenchmarkA": {"ns_op":200,"allocs_op":8},
-  "BenchmarkB": {"ns_op":30,"allocs_op":1,"extra":{"replication_x":2.5}}
+  "BenchmarkA": {"ns_op":200,"ns_min":100,"ns_max":300,"allocs_op":8},
+  "BenchmarkB": {"ns_op":30,"ns_min":20,"ns_max":40,"allocs_op":1,"extra":{"replication_x":2.5}}
 }
 `,
 		},
@@ -143,7 +143,19 @@ BenchmarkB-2 1 30 ns/op 3.5 replication_x 1 allocs/op
 BenchmarkA-2 10 100 ns/op 6 allocs/op 4 graph_nodes
 `,
 			want: `{
-  "BenchmarkA": {"ns_op":200,"allocs_op":7.5,"extra":{"graph_nodes":4}}
+  "BenchmarkA": {"ns_op":200,"ns_min":100,"ns_max":300,"allocs_op":7.5,"extra":{"graph_nodes":4}}
+}
+`,
+		},
+		{
+			desc: "a single-sample name beside a repeated one has no range",
+			in: `BenchmarkA-2 10 300 ns/op 9 allocs/op
+BenchmarkB-2 1 2.5e+06 ns/op 7 allocs/op
+BenchmarkA-2 10 100 ns/op 7 allocs/op
+`,
+			want: `{
+  "BenchmarkA": {"ns_op":200,"ns_min":100,"ns_max":300,"allocs_op":8},
+  "BenchmarkB": {"ns_op":2500000,"allocs_op":7}
 }
 `,
 		},

@@ -197,7 +197,7 @@ func decodeEntry(data []byte, lib *liberty.PseudoLib) *RepResult {
 	if err != nil {
 		return nil
 	}
-	return &RepResult{Graph: g, An: an, Arrival: arrival, Ext: ext}
+	return &RepResult{Graph: g, An: an, Arrival: arrival, ArrivalSHA256: ArrivalDigest(arrival), Ext: ext}
 }
 
 // diskStore persists a freshly built evaluation, reporting whether an

@@ -33,8 +33,10 @@ package engine
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -108,15 +110,20 @@ func LazyDesign(src string) DesignSource {
 
 // RepResult is one design's evaluation under one BOG representation: the
 // specialized graph, its levelized analyzer, the period-free arrival
-// vector (one forward pass, shared by every period), and the feature
-// extractor. All fields are immutable and shared between cache users;
-// period-dependent slack/WNS/TNS views are materialized with At and
-// edited variants of the design are derived (and cached) with Edit.
+// vector (one forward pass, shared by every period) with its digest, and
+// the feature extractor. All fields are immutable and shared between
+// cache users. Period-dependent views come from Summary (WNS and TNS
+// only, allocation-free) or At (per-endpoint vectors too); edited
+// variants of the design are derived (and cached) with Edit.
 type RepResult struct {
 	Graph   *bog.Graph
 	An      *sta.Analyzer
 	Arrival []float64
-	Ext     *features.Extractor
+	// ArrivalSHA256 is ArrivalDigest(Arrival), computed once when the
+	// engine makes the result (build, disk load or Edit) so queries that
+	// report the fingerprint never re-hash the vector.
+	ArrivalSHA256 string
+	Ext           *features.Extractor
 
 	// sh is the sharded view of the analysis (nil for monolithic builds).
 	// When present, Edit routes single-shard deltas to a shard-local
@@ -215,9 +222,36 @@ func (rr *RepResult) Detached() *RepResult {
 
 // At materializes the pseudo-STA result for one clock period from the
 // cached arrival vector. Only the endpoint slack loop runs; the result is
-// bit-identical to a from-scratch Analyze at that period.
+// bit-identical to a from-scratch Analyze at that period. It allocates
+// the per-endpoint arrival and slack vectors; use Summary when only WNS
+// and TNS are needed.
 func (rr *RepResult) At(period float64) *sta.Result {
 	return rr.An.At(rr.Arrival, period)
+}
+
+// Summary returns WNS and TNS at one clock period from the cached arrival
+// vector without allocating, bit-identical to At(period).WNS and .TNS.
+func (rr *RepResult) Summary(period float64) (wns, tns float64) {
+	return rr.An.Summary(rr.Arrival, period)
+}
+
+// ArrivalDigest is the bit-identity fingerprint of an arrival vector: the
+// hex SHA-256 over the little-endian IEEE-754 bits of every entry, so two
+// vectors share a digest iff every arrival time is bit-identical. The
+// bits are encoded a fixed-size chunk at a time and each chunk is hashed
+// with one Write.
+func ArrivalDigest(arrival []float64) string {
+	h := sha256.New()
+	var buf [4096]byte
+	for len(arrival) > 0 {
+		n := min(len(arrival), len(buf)/8)
+		for i, a := range arrival[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(a))
+		}
+		h.Write(buf[:8*n])
+		arrival = arrival[n:]
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // EditKey derives the cache identity of a delta-edited evaluation: the
@@ -387,12 +421,13 @@ func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, 
 	}
 	an, arr := inc.Snapshot()
 	res := &RepResult{
-		Graph:   g,
-		An:      an,
-		Arrival: arr,
-		Ext:     features.NewExtractor(g, an.At(arr, 0)),
-		eng:     eng,
-		key:     key,
+		Graph:         g,
+		An:            an,
+		Arrival:       arr,
+		ArrivalSHA256: ArrivalDigest(arr),
+		Ext:           features.NewExtractor(g, an.At(arr, 0)),
+		eng:           eng,
+		key:           key,
 	}
 	if k, auto := rr.shardPolicy(); k > 1 {
 		res.shLazy = &lazyShards{k: k, auto: auto}
@@ -810,14 +845,15 @@ func (e *Engine) buildRep(key Key, lib *liberty.PseudoLib, src DesignSource) (*R
 		arr = an.Arrivals(1)
 	}
 	res := &RepResult{
-		Graph:   g,
-		An:      an,
-		Arrival: arr,
-		Ext:     features.NewExtractor(g, an.At(arr, 0)),
-		sh:      sh,
-		shAuto:  auto,
-		eng:     e,
-		key:     key,
+		Graph:         g,
+		An:            an,
+		Arrival:       arr,
+		ArrivalSHA256: ArrivalDigest(arr),
+		Ext:           features.NewExtractor(g, an.At(arr, 0)),
+		sh:            sh,
+		shAuto:        auto,
+		eng:           e,
+		key:           key,
 	}
 	if e.store != nil && e.diskStore(key, lib, res) {
 		e.diskWrites.Add(1)

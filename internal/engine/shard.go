@@ -233,14 +233,15 @@ func (rr *RepResult) deriveShard(sh *sta.ShardedAnalyzer, s int, delta bog.Delta
 	p2 := p.WithEditedShard(g2, s, localAn.G, n2-nG)
 	sh2 := sh.WithEditedShard(an2, p2, s, localAn, n2-nG)
 	return &RepResult{
-		Graph:   g2,
-		An:      an2,
-		Arrival: arr2,
-		Ext:     ext2,
-		sh:      sh2,
-		shAuto:  rr.shAuto,
-		eng:     eng,
-		key:     key,
+		Graph:         g2,
+		An:            an2,
+		Arrival:       arr2,
+		ArrivalSHA256: ArrivalDigest(arr2),
+		Ext:           ext2,
+		sh:            sh2,
+		shAuto:        rr.shAuto,
+		eng:           eng,
+		key:           key,
 	}, nil
 }
 

@@ -169,7 +169,7 @@ func TestDaemonChaosHarness(t *testing.T) {
 		wantEdit[n] = VariantResult{
 			Variant: "SOG", WNS: r.WNS, TNS: r.TNS,
 			Endpoints:     len(edited.Graph.Endpoints),
-			ArrivalSHA256: arrivalDigest(edited.Arrival),
+			ArrivalSHA256: engine.ArrivalDigest(edited.Arrival),
 		}
 	}
 

@@ -1,7 +1,9 @@
 // The HTTP JSON surface over Service: one handler per endpoint, POST
 // bodies decoded strictly (unknown fields rejected — a typo'd field name
 // silently ignored would make a query mean something other than what the
-// client wrote), responses encoded from the typed payloads in service.go.
+// client wrote — and so is anything but whitespace after the one JSON
+// value, which would otherwise be a second query answered as the first),
+// responses encoded from the typed payloads in service.go.
 // Living here rather than in cmd/rtltimerd keeps the whole wire surface
 // testable through httptest without spawning a process.
 //
@@ -204,10 +206,8 @@ func post[Req any, Resp any](s *Service, fn func(*Service, context.Context, Req)
 			writeError(w, http.StatusMethodNotAllowed, errors.New("wants POST"))
 			return
 		}
-		dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
-		dec.DisallowUnknownFields()
 		var req Req
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeStrict(io.LimitReader(r.Body, maxRequestBody), &req); err != nil {
 			if ctxErr := r.Context().Err(); ctxErr != nil {
 				writeError(w, errorStatus(ctxErr), ctxErr)
 				return
@@ -222,6 +222,24 @@ func post[Req any, Resp any](s *Service, fn func(*Service, context.Context, Req)
 		}
 		writeJSON(w, http.StatusOK, resp)
 	}
+}
+
+// decodeStrict decodes exactly one JSON value from r into v: unknown
+// fields are an error, and so is any non-whitespace byte after the value.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	tok, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return fmt.Errorf("trailing data after the JSON value: %w", err)
+	}
+	return fmt.Errorf("trailing data after the JSON value: %v", tok)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

@@ -93,8 +93,8 @@ func RenderSweep(w io.Writer, name string, reps map[bog.Variant]*engine.RepResul
 	for _, p := range periods {
 		fmt.Fprintf(w, "%-10.3f", p)
 		for _, v := range bog.Variants() {
-			r := reps[v].At(p)
-			fmt.Fprintf(w, "  %9.3f  %9.2f", r.WNS, r.TNS)
+			wns, tns := reps[v].Summary(p)
+			fmt.Fprintf(w, "  %9.3f  %9.2f", wns, tns)
 		}
 		fmt.Fprintln(w)
 	}
@@ -103,10 +103,16 @@ func RenderSweep(w io.Writer, name string, reps map[bog.Variant]*engine.RepResul
 // FmaxSearch binary-searches the smallest period with WNS >= 0 on one
 // cached representation. Slack is monotonic in the period, so the search
 // brackets [0, hi] with hi doubled until feasible, then bisects to 0.1 ps.
-// ok is false when no feasible period was found below the search ceiling.
+// Each probe reads only WNS (RepResult.Summary), so the search allocates
+// nothing. ok is false when no feasible period was found below the search
+// ceiling.
 func FmaxSearch(rr *engine.RepResult) (period float64, ok bool) {
+	wnsAt := func(p float64) float64 {
+		wns, _ := rr.Summary(p)
+		return wns
+	}
 	hi := 1.0
-	for rr.At(hi).WNS < 0 {
+	for wnsAt(hi) < 0 {
 		hi *= 2
 		if hi > 1e6 {
 			return 0, false
@@ -115,7 +121,7 @@ func FmaxSearch(rr *engine.RepResult) (period float64, ok bool) {
 	lo := 0.0
 	for hi-lo > 1e-4 {
 		mid := (lo + hi) / 2
-		if rr.At(mid).WNS >= 0 {
+		if wnsAt(mid) >= 0 {
 			hi = mid
 		} else {
 			lo = mid
@@ -124,20 +130,40 @@ func FmaxSearch(rr *engine.RepResult) (period float64, ok bool) {
 	return hi, true
 }
 
+// fmaxVariants runs FmaxSearch once per variant, in bog.Variants order.
+// A variant without timing endpoints is never searched and reports
+// infeasible.
+func fmaxVariants(reps map[bog.Variant]*engine.RepResult) []FmaxVariant {
+	out := make([]FmaxVariant, 0, len(bog.Variants()))
+	for _, v := range bog.Variants() {
+		fv := FmaxVariant{Variant: v.String()}
+		if rr := reps[v]; len(rr.Graph.Endpoints) > 0 {
+			if p, ok := FmaxSearch(rr); ok {
+				fv.Feasible, fv.Period, fv.FmaxGHz = true, p, 1/p
+			}
+		}
+		out = append(out, fv)
+	}
+	return out
+}
+
 // RenderFmax reports the binary-searched maximum frequency per variant.
 func RenderFmax(w io.Writer, name string, reps map[bog.Variant]*engine.RepResult) {
+	renderFmax(w, name, reps, fmaxVariants(reps))
+}
+
+// renderFmax prints the fmax report from results already searched
+// (fmaxVariants), so a caller that also returns them searches once.
+func renderFmax(w io.Writer, name string, reps map[bog.Variant]*engine.RepResult, results []FmaxVariant) {
 	fmt.Fprintf(w, "design %s: pseudo-STA maximum frequency\n\n", name)
-	for _, v := range bog.Variants() {
-		rr := reps[v]
-		if len(rr.Graph.Endpoints) == 0 {
+	for i, v := range bog.Variants() {
+		switch fv := results[i]; {
+		case len(reps[v].Graph.Endpoints) == 0:
 			fmt.Fprintf(w, "  %-5s no timing endpoints (design is unconstrained)\n", v)
-			continue
-		}
-		p, ok := FmaxSearch(rr)
-		if !ok {
+		case !fv.Feasible:
 			fmt.Fprintf(w, "  %-5s no feasible period below the search ceiling\n", v)
-			continue
+		default:
+			fmt.Fprintf(w, "  %-5s critical period %.4f ns  ->  fmax %.3f GHz\n", v, fv.Period, fv.FmaxGHz)
 		}
-		fmt.Fprintf(w, "  %-5s critical period %.4f ns  ->  fmax %.3f GHz\n", v, p, 1/p)
 	}
 }

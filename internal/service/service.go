@@ -17,9 +17,6 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"os"
@@ -87,6 +84,12 @@ type Service struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 	nextSess uint64
+
+	// benchSrc memoizes designs.Generate per built-in benchmark name;
+	// resolve rejects unknown names first, so it holds at most one entry
+	// per built-in design.
+	benchMu  sync.Mutex
+	benchSrc map[string]string
 }
 
 // session is one client's edit chain over a single base representation.
@@ -125,6 +128,7 @@ func New(cfg Config) (*Service, error) {
 		eng:            eng,
 		seed:           cfg.Seed,
 		sessions:       map[string]*session{},
+		benchSrc:       map[string]string{},
 		requestTimeout: cfg.RequestTimeout,
 		clock:          cfg.Clock,
 		maxSessions:    cfg.MaxSessions,
@@ -181,7 +185,7 @@ func (s *Service) resolve(ref DesignRef) (name, src string, spec designs.Spec, e
 		if !ok {
 			return "", "", spec, fmt.Errorf("unknown benchmark %q", ref.Bench)
 		}
-		return sp.Name, designs.Generate(sp), sp, nil
+		return sp.Name, s.benchSource(sp), sp, nil
 	case ref.Src != "":
 		name = ref.Name
 		if name == "" {
@@ -193,6 +197,19 @@ func (s *Service) resolve(ref DesignRef) (name, src string, spec designs.Spec, e
 	}
 }
 
+// benchSource returns the generated source of a built-in benchmark,
+// generating it on the first request for that name.
+func (s *Service) benchSource(sp designs.Spec) string {
+	s.benchMu.Lock()
+	defer s.benchMu.Unlock()
+	src, ok := s.benchSrc[sp.Name]
+	if !ok {
+		src = designs.Generate(sp)
+		s.benchSrc[sp.Name] = src
+	}
+	return src
+}
+
 // parseVariant maps the wire name ("SOG", "AIG", ...) onto the variant.
 func parseVariant(name string) (bog.Variant, error) {
 	for _, v := range bog.Variants() {
@@ -201,19 +218,6 @@ func parseVariant(name string) (bog.Variant, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown variant %q (want one of SOG, AIG, AIMG, XAG)", name)
-}
-
-// arrivalDigest is the bit-identity fingerprint carried by eval responses:
-// the SHA-256 over the raw IEEE-754 bits of the arrival vector. Two
-// responses agree on the digest iff every arrival time is bit-identical.
-func arrivalDigest(arrival []float64) string {
-	h := sha256.New()
-	var buf [8]byte
-	for _, a := range arrival {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(a))
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // EvalRequest asks for the pseudo-STA verdict of one design at one period.
@@ -229,8 +233,9 @@ type VariantResult struct {
 	WNS       float64 `json:"wns"`
 	TNS       float64 `json:"tns"`
 	Endpoints int     `json:"endpoints"`
-	// ArrivalSHA256 fingerprints the period-free arrival vector so harnesses
-	// can assert full bit-identity without shipping the vector.
+	// ArrivalSHA256 fingerprints the period-free arrival vector
+	// (engine.ArrivalDigest) so harnesses can assert full bit-identity
+	// without shipping the vector.
 	ArrivalSHA256 string `json:"arrival_sha256"`
 }
 
@@ -268,13 +273,13 @@ func (s *Service) Eval(ctx context.Context, req EvalRequest) (*EvalResponse, err
 	resp := &EvalResponse{Design: name, Period: req.Period}
 	for _, v := range want {
 		rr := reps[v]
-		r := rr.At(req.Period)
+		wns, tns := rr.Summary(req.Period)
 		resp.Results = append(resp.Results, VariantResult{
 			Variant:       v.String(),
-			WNS:           r.WNS,
-			TNS:           r.TNS,
+			WNS:           wns,
+			TNS:           tns,
 			Endpoints:     len(rr.Graph.Endpoints),
-			ArrivalSHA256: arrivalDigest(rr.Arrival),
+			ArrivalSHA256: rr.ArrivalSHA256,
 		})
 	}
 	return resp, nil
@@ -343,21 +348,10 @@ func (s *Service) Fmax(ctx context.Context, req FmaxRequest) (*FmaxResponse, err
 	if berr != nil {
 		return nil, classifyEngineErr(berr)
 	}
-	resp := &FmaxResponse{Design: name}
-	for _, v := range bog.Variants() {
-		rr := reps[v]
-		fv := FmaxVariant{Variant: v.String()}
-		if len(rr.Graph.Endpoints) > 0 {
-			if p, ok := FmaxSearch(rr); ok {
-				fv.Feasible, fv.Period, fv.FmaxGHz = true, p, 1/p
-			}
-		}
-		resp.Results = append(resp.Results, fv)
-	}
+	results := fmaxVariants(reps)
 	var b strings.Builder
-	RenderFmax(&b, name, reps)
-	resp.Text = b.String()
-	return resp, nil
+	renderFmax(&b, name, reps, results)
+	return &FmaxResponse{Design: name, Results: results, Text: b.String()}, nil
 }
 
 // AnnotateRequest asks for the model's slack-annotated source.
@@ -666,16 +660,16 @@ func (s *Service) SessionEval(ctx context.Context, req SessionEvalRequest) (*Ses
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	r := sess.head.At(req.Period)
+	wns, tns := sess.head.Summary(req.Period)
 	return &SessionEvalResponse{
 		State:  *s.state(req.Session, sess),
 		Period: req.Period,
 		Result: VariantResult{
 			Variant:       sess.variant.String(),
-			WNS:           r.WNS,
-			TNS:           r.TNS,
+			WNS:           wns,
+			TNS:           tns,
 			Endpoints:     len(sess.head.Graph.Endpoints),
-			ArrivalSHA256: arrivalDigest(sess.head.Arrival),
+			ArrivalSHA256: sess.head.ArrivalSHA256,
 		},
 	}, nil
 }

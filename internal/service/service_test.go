@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -201,7 +202,7 @@ func TestSessionChainMapsToEditKeys(t *testing.T) {
 		math.Float64bits(ev.Result.TNS) != math.Float64bits(oRes.TNS) {
 		t.Fatalf("session eval WNS/TNS %v/%v, oracle %v/%v", ev.Result.WNS, ev.Result.TNS, oRes.WNS, oRes.TNS)
 	}
-	if ev.Result.ArrivalSHA256 != arrivalDigest(oEdited.Arrival) {
+	if ev.Result.ArrivalSHA256 != engine.ArrivalDigest(oEdited.Arrival) {
 		t.Fatal("session arrival digest differs from direct RepResult.Edit oracle")
 	}
 
@@ -295,6 +296,25 @@ func TestHTTPSurface(t *testing.T) {
 	}
 	if code, body := postJSON(t, c, srv.URL+"/eval", map[string]any{"design": map[string]string{"bench": name}, "perid": 0.5}); code != http.StatusBadRequest {
 		t.Fatalf("typo'd field accepted: %d %s", code, body)
+	}
+	// A body holds one JSON value: trailing garbage or a second request
+	// is a 400 naming the trailing data; a trailing newline is whitespace.
+	one := fmt.Sprintf(`{"design":{"bench":%q},"period":0.5}`, name)
+	for _, tc := range []struct {
+		body string
+		code int
+	}{
+		{one + " garbage", http.StatusBadRequest},
+		{one + one, http.StatusBadRequest},
+		{one + "\n", http.StatusOK},
+	} {
+		code, _, body, err := postRaw(c, srv.URL+"/eval", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != tc.code || (code == http.StatusBadRequest && !strings.Contains(string(body), "trailing data")) {
+			t.Fatalf("body %q: %d %s, want %d", tc.body, code, body, tc.code)
+		}
 	}
 	// /annotate without a model says how to get one.
 	if code, body := postJSON(t, c, srv.URL+"/annotate", AnnotateRequest{Design: DesignRef{Bench: name}}); code != http.StatusBadRequest || !strings.Contains(string(body), "-model") {
@@ -390,7 +410,7 @@ func TestDaemonLoadHarness(t *testing.T) {
 				WNS:           r.WNS,
 				TNS:           r.TNS,
 				Endpoints:     len(edited.Graph.Endpoints),
-				ArrivalSHA256: arrivalDigest(edited.Arrival),
+				ArrivalSHA256: engine.ArrivalDigest(edited.Arrival),
 			},
 		}
 	}

@@ -154,9 +154,11 @@ func (a *Analyzer) Arrivals(jobs int) []float64 {
 
 // At materializes the Result for one clock period from a precomputed
 // arrival vector (as returned by Arrivals): only the endpoint slack loop
-// runs. The per-node vectors of the Result alias arr and the analyzer's
-// immutable state — Results are shared read-only by contract (the engine
-// already shares them across cache users), so no copies are made.
+// runs, allocating the two per-endpoint vectors. The per-node vectors of
+// the Result alias arr and the analyzer's immutable state — Results are
+// shared read-only by contract (the engine already shares them across
+// cache users), so no copies are made. Callers that need only WNS and TNS
+// should use Summary, which allocates nothing.
 func (a *Analyzer) At(arr []float64, period float64) *Result {
 	r := &Result{
 		ClockPeriod: period,
@@ -169,27 +171,42 @@ func (a *Analyzer) At(arr []float64, period float64) *Result {
 	return r
 }
 
-// finishResult is the endpoint slack loop shared by the analyzer and the
-// incremental session: identical accumulation, so their Results are
-// bit-identical for the same arrival vector.
+// Summary returns the WNS and TNS of At(arr, period) without allocating:
+// it runs the same endpoint slack loop but records no per-endpoint
+// vectors, so both numbers are bit-identical to At's.
+func (a *Analyzer) Summary(arr []float64, period float64) (wns, tns float64) {
+	return slackLoop(a.G, a.Lib, arr, period, nil, nil)
+}
+
+// finishResult fills a Result's per-endpoint vectors, WNS and TNS from
+// slackLoop. The analyzer and the incremental session share it, so their
+// Results are bit-identical for the same arrival vector.
 func finishResult(g *bog.Graph, lib *liberty.PseudoLib, r *Result, period float64) {
 	r.EndpointAT = make([]float64, len(g.Endpoints))
 	r.Slack = make([]float64, len(g.Endpoints))
-	r.WNS = math.Inf(1)
-	r.TNS = 0
-	for i, ep := range g.Endpoints {
-		at := r.Arrival[ep.D]
-		r.EndpointAT[i] = at
-		slack := period - at - lib.Setup
-		r.Slack[i] = slack
-		if slack < r.WNS {
-			r.WNS = slack
-		}
-		if slack < 0 {
-			r.TNS += slack
-		}
-	}
+	r.WNS, r.TNS = slackLoop(g, lib, r.Arrival, period, r.EndpointAT, r.Slack)
+}
+
+// slackLoop is the one accumulation of WNS and TNS, in endpoint order.
+// When endpointAT and slack are non-nil it also records each endpoint's
+// arrival and slack into them. A graph without endpoints has WNS 0.
+func slackLoop(g *bog.Graph, lib *liberty.PseudoLib, arr []float64, period float64, endpointAT, slack []float64) (wns, tns float64) {
 	if len(g.Endpoints) == 0 {
-		r.WNS = 0
+		return 0, 0
 	}
+	wns = math.Inf(1)
+	for i, ep := range g.Endpoints {
+		at := arr[ep.D]
+		s := period - at - lib.Setup
+		if endpointAT != nil {
+			endpointAT[i], slack[i] = at, s
+		}
+		if s < wns {
+			wns = s
+		}
+		if s < 0 {
+			tns += s
+		}
+	}
+	return wns, tns
 }

@@ -100,3 +100,41 @@ func TestArrivalsAtComposition(t *testing.T) {
 		}
 	}
 }
+
+// TestSummaryMatchesAt: Summary's WNS and TNS are bit-identical to At's on
+// every seed design and representation over a period sweep, at a period
+// where every endpoint meets timing, and on a graph without endpoints.
+func TestSummaryMatchesAt(t *testing.T) {
+	lib := liberty.DefaultPseudoLib()
+	same := func(g *bog.Graph, a *sta.Analyzer, arr []float64, p float64) *sta.Result {
+		t.Helper()
+		r := a.At(arr, p)
+		wns, tns := a.Summary(arr, p)
+		if math.Float64bits(wns) != math.Float64bits(r.WNS) || math.Float64bits(tns) != math.Float64bits(r.TNS) {
+			t.Fatalf("%s/%v period %v: Summary %v/%v, At %v/%v", g.Design, g.Variant, p, wns, tns, r.WNS, r.TNS)
+		}
+		return r
+	}
+	for _, g := range seedGraphs(t) {
+		a := sta.NewAnalyzer(g, lib)
+		arr := a.Arrivals(1)
+		for k := range 16 {
+			same(g, a, arr, 0.30+0.05*float64(k))
+		}
+		slow := 0.0
+		for _, ep := range g.Endpoints {
+			slow = max(slow, arr[ep.D])
+		}
+		if r := same(g, a, arr, slow+lib.Setup+1); len(g.Endpoints) > 0 && (r.WNS < 0 || r.TNS != 0) {
+			t.Fatalf("%s/%v: WNS %v TNS %v at a period every endpoint meets", g.Design, g.Variant, r.WNS, r.TNS)
+		}
+	}
+
+	g := bog.NewGraph("no-endpoints", bog.SOG)
+	in := g.AddSigName("in")
+	g.AndOf(g.NewInput(in, 0), g.NewInput(in, 1))
+	a := sta.NewAnalyzer(g, lib)
+	if r := same(g, a, a.Arrivals(1), 0.5); r.WNS != 0 || r.TNS != 0 {
+		t.Fatalf("no endpoints: WNS %v TNS %v, want 0 and 0", r.WNS, r.TNS)
+	}
+}
