@@ -453,6 +453,38 @@ func BenchmarkEngineColdBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineColdBuildDefaults is BenchmarkEngineColdBuild at the
+// CLI's defaults: per iteration, a fresh engine.New(0) (all cores) with
+// SetShards(0) builds the four BOG variants of the largest benchmark
+// design, fanned out on its pool the way the CLI's sweep builds them.
+func BenchmarkEngineColdBuildDefaults(b *testing.B) {
+	spec, ok := designs.ByName("Rocket3")
+	if !ok {
+		b.Fatal("no Rocket3")
+	}
+	src := designs.Generate(spec)
+	lib := liberty.DefaultPseudoLib()
+	tag := engine.DesignTag(spec.Name, src)
+	variants := bog.Variants()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := engine.New(0)
+		eng.SetShards(0)
+		lazy := engine.LazyDesign(src)
+		err := eng.ForEachErr(len(variants), func(vi int) error {
+			_, err := eng.EvalRep(engine.Key{Design: tag, Variant: variants[vi]}, lib, lazy)
+			return err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := eng.Stats(); st.Builds != int64(len(variants)) {
+			b.Fatalf("cold iteration performed %d builds, want %d", st.Builds, len(variants))
+		}
+	}
+}
+
 // BenchmarkFeatureExtraction is the extraction stage of a cold build on
 // its own: features.NewExtractor — one input-cone walk per endpoint plus
 // the rank sort — over the four BOG variants of the largest benchmark

@@ -33,7 +33,7 @@ func main() {
 	scale := flag.Int("scale", 0, "design scale override")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent evaluation workers (0 = all cores)")
-	shards := flag.Int("shards", 0, "register-bounded design shards per graph (0 = auto by register count, 1 = monolithic)")
+	shards := flag.Int("shards", 0, "register-bounded design shards for edits, partitioned on a base's first edit (0 or 1 = monolithic)")
 	cacheDir := flag.String("cache-dir", "", "persistent representation cache directory (empty = memory only)")
 	stats := flag.Bool("stats", false, "print engine cache statistics at the end of the run")
 	flag.Parse()

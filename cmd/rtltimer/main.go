@@ -14,10 +14,11 @@
 // sta.Incremental, and the winning delta is re-derived through the
 // engine's delta-keyed cache.
 //
-// -shards N times each design as N register-bounded shards (0 = automatic
-// by register count, 1 = monolithic): per-shard forward passes run on
-// the worker pool, and single-shard edits derive through shard-local
-// incremental sessions — all bit-identical to the monolithic analysis.
+// -shards N > 1 partitions each design into N register-bounded shards on
+// its first edit, so -optimize's single-shard edits derive through
+// shard-local incremental sessions (0 and 1 = monolithic, the default).
+// Builds always run one serial forward pass, and every value is
+// bit-identical to the monolithic analysis.
 //
 // Usage:
 //
@@ -66,7 +67,7 @@ func main() {
 	fast := flag.Bool("fast", true, "reduced model sizes (faster training)")
 	seed := flag.Int64("seed", 1, "model seed")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent evaluation workers (0 = all cores)")
-	shards := flag.Int("shards", 0, "register-bounded design shards per graph (0 = auto by register count, 1 = monolithic)")
+	shards := flag.Int("shards", 0, "register-bounded design shards for edits, partitioned on a base's first edit (0 or 1 = monolithic)")
 	saveModel := flag.String("save-model", "", "save the trained model to this file")
 	loadModel := flag.String("load-model", "", "load a previously saved model instead of training")
 	sweep := flag.String("sweep", "", "pseudo-STA period sweep lo:hi:steps (ns), e.g. 0.3:0.9:13")

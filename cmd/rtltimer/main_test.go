@@ -73,15 +73,15 @@ func TestParseSweep(t *testing.T) {
 }
 
 // TestFlagValidation table-drives the -jobs/-shards validation both CLIs
-// run before constructing the engine: 0 is "pick for me" for both flags,
-// negatives are rejected with a clear error instead of being silently
-// coerced.
+// run before constructing the engine: 0 means all cores for -jobs and
+// monolithic for -shards, and negatives are rejected with a clear error
+// instead of being silently coerced.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		jobs, shards int
 		wantErr      string // substring; "" = valid
 	}{
-		{jobs: 0, shards: 0},                             // all cores, auto sharding
+		{jobs: 0, shards: 0},                             // all cores, monolithic
 		{jobs: 1, shards: 1},                             // serial, monolithic
 		{jobs: 8, shards: 16},                            // explicit fan-out
 		{jobs: 64, shards: 0},                            // oversubscribed jobs are allowed

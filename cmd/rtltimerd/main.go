@@ -66,7 +66,7 @@ func main() {
 	log.SetPrefix("rtltimerd: ")
 	listen := flag.String("listen", "127.0.0.1:8723", "address to serve on")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent evaluation workers (0 = all cores)")
-	shards := flag.Int("shards", 0, "register-bounded design shards per graph (0 = auto, 1 = monolithic)")
+	shards := flag.Int("shards", 0, "register-bounded design shards for edits, partitioned on a base's first edit (0 or 1 = monolithic)")
 	cacheDir := flag.String("cache-dir", "", "persistent representation cache directory (empty = memory only)")
 	memBudget := flag.String("mem-budget", "", "approximate resident bytes for the memory tier, e.g. 256M (empty = unlimited)")
 	modelPath := flag.String("model", "", "saved model file enabling /annotate (train with rtltimer -save-model)")

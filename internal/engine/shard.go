@@ -239,7 +239,6 @@ func (rr *RepResult) deriveShard(sh *sta.ShardedAnalyzer, s int, delta bog.Delta
 		ArrivalSHA256: ArrivalDigest(arr2),
 		Ext:           ext2,
 		sh:            sh2,
-		shAuto:        rr.shAuto,
 		eng:           eng,
 		key:           key,
 	}, nil

@@ -138,7 +138,7 @@ func TestShardLocalEditBitIdentical(t *testing.T) {
 	// Full-graph derivation of the same delta (base stripped of its shard
 	// view, detached from the cache so it really recomputes).
 	monoBase := rr.Detached()
-	monoBase.sh = nil
+	monoBase.sh, monoBase.shLazy = nil, nil
 	full, err := monoBase.Edit(delta)
 	if err != nil {
 		t.Fatal(err)

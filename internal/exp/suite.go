@@ -31,11 +31,11 @@ type Config struct {
 	Seed  int64
 	// Jobs bounds the evaluation engine's concurrency (0 = GOMAXPROCS).
 	Jobs int
-	// Shards is the engine's register-bounded design-sharding policy:
-	// 0 (the default) picks a per-design shard count automatically by
-	// register count (small designs stay monolithic), 1 forces monolithic
-	// analysis, k > 1 forces k shards. Results are bit-identical for
-	// every setting.
+	// Shards is the engine's register-bounded design-sharding policy for
+	// edits: 0 (the default) and 1 keep every design monolithic, k > 1
+	// partitions a design into k shards on its first edit. Builds always
+	// run one serial forward pass. Results are bit-identical for every
+	// setting.
 	Shards int
 	// CacheDir enables the engine's persistent on-disk representation
 	// cache ("" = memory only): repeated experiment runs then skip

@@ -39,7 +39,7 @@ import (
 // request deadline, no session cap or reaping.
 type Config struct {
 	Jobs      int    // evaluation workers (0 = all cores)
-	Shards    int    // register-bounded shards per graph (0 = auto, 1 = monolithic)
+	Shards    int    // register-bounded shards for session edits (0 or 1 = monolithic)
 	CacheDir  string // persistent representation cache (empty = memory only)
 	MemBudget int64  // approximate resident bytes for the memory tier (0 = unlimited)
 	ModelPath string // saved model enabling Annotate (empty = Annotate errors)
@@ -109,10 +109,13 @@ type session struct {
 }
 
 // New builds the resident service: engine configured, model loaded (when
-// given), sessions empty. Errors are configuration errors — a bad cache
-// dir, an unloadable model.
+// given), sessions empty. Errors are configuration errors — a negative
+// limit, a bad cache dir, an unloadable model.
 func New(cfg Config) (*Service, error) {
 	if err := engine.ValidateConcurrency(cfg.Jobs, cfg.Shards); err != nil {
+		return nil, err
+	}
+	if err := validateLimits(cfg); err != nil {
 		return nil, err
 	}
 	eng := engine.New(cfg.Jobs)
@@ -160,6 +163,30 @@ func New(cfg Config) (*Service, error) {
 		s.startReaper(interval)
 	}
 	return s, nil
+}
+
+// validateLimits rejects negative limits instead of coercing them: every
+// limit already gives 0 a documented meaning, and a negative value would
+// silently take some other one.
+func validateLimits(cfg Config) error {
+	for _, l := range []struct {
+		name, zero string
+		v          any
+		neg        bool
+	}{
+		{"MaxInflight", "2×jobs", cfg.MaxInflight, cfg.MaxInflight < 0},
+		{"QueueWait", "shed immediately", cfg.QueueWait, cfg.QueueWait < 0},
+		{"RequestTimeout", "unlimited", cfg.RequestTimeout, cfg.RequestTimeout < 0},
+		{"MaxSessions", "unlimited", cfg.MaxSessions, cfg.MaxSessions < 0},
+		{"SessionTTL", "never", cfg.SessionTTL, cfg.SessionTTL < 0},
+		{"ReapInterval", "TTL/4", cfg.ReapInterval, cfg.ReapInterval < 0},
+		{"MemBudget", "unlimited", cfg.MemBudget, cfg.MemBudget < 0},
+	} {
+		if l.neg {
+			return fmt.Errorf("%s must be >= 0 (0 = %s), got %v", l.name, l.zero, l.v)
+		}
+	}
+	return nil
 }
 
 // Engine exposes the resident engine (stats, budget tuning, tests).

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rtltimer/internal/bog"
 	"rtltimer/internal/designs"
@@ -43,6 +44,32 @@ func newService(t *testing.T, cfg Config) *Service {
 	}
 	t.Cleanup(s.Close)
 	return s
+}
+
+// TestNewRejectsNegativeLimits: a negative limit is a configuration
+// error naming the field and what its 0 means, never silently coerced;
+// the zero Config still builds.
+func TestNewRejectsNegativeLimits(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{MaxSessions: -1}, "MaxSessions must be >= 0 (0 = unlimited), got -1"},
+		{Config{RequestTimeout: -time.Second}, "RequestTimeout must be >= 0 (0 = unlimited), got -1s"},
+		{Config{SessionTTL: -time.Hour}, "SessionTTL must be >= 0 (0 = never), got -1h0m0s"},
+		{Config{ReapInterval: -time.Second}, "ReapInterval must be >= 0 (0 = TTL/4), got -1s"},
+		{Config{QueueWait: -time.Second}, "QueueWait must be >= 0 (0 = shed immediately), got -1s"},
+		{Config{MaxInflight: -1}, "MaxInflight must be >= 0 (0 = 2×jobs), got -1"},
+		{Config{MemBudget: -1}, "MemBudget must be >= 0 (0 = unlimited), got -1"},
+	} {
+		if s, err := New(tc.cfg); err == nil {
+			s.Close()
+			t.Errorf("New(%+v) accepted a negative limit", tc.cfg)
+		} else if err.Error() != tc.want {
+			t.Errorf("New(%+v) = %q, want %q", tc.cfg, err, tc.want)
+		}
+	}
+	newService(t, Config{})
 }
 
 // TestSweepFmaxTextMatchesCLI: the daemon's /sweep and /fmax text payloads
@@ -349,7 +376,8 @@ func TestHTTPSurface(t *testing.T) {
 // response bit-identical to a serial oracle, with exact build counts —
 // including through an eviction-churn phase, where the disk tier turns
 // every LRU rebuild into a reload and the build count provably does not
-// move. Run under -race by the CI daemon-load step.
+// move. It runs once per shard policy, so the -race run also covers
+// shard-local session edits. Run under -race by the CI daemon-load step.
 func TestDaemonLoadHarness(t *testing.T) {
 	const (
 		clients = 6
@@ -415,97 +443,107 @@ func TestDaemonLoadHarness(t *testing.T) {
 		}
 	}
 
-	// The daemon under load: its own disk tier, so eviction churn reloads
-	// instead of rebuilding.
-	svc := newService(t, Config{Jobs: 4, CacheDir: t.TempDir()})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	// The same harness under the default policy (monolithic edits) and an
+	// explicit 4-shard policy (shard-local session edits), both against
+	// the monolithic oracle's bytes.
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			// The daemon under load: its own disk tier, so eviction churn reloads
+			// instead of rebuilding.
+			svc := newService(t, Config{Jobs: 4, Shards: shards, CacheDir: t.TempDir()})
+			srv := httptest.NewServer(svc.Handler())
+			defer srv.Close()
 
-	runClients := func(phase string, withSessions bool) {
-		t.Helper()
-		var wg sync.WaitGroup
-		for cl := 0; cl < clients; cl++ {
-			wg.Add(1)
-			go func(cl int) {
-				defer wg.Done()
-				c := srv.Client()
-				// Each client walks the query list at its own offset so the
-				// phases interleave designs and endpoint types.
-				for k := 0; k < len(queries); k++ {
-					i := (k + cl) % len(queries)
-					code, body := postJSON(t, c, srv.URL+queries[i].path, queries[i].body)
-					if code != http.StatusOK {
-						t.Errorf("%s client %d %s: %d %s", phase, cl, queries[i].path, code, body)
-						return
-					}
-					if !bytes.Equal(body, wantBody[i]) {
-						t.Errorf("%s client %d %s: response diverged from serial oracle", phase, cl, queries[i].path)
-						return
-					}
+			runClients := func(phase string, withSessions bool) {
+				t.Helper()
+				var wg sync.WaitGroup
+				for cl := 0; cl < clients; cl++ {
+					wg.Add(1)
+					go func(cl int) {
+						defer wg.Done()
+						c := srv.Client()
+						// Each client walks the query list at its own offset so the
+						// phases interleave designs and endpoint types.
+						for k := 0; k < len(queries); k++ {
+							i := (k + cl) % len(queries)
+							code, body := postJSON(t, c, srv.URL+queries[i].path, queries[i].body)
+							if code != http.StatusOK {
+								t.Errorf("%s client %d %s: %d %s", phase, cl, queries[i].path, code, body)
+								return
+							}
+							if !bytes.Equal(body, wantBody[i]) {
+								t.Errorf("%s client %d %s: response diverged from serial oracle", phase, cl, queries[i].path)
+								return
+							}
+						}
+						if !withSessions {
+							return
+						}
+						n := names[cl%len(names)]
+						_, body := postJSON(t, c, srv.URL+"/session/open", SessionOpenRequest{Design: DesignRef{Bench: n}, Variant: "SOG"})
+						var st SessionState
+						if err := json.Unmarshal(body, &st); err != nil {
+							t.Errorf("%s client %d open: %v %s", phase, cl, err, body)
+							return
+						}
+						if _, body = postJSON(t, c, srv.URL+"/session/edit", SessionEditRequest{Session: st.Session, Edits: deltas[n]}); !json.Valid(body) {
+							t.Errorf("%s client %d edit: %s", phase, cl, body)
+							return
+						}
+						_, body = postJSON(t, c, srv.URL+"/session/eval", SessionEvalRequest{Session: st.Session, Period: 0.6})
+						var ev SessionEvalResponse
+						if err := json.Unmarshal(body, &ev); err != nil {
+							t.Errorf("%s client %d eval: %v %s", phase, cl, err, body)
+							return
+						}
+						want := wantEdit[n]
+						if math.Float64bits(ev.Result.WNS) != math.Float64bits(want.Result.WNS) ||
+							math.Float64bits(ev.Result.TNS) != math.Float64bits(want.Result.TNS) ||
+							ev.Result.ArrivalSHA256 != want.Result.ArrivalSHA256 {
+							t.Errorf("%s client %d: session verdict diverged from oracle", phase, cl)
+							return
+						}
+						postJSON(t, c, srv.URL+"/session/close", map[string]string{"session": st.Session})
+					}(cl)
 				}
-				if !withSessions {
-					return
-				}
-				n := names[cl%len(names)]
-				_, body := postJSON(t, c, srv.URL+"/session/open", SessionOpenRequest{Design: DesignRef{Bench: n}, Variant: "SOG"})
-				var st SessionState
-				if err := json.Unmarshal(body, &st); err != nil {
-					t.Errorf("%s client %d open: %v %s", phase, cl, err, body)
-					return
-				}
-				if _, body = postJSON(t, c, srv.URL+"/session/edit", SessionEditRequest{Session: st.Session, Edits: deltas[n]}); !json.Valid(body) {
-					t.Errorf("%s client %d edit: %s", phase, cl, body)
-					return
-				}
-				_, body = postJSON(t, c, srv.URL+"/session/eval", SessionEvalRequest{Session: st.Session, Period: 0.6})
-				var ev SessionEvalResponse
-				if err := json.Unmarshal(body, &ev); err != nil {
-					t.Errorf("%s client %d eval: %v %s", phase, cl, err, body)
-					return
-				}
-				want := wantEdit[n]
-				if math.Float64bits(ev.Result.WNS) != math.Float64bits(want.Result.WNS) ||
-					math.Float64bits(ev.Result.TNS) != math.Float64bits(want.Result.TNS) ||
-					ev.Result.ArrivalSHA256 != want.Result.ArrivalSHA256 {
-					t.Errorf("%s client %d: session verdict diverged from oracle", phase, cl)
-					return
-				}
-				postJSON(t, c, srv.URL+"/session/close", map[string]string{"session": st.Session})
-			}(cl)
-		}
-		wg.Wait()
-	}
+				wg.Wait()
+			}
 
-	// Warm phase: N clients, everything cold. Single-flight means each
-	// (design, variant) builds exactly once and each design's delta derives
-	// exactly once, no matter how many clients race.
-	runClients("warm", true)
-	st := svc.Engine().Stats()
-	if want := int64(designN * variants); st.Builds != want {
-		t.Fatalf("warm phase: %d builds, want exactly %d (single-flight)", st.Builds, want)
-	}
-	if st.Edits != int64(designN) {
-		t.Fatalf("warm phase: %d derivations, want exactly %d", st.Edits, designN)
-	}
+			// Warm phase: N clients, everything cold. Single-flight means each
+			// (design, variant) builds exactly once and each design's delta derives
+			// exactly once, no matter how many clients race.
+			runClients("warm", true)
+			st := svc.Engine().Stats()
+			if want := int64(designN * variants); st.Builds != want {
+				t.Fatalf("warm phase: %d builds, want exactly %d (single-flight)", st.Builds, want)
+			}
+			if st.Edits != int64(designN) {
+				t.Fatalf("warm phase: %d derivations, want exactly %d", st.Edits, designN)
+			}
+			if shards > 1 && st.ShardEdits == 0 {
+				t.Fatalf("warm phase: stats %+v, want the explicit shard policy to derive shard-locally", st)
+			}
 
-	// Churn phase: squeeze the memory tier to ~40% and run the stateless
-	// mix again. Evictions must happen, every response must stay
-	// bit-identical, and — because evicted entries reload from the disk
-	// tier — the build count must not move at all.
-	svc.Engine().SetMemBudget(svc.Engine().MemUsed() * 2 / 5)
-	runClients("churn", false)
-	churn := svc.Engine().Stats()
-	if churn.Evictions == 0 {
-		t.Fatal("churn phase evicted nothing")
-	}
-	if churn.Builds != st.Builds {
-		t.Fatalf("churn phase rebuilt: %d builds, want the warm count %d (disk tier must absorb eviction)", churn.Builds, st.Builds)
-	}
-	if churn.DiskHits == 0 {
-		t.Fatal("churn phase never reloaded from the disk tier")
-	}
-	if used, budget := svc.Engine().MemUsed(), svc.Engine().MemBudget(); used > budget {
-		t.Fatalf("resident charge %d exceeds budget %d after churn", used, budget)
+			// Churn phase: squeeze the memory tier to ~40% and run the stateless
+			// mix again. Evictions must happen, every response must stay
+			// bit-identical, and — because evicted entries reload from the disk
+			// tier — the build count must not move at all.
+			svc.Engine().SetMemBudget(svc.Engine().MemUsed() * 2 / 5)
+			runClients("churn", false)
+			churn := svc.Engine().Stats()
+			if churn.Evictions == 0 {
+				t.Fatal("churn phase evicted nothing")
+			}
+			if churn.Builds != st.Builds {
+				t.Fatalf("churn phase rebuilt: %d builds, want the warm count %d (disk tier must absorb eviction)", churn.Builds, st.Builds)
+			}
+			if churn.DiskHits == 0 {
+				t.Fatal("churn phase never reloaded from the disk tier")
+			}
+			if used, budget := svc.Engine().MemUsed(), svc.Engine().MemBudget(); used > budget {
+				t.Fatalf("resident charge %d exceeds budget %d after churn", used, budget)
+			}
+		})
 	}
 }
 

@@ -46,12 +46,11 @@ type Options struct {
 	// Jobs bounds the evaluation engine's concurrency (0 = GOMAXPROCS).
 	// Results are identical for every jobs value.
 	Jobs int
-	// Shards selects the engine's register-bounded design sharding:
-	// 0 (the default) picks a per-design shard count automatically by
-	// register count (small designs stay monolithic), 1 forces monolithic
-	// analysis, and k > 1 forces k shards. Sharded designs run one forward
-	// STA pass per shard on the worker pool. Results are byte-identical
-	// for every setting.
+	// Shards selects the engine's register-bounded design sharding for
+	// edits: 0 (the default) and 1 keep every design monolithic, and k > 1
+	// partitions a design into k shards on its first edit. Builds always
+	// run one serial forward STA pass. Results are byte-identical for
+	// every setting.
 	Shards int
 	// CacheDir enables the persistent on-disk representation cache
 	// ("" = memory only): training and prediction then warm-start by
@@ -299,9 +298,9 @@ type RewriteOptions struct {
 	// Jobs bounds the evaluation engine's concurrency (0 = GOMAXPROCS).
 	Jobs int
 	// Shards selects register-bounded design sharding (see
-	// Options.Shards): 0 = automatic, 1 = monolithic, k > 1 = k shards.
-	// Single-shard winning deltas re-derive through shard-local
-	// incremental sessions.
+	// Options.Shards): 0 or 1 = monolithic, k > 1 = k shards, partitioned
+	// on a representation's first edit. Single-shard winning deltas then
+	// re-derive through shard-local incremental sessions.
 	Shards int
 	// CacheDir enables the persistent representation cache ("" = memory
 	// only); a warm cache skips the Verilog frontend and every base
