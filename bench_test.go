@@ -724,12 +724,14 @@ func BenchmarkShardedWarmLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkShardLocalEdit is the shard-routed counterpart of
-// BenchmarkRepResultEdit: the same single-site edit derivation, but the
+// BenchmarkShardLocalEdit prices the shard-routed edit derivation: the
 // base is sharded and the delta's nodes are owned by one shard, so the
 // derivation clones and re-times only that shard's subgraph and re-walks
-// only its endpoint cones (compare the two to see the shard-local win;
-// the full-graph path re-walks every cone of the design).
+// the cones of every endpoint the shard holds. Its edit site is not
+// BenchmarkRepResultEdit's (an endpoint driver), so the two are not a
+// same-edit pair: the full-graph path re-walks only the endpoint cones its
+// delta can change, and on this benchmark's own site it derives faster
+// than the shard-local path.
 func BenchmarkShardLocalEdit(b *testing.B) {
 	spec, ok := designs.ByName("Rocket3")
 	if !ok {
@@ -901,9 +903,10 @@ func BenchmarkIncrementalSTA(b *testing.B) {
 	b.ReportMetric(float64(inc.Recomputed())/float64(b.N), "nodes_retimed/op")
 }
 
-// BenchmarkRepResultEdit measures the engine's delta-derivation path on a
-// cache miss: clone + incremental re-timing + snapshot + extractor
-// rebuild (cheaper than a build, pricier than a raw session Apply).
+// BenchmarkRepResultEdit measures the engine's full-graph delta
+// derivation on a cache miss: clone + incremental re-timing + snapshot +
+// extractor patch, which re-walks only the endpoint cones the delta can
+// change (cheaper than a build, pricier than a raw session Apply).
 func BenchmarkRepResultEdit(b *testing.B) {
 	spec, ok := designs.ByName("Rocket3")
 	if !ok {
@@ -920,7 +923,7 @@ func BenchmarkRepResultEdit(b *testing.B) {
 	n, _, alt := benchEditSite(b, rr.Graph)
 	// Re-wrap the cached state in an engine-less RepResult: with no cache
 	// slot to hit, every Edit pays the real derivation (clone, cone
-	// re-timing, snapshot, extractor rebuild) — which is what this
+	// re-timing, snapshot, extractor patch) — which is what this
 	// benchmark measures. Through an engine, repeats of one delta are
 	// memory-tier hits instead.
 	base := &engine.RepResult{Graph: rr.Graph, An: rr.An, Arrival: rr.Arrival, Ext: rr.Ext}

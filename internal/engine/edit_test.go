@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -104,6 +105,134 @@ func TestEditMatchesFullRebuild(t *testing.T) {
 		sameVec(t, "Slack", r1.Slack, r2.Slack)
 		if math.Float64bits(r1.WNS) != math.Float64bits(r2.WNS) || math.Float64bits(r1.TNS) != math.Float64bits(r2.TNS) {
 			t.Fatalf("%v: WNS/TNS mismatch", v)
+		}
+	}
+}
+
+// chainEdit draws one random edit valid after the edits already in d:
+// kind 0 re-points a fanin of an existing operator node, 1 swaps an
+// existing node's operator (kind 0 where the variant has no swap), 2
+// inserts a node, and 3 re-points a fanin of a node inserted earlier in d
+// (kind 0 when d inserted none).
+func chainEdit(g *bog.Graph, rng *rand.Rand, d bog.Delta, kind int) bog.Edit {
+	arity := func(op bog.Op) int { return (&bog.Node{Op: op}).NumFanin() }
+	var alphabet []bog.Op
+	for _, op := range []bog.Op{bog.Not, bog.And, bog.Or, bog.Xor, bog.Mux} {
+		if g.CheckDelta(bog.Delta{bog.InsertEdit(op, make([]bog.NodeID, arity(op))...)}) == nil {
+			alphabet = append(alphabet, op)
+		}
+	}
+	// The operator of every node once d has applied, and d's inserts.
+	ops := map[bog.NodeID]bog.Op{}
+	var inserted []bog.NodeID
+	nn := bog.NodeID(len(g.Nodes))
+	for _, e := range d {
+		switch e.Kind {
+		case bog.EditSetOp:
+			ops[e.Node] = e.Op
+		case bog.EditInsert:
+			ops[nn] = e.Op
+			inserted = append(inserted, nn)
+			nn++
+		}
+	}
+	opOf := func(n bog.NodeID) bog.Op {
+		if op, ok := ops[n]; ok {
+			return op
+		}
+		return g.Nodes[n].Op
+	}
+	existing := func() bog.NodeID {
+		for {
+			n := bog.NodeID(1 + rng.Intn(len(g.Nodes)-1))
+			switch g.Nodes[n].Op {
+			case bog.Not, bog.And, bog.Or, bog.Xor, bog.Mux:
+				return n
+			}
+		}
+	}
+	repoint := func(n bog.NodeID) bog.Edit {
+		return bog.SetFaninEdit(n, rng.Intn(arity(opOf(n))), bog.NodeID(rng.Intn(int(n))))
+	}
+	switch {
+	case kind == 3 && len(inserted) > 0:
+		return repoint(inserted[rng.Intn(len(inserted))])
+	case kind == 1:
+		// AIG has no two operators of equal arity: no swap exists there.
+		for try := 0; try < 64; try++ {
+			n := existing()
+			var alts []bog.Op
+			for _, op := range alphabet {
+				if op != opOf(n) && arity(op) == arity(opOf(n)) {
+					alts = append(alts, op)
+				}
+			}
+			if len(alts) > 0 {
+				return bog.SetOpEdit(n, alts[rng.Intn(len(alts))])
+			}
+		}
+		return repoint(existing())
+	case kind == 2:
+		op := alphabet[rng.Intn(len(alphabet))]
+		fanin := make([]bog.NodeID, arity(op))
+		for j := range fanin {
+			fanin[j] = bog.NodeID(rng.Intn(int(nn)))
+		}
+		return bog.InsertEdit(op, fanin...)
+	default:
+		return repoint(existing())
+	}
+}
+
+// TestEditChainsMatchFreshExtractor is the randomized oracle for the
+// derivation's extractor patch: on every suite design and variant, a
+// seeded chain of hops alternating single edits of each kind with
+// multi-edit deltas (re-points of existing and same-delta inserted nodes,
+// operator swaps, inserts) must leave arrivals, analyzer state, cones and
+// rank percentiles bit-identical, hop after hop, to a fresh Analyzer and
+// Extractor of the edited clone.
+func TestEditChainsMatchFreshExtractor(t *testing.T) {
+	const hops = 6
+	lib := liberty.DefaultPseudoLib()
+	for di, spec := range designs.All() {
+		src := designs.Generate(spec)
+		eng := New(1)
+		for _, v := range bog.Variants() {
+			t.Run(spec.Name+"/"+v.String(), func(t *testing.T) {
+				rr, err := eng.EvalRep(Key{Design: DesignTag(spec.Name, src), Variant: v}, lib, LazyDesign(src))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(di)*7919 + int64(v)))
+				cur := rr.Detached()
+				g := rr.Graph.Clone()
+				for hop := 0; hop < hops; hop++ {
+					var d bog.Delta
+					if hop%2 == 0 {
+						d = bog.Delta{chainEdit(g, rng, nil, hop/2%3)}
+					} else {
+						// Two re-points of existing nodes, an insert and a
+						// re-point of it, then a random mix.
+						kinds := []int{0, 2, 3, 0}
+						for k := rng.Intn(4); k > 0; k-- {
+							kinds = append(kinds, rng.Intn(4))
+						}
+						for _, k := range kinds {
+							d = append(d, chainEdit(g, rng, d, k))
+						}
+					}
+					t.Logf("hop %d: delta %v", hop, d)
+					if cur, err = cur.Edit(d); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := g.Apply(d); err != nil {
+						t.Fatal(err)
+					}
+					an := sta.NewAnalyzer(g, lib)
+					arr := an.Arrivals(1)
+					requireIdentical(t, &RepResult{Graph: g, An: an, Arrival: arr, Ext: features.NewExtractor(g, an.At(arr, 0))}, cur)
+				}
+			})
 		}
 	}
 }

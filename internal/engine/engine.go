@@ -261,9 +261,10 @@ func EditKey(base Key, delta bog.Delta) Key {
 // Edit returns this representation with the graph delta applied: the base
 // graph is cloned, the delta applied through the incremental STA session
 // (re-timing only the affected cone — no bit-blast, no full forward
-// pass), and the result frozen into a fresh immutable RepResult with its
-// own extractor. Derived results are cached in the engine's memory tier
-// under EditKey with the usual single-flight semantics, so concurrent
+// pass), and the result frozen into a fresh immutable RepResult whose
+// extractor is the base's, patched by re-walking only the endpoint cones
+// the delta can change. Derived results are cached in the engine's memory
+// tier under EditKey with the usual single-flight semantics, so concurrent
 // callers of the same (base, delta) share one derivation, and further
 // Edits may chain off the result.
 //
@@ -382,12 +383,15 @@ func (rr *RepResult) shardPolicy() int {
 // shard, the derivation runs through a shard-local incremental session
 // (see shard.go) — re-timing and re-walking only that shard, and carrying
 // a derived shard view so the next edit in the chain routes the same way.
-// Otherwise it falls back to the full-graph path: clone, incremental
-// re-timing, snapshot, extractor rebuild; the fallback result carries a
-// lazy re-shard under the base's policy, so a chain recovers the
-// shard-local path after a non-routable hop instead of staying monolithic
-// forever. Both paths are bit-identical to a fresh analysis of the edited
-// graph; the base is never mutated.
+// Otherwise (always, at the default policy) it takes the full-graph
+// path: clone, incremental re-timing, snapshot, and an extractor patch
+// that re-walks only the cones of the endpoints the session reports stale
+// (sta.Incremental.StaleCones) and copies every other cone from the base.
+// The full-graph result carries a lazy re-shard under the base's policy,
+// so a chain recovers the shard-local path after a non-routable hop
+// instead of staying monolithic forever. Both paths are bit-identical to
+// a fresh analysis and extractor of the edited graph; the base is never
+// mutated.
 func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, error) {
 	if p := rr.partition(); p != nil {
 		if s := rr.routeShard(p, delta); s >= 0 {
@@ -409,12 +413,16 @@ func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, 
 		return nil, err
 	}
 	an, arr := inc.Snapshot()
+	ext, err := rr.Ext.Patch(g, an.At(arr, 0), inc.StaleCones())
+	if err != nil {
+		return nil, err
+	}
 	res := &RepResult{
 		Graph:         g,
 		An:            an,
 		Arrival:       arr,
 		ArrivalSHA256: ArrivalDigest(arr),
-		Ext:           features.NewExtractor(g, an.At(arr, 0)),
+		Ext:           ext,
 		eng:           eng,
 		key:           key,
 	}

@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"rtltimer/internal/bog"
-	"rtltimer/internal/features"
 	"rtltimer/internal/part"
 	"rtltimer/internal/sta"
 )
@@ -108,7 +107,8 @@ func (rr *RepResult) routeShard(p *part.Partition, delta bog.Delta) int {
 // incrementally re-time only the shard subgraph, apply the delta
 // structurally to a clone of the full graph, scatter the shard's updated
 // per-node state over copies of the base vectors, and patch the extractor
-// by re-walking only the shard's endpoint cones.
+// through the same Extractor.Patch as the full-graph path, re-walking the
+// cones of every endpoint the shard holds.
 func (rr *RepResult) deriveShard(sh *sta.ShardedAnalyzer, s int, delta bog.Delta, key Key, eng *Engine) (*RepResult, error) {
 	p := sh.P
 	shard := &p.Shards[s]
@@ -211,15 +211,8 @@ func (rr *RepResult) deriveShard(sh *sta.ShardedAnalyzer, s int, delta bog.Delta
 
 	// Extractor patch: cones outside this shard cannot have changed (their
 	// adjacency is untouched), so only the shard's endpoints re-walk; the
-	// rank percentiles re-rank globally through the same helper
-	// NewExtractor uses.
-	baseCones, _ := rr.Ext.State()
-	cones := append([]sta.ConeInfo(nil), baseCones...)
-	w := sta.NewConeWalker(g2)
-	for _, ep := range shard.Endpoints {
-		cones[ep] = w.InputCone(ep)
-	}
-	ext2, err := features.NewExtractorFromState(g2, r2, cones, features.RankPercentiles(r2.EndpointAT))
+	// rank percentiles re-rank globally.
+	ext2, err := rr.Ext.Patch(g2, r2, shard.Endpoints)
 	if err != nil {
 		return nil, err
 	}

@@ -45,8 +45,8 @@ func NewExtractor(g *bog.Graph, r *sta.Result) *Extractor {
 
 // RankPercentiles computes each endpoint's rank percentile of its pseudo
 // arrival time — the design-level "rank_pct" feature. Shared by
-// NewExtractor and the engine's shard-local edit derivation, which patches
-// an extractor without re-walking every cone but must rank identically.
+// NewExtractor and Patch, so a patched extractor ranks exactly like a
+// fresh one.
 func RankPercentiles(endpointAT []float64) []float64 {
 	order := make([]int, len(endpointAT))
 	for i := range order {
@@ -86,6 +86,27 @@ func NewExtractorFromState(g *bog.Graph, r *sta.Result, cones []sta.ConeInfo, ra
 	e := &Extractor{G: g, R: r, Cones: cones, RankPct: rankPct}
 	e.countCells()
 	return e, nil
+}
+
+// Patch returns the extractor of g, an edited copy of e's graph whose
+// pseudo-STA result is r, without re-walking every cone: the stale
+// endpoints' cones are walked on g, every other cone is copied from e,
+// the rank percentiles are recomputed from r.EndpointAT and the cell
+// counts from g. stale must name every endpoint whose input cone the edit
+// can have changed (sta.Incremental.StaleCones); the result then equals
+// NewExtractor(g, r). e is not modified.
+func (e *Extractor) Patch(g *bog.Graph, r *sta.Result, stale []int) (*Extractor, error) {
+	p, err := NewExtractorFromState(g, r, append([]sta.ConeInfo(nil), e.Cones...), RankPercentiles(r.EndpointAT))
+	if err != nil {
+		return nil, err
+	}
+	if len(stale) > 0 {
+		w := sta.NewConeWalker(g)
+		for _, ep := range stale {
+			p.Cones[ep] = w.InputCone(ep)
+		}
+	}
+	return p, nil
 }
 
 func (e *Extractor) countCells() {

@@ -573,7 +573,7 @@ func (s *Service) acquireSession(id string) (*session, func(), error) {
 type EditSpec struct {
 	Kind  string  `json:"kind"`            // set-fanin | set-op | insert
 	Node  int32   `json:"node,omitempty"`  // set-fanin, set-op
-	Slot  int     `json:"slot,omitempty"`  // set-fanin
+	Slot  int32   `json:"slot,omitempty"`  // set-fanin
 	To    int32   `json:"to,omitempty"`    // set-fanin (-1 = nil)
 	Op    string  `json:"op,omitempty"`    // set-op, insert
 	Fanin []int32 `json:"fanin,omitempty"` // insert
@@ -600,7 +600,7 @@ func parseDelta(specs []EditSpec) (bog.Delta, error) {
 	for i, e := range specs {
 		switch e.Kind {
 		case "set-fanin":
-			delta = append(delta, bog.SetFaninEdit(bog.NodeID(e.Node), e.Slot, bog.NodeID(e.To)))
+			delta = append(delta, bog.SetFaninEdit(bog.NodeID(e.Node), int(e.Slot), bog.NodeID(e.To)))
 		case "set-op":
 			op, err := parseOp(e.Op)
 			if err != nil {
@@ -611,6 +611,9 @@ func parseDelta(specs []EditSpec) (bog.Delta, error) {
 			op, err := parseOp(e.Op)
 			if err != nil {
 				return nil, fmt.Errorf("edit %d: %w", i, err)
+			}
+			if len(e.Fanin) > 3 {
+				return nil, fmt.Errorf("edit %d: insert has %d fanins, no operator takes more than 3", i, len(e.Fanin))
 			}
 			fanin := make([]bog.NodeID, len(e.Fanin))
 			for j, f := range e.Fanin {

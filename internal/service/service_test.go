@@ -369,6 +369,43 @@ func TestHTTPSurface(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(string(body), st.Session) {
 		t.Fatalf("/session/close: %d %s", code, body)
 	}
+
+	// Edit fields that bog would truncate are a 400, and the chain stays
+	// put: a slot beyond int32 (it would wrap to slot 0) and a fourth
+	// insert fanin (bog.InsertEdit keeps three).
+	reps, err := BuildSweepReps(context.Background(), svc.Engine(), name, designs.Generate(mustSpec(t, name)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	and, _ := sessionDelta(t, reps[bog.SOG].Graph)
+	for _, tc := range []struct {
+		variant, edits string
+	}{
+		{"SOG", fmt.Sprintf(`[{"kind":"set-fanin","node":%d,"slot":4294967296,"to":0}]`, and[0].Node)},
+		{"AIMG", `[{"kind":"insert","op":"mux","fanin":[1,2,3,4]}]`},
+	} {
+		code, body := postJSON(t, c, srv.URL+"/session/open", SessionOpenRequest{Design: DesignRef{Bench: name}, Variant: tc.variant})
+		if code != http.StatusOK {
+			t.Fatalf("/session/open %s: %d %s", tc.variant, code, body)
+		}
+		var st SessionState
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		edit := fmt.Sprintf(`{"session":%q,"edits":%s}`, st.Session, tc.edits)
+		code, _, body, err := postRaw(c, srv.URL+"/session/edit", strings.NewReader(edit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != http.StatusBadRequest {
+			t.Fatalf("edit %s on %s: %d %s, want 400", tc.edits, tc.variant, code, body)
+		}
+		_, body = postJSON(t, c, srv.URL+"/session/eval", SessionEvalRequest{Session: st.Session, Period: 0.5})
+		var ev SessionEvalResponse
+		if err := json.Unmarshal(body, &ev); err != nil || ev.State.Depth != 0 {
+			t.Fatalf("after rejected edit %s: %v %s, want depth 0", tc.edits, err, body)
+		}
+	}
 }
 
 // TestDaemonLoadHarness is the ISSUE's load harness: N concurrent clients
@@ -559,6 +596,7 @@ func TestParseDeltaErrors(t *testing.T) {
 		{"bad kind", []EditSpec{{Kind: "swap"}}, `unknown kind "swap"`},
 		{"bad op", []EditSpec{{Kind: "set-op", Node: 1, Op: "nand"}}, `unknown op "nand"`},
 		{"bad insert op", []EditSpec{{Kind: "insert", Op: "blorp"}}, `unknown op "blorp"`},
+		{"insert fanin overflow", []EditSpec{{Kind: "set-op", Node: 5, Op: "or"}, {Kind: "insert", Op: "mux", Fanin: []int32{1, 2, 3, 4}}}, "edit 1: insert has 4 fanins"},
 	}
 	for _, tc := range cases {
 		_, err := parseDelta(tc.specs)

@@ -32,9 +32,12 @@ import (
 //
 // The session maintains its own fanout adjacency (sorted consumer lists,
 // one entry per fanin slot) incrementally, so no O(graph) adjacency
-// rebuild ever runs inside Apply. Cost per Apply is proportional to the affected cone,
-// not the design — the property BenchmarkIncrementalSTA tracks against
-// BenchmarkFullReanalyze.
+// rebuild ever runs inside Apply. All lists start out in one array sized
+// to the graph's fanin edges: each node's list is a sub-slice capped at
+// its own consumer count, so when an edit grows a list only that list is
+// reallocated, and its neighbours are never overwritten. Cost per Apply is
+// proportional to the affected cone, not the design — the property
+// BenchmarkIncrementalSTA tracks against BenchmarkFullReanalyze.
 //
 // An Incremental is single-owner: unlike the immutable Analyzer it must
 // not be shared across goroutines without external locking.
@@ -60,6 +63,11 @@ type Incremental struct {
 	cellDirty  map[bog.NodeID]bool // own cell changed (op swap, insert)
 	delayDirty map[bog.NodeID]bool // delay inputs possibly changed
 	arrSeed    map[bog.NodeID]bool // fanin arrival set changed
+
+	// repointed lists the nodes whose fanin the last Apply re-pointed, in
+	// edit order (a node re-pointed twice appears twice); StaleCones
+	// walks forward from them.
+	repointed []bog.NodeID
 
 	recomputed int64 // cumulative arrival recomputes across Apply calls
 }
@@ -108,23 +116,29 @@ func NewIncrementalFromState(g *bog.Graph, lib *liberty.PseudoLib, load, slew, d
 // endpoint-load counts from the graph. Iterating nodes in id order with
 // fanin slots in slot order yields each driver's consumer list already in
 // (consumer id, slot) order — the analyzer's load accumulation order.
+// Every list is carved out of one consumer array; the three-index slice
+// caps it at its own count, so an append that outgrows it reallocates
+// that list alone instead of running into the next node's consumers.
 func (s *Incremental) buildAdjacency() {
 	n := len(s.G.Nodes)
 	s.fanout = make([][]bog.NodeID, n)
 	s.fanoutCnt = make([]int32, n)
 	s.epCount = make([]int32, n)
 	s.inHeap = make([]bool, n)
-	counts := make([]int32, n)
+	edges := 0
 	for i := range s.G.Nodes {
 		nd := &s.G.Nodes[i]
 		for j := 0; j < nd.NumFanin(); j++ {
-			counts[nd.Fanin[j]]++
+			s.fanoutCnt[nd.Fanin[j]]++
 		}
+		edges += nd.NumFanin()
 	}
-	for i := range counts {
-		if counts[i] > 0 {
-			s.fanout[i] = make([]bog.NodeID, 0, counts[i])
-		}
+	consumers := make([]bog.NodeID, edges)
+	off := 0
+	for i, c := range s.fanoutCnt {
+		end := off + int(c)
+		s.fanout[i] = consumers[off:off:end]
+		off = end
 	}
 	for i := range s.G.Nodes {
 		nd := &s.G.Nodes[i]
@@ -133,7 +147,6 @@ func (s *Incremental) buildAdjacency() {
 			s.fanout[f] = append(s.fanout[f], bog.NodeID(i))
 		}
 	}
-	copy(s.fanoutCnt, counts)
 	for _, ep := range s.G.Endpoints {
 		s.epCount[ep.D]++
 	}
@@ -218,6 +231,7 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 	clear(cellDirty)
 	clear(delayDirty)
 	clear(arrSeed)
+	s.repointed = s.repointed[:0]
 
 	undo = make(bog.Delta, 0, len(d))
 	for _, e := range d {
@@ -230,6 +244,7 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 			if old == e.To {
 				continue
 			}
+			s.repointed = append(s.repointed, e.Node)
 			s.fanoutRemove(old, e.Node)
 			s.fanoutInsert(e.To, e.Node)
 			loadDirty[old] = true
@@ -324,6 +339,53 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 		undo[i], undo[j] = undo[j], undo[i]
 	}
 	return undo, nil
+}
+
+// StaleCones returns, in ascending order, the endpoints whose input cone
+// the last Apply can have changed: those whose D pin is a node that Apply
+// re-pointed a fanin of, or is reached from one through the session's
+// post-Apply fanout adjacency. Every other endpoint's ConeInfo is the same
+// as before the edit:
+//
+//   - SetOp only swaps combinational operators of equal arity, and
+//     ConeWalker counts every combinational operator alike;
+//   - an inserted node can never feed an existing node or endpoint,
+//     because SetFanin requires to < n, so no existing cone grows into it;
+//   - an endpoint whose cone holds no re-pointed node walks the same
+//     nodes before and after the edit, since every node it reaches kept
+//     its fanins.
+//
+// The result covers the last successful Apply only; it is nil when that
+// Apply re-pointed nothing.
+func (s *Incremental) StaleCones() []int {
+	if len(s.repointed) == 0 {
+		return nil
+	}
+	reached := make([]bool, len(s.G.Nodes))
+	stack := make([]bog.NodeID, 0, len(s.repointed))
+	for _, n := range s.repointed {
+		if !reached[n] {
+			reached[n] = true
+			stack = append(stack, n)
+		}
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, c := range s.fanout[n] {
+			if !reached[c] {
+				reached[c] = true
+				stack = append(stack, c)
+			}
+		}
+	}
+	var stale []int
+	for ep, e := range s.G.Endpoints {
+		if reached[e.D] {
+			stale = append(stale, ep)
+		}
+	}
+	return stale
 }
 
 // editArity mirrors the operator fanin-slot count for delta inserts.
