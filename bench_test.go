@@ -485,6 +485,34 @@ func BenchmarkEngineColdBuildDefaults(b *testing.B) {
 	}
 }
 
+// BenchmarkBitBlast is the bit-blast stage of a cold build on its own:
+// bog.Build of the four BOG variants of the largest benchmark design from
+// one elaborated design, which is parsed and elaborated before the timer
+// starts.
+func BenchmarkBitBlast(b *testing.B) {
+	spec, ok := designs.ByName("Rocket3")
+	if !ok {
+		b.Fatal("no Rocket3")
+	}
+	parsed, err := verilog.Parse(designs.Generate(spec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := elab.Elaborate(parsed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, v := range bog.Variants() {
+			if _, err := bog.Build(d, v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkFeatureExtraction is the extraction stage of a cold build on
 // its own: features.NewExtractor — one input-cone walk per endpoint plus
 // the rank sort — over the four BOG variants of the largest benchmark

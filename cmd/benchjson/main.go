@@ -1,8 +1,8 @@
 // Command benchjson converts `go test -bench` output into the
 // BENCH_<pr>.json trajectory format: a JSON object mapping benchmark name
-// (with the -N GOMAXPROCS suffix stripped) to its ns/op and allocs/op, so
-// per-PR performance claims are diffable in-repo instead of living only in
-// CI logs.
+// (with the -N GOMAXPROCS suffix stripped) to its ns/op, allocs/op and,
+// from a -benchmem stream, B/op, so per-PR performance claims are
+// diffable in-repo instead of living only in CI logs.
 //
 // Usage:
 //
@@ -32,13 +32,15 @@ import (
 )
 
 // result holds the per-benchmark numbers we track across PRs. NsMin and
-// NsMax are set only for a benchmark with more than one sample. Extra
+// NsMax are set only for a benchmark with more than one sample, and
+// BytesOp only when its lines carry a B/op column (-benchmem). Extra
 // holds custom ReportMetric units keyed by unit name.
 type result struct {
 	NsOp     float64            `json:"ns_op"`
 	NsMin    *float64           `json:"ns_min,omitempty"`
 	NsMax    *float64           `json:"ns_max,omitempty"`
 	AllocsOp float64            `json:"allocs_op"`
+	BytesOp  *float64           `json:"bytes_op,omitempty"`
 	Extra    map[string]float64 `json:"extra,omitempty"`
 }
 
@@ -76,7 +78,9 @@ func parseLine(line string) (name string, r result, ok bool) {
 			r.NsOp = v
 		case "allocs/op":
 			r.AllocsOp = v
-		case "B/op", "MB/s":
+		case "B/op":
+			r.BytesOp = &v
+		case "MB/s":
 			// tracked in CI logs but not part of the trajectory
 		default:
 			if r.Extra == nil {
@@ -89,20 +93,27 @@ func parseLine(line string) (name string, r result, ok bool) {
 }
 
 // summarize reduces one benchmark's result lines to the median of each
-// value, and records the ns/op range when there is more than one line. An
-// extra unit missing from some lines takes the median of the lines that
-// report it.
+// value, and records the ns/op range when there is more than one line. B/op
+// and an extra unit missing from some lines take the median of the lines
+// that report them.
 func summarize(rs []result) result {
-	var ns, allocs []float64
+	var ns, allocs, bytes []float64
 	extra := make(map[string][]float64)
 	for _, r := range rs {
 		ns = append(ns, r.NsOp)
 		allocs = append(allocs, r.AllocsOp)
+		if r.BytesOp != nil {
+			bytes = append(bytes, *r.BytesOp)
+		}
 		for unit, v := range r.Extra {
 			extra[unit] = append(extra[unit], v)
 		}
 	}
 	out := result{NsOp: median(ns), AllocsOp: median(allocs)}
+	if len(bytes) > 0 {
+		b := median(bytes)
+		out.BytesOp = &b
+	}
 	if len(ns) > 1 {
 		lo, hi := slices.Min(ns), slices.Max(ns)
 		out.NsMin, out.NsMax = &lo, &hi

@@ -102,7 +102,9 @@ func TestParseLine(t *testing.T) {
 // TestConvertRecordsMedians covers -count N streams: each value is the
 // median over a benchmark's lines, whatever order they arrive in, and the
 // mean of the middle two for an even count, with the ns/op range beside
-// the median. A single line passes through as it is, with no range.
+// the median. A single line passes through as it is, with no range. B/op
+// is recorded as bytes_op, zero included, and omitted for a benchmark
+// whose lines have no -benchmem column.
 func TestConvertRecordsMedians(t *testing.T) {
 	tests := []struct {
 		desc string
@@ -118,7 +120,22 @@ PASS
 `,
 			want: `{
   "BenchmarkA": {"ns_op":1500,"allocs_op":3},
-  "BenchmarkB": {"ns_op":2500000,"allocs_op":7,"extra":{"replication_x":1.014}}
+  "BenchmarkB": {"ns_op":2500000,"allocs_op":7,"bytes_op":1024,"extra":{"replication_x":1.014}}
+}
+`,
+		},
+		{
+			desc: "-benchmem repeats record the median B/op",
+			in: `BenchmarkA-2 10 300 ns/op 4096 B/op 9 allocs/op
+BenchmarkB-2 10 50 ns/op 0 B/op 0 allocs/op
+BenchmarkA-2 10 100 ns/op 1024 B/op 7 allocs/op
+BenchmarkC-2 10 70 ns/op 2 allocs/op
+BenchmarkA-2 10 200 ns/op 2048 B/op 8 allocs/op
+`,
+			want: `{
+  "BenchmarkA": {"ns_op":200,"ns_min":100,"ns_max":300,"allocs_op":8,"bytes_op":2048},
+  "BenchmarkB": {"ns_op":50,"allocs_op":0,"bytes_op":0},
+  "BenchmarkC": {"ns_op":70,"allocs_op":2}
 }
 `,
 		},

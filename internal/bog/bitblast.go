@@ -9,7 +9,8 @@ import (
 // Build bit-blasts the word-level design into a BOG of the requested
 // variant. The variant's operator alphabet is enforced during construction:
 // gate builders rewrite disallowed operators on the fly, so a single pass
-// produces any of SOG, AIG, AIMG or XAG.
+// produces any of SOG, AIG, AIMG or XAG. The returned graph carries no
+// structural-hash index.
 func Build(d *elab.Design, v Variant) (*Graph, error) {
 	b := &blaster{
 		g:      NewGraph(d.Name, v),
@@ -62,6 +63,10 @@ func Build(d *elab.Design, v Variant) (*Graph, error) {
 	if err := b.g.Check(); err != nil {
 		return nil, err
 	}
+	// The index only serves construction. Dropping it keeps resident
+	// graphs at their node arrays; raw leaves every hashed structure
+	// exactly once, so a later rebuild yields the same dedup.
+	b.g.index, b.g.indexed = nil, 0
 	return b.g, nil
 }
 
@@ -302,8 +307,13 @@ func (b *blaster) shiftBits(a []NodeID, amtID elab.NodeID, left bool) []NodeID {
 	w := len(a)
 	amtNode := &b.d.Nodes[amtID]
 	if amtNode.Kind == elab.OpConst {
-		sh := int(amtNode.Const)
 		out := b.constBits(0, w)
+		if amtNode.Const >= uint64(w) {
+			// Everything shifts out. Checked before the int conversion,
+			// which would turn an amount of 2^63 or more negative.
+			return out
+		}
+		sh := int(amtNode.Const)
 		for i := 0; i < w; i++ {
 			var src int
 			if left {

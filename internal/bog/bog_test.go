@@ -161,6 +161,31 @@ endmodule`
 	}{{"a", 8}}, 30, 5)
 }
 
+// TestBitblastHugeConstShift: a constant shift amount of 2^63 or more
+// must clear every bit in both directions, not wrap to a negative shift
+// the other way; amounts w and w-1 pin the boundary of the in-range case.
+func TestBitblastHugeConstShift(t *testing.T) {
+	src := `
+module hs(input clk, input [7:0] a, output [7:0] out);
+  reg [7:0] l0, l1, l2, l3, r0, r1, r2, r3;
+  always @(posedge clk) begin
+    l0 <= a << 64'h8000000000000000;
+    l1 <= a << 64'hFFFFFFFFFFFFFFFF;
+    l2 <= a << 4'd8;
+    l3 <= a << 3'd7;
+    r0 <= a >> 64'h8000000000000000;
+    r1 <= a >> 64'hFFFFFFFFFFFFFFFF;
+    r2 <= a >> 4'd8;
+    r3 <= a >> 3'd7;
+  end
+  assign out = l0 ^ l1 ^ l2 ^ l3 ^ r0 ^ r1 ^ r2 ^ r3;
+endmodule`
+	crossCheck(t, src, []struct {
+		name  string
+		width int
+	}{{"a", 8}}, 30, 6)
+}
+
 func TestVariantAlphabets(t *testing.T) {
 	src := `
 module v(input clk, input [7:0] a, input [7:0] b, input s, output [7:0] out);

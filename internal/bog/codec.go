@@ -107,9 +107,10 @@ func MarshalGraph(g *Graph) []byte {
 
 // UnmarshalGraph decodes a graph produced by MarshalGraph, validating the
 // wire format and the structural invariants (topological fanin order,
-// variant alphabet, endpoint validity). The returned graph is fully
-// functional: its structural-hash index is rebuilt, so further node
-// construction behaves exactly as on a built-from-scratch graph.
+// variant alphabet, endpoint validity). The returned graph carries no
+// structural-hash index, like a built one; the first structural
+// construction rebuilds it, so further node construction behaves exactly
+// as on the graph that was encoded.
 func UnmarshalGraph(data []byte) (*Graph, error) {
 	d := &decoder{buf: data}
 	var magic [4]byte

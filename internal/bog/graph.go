@@ -125,30 +125,37 @@ type Endpoint struct {
 }
 
 // Graph is a bit-level Boolean operator graph.
+//
+// Only a graph under construction carries a structural-hash index, which
+// the gate constructors use to dedup: Build drops it before returning, and
+// Clone and UnmarshalGraph never make one. The first structural
+// construction on such a graph rebuilds it from the node array.
 type Graph struct {
 	Design    string
 	Variant   Variant
 	Nodes     []Node
-	Inputs    []SignalRef // indexed by Node.Sig for Input nodes? no: by input order
+	Inputs    []SignalRef // primary-input bits, in input order
 	Endpoints []Endpoint
 
 	// SigNames maps Node.Sig to flattened signal names (shared table for
 	// inputs and registers).
 	SigNames []string
 
-	hash map[hashKey]NodeID
+	// index is the structural-hash table: open addressing with linear
+	// probing over a power-of-two array of node id + 1, 0 marking an empty
+	// slot. A slot's key is its node's current structure, read from Nodes,
+	// so the table stores nothing else. indexed counts occupied slots.
+	index   []int32
+	indexed int
 }
 
-type hashKey struct {
-	op       Op
-	a, b, c  NodeID
-	sig, bit int32
-}
+// minIndexSlots is the size of a new structural-hash table.
+const minIndexSlots = 64
 
 // NewGraph returns an empty graph of the given variant with the two
 // constant nodes pre-created (ids 0 and 1).
 func NewGraph(design string, v Variant) *Graph {
-	g := &Graph{Design: design, Variant: v, hash: map[hashKey]NodeID{}}
+	g := &Graph{Design: design, Variant: v, index: make([]int32, minIndexSlots)}
 	g.Nodes = append(g.Nodes, Node{Op: Const0, Fanin: [3]NodeID{Nil, Nil, Nil}})
 	g.Nodes = append(g.Nodes, Node{Op: Const1, Fanin: [3]NodeID{Nil, Nil, Nil}})
 	return g
@@ -192,40 +199,100 @@ func (g *Graph) AddSigName(name string) int32 {
 	return int32(len(g.SigNames) - 1)
 }
 
+// hashed reports whether nodes of op are entered in the structural-hash
+// index. Inputs and register outputs are identified by their signal bit
+// and never dedup.
+func hashed(op Op) bool { return op != Input && op != RegQ }
+
+// structHash mixes every field of n into a slot hash. It is seedless, so
+// a graph's table layout is the same on every run.
+func structHash(n *Node) uint64 {
+	h := uint64(uint32(n.Fanin[0])) | uint64(uint32(n.Fanin[1]))<<32
+	h = h*0x9e3779b97f4a7c15 ^ (uint64(uint32(n.Fanin[2])) | uint64(n.Op)<<32)
+	h = h*0x9e3779b97f4a7c15 ^ (uint64(uint32(n.Sig)) | uint64(uint32(n.Bit))<<32)
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	return h ^ h>>32
+}
+
+// findSlot probes for n's structure. It returns the slot holding a node
+// equal to n and that node's id, or the empty slot where n would be
+// entered and Nil.
+func (g *Graph) findSlot(n *Node) (int, NodeID) {
+	mask := len(g.index) - 1
+	i := int(structHash(n)) & mask
+	for {
+		e := g.index[i]
+		if e == 0 {
+			return i, Nil
+		}
+		if g.Nodes[e-1] == *n {
+			return i, NodeID(e - 1)
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// enter stores id in the empty slot i and doubles the table once it is
+// more than three-quarters full.
+func (g *Graph) enter(i int, id NodeID) {
+	g.index[i] = int32(id) + 1
+	g.indexed++
+	if 4*g.indexed > 3*len(g.index) {
+		old := g.index
+		g.index = make([]int32, 2*len(old))
+		mask := len(g.index) - 1
+		for _, e := range old {
+			if e == 0 {
+				continue
+			}
+			// Entries are distinct structures: probe for a free slot only.
+			j := int(structHash(&g.Nodes[e-1])) & mask
+			for g.index[j] != 0 {
+				j = (j + 1) & mask
+			}
+			g.index[j] = e
+		}
+	}
+}
+
+// raw appends n unless the index already holds an equal node, whose id it
+// returns instead, rebuilding the index first on a graph that has none.
+// Input and RegQ nodes always append and are never indexed.
 func (g *Graph) raw(n Node) NodeID {
-	k := hashKey{op: n.Op, a: n.Fanin[0], b: n.Fanin[1], c: n.Fanin[2], sig: n.Sig, bit: n.Bit}
-	if n.Op != RegQ && n.Op != Input {
-		if g.hash == nil {
-			// Decoded graphs (UnmarshalGraph) arrive without the
-			// structural-hash index; analysis-only consumers never need it,
-			// so it is rebuilt here, on the first structural construction.
-			g.rebuildHash()
-		}
-		if id, ok := g.hash[k]; ok {
-			return id
-		}
+	if !hashed(n.Op) {
+		g.Nodes = append(g.Nodes, n)
+		return NodeID(len(g.Nodes) - 1)
 	}
-	id := NodeID(len(g.Nodes))
+	if g.index == nil {
+		g.rebuildHash()
+	}
+	i, id := g.findSlot(&n)
+	if id != Nil {
+		return id
+	}
+	id = NodeID(len(g.Nodes))
 	g.Nodes = append(g.Nodes, n)
-	if n.Op != RegQ && n.Op != Input {
-		g.hash[k] = id
-	}
+	g.enter(i, id)
 	return id
 }
 
 // rebuildHash reconstructs the structural-hash index from the node array,
-// keeping first-occurrence ids so construction on a decoded graph dedups
-// exactly like on the original.
+// keeping the first occurrence of each structure, so construction on a
+// built, decoded or freshly cloned graph dedups exactly as it did during
+// the build.
 func (g *Graph) rebuildHash() {
-	g.hash = make(map[hashKey]NodeID, len(g.Nodes))
+	size := minIndexSlots
+	for 3*size < 4*len(g.Nodes) {
+		size *= 2
+	}
+	g.index, g.indexed = make([]int32, size), 0
 	for i := range g.Nodes {
-		nd := &g.Nodes[i]
-		if nd.Op == RegQ || nd.Op == Input {
+		if !hashed(g.Nodes[i].Op) {
 			continue
 		}
-		k := hashKey{op: nd.Op, a: nd.Fanin[0], b: nd.Fanin[1], c: nd.Fanin[2], sig: nd.Sig, bit: nd.Bit}
-		if _, ok := g.hash[k]; !ok {
-			g.hash[k] = NodeID(i)
+		if j, id := g.findSlot(&g.Nodes[i]); id == Nil {
+			g.enter(j, NodeID(i))
 		}
 	}
 }
@@ -429,7 +496,8 @@ func (g *Graph) Depth() int {
 }
 
 // Check validates structural invariants: topological node order, fanin
-// bounds, variant alphabet compliance, endpoint validity. Used by tests.
+// bounds, variant alphabet compliance, endpoint validity. Build and
+// UnmarshalGraph run it on every graph they return.
 func (g *Graph) Check() error {
 	for i := range g.Nodes {
 		n := &g.Nodes[i]

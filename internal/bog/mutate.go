@@ -118,36 +118,42 @@ func isOperator(op Op) bool {
 	return false
 }
 
-// hashRemove drops n's structural-hash entry if n owns it. No-op on graphs
-// whose index is not materialized (decoded graphs rebuild it lazily from
-// the node array, which is always current).
+// hashRemove drops n's structural-hash entry if n owns it. Later entries
+// of its probe cluster shift back into the freed slot where their probes
+// would otherwise stop at it (backward-shift deletion, no tombstones).
+// No-op on graphs without an index (built, cloned and decoded graphs
+// rebuild it lazily from the node array, which is always current).
 func (g *Graph) hashRemove(n NodeID) {
-	if g.hash == nil {
+	if g.index == nil || !hashed(g.Nodes[n].Op) {
 		return
 	}
-	nd := &g.Nodes[n]
-	if nd.Op == RegQ || nd.Op == Input {
+	i, id := g.findSlot(&g.Nodes[n])
+	if id != n {
 		return
 	}
-	k := hashKey{op: nd.Op, a: nd.Fanin[0], b: nd.Fanin[1], c: nd.Fanin[2], sig: nd.Sig, bit: nd.Bit}
-	if id, ok := g.hash[k]; ok && id == n {
-		delete(g.hash, k)
+	mask := len(g.index) - 1
+	for j := (i + 1) & mask; g.index[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home slot k
+		// lies cyclically in (i, j]: then a probe for it starts past i.
+		k := int(structHash(&g.Nodes[g.index[j]-1])) & mask
+		if (i <= j && i < k && k <= j) || (i > j && (i < k || k <= j)) {
+			continue
+		}
+		g.index[i] = g.index[j]
+		i = j
 	}
+	g.index[i] = 0
+	g.indexed--
 }
 
 // hashAdd registers n's current structure unless another node already owns
-// the key (first owner wins, exactly like rebuildHash).
+// it (first owner wins, exactly like rebuildHash).
 func (g *Graph) hashAdd(n NodeID) {
-	if g.hash == nil {
+	if g.index == nil || !hashed(g.Nodes[n].Op) {
 		return
 	}
-	nd := &g.Nodes[n]
-	if nd.Op == RegQ || nd.Op == Input {
-		return
-	}
-	k := hashKey{op: nd.Op, a: nd.Fanin[0], b: nd.Fanin[1], c: nd.Fanin[2], sig: nd.Sig, bit: nd.Bit}
-	if _, ok := g.hash[k]; !ok {
-		g.hash[k] = n
+	if i, id := g.findSlot(&g.Nodes[n]); id == Nil {
+		g.enter(i, n)
 	}
 }
 
@@ -350,9 +356,10 @@ func (g *Graph) Apply(d Delta) (undo Delta, err error) {
 
 // Clone returns an independent deep copy of the graph: edits to the clone
 // never touch the original (the engine's Edit path clones the immutable
-// base representation before applying a delta). The structural-hash index
-// is left unmaterialized and rebuilds lazily, exactly like on a decoded
-// graph; string contents are shared (strings are immutable in Go).
+// base representation before applying a delta). The clone carries no
+// structural-hash index; its first structural construction rebuilds one,
+// exactly like on a built or decoded graph. String contents are shared
+// (strings are immutable in Go).
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		Design:    g.Design,

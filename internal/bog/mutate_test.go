@@ -9,24 +9,40 @@ import (
 )
 
 // checkHashConsistent verifies the structural-hash invariant the edit API
-// maintains: every index entry describes its owner node's current
-// structure. (The converse — every node being indexed — is deliberately
-// not an invariant: edits may create duplicate structures, and only the
-// first owner of a key is indexed.)
+// maintains: every occupied slot holds a hashed node, the occupancy count
+// is right, and a probe from each node's current structure ends at its
+// own slot, so no entry is stale, none is shadowed by an equal structure
+// earlier in its cluster, and no deletion left a hole in a probe run.
+// (The converse — every node being indexed — is deliberately not an
+// invariant: edits may create duplicate structures, and only the first
+// owner of a structure is indexed.)
 func checkHashConsistent(t *testing.T, g *Graph) {
 	t.Helper()
-	if g.hash == nil {
+	if g.index == nil {
+		if g.indexed != 0 {
+			t.Fatalf("no index, but %d entries counted", g.indexed)
+		}
 		return
 	}
-	for k, id := range g.hash {
-		if id < 0 || int(id) >= len(g.Nodes) {
-			t.Fatalf("hash entry %+v points at node %d outside graph of %d nodes", k, id, len(g.Nodes))
+	entries := 0
+	for slot, e := range g.index {
+		if e == 0 {
+			continue
 		}
-		nd := &g.Nodes[id]
-		cur := hashKey{op: nd.Op, a: nd.Fanin[0], b: nd.Fanin[1], c: nd.Fanin[2], sig: nd.Sig, bit: nd.Bit}
-		if cur != k {
-			t.Fatalf("hash entry %+v is stale: node %d is now %+v", k, id, cur)
+		entries++
+		id := NodeID(e - 1)
+		if int(id) >= len(g.Nodes) {
+			t.Fatalf("slot %d points at node %d outside graph of %d nodes", slot, id, len(g.Nodes))
 		}
+		if !hashed(g.Nodes[id].Op) {
+			t.Fatalf("slot %d indexes %v node %d", slot, g.Nodes[id].Op, id)
+		}
+		if at, owner := g.findSlot(&g.Nodes[id]); at != slot || owner != id {
+			t.Fatalf("slot %d holds node %d %+v, but a probe for its structure ends at slot %d (node %d)", slot, id, g.Nodes[id], at, owner)
+		}
+	}
+	if entries != g.indexed {
+		t.Fatalf("%d occupied slots, %d counted", entries, g.indexed)
 	}
 }
 

@@ -57,8 +57,13 @@ import (
 
 // entryVersion is the disk-entry wire-format version. Bump it whenever
 // the entry layout (not the embedded graph codec — that has its own
-// version) changes.
-const entryVersion = 1
+// version) changes, or when a build can produce different bytes for the
+// same key: entry names hash the source, variant and library, not the
+// code that built the entry, so only the bump keeps a stale entry from
+// being served. Version 2 retires entries from a bit-blaster that read a
+// constant shift amount of 2^63 or more as a negative int, so that
+// 2^64-1 shifted by one the other way.
+const entryVersion = 2
 
 var entryMagic = [4]byte{'R', 'T', 'L', 'R'}
 

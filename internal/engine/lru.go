@@ -59,9 +59,12 @@ func (e *Engine) MemUsed() int64 {
 // from its graph and vector sizes: the node table (op, fanin, signal
 // coordinates, padding), the four per-node float64 vectors the analyzer
 // and cache hold (arrival, load, slew, delay), the fanout vector,
-// per-endpoint extractor state, and the signal-name table. The constants are struct-size approximations, not heap
-// accounting; what matters for the budget is that cost scales with the
-// design, so evicting one Rocket3 frees ~hundreds of small designs' worth.
+// per-endpoint extractor state, and the signal-name table. A resident
+// graph carries no structural-hash index (Build drops it; decoded and
+// cloned graphs never have one), so nothing is charged for it. The
+// constants are struct-size approximations, not heap accounting; what
+// matters for the budget is that cost scales with the design, so evicting
+// one Rocket3 frees ~hundreds of small designs' worth.
 func approxEntryCost(res *RepResult) int64 {
 	if res == nil || res.Graph == nil {
 		return 1
