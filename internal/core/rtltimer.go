@@ -317,9 +317,10 @@ func (m *Model) ensembleRows(dd *dataset.DesignData) [][]float64 {
 		v = append(v, maxv, minv, metrics.Mean(stats), metrics.Std(stats))
 		// Design and cone features generalize across designs (§4.3).
 		ep := ref.EPIndex[i]
-		v = append(v, ref.Ext.RankPct[ep],
-			math.Log1p(float64(ref.Ext.Cones[ep].DrivingRegs)),
-			math.Log1p(float64(ref.Ext.Cones[ep].Nodes)))
+		cone := ref.Ext.Cone(ep)
+		v = append(v, ref.Ext.Rank(ep),
+			math.Log1p(float64(cone.DrivingRegs)),
+			math.Log1p(float64(cone.Nodes)))
 		v = append(v, ref.Ext.DesignVector()...)
 		v = append(v, ref.EPPseudo[i])
 		rows[i] = v
@@ -355,10 +356,10 @@ func (m *Model) signalRows(dd *dataset.DesignData, bitPred []float64) ([][]float
 			a.label = rep.EPLabels[i]
 		}
 		ep := rep.EPIndex[i]
-		if rep.Ext.RankPct[ep] > a.rank {
-			a.rank = rep.Ext.RankPct[ep]
+		if rank := rep.Ext.Rank(ep); rank > a.rank {
+			a.rank = rank
 		}
-		if r := math.Log1p(float64(rep.Ext.Cones[ep].DrivingRegs)); r > a.regs {
+		if r := math.Log1p(float64(rep.Ext.Cone(ep).DrivingRegs)); r > a.regs {
 			a.regs = r
 		}
 		if rep.EPPseudo[i] > a.pseudo {

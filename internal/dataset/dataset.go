@@ -197,7 +197,7 @@ func BuildFromSource(spec designs.Spec, src string, opts BuildOptions) (*DesignD
 			if !ok {
 				continue
 			}
-			k := sta.SampleCount(ext.Cones[ep].DrivingRegs, o.MinSamples, o.MaxSamples)
+			k := sta.SampleCount(ext.Cone(ep).DrivingRegs, o.MinSamples, o.MaxSamples)
 			paths := r.SamplePaths(g, ep, k, rng)
 			var rows []int
 			for _, p := range paths {

@@ -184,12 +184,12 @@ func chainEdit(g *bog.Graph, rng *rand.Rand, d bog.Delta, kind int) bog.Edit {
 	}
 }
 
-// TestEditChainsMatchFreshExtractor is the randomized oracle for the
-// derivation's extractor patch: on every suite design and variant, a
-// seeded chain of hops alternating single edits of each kind with
-// multi-edit deltas (re-points of existing and same-delta inserted nodes,
-// operator swaps, inserts) must leave arrivals, analyzer state, cones and
-// rank percentiles bit-identical, hop after hop, to a fresh Analyzer and
+// TestEditChainsMatchFreshExtractor is the randomized oracle for edit
+// derivation: on every suite design and variant, a seeded chain of hops
+// alternating single edits of each kind with multi-edit deltas
+// (re-points of existing and same-delta inserted nodes, operator swaps,
+// inserts) must leave arrivals, analyzer state, cones and rank
+// percentiles bit-identical, hop after hop, to a fresh Analyzer and
 // Extractor of the edited clone.
 func TestEditChainsMatchFreshExtractor(t *testing.T) {
 	const hops = 6

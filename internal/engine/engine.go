@@ -113,9 +113,10 @@ func LazyDesign(src string) DesignSource {
 // specialized graph, its levelized analyzer, the period-free arrival
 // vector (one forward pass, shared by every period) with its digest, and
 // the feature extractor. All fields are immutable and shared between
-// cache users. Period-dependent views come from Summary (WNS and TNS
-// only, allocation-free) or At (per-endpoint vectors too); edited
-// variants of the design are derived (and cached) with Edit.
+// cache users (the extractor materializes its per-endpoint state once, on
+// the first read by any user). Period-dependent views come from Summary
+// (WNS and TNS only, allocation-free) or At (per-endpoint vectors too);
+// edited variants of the design are derived (and cached) with Edit.
 type RepResult struct {
 	Graph   *bog.Graph
 	An      *sta.Analyzer
@@ -124,7 +125,11 @@ type RepResult struct {
 	// engine makes the result (build, disk load or Edit) so queries that
 	// report the fingerprint never re-hash the vector.
 	ArrivalSHA256 string
-	Ext           *features.Extractor
+	// Ext is the feature extractor. Built and derived results carry a lazy
+	// one (features.NewExtractor) that walks the endpoint cones only when
+	// a feature is first read, which the timing queries never do; disk
+	// loads restore the persisted cone state eagerly.
+	Ext *features.Extractor
 
 	// sh is the shard view of the analysis, set only on results derived
 	// shard-locally: they carry the view forward so an edit chain stays on
@@ -261,9 +266,9 @@ func EditKey(base Key, delta bog.Delta) Key {
 // Edit returns this representation with the graph delta applied: the base
 // graph is cloned, the delta applied through the incremental STA session
 // (re-timing only the affected cone — no bit-blast, no full forward
-// pass), and the result frozen into a fresh immutable RepResult whose
-// extractor is the base's, patched by re-walking only the endpoint cones
-// the delta can change. Derived results are cached in the engine's memory
+// pass), and the result frozen into a fresh immutable RepResult with a
+// lazy extractor of the edited graph, which walks no cone unless a
+// feature is read. Derived results are cached in the engine's memory
 // tier under EditKey with the usual single-flight semantics, so concurrent
 // callers of the same (base, delta) share one derivation, and further
 // Edits may chain off the result.
@@ -381,17 +386,16 @@ func (rr *RepResult) shardPolicy() int {
 // derive computes the edited evaluation from the base. When the base is
 // sharded and every node the delta touches is exclusively owned by one
 // shard, the derivation runs through a shard-local incremental session
-// (see shard.go) — re-timing and re-walking only that shard, and carrying
-// a derived shard view so the next edit in the chain routes the same way.
+// (see shard.go) — re-timing only that shard, and carrying a derived
+// shard view so the next edit in the chain routes the same way.
 // Otherwise (always, at the default policy) it takes the full-graph
-// path: clone, incremental re-timing, snapshot, and an extractor patch
-// that re-walks only the cones of the endpoints the session reports stale
-// (sta.Incremental.StaleCones) and copies every other cone from the base.
-// The full-graph result carries a lazy re-shard under the base's policy,
-// so a chain recovers the shard-local path after a non-routable hop
-// instead of staying monolithic forever. Both paths are bit-identical to
-// a fresh analysis and extractor of the edited graph; the base is never
-// mutated.
+// path: clone, incremental re-timing and snapshot. Either path gives the
+// result a fresh lazy extractor of the edited graph, so a derivation
+// walks no cone unless a caller reads a feature of the result. The
+// full-graph result carries a lazy re-shard under the base's policy, so a
+// chain recovers the shard-local path after a non-routable hop instead of
+// staying monolithic forever. Both paths are bit-identical to a fresh
+// analysis and extractor of the edited graph; the base is never mutated.
 func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, error) {
 	if p := rr.partition(); p != nil {
 		if s := rr.routeShard(p, delta); s >= 0 {
@@ -413,16 +417,12 @@ func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, 
 		return nil, err
 	}
 	an, arr := inc.Snapshot()
-	ext, err := rr.Ext.Patch(g, an.At(arr, 0), inc.StaleCones())
-	if err != nil {
-		return nil, err
-	}
 	res := &RepResult{
 		Graph:         g,
 		An:            an,
 		Arrival:       arr,
 		ArrivalSHA256: ArrivalDigest(arr),
-		Ext:           ext,
+		Ext:           features.NewExtractor(g, an.At(arr, 0)),
 		eng:           eng,
 		key:           key,
 	}
@@ -747,9 +747,10 @@ func (e *Engine) EvalRepCtx(ctx context.Context, key Key, lib *liberty.PseudoLib
 
 // buildRep is the single-flight resolution body behind EvalRepCtx: a disk
 // load, otherwise the from-scratch build — frontend, bit-blast, one serial
-// forward pass — and its disk publish. It runs on the detached resolver
-// goroutine, at most once per slot; the engine's parallelism comes from
-// fanning builds out across pool workers.
+// forward pass, a lazy extractor — and its disk publish, whose encoding
+// reads the extractor's state and so walks the cones. It runs on the
+// detached resolver goroutine, at most once per slot; the engine's
+// parallelism comes from fanning builds out across pool workers.
 func (e *Engine) buildRep(key Key, lib *liberty.PseudoLib, src DesignSource) (*RepResult, error) {
 	if e.store != nil {
 		if res, ok := e.diskLoad(key, lib); ok {

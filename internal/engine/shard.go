@@ -1,6 +1,6 @@
 // Shard-local edit derivation: RepResult.Edit on a sharded base routes a
 // delta to the one shard that exclusively owns every node it touches,
-// re-timing and re-walking only that shard instead of the whole design.
+// re-timing only that shard instead of the whole design.
 //
 // Soundness rests on the partition's ownership closure (package part): a
 // node exclusively owned by shard s has every transitive consumer, every
@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"rtltimer/internal/bog"
+	"rtltimer/internal/features"
 	"rtltimer/internal/part"
 	"rtltimer/internal/sta"
 )
@@ -105,10 +106,10 @@ func (rr *RepResult) routeShard(p *part.Partition, delta bog.Delta) int {
 
 // deriveShard computes the edited evaluation through shard s: clone and
 // incrementally re-time only the shard subgraph, apply the delta
-// structurally to a clone of the full graph, scatter the shard's updated
-// per-node state over copies of the base vectors, and patch the extractor
-// through the same Extractor.Patch as the full-graph path, re-walking the
-// cones of every endpoint the shard holds.
+// structurally to a clone of the full graph, and scatter the shard's
+// updated per-node state over copies of the base vectors. Like the
+// full-graph path, it gives the result a fresh lazy extractor of the
+// edited graph, which walks no cone until a feature is read.
 func (rr *RepResult) deriveShard(sh *sta.ShardedAnalyzer, s int, delta bog.Delta, key Key, eng *Engine) (*RepResult, error) {
 	p := sh.P
 	shard := &p.Shards[s]
@@ -207,15 +208,6 @@ func (rr *RepResult) deriveShard(sh *sta.ShardedAnalyzer, s int, delta bog.Delta
 	if err != nil {
 		return nil, err
 	}
-	r2 := an2.At(arr2, 0)
-
-	// Extractor patch: cones outside this shard cannot have changed (their
-	// adjacency is untouched), so only the shard's endpoints re-walk; the
-	// rank percentiles re-rank globally.
-	ext2, err := rr.Ext.Patch(g2, r2, shard.Endpoints)
-	if err != nil {
-		return nil, err
-	}
 	// Carry the shard view forward: the derived partition is the base one
 	// with shard s replaced by the session's edited subgraph (inserted
 	// nodes appended in lockstep locally and globally, owned by s), and the
@@ -230,7 +222,7 @@ func (rr *RepResult) deriveShard(sh *sta.ShardedAnalyzer, s int, delta bog.Delta
 		An:            an2,
 		Arrival:       arr2,
 		ArrivalSHA256: ArrivalDigest(arr2),
-		Ext:           ext2,
+		Ext:           features.NewExtractor(g2, an2.At(arr2, 0)),
 		sh:            sh2,
 		eng:           eng,
 		key:           key,

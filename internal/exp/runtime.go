@@ -51,7 +51,7 @@ func (s *Suite) RuntimeReport() (*Table, error) {
 		ext := features.NewExtractor(g, r)
 		rng := rand.New(rand.NewSource(1))
 		for ep := range g.Endpoints {
-			k := sta.SampleCount(ext.Cones[ep].DrivingRegs, 2, 12)
+			k := sta.SampleCount(ext.Cone(ep).DrivingRegs, 2, 12)
 			for _, p := range r.SamplePaths(g, ep, k, rng) {
 				_ = ext.PathVector(ep, p)
 			}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"rtltimer/internal/bog"
 	"rtltimer/internal/metrics"
@@ -18,36 +19,51 @@ import (
 
 // Extractor holds per-design state for feature extraction on one BOG
 // representation.
+//
+// The per-endpoint state — input-cone summaries and rank percentiles — is
+// materialized once, on the first read that needs it (Cone, Rank,
+// PathVector, Correlations or State), and shared by every later read: a
+// caller that never reads a cone-level or rank feature never pays for the
+// cone walks. An Extractor is safe for concurrent use.
 type Extractor struct {
 	G *bog.Graph
 	R *sta.Result
 
-	Cones   []sta.ConeInfo // per endpoint
-	RankPct []float64      // per endpoint: pseudo-STA arrival percentile
+	once    sync.Once
+	cones   []sta.ConeInfo // per endpoint
+	rankPct []float64      // per endpoint: pseudo-STA arrival percentile
 
 	seqCells  float64
 	combCells float64
 	total     float64
 }
 
-// NewExtractor precomputes cones and rank percentiles.
+// NewExtractor returns the extractor of g under r. It counts g's cells
+// and defers the rest: the per-endpoint input-cone walks and the rank
+// sort run once, on the first read of per-endpoint state. g and r must
+// not change afterwards.
 func NewExtractor(g *bog.Graph, r *sta.Result) *Extractor {
 	e := &Extractor{G: g, R: r}
 	e.countCells()
-	e.Cones = make([]sta.ConeInfo, len(g.Endpoints))
-	w := sta.NewConeWalker(g)
-	for ep := range g.Endpoints {
-		e.Cones[ep] = w.InputCone(ep)
-	}
-	e.RankPct = RankPercentiles(r.EndpointAT)
 	return e
 }
 
-// RankPercentiles computes each endpoint's rank percentile of its pseudo
-// arrival time — the design-level "rank_pct" feature. Shared by
-// NewExtractor and Patch, so a patched extractor ranks exactly like a
-// fresh one.
-func RankPercentiles(endpointAT []float64) []float64 {
+// materialize walks every endpoint's input cone and ranks the endpoints'
+// pseudo arrival times, once per extractor.
+func (e *Extractor) materialize() {
+	e.once.Do(func() {
+		cones := make([]sta.ConeInfo, len(e.G.Endpoints))
+		w := sta.NewConeWalker(e.G)
+		for ep := range cones {
+			cones[ep] = w.InputCone(ep)
+		}
+		e.cones, e.rankPct = cones, rankPercentiles(e.R.EndpointAT)
+	})
+}
+
+// rankPercentiles computes each endpoint's rank percentile of its pseudo
+// arrival time — the design-level "rank_pct" feature.
+func rankPercentiles(endpointAT []float64) []float64 {
 	order := make([]int, len(endpointAT))
 	for i := range order {
 		order[i] = i
@@ -63,14 +79,29 @@ func RankPercentiles(endpointAT []float64) []float64 {
 	return out
 }
 
-// State exposes the extractor's precomputed per-endpoint vectors for
-// persistence (the engine's on-disk representation cache). The input-cone
-// walks behind Cones are the expensive part of extractor construction —
-// one backward DFS per endpoint — which is exactly what a warm cache load
-// wants to skip. The returned slices alias the extractor's state and must
-// be treated as read-only.
+// Cone returns endpoint ep's input-cone summary, the source of the
+// cone-level features.
+func (e *Extractor) Cone(ep int) sta.ConeInfo {
+	e.materialize()
+	return e.cones[ep]
+}
+
+// Rank returns endpoint ep's rank percentile of its pseudo arrival time,
+// in (0, 1].
+func (e *Extractor) Rank(ep int) float64 {
+	e.materialize()
+	return e.rankPct[ep]
+}
+
+// State exposes the extractor's per-endpoint vectors for persistence (the
+// engine's on-disk representation cache), materializing them first if no
+// read has yet. The input-cone walks behind them are the expensive part
+// of extraction — one backward DFS per endpoint — which is exactly what a
+// warm cache load wants to skip. The returned slices alias the
+// extractor's state and must be treated as read-only.
 func (e *Extractor) State() (cones []sta.ConeInfo, rankPct []float64) {
-	return e.Cones, e.RankPct
+	e.materialize()
+	return e.cones, e.rankPct
 }
 
 // NewExtractorFromState rebuilds an extractor from vectors previously
@@ -83,30 +114,10 @@ func NewExtractorFromState(g *bog.Graph, r *sta.Result, cones []sta.ConeInfo, ra
 		return nil, fmt.Errorf("features: state covers %d/%d endpoints, graph has %d",
 			len(cones), len(rankPct), len(g.Endpoints))
 	}
-	e := &Extractor{G: g, R: r, Cones: cones, RankPct: rankPct}
+	e := &Extractor{G: g, R: r, cones: cones, rankPct: rankPct}
+	e.once.Do(func() {}) // the state is already materialized
 	e.countCells()
 	return e, nil
-}
-
-// Patch returns the extractor of g, an edited copy of e's graph whose
-// pseudo-STA result is r, without re-walking every cone: the stale
-// endpoints' cones are walked on g, every other cone is copied from e,
-// the rank percentiles are recomputed from r.EndpointAT and the cell
-// counts from g. stale must name every endpoint whose input cone the edit
-// can have changed (sta.Incremental.StaleCones); the result then equals
-// NewExtractor(g, r). e is not modified.
-func (e *Extractor) Patch(g *bog.Graph, r *sta.Result, stale []int) (*Extractor, error) {
-	p, err := NewExtractorFromState(g, r, append([]sta.ConeInfo(nil), e.Cones...), RankPercentiles(r.EndpointAT))
-	if err != nil {
-		return nil, err
-	}
-	if len(stale) > 0 {
-		w := sta.NewConeWalker(g)
-		for _, ep := range stale {
-			p.Cones[ep] = w.InputCone(ep)
-		}
-	}
-	return p, nil
 }
 
 func (e *Extractor) countCells() {
@@ -141,16 +152,17 @@ func log1p(x float64) float64 { return math.Log1p(x) }
 // PathVector extracts the feature vector of one sampled path ending at
 // endpoint ep.
 func (e *Extractor) PathVector(ep int, path sta.Path) []float64 {
+	e.materialize()
 	v := make([]float64, 0, len(featureNames))
 	// Design level.
 	v = append(v,
-		e.RankPct[ep],
+		e.rankPct[ep],
 		log1p(e.seqCells),
 		log1p(e.combCells),
 		log1p(e.total),
 	)
 	// Cone level.
-	cone := e.Cones[ep]
+	cone := e.cones[ep]
 	v = append(v,
 		log1p(float64(cone.DrivingRegs)),
 		log1p(float64(cone.Nodes)),

@@ -60,11 +60,12 @@ func TestPathVectorShape(t *testing.T) {
 
 func TestRankPercentiles(t *testing.T) {
 	g, _, ext := setup(t)
-	if len(ext.RankPct) != len(g.Endpoints) {
+	if _, rank := ext.State(); len(rank) != len(g.Endpoints) {
 		t.Fatal("rank size")
 	}
 	var lo, hi float64 = 2, -1
-	for _, p := range ext.RankPct {
+	for ep := range g.Endpoints {
+		p := ext.Rank(ep)
 		if p <= 0 || p > 1 {
 			t.Fatalf("rank pct %f out of (0,1]", p)
 		}
@@ -86,15 +87,11 @@ func TestConesComputed(t *testing.T) {
 	// multiplier fed by r1).
 	var r1Max, r2Max int
 	for ep, e := range g.Endpoints {
-		switch e.Ref.Signal {
+		switch n := ext.Cone(ep).Nodes; e.Ref.Signal {
 		case "r1":
-			if ext.Cones[ep].Nodes > r1Max {
-				r1Max = ext.Cones[ep].Nodes
-			}
+			r1Max = max(r1Max, n)
 		case "r2":
-			if ext.Cones[ep].Nodes > r2Max {
-				r2Max = ext.Cones[ep].Nodes
-			}
+			r2Max = max(r2Max, n)
 		}
 	}
 	if r2Max <= r1Max {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -278,6 +279,22 @@ func (s *Service) Eval(ctx context.Context, req EvalRequest) (*EvalResponse, err
 	if !(req.Period > 0) || math.IsInf(req.Period, 1) {
 		return nil, badRequestf("eval wants a finite positive period, got %v", req.Period)
 	}
+	// Each variant is answered once, in request order: a name listed
+	// twice (in any case) is refused before anything is built.
+	want := bog.Variants()
+	if len(req.Variants) > 0 {
+		want = want[:0]
+		for _, vn := range req.Variants {
+			v, err := parseVariant(vn)
+			if err != nil {
+				return nil, badRequest(err)
+			}
+			if slices.Contains(want, v) {
+				return nil, badRequestf("variant %v listed twice", v)
+			}
+			want = append(want, v)
+		}
+	}
 	name, src, _, err := s.resolve(req.Design)
 	if err != nil {
 		return nil, badRequest(err)
@@ -285,17 +302,6 @@ func (s *Service) Eval(ctx context.Context, req EvalRequest) (*EvalResponse, err
 	reps, err := BuildSweepReps(ctx, s.eng, name, src)
 	if err != nil {
 		return nil, classifyEngineErr(err)
-	}
-	want := bog.Variants()
-	if len(req.Variants) > 0 {
-		want = want[:0]
-		for _, vn := range req.Variants {
-			v, verr := parseVariant(vn)
-			if verr != nil {
-				return nil, badRequest(verr)
-			}
-			want = append(want, v)
-		}
 	}
 	resp := &EvalResponse{Design: name, Period: req.Period}
 	for _, v := range want {

@@ -294,6 +294,27 @@ func TestHTTPSurface(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil || len(er.Results) != len(bog.Variants()) {
 		t.Fatalf("/eval payload: %v %s", err, body)
 	}
+	// A variant subset answers in request order, each entry equal to the
+	// full answer's; a variant named twice, in any case, is a 400 naming
+	// it.
+	code, body = postJSON(t, c, srv.URL+"/eval", EvalRequest{Design: DesignRef{Bench: name}, Period: 0.5, Variants: []string{"xag", "SOG"}})
+	if code != http.StatusOK {
+		t.Fatalf("/eval subset: %d %s", code, body)
+	}
+	var sub EvalResponse
+	if err := json.Unmarshal(body, &sub); err != nil {
+		t.Fatal(err)
+	}
+	full := map[string]VariantResult{}
+	for _, r := range er.Results {
+		full[r.Variant] = r
+	}
+	if len(sub.Results) != 2 || sub.Results[0] != full["XAG"] || sub.Results[1] != full["SOG"] {
+		t.Fatalf("/eval subset [xag SOG]: %+v, want the XAG then SOG entries of %+v", sub.Results, er.Results)
+	}
+	if code, body := postJSON(t, c, srv.URL+"/eval", EvalRequest{Design: DesignRef{Bench: name}, Period: 0.5, Variants: []string{"AIG", "SOG", "aig"}}); code != http.StatusBadRequest || !strings.Contains(string(body), "AIG listed twice") {
+		t.Fatalf("/eval with AIG twice: %d %s", code, body)
+	}
 
 	// GET on a POST endpoint, POST on /stats.
 	if resp, err := c.Get(srv.URL + "/eval"); err != nil || resp.StatusCode != http.StatusMethodNotAllowed {

@@ -64,11 +64,6 @@ type Incremental struct {
 	delayDirty map[bog.NodeID]bool // delay inputs possibly changed
 	arrSeed    map[bog.NodeID]bool // fanin arrival set changed
 
-	// repointed lists the nodes whose fanin the last Apply re-pointed, in
-	// edit order (a node re-pointed twice appears twice); StaleCones
-	// walks forward from them.
-	repointed []bog.NodeID
-
 	recomputed int64 // cumulative arrival recomputes across Apply calls
 }
 
@@ -231,7 +226,6 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 	clear(cellDirty)
 	clear(delayDirty)
 	clear(arrSeed)
-	s.repointed = s.repointed[:0]
 
 	undo = make(bog.Delta, 0, len(d))
 	for _, e := range d {
@@ -244,7 +238,6 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 			if old == e.To {
 				continue
 			}
-			s.repointed = append(s.repointed, e.Node)
 			s.fanoutRemove(old, e.Node)
 			s.fanoutInsert(e.To, e.Node)
 			loadDirty[old] = true
@@ -339,53 +332,6 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 		undo[i], undo[j] = undo[j], undo[i]
 	}
 	return undo, nil
-}
-
-// StaleCones returns, in ascending order, the endpoints whose input cone
-// the last Apply can have changed: those whose D pin is a node that Apply
-// re-pointed a fanin of, or is reached from one through the session's
-// post-Apply fanout adjacency. Every other endpoint's ConeInfo is the same
-// as before the edit:
-//
-//   - SetOp only swaps combinational operators of equal arity, and
-//     ConeWalker counts every combinational operator alike;
-//   - an inserted node can never feed an existing node or endpoint,
-//     because SetFanin requires to < n, so no existing cone grows into it;
-//   - an endpoint whose cone holds no re-pointed node walks the same
-//     nodes before and after the edit, since every node it reaches kept
-//     its fanins.
-//
-// The result covers the last successful Apply only; it is nil when that
-// Apply re-pointed nothing.
-func (s *Incremental) StaleCones() []int {
-	if len(s.repointed) == 0 {
-		return nil
-	}
-	reached := make([]bool, len(s.G.Nodes))
-	stack := make([]bog.NodeID, 0, len(s.repointed))
-	for _, n := range s.repointed {
-		if !reached[n] {
-			reached[n] = true
-			stack = append(stack, n)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range s.fanout[n] {
-			if !reached[c] {
-				reached[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	var stale []int
-	for ep, e := range s.G.Endpoints {
-		if reached[e.D] {
-			stale = append(stale, ep)
-		}
-	}
-	return stale
 }
 
 // editArity mirrors the operator fanin-slot count for delta inserts.

@@ -3,7 +3,6 @@ package sta_test
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"rtltimer/internal/bog"
@@ -341,129 +340,4 @@ func TestIncrementalConeProportional(t *testing.T) {
 		t.Fatalf("endpoint-driver edit re-timed %d of %d nodes, want <= %d", touched, len(g.Nodes), max)
 	}
 	verifyAgainstFresh(t, g, lib, inc)
-}
-
-// repointedBy replays d on a clone of g and returns the nodes whose fanin
-// an edit actually re-pointed (the new fanin differs from the one it
-// replaces), plus the edited clone.
-func repointedBy(t *testing.T, g *bog.Graph, d bog.Delta) (map[bog.NodeID]bool, *bog.Graph) {
-	t.Helper()
-	g2 := g.Clone()
-	out := map[bog.NodeID]bool{}
-	for _, e := range d {
-		if e.Kind == bog.EditSetFanin && g2.Nodes[e.Node].Fanin[e.Slot] != e.To {
-			out[e.Node] = true
-		}
-		if _, err := g2.Apply(bog.Delta{e}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out, g2
-}
-
-// staleConesRef is the brute-force oracle for StaleCones: the endpoints
-// whose input cone on the edited graph contains a re-pointed node, found
-// by one fresh backward walk per endpoint.
-func staleConesRef(g *bog.Graph, repointed map[bog.NodeID]bool) []int {
-	var out []int
-	for ep := range g.Endpoints {
-		seen := map[bog.NodeID]bool{}
-		stack := []bog.NodeID{g.Endpoints[ep].D}
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[n] {
-				continue
-			}
-			seen[n] = true
-			if repointed[n] {
-				out = append(out, ep)
-				break
-			}
-			nd := &g.Nodes[n]
-			for j := 0; j < nd.NumFanin(); j++ {
-				stack = append(stack, nd.Fanin[j])
-			}
-		}
-	}
-	return out
-}
-
-// TestStaleCones pins StaleCones to the brute-force oracle on hand-picked
-// deltas and random ones, and checks the property the extractor patch
-// relies on: every endpoint it leaves out keeps its cone.
-func TestStaleCones(t *testing.T) {
-	lib := liberty.DefaultPseudoLib()
-	check := func(t *testing.T, g *bog.Graph, d bog.Delta) []int {
-		t.Helper()
-		repointed, edited := repointedBy(t, g, d)
-		before := make([]sta.ConeInfo, len(g.Endpoints))
-		for ep := range g.Endpoints {
-			before[ep] = sta.InputConeRef(g, ep)
-		}
-		inc := sta.NewIncremental(g.Clone(), lib)
-		if _, err := inc.Apply(d); err != nil {
-			t.Fatal(err)
-		}
-		got, want := inc.StaleCones(), staleConesRef(edited, repointed)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s/%v delta %v: StaleCones %v, want %v", g.Design, g.Variant, d, got, want)
-		}
-		stale := map[int]bool{}
-		for _, ep := range got {
-			stale[ep] = true
-		}
-		for ep := range edited.Endpoints {
-			if !stale[ep] && sta.InputConeRef(edited, ep) != before[ep] {
-				t.Fatalf("%s/%v delta %v: endpoint %d left out, but its cone changed", g.Design, g.Variant, d, ep)
-			}
-		}
-		return got
-	}
-
-	g := randomEditGraph(bog.SOG, 29)
-	var and, driver bog.NodeID = bog.Nil, bog.Nil
-	for i := range g.Nodes {
-		if g.Nodes[i].Op == bog.And {
-			and = bog.NodeID(i)
-		}
-	}
-	for _, ep := range g.Endpoints {
-		if nd := &g.Nodes[ep.D]; nd.NumFanin() > 0 && nd.Fanin[0] != 0 && ep.D > driver {
-			driver = ep.D
-		}
-	}
-	if and == bog.Nil || driver == bog.Nil {
-		t.Fatal("random graph lacks an AND node or an endpoint driver")
-	}
-	none := []struct {
-		name string
-		d    bog.Delta
-	}{
-		{"set-op only", bog.Delta{bog.SetOpEdit(and, bog.Or)}},
-		{"insert only", bog.Delta{bog.InsertEdit(bog.And, driver, and), bog.InsertEdit(bog.Not, bog.NodeID(len(g.Nodes)))}},
-		{"no-op set-fanin", bog.Delta{bog.SetFaninEdit(driver, 0, g.Nodes[driver].Fanin[0])}},
-	}
-	for _, tc := range none {
-		if got := check(t, g, tc.d); len(got) != 0 {
-			t.Errorf("%s: StaleCones %v, want none", tc.name, got)
-		}
-	}
-
-	// An endpoint-driver edit makes stale exactly the endpoints it
-	// reaches, the ones it drives among them.
-	got := check(t, g, bog.Delta{bog.SetFaninEdit(driver, 0, 0)})
-	for ep, e := range g.Endpoints {
-		if e.D == driver && !slices.Contains(got, ep) {
-			t.Fatalf("endpoint-driver edit: StaleCones %v misses endpoint %d, driven by %d", got, ep, driver)
-		}
-	}
-
-	for _, v := range bog.Variants() {
-		for seed := int64(0); seed < 12; seed++ {
-			rng := rand.New(rand.NewSource(seed*131 + 5))
-			g := randomEditGraph(v, seed)
-			check(t, g, randomDelta(g, rng, 1+rng.Intn(6), true))
-		}
-	}
 }
