@@ -13,9 +13,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"io/fs"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -633,6 +636,91 @@ func BenchmarkEngineWarmLoad(b *testing.B) {
 		}
 		if st := eng.Stats(); st.DiskHits != int64(len(bog.Variants())) {
 			b.Fatalf("warm iteration had %d disk hits, want %d", st.DiskHits, len(bog.Variants()))
+		}
+	}
+}
+
+// memStore is an engine.Store over a map, so BenchmarkDecodeEntry reads
+// its entries without file I/O.
+type memStore struct {
+	mu      sync.Mutex
+	entries map[string][]byte
+}
+
+func (s *memStore) Get(name string) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	data, ok := s.entries[name]
+	if !ok {
+		return nil, fs.ErrNotExist
+	}
+	return data, nil
+}
+
+func (s *memStore) Put(name string, payload []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.entries[name] = append([]byte(nil), payload...)
+	return nil
+}
+
+func (s *memStore) List() ([]string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Sorted(maps.Keys(s.entries)), nil
+}
+
+func (s *memStore) Delete(name string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.entries[name]; !ok {
+		return fs.ErrNotExist
+	}
+	delete(s.entries, name)
+	return nil
+}
+
+// BenchmarkDecodeEntry is the decode stage of a warm load on its own: per
+// iteration, a fresh engine restores the four variants of the largest
+// benchmark design from a map-backed store filled before the timer
+// starts — checksum, graph codec, vector decode and the analyzer and
+// extractor restores, with no file I/O. BenchmarkEngineWarmLoad adds the
+// store reads.
+func BenchmarkDecodeEntry(b *testing.B) {
+	spec, ok := designs.ByName("Rocket3")
+	if !ok {
+		b.Fatal("no Rocket3")
+	}
+	src := designs.Generate(spec)
+	lib := liberty.DefaultPseudoLib()
+	tag := engine.DesignTag(spec.Name, src)
+	store := &memStore{entries: map[string][]byte{}}
+	warmup := engine.New(1)
+	warmup.SetCacheStore(store)
+	for _, v := range bog.Variants() {
+		if _, err := warmup.EvalRep(engine.Key{Design: tag, Variant: v}, lib, engine.LazyDesign(src)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if st := warmup.Stats(); st.DiskWrites != int64(len(bog.Variants())) {
+		b.Fatalf("warmup wrote %d entries, want %d", st.DiskWrites, len(bog.Variants()))
+	}
+	noBuild := func() (*elab.Design, error) {
+		b.Fatal("decode iteration fell through to a build")
+		return nil, nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := engine.New(1)
+		eng.SetCacheStore(store)
+		for _, v := range bog.Variants() {
+			if _, err := eng.EvalRep(engine.Key{Design: tag, Variant: v}, lib, noBuild); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if st := eng.Stats(); st.DiskHits != int64(len(bog.Variants())) {
+			b.Fatalf("decode iteration had %d disk hits, want %d", st.DiskHits, len(bog.Variants()))
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -187,6 +188,30 @@ func TestCodecRejectsCorruption(t *testing.T) {
 		}
 		if _, err := UnmarshalGraph(MarshalGraph(bad)); err == nil {
 			t.Fatal("PO endpoint with a Q node decoded successfully")
+		}
+	})
+	// Unused fanin slots must be Nil and signal indices must point into the
+	// table, as in a built graph; Check validates neither.
+	t.Run("unused-fanin-slot", func(t *testing.T) {
+		bad := randomGraph(AIG, 5)
+		i := slices.IndexFunc(bad.Nodes, func(n Node) bool { return n.Op == And })
+		if i < 0 {
+			t.Fatal("random graph has no AND node")
+		}
+		bad.Nodes[i].Fanin[2] = bad.Nodes[i].Fanin[0]
+		if _, err := UnmarshalGraph(MarshalGraph(bad)); err == nil {
+			t.Fatal("a node with a non-nil unused fanin slot decoded successfully")
+		}
+	})
+	t.Run("signal-index-out-of-range", func(t *testing.T) {
+		bad := randomGraph(AIG, 5)
+		i := slices.IndexFunc(bad.Nodes, func(n Node) bool { return n.Op == Input })
+		if i < 0 {
+			t.Fatal("random graph has no input node")
+		}
+		bad.Nodes[i].Sig = int32(len(bad.SigNames))
+		if _, err := UnmarshalGraph(MarshalGraph(bad)); err == nil {
+			t.Fatal("an input with an out-of-range signal index decoded successfully")
 		}
 	})
 	t.Run("bit-flips", func(t *testing.T) {

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"math"
+	"slices"
 	"testing"
 
 	"rtltimer/internal/bog"
@@ -139,4 +142,84 @@ func TestEveryResultCarriesItsDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEdit("detached edit", built, detached)
+}
+
+// TestPersistedArrivalDigest pins the version-3 entry layout on every
+// suite entry (21 designs × 4 variants), parsed by offset: the magic,
+// version 3, the graph blob, which must equal bog.MarshalGraph of the cold
+// build, the raw arrival fingerprint, which must equal both ArrivalDigest
+// of the persisted arrival vector and the cold build's ArrivalSHA256, the
+// persisted vectors, and the CRC-32C (Castagnoli) of every preceding byte.
+func TestPersistedArrivalDigest(t *testing.T) {
+	lib := liberty.DefaultPseudoLib()
+	store := NewDirStore(t.TempDir())
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	sameBits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	e := New(0)
+	e.SetCacheStore(store)
+	for _, spec := range designs.All() {
+		src := designs.Generate(spec)
+		for _, v := range bog.Variants() {
+			key := Key{Design: DesignTag(spec.Name, src), Variant: v}
+			rr, err := e.EvalRep(key, lib, LazyDesign(src))
+			if err != nil {
+				t.Fatalf("%s/%v: %v", spec.Name, v, err)
+			}
+			data, err := store.Get(entryName(key, lib))
+			if err != nil {
+				t.Fatalf("%s/%v: %v", spec.Name, v, err)
+			}
+			blob := bog.MarshalGraph(rr.Graph)
+			n, ep := len(rr.Graph.Nodes), len(rr.Graph.Endpoints)
+			if want := 12 + len(blob) + 32 + n*(4*8+4) + ep*(3*4+8) + 4; len(data) != want {
+				t.Fatalf("%s/%v: entry of %d bytes, want %d", spec.Name, v, len(data), want)
+			}
+			if string(data[:4]) != "RTLR" || binary.LittleEndian.Uint32(data[4:]) != 3 {
+				t.Fatalf("%s/%v: header %q version %d", spec.Name, v, data[:4], binary.LittleEndian.Uint32(data[4:]))
+			}
+			if binary.LittleEndian.Uint32(data[8:]) != uint32(len(blob)) || !bytes.Equal(data[12:12+len(blob)], blob) {
+				t.Fatalf("%s/%v: the graph blob is not MarshalGraph of the cold build", spec.Name, v)
+			}
+			rest := data[12+len(blob):]
+			digest := hex.EncodeToString(rest[:32])
+			arrival, rest := readF64s(rest[32:], n)
+			if !sameBits(arrival, rr.Arrival) {
+				t.Fatalf("%s/%v: the persisted arrival vector differs from the cold build's", spec.Name, v)
+			}
+			if want := ArrivalDigest(arrival); digest != want || digest != rr.ArrivalSHA256 {
+				t.Fatalf("%s/%v: persisted fingerprint %s, recomputed %s, cold build %s", spec.Name, v, digest, want, rr.ArrivalSHA256)
+			}
+			load, slew, delay, fanout := rr.An.State()
+			for _, want := range [][]float64{load, slew, delay} {
+				var got []float64
+				if got, rest = readF64s(rest, n); !sameBits(got, want) {
+					t.Fatalf("%s/%v: a persisted analyzer vector differs from the cold build's", spec.Name, v)
+				}
+			}
+			gotFanout, rest := readI32s(rest, n)
+			if !slices.Equal(gotFanout, fanout) {
+				t.Fatalf("%s/%v: the persisted fanout differs from the cold build's", spec.Name, v)
+			}
+			cones, rank := rr.Ext.State()
+			for i, c := range cones {
+				got := rest[12*i:]
+				if int(int32(binary.LittleEndian.Uint32(got))) != c.Nodes ||
+					int(int32(binary.LittleEndian.Uint32(got[4:]))) != c.DrivingRegs ||
+					int(int32(binary.LittleEndian.Uint32(got[8:]))) != c.Inputs {
+					t.Fatalf("%s/%v: cone[%d] differs from the cold build's", spec.Name, v, i)
+				}
+			}
+			gotRank, rest := readF64s(rest[12*ep:], ep)
+			if !sameBits(gotRank, rank) {
+				t.Fatalf("%s/%v: the persisted rank percentiles differ from the cold build's", spec.Name, v)
+			}
+			body := data[:len(data)-len(rest)]
+			if got, want := binary.LittleEndian.Uint32(rest), crc32.Checksum(body, castagnoli); got != want {
+				t.Fatalf("%s/%v: checksum %08x, CRC-32C of the body %08x", spec.Name, v, got, want)
+			}
+		}
+		e.Reset()
+	}
 }

@@ -1,16 +1,17 @@
 // The on-disk tier of the representation cache: content-addressed entries
 // that persist everything a warm load would otherwise recompute — the
-// variant graph (via the bog binary codec), the analyzer's static
-// load/slew/delay/fanout vectors, the period-free arrival vector, and the
-// extractor's per-endpoint cone/rank state. A warm EvalRep is therefore
-// pure deserialization: no parsing, no bit-blasting, no forward max-plus
-// pass, no cone walks.
+// variant graph (via the bog binary codec), the arrival fingerprint, the
+// analyzer's static load/slew/delay/fanout vectors, the period-free
+// arrival vector, and the extractor's per-endpoint cone/rank state. A warm
+// EvalRep is therefore pure deserialization: no parsing, no bit-blasting,
+// no forward max-plus pass, no cone walks, no re-hashing.
 //
 // Entry format (all integers little-endian):
 //
 //	magic    [4]byte "RTLR"
 //	version  uint32 (entryVersion)
 //	graphLen uint32, graph blob (bog codec; yields node count n, endpoint count E)
+//	digest   [32]byte — the raw SHA-256 behind ArrivalDigest(arrival)
 //	arrival  [n]float64
 //	load     [n]float64
 //	slew     [n]float64
@@ -18,7 +19,14 @@
 //	fanout   [n]int32
 //	cones    [E]{nodes, drivingRegs, inputs int32}
 //	rankpct  [E]float64
-//	checksum [32]byte — SHA-256 of every preceding byte
+//	checksum uint32 — CRC-32C (Castagnoli) of every preceding byte
+//
+// The checksum detects torn writes and bit rot: every single-bit flip,
+// every burst of up to 32 bits and any truncation (which also fails the
+// shape check). It authenticates nothing — whoever can write the cache
+// directory can recompute it, as they could the SHA-256 it replaced — so
+// a load trusts the persisted fingerprint exactly as it trusts the
+// persisted vectors, and the offline scrub (scrub.go) recomputes it.
 //
 // All I/O below this layer goes through the Store interface (store.go):
 // SetCacheDir composes RetryStore over DirStore, so writes are atomic
@@ -46,6 +54,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"math"
 
@@ -60,14 +69,27 @@ import (
 // version) changes, or when a build can produce different bytes for the
 // same key: entry names hash the source, variant and library, not the
 // code that built the entry, so only the bump keeps a stale entry from
-// being served. Version 2 retires entries from a bit-blaster that read a
+// being served. Version 2 retired entries from a bit-blaster that read a
 // constant shift amount of 2^63 or more as a negative int, so that
-// 2^64-1 shifted by one the other way.
-const entryVersion = 2
+// 2^64-1 shifted by one the other way. Version 3 replaced the trailing
+// SHA-256 with a CRC-32C and persisted the arrival fingerprint.
+const entryVersion = 3
 
 var entryMagic = [4]byte{'R', 'T', 'L', 'R'}
 
-const checksumSize = sha256.Size
+// checksumSize is the width of the trailing CRC-32C; digestSize that of
+// the persisted arrival fingerprint.
+const (
+	checksumSize = crc32.Size
+	digestSize   = sha256.Size
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// sealEntry appends the entry checksum of body to it.
+func sealEntry(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+}
 
 // quarantinePrefix is the store namespace invalid entries are moved to.
 // On this hot read path quarantined files keep their entry name, so a
@@ -154,11 +176,11 @@ func (e *Engine) diskLoad(key Key, lib *liberty.PseudoLib) (res *RepResult, ok b
 // decodeEntry parses and validates one entry payload, returning nil on any
 // violation.
 func decodeEntry(data []byte, lib *liberty.PseudoLib) *RepResult {
-	if len(data) < 4+4+4+checksumSize {
+	if len(data) < 4+4+4+digestSize+checksumSize {
 		return nil
 	}
 	body, sum := data[:len(data)-checksumSize], data[len(data)-checksumSize:]
-	if sha256.Sum256(body) != [checksumSize]byte(sum) {
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sum) {
 		return nil
 	}
 	if [4]byte(body[:4]) != entryMagic {
@@ -178,10 +200,11 @@ func decodeEntry(data []byte, lib *liberty.PseudoLib) *RepResult {
 	}
 	rest = rest[graphLen:]
 	n, ep := len(g.Nodes), len(g.Endpoints)
-	if len(rest) != n*(4*8+4)+ep*(3*4+8) {
+	if len(rest) != digestSize+n*(4*8+4)+ep*(3*4+8) {
 		return nil
 	}
-	arrival, rest := readF64s(rest, n)
+	digest := hex.EncodeToString(rest[:digestSize])
+	arrival, rest := readF64s(rest[digestSize:], n)
 	load, rest := readF64s(rest, n)
 	slew, rest := readF64s(rest, n)
 	delay, rest := readF64s(rest, n)
@@ -202,7 +225,7 @@ func decodeEntry(data []byte, lib *liberty.PseudoLib) *RepResult {
 	if err != nil {
 		return nil
 	}
-	return &RepResult{Graph: g, An: an, Arrival: arrival, ArrivalSHA256: ArrivalDigest(arrival), Ext: ext}
+	return &RepResult{Graph: g, An: an, Arrival: arrival, ArrivalSHA256: digest, Ext: ext}
 }
 
 // diskStore persists a freshly built evaluation, reporting whether an
@@ -217,11 +240,14 @@ func encodeEntry(res *RepResult) []byte {
 	load, slew, delay, fanout := res.An.State()
 	cones, rankPct := res.Ext.State()
 	n, ep := len(res.Graph.Nodes), len(res.Graph.Endpoints)
-	buf := make([]byte, 0, 12+len(blob)+n*(4*8+4)+ep*(3*4+8)+checksumSize)
+	buf := make([]byte, 0, 12+len(blob)+digestSize+n*(4*8+4)+ep*(3*4+8)+checksumSize)
 	buf = append(buf, entryMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, entryVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
 	buf = append(buf, blob...)
+	// Every engine-made result carries its fingerprint as 64 hex digits; a
+	// malformed one would fail the shape check on load, never be served.
+	buf, _ = hex.AppendDecode(buf, []byte(res.ArrivalSHA256))
 	buf = appendF64s(buf, res.Arrival)
 	buf = appendF64s(buf, load)
 	buf = appendF64s(buf, slew)
@@ -235,8 +261,7 @@ func encodeEntry(res *RepResult) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(c.Inputs)))
 	}
 	buf = appendF64s(buf, rankPct)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
+	return sealEntry(buf)
 }
 
 func appendF64s(buf []byte, xs []float64) []byte {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -164,27 +163,34 @@ func TestDiskCacheCorruptEntriesFallBack(t *testing.T) {
 	}
 	d, _ := buildDesign(t)
 
-	corruptions := map[string]func() []byte{
-		"truncated-header":   func() []byte { return orig[:7] },
-		"truncated-payload":  func() []byte { return orig[:len(orig)/2] },
-		"truncated-checksum": func() []byte { return orig[:len(orig)-5] },
-		"flip-version":       func() []byte { b := clone(orig); b[4] ^= 0xff; return b },
+	// reseal rewrites the entry's version word and seals the body again.
+	reseal := func(version uint32) []byte {
+		body := clone(orig[:len(orig)-checksumSize])
+		binary.LittleEndian.PutUint32(body[4:], version)
+		return sealEntry(body)
+	}
+	corruptions := map[string]func(t *testing.T) []byte{
+		"truncated-header":   func(*testing.T) []byte { return orig[:7] },
+		"truncated-payload":  func(*testing.T) []byte { return orig[:len(orig)/2] },
+		"truncated-checksum": func(*testing.T) []byte { return orig[:len(orig)-5] },
+		"flip-version":       func(*testing.T) []byte { b := clone(orig); b[4] ^= 0xff; return b },
 		// A version mismatch with a *valid* checksum exercises the version
-		// gate itself rather than the integrity check.
-		"future-version-valid-checksum": func() []byte {
-			body := clone(orig[:len(orig)-checksumSize])
-			binary.LittleEndian.PutUint32(body[4:], entryVersion+1)
-			sum := sha256.Sum256(body)
-			return append(body, sum[:]...)
+		// gate itself rather than the integrity check, provided the same
+		// re-seal at the current version decodes.
+		"future-version-valid-checksum": func(t *testing.T) []byte {
+			if decodeEntry(reseal(entryVersion), lib) == nil {
+				t.Fatal("the entry re-sealed at the current version does not decode")
+			}
+			return reseal(entryVersion + 1)
 		},
-		"flip-graph-byte": func() []byte { b := clone(orig); b[20] ^= 0x10; return b },
-		"flip-tail-byte":  func() []byte { b := clone(orig); b[len(b)-40] ^= 0x01; return b },
-		"garbage":         func() []byte { return []byte("not a cache entry at all") },
-		"empty":           func() []byte { return nil },
+		"flip-graph-byte": func(*testing.T) []byte { b := clone(orig); b[20] ^= 0x10; return b },
+		"flip-tail-byte":  func(*testing.T) []byte { b := clone(orig); b[len(b)-40] ^= 0x01; return b },
+		"garbage":         func(*testing.T) []byte { return []byte("not a cache entry at all") },
+		"empty":           func(*testing.T) []byte { return nil },
 	}
 	for name, mutate := range corruptions {
 		t.Run(name, func(t *testing.T) {
-			if err := os.WriteFile(path, mutate(), 0o644); err != nil {
+			if err := os.WriteFile(path, mutate(t), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			e := New(1)
@@ -270,6 +276,56 @@ func TestSetCacheDirSweepsStaleTemps(t *testing.T) {
 			t.Fatalf("%s was removed by the sweep: %v", p, err)
 		}
 	}
+}
+
+// fuzzSeedSrc is a small design whose four entries seed FuzzEntryDecode:
+// a register, an adder, a mux, an xor and an or in 34 to 109 nodes per
+// variant, so mutations of a seed stay cheap to decode.
+const fuzzSeedSrc = `
+module tiny(input clk, input s, input [2:0] a, input [2:0] b, output [2:0] out);
+  reg [2:0] q;
+  always @(posedge clk) q <= s ? a + b : a ^ q;
+  assign out = q | b;
+endmodule`
+
+// FuzzEntryDecode drives the whole disk-entry decoder. Each input is an
+// entry body that the target seals with the current checksum, so
+// mutations reach the structural checks behind it instead of dying at the
+// checksum: nothing may panic, and an accepted entry must re-encode to
+// the same bytes through encodeEntry. The seeds are the four entries of a
+// small built design plus empty, garbage and truncated bodies.
+func FuzzEntryDecode(f *testing.F) {
+	e := New(1)
+	lib := liberty.DefaultPseudoLib()
+	tag := DesignTag("tiny", fuzzSeedSrc)
+	var body []byte
+	for _, v := range bog.Variants() {
+		rr, err := e.EvalRep(Key{Design: tag, Variant: v}, lib, LazyDesign(fuzzSeedSrc))
+		if err != nil {
+			f.Fatal(err)
+		}
+		entry := encodeEntry(rr)
+		if decodeEntry(entry, lib) == nil {
+			f.Fatalf("%v: the seed entry does not decode", v)
+		}
+		body = entry[:len(entry)-checksumSize]
+		f.Add(body)
+	}
+	f.Add([]byte{})
+	f.Add([]byte("not a cache entry at all"))
+	f.Add(body[:12])
+	f.Add(body[:len(body)/2])
+	f.Add(body[:len(body)-1])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		entry := sealEntry(clone(body))
+		res := decodeEntry(entry, lib)
+		if res == nil {
+			return
+		}
+		if re := encodeEntry(res); !bytes.Equal(re, entry) {
+			t.Fatalf("accepted entry of %d bytes re-encodes to %d different bytes", len(entry), len(re))
+		}
+	})
 }
 
 func (e *Engine) withDir(dir string) *Engine { e.SetCacheDir(dir); return e }

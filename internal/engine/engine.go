@@ -122,8 +122,9 @@ type RepResult struct {
 	An      *sta.Analyzer
 	Arrival []float64
 	// ArrivalSHA256 is ArrivalDigest(Arrival), computed once when the
-	// engine makes the result (build, disk load or Edit) so queries that
-	// report the fingerprint never re-hash the vector.
+	// engine builds or derives the result so queries that report the
+	// fingerprint never re-hash the vector. Disk entries persist it, so a
+	// disk load restores it without hashing; -cache-scrub recomputes it.
 	ArrivalSHA256 string
 	// Ext is the feature extractor. Built and derived results carry a lazy
 	// one (features.NewExtractor) that walks the endpoint cones only when

@@ -1,8 +1,9 @@
 // Cache maintenance: the stale-temp sweep that runs on SetCacheDir, and
 // ScrubCache — the explicit offline maintenance pass behind the CLIs'
 // -cache-scrub mode. Scrubbing validates every entry the way a warm load
-// would (checksum, magic, version, codec, shape), quarantines the invalid
-// ones along with entries of retired formats that nothing reads any more,
+// would (checksum, magic, version, codec, shape), then recomputes the
+// arrival fingerprint that a load trusts, quarantines the invalid ones
+// along with entries of retired formats that nothing reads any more,
 // reclaims temp files orphaned by killed processes, and optionally
 // enforces a size budget by evicting the least-recently-modified entries
 // first. Subdirectories are never scanned: a "claims/" directory left by
@@ -114,9 +115,9 @@ func ScrubCache(dir string, opts ScrubOptions) (*ScrubReport, error) {
 	rep.TempsReclaimed = cleanStaleTemps(dir, opts.TempAge)
 
 	// Validation uses the default library only as a binding target for
-	// the analyzer/extractor state; every structural check (checksum,
-	// magic, version, codec, vector shapes) is library-independent, so
-	// entries written under any library fingerprint validate correctly.
+	// the analyzer/extractor state; every check (checksum, magic, version,
+	// codec, vector shapes, arrival fingerprint) is library-independent,
+	// so entries written under any library fingerprint validate correctly.
 	lib := liberty.DefaultPseudoLib()
 	type entry struct {
 		name  string
@@ -136,8 +137,10 @@ func ScrubCache(dir string, opts ScrubOptions) (*ScrubReport, error) {
 		rep.Scanned++
 		ok := false
 		if isRep {
-			data, err := os.ReadFile(filepath.Join(dir, name))
-			ok = err == nil && decodeEntry(data, lib) != nil
+			if data, err := os.ReadFile(filepath.Join(dir, name)); err == nil {
+				res := decodeEntry(data, lib)
+				ok = res != nil && ArrivalDigest(res.Arrival) == res.ArrivalSHA256
+			}
 		}
 		if !ok {
 			quarantineFile(dir, name)

@@ -83,6 +83,70 @@ func TestScrubCacheQuarantinesCorruptEntries(t *testing.T) {
 	}
 }
 
+// TestScrubCacheChecksFingerprint: a warm load trusts the persisted
+// arrival fingerprint, so the scrub recomputes it. An entry whose checksum
+// is valid but whose fingerprint disagrees with its arrival vector is
+// quarantined and counted, and the next run rebuilds it and serves the
+// right fingerprint.
+func TestScrubCacheChecksFingerprint(t *testing.T) {
+	dir := t.TempDir()
+	cold, tag := populateCache(t, dir, 2)
+	lib := liberty.DefaultPseudoLib()
+	key := Key{Design: tag, Variant: bog.XAG}
+	want := cold[bog.XAG].ArrivalSHA256
+	name := entryName(key, lib)
+	path := filepath.Join(dir, name)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := clone(orig[:len(orig)-checksumSize])
+	graphLen := binary.LittleEndian.Uint32(body[8:])
+	body[12+graphLen] ^= 0x01 // the first byte of the persisted fingerprint
+	bad := sealEntry(body)
+	if res := decodeEntry(bad, lib); res == nil || res.ArrivalSHA256 == want {
+		t.Fatal("the re-sealed entry does not decode to the altered fingerprint")
+	}
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := ScrubCache(dir, ScrubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := len(bog.Variants())
+	if rep.Scanned != variants || rep.Valid != variants-1 || rep.Quarantined != 1 {
+		t.Fatalf("report %+v, want %d scanned, %d valid, 1 quarantined", rep, variants, variants-1)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", name)); err != nil {
+		t.Fatalf("the entry is not in quarantine: %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("the entry is still in the serving namespace")
+	}
+
+	d, _ := buildDesign(t)
+	e := New(1).withDir(dir)
+	rr, err := e.EvalRep(key, lib, FixedDesign(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Builds != 1 || st.DiskHits != 0 {
+		t.Fatalf("post-scrub stats %+v, want 1 rebuild", st)
+	}
+	if rr.ArrivalSHA256 != want {
+		t.Fatalf("rebuild serves fingerprint %s, want %s", rr.ArrivalSHA256, want)
+	}
+	warm, err := New(1).withDir(dir).EvalRep(key, lib, failingSource(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.ArrivalSHA256 != want {
+		t.Fatalf("rewritten entry serves fingerprint %s, want %s", warm.ArrivalSHA256, want)
+	}
+}
+
 // TestScrubQuarantineAccumulatesSpecimens is the name-collision regression
 // (the resident-service bugfix): quarantineFile used to rename over any
 // earlier specimen of the same entry name, so "corrupt -> scrub -> rebuild
