@@ -329,9 +329,9 @@ func BenchmarkMonolithicSTA(b *testing.B) {
 }
 
 // benchShardedSTA runs the sharded forward pass under one partitioning
-// policy — every shard's serial pass, then Stitch, as the engine's build
-// does — reporting the partition's replication factor and shape next to
-// the timing so the packer trade-off is visible in the bench trajectory.
+// policy — every shard's serial pass, then Stitch — reporting the
+// partition's replication factor and shape next to the timing so the
+// packer trade-off is visible in the bench trajectory.
 func benchShardedSTA(b *testing.B, newPart func(*bog.Graph, int) (*part.Partition, error)) {
 	g := largestSeedGraph(b)
 	a := sta.NewAnalyzer(g, liberty.DefaultPseudoLib())
@@ -457,9 +457,9 @@ func BenchmarkEngineColdBuild(b *testing.B) {
 }
 
 // BenchmarkEngineColdBuildDefaults is BenchmarkEngineColdBuild at the
-// CLI's defaults: per iteration, a fresh engine.New(0) (all cores) with
-// SetShards(0) builds the four BOG variants of the largest benchmark
-// design, fanned out on its pool the way the CLI's sweep builds them.
+// CLI's defaults: per iteration, a fresh engine.New(0) (all cores) builds
+// the four BOG variants of the largest benchmark design, fanned out on its
+// pool the way the CLI's sweep builds them.
 func BenchmarkEngineColdBuildDefaults(b *testing.B) {
 	spec, ok := designs.ByName("Rocket3")
 	if !ok {
@@ -473,7 +473,6 @@ func BenchmarkEngineColdBuildDefaults(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := engine.New(0)
-		eng.SetShards(0)
 		lazy := engine.LazyDesign(src)
 		err := eng.ForEachErr(len(variants), func(vi int) error {
 			_, err := eng.EvalRep(engine.Key{Design: tag, Variant: variants[vi]}, lib, lazy)
@@ -789,121 +788,6 @@ func BenchmarkEngineWarmLoadWithRetry(b *testing.B) {
 			b.Fatalf("glitched warm iteration stats %+v, want clean hits through the retry layer", st)
 		}
 	}
-}
-
-// BenchmarkShardedWarmLoad is BenchmarkEngineWarmLoad with sharding
-// enabled: a warm sharded run restores the full entries and does zero
-// graph builds and zero forward passes — sharding must never make warm
-// starts slower (shard state is rebuilt lazily only when an edit needs
-// it).
-func BenchmarkShardedWarmLoad(b *testing.B) {
-	spec, ok := designs.ByName("Rocket3")
-	if !ok {
-		b.Fatal("no Rocket3")
-	}
-	src := designs.Generate(spec)
-	parsed, err := verilog.Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := elab.Elaborate(parsed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lib := liberty.DefaultPseudoLib()
-	tag := engine.DesignTag(spec.Name, src)
-	dir := b.TempDir()
-	warmup := engine.New(1)
-	warmup.SetShards(benchShards)
-	warmup.SetCacheDir(dir)
-	for _, v := range bog.Variants() {
-		if _, err := warmup.EvalRep(engine.Key{Design: tag, Variant: v}, lib, engine.FixedDesign(d)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	noBuild := func() (*elab.Design, error) {
-		b.Fatal("warm iteration fell through to a build")
-		return nil, nil
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := engine.New(1)
-		eng.SetShards(benchShards)
-		eng.SetCacheDir(dir)
-		for _, v := range bog.Variants() {
-			if _, err := eng.EvalRep(engine.Key{Design: tag, Variant: v}, lib, noBuild); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if st := eng.Stats(); st.Builds != 0 || st.DiskHits != int64(len(bog.Variants())) {
-			b.Fatalf("warm sharded iteration stats %+v, want pure disk hits", st)
-		}
-	}
-}
-
-// BenchmarkShardLocalEdit prices the shard-routed edit derivation: the
-// base is sharded and the delta's nodes are owned by one shard, so the
-// derivation clones and re-times only that shard's subgraph. Its edit
-// site is not BenchmarkRepResultEdit's (an endpoint driver), so the two
-// are not a same-edit pair.
-func BenchmarkShardLocalEdit(b *testing.B) {
-	spec, ok := designs.ByName("Rocket3")
-	if !ok {
-		b.Fatal("no Rocket3")
-	}
-	src := designs.Generate(spec)
-	eng := engine.New(1)
-	eng.SetShards(benchShards)
-	rr, err := eng.EvalRep(
-		engine.Key{Design: engine.DesignTag(spec.Name, src), Variant: bog.AIG},
-		liberty.DefaultPseudoLib(), engine.LazyDesign(src))
-	if err != nil {
-		b.Fatal(err)
-	}
-	delta := shardLocalEdit(b, rr.Graph)
-	// One derivation through the engine proves the delta routes to a
-	// shard-local session; the timed loop runs detached so every Edit pays
-	// the real derivation instead of hitting the delta-keyed cache.
-	if _, err := rr.Edit(delta); err != nil {
-		b.Fatal(err)
-	}
-	if st := eng.Stats(); st.ShardEdits != 1 {
-		b.Fatalf("edit did not derive shard-locally (stats %+v)", st)
-	}
-	base := rr.Detached()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := base.Edit(delta); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// shardLocalEdit picks an edit confined to one shard: a fanin re-point on
-// the highest-id node whose fanins and self are all exclusively owned by
-// one shard (the partition is deterministic, so recomputing it here sees
-// exactly the shards the engine built).
-func shardLocalEdit(b *testing.B, g *bog.Graph) bog.Delta {
-	b.Helper()
-	p, err := part.New(g, benchShards)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := len(g.Nodes) - 1; i >= 0; i-- {
-		nd := &g.Nodes[i]
-		if nd.NumFanin() < 2 || nd.Fanin[0] == nd.Fanin[1] {
-			continue
-		}
-		o := p.Owner(bog.NodeID(i))
-		if o < 0 || p.Owner(nd.Fanin[0]) != o || p.Owner(nd.Fanin[1]) != o {
-			continue
-		}
-		return bog.Delta{bog.SetFaninEdit(bog.NodeID(i), 0, nd.Fanin[1])}
-	}
-	b.Fatal("no shard-local edit site found")
-	return nil
 }
 
 // benchEngineBuild measures the full dataset build (bit blasting, pseudo-

@@ -33,12 +33,11 @@ func main() {
 	scale := flag.Int("scale", 0, "design scale override")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent evaluation workers (0 = all cores)")
-	shards := flag.Int("shards", 0, "register-bounded design shards for edits, partitioned on a base's first edit (0 or 1 = monolithic)")
 	cacheDir := flag.String("cache-dir", "", "persistent representation cache directory (empty = memory only)")
 	stats := flag.Bool("stats", false, "print engine cache statistics at the end of the run")
 	flag.Parse()
 
-	if err := engine.ValidateConcurrency(*jobs, *shards); err != nil {
+	if err := engine.ValidateConcurrency(*jobs); err != nil {
 		log.Fatal(err)
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
@@ -51,7 +50,7 @@ func main() {
 	}
 	suite := exp.NewSuite(exp.Config{
 		Folds: *folds, Fast: *fast, Scale: *scale, Seed: *seed, Jobs: *jobs,
-		Shards: *shards, CacheDir: *cacheDir,
+		CacheDir: *cacheDir,
 	})
 
 	tables := map[string]func() (*exp.Table, error){
@@ -114,8 +113,8 @@ func main() {
 	}
 	if *stats {
 		st := suite.CacheStats()
-		log.Printf("representation cache: %d graph builds, %d memory hits, %d delta derivations (%d shard-local), %d evictions",
-			st.Builds, st.Hits, st.Edits, st.ShardEdits, st.Evictions)
+		log.Printf("representation cache: %d graph builds, %d memory hits, %d delta derivations, %d evictions",
+			st.Builds, st.Hits, st.Edits, st.Evictions)
 		if *cacheDir != "" {
 			log.Printf("disk cache %s: %d hits, %d misses, %d entries written, %d I/O errors, %d quarantined",
 				*cacheDir, st.DiskHits, st.DiskMisses, st.DiskWrites, st.DiskErrors, st.Quarantined)

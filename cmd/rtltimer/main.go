@@ -14,12 +14,6 @@
 // sta.Incremental, and the winning delta is re-derived through the
 // engine's delta-keyed cache.
 //
-// -shards N > 1 partitions each design into N register-bounded shards on
-// its first edit, so -optimize's single-shard edits derive through
-// shard-local incremental sessions (0 and 1 = monolithic, the default).
-// Builds always run one serial forward pass, and every value is
-// bit-identical to the monolithic analysis.
-//
 // Usage:
 //
 //	rtltimer -in design.v [-annotate out.v] [-period 0.6] [-fast]
@@ -67,7 +61,6 @@ func main() {
 	fast := flag.Bool("fast", true, "reduced model sizes (faster training)")
 	seed := flag.Int64("seed", 1, "model seed")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent evaluation workers (0 = all cores)")
-	shards := flag.Int("shards", 0, "register-bounded design shards for edits, partitioned on a base's first edit (0 or 1 = monolithic)")
 	saveModel := flag.String("save-model", "", "save the trained model to this file")
 	loadModel := flag.String("load-model", "", "load a previously saved model instead of training")
 	sweep := flag.String("sweep", "", "pseudo-STA period sweep lo:hi:steps (ns), e.g. 0.3:0.9:13")
@@ -107,7 +100,7 @@ func main() {
 	if (*in == "") == (*bench == "") {
 		log.Fatal("exactly one of -in or -bench is required")
 	}
-	if err := engine.ValidateConcurrency(*jobs, *shards); err != nil {
+	if err := engine.ValidateConcurrency(*jobs); err != nil {
 		log.Fatal(err)
 	}
 	if err := dataset.ValidatePeriod(*period); err != nil {
@@ -115,7 +108,6 @@ func main() {
 	}
 
 	eng := engine.New(*jobs)
-	eng.SetShards(*shards)
 	if *cacheDir != "" {
 		if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
 			log.Fatalf("-cache-dir: %v", err)
@@ -278,8 +270,8 @@ func printStats(eng *engine.Engine, enabled bool) {
 		return
 	}
 	st := eng.Stats()
-	fmt.Printf("\nengine cache: %d graph builds, %d memory hits, %d delta derivations (%d shard-local), %d evictions\n",
-		st.Builds, st.Hits, st.Edits, st.ShardEdits, st.Evictions)
+	fmt.Printf("\nengine cache: %d graph builds, %d memory hits, %d delta derivations, %d evictions\n",
+		st.Builds, st.Hits, st.Edits, st.Evictions)
 	if eng.CacheDir() != "" {
 		fmt.Printf("disk cache %s: %d hits, %d misses, %d entries written, %d I/O errors, %d quarantined\n",
 			eng.CacheDir(), st.DiskHits, st.DiskMisses, st.DiskWrites, st.DiskErrors, st.Quarantined)

@@ -72,35 +72,32 @@ func TestParseSweep(t *testing.T) {
 	}
 }
 
-// TestFlagValidation table-drives the -jobs/-shards validation both CLIs
-// run before constructing the engine: 0 means all cores for -jobs and
-// monolithic for -shards, and negatives are rejected with a clear error
-// instead of being silently coerced.
+// TestFlagValidation table-drives the -jobs validation the CLIs and the
+// daemon run before constructing the engine: 0 means all cores, and
+// negatives are rejected with a clear error instead of being silently
+// coerced.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
-		jobs, shards int
-		wantErr      string // substring; "" = valid
+		jobs    int
+		wantErr string // substring; "" = valid
 	}{
-		{jobs: 0, shards: 0},                             // all cores, monolithic
-		{jobs: 1, shards: 1},                             // serial, monolithic
-		{jobs: 8, shards: 16},                            // explicit fan-out
-		{jobs: 64, shards: 0},                            // oversubscribed jobs are allowed
-		{jobs: -1, shards: 0, wantErr: "jobs must be"},   // negative jobs
-		{jobs: -8, shards: 4, wantErr: "jobs must be"},   //
-		{jobs: 0, shards: -1, wantErr: "shards must be"}, // negative shards
-		{jobs: 4, shards: -9, wantErr: "shards must be"}, //
-		{jobs: -1, shards: -1, wantErr: "jobs must be"},  // jobs reported first
+		{jobs: 0},                           // all cores
+		{jobs: 1},                           // serial
+		{jobs: 8},                           // explicit fan-out
+		{jobs: 64},                          // oversubscribed jobs are allowed
+		{jobs: -1, wantErr: "jobs must be"}, // negative jobs
+		{jobs: -8, wantErr: "jobs must be"}, //
 	}
 	for _, tc := range cases {
-		err := engine.ValidateConcurrency(tc.jobs, tc.shards)
+		err := engine.ValidateConcurrency(tc.jobs)
 		if tc.wantErr == "" {
 			if err != nil {
-				t.Errorf("ValidateConcurrency(%d, %d) = %v, want ok", tc.jobs, tc.shards, err)
+				t.Errorf("ValidateConcurrency(%d) = %v, want ok", tc.jobs, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("ValidateConcurrency(%d, %d) = %v, want error containing %q", tc.jobs, tc.shards, err, tc.wantErr)
+			t.Errorf("ValidateConcurrency(%d) = %v, want error containing %q", tc.jobs, err, tc.wantErr)
 		}
 	}
 }

@@ -39,7 +39,7 @@
 //
 // Usage:
 //
-//	rtltimerd [-listen 127.0.0.1:8723] [-jobs N] [-shards K]
+//	rtltimerd [-listen 127.0.0.1:8723] [-jobs N]
 //	          [-cache-dir .cache] [-mem-budget 256M]
 //	          [-model model.bin] [-seed 1]
 //	          [-max-inflight N] [-queue-wait 500ms] [-request-timeout 0]
@@ -66,7 +66,6 @@ func main() {
 	log.SetPrefix("rtltimerd: ")
 	listen := flag.String("listen", "127.0.0.1:8723", "address to serve on")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent evaluation workers (0 = all cores)")
-	shards := flag.Int("shards", 0, "register-bounded design shards for edits, partitioned on a base's first edit (0 or 1 = monolithic)")
 	cacheDir := flag.String("cache-dir", "", "persistent representation cache directory (empty = memory only)")
 	memBudget := flag.String("mem-budget", "", "approximate resident bytes for the memory tier, e.g. 256M (empty = unlimited)")
 	modelPath := flag.String("model", "", "saved model file enabling /annotate (train with rtltimer -save-model)")
@@ -80,7 +79,6 @@ func main() {
 
 	cfg := service.Config{
 		Jobs:           *jobs,
-		Shards:         *shards,
 		CacheDir:       *cacheDir,
 		ModelPath:      *modelPath,
 		Seed:           *seed,
@@ -123,8 +121,8 @@ func main() {
 		close(done)
 	}()
 
-	log.Printf("serving on http://%s (jobs=%d shards=%d cache=%q budget=%d)",
-		*listen, *jobs, *shards, *cacheDir, cfg.MemBudget)
+	log.Printf("serving on http://%s (jobs=%d cache=%q budget=%d)",
+		*listen, *jobs, *cacheDir, cfg.MemBudget)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func (c *panicCollector) rethrow() {
 }
 
 // callContained runs one fallible task with its panics converted to a
-// *PanicError return, so a panicking shard pass or dataset row fails its
+// *PanicError return, so a panicking build or dataset row fails its
 // fan-out instead of the process.
 func (e *Engine) callContained(i int, fn func(int) error) (err error) {
 	defer func() {

@@ -288,7 +288,7 @@ func TestForEachPanicContained(t *testing.T) {
 }
 
 // TestForEachErrPanicAsError is the satellite regression: a panicking
-// fallible task — the shape of a shard pass hitting a corrupt graph —
+// fallible task — the shape of a build hitting a corrupt graph —
 // becomes that task's error and fails the query through the normal error
 // path, never re-raising, and the engine serves real work afterwards.
 func TestForEachErrPanicAsError(t *testing.T) {
@@ -299,7 +299,7 @@ func TestForEachErrPanicAsError(t *testing.T) {
 		e := New(jobs)
 		err := e.ForEachErr(8, func(i int) error {
 			if i == 2 {
-				panic("engine test: shard pass panic")
+				panic("engine test: task panic")
 			}
 			return nil
 		})

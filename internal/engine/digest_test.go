@@ -76,9 +76,9 @@ func TestArrivalDigestMatchesReference(t *testing.T) {
 }
 
 // TestEveryResultCarriesItsDigest: every way the engine makes a RepResult
-// — cold build, disk load, full-graph Edit, shard-local Edit, and Edit on
-// a result detached from the cache — sets ArrivalSHA256 to the digest of
-// the result's own arrival vector.
+// — cold build, disk load, Edit, and Edit on a result detached from the
+// cache — sets ArrivalSHA256 to the digest of the result's own arrival
+// vector.
 func TestEveryResultCarriesItsDigest(t *testing.T) {
 	d, src := buildDesign(t)
 	key := Key{Design: DesignTag(d.Name, src), Variant: bog.AIG}
@@ -101,7 +101,6 @@ func TestEveryResultCarriesItsDigest(t *testing.T) {
 	}
 
 	cold := New(2).withDir(dir)
-	cold.SetShards(4)
 	built, err := cold.EvalRep(key, lib, FixedDesign(d))
 	if err != nil {
 		t.Fatal(err)
@@ -118,26 +117,16 @@ func TestEveryResultCarriesItsDigest(t *testing.T) {
 	}
 	check("disk load", loaded)
 
-	full, err := loaded.Edit(smallEdit(t, loaded.Graph))
+	edited, err := loaded.Edit(smallEdit(t, loaded.Graph))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := warm.Stats(); st.Edits != 1 || st.ShardEdits != 0 {
-		t.Fatalf("stats %+v, want one full-graph edit", st)
+	if st := warm.Stats(); st.Edits != 1 {
+		t.Fatalf("stats %+v, want one edit", st)
 	}
-	checkEdit("full-graph edit", loaded, full)
+	checkEdit("edit", loaded, edited)
 
-	delta := routableEdit(t, built)
-	local, err := built.Edit(delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := cold.Stats(); st.ShardEdits != 1 {
-		t.Fatalf("stats %+v, want one shard-local edit", st)
-	}
-	checkEdit("shard-local edit", built, local)
-
-	detached, err := built.Detached().Edit(delta)
+	detached, err := built.Detached().Edit(smallEdit(t, built.Graph))
 	if err != nil {
 		t.Fatal(err)
 	}

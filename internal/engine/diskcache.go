@@ -32,15 +32,16 @@
 // SetCacheDir composes RetryStore over DirStore, so writes are atomic
 // temp+rename (readers never observe a partial entry) and transient I/O
 // errors are retried on a fixed schedule. Entries are advisory: any read
-// that fails validation (bad checksum, truncation, version or size
-// mismatch, codec error) is moved to quarantine/ — counted in
-// Stats.Quarantined, so corruption is visible instead of being re-read
-// forever — and the caller falls through to a rebuild. Real I/O errors
-// (anything but not-exist) count in Stats.DiskErrors. The entry name is
-// the SHA-256 of (entry version, graph codec version, design tag — which
-// itself embeds the SHA-256 of the source — BOG variant, library
-// fingerprint), so a change to any input or to either wire format simply
-// misses instead of deserializing stale state.
+// that fails validation (bad checksum, truncation, size mismatch, codec
+// error) is moved to quarantine/ — counted in Stats.Quarantined, so
+// corruption is visible instead of being re-read forever — and the caller
+// falls through to a rebuild. Real I/O errors (anything but not-exist)
+// count in Stats.DiskErrors. The entry name is the SHA-256 of (a frozen
+// format salt, design tag — which itself embeds the SHA-256 of the source
+// — BOG variant, library fingerprint), so a change to any input simply
+// misses instead of deserializing stale state. A format bump keeps the
+// names: an intact entry of another entry version is a plain miss, and
+// the rebuild's write replaces it under the same name.
 //
 // Only base builds are persisted. Delta-derived entries (RepResult.Edit)
 // stay in the memory tier: their keys record the base tag plus the delta
@@ -69,11 +70,20 @@ import (
 // version) changes, or when a build can produce different bytes for the
 // same key: entry names hash the source, variant and library, not the
 // code that built the entry, so only the bump keeps a stale entry from
-// being served. Version 2 retired entries from a bit-blaster that read a
-// constant shift amount of 2^63 or more as a negative int, so that
-// 2^64-1 shifted by one the other way. Version 3 replaced the trailing
-// SHA-256 with a CRC-32C and persisted the arrival fingerprint.
+// being served. A graph codec change (bog.CodecVersion) must bump it too,
+// so older entries read as plain misses rather than as corrupt. Version 2
+// retired entries from a bit-blaster that read a constant shift amount of
+// 2^63 or more as a negative int, so that 2^64-1 shifted by one the other
+// way. Version 3 replaced the trailing SHA-256 with a CRC-32C and
+// persisted the arrival fingerprint.
 const entryVersion = 3
+
+// entryNameSalt is the format salt entry names hash: entryVersion and
+// bog.CodecVersion as they were when names were frozen. Keeping it fixed
+// across format bumps means a newer binary finds an older entry at the
+// key's name and overwrites it with its rebuild, instead of stranding it
+// under a name nothing reads again.
+const entryNameSalt = "\x03\x01"
 
 var entryMagic = [4]byte{'R', 'T', 'L', 'R'}
 
@@ -149,7 +159,8 @@ func entryName(key Key, lib *liberty.PseudoLib) string {
 		h.Write([]byte(s))
 	}
 	frame("rtltimer-repcache")
-	h.Write([]byte{entryVersion, bog.CodecVersion, byte(key.Variant)})
+	h.Write([]byte(entryNameSalt))
+	h.Write([]byte{byte(key.Variant)})
 	frame(key.Design)
 	frame(lib.Fingerprint())
 	return hex.EncodeToString(h.Sum(nil)) + ".rep"
@@ -157,8 +168,9 @@ func entryName(key Key, lib *liberty.PseudoLib) string {
 
 // diskLoad restores a representation evaluation from the on-disk tier.
 // ok is false on any miss — absent entry, I/O error (counted in
-// DiskErrors), or an invalid payload, which is quarantined (counted in
-// Quarantined) so it can never be re-read forever.
+// DiskErrors), an intact entry of another entry version (a plain miss,
+// which the rebuild's write replaces), or an invalid payload, which is
+// quarantined (counted in Quarantined) so it can never be re-read forever.
 func (e *Engine) diskLoad(key Key, lib *liberty.PseudoLib) (res *RepResult, ok bool) {
 	name := entryName(key, lib)
 	data, ok := e.getEntry(name)
@@ -167,26 +179,32 @@ func (e *Engine) diskLoad(key Key, lib *liberty.PseudoLib) (res *RepResult, ok b
 	}
 	res = decodeEntry(data, lib)
 	if res == nil {
-		e.quarantine(name, data)
+		if _, version, intact := openEntry(data); !intact || version == entryVersion {
+			e.quarantine(name, data)
+		}
 		return nil, false
 	}
 	return res, true
 }
 
+// openEntry checks an entry's checksum and magic, returning its body (the
+// bytes the checksum covers) and its entry version.
+func openEntry(data []byte) (body []byte, version uint32, ok bool) {
+	if len(data) < 4+4+checksumSize {
+		return nil, 0, false
+	}
+	body, sum := data[:len(data)-checksumSize], data[len(data)-checksumSize:]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sum) || [4]byte(body[:4]) != entryMagic {
+		return nil, 0, false
+	}
+	return body, binary.LittleEndian.Uint32(body[4:]), true
+}
+
 // decodeEntry parses and validates one entry payload, returning nil on any
 // violation.
 func decodeEntry(data []byte, lib *liberty.PseudoLib) *RepResult {
-	if len(data) < 4+4+4+digestSize+checksumSize {
-		return nil
-	}
-	body, sum := data[:len(data)-checksumSize], data[len(data)-checksumSize:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sum) {
-		return nil
-	}
-	if [4]byte(body[:4]) != entryMagic {
-		return nil
-	}
-	if binary.LittleEndian.Uint32(body[4:]) != entryVersion {
+	body, version, ok := openEntry(data)
+	if !ok || version != entryVersion || len(body) < 4+4+4+digestSize {
 		return nil
 	}
 	graphLen := binary.LittleEndian.Uint32(body[8:])

@@ -217,6 +217,53 @@ func TestDiskCacheCorruptEntriesFallBack(t *testing.T) {
 	}
 }
 
+// TestFormatBumpReplacesEntryInPlace: entry names do not move with the
+// entry format, so an intact entry of the previous entry version sits at
+// the key's real name. Loading it is a plain miss — no quarantine, no I/O
+// error — and the rebuild's write replaces it, under the same name, with
+// the current version's bytes.
+func TestFormatBumpReplacesEntryInPlace(t *testing.T) {
+	dir := t.TempDir()
+	_, tag := populateCache(t, dir, 1)
+	key := Key{Design: tag, Variant: bog.SOG}
+	lib := liberty.DefaultPseudoLib()
+	path := filepath.Join(dir, entryName(key, lib))
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := clone(orig[:len(orig)-checksumSize])
+	binary.LittleEndian.PutUint32(body[4:], entryVersion-1)
+	if err := os.WriteFile(path, sealEntry(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := buildDesign(t)
+	e := New(1).withDir(dir)
+	if _, err := e.EvalRep(key, lib, FixedDesign(d)); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.DiskMisses != 1 || st.Builds != 1 || st.DiskWrites != 1 || st.Quarantined != 0 || st.DiskErrors != 0 {
+		t.Fatalf("stats %+v, want 1 miss / 1 build / 1 write / 0 quarantined / 0 I/O errors", st)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, orig) {
+		t.Fatalf("entry at the key's name is not the current version's (err %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("quarantine/ exists after a plain version miss (err %v)", err)
+	}
+}
+
+// TestEntryNameGolden pins one key's entry name. Names hash a frozen
+// format salt, so neither a format bump nor any other change may move
+// them without this test saying so.
+func TestEntryNameGolden(t *testing.T) {
+	key := Key{Design: DesignTag("golden", "module golden; endmodule\n"), Variant: bog.XAG}
+	const want = "e749cbbf1466b90af26f018a593cb9ee43b73521e6835a77bd285fed0b210416.rep"
+	if got := entryName(key, liberty.DefaultPseudoLib()); got != want {
+		t.Fatalf("entryName = %s, want %s", got, want)
+	}
+}
+
 // TestDiskCacheKeyedByLibrary: a library with different timing must not be
 // served another library's entries.
 func TestDiskCacheKeyedByLibrary(t *testing.T) {

@@ -237,6 +237,28 @@ func TestEditChainsMatchFreshExtractor(t *testing.T) {
 	}
 }
 
+// TestMalformedDeltaRejected: invalid deltas — ids or slots out of range,
+// negative fanins — fail with CheckDelta's clean error, never a panic.
+func TestMalformedDeltaRejected(t *testing.T) {
+	d, src := buildDesign(t)
+	rr, err := New(2).EvalRep(Key{Design: DesignTag(d.Name, src), Variant: bog.AIG}, liberty.DefaultPseudoLib(), FixedDesign(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []bog.Delta{
+		{{Kind: bog.EditSetFanin, Node: -1, Slot: 0, To: 5}},
+		{{Kind: bog.EditSetFanin, Node: 5, Slot: -1, To: 2}},
+		{{Kind: bog.EditSetFanin, Node: bog.NodeID(len(rr.Graph.Nodes) + 7), Slot: 0, To: 2}},
+		{{Kind: bog.EditSetOp, Node: -3, Op: bog.And}},
+		{{Kind: bog.EditInsert, Op: bog.And, Fanin: [3]bog.NodeID{-2, 0, bog.Nil}}},
+	}
+	for i, delta := range bad {
+		if _, err := rr.Edit(delta); err == nil {
+			t.Errorf("malformed delta %d accepted", i)
+		}
+	}
+}
+
 // TestEditIsCachedAndImmutable: repeated Edits with one delta share one
 // derived entry (single computation, hits afterwards, never a Build), the
 // base result is never mutated, and chained edits agree with the combined

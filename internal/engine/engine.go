@@ -23,12 +23,11 @@
 // re-running the forward pass (see diskcache.go for the entry format).
 //
 // Determinism is a hard requirement (tests assert byte-identical results
-// at jobs=1 and jobs=8, sharded against monolithic edits, and warm disk
-// loads against cold builds): tasks write only to their own index of
-// caller-provided slices, every random component is seeded per task, and
-// each build runs one serial forward pass inside one pool task. Design
-// sharding (SetShards) never touches a build; it only changes how edits
-// derive.
+// at jobs=1 and jobs=8, and warm disk loads against cold builds): tasks
+// write only to their own index of caller-provided slices, every random
+// component is seeded per task, and each build runs one serial forward
+// pass inside one pool task. Every edit derives one way: clone,
+// incremental re-time, snapshot.
 package engine
 
 import (
@@ -46,7 +45,6 @@ import (
 	"rtltimer/internal/elab"
 	"rtltimer/internal/features"
 	"rtltimer/internal/liberty"
-	"rtltimer/internal/part"
 	"rtltimer/internal/sta"
 	"rtltimer/internal/verilog"
 )
@@ -132,17 +130,6 @@ type RepResult struct {
 	// loads restore the persisted cone state eagerly.
 	Ext *features.Extractor
 
-	// sh is the shard view of the analysis, set only on results derived
-	// shard-locally: they carry the view forward so an edit chain stays on
-	// the shard-local path. Under an explicit SetShards(k > 1), builds,
-	// disk loads and full-graph derivations carry shLazy instead, and the
-	// view materializes on the first edit that wants it. Both are nil for
-	// monolithic results. When present, Edit routes single-shard deltas to
-	// a shard-local incremental session instead of cloning the whole
-	// design.
-	sh     *sta.ShardedAnalyzer
-	shLazy *lazyShards
-
 	// eng/key tie the result back to its cache slot so Edit can register
 	// delta-derived descendants under delta-derived keys. Results built
 	// outside an engine (nil eng) still support Edit, uncached.
@@ -150,65 +137,15 @@ type RepResult struct {
 	key Key
 }
 
-// lazyShards materializes a result's k-shard view on first use, in two
-// independent steps so each Edit pays only for what it takes: the
-// partition (ownership table, enough to *route*) on the first Edit, and
-// the per-shard analyzers (gathered state vectors, only needed to
-// *derive* shard-locally) on the first edit that actually routes. Builds
-// and warm loads themselves never partition.
-type lazyShards struct {
-	k        int
-	partOnce sync.Once
-	p        *part.Partition
-	saOnce   sync.Once
-	sa       *sta.ShardedAnalyzer
-}
-
-// partition returns the result's shard partition, materializing a lazy
-// one. nil means monolithic. Failures to materialize degrade to
-// monolithic edits rather than errors.
-func (rr *RepResult) partition() *part.Partition {
-	if rr.sh != nil {
-		return rr.sh.P
-	}
-	if rr.shLazy == nil {
-		return nil
-	}
-	rr.shLazy.partOnce.Do(func() {
-		if p, err := part.New(rr.Graph, rr.shLazy.k); err == nil {
-			rr.shLazy.p = p
-		}
-	})
-	return rr.shLazy.p
-}
-
-// sharded returns the result's full per-shard analyzer view,
-// materializing a lazy one. nil means monolithic (or a failed
-// materialization, which degrades to full-graph edits).
-func (rr *RepResult) sharded() *sta.ShardedAnalyzer {
-	if rr.sh != nil {
-		return rr.sh
-	}
-	p := rr.partition()
-	if p == nil {
-		return nil
-	}
-	rr.shLazy.saOnce.Do(func() {
-		if sa, err := sta.NewShardedAnalyzer(rr.An, p); err == nil {
-			rr.shLazy.sa = sa
-		}
-	})
-	return rr.shLazy.sa
-}
-
-// Sharded reports whether this result carries (or will lazily carry) a
-// shard partition, i.e. was evaluated under an explicit SetShards(k > 1).
-func (rr *RepResult) Sharded() bool { return rr.sh != nil || rr.shLazy != nil }
+// Sharded always returns false: no result carries a shard partition. It
+// stays only because perfbench still calls it, and goes once ROADMAP item
+// 2's benchmark PR stops that.
+func (rr *RepResult) Sharded() bool { return false }
 
 // Detached returns a copy of the result severed from its engine cache
 // slot: Edit on the copy always recomputes instead of hitting the
-// delta-keyed memory tier. Shard state is preserved, so benchmarks can
-// measure the real shard-local derivation cost per call.
+// delta-keyed memory tier, so benchmarks can measure the real derivation
+// cost per call.
 func (rr *RepResult) Detached() *RepResult {
 	cp := *rr
 	cp.eng = nil
@@ -372,42 +309,12 @@ func (e *Engine) resolveEdit(ctx context.Context, key Key, base *RepResult, delt
 	return e.await(ctx, ent, existed)
 }
 
-// shardPolicy returns the shard count behind this result's (possibly
-// lazy) shard view: 0 for monolithic results.
-func (rr *RepResult) shardPolicy() int {
-	if rr.sh != nil {
-		return rr.sh.P.K
-	}
-	if rr.shLazy != nil {
-		return rr.shLazy.k
-	}
-	return 0
-}
-
-// derive computes the edited evaluation from the base. When the base is
-// sharded and every node the delta touches is exclusively owned by one
-// shard, the derivation runs through a shard-local incremental session
-// (see shard.go) — re-timing only that shard, and carrying a derived
-// shard view so the next edit in the chain routes the same way.
-// Otherwise (always, at the default policy) it takes the full-graph
-// path: clone, incremental re-timing and snapshot. Either path gives the
-// result a fresh lazy extractor of the edited graph, so a derivation
-// walks no cone unless a caller reads a feature of the result. The
-// full-graph result carries a lazy re-shard under the base's policy, so a
-// chain recovers the shard-local path after a non-routable hop instead of
-// staying monolithic forever. Both paths are bit-identical to a fresh
-// analysis and extractor of the edited graph; the base is never mutated.
+// derive computes the edited evaluation from the base: clone, incremental
+// re-timing and snapshot. The result gets a fresh lazy extractor of the
+// edited graph, so a derivation walks no cone unless a caller reads a
+// feature of the result. It is bit-identical to a fresh analysis and
+// extractor of the edited graph; the base is never mutated.
 func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, error) {
-	if p := rr.partition(); p != nil {
-		if s := rr.routeShard(p, delta); s >= 0 {
-			if sh := rr.sharded(); sh != nil {
-				if eng != nil {
-					eng.shardEdits.Add(1)
-				}
-				return rr.deriveShard(sh, s, delta, key, eng)
-			}
-		}
-	}
 	g := rr.Graph.Clone()
 	load, slew, delay, _ := rr.An.State()
 	inc, err := sta.NewIncrementalFromState(g, rr.An.Lib, load, slew, delay, rr.Arrival)
@@ -418,7 +325,7 @@ func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, 
 		return nil, err
 	}
 	an, arr := inc.Snapshot()
-	res := &RepResult{
+	return &RepResult{
 		Graph:         g,
 		An:            an,
 		Arrival:       arr,
@@ -426,11 +333,7 @@ func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, 
 		Ext:           features.NewExtractor(g, an.At(arr, 0)),
 		eng:           eng,
 		key:           key,
-	}
-	if k := rr.shardPolicy(); k > 1 {
-		res.shLazy = &lazyShards{k: k}
-	}
-	return res, nil
+	}, nil
 }
 
 type repEntry struct {
@@ -469,8 +372,9 @@ type repEntry struct {
 // Edits counts delta-derived evaluations computed by RepResult.Edit
 // (cache misses on edit keys — repeated Edits with the same delta are
 // Hits); an Edit is never a Build, since it clones and incrementally
-// re-times instead of bit-blasting. ShardEdits counts the subset of Edits
-// served by a shard-local incremental session.
+// re-times instead of bit-blasting. ShardEdits is always 0: no edit
+// derives shard-locally. It stays only because perfbench still reads it,
+// and goes once ROADMAP item 2's benchmark PR stops that.
 //
 // The failure counters make degraded paths visible instead of silent:
 // DiskErrors counts real I/O failures (read errors other than not-exist,
@@ -517,15 +421,9 @@ type Engine struct {
 	cacheDir string
 	store    Store
 
-	// shards is the design-sharding policy for edits: 0 or 1 = monolithic
-	// (1 is the default), >1 = shard count of a base's lazy partition. Set
-	// once via SetShards before the engine is shared between goroutines.
-	shards int
-
 	builds      atomic.Int64
 	hits        atomic.Int64
 	edits       atomic.Int64
-	shardEdits  atomic.Int64
 	diskHits    atomic.Int64
 	diskMisses  atomic.Int64
 	diskWrites  atomic.Int64
@@ -557,22 +455,18 @@ func New(jobs int) *Engine {
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		jobs:   jobs,
-		shards: 1,
-		sem:    make(chan struct{}, jobs-1),
-		reps:   map[Key]*repEntry{},
+		jobs: jobs,
+		sem:  make(chan struct{}, jobs-1),
+		reps: map[Key]*repEntry{},
 	}
 }
 
-// ValidateConcurrency checks the user-facing jobs/shards knobs shared by
-// the CLIs and the public Options: both accept 0 (all cores / monolithic)
-// but reject negative values, which would otherwise be silently coerced.
-func ValidateConcurrency(jobs, shards int) error {
+// ValidateConcurrency checks the user-facing jobs knob shared by the CLIs
+// and the daemon: it accepts 0 (all cores) but rejects negative values,
+// which would otherwise be silently coerced.
+func ValidateConcurrency(jobs int) error {
 	if jobs < 0 {
 		return fmt.Errorf("jobs must be >= 0 (0 = all cores), got %d", jobs)
-	}
-	if shards < 0 {
-		return fmt.Errorf("shards must be >= 0 (0 or 1 = monolithic, k > 1 = k shards for edits), got %d", shards)
 	}
 	return nil
 }
@@ -626,26 +520,10 @@ func (e *Engine) SetCacheStore(s Store) {
 // tier was configured with an explicit SetCacheStore).
 func (e *Engine) CacheDir() string { return e.cacheDir }
 
-// SetShards selects the design-sharding policy for edits: 0 and 1 (the
-// default) keep every result monolithic, and k > 1 partitions a base into
-// k register-bounded shards on its first Edit, so single-shard deltas
-// derive through shard-local sessions. Builds and disk loads never
-// partition: they always run the one serial forward pass. Results are
-// bit-identical for every setting; sharding changes how edits derive,
-// never what they compute.
-// Negative values are coerced to 0 so the setter stays total;
-// entry points exposing this knob to users must reject negatives first
-// with ValidateConcurrency (the CLIs and the public Options do). Call
-// before the engine is shared between goroutines.
-func (e *Engine) SetShards(k int) {
-	if k < 0 {
-		k = 0
-	}
-	e.shards = k
-}
-
-// Shards returns the sharding policy (see SetShards).
-func (e *Engine) Shards() int { return e.shards }
+// SetShards does nothing: every edit derives on the full graph. It stays
+// only because perfbench still calls it, and goes once ROADMAP item 2's
+// benchmark PR stops that.
+func (e *Engine) SetShards(int) {}
 
 // ForEach runs fn(0) … fn(n-1) on the bounded pool and waits for all of
 // them. When the pool is saturated — including every nested ForEach once
@@ -784,15 +662,10 @@ func (e *Engine) buildRep(key Key, lib *liberty.PseudoLib, src DesignSource) (*R
 	return res, nil
 }
 
-// adopt binds a built or disk-restored result to this engine:
-// back-references for delta derivation and, under an explicit
-// SetShards(k > 1), a lazy shard view that partitions on the base's first
-// Edit, so neither path pays partitioning up front.
+// adopt binds a built or disk-restored result to this engine: the
+// back-references delta derivation uses to cache what it derives.
 func (e *Engine) adopt(res *RepResult, key Key) *RepResult {
 	res.eng, res.key = e, key
-	if e.shards > 1 {
-		res.shLazy = &lazyShards{k: e.shards}
-	}
 	return res
 }
 
@@ -803,7 +676,6 @@ func (e *Engine) Stats() Stats {
 		Builds:      e.builds.Load(),
 		Hits:        e.hits.Load(),
 		Edits:       e.edits.Load(),
-		ShardEdits:  e.shardEdits.Load(),
 		DiskHits:    e.diskHits.Load(),
 		DiskMisses:  e.diskMisses.Load(),
 		DiskWrites:  e.diskWrites.Load(),

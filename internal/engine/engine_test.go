@@ -2,6 +2,9 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -252,4 +255,211 @@ func TestDesignTagDistinguishesSources(t *testing.T) {
 	if DesignTag("a", "s") != DesignTag("a", "s") {
 		t.Fatal("tag not deterministic")
 	}
+}
+
+// evalAll evaluates every variant of the design on e and returns the
+// results by variant.
+func evalAll(t *testing.T, e *Engine, src DesignSource, tag string) map[bog.Variant]*RepResult {
+	t.Helper()
+	lib := liberty.DefaultPseudoLib()
+	variants := bog.Variants()
+	out := make([]*RepResult, len(variants))
+	err := e.ForEachErr(len(variants), func(vi int) error {
+		rr, rerr := e.EvalRep(Key{Design: tag, Variant: variants[vi]}, lib, src)
+		out[vi] = rr
+		return rerr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := map[bog.Variant]*RepResult{}
+	for vi, v := range variants {
+		m[v] = out[vi]
+	}
+	return m
+}
+
+// SetShards, RepResult.Sharded and Stats.ShardEdits remain only because
+// perfbench still calls them, so at any setting an engine must behave
+// exactly like a default one. The four tests below pin that down for cold
+// builds, disk loads, caches shared across settings and edit chains.
+
+// inertChain returns rr followed by hops derived edits: a fanin re-point,
+// an operator swap and an insert, in turn. The edits are drawn from a
+// per-variant seed, so equal bases get equal chains.
+func inertChain(t *testing.T, rr *RepResult, hops int) []*RepResult {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(rr.Graph.Variant)))
+	chain := []*RepResult{rr}
+	for hop := 0; hop < hops; hop++ {
+		cur := chain[len(chain)-1]
+		next, err := cur.Edit(bog.Delta{chainEdit(cur.Graph, rng, nil, hop%3)})
+		if err != nil {
+			t.Fatalf("hop %d: %v", hop, err)
+		}
+		chain = append(chain, next)
+	}
+	return chain
+}
+
+// TestShardedBuildBitIdentical: at 0, 1 and 4 shards and at jobs 1 and 8,
+// every variant's cold build is bit-identical to a default engine's, and
+// no result reports Sharded.
+func TestShardedBuildBitIdentical(t *testing.T) {
+	d, src := buildDesign(t)
+	tag := DesignTag(d.Name, src)
+	def := evalAll(t, New(1), FixedDesign(d), tag)
+	for _, shards := range []int{0, 1, 4} {
+		for _, jobs := range []int{1, 8} {
+			e := New(jobs)
+			e.SetShards(shards)
+			got := evalAll(t, e, FixedDesign(d), tag)
+			for _, v := range bog.Variants() {
+				requireIdentical(t, def[v], got[v])
+				if got[v].Sharded() {
+					t.Fatalf("shards=%d jobs=%d %v: build reports Sharded", shards, jobs, v)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildsNeverPartition: at 0, 1 and 4 shards, a cold build and then a
+// disk load of the entries it wrote are bit-identical to a default
+// engine's build, the load does zero builds, and no result reports
+// Sharded.
+func TestBuildsNeverPartition(t *testing.T) {
+	d, src := buildDesign(t)
+	tag := DesignTag(d.Name, src)
+	n := int64(len(bog.Variants()))
+	def := evalAll(t, New(2), FixedDesign(d), tag)
+	for _, shards := range []int{0, 1, 4} {
+		dir := t.TempDir()
+		for _, warm := range []bool{false, true} {
+			e := New(2).withDir(dir)
+			e.SetShards(shards)
+			source := FixedDesign(d)
+			if warm {
+				source = failingSource(t)
+			}
+			got := evalAll(t, e, source, tag)
+			if st := e.Stats(); (!warm && st.Builds != n) || (warm && (st.Builds != 0 || st.DiskHits != n)) {
+				t.Fatalf("shards=%d warm=%v: stats %+v, want %d builds or disk hits", shards, warm, st, n)
+			}
+			for _, v := range bog.Variants() {
+				requireIdentical(t, def[v], got[v])
+				if got[v].Sharded() {
+					t.Fatalf("shards=%d warm=%v %v: result reports Sharded", shards, warm, v)
+				}
+			}
+		}
+	}
+}
+
+// TestShardedWarmRunZeroBuilds: the shard setting is not part of a disk
+// entry, so a cache written at one setting serves an engine at another
+// with zero builds and bit-identical results.
+func TestShardedWarmRunZeroBuilds(t *testing.T) {
+	d, src := buildDesign(t)
+	tag := DesignTag(d.Name, src)
+	for name, c := range map[string]struct{ cold, warm int }{
+		"sharded-cache":    {cold: 4, warm: 0},
+		"monolithic-cache": {cold: 1, warm: 4},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cold := New(2).withDir(dir)
+			cold.SetShards(c.cold)
+			coldRes := evalAll(t, cold, FixedDesign(d), tag)
+
+			warm := New(2).withDir(dir)
+			warm.SetShards(c.warm)
+			warmRes := evalAll(t, warm, failingSource(t), tag)
+			st := warm.Stats()
+			if st.Builds != 0 || st.DiskHits != int64(len(bog.Variants())) {
+				t.Fatalf("warm run stats %+v, want 0 builds and %d disk hits", st, len(bog.Variants()))
+			}
+			for _, v := range bog.Variants() {
+				requireIdentical(t, coldRes[v], warmRes[v])
+			}
+		})
+	}
+}
+
+// TestDefaultPolicyEditsMonolithic: at 0, 1 and 4 shards, every hop of a
+// six-hop edit chain is bit-identical to the same hop on a default engine,
+// its arrivals match a fresh analysis of the edited graph, no hop reports
+// Sharded, and every derivation counts as an edit and none as a ShardEdit.
+func TestDefaultPolicyEditsMonolithic(t *testing.T) {
+	const hops = 6
+	d, src := buildDesign(t)
+	tag := DesignTag(d.Name, src)
+	lib := liberty.DefaultPseudoLib()
+	variants := bog.Variants()
+	want := map[bog.Variant][]*RepResult{}
+	for v, rr := range evalAll(t, New(2), FixedDesign(d), tag) {
+		want[v] = inertChain(t, rr, hops)
+	}
+	for _, shards := range []int{0, 1, 4} {
+		e := New(2)
+		e.SetShards(shards)
+		got := evalAll(t, e, FixedDesign(d), tag)
+		for _, v := range variants {
+			for i, rr := range inertChain(t, got[v], hops) {
+				requireIdentical(t, want[v][i], rr)
+				if rr.Sharded() {
+					t.Fatalf("shards=%d %v hop %d: result reports Sharded", shards, v, i)
+				}
+				sameVec(t, fmt.Sprintf("shards=%d %v hop %d arrival", shards, v, i), sta.Analyze(rr.Graph, lib, 0).Arrival, rr.Arrival)
+			}
+		}
+		if st := e.Stats(); st.Edits != hops*int64(len(variants)) || st.ShardEdits != 0 {
+			t.Fatalf("shards=%d: stats %+v, want %d edits and no shard edit", shards, st, hops*len(variants))
+		}
+	}
+}
+
+// TestDropKeepsDiskEntryWarm (Retain/Drop x disk tier): dropping a design
+// from the memory tier must not delete its on-disk entry, and the next
+// evaluation after Drop or Retain must warm-load instead of rebuilding.
+func TestDropKeepsDiskEntryWarm(t *testing.T) {
+	d, src := buildDesign(t)
+	tag := DesignTag(d.Name, src)
+	dir := t.TempDir()
+	e := New(2).withDir(dir)
+	lib := liberty.DefaultPseudoLib()
+	key := Key{Design: tag, Variant: bog.AIG}
+
+	cold, err := e.EvalRep(key, lib, FixedDesign(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Builds != 1 || st.DiskWrites != 1 {
+		t.Fatalf("cold stats %+v, want one build persisted", st)
+	}
+
+	e.Drop(tag)
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) == 0 {
+		t.Fatalf("Drop removed the on-disk entry (dir: %v, err: %v)", ents, err)
+	}
+	after, err := e.EvalRep(key, lib, failingSource(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if st.Builds != 1 || st.DiskHits != 1 {
+		t.Fatalf("post-Drop stats %+v, want a warm load and no new build", st)
+	}
+	requireIdentical(t, cold, after)
+
+	e.Retain() // keep nothing
+	again, err := e.EvalRep(key, lib, failingSource(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = e.Stats()
+	if st.Builds != 1 || st.DiskHits != 2 {
+		t.Fatalf("post-Retain stats %+v, want a second warm load and no new build", st)
+	}
+	requireIdentical(t, cold, again)
 }

@@ -31,12 +31,6 @@ type Config struct {
 	Seed  int64
 	// Jobs bounds the evaluation engine's concurrency (0 = GOMAXPROCS).
 	Jobs int
-	// Shards is the engine's register-bounded design-sharding policy for
-	// edits: 0 (the default) and 1 keep every design monolithic, k > 1
-	// partitions a design into k shards on its first edit. Builds always
-	// run one serial forward pass. Results are bit-identical for every
-	// setting.
-	Shards int
 	// CacheDir enables the engine's persistent on-disk representation
 	// cache ("" = memory only): repeated experiment runs then skip
 	// bit-blasting and the forward STA pass for every unchanged design.
@@ -73,7 +67,6 @@ func NewSuite(cfg Config) *Suite {
 		cfg.Folds = 10
 	}
 	eng := engine.New(cfg.Jobs)
-	eng.SetShards(cfg.Shards)
 	if cfg.CacheDir != "" {
 		eng.SetCacheDir(cfg.CacheDir)
 	}

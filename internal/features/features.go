@@ -120,9 +120,20 @@ func NewExtractorFromState(g *bog.Graph, r *sta.Result, cones []sta.ConeInfo, ra
 	return e, nil
 }
 
+// countCells counts register bits and combinational operators in one pass
+// over the nodes, with the op sets of Graph.SeqNodes and Graph.CombNodes.
 func (e *Extractor) countCells() {
-	e.seqCells = float64(e.G.SeqNodes())
-	e.combCells = float64(e.G.CombNodes())
+	seq, comb := 0, 0
+	for i := range e.G.Nodes {
+		switch e.G.Nodes[i].Op {
+		case bog.RegQ:
+			seq++
+		case bog.Not, bog.And, bog.Or, bog.Xor, bog.Mux:
+			comb++
+		}
+	}
+	e.seqCells = float64(seq)
+	e.combCells = float64(comb)
 	e.total = e.seqCells + e.combCells
 }
 

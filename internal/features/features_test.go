@@ -139,8 +139,10 @@ func TestCorrelationsAgainstPseudoLabels(t *testing.T) {
 	_ = ext.Correlations(labels)
 }
 
+// TestDesignVector: the design features are the logs of the graph's
+// register, combinational and total cell counts, bit for bit.
 func TestDesignVector(t *testing.T) {
-	_, _, ext := setup(t)
+	g, _, ext := setup(t)
 	dv := ext.DesignVector()
 	if len(dv) != 3 {
 		t.Fatalf("design vector: %v", dv)
@@ -148,6 +150,12 @@ func TestDesignVector(t *testing.T) {
 	for _, v := range dv {
 		if v <= 0 {
 			t.Errorf("design feature %f should be positive", v)
+		}
+	}
+	seq, comb := float64(g.SeqNodes()), float64(g.CombNodes())
+	for i, want := range []float64{log1p(seq), log1p(comb), log1p(seq + comb)} {
+		if math.Float64bits(dv[i]) != math.Float64bits(want) {
+			t.Errorf("design feature %d = %v, want %v", i, dv[i], want)
 		}
 	}
 }

@@ -71,15 +71,8 @@ type Report struct {
 	Tried    int       // candidate rewrites evaluated
 	Applied  int       // rewrites kept
 	Delta    bog.Delta // accepted edits in application order, replayable on the base graph
-	// Steps holds the same accepted edits as Delta, one entry per kept
-	// rewrite. OptimizeRep replays them hop by hop on sharded bases: each
-	// rewrite touches one path — usually one shard's owned cone — so the
-	// chain stays on the engine's shard-local derivation path, where the
-	// concatenated Delta would pool edits across shards and force one
-	// full-graph derivation.
-	Steps   []bog.Delta
-	Retimed int64 // per-node arrival recomputes the search consumed
-	Nodes   int   // graph size, for cone-vs-design comparisons
+	Retimed  int64     // per-node arrival recomputes the search consumed
+	Nodes    int       // graph size, for cone-vs-design comparisons
 }
 
 // Optimize runs the greedy reassociation search on a live incremental
@@ -190,7 +183,6 @@ func tryRebalance(inc *sta.Incremental, rep *Report, n bog.NodeID, period, curWN
 		if strictly || neutral {
 			rep.Applied++
 			rep.Delta = append(rep.Delta, delta...)
-			rep.Steps = append(rep.Steps, delta)
 			return true, after.WNS, after.TNS
 		}
 		if _, err := inc.Apply(undo); err != nil {
@@ -221,13 +213,9 @@ func DefaultPeriod(rr *engine.RepResult) float64 {
 // edits are then re-derived through the engine's delta-keyed cache
 // (RepResult.Edit) — concurrent or repeated optimizations of the same
 // base share the derived entries, and warm sessions that restored the
-// base from disk rebase the same edits. On a sharded base the accepted
-// rewrites replay as a chain of per-rewrite Edits (Report.Steps): each
-// hop touches one shard's owned cone, so the whole chain rides the
-// shard-local incremental path and carries its shard view forward;
-// monolithic bases replay the concatenated delta in one hop as before.
-// The derived result must agree with the search session bit-for-bit; any
-// divergence is reported as an error rather than silently returned.
+// base from disk rebase the same edits. The derived result must agree
+// with the search session bit-for-bit; any divergence is reported as an
+// error rather than silently returned.
 func OptimizeRep(rr *engine.RepResult, cfg Config) (*Report, *engine.RepResult, error) {
 	if cfg.Period <= 0 {
 		cfg.Period = DefaultPeriod(rr)
@@ -242,14 +230,8 @@ func OptimizeRep(rr *engine.RepResult, cfg Config) (*Report, *engine.RepResult, 
 	if err != nil {
 		return nil, nil, err
 	}
-	drr := rr
-	if rr.Sharded() && len(rep.Steps) > 1 {
-		for _, step := range rep.Steps {
-			if drr, err = drr.Edit(step); err != nil {
-				return nil, nil, err
-			}
-		}
-	} else if drr, err = rr.Edit(rep.Delta); err != nil {
+	drr, err := rr.Edit(rep.Delta)
+	if err != nil {
 		return nil, nil, err
 	}
 	got, want := drr.Arrival, inc.Arrivals()

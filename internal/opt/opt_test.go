@@ -132,79 +132,6 @@ func TestOptimizeRejectsBadPeriod(t *testing.T) {
 	}
 }
 
-// TestOptimizeRepShardedChain: on a sharded base OptimizeRep replays the
-// accepted rewrites as a chain of per-rewrite Edits (one derivation per
-// hop) whose final result is bit-identical to the monolithic single-delta
-// replay; Report.Steps concatenates back to Report.Delta exactly.
-func TestOptimizeRepShardedChain(t *testing.T) {
-	lib := liberty.DefaultPseudoLib()
-	for idx := range designs.All() {
-		for _, v := range bog.Variants() {
-			spec := designs.All()[idx]
-			src := designs.Generate(spec)
-			key := engine.Key{Design: engine.DesignTag(spec.Name, src), Variant: v}
-
-			mono := engine.New(1)
-			mrr, err := mono.EvalRep(key, lib, engine.LazyDesign(src))
-			if err != nil {
-				t.Fatal(err)
-			}
-			mrep, mdrr, err := OptimizeRep(mrr, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(mrep.Steps) != mrep.Applied {
-				t.Fatalf("%s/%v: %d steps for %d accepted rewrites", spec.Name, v, len(mrep.Steps), mrep.Applied)
-			}
-			var cat bog.Delta
-			for _, s := range mrep.Steps {
-				cat = append(cat, s...)
-			}
-			if len(cat) != len(mrep.Delta) {
-				t.Fatalf("%s/%v: steps concatenate to %d edits, delta has %d", spec.Name, v, len(cat), len(mrep.Delta))
-			}
-			for i := range cat {
-				if cat[i] != mrep.Delta[i] {
-					t.Fatalf("%s/%v: step edit %d differs from delta", spec.Name, v, i)
-				}
-			}
-			if len(mrep.Steps) < 2 {
-				continue // need an actual chain for the sharded half
-			}
-
-			sharded := engine.New(2)
-			sharded.SetShards(4)
-			srr, err := sharded.EvalRep(key, lib, engine.LazyDesign(src))
-			if err != nil {
-				t.Fatal(err)
-			}
-			srep, sdrr, err := OptimizeRep(srr, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(srep.Steps) != len(mrep.Steps) {
-				t.Fatalf("%s/%v: sharded search found %d rewrites, monolithic %d", spec.Name, v, len(srep.Steps), len(mrep.Steps))
-			}
-			// One derivation per hop, every hop a cache miss the first time.
-			st := sharded.Stats()
-			if st.Edits != int64(len(srep.Steps)) {
-				t.Fatalf("%s/%v: stats %+v, want %d chained derivations", spec.Name, v, st, len(srep.Steps))
-			}
-			t.Logf("%s/%v: %d-hop chain, %d shard-local", spec.Name, v, st.Edits, st.ShardEdits)
-			if len(mdrr.Arrival) != len(sdrr.Arrival) {
-				t.Fatalf("%s/%v: derived arrival lengths differ", spec.Name, v)
-			}
-			for i := range mdrr.Arrival {
-				if math.Float64bits(mdrr.Arrival[i]) != math.Float64bits(sdrr.Arrival[i]) {
-					t.Fatalf("%s/%v: chained derivation diverges from monolithic at node %d", spec.Name, v, i)
-				}
-			}
-			return
-		}
-	}
-	t.Skip("no seed design produced a 2+ rewrite chain")
-}
-
 // TestOptimizeDeterministic: two runs from the same base produce the same
 // delta and the same timing, and the second derivation is served from the
 // engine's delta cache.

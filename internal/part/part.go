@@ -42,10 +42,12 @@
 // Ownership: a node covered by exactly one shard is "owned" by it.
 // Because cones are fanin-closed, ownership is closed downstream — every
 // transitive consumer of an owned node lives in the same shard, and so
-// does every endpoint the node can reach. That closure is the soundness
-// basis for shard-local incremental re-timing in the engine: an edit
-// whose touched nodes are all owned by one shard cannot change any
-// timing value outside it.
+// does every endpoint the node can reach, so an edit whose touched nodes
+// are all owned by one shard cannot change any timing value outside it.
+//
+// Nothing in the engine partitions any more: the package stays only
+// because perfbench still calls New and Auto, and goes once ROADMAP item
+// 2's benchmark PR stops that.
 package part
 
 import (
@@ -129,8 +131,6 @@ const unowned int32 = -2
 // Owner returns the shard exclusively covering global node n, or Shared.
 // Ids outside the partitioned graph — nodes that do not exist (yet) —
 // are Shared: the caller cannot assume anything about their placement.
-// Partitions derived for edited graphs (WithEditedShard) extend the
-// table instead, so inserted nodes report the shard that owns them.
 func (p *Partition) Owner(n bog.NodeID) int32 {
 	if n < 0 || int(n) >= len(p.owner) || p.owner[n] < 0 {
 		return Shared
@@ -663,34 +663,4 @@ func build(g *bog.Graph, k int, pack func(*bog.Graph, []root, int, int) *packing
 		p.Shards[s].Graph = sub
 	}
 	return p, nil
-}
-
-// WithEditedShard returns the partition of an edited graph derived from p
-// by a delta confined to shard s (every touched node exclusively owned by
-// s): g2 is the edited full graph, local the edited shard subgraph (its
-// first len(p.Shards[s].Nodes) nodes correspond 1:1 to the base shard's),
-// and inserted the number of nodes the delta appended — locally and
-// globally in lockstep. Inserted nodes are covered only by shard s, so s
-// owns them; every other shard, the endpoint assignment and the ownership
-// of pre-existing nodes carry over unchanged (ownership closure
-// guarantees the edit changed nothing outside s, and coverage sets are
-// untouched). The result is a valid Partition of g2: shard s's subgraph
-// is the session's edited graph, which is fanin-closed because routing
-// only admitted targets inside s.
-func (p *Partition) WithEditedShard(g2 *bog.Graph, s int, local *bog.Graph, inserted int) *Partition {
-	n0 := len(p.owner)
-	owner := make([]int32, n0+inserted)
-	copy(owner, p.owner)
-	for i := 0; i < inserted; i++ {
-		owner[n0+i] = int32(s)
-	}
-	shards := make([]Shard, len(p.Shards))
-	copy(shards, p.Shards)
-	nodes := make([]bog.NodeID, len(p.Shards[s].Nodes), len(p.Shards[s].Nodes)+inserted)
-	copy(nodes, p.Shards[s].Nodes)
-	for i := 0; i < inserted; i++ {
-		nodes = append(nodes, bog.NodeID(n0+i))
-	}
-	shards[s] = Shard{Graph: local, Nodes: nodes, Endpoints: p.Shards[s].Endpoints}
-	return &Partition{G: g2, K: p.K, Shards: shards, owner: owner}
 }

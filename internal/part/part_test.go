@@ -253,9 +253,7 @@ func TestReplicationExcludesConstants(t *testing.T) {
 
 // TestOwnerOutOfRange pins the fallback contract of satellite 2: ids the
 // partitioned graph does not contain — negative, bog.Nil, or beyond the
-// node count — report Shared instead of panicking or aliasing a shard,
-// so callers routing edits must treat unknown nodes as unroutable unless
-// a derived partition (WithEditedShard) explicitly extends the table.
+// node count — report Shared instead of panicking or aliasing a shard.
 func TestOwnerOutOfRange(t *testing.T) {
 	g := randomGraph(bog.XAG, 3)
 	p, err := New(g, 4)
@@ -266,56 +264,6 @@ func TestOwnerOutOfRange(t *testing.T) {
 		if o := p.Owner(id); o != Shared {
 			t.Fatalf("Owner(%d) = %d, want Shared", id, o)
 		}
-	}
-}
-
-// TestWithEditedShardExtendsOwnership: a derived partition owns the
-// inserted nodes in the edited shard, keeps every pre-existing ownership,
-// and still reports Shared beyond the new node count.
-func TestWithEditedShardExtendsOwnership(t *testing.T) {
-	g := randomGraph(bog.AIMG, 9)
-	p, err := New(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := 0
-	g2 := g.Clone()
-	local := p.Shards[s].Graph.Clone()
-	// Structure does not matter for the ownership table; grow both graphs
-	// by two nodes in lockstep the way a routed insert delta would.
-	delta := bog.Delta{bog.InsertEdit(bog.Not, 0, bog.Nil, bog.Nil)}
-	if _, err := g2.Apply(delta); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g2.Apply(delta); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := local.Apply(delta); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := local.Apply(delta); err != nil {
-		t.Fatal(err)
-	}
-	p2 := p.WithEditedShard(g2, s, local, 2)
-	n0 := len(g.Nodes)
-	for i := 0; i < 2; i++ {
-		if o := p2.Owner(bog.NodeID(n0 + i)); o != int32(s) {
-			t.Fatalf("inserted node %d owned by %d, want shard %d", n0+i, o, s)
-		}
-	}
-	for i := range g.Nodes {
-		if p.Owner(bog.NodeID(i)) != p2.Owner(bog.NodeID(i)) {
-			t.Fatalf("pre-existing node %d changed owner across WithEditedShard", i)
-		}
-	}
-	if o := p2.Owner(bog.NodeID(n0 + 2)); o != Shared {
-		t.Fatalf("Owner beyond the edited graph = %d, want Shared", o)
-	}
-	if got := len(p2.Shards[s].Nodes); got != len(p.Shards[s].Nodes)+2 {
-		t.Fatalf("edited shard node map has %d entries, want %d", got, len(p.Shards[s].Nodes)+2)
-	}
-	if p2.Shards[s].LocalID(bog.NodeID(n0+1)) != bog.NodeID(len(p.Shards[s].Nodes)+1) {
-		t.Fatal("LocalID of an inserted node does not map to its appended local slot")
 	}
 }
 

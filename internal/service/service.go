@@ -40,7 +40,6 @@ import (
 // request deadline, no session cap or reaping.
 type Config struct {
 	Jobs      int    // evaluation workers (0 = all cores)
-	Shards    int    // register-bounded shards for session edits (0 or 1 = monolithic)
 	CacheDir  string // persistent representation cache (empty = memory only)
 	MemBudget int64  // approximate resident bytes for the memory tier (0 = unlimited)
 	ModelPath string // saved model enabling Annotate (empty = Annotate errors)
@@ -113,14 +112,13 @@ type session struct {
 // given), sessions empty. Errors are configuration errors — a negative
 // limit, a bad cache dir, an unloadable model.
 func New(cfg Config) (*Service, error) {
-	if err := engine.ValidateConcurrency(cfg.Jobs, cfg.Shards); err != nil {
+	if err := engine.ValidateConcurrency(cfg.Jobs); err != nil {
 		return nil, err
 	}
 	if err := validateLimits(cfg); err != nil {
 		return nil, err
 	}
 	eng := engine.New(cfg.Jobs)
-	eng.SetShards(cfg.Shards)
 	if cfg.CacheDir != "" {
 		if err := os.MkdirAll(cfg.CacheDir, 0o755); err != nil {
 			return nil, fmt.Errorf("service: cache dir: %w", err)

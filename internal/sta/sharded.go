@@ -15,8 +15,7 @@ import (
 // the timing they have in the monolithic analysis. One ShardArrivals call
 // is a plain serial forward pass over one shard; shards are mutually
 // independent (combinational cones never cross a shard boundary), so a
-// caller may run them in any order or concurrently — the engine fans them
-// out on its worker pool — and Stitch scatters the local vectors back
+// caller may run them in any order or concurrently, and Stitch scatters the local vectors back
 // into canonical node order.
 //
 // The stitched vector is bit-identical to Analyzer.Arrivals: per node,
@@ -25,7 +24,9 @@ import (
 // a node in different shards therefore compute identical bits.
 //
 // A ShardedAnalyzer is immutable after construction and safe for
-// concurrent use.
+// concurrent use. Neither builds nor edits run it any more: it stays only
+// because perfbench still calls NewShardedAnalyzer, ShardArrivals and
+// Stitch, and goes once ROADMAP item 2's benchmark PR stops that.
 type ShardedAnalyzer struct {
 	An *Analyzer
 	P  *part.Partition
@@ -95,10 +96,6 @@ func NewShardedAnalyzer(an *Analyzer, p *part.Partition) (*ShardedAnalyzer, erro
 // NumShards returns the partition's shard count.
 func (sa *ShardedAnalyzer) NumShards() int { return sa.P.K }
 
-// ShardAnalyzer returns shard i's analyzer (global static state gathered
-// into local node order).
-func (sa *ShardedAnalyzer) ShardAnalyzer(i int) *Analyzer { return sa.shards[i] }
-
 // ShardArrivals runs shard i's serial forward pass and returns the local
 // arrival vector (indexed by shard-local node id).
 func (sa *ShardedAnalyzer) ShardArrivals(i int) []float64 {
@@ -132,36 +129,4 @@ func (sa *ShardedAnalyzer) Stitch(locals [][]float64) ([]float64, error) {
 		}
 	}
 	return arr, nil
-}
-
-// WithEditedShard returns the sharded view of an analysis derived from sa
-// by an edit confined to shard s: an2 is the derived global analyzer, p2
-// the derived partition (part.Partition.WithEditedShard), local the
-// analyzer over the edited shard subgraph carrying the shard's updated
-// static state, and inserted the number of nodes the edit appended.
-// Every other shard's analyzer, the scatter write sets and the fill list
-// carry over unchanged — ownership closure guarantees the edit changed no
-// load, slew, delay or arrival outside shard s, so the sibling shards'
-// gathered state still equals the derived global state on their nodes.
-// Inserted nodes extend shard s's write set (they are covered by s
-// alone), keeping the scatter total over the derived graph. This is what
-// lets a *chain* of shard-routed edits keep a live sharded view without
-// ever re-partitioning or re-gathering the untouched shards.
-func (sa *ShardedAnalyzer) WithEditedShard(an2 *Analyzer, p2 *part.Partition, s int, local *Analyzer, inserted int) *ShardedAnalyzer {
-	shards := make([]*Analyzer, len(sa.shards))
-	copy(shards, sa.shards)
-	shards[s] = local
-	writes := sa.writes
-	if inserted > 0 {
-		writes = make([][]int32, len(sa.writes))
-		copy(writes, sa.writes)
-		nL := len(sa.P.Shards[s].Nodes)
-		w := make([]int32, len(sa.writes[s]), len(sa.writes[s])+inserted)
-		copy(w, sa.writes[s])
-		for i := 0; i < inserted; i++ {
-			w = append(w, int32(nL+i))
-		}
-		writes[s] = w
-	}
-	return &ShardedAnalyzer{An: an2, P: p2, shards: shards, writes: writes, fill: sa.fill}
 }

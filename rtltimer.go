@@ -46,12 +46,6 @@ type Options struct {
 	// Jobs bounds the evaluation engine's concurrency (0 = GOMAXPROCS).
 	// Results are identical for every jobs value.
 	Jobs int
-	// Shards selects the engine's register-bounded design sharding for
-	// edits: 0 (the default) and 1 keep every design monolithic, and k > 1
-	// partitions a design into k shards on its first edit. Builds always
-	// run one serial forward STA pass. Results are byte-identical for
-	// every setting.
-	Shards int
 	// CacheDir enables the persistent on-disk representation cache
 	// ("" = memory only): training and prediction then warm-start by
 	// deserializing each design's graphs and timing state instead of
@@ -99,16 +93,10 @@ func TrainBenchmarkPredictor(opts Options) (*Predictor, error) {
 		}
 		specs = append(specs, s)
 	}
-	// Jobs < 1 has always meant "all cores" (engine.New); only a negative
-	// shard count is a real request error.
-	if err := engine.ValidateConcurrency(0, opts.Shards); err != nil {
-		return nil, fmt.Errorf("rtltimer: %w", err)
-	}
 	if err := dataset.ValidatePeriod(opts.Period); err != nil {
 		return nil, fmt.Errorf("rtltimer: %w", err)
 	}
 	eng := engine.New(opts.Jobs)
-	eng.SetShards(opts.Shards)
 	if opts.CacheDir != "" {
 		eng.SetCacheDir(opts.CacheDir)
 	}
@@ -297,11 +285,6 @@ type RewriteOptions struct {
 	Passes int
 	// Jobs bounds the evaluation engine's concurrency (0 = GOMAXPROCS).
 	Jobs int
-	// Shards selects register-bounded design sharding (see
-	// Options.Shards): 0 or 1 = monolithic, k > 1 = k shards, partitioned
-	// on a representation's first edit. Single-shard winning deltas then
-	// re-derive through shard-local incremental sessions.
-	Shards int
 	// CacheDir enables the persistent representation cache ("" = memory
 	// only); a warm cache skips the Verilog frontend and every base
 	// timing pass — the search then rebases its deltas on the restored
@@ -337,11 +320,7 @@ type RewriteReport struct {
 // for every Jobs value. A design without timing endpoints (no registers
 // or outputs to constrain) yields zeroed reports with no edits tried.
 func ExploreRewrites(src string, opts RewriteOptions) ([]RewriteReport, error) {
-	if err := engine.ValidateConcurrency(0, opts.Shards); err != nil {
-		return nil, fmt.Errorf("rtltimer: %w", err)
-	}
 	eng := engine.New(opts.Jobs)
-	eng.SetShards(opts.Shards)
 	if opts.CacheDir != "" {
 		eng.SetCacheDir(opts.CacheDir)
 	}
