@@ -382,7 +382,7 @@ func BenchmarkShardedSTAOverlapAware(b *testing.B) { benchShardedSTA(b, part.New
 func BenchmarkShardedSTAGreedy(b *testing.B) { benchShardedSTA(b, part.NewGreedy) }
 
 // sweepPeriods is the clock-period grid of BenchmarkSweepEngine (a
-// typical fmax-search / WNS-vs-clock workload).
+// typical WNS-vs-clock workload).
 var sweepPeriods = []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 
 // BenchmarkSweepEngine is the CLI -sweep workload through the engine: one
@@ -1001,8 +1001,9 @@ func BenchmarkDaemonWarmSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkDaemonWarmFmax is the warm /fmax round trip: one bisection per
-// variant, rendered as the CLI's text.
+// BenchmarkDaemonWarmFmax is the warm /fmax round trip: one closed-form
+// critical period (an endpoint pass plus one Summary check) per variant,
+// rendered as the CLI's text.
 func BenchmarkDaemonWarmFmax(b *testing.B) {
 	benchDaemonWarm(b, "/fmax", service.FmaxRequest{
 		Design: service.DesignRef{Bench: "syscdes"},

@@ -2,19 +2,17 @@
 // repository: it runs the internal/lint analyzers (adhocgo, floatorder,
 // maporder, nondeterm) that mechanically enforce the engine's contracts.
 //
-// Two modes:
+// Usage:
 //
-//	rtllint [dir]            standalone: lint the module rooted at dir
-//	                         (default: the module containing the current
-//	                         directory), including stale-suppression
-//	                         detection over lint.allow.
+//	rtllint [dir]   lint the module rooted at dir (default: the module
+//	                containing the current directory), including
+//	                stale-suppression detection over lint.allow; a
+//	                trailing "/..." (as in ./...) is accepted and ignored.
 //
-//	go vet -vettool=$(which rtllint) ./...
-//	                         vet plugin: cmd/go invokes rtllint once per
-//	                         package with a vet.cfg file; see
-//	                         internal/lint/unitchecker.
+// rtllint takes no flags: an argument starting with "-" is a usage error.
+// It is not a `go vet -vettool` plugin, so such a run fails at once.
 //
-// Exit status: 0 clean, 1 operational error, 2 findings.
+// Exit status: 0 clean, 1 usage or operational error, 2 findings.
 //
 // Suppressions live exclusively in lint.allow at the module root
 // (`<analyzer> <file> <func> # justification`); there are no inline
@@ -22,9 +20,7 @@
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,38 +29,21 @@ import (
 	"rtltimer/internal/lint/driver"
 	"rtltimer/internal/lint/load"
 	"rtltimer/internal/lint/rtllint"
-	"rtltimer/internal/lint/unitchecker"
 )
 
 func main() {
-	args := os.Args[1:]
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			printVersion()
-			return
-		case "-flags", "--flags":
-			// cmd/go queries the tool's flag set to know what it may pass
-			// through; the suite is deliberately configuration-free.
-			fmt.Println("[]")
-			return
-		}
-	}
-	// cmd/go invokes the tool as `rtllint [flags] <objdir>/vet.cfg`.
-	if len(args) > 0 && strings.HasSuffix(args[len(args)-1], ".cfg") {
-		os.Exit(unitchecker.Run(args[len(args)-1], rtllint.Analyzers()))
-	}
-	os.Exit(standalone(args))
+	os.Exit(standalone(os.Args[1:]))
 }
 
-// standalone lints a whole module tree from source. Patterns beyond an
-// optional root directory are not needed: the suite is repo-scoped by
-// design.
+// standalone lints a whole module tree from source and returns the exit
+// status. Patterns beyond an optional root directory are not needed: the
+// suite is repo-scoped by design.
 func standalone(args []string) int {
 	root := "."
 	for _, a := range args {
-		if strings.HasPrefix(a, "-") || a == "./..." {
-			continue // ignore flags and the conventional all-packages pattern
+		if strings.HasPrefix(a, "-") {
+			fmt.Fprintf(os.Stderr, "rtllint: unknown flag %s\nusage: rtllint [dir]\n", a)
+			return 1
 		}
 		root = strings.TrimSuffix(a, "/...")
 	}
@@ -125,27 +104,4 @@ func findModuleRoot(dir string) (string, error) {
 		}
 		dir = parent
 	}
-}
-
-// printVersion implements the `-V=full` handshake cmd/go uses to compute
-// the vet tool's cache key: the reported buildID must change whenever the
-// binary does, so the executable's own hash is the honest answer.
-func printVersion() {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rtllint:", err)
-		os.Exit(1)
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rtllint:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintln(os.Stderr, "rtllint:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", exe, h.Sum(nil)[:12])
 }

@@ -6,9 +6,10 @@
 //
 // It also exposes the period-free representation cache directly as a
 // frequency-exploration workload: -sweep produces a WNS/TNS-vs-period
-// curve and -fmax binary-searches the maximum frequency, both from a
-// single bit-blast + forward pass per BOG variant (arrival times are
-// period-free; each period only pays the endpoint slack loop). -optimize
+// curve and -fmax reports the maximum frequency, both from a single
+// bit-blast + forward pass per BOG variant (arrival times are period-free;
+// each period only pays the endpoint slack loop, and the critical period
+// is the worst endpoint arrival plus setup, in closed form). -optimize
 // runs the incremental-STA reassociation loop on every representation:
 // each trial edit re-times only its downstream cone through
 // sta.Incremental, and the winning delta is re-derived through the
@@ -64,7 +65,7 @@ func main() {
 	saveModel := flag.String("save-model", "", "save the trained model to this file")
 	loadModel := flag.String("load-model", "", "load a previously saved model instead of training")
 	sweep := flag.String("sweep", "", "pseudo-STA period sweep lo:hi:steps (ns), e.g. 0.3:0.9:13")
-	fmax := flag.Bool("fmax", false, "binary-search the maximum pseudo-STA frequency")
+	fmax := flag.Bool("fmax", false, "report the maximum pseudo-STA frequency (closed-form critical period)")
 	optimize := flag.Bool("optimize", false, "run the incremental-STA reassociation optimizer on every representation")
 	optPasses := flag.Int("opt-passes", 4, "greedy passes of the -optimize loop")
 	cacheDir := flag.String("cache-dir", "", "persistent representation cache directory (empty = memory only)")

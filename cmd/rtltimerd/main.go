@@ -4,7 +4,7 @@
 // a bit-blast per call. Where the one-shot rtltimer CLI rebuilds (or
 // reloads from -cache-dir) its representations every invocation, the
 // daemon pays the build once and serves every subsequent query — a sweep,
-// an fmax search, an edit-chain what-if — from the period-free arrival
+// an fmax query, an edit-chain what-if — from the period-free arrival
 // vectors already in memory.
 //
 // Endpoints (POST JSON unless noted):
@@ -12,8 +12,8 @@
 //	/eval          single-period WNS/TNS per BOG variant
 //	/sweep         WNS/TNS-vs-period curve; "text" is byte-identical to
 //	               `rtltimer -sweep` for the same design
-//	/fmax          binary-searched maximum frequency; "text" matches
-//	               `rtltimer -fmax`
+//	/fmax          maximum frequency from the closed-form critical period;
+//	               "text" matches `rtltimer -fmax`
 //	/annotate      model-predicted slack annotations (requires -model)
 //	/session/open  open an edit session on one (design, variant)
 //	/session/edit  apply one edit batch (maps 1:1 onto RepResult.Edit)

@@ -66,7 +66,7 @@ func Build(d *elab.Design, v Variant) (*Graph, error) {
 	// The index only serves construction. Dropping it keeps resident
 	// graphs at their node arrays; raw leaves every hashed structure
 	// exactly once, so a later rebuild yields the same dedup.
-	b.g.index, b.g.indexed = nil, 0
+	b.g.dropIndex()
 	return b.g, nil
 }
 

@@ -2,7 +2,6 @@ package bog
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"rtltimer/internal/elab"
@@ -346,25 +345,5 @@ endmodule`
 	}
 	if regEPs != 2 || poEPs != 2 {
 		t.Errorf("endpoints: %d reg, %d po", regEPs, poEPs)
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	d := mustDesign(t, `module dotm(input clk, input [1:0] a, output [1:0] o);
-  reg [1:0] r;
-  always @(posedge clk) r <= a ^ {a[0], a[1]};
-  assign o = r;
-endmodule`)
-	g, err := Build(d, SOG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := g.WriteDOT(-1)
-	if !strings.Contains(full, "digraph") || !strings.Contains(full, "->") {
-		t.Errorf("bad DOT output: %s", full)
-	}
-	cone := g.WriteDOT(0)
-	if len(cone) >= len(full) {
-		t.Error("cone-restricted DOT should be smaller than the full graph")
 	}
 }

@@ -127,9 +127,10 @@ type Endpoint struct {
 // Graph is a bit-level Boolean operator graph.
 //
 // Only a graph under construction carries a structural-hash index, which
-// the gate constructors use to dedup: Build drops it before returning, and
-// Clone and UnmarshalGraph never make one. The first structural
-// construction on such a graph rebuilds it from the node array.
+// the gate constructors use to dedup: Build drops it before returning,
+// every edit (SetFanin, SetOp, InsertNode) drops it, and Clone and
+// UnmarshalGraph never make one. The first structural construction on
+// such a graph rebuilds it from the node array.
 type Graph struct {
 	Design    string
 	Variant   Variant
@@ -279,8 +280,8 @@ func (g *Graph) raw(n Node) NodeID {
 
 // rebuildHash reconstructs the structural-hash index from the node array,
 // keeping the first occurrence of each structure, so construction on a
-// built, decoded or freshly cloned graph dedups exactly as it did during
-// the build.
+// built, decoded or cloned graph dedups exactly as it did during the
+// build, and on an edited graph as it would on its clone.
 func (g *Graph) rebuildHash() {
 	size := minIndexSlots
 	for 3*size < 4*len(g.Nodes) {
@@ -446,9 +447,6 @@ func (g *Graph) MuxOf(sel, t, e NodeID) NodeID {
 
 // XnorOf builds XNOR(a, b).
 func (g *Graph) XnorOf(a, b NodeID) NodeID { return g.NotOf(g.XorOf(a, b)) }
-
-// NandOf builds NAND(a, b).
-func (g *Graph) NandOf(a, b NodeID) NodeID { return g.NotOf(g.AndOf(a, b)) }
 
 // FanoutCounts returns the fanout count of every node.
 func (g *Graph) FanoutCounts() []int32 {

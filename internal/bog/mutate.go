@@ -12,12 +12,13 @@
 //     every forward pass stays a single sweep in id order;
 //   - variant alphabet: an edit can only introduce operators the graph's
 //     variant allows;
-//   - structural-hash consistency: the dedup index is maintained through
-//     every mutation — an index entry always describes its node's current
-//     structure, never a stale one. Edits may create duplicate structures
-//     (InsertNode deliberately skips dedup so a delta's node ids stay
-//     deterministic); the index then keeps its first owner, which only
-//     costs a missed dedup opportunity, never a wrong one.
+//   - no stale dedup: every edit drops the graph's structural-hash index,
+//     so no entry can describe a node's old structure. The next structural
+//     construction rebuilds the index from the node array, keeping the
+//     first owner of each structure, exactly as on a built, cloned or
+//     decoded graph. Edits may create duplicate structures (InsertNode
+//     deliberately skips dedup so a delta's node ids stay deterministic);
+//     the rebuilt index then resolves them to the lowest id.
 //
 // Apply raises the per-edit primitives to delta granularity: the script is
 // validated in full (CheckDelta) before the first node is touched, so a
@@ -118,44 +119,9 @@ func isOperator(op Op) bool {
 	return false
 }
 
-// hashRemove drops n's structural-hash entry if n owns it. Later entries
-// of its probe cluster shift back into the freed slot where their probes
-// would otherwise stop at it (backward-shift deletion, no tombstones).
-// No-op on graphs without an index (built, cloned and decoded graphs
-// rebuild it lazily from the node array, which is always current).
-func (g *Graph) hashRemove(n NodeID) {
-	if g.index == nil || !hashed(g.Nodes[n].Op) {
-		return
-	}
-	i, id := g.findSlot(&g.Nodes[n])
-	if id != n {
-		return
-	}
-	mask := len(g.index) - 1
-	for j := (i + 1) & mask; g.index[j] != 0; j = (j + 1) & mask {
-		// The entry at j may fill the hole at i unless its home slot k
-		// lies cyclically in (i, j]: then a probe for it starts past i.
-		k := int(structHash(&g.Nodes[g.index[j]-1])) & mask
-		if (i <= j && i < k && k <= j) || (i > j && (i < k || k <= j)) {
-			continue
-		}
-		g.index[i] = g.index[j]
-		i = j
-	}
-	g.index[i] = 0
-	g.indexed--
-}
-
-// hashAdd registers n's current structure unless another node already owns
-// it (first owner wins, exactly like rebuildHash).
-func (g *Graph) hashAdd(n NodeID) {
-	if g.index == nil || !hashed(g.Nodes[n].Op) {
-		return
-	}
-	if i, id := g.findSlot(&g.Nodes[n]); id == Nil {
-		g.enter(i, n)
-	}
-}
+// dropIndex releases the structural-hash index after an edit; raw
+// rebuilds it from the node array on the next structural construction.
+func (g *Graph) dropIndex() { g.index, g.indexed = nil, 0 }
 
 // SetFanin re-points fanin slot of node n to `to`. The new fanin must
 // precede n (topological order, which also rules out self-loops).
@@ -173,9 +139,8 @@ func (g *Graph) SetFanin(n NodeID, slot int, to NodeID) error {
 	if nd.Fanin[slot] == to {
 		return nil
 	}
-	g.hashRemove(n)
 	nd.Fanin[slot] = to
-	g.hashAdd(n)
+	g.dropIndex()
 	return nil
 }
 
@@ -198,9 +163,8 @@ func (g *Graph) SetOp(n NodeID, op Op) error {
 	if nd.Op == op {
 		return nil
 	}
-	g.hashRemove(n)
 	nd.Op = op
-	g.hashAdd(n)
+	g.dropIndex()
 	return nil
 }
 
@@ -237,7 +201,7 @@ func (g *Graph) InsertNode(op Op, fanin ...NodeID) (NodeID, error) {
 	copy(nd.Fanin[:], fanin)
 	id := NodeID(len(g.Nodes))
 	g.Nodes = append(g.Nodes, nd)
-	g.hashAdd(id)
+	g.dropIndex()
 	return id, nil
 }
 
@@ -357,8 +321,8 @@ func (g *Graph) Apply(d Delta) (undo Delta, err error) {
 // Clone returns an independent deep copy of the graph: edits to the clone
 // never touch the original (the engine's Edit path clones the immutable
 // base representation before applying a delta). The clone carries no
-// structural-hash index; its first structural construction rebuilds one,
-// exactly like on a built or decoded graph. String contents are shared
+// structural-hash index, like a built, decoded or edited graph; its first
+// structural construction rebuilds one. String contents are shared
 // (strings are immutable in Go).
 func (g *Graph) Clone() *Graph {
 	return &Graph{

@@ -8,14 +8,14 @@ import (
 	"testing"
 )
 
-// checkHashConsistent verifies the structural-hash invariant the edit API
-// maintains: every occupied slot holds a hashed node, the occupancy count
-// is right, and a probe from each node's current structure ends at its
-// own slot, so no entry is stale, none is shadowed by an equal structure
-// earlier in its cluster, and no deletion left a hole in a probe run.
-// (The converse — every node being indexed — is deliberately not an
-// invariant: edits may create duplicate structures, and only the first
-// owner of a structure is indexed.)
+// checkHashConsistent verifies the structural-hash invariant of a graph
+// that carries an index (edits drop it, so an edited graph has none):
+// every occupied slot holds a hashed node, the occupancy count is right,
+// and a probe from each node's current structure ends at its own slot, so
+// no entry is stale and none is shadowed by an equal structure earlier in
+// its cluster. (The converse — every node being indexed — is deliberately
+// not an invariant: graphs may hold duplicate structures, and only the
+// first owner of a structure is indexed.)
 func checkHashConsistent(t *testing.T, g *Graph) {
 	t.Helper()
 	if g.index == nil {
@@ -78,7 +78,7 @@ func TestSetFaninMaintainsInvariants(t *testing.T) {
 		if err := g.Check(); err != nil {
 			t.Fatalf("%v: edited graph invalid: %v", v, err)
 		}
-		checkHashConsistent(t, g)
+		checkIndexDropped(t, g)
 
 		// Rejections: out-of-range node, slot, and topological violations.
 		if err := g.SetFanin(NodeID(len(g.Nodes)), 0, 0); err == nil {
@@ -119,7 +119,7 @@ func TestSetOpMaintainsInvariants(t *testing.T) {
 	if err := g.Check(); err != nil {
 		t.Fatalf("edited graph invalid: %v", err)
 	}
-	checkHashConsistent(t, g)
+	checkIndexDropped(t, g)
 
 	if err := g.SetOp(n, Not); err == nil {
 		t.Fatal("arity-changing swap accepted")
@@ -159,9 +159,10 @@ func TestInsertNodeAppendsWithoutDedup(t *testing.T) {
 	if err := g.Check(); err != nil {
 		t.Fatalf("graph invalid after insert: %v", err)
 	}
-	checkHashConsistent(t, g)
+	checkIndexDropped(t, g)
 	// The structural constructor still dedups to the FIRST owner of the
-	// structure, not the duplicate.
+	// structure, not the duplicate: the index it rebuilds from the node
+	// array keeps the lowest id.
 	if got := g.AndOf(a, b); got == id || g.NumNodes() != before+1 {
 		t.Fatalf("constructor resolved to %d (nodes %d), want the original owner", got, g.NumNodes())
 	}
@@ -210,7 +211,7 @@ func TestApplyUndoRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(before, g.Nodes) {
 			t.Fatalf("%v: undo did not restore the node array", v)
 		}
-		checkHashConsistent(t, g)
+		checkIndexDropped(t, g)
 	}
 }
 
@@ -324,9 +325,11 @@ func decodeEditStream(data []byte) Delta {
 }
 
 // FuzzIncrementalEdits: arbitrary delta streams applied to real graphs
-// must never panic, never corrupt structural invariants, and never desync
-// the structural-hash index — accepted deltas leave a graph that Check
-// passes and whose index entries all describe current structure.
+// must never panic, never corrupt structural invariants, and never leave
+// a stale structural-hash index — accepted deltas leave a graph that Check
+// passes, whose index (if an all-no-op delta kept it) describes current
+// structure, and on which a constructor returns what it returns on a
+// clone.
 func FuzzIncrementalEdits(f *testing.F) {
 	f.Add(int64(0), []byte{})
 	f.Add(int64(1), Delta{SetFaninEdit(40, 0, 2)}.AppendBinary(nil))
@@ -356,12 +359,15 @@ func FuzzIncrementalEdits(f *testing.F) {
 			t.Fatalf("undo broke invariants: %v", cerr)
 		}
 		checkHashConsistent(t, g)
+		n := NodeID(len(g.Nodes) - 1)
+		constructLikeClone(t, g, int(uint64(graphSeed)%5), n, n/2, n/3)
 	})
 }
 
 // TestRandomEditSequencesKeepHashConsistent drives long random edit
 // sequences through the primitive API directly (not Apply), interleaving
-// structural construction so the maintained index keeps serving dedup.
+// structural construction: every edit drops the index, and every
+// construction rebuilds one that dedups exactly as a clone's does.
 func TestRandomEditSequencesKeepHashConsistent(t *testing.T) {
 	for _, v := range Variants() {
 		for seed := int64(0); seed < 10; seed++ {
@@ -369,6 +375,7 @@ func TestRandomEditSequencesKeepHashConsistent(t *testing.T) {
 			g := randomGraph(v, seed)
 			for step := 0; step < 50; step++ {
 				n := editableNode(g)
+				nodes := len(g.Nodes)
 				switch rng.Intn(3) {
 				case 0:
 					_ = g.SetFanin(n, rng.Intn(3), NodeID(rng.Intn(int(n))))
@@ -380,8 +387,13 @@ func TestRandomEditSequencesKeepHashConsistent(t *testing.T) {
 						}
 					}
 				case 2:
-					// Interleaved construction exercises the live index.
-					g.AndOf(NodeID(rng.Intn(int(n))), NodeID(rng.Intn(int(n))))
+					// Interleaved construction rebuilds the dropped index.
+					constructLikeClone(t, g, 1, NodeID(rng.Intn(int(n))), NodeID(rng.Intn(int(n))), Nil)
+					checkHashConsistent(t, g)
+					continue
+				}
+				if len(g.Nodes) != nodes {
+					t.Fatalf("%v seed %d: an edit changed the node count", v, seed)
 				}
 			}
 			if err := g.Check(); err != nil {

@@ -300,17 +300,3 @@ func Folds(n, k int, seed int64) [][]int {
 	}
 	return out
 }
-
-// NaNLabels returns a per-endpoint label slice aligned with the graph's
-// endpoint list (NaN for unlabeled endpoints); used by feature-correlation
-// reporting.
-func (rep *RepData) NaNLabels() []float64 {
-	out := make([]float64, len(rep.Graph.Endpoints))
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	for i, ep := range rep.EPIndex {
-		out[ep] = rep.EPLabels[i]
-	}
-	return out
-}

@@ -95,15 +95,6 @@ func Generate(spec Spec) string {
 	}
 }
 
-// GenerateAll emits all 21 designs keyed by name.
-func GenerateAll() map[string]string {
-	out := map[string]string{}
-	for _, s := range All() {
-		out[s.Name] = Generate(s)
-	}
-	return out
-}
-
 // ---- shared emit helpers ----
 
 type emitter struct {

@@ -14,8 +14,8 @@
 //     shares the immutable result.
 //
 // The cache key is period-free because arrival times are period-free: only
-// slack depends on the clock, so a clock-period sweep (fmax search,
-// WNS-vs-period curves) pays one bit-blast and one forward pass per
+// slack depends on the clock, so a clock-period query (fmax, WNS-vs-period
+// curves) pays one bit-blast and one forward pass per
 // (design, variant) and materializes each period with RepResult.At, which
 // costs only the endpoint slack loop. The disk tier makes that one-time
 // cost survive the process: a warm run deserializes the graph, the

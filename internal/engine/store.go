@@ -168,10 +168,10 @@ func (s *DirStore) Delete(name string) error {
 	return os.Remove(s.path(name))
 }
 
-// retrySchedule is the default backoff schedule of RetryStore: fixed,
-// bounded, entropy-free. Three retries spaced ~geometrically cover the
-// transient window of a loaded filesystem (interrupted syscalls, momentary
-// EIO under memory pressure, descriptor exhaustion while another worker's
+// retrySchedule is RetryStore's backoff schedule: fixed, bounded,
+// entropy-free. Three retries spaced ~geometrically cover the transient
+// window of a loaded filesystem (interrupted syscalls, momentary EIO
+// under memory pressure, descriptor exhaustion while another worker's
 // fan-out peaks) without stalling a genuinely broken store for more than
 // ~21ms per operation.
 var retrySchedule = []time.Duration{
@@ -185,22 +185,13 @@ var retrySchedule = []time.Duration{
 // decode failures above this layer) pass through immediately.
 type RetryStore struct {
 	Inner Store
-	// Schedule is the wait before each retry; nil selects retrySchedule.
-	Schedule []time.Duration
 	// Sleep is the wait hook; nil selects time.Sleep. Tests substitute a
 	// recorder so retry behavior is asserted without wall-clock waits.
 	Sleep func(time.Duration)
 }
 
-// NewRetryStore wraps inner with the default schedule.
+// NewRetryStore wraps inner with retrySchedule.
 func NewRetryStore(inner Store) *RetryStore { return &RetryStore{Inner: inner} }
-
-func (s *RetryStore) schedule() []time.Duration {
-	if s.Schedule != nil {
-		return s.Schedule
-	}
-	return retrySchedule
-}
 
 func (s *RetryStore) sleep(d time.Duration) {
 	if s.Sleep != nil {
@@ -210,10 +201,10 @@ func (s *RetryStore) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// do runs op, retrying per the schedule while the error stays transient.
+// do runs op, retrying per retrySchedule while the error stays transient.
 func (s *RetryStore) do(op func() error) error {
 	err := op()
-	for _, d := range s.schedule() {
+	for _, d := range retrySchedule {
 		if err == nil || !TransientErr(err) {
 			return err
 		}

@@ -37,9 +37,6 @@ type Config struct {
 	CacheDir string
 }
 
-// DefaultConfig mirrors the paper's setup.
-func DefaultConfig() Config { return Config{Folds: 10} }
-
 // FastConfig is a reduced configuration for tests and benchmarks.
 func FastConfig() Config { return Config{Folds: 3, Fast: true} }
 

@@ -30,14 +30,14 @@ func (s *Suite) Table2() (*Table, error) {
 			y = append(y, rep.EPLabels[gi])
 		}
 	}
-	names := featureNamesList()
+	names := features.FeatureNames()
 	sums := map[string][]float64{}
 	col := make([]float64, len(rows2))
 	for fi, name := range names {
 		for i, row := range rows2 {
 			col[i] = row[fi]
 		}
-		if r := pearsonExp(y, col); !math.IsNaN(r) {
+		if r := metrics.Pearson(y, col); !math.IsNaN(r) {
 			sums[name] = append(sums[name], math.Abs(r))
 		}
 	}
@@ -73,11 +73,6 @@ func (s *Suite) Table2() (*Table, error) {
 	}
 	return t, nil
 }
-
-func featureNamesList() []string { return features.FeatureNames() }
-
-// pearsonExp is a local alias to keep call sites compact.
-func pearsonExp(y, x []float64) float64 { return metrics.Pearson(y, x) }
 
 // Table3 reproduces the benchmark-information table: per family, design
 // count, gate-count range and endpoint-count range.

@@ -22,7 +22,7 @@ import (
 //
 // The per-endpoint state — input-cone summaries and rank percentiles — is
 // materialized once, on the first read that needs it (Cone, Rank,
-// PathVector, Correlations or State), and shared by every later read: a
+// PathVector or State), and shared by every later read: a
 // caller that never reads a cone-level or rank feature never pays for the
 // cone walks. An Extractor is safe for concurrent use.
 type Extractor struct {
@@ -244,30 +244,4 @@ func (e *Extractor) SeqFeatures(path sta.Path) [][]float64 {
 // endpoints (used by the design WNS/TNS model).
 func (e *Extractor) DesignVector() []float64 {
 	return []float64{log1p(e.seqCells), log1p(e.combCells), log1p(e.total)}
-}
-
-// Correlations reports, per feature, the Pearson correlation between the
-// slowest-path feature vectors and endpoint labels, reproducing Table 2's
-// Avg. R column. labels must align with the graph's endpoints; endpoints
-// without labels carry NaN and are skipped.
-func (e *Extractor) Correlations(labels []float64) map[string]float64 {
-	var rows [][]float64
-	var y []float64
-	for ep := range e.G.Endpoints {
-		if math.IsNaN(labels[ep]) {
-			continue
-		}
-		p := e.R.SlowestPath(e.G, ep)
-		rows = append(rows, e.PathVector(ep, p))
-		y = append(y, labels[ep])
-	}
-	out := map[string]float64{}
-	col := make([]float64, len(rows))
-	for fi, name := range featureNames {
-		for i, row := range rows {
-			col[i] = row[fi]
-		}
-		out[name] = metrics.Pearson(y, col)
-	}
-	return out
 }

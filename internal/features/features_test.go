@@ -2,6 +2,7 @@ package features
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"rtltimer/internal/bog"
@@ -38,11 +39,18 @@ endmodule`
 	return g, r, NewExtractor(g, r)
 }
 
+// TestPathVectorShape: every endpoint's slowest-path vector has one
+// finite entry per feature name, and its ep_arrival_sta entry is the
+// endpoint's pseudo-STA arrival.
 func TestPathVectorShape(t *testing.T) {
 	g, r, ext := setup(t)
 	names := FeatureNames()
 	if len(names) != NumFeatures() {
 		t.Fatal("name/size mismatch")
+	}
+	arrival := slices.Index(names, "ep_arrival_sta")
+	if arrival < 0 {
+		t.Fatal("no ep_arrival_sta feature")
 	}
 	for ep := range g.Endpoints {
 		p := r.SlowestPath(g, ep)
@@ -54,6 +62,9 @@ func TestPathVectorShape(t *testing.T) {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				t.Fatalf("feature %s not finite: %f", names[i], x)
 			}
+		}
+		if v[arrival] != r.EndpointAT[ep] {
+			t.Errorf("endpoint %d: ep_arrival_sta %v, pseudo-STA arrival %v", ep, v[arrival], r.EndpointAT[ep])
 		}
 	}
 }
@@ -120,23 +131,6 @@ func TestSeqFeatures(t *testing.T) {
 			t.Fatalf("op one-hot has %d ones", ones)
 		}
 	}
-}
-
-func TestCorrelationsAgainstPseudoLabels(t *testing.T) {
-	g, r, ext := setup(t)
-	// Use pseudo-STA arrivals as synthetic labels: the ep_arrival_sta
-	// feature must then correlate perfectly.
-	labels := make([]float64, len(g.Endpoints))
-	for ep := range g.Endpoints {
-		labels[ep] = r.EndpointAT[ep]
-	}
-	cors := ext.Correlations(labels)
-	if cors["ep_arrival_sta"] < 0.999 {
-		t.Errorf("self-correlation %f", cors["ep_arrival_sta"])
-	}
-	// NaN labels are skipped without panic.
-	labels[0] = math.NaN()
-	_ = ext.Correlations(labels)
 }
 
 // TestDesignVector: the design features are the logs of the graph's

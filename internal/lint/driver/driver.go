@@ -101,8 +101,9 @@ func (r *Runner) Run(pkgs []*Package, analyzers []*analysis.Analyzer) ([]Finding
 
 // Unused returns the allowlist entries loaded during Run that never
 // suppressed a diagnostic, keyed by allowlist path. Meaningful only for
-// whole-module runs (a single-package vet invocation sees one package's
-// diagnostics, so absence of a match proves nothing).
+// whole-module runs, as cmd/rtllint and the rtllint self-test make: a run
+// over some packages sees only their diagnostics, so absence of a match
+// proves nothing.
 func (r *Runner) Unused() map[string][]*allow.Entry {
 	out := map[string][]*allow.Entry{}
 	seen := map[string]bool{}

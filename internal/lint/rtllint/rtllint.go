@@ -1,9 +1,9 @@
 // Package rtllint assembles the determinism-lint suite: the analyzers
 // that mechanically enforce the engine's contracts (see ROADMAP standing
-// constraints). cmd/rtllint exposes the suite as a standalone checker and
-// as a `go vet -vettool` plugin; the self-test in this package keeps the
-// whole repository clean against it on every `go test` run, so the
-// contract holds even where CI is not in the loop.
+// constraints). cmd/rtllint runs the suite over the whole module; the
+// self-test in this package runs the same check on every `go test`, so the
+// contract holds even where CI is not in the loop. Both fail on findings
+// and on stale lint.allow entries.
 package rtllint
 
 import (

@@ -13,7 +13,7 @@ import (
 // TestRepositoryIsClean runs the full determinism-lint suite over this
 // repository's own source tree and requires zero findings and zero stale
 // lint.allow entries. This is the contract's local enforcement point: a
-// violation fails `go test ./...` even without the CI vet step.
+// violation fails `go test ./...` even without the CI rtllint step.
 func TestRepositoryIsClean(t *testing.T) {
 	root, err := moduleRoot()
 	if err != nil {

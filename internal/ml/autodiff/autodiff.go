@@ -491,12 +491,3 @@ func (a *Adam) Step() {
 		}
 	}
 }
-
-// ZeroGrad clears all parameter gradients.
-func (a *Adam) ZeroGrad() {
-	for _, p := range a.params {
-		for i := range p.Grad {
-			p.Grad[i] = 0
-		}
-	}
-}

@@ -137,8 +137,5 @@ func Train(queries []Query, opts Options) *Model {
 	return &Model{reg: tree.Train(X, n, obj, topts)}
 }
 
-// Score returns the ranking score of one item (higher = more critical).
-func (m *Model) Score(x []float64) float64 { return m.reg.Predict(x) }
-
 // ScoreAll scores a slice of items.
 func (m *Model) ScoreAll(X [][]float64) []float64 { return m.reg.PredictAll(X) }

@@ -94,9 +94,6 @@ func (n *Netlist) AddComb(cell *liberty.Cell, fanin ...GateID) GateID {
 	return n.Add(g)
 }
 
-// NumGates returns the total gate count including sources.
-func (n *Netlist) NumGates() int { return len(n.Gates) }
-
 // CombGates counts combinational cells.
 func (n *Netlist) CombGates() int {
 	c := 0

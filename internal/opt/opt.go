@@ -46,17 +46,14 @@ type Config struct {
 	Period float64
 	// MaxPasses bounds full passes over the critical endpoints (0 = 4).
 	MaxPasses int
-	// MaxEndpoints bounds how many of the worst endpoints each pass
-	// examines (0 = 16).
-	MaxEndpoints int
 }
+
+// maxEndpoints bounds how many of the worst endpoints each pass examines.
+const maxEndpoints = 16
 
 func (c *Config) fill() {
 	if c.MaxPasses <= 0 {
 		c.MaxPasses = 4
-	}
-	if c.MaxEndpoints <= 0 {
-		c.MaxEndpoints = 16
 	}
 }
 
@@ -107,8 +104,8 @@ func Optimize(inc *sta.Incremental, cfg Config) (*Report, error) {
 			order[i] = i
 		}
 		sort.SliceStable(order, func(a, b int) bool { return r.Slack[order[a]] < r.Slack[order[b]] })
-		if len(order) > cfg.MaxEndpoints {
-			order = order[:cfg.MaxEndpoints]
+		if len(order) > maxEndpoints {
+			order = order[:maxEndpoints]
 		}
 		for _, ep := range order {
 			// r.Arrival aliases the live session, so the slowest path is
@@ -194,17 +191,11 @@ func tryRebalance(inc *sta.Incremental, rep *Report, n bog.NodeID, period, curWN
 }
 
 // DefaultPeriod returns the search's 5%-overconstrained target clock for
-// a cached representation: 95% of the critical requirement (worst
-// endpoint arrival plus setup), so the optimizer starts with violations
-// to fix. Deterministic and O(endpoints).
+// a cached representation: 95% of the critical period (worst endpoint
+// arrival plus setup, sta.Analyzer.CriticalPeriod), so the optimizer
+// starts with violations to fix. Deterministic and O(endpoints).
 func DefaultPeriod(rr *engine.RepResult) float64 {
-	worst := 0.0
-	for _, ep := range rr.Graph.Endpoints {
-		if a := rr.Arrival[ep.D]; a > worst {
-			worst = a
-		}
-	}
-	return 0.95 * (worst + rr.An.Lib.Setup)
+	return 0.95 * rr.An.CriticalPeriod(rr.Arrival)
 }
 
 // OptimizeRep runs the greedy search against an engine-cached base

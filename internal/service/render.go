@@ -100,70 +100,50 @@ func RenderSweep(w io.Writer, name string, reps map[bog.Variant]*engine.RepResul
 	}
 }
 
-// FmaxSearch binary-searches the smallest period with WNS >= 0 on one
-// cached representation. Slack is monotonic in the period, so the search
-// brackets [0, hi] with hi doubled until feasible, then bisects to 0.1 ps.
-// Each probe reads only WNS (RepResult.Summary), so the search allocates
-// nothing. ok is false when no feasible period was found below the search
-// ceiling.
-func FmaxSearch(rr *engine.RepResult) (period float64, ok bool) {
-	wnsAt := func(p float64) float64 {
-		wns, _ := rr.Summary(p)
-		return wns
+// FmaxSearch returns the least period with WNS >= 0 on one cached
+// representation: the closed-form critical period (worst endpoint arrival
+// plus setup), stepped up one ulp when rounding leaves Summary's WNS
+// there below zero. One step suffices: the next float above a sum that
+// rounded down exceeds the exact sum. Pseudo-STA arrivals do not depend
+// on the period, so nothing is searched and nothing is allocated.
+func FmaxSearch(rr *engine.RepResult) float64 {
+	p := rr.An.CriticalPeriod(rr.Arrival)
+	if wns, _ := rr.Summary(p); wns < 0 {
+		p = math.Nextafter(p, math.Inf(1))
 	}
-	hi := 1.0
-	for wnsAt(hi) < 0 {
-		hi *= 2
-		if hi > 1e6 {
-			return 0, false
-		}
-	}
-	lo := 0.0
-	for hi-lo > 1e-4 {
-		mid := (lo + hi) / 2
-		if wnsAt(mid) >= 0 {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, true
+	return p
 }
 
 // fmaxVariants runs FmaxSearch once per variant, in bog.Variants order.
-// A variant without timing endpoints is never searched and reports
+// A variant without timing endpoints has no critical period and reports
 // infeasible.
 func fmaxVariants(reps map[bog.Variant]*engine.RepResult) []FmaxVariant {
 	out := make([]FmaxVariant, 0, len(bog.Variants()))
 	for _, v := range bog.Variants() {
 		fv := FmaxVariant{Variant: v.String()}
 		if rr := reps[v]; len(rr.Graph.Endpoints) > 0 {
-			if p, ok := FmaxSearch(rr); ok {
-				fv.Feasible, fv.Period, fv.FmaxGHz = true, p, 1/p
-			}
+			p := FmaxSearch(rr)
+			fv.Feasible, fv.Period, fv.FmaxGHz = true, p, 1/p
 		}
 		out = append(out, fv)
 	}
 	return out
 }
 
-// RenderFmax reports the binary-searched maximum frequency per variant.
+// RenderFmax reports the maximum frequency per variant (FmaxSearch).
 func RenderFmax(w io.Writer, name string, reps map[bog.Variant]*engine.RepResult) {
-	renderFmax(w, name, reps, fmaxVariants(reps))
+	renderFmax(w, name, fmaxVariants(reps))
 }
 
-// renderFmax prints the fmax report from results already searched
-// (fmaxVariants), so a caller that also returns them searches once.
-func renderFmax(w io.Writer, name string, reps map[bog.Variant]*engine.RepResult, results []FmaxVariant) {
+// renderFmax prints the fmax report from results already computed
+// (fmaxVariants), so a caller that also returns them computes them once.
+func renderFmax(w io.Writer, name string, results []FmaxVariant) {
 	fmt.Fprintf(w, "design %s: pseudo-STA maximum frequency\n\n", name)
 	for i, v := range bog.Variants() {
-		switch fv := results[i]; {
-		case len(reps[v].Graph.Endpoints) == 0:
-			fmt.Fprintf(w, "  %-5s no timing endpoints (design is unconstrained)\n", v)
-		case !fv.Feasible:
-			fmt.Fprintf(w, "  %-5s no feasible period below the search ceiling\n", v)
-		default:
+		if fv := results[i]; fv.Feasible {
 			fmt.Fprintf(w, "  %-5s critical period %.4f ns  ->  fmax %.3f GHz\n", v, fv.Period, fv.FmaxGHz)
+		} else {
+			fmt.Fprintf(w, "  %-5s no timing endpoints (design is unconstrained)\n", v)
 		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"math"
 	"os"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -349,7 +348,8 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, 
 	return &SweepResponse{Design: name, Points: len(periods), Text: b.String()}, nil
 }
 
-// FmaxRequest asks for the binary-searched maximum frequency.
+// FmaxRequest asks for each variant's maximum frequency: the inverse of
+// its critical period, the least period with WNS >= 0 (FmaxSearch).
 type FmaxRequest struct {
 	Design DesignRef `json:"design"`
 }
@@ -357,7 +357,7 @@ type FmaxRequest struct {
 // FmaxVariant is one representation's fmax verdict.
 type FmaxVariant struct {
 	Variant  string  `json:"variant"`
-	Feasible bool    `json:"feasible"`
+	Feasible bool    `json:"feasible"`           // the variant has timing endpoints
 	Period   float64 `json:"period,omitempty"`   // critical period, ns
 	FmaxGHz  float64 `json:"fmax_ghz,omitempty"` // 1/period
 }
@@ -381,7 +381,7 @@ func (s *Service) Fmax(ctx context.Context, req FmaxRequest) (*FmaxResponse, err
 	}
 	results := fmaxVariants(reps)
 	var b strings.Builder
-	renderFmax(&b, name, reps, results)
+	renderFmax(&b, name, results)
 	return &FmaxResponse{Design: name, Results: results, Text: b.String()}, nil
 }
 
@@ -725,16 +725,4 @@ func (s *Service) SessionClose(id string) error {
 	}
 	delete(s.sessions, id)
 	return nil
-}
-
-// SessionIDs lists open sessions in stable order (tests, /stats detail).
-func (s *Service) SessionIDs() []string {
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.sessions))
-	for id := range s.sessions {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	sort.Strings(ids)
-	return ids
 }

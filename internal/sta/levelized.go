@@ -178,6 +178,21 @@ func (a *Analyzer) Summary(arr []float64, period float64) (wns, tns float64) {
 	return slackLoop(a.G, a.Lib, arr, period, nil, nil)
 }
 
+// CriticalPeriod returns the clock period at which the worst endpoint's
+// slack is exactly zero: its arrival (floored at 0) plus setup. Slack is
+// period − arrival − setup, so in exact arithmetic no shorter period has
+// WNS >= 0; rounded, Summary's WNS at this period can read one ulp below
+// zero.
+func (a *Analyzer) CriticalPeriod(arr []float64) float64 {
+	worst := 0.0
+	for _, ep := range a.G.Endpoints {
+		if at := arr[ep.D]; at > worst {
+			worst = at
+		}
+	}
+	return worst + a.Lib.Setup
+}
+
 // finishResult fills a Result's per-endpoint vectors, WNS and TNS from
 // slackLoop. The analyzer and the incremental session share it, so their
 // Results are bit-identical for the same arrival vector.

@@ -365,16 +365,3 @@ func hash01(seed, x uint64) float64 {
 	h ^= h >> 29
 	return float64(h%(1<<52)) / float64(uint64(1)<<52)
 }
-
-// SeqCombRatio reports sequential / combinational cell counts (used by the
-// Table 6 footnote about low-sequential-ratio designs).
-func SeqCombRatio(n *netlist.Netlist) float64 {
-	comb := n.CombGates()
-	if comb == 0 {
-		return 0
-	}
-	return float64(n.SeqGates()) / float64(comb)
-}
-
-// GroupLabel names the paper's four criticality groups.
-func GroupLabel(i int) string { return fmt.Sprintf("g%d", i+1) }
