@@ -902,23 +902,16 @@ func BenchmarkIncrementalSTA(b *testing.B) {
 	b.ReportMetric(float64(inc.Recomputed())/float64(b.N), "nodes_retimed/op")
 }
 
-// BenchmarkRepResultEdit measures the engine's full-graph delta
-// derivation on a cache miss: clone + incremental re-timing + snapshot +
-// a lazy extractor of the edited graph, which walks no cone (cheaper than
-// a build, pricier than a raw session Apply).
+// BenchmarkRepResultEdit measures the engine's delta derivation on a
+// cache miss: a graph clone, a session opened on the base analyzer's
+// shared consumer adjacency (copying the per-node vectors, not rebuilding
+// the adjacency), the cone re-time, a snapshot that takes the session's
+// vectors over instead of copying them, the arrival fingerprint and a
+// lazy extractor, which walks no cone. The first iteration builds the
+// base's adjacency once, as a resident base's first edit does; every
+// later one shares it.
 func BenchmarkRepResultEdit(b *testing.B) {
-	spec, ok := designs.ByName("Rocket3")
-	if !ok {
-		b.Fatal("no Rocket3")
-	}
-	src := designs.Generate(spec)
-	eng := engine.New(1)
-	rr, err := eng.EvalRep(
-		engine.Key{Design: engine.DesignTag(spec.Name, src), Variant: bog.AIG},
-		liberty.DefaultPseudoLib(), engine.LazyDesign(src))
-	if err != nil {
-		b.Fatal(err)
-	}
+	rr := rocket3AIG(b)
 	n, _, alt := benchEditSite(b, rr.Graph)
 	// Re-wrap the cached state in an engine-less RepResult: with no cache
 	// slot to hit, every Edit pays the real derivation (clone, cone
@@ -934,6 +927,67 @@ func BenchmarkRepResultEdit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRepResultEditChain times an 8-hop edit chain from a detached
+// Rocket3 AIG base, each hop a perfbench-shaped edit (an endpoint
+// driver's fanin 0 re-pointed at its fanin 1) derived from the previous
+// hop's result. Every hop after the first opens its session on an
+// analyzer that carries the chain's overlay, and clones it on its first
+// write: the cost BenchmarkRepResultEdit, one hop from the base, never
+// reaches. ns/op is the whole chain.
+func BenchmarkRepResultEditChain(b *testing.B) {
+	const hops = 8
+	rr := rocket3AIG(b)
+	g := rr.Graph
+	var sites []bog.Delta
+	seen := map[bog.NodeID]bool{}
+	for _, ep := range g.Endpoints {
+		n := &g.Nodes[ep.D]
+		if seen[ep.D] || n.NumFanin() < 2 || n.Fanin[0] == n.Fanin[1] {
+			continue
+		}
+		seen[ep.D] = true
+		sites = append(sites, bog.Delta{bog.SetFaninEdit(ep.D, 0, n.Fanin[1])})
+	}
+	if len(sites) < hops {
+		b.Fatalf("%d edit sites, want %d", len(sites), hops)
+	}
+	// Spread the hops over the design's endpoints.
+	chain := make([]bog.Delta, hops)
+	for h := range chain {
+		chain[h] = sites[h*len(sites)/hops]
+	}
+	base := rr.Detached()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur := base
+		for _, d := range chain {
+			var err error
+			if cur, err = cur.Edit(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// rocket3AIG evaluates the Rocket3 AIG representation, the base of the
+// edit-derivation benchmarks, through a fresh engine.
+func rocket3AIG(b *testing.B) *engine.RepResult {
+	b.Helper()
+	spec, ok := designs.ByName("Rocket3")
+	if !ok {
+		b.Fatal("no Rocket3")
+	}
+	src := designs.Generate(spec)
+	rr, err := engine.New(1).EvalRep(
+		engine.Key{Design: engine.DesignTag(spec.Name, src), Variant: bog.AIG},
+		liberty.DefaultPseudoLib(), engine.LazyDesign(src))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rr
 }
 
 // benchPost sends one POST and drains the response, failing the benchmark

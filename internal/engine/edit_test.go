@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
+	"sync"
 	"testing"
 
 	"rtltimer/internal/bog"
@@ -421,6 +423,107 @@ func TestEditWarmSessionRebases(t *testing.T) {
 	sameVec(t, "rebased Arrival", d1.Arrival, wd.Arrival)
 	r1, r2 := d1.At(0.6), wd.At(0.6)
 	sameVec(t, "rebased Slack", r1.Slack, r2.Slack)
+}
+
+// TestConcurrentDerivesShareAdjacency: eight goroutines derive eight
+// different deltas from one disk-restored base at once, so the base
+// analyzer's lazy adjacency build races its first readers. Every derived
+// result must be bit-identical to sta.Analyze of its edited graph, and
+// every derived analyzer must read untouched consumer lists from the
+// base's one root CSR instead of a copy (run under -race in CI).
+func TestConcurrentDerivesShareAdjacency(t *testing.T) {
+	const derives = 8
+	dir := t.TempDir()
+	spec := designs.All()[0]
+	src := designs.Generate(spec)
+	lib := liberty.DefaultPseudoLib()
+	key := Key{Design: DesignTag(spec.Name, src), Variant: bog.AIG}
+	eng := New(derives)
+	eng.SetCacheDir(dir)
+	if _, err := eng.EvalRep(key, lib, LazyDesign(src)); err != nil {
+		t.Fatal(err)
+	}
+	eng.Reset()
+	rr, err := eng.EvalRep(key, lib, LazyDesign(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); st.DiskHits != 1 {
+		t.Fatalf("stats %+v: base was not restored from disk", st)
+	}
+
+	// One re-point per delta, on the highest-id endpoint drivers; touched
+	// collects every node whose consumer list a delta changes.
+	g := rr.Graph
+	touched := map[bog.NodeID]bool{}
+	var deltas []bog.Delta
+	for i := len(g.Endpoints) - 1; i >= 0 && len(deltas) < derives; i-- {
+		n := g.Endpoints[i].D
+		if g.Nodes[n].NumFanin() == 0 || touched[n] {
+			continue
+		}
+		to := bog.NodeID(len(deltas))
+		touched[n], touched[g.Nodes[n].Fanin[0]], touched[to] = true, true, true
+		deltas = append(deltas, bog.Delta{bog.SetFaninEdit(n, 0, to)})
+	}
+	if len(deltas) < derives {
+		t.Fatalf("found %d editable endpoint drivers, want %d", len(deltas), derives)
+	}
+
+	results := make([]*RepResult, derives)
+	errs := make([]error, derives)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range deltas {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			results[i], errs[i] = rr.Edit(deltas[i])
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	shared := bog.Nil
+	for n := range g.Nodes {
+		if !touched[bog.NodeID(n)] && len(rr.An.Consumers(bog.NodeID(n))) > 0 {
+			shared = bog.NodeID(n)
+			break
+		}
+	}
+	if shared == bog.Nil {
+		t.Fatal("no untouched node with consumers")
+	}
+	root := &rr.An.Consumers(shared)[0]
+	for i, d := range deltas {
+		if errs[i] != nil {
+			t.Fatalf("derive %d: %v", i, errs[i])
+		}
+		eg := g.Clone()
+		if _, err := eg.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []float64{0.4, 0.9} {
+			want, got := sta.Analyze(eg, lib, p), results[i].At(p)
+			sameVec(t, "Arrival", want.Arrival, got.Arrival)
+			sameVec(t, "Load", want.Load, got.Load)
+			sameVec(t, "Slew", want.Slew, got.Slew)
+			sameVec(t, "Slack", want.Slack, got.Slack)
+			if math.Float64bits(want.WNS) != math.Float64bits(got.WNS) || math.Float64bits(want.TNS) != math.Float64bits(got.TNS) {
+				t.Fatalf("derive %d at %v: WNS/TNS %v/%v, want %v/%v", i, p, got.WNS, got.TNS, want.WNS, want.TNS)
+			}
+			if !slices.Equal(want.Fanout, got.Fanout) {
+				t.Fatalf("derive %d: fanout differs from a fresh analysis", i)
+			}
+		}
+		if results[i].ArrivalSHA256 != ArrivalDigest(sta.Analyze(eg, lib, 1).Arrival) {
+			t.Fatalf("derive %d: arrival fingerprint differs from a fresh analysis", i)
+		}
+		if &results[i].An.Consumers(shared)[0] != root {
+			t.Fatalf("derive %d reads node %d's consumers from a copy of the base's root CSR", i, shared)
+		}
+	}
 }
 
 // TestEditWithoutEngine: a RepResult assembled outside any engine still

@@ -202,14 +202,19 @@ func EditKey(base Key, delta bog.Delta) Key {
 }
 
 // Edit returns this representation with the graph delta applied: the base
-// graph is cloned, the delta applied through the incremental STA session
-// (re-timing only the affected cone — no bit-blast, no full forward
-// pass), and the result frozen into a fresh immutable RepResult with a
-// lazy extractor of the edited graph, which walks no cone unless a
-// feature is read. Derived results are cached in the engine's memory
-// tier under EditKey with the usual single-flight semantics, so concurrent
-// callers of the same (base, delta) share one derivation, and further
-// Edits may chain off the result.
+// graph is cloned, the delta applied through an incremental STA session
+// opened on the base analyzer's shared consumer adjacency (re-timing only
+// the affected cone — no bit-blast, no full forward pass, no adjacency
+// rebuild), and the session's state handed over uncopied to a fresh
+// immutable RepResult with a lazy extractor of the edited graph, which
+// walks no cone unless a feature is read. What an edit still pays per
+// node is the graph clone and one copy of the five per-node timing
+// vectors; the rest costs the cone, the overlay of consumer lists the
+// chain has changed, and the arrival fingerprint. Derived results are
+// cached in the engine's memory tier under EditKey with the usual
+// single-flight semantics, so concurrent callers of the same (base,
+// delta) share one derivation, and further Edits may chain off the
+// result, each hop sharing the chain root's adjacency.
 //
 // Derived entries are deliberately not persisted to the disk tier: their
 // key records the base design tag plus the delta digest, so a warm
@@ -309,15 +314,18 @@ func (e *Engine) resolveEdit(ctx context.Context, key Key, base *RepResult, delt
 	return e.await(ctx, ent, existed)
 }
 
-// derive computes the edited evaluation from the base: clone, incremental
-// re-timing and snapshot. The result gets a fresh lazy extractor of the
-// edited graph, so a derivation walks no cone unless a caller reads a
-// feature of the result. It is bit-identical to a fresh analysis and
-// extractor of the edited graph; the base is never mutated.
+// derive computes the edited evaluation from the base: clone, a session
+// on the base analyzer (sta.NewIncrementalOn: the vectors are copied, the
+// root adjacency is shared and built only by a built or disk-restored
+// base's first edit), the cone re-time, and a snapshot that takes the
+// session's vectors and adjacency overlay over, since the session is
+// discarded. The result gets a fresh lazy extractor of the edited graph,
+// so a derivation walks no cone unless a caller reads a feature of the
+// result. It is bit-identical to a fresh analysis and extractor of the
+// edited graph; the base is never mutated.
 func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, error) {
 	g := rr.Graph.Clone()
-	load, slew, delay, _ := rr.An.State()
-	inc, err := sta.NewIncrementalFromState(g, rr.An.Lib, load, slew, delay, rr.Arrival)
+	inc, err := sta.NewIncrementalOn(rr.An, g, rr.Arrival)
 	if err != nil {
 		return nil, err
 	}

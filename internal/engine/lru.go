@@ -64,10 +64,15 @@ func (e *Engine) MemUsed() int64 {
 // depends on which entries a caller read features from), and the
 // signal-name table. A resident graph carries no structural-hash index
 // (Build drops it; decoded and cloned graphs never have one), so nothing
-// is charged for it. The constants are struct-size approximations, not
-// heap accounting; what matters for the budget is that cost scales with
-// the design, so evicting one Rocket3 frees ~hundreds of small designs'
-// worth.
+// is charged for it. A derived entry owns exactly these: its graph clone
+// and the vectors its session handed over. The consumer adjacency an
+// edited base builds on its first edit (~4 B per edge and 8 B per node,
+// shared by every entry derived from it) and each derived entry's small
+// overlay of changed lists go uncharged, so edits move neither the
+// eviction order nor the budget. The constants are struct-size
+// approximations, not heap accounting; what matters for the budget is
+// that cost scales with the design, so evicting one Rocket3 frees
+// ~hundreds of small designs' worth.
 func approxEntryCost(res *RepResult) int64 {
 	if res == nil || res.Graph == nil {
 		return 1

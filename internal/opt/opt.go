@@ -211,9 +211,7 @@ func OptimizeRep(rr *engine.RepResult, cfg Config) (*Report, *engine.RepResult, 
 	if cfg.Period <= 0 {
 		cfg.Period = DefaultPeriod(rr)
 	}
-	g := rr.Graph.Clone()
-	load, slew, delay, _ := rr.An.State()
-	inc, err := sta.NewIncrementalFromState(g, rr.An.Lib, load, slew, delay, rr.Arrival)
+	inc, err := sta.NewIncrementalOn(rr.An, rr.Graph.Clone(), rr.Arrival)
 	if err != nil {
 		return nil, nil, err
 	}

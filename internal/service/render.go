@@ -28,9 +28,15 @@ import (
 // themselves run detached to completion and stay cached, so a canceled
 // sweep never poisons or duplicates work for the next caller.
 func BuildSweepReps(ctx context.Context, eng *engine.Engine, name, src string) (map[bog.Variant]*engine.RepResult, error) {
+	return buildSweepReps(ctx, eng, engine.DesignTag(name, src), src)
+}
+
+// buildSweepReps is BuildSweepReps for a caller that already holds the
+// design's tag (engine.DesignTag of its name and src), such as the
+// service's memo of built-in benchmarks.
+func buildSweepReps(ctx context.Context, eng *engine.Engine, tag, src string) (map[bog.Variant]*engine.RepResult, error) {
 	lazyDesign := engine.LazyDesign(src)
 	lib := liberty.DefaultPseudoLib()
-	tag := engine.DesignTag(name, src)
 	variants := bog.Variants()
 	reps := make([]*engine.RepResult, len(variants))
 	err := eng.ForEachErr(len(variants), func(vi int) error {

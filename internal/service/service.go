@@ -32,6 +32,7 @@ import (
 	"rtltimer/internal/dataset"
 	"rtltimer/internal/designs"
 	"rtltimer/internal/engine"
+	"rtltimer/internal/liberty"
 )
 
 // Config configures a Service. The zero value is usable: all cores, no
@@ -84,11 +85,17 @@ type Service struct {
 	sessions map[string]*session
 	nextSess uint64
 
-	// benchSrc memoizes designs.Generate per built-in benchmark name;
-	// resolve rejects unknown names first, so it holds at most one entry
-	// per built-in design.
-	benchMu  sync.Mutex
-	benchSrc map[string]string
+	// bench memoizes designs.Generate and the design tag per built-in
+	// benchmark name; resolve rejects unknown names first, so it holds at
+	// most one entry per built-in design.
+	benchMu sync.Mutex
+	bench   map[string]benchEntry
+}
+
+// benchEntry is one built-in benchmark's generated source and its
+// engine.DesignTag.
+type benchEntry struct {
+	src, tag string
 }
 
 // session is one client's edit chain over a single base representation.
@@ -129,7 +136,7 @@ func New(cfg Config) (*Service, error) {
 		eng:            eng,
 		seed:           cfg.Seed,
 		sessions:       map[string]*session{},
-		benchSrc:       map[string]string{},
+		bench:          map[string]benchEntry{},
 		requestTimeout: cfg.RequestTimeout,
 		clock:          cfg.Clock,
 		maxSessions:    cfg.MaxSessions,
@@ -199,40 +206,53 @@ type DesignRef struct {
 	Name  string `json:"name,omitempty"` // display name for Src (default "inline")
 }
 
-// resolve turns a DesignRef into the (name, source) pair every engine
-// query keys on, plus the spec Annotate needs.
-func (s *Service) resolve(ref DesignRef) (name, src string, spec designs.Spec, err error) {
+// resolvedDesign is a DesignRef resolved for a query: the display name,
+// the source text, the engine.DesignTag every cache key of the design
+// carries, and the spec Annotate needs.
+type resolvedDesign struct {
+	name, src, tag string
+	spec           designs.Spec
+}
+
+// resolve turns a DesignRef into the name, source and tag every engine
+// query keys on, plus the spec Annotate needs. A built-in benchmark's
+// source and tag are memoized; an inline source is hashed per request,
+// since a memo keyed on unbounded client text would itself need a bound.
+func (s *Service) resolve(ref DesignRef) (resolvedDesign, error) {
 	switch {
 	case ref.Bench != "" && ref.Src != "":
-		return "", "", spec, fmt.Errorf("design wants exactly one of bench or src, got both")
+		return resolvedDesign{}, fmt.Errorf("design wants exactly one of bench or src, got both")
 	case ref.Bench != "":
 		sp, ok := designs.ByName(ref.Bench)
 		if !ok {
-			return "", "", spec, fmt.Errorf("unknown benchmark %q", ref.Bench)
+			return resolvedDesign{}, fmt.Errorf("unknown benchmark %q", ref.Bench)
 		}
-		return sp.Name, s.benchSource(sp), sp, nil
+		b := s.benchDesign(sp)
+		return resolvedDesign{name: sp.Name, src: b.src, tag: b.tag, spec: sp}, nil
 	case ref.Src != "":
-		name = ref.Name
+		name := ref.Name
 		if name == "" {
 			name = "inline"
 		}
-		return name, ref.Src, designs.Spec{Name: name, Seed: s.seed}, nil
+		return resolvedDesign{name: name, src: ref.Src, tag: engine.DesignTag(name, ref.Src),
+			spec: designs.Spec{Name: name, Seed: s.seed}}, nil
 	default:
-		return "", "", spec, fmt.Errorf("design wants one of bench or src")
+		return resolvedDesign{}, fmt.Errorf("design wants one of bench or src")
 	}
 }
 
-// benchSource returns the generated source of a built-in benchmark,
-// generating it on the first request for that name.
-func (s *Service) benchSource(sp designs.Spec) string {
+// benchDesign returns the generated source and tag of a built-in
+// benchmark, generating and hashing it on the first request for that name.
+func (s *Service) benchDesign(sp designs.Spec) benchEntry {
 	s.benchMu.Lock()
 	defer s.benchMu.Unlock()
-	src, ok := s.benchSrc[sp.Name]
+	b, ok := s.bench[sp.Name]
 	if !ok {
-		src = designs.Generate(sp)
-		s.benchSrc[sp.Name] = src
+		src := designs.Generate(sp)
+		b = benchEntry{src: src, tag: engine.DesignTag(sp.Name, src)}
+		s.bench[sp.Name] = b
 	}
-	return src
+	return b
 }
 
 // parseVariant maps the wire name ("SOG", "AIG", ...) onto the variant.
@@ -292,15 +312,15 @@ func (s *Service) Eval(ctx context.Context, req EvalRequest) (*EvalResponse, err
 			want = append(want, v)
 		}
 	}
-	name, src, _, err := s.resolve(req.Design)
+	d, err := s.resolve(req.Design)
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	reps, err := BuildSweepReps(ctx, s.eng, name, src)
+	reps, err := buildSweepReps(ctx, s.eng, d.tag, d.src)
 	if err != nil {
 		return nil, classifyEngineErr(err)
 	}
-	resp := &EvalResponse{Design: name, Period: req.Period}
+	resp := &EvalResponse{Design: d.name, Period: req.Period}
 	for _, v := range want {
 		rr := reps[v]
 		wns, tns := rr.Summary(req.Period)
@@ -335,17 +355,17 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, 
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	name, src, _, rerr := s.resolve(req.Design)
+	d, rerr := s.resolve(req.Design)
 	if rerr != nil {
 		return nil, badRequest(rerr)
 	}
-	reps, berr := BuildSweepReps(ctx, s.eng, name, src)
+	reps, berr := buildSweepReps(ctx, s.eng, d.tag, d.src)
 	if berr != nil {
 		return nil, classifyEngineErr(berr)
 	}
 	var b strings.Builder
-	RenderSweep(&b, name, reps, periods)
-	return &SweepResponse{Design: name, Points: len(periods), Text: b.String()}, nil
+	RenderSweep(&b, d.name, reps, periods)
+	return &SweepResponse{Design: d.name, Points: len(periods), Text: b.String()}, nil
 }
 
 // FmaxRequest asks for each variant's maximum frequency: the inverse of
@@ -371,18 +391,18 @@ type FmaxResponse struct {
 
 // Fmax answers a maximum-frequency query from the resident cache.
 func (s *Service) Fmax(ctx context.Context, req FmaxRequest) (*FmaxResponse, error) {
-	name, src, _, err := s.resolve(req.Design)
+	d, err := s.resolve(req.Design)
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	reps, berr := BuildSweepReps(ctx, s.eng, name, src)
+	reps, berr := buildSweepReps(ctx, s.eng, d.tag, d.src)
 	if berr != nil {
 		return nil, classifyEngineErr(berr)
 	}
 	results := fmaxVariants(reps)
 	var b strings.Builder
-	renderFmax(&b, name, results)
-	return &FmaxResponse{Design: name, Results: results, Text: b.String()}, nil
+	renderFmax(&b, d.name, results)
+	return &FmaxResponse{Design: d.name, Results: results, Text: b.String()}, nil
 }
 
 // AnnotateRequest asks for the model's slack-annotated source.
@@ -410,24 +430,24 @@ func (s *Service) Annotate(ctx context.Context, req AnnotateRequest) (*AnnotateR
 	if s.model == nil {
 		return nil, badRequestf("annotate needs a trained model: start the daemon with -model")
 	}
-	name, src, spec, err := s.resolve(req.Design)
+	d, err := s.resolve(req.Design)
 	if err != nil {
 		return nil, badRequest(err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	dd, derr := dataset.BuildFromSource(spec, src,
+	dd, derr := dataset.BuildFromSource(d.spec, d.src,
 		dataset.BuildOptions{Seed: s.seed, Period: req.Period, Engine: s.eng})
 	if derr != nil {
 		return nil, classifyEngineErr(derr)
 	}
 	pred := s.model.Predict(dd)
-	out, aerr := annotate.Annotate(src, pred, annotate.Options{})
+	out, aerr := annotate.Annotate(d.src, pred, annotate.Options{})
 	if aerr != nil {
 		return nil, classifyEngineErr(aerr)
 	}
-	return &AnnotateResponse{Design: name, WNS: pred.WNS, TNS: pred.TNS, Period: pred.Period, Text: out}, nil
+	return &AnnotateResponse{Design: d.name, WNS: pred.WNS, TNS: pred.TNS, Period: pred.Period, Text: out}, nil
 }
 
 // StatsResponse is the /stats payload: the engine counters plus the
@@ -478,31 +498,34 @@ type SessionState struct {
 	Chain string `json:"chain"`
 }
 
-// SessionOpen builds (or warms) the base representation and registers the
-// session at chain depth 0. The -max-sessions cap is checked before the
-// build (reject cheap) and re-checked at insertion (the table may have
-// filled while this open was building).
+// SessionOpen resolves (builds, reloads or warms) the one base
+// representation the session edits, through the engine's (design,
+// variant) key, and registers the session at chain depth 0; the design's
+// other variants are neither built nor reloaded. The -max-sessions cap is
+// checked before the build (reject cheap) and re-checked at insertion
+// (the table may have filled while this open was building).
 func (s *Service) SessionOpen(ctx context.Context, req SessionOpenRequest) (*SessionState, error) {
 	v, err := parseVariant(req.Variant)
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	name, src, _, rerr := s.resolve(req.Design)
+	d, rerr := s.resolve(req.Design)
 	if rerr != nil {
 		return nil, badRequest(rerr)
 	}
 	if err := s.checkSessionCap(); err != nil {
 		return nil, err
 	}
-	reps, berr := BuildSweepReps(ctx, s.eng, name, src)
+	key := engine.Key{Design: d.tag, Variant: v}
+	head, berr := s.eng.EvalRepCtx(ctx, key, liberty.DefaultPseudoLib(), engine.LazyDesign(d.src))
 	if berr != nil {
 		return nil, classifyEngineErr(berr)
 	}
 	sess := &session{
-		design:  name,
+		design:  d.name,
 		variant: v,
-		head:    reps[v],
-		chain:   engine.Key{Design: engine.DesignTag(name, src), Variant: v},
+		head:    head,
+		chain:   key,
 		lastUse: s.now(),
 	}
 	s.mu.Lock()

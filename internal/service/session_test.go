@@ -12,6 +12,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rtltimer/internal/designs"
+	"rtltimer/internal/engine"
 )
 
 // fakeClock is the injectable time seam: tests advance it explicitly, so
@@ -165,4 +168,44 @@ func TestSessionReaperGoroutine(t *testing.T) {
 	}
 	svc.Close()
 	svc.Close() // idempotent
+}
+
+// TestSessionOpenResolvesOneVariant: an open resolves only the variant
+// its session edits. On a fresh service it makes exactly one build, and
+// after Engine.Reset over a cache directory exactly one disk hit and no
+// build.
+func TestSessionOpenResolvesOneVariant(t *testing.T) {
+	name := benchNames(t, 1)[0]
+	svc := newService(t, Config{Jobs: 2, CacheDir: t.TempDir()})
+	openSession(t, svc, name)
+	if st := svc.Engine().Stats(); st.Builds != 1 || st.DiskHits != 0 {
+		t.Fatalf("cold open: stats %+v, want exactly 1 build", st)
+	}
+	svc.Engine().Reset()
+	openSession(t, svc, name)
+	if st := svc.Engine().Stats(); st.Builds != 1 || st.DiskHits != 1 {
+		t.Fatalf("open after Reset: stats %+v, want exactly 1 disk hit and no new build", st)
+	}
+}
+
+// TestBenchTagMemo: resolving a built-in benchmark by name returns the
+// memoized tag, which must equal engine.DesignTag of the generated source
+// for every suite design, on the first request and on a memo hit alike.
+func TestBenchTagMemo(t *testing.T) {
+	svc := newService(t, Config{Jobs: 1})
+	for _, spec := range designs.All() {
+		want := engine.DesignTag(spec.Name, designs.Generate(spec))
+		for pass := 0; pass < 2; pass++ {
+			d, err := svc.resolve(DesignRef{Bench: spec.Name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.tag != want {
+				t.Fatalf("%s pass %d: tag %q, want %q", spec.Name, pass, d.tag, want)
+			}
+		}
+	}
+	if n := len(designs.All()); len(svc.bench) != n {
+		t.Fatalf("memo holds %d entries, want %d", len(svc.bench), n)
+	}
 }

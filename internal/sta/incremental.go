@@ -1,7 +1,10 @@
 package sta
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"rtltimer/internal/bog"
 	"rtltimer/internal/liberty"
@@ -26,18 +29,22 @@ import (
 //   - delays follow their node's load and the worst fanin slew, so a slew
 //     change dirties exactly its consumers;
 //   - arrivals propagate through the downstream cone via a monotone
-//     min-heap worklist over the maintained fanout adjacency, with early
-//     cutoff the moment a recomputed arrival is bit-identical to the old
-//     one. Node ids are topological, so every pop is final.
+//     min-heap worklist over the fanout adjacency, with early cutoff the
+//     moment a recomputed arrival is bit-identical to the old one. Node
+//     ids are topological, so every pop is final.
 //
-// The session maintains its own fanout adjacency (sorted consumer lists,
-// one entry per fanin slot) incrementally, so no O(graph) adjacency
-// rebuild ever runs inside Apply. All lists start out in one array sized
-// to the graph's fanin edges: each node's list is a sub-slice capped at
-// its own consumer count, so when an edit grows a list only that list is
-// reallocated, and its neighbours are never overwritten. Cost per Apply is
-// proportional to the affected cone, not the design — the property
-// BenchmarkIncrementalSTA tracks against BenchmarkFullReanalyze.
+// The session reads its fanout adjacency (sorted consumer lists, one entry
+// per fanin slot) from a shared read-only root CSR and keeps a map overlay
+// holding only the lists that differ from it. A list is copied into the
+// overlay on the session's first write to it, so neither the root nor a
+// list inherited from an earlier analyzer of the chain is ever written.
+// A session opened on an analyzer (NewIncrementalOn) reuses that
+// analyzer's root and starts from its overlay, so opening one costs the
+// per-node vector copies and a small map clone rather than an O(graph)
+// adjacency rebuild, and no adjacency rebuild ever runs inside Apply.
+// Cost per Apply is proportional to the affected cone, not the design —
+// the property BenchmarkIncrementalSTA tracks against
+// BenchmarkFullReanalyze.
 //
 // An Incremental is single-owner: unlike the immutable Analyzer it must
 // not be shared across goroutines without external locking.
@@ -50,9 +57,14 @@ type Incremental struct {
 	delay []float64
 	arr   []float64
 
-	fanout    [][]bog.NodeID // per node: consumer ids, (consumer, slot) order
-	fanoutCnt []int32        // per node: len(fanout), the analyzer's Fanout vector
-	epCount   []int32        // per node: endpoints whose D pin it drives
+	fanoutCnt []int32 // per node: consumer list length, the analyzer's Fanout vector
+
+	csr     *consumerCSR                // shared root adjacency, read-only
+	overlay map[bog.NodeID][]bog.NodeID // lists that differ from csr's
+	// owned marks the overlay lists this session copied and may write in
+	// place; nil until the first write, which also clones overlay (it
+	// starts out as the seeding analyzer's map, which is shared).
+	owned map[bog.NodeID]bool
 
 	heap   []bog.NodeID // arrival worklist (binary min-heap)
 	inHeap []bool
@@ -65,86 +77,108 @@ type Incremental struct {
 	arrSeed    map[bog.NodeID]bool // fanin arrival set changed
 
 	recomputed int64 // cumulative arrival recomputes across Apply calls
+	sealed     bool  // Snapshot handed the state over; Apply refuses
 }
 
 // NewIncremental builds a session from scratch: one analyzer construction
-// plus one serial forward pass, exactly the cost of a cold Analyze.
+// plus one serial forward pass, exactly the cost of a cold Analyze, and
+// a private root adjacency.
 func NewIncremental(g *bog.Graph, lib *liberty.PseudoLib) *Incremental {
 	an := NewAnalyzer(g, lib)
-	s, err := NewIncrementalFromState(g, lib, an.load, an.slew, an.delay, an.Arrivals(1))
+	s, err := NewIncrementalOn(an, g, an.Arrivals(1))
 	if err != nil {
-		// Vectors came from the analyzer of this same graph; a length
+		// The analyzer and arrivals are of this same graph; a length
 		// mismatch is impossible.
 		panic(err)
 	}
 	return s
 }
 
+// NewIncrementalOn seeds a session from an analyzer and its arrival
+// vector (as returned by Arrivals, or frozen with it by Snapshot),
+// skipping every timing pass. The per-node vectors are copied, so the
+// analyzer and arr (typically an immutable cached RepResult's) are never
+// mutated. The session shares the analyzer's root adjacency, building it
+// first if this is the analyzer's first session, and starts from its
+// overlay. g must be a private clone of an.G: the session owns and edits
+// it from here on.
+func NewIncrementalOn(an *Analyzer, g *bog.Graph, arr []float64) (*Incremental, error) {
+	n := len(g.Nodes)
+	if len(an.G.Nodes) != n || len(arr) != n {
+		return nil, fmt.Errorf("sta: incremental seed covers %d nodes with %d arrivals, graph has %d",
+			len(an.G.Nodes), len(arr), n)
+	}
+	return newIncremental(g, an.Lib, an.adjacency(), an.overlay, slices.Clone(an.fanout),
+		an.load, an.slew, an.delay, arr), nil
+}
+
 // NewIncrementalFromState seeds a session from previously computed
 // period-free state — an Analyzer's State() vectors and an arrival vector
-// from Arrivals — skipping every timing pass. All vectors are copied, so
-// the source (typically an immutable cached RepResult) is never mutated;
-// g, however, is owned by the session from here on and must be a private
-// clone if the caller's graph is shared.
+// from Arrivals — skipping every timing pass, and builds a private root
+// adjacency from g. All vectors are copied, so the source (typically an
+// immutable cached RepResult) is never mutated; g, however, is owned by
+// the session from here on and must be a private clone if the caller's
+// graph is shared.
 func NewIncrementalFromState(g *bog.Graph, lib *liberty.PseudoLib, load, slew, delay, arr []float64) (*Incremental, error) {
 	n := len(g.Nodes)
 	if len(load) != n || len(slew) != n || len(delay) != n || len(arr) != n {
 		return nil, fmt.Errorf("sta: incremental state vectors cover %d/%d/%d/%d nodes, graph has %d",
 			len(load), len(slew), len(delay), len(arr), n)
 	}
-	s := &Incremental{
+	return newIncremental(g, lib, newConsumerCSR(g), nil, g.FanoutCounts(), load, slew, delay, arr), nil
+}
+
+// newIncremental is the one session constructor: it takes ownership of
+// fanout and copies the four timing vectors.
+func newIncremental(g *bog.Graph, lib *liberty.PseudoLib, csr *consumerCSR, overlay map[bog.NodeID][]bog.NodeID,
+	fanout []int32, load, slew, delay, arr []float64) *Incremental {
+	return &Incremental{
 		G: g, Lib: lib,
-		load:       append([]float64(nil), load...),
-		slew:       append([]float64(nil), slew...),
-		delay:      append([]float64(nil), delay...),
-		arr:        append([]float64(nil), arr...),
+		load:       slices.Clone(load),
+		slew:       slices.Clone(slew),
+		delay:      slices.Clone(delay),
+		arr:        slices.Clone(arr),
+		fanoutCnt:  fanout,
+		csr:        csr,
+		overlay:    overlay,
+		inHeap:     make([]bool, len(g.Nodes)),
 		loadDirty:  map[bog.NodeID]bool{},
 		cellDirty:  map[bog.NodeID]bool{},
 		delayDirty: map[bog.NodeID]bool{},
 		arrSeed:    map[bog.NodeID]bool{},
 	}
-	s.buildAdjacency()
-	return s, nil
 }
 
-// buildAdjacency constructs the mutable fanout lists, fanout counts and
-// endpoint-load counts from the graph. Iterating nodes in id order with
-// fanin slots in slot order yields each driver's consumer list already in
-// (consumer id, slot) order — the analyzer's load accumulation order.
-// Every list is carved out of one consumer array; the three-index slice
-// caps it at its own count, so an append that outgrows it reallocates
-// that list alone instead of running into the next node's consumers.
-func (s *Incremental) buildAdjacency() {
-	n := len(s.G.Nodes)
-	s.fanout = make([][]bog.NodeID, n)
-	s.fanoutCnt = make([]int32, n)
-	s.epCount = make([]int32, n)
-	s.inHeap = make([]bool, n)
-	edges := 0
-	for i := range s.G.Nodes {
-		nd := &s.G.Nodes[i]
-		for j := 0; j < nd.NumFanin(); j++ {
-			s.fanoutCnt[nd.Fanin[j]]++
-		}
-		edges += nd.NumFanin()
+// consumers returns node f's current consumer list (read-only).
+func (s *Incremental) consumers(f bog.NodeID) []bog.NodeID {
+	if l, ok := s.overlay[f]; ok {
+		return l
 	}
-	consumers := make([]bog.NodeID, edges)
-	off := 0
-	for i, c := range s.fanoutCnt {
-		end := off + int(c)
-		s.fanout[i] = consumers[off:off:end]
-		off = end
+	return s.csr.list(f)
+}
+
+// writable returns node f's consumer list for in-place edits, copying it
+// into the session's overlay on the first write (with room for one more
+// consumer). Every list the session did not copy itself — the root's and
+// those inherited from an earlier analyzer of the chain — is shared, and
+// writing one in place would corrupt every analyzer that reads it.
+func (s *Incremental) writable(f bog.NodeID) []bog.NodeID {
+	if s.owned[f] {
+		return s.overlay[f]
 	}
-	for i := range s.G.Nodes {
-		nd := &s.G.Nodes[i]
-		for j := 0; j < nd.NumFanin(); j++ {
-			f := nd.Fanin[j]
-			s.fanout[f] = append(s.fanout[f], bog.NodeID(i))
+	if s.owned == nil {
+		s.owned = map[bog.NodeID]bool{}
+		s.overlay = maps.Clone(s.overlay)
+		if s.overlay == nil {
+			s.overlay = map[bog.NodeID][]bog.NodeID{}
 		}
 	}
-	for _, ep := range s.G.Endpoints {
-		s.epCount[ep.D]++
-	}
+	cur := s.consumers(f)
+	l := make([]bog.NodeID, len(cur), len(cur)+1)
+	copy(l, cur)
+	s.overlay[f] = l
+	s.owned[f] = true
+	return l
 }
 
 // FanoutCount returns node n's current fanout edge count.
@@ -154,7 +188,7 @@ func (s *Incremental) FanoutCount(n bog.NodeID) int { return int(s.fanoutCnt[n])
 // that change a node's logic function (fanin re-pointing, op swaps) are
 // only function-preserving at the design level when the node drives no
 // endpoint directly — the optimizer consults this before rewriting.
-func (s *Incremental) EndpointCount(n bog.NodeID) int { return int(s.epCount[n]) }
+func (s *Incremental) EndpointCount(n bog.NodeID) int { return int(s.csr.endpoints(n)) }
 
 // Arrivals returns the current arrival vector. The slice aliases session
 // state: it is valid for reading until the next Apply.
@@ -187,23 +221,23 @@ func (s *Incremental) At(period float64) *Result {
 	return r
 }
 
-// Snapshot freezes the session's current timing state into an Analyzer
-// plus arrival vector. All per-node vectors are copied, but the Analyzer
-// shares the session's graph — so the snapshot is immutable only once the
-// session stops being edited. The intended pattern (the engine's
-// delta-derived cache entries) applies a delta, snapshots, and discards
-// the session; a later Apply on a live session invalidates any earlier
-// snapshot (an insert would even leave its vectors shorter than the
-// graph).
+// Snapshot freezes the session into an Analyzer plus arrival vector by
+// handing its state over instead of copying it: the Analyzer takes the
+// session's graph, its per-node vectors (fanout counts included), its
+// root adjacency and its overlay, and the arrival vector is the session's
+// own. The session is sealed — a later Apply returns an error — so the
+// snapshot is immutable from here on; Recomputed, G and the read
+// accessors keep answering with the frozen state. The intended pattern
+// (the engine's delta-derived cache entries) applies a delta, snapshots
+// and discards the session; a session opened on the snapshot
+// (NewIncrementalOn) continues the chain.
 func (s *Incremental) Snapshot() (*Analyzer, []float64) {
-	an := &Analyzer{
+	s.sealed = true
+	return &Analyzer{
 		G: s.G, Lib: s.Lib,
-		load:   append([]float64(nil), s.load...),
-		slew:   append([]float64(nil), s.slew...),
-		delay:  append([]float64(nil), s.delay...),
-		fanout: append([]int32(nil), s.fanoutCnt...),
-	}
-	return an, append([]float64(nil), s.arr...)
+		load: s.load, slew: s.slew, delay: s.delay, fanout: s.fanoutCnt,
+		csr: s.csr, overlay: s.overlay,
+	}, s.arr
 }
 
 // Apply applies the delta to the session's graph and incrementally
@@ -213,8 +247,12 @@ func (s *Incremental) Snapshot() (*Analyzer, []float64) {
 // A delta with insertions leaves orphan nodes behind on undo, whose
 // residual input load shifts their fanins' timing (the session stays
 // exactly consistent with a fresh analysis of the orphaned graph). On
-// error the graph and the timing state are untouched.
+// error the graph and the timing state are untouched; a session sealed by
+// Snapshot refuses every delta.
 func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
+	if s.sealed {
+		return nil, errSealed
+	}
 	if err := s.G.CheckDelta(d); err != nil {
 		return nil, err
 	}
@@ -268,10 +306,7 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 			nd := &s.G.Nodes[id]
 			for j := 0; j < nd.NumFanin(); j++ {
 				f := nd.Fanin[j]
-				// id exceeds every existing consumer, so appending keeps
-				// the (consumer, slot) order.
-				s.fanout[f] = append(s.fanout[f], id)
-				s.fanoutCnt[f]++
+				s.fanoutInsert(f, id)
 				loadDirty[f] = true
 			}
 			loadDirty[id] = true
@@ -323,7 +358,7 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 			continue // early cutoff: downstream cannot change
 		}
 		s.arr[i] = na
-		for _, c := range s.fanout[i] {
+		for _, c := range s.consumers(i) {
 			s.push(c)
 		}
 	}
@@ -333,6 +368,10 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 	}
 	return undo, nil
 }
+
+// errSealed is Apply's refusal once Snapshot has handed the session's
+// state to an Analyzer.
+var errSealed = errors.New("sta: session was frozen by Snapshot; open a new session on the snapshot")
 
 // editArity mirrors the operator fanin-slot count for delta inserts.
 func editArity(op bog.Op) int {
@@ -346,9 +385,7 @@ func (s *Incremental) grow() {
 	s.slew = append(s.slew, 0)
 	s.delay = append(s.delay, 0)
 	s.arr = append(s.arr, 0)
-	s.fanout = append(s.fanout, nil)
 	s.fanoutCnt = append(s.fanoutCnt, 0)
-	s.epCount = append(s.epCount, 0)
 	s.inHeap = append(s.inHeap, false)
 }
 
@@ -371,23 +408,25 @@ func lowerBound(list []bog.NodeID, c bog.NodeID) int {
 // When c references f through several slots the entries are adjacent and
 // interchangeable, so removing any one of them is correct.
 func (s *Incremental) fanoutRemove(f, c bog.NodeID) {
-	list := s.fanout[f]
+	list := s.writable(f)
 	// lowerBound finds the first entry holding c (CheckDelta guarantees
 	// presence).
 	lo := lowerBound(list, c)
 	copy(list[lo:], list[lo+1:])
-	s.fanout[f] = list[:len(list)-1]
+	s.overlay[f] = list[:len(list)-1]
 	s.fanoutCnt[f]--
 }
 
 // fanoutInsert adds consumer c to f's consumer list, keeping it sorted.
+// An inserted node's id exceeds every existing consumer, so its entries
+// land at the end.
 func (s *Incremental) fanoutInsert(f, c bog.NodeID) {
-	list := s.fanout[f]
+	list := s.writable(f)
 	lo := lowerBound(list, c)
 	list = append(list, 0)
 	copy(list[lo+1:], list[lo:])
 	list[lo] = c
-	s.fanout[f] = list
+	s.overlay[f] = list
 	s.fanoutCnt[f]++
 }
 
@@ -396,10 +435,10 @@ func (s *Incremental) fanoutInsert(f, c bog.NodeID) {
 // id, slot) order, one endpoint cap per driven endpoint, then wire load.
 func (s *Incremental) recomputeLoad(f bog.NodeID) float64 {
 	l := 0.0
-	for _, c := range s.fanout[f] {
+	for _, c := range s.consumers(f) {
 		l += s.Lib.Cells[s.G.Nodes[c].Op].InputCap
 	}
-	for k := int32(0); k < s.epCount[f]; k++ {
+	for k := s.csr.endpoints(f); k > 0; k-- {
 		l += endpointCap
 	}
 	l += s.Lib.WireLoad * float64(s.fanoutCnt[f])
@@ -414,7 +453,7 @@ func (s *Incremental) refreshSlew(n bog.NodeID, delayDirty map[bog.NodeID]bool) 
 		return
 	}
 	s.slew[n] = ns
-	for _, c := range s.fanout[n] {
+	for _, c := range s.consumers(n) {
 		delayDirty[c] = true
 	}
 }

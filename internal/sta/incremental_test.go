@@ -1,8 +1,10 @@
 package sta_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rtltimer/internal/bog"
@@ -286,13 +288,19 @@ func TestIncrementalSeedsFromAnalyzerState(t *testing.T) {
 	}
 }
 
-// TestIncrementalSnapshotIsImmutable: Snapshot's per-node vectors must
-// not alias live session state (the graph is shared by contract — the
-// intended pattern snapshots and then discards the session).
+// TestIncrementalSnapshotIsImmutable: Snapshot hands the session's own
+// vectors to the returned Analyzer and arrival vector and seals the
+// session, so an Apply after it must fail and leave the graph and every
+// snapshot vector bit-unchanged, while the read accessors keep answering.
 func TestIncrementalSnapshotIsImmutable(t *testing.T) {
 	lib := liberty.DefaultPseudoLib()
 	g := randomEditGraph(bog.SOG, 17)
 	inc := sta.NewIncremental(g, lib)
+	rng := rand.New(rand.NewSource(9))
+	if _, err := inc.Apply(randomDelta(g, rng, 4, true)); err != nil {
+		t.Fatal(err)
+	}
+	recomputed := inc.Recomputed()
 	an, arr := inc.Snapshot()
 	// The snapshot materializes consistent period views for the captured
 	// state.
@@ -300,16 +308,28 @@ func TestIncrementalSnapshotIsImmutable(t *testing.T) {
 	if len(r.Slack) != len(g.Endpoints) {
 		t.Fatalf("snapshot result covers %d endpoints, want %d", len(r.Slack), len(g.Endpoints))
 	}
-	frozen := append([]float64(nil), arr...)
-	rng := rand.New(rand.NewSource(9))
-	if _, err := inc.Apply(randomDelta(g, rng, 6, true)); err != nil {
-		t.Fatal(err)
+	load, slew, delay, fanout := an.State()
+	frozen := [][]float64{slices.Clone(arr), slices.Clone(load), slices.Clone(slew), slices.Clone(delay)}
+	frozenFanout := slices.Clone(fanout)
+	graph := bog.MarshalGraph(g)
+
+	if _, err := inc.Apply(randomDelta(g, rng, 6, true)); err == nil {
+		t.Fatal("Apply after Snapshot succeeded")
 	}
-	for i := range frozen {
-		if arr[i] != frozen[i] {
-			t.Fatalf("snapshot arrival %d changed under later edits", i)
-		}
+	if !bytes.Equal(bog.MarshalGraph(g), graph) {
+		t.Fatal("refused Apply changed the graph")
 	}
+	for k, v := range [][]float64{arr, load, slew, delay} {
+		sameFloats(t, fmt.Sprintf("snapshot vector %d", k), g, frozen[k], v)
+	}
+	if !slices.Equal(fanout, frozenFanout) {
+		t.Fatal("refused Apply changed the snapshot fanout")
+	}
+	if inc.Recomputed() != recomputed || inc.G != g {
+		t.Fatal("sealed session stopped answering its read accessors")
+	}
+	sameFloats(t, "sealed Arrivals", g, arr, inc.Arrivals())
+	verifyAgainstFresh(t, g, lib, inc)
 }
 
 // TestIncrementalConeProportional: a single edit at an endpoint driver

@@ -3,6 +3,7 @@ package sta
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"rtltimer/internal/bog"
 	"rtltimer/internal/liberty"
@@ -22,7 +23,14 @@ const endpointCap = 1.1
 // reference-style pass; every subsequent Analyze allocates only the
 // arrival vector and the Result slices.
 //
-// An Analyzer is immutable after NewAnalyzer and safe for concurrent use.
+// The analyzer also holds the read-only consumer adjacency its
+// incremental sessions start from (NewIncrementalOn): a root CSR, built
+// on the first session of a built or restored analyzer, plus the overlay
+// of lists an edit chain changed since that root. Analyzers frozen along
+// one chain share the root's arrays and differ only in their overlays.
+//
+// An Analyzer is immutable after construction and safe for concurrent
+// use; the lazy adjacency build runs once, under a sync.Once.
 type Analyzer struct {
 	G   *bog.Graph
 	Lib *liberty.PseudoLib
@@ -31,6 +39,10 @@ type Analyzer struct {
 	slew   []float64 // static per-node output slew
 	delay  []float64 // per-node arrival increment (sources: absolute arrival)
 	fanout []int32
+
+	adjOnce sync.Once
+	csr     *consumerCSR                // root adjacency (see adjacency)
+	overlay map[bog.NodeID][]bog.NodeID // lists that differ from csr's
 }
 
 // NewAnalyzer precomputes the period-independent timing state for g under
