@@ -904,12 +904,12 @@ func BenchmarkIncrementalSTA(b *testing.B) {
 
 // BenchmarkRepResultEdit measures the engine's delta derivation on a
 // cache miss: a graph clone, a session opened on the base analyzer's
-// shared consumer adjacency (copying the per-node vectors, not rebuilding
-// the adjacency), the cone re-time, a snapshot that takes the session's
-// vectors over instead of copying them, the arrival fingerprint and a
-// lazy extractor, which walks no cone. The first iteration builds the
-// base's adjacency once, as a resident base's first edit does; every
-// later one shares it.
+// shared consumer adjacency (copying the per-node vectors into the
+// session's private analyzer, not rebuilding the adjacency), the cone
+// re-time, a snapshot that returns that analyzer itself, the arrival
+// fingerprint and a lazy extractor, which walks no cone and counts no
+// cell. The first iteration builds the base's adjacency once, as a
+// resident base's first edit does; every later one shares it.
 func BenchmarkRepResultEdit(b *testing.B) {
 	rr := rocket3AIG(b)
 	n, _, alt := benchEditSite(b, rr.Graph)

@@ -12,17 +12,6 @@ import (
 	"rtltimer/internal/ml/tree"
 )
 
-// Type helpers keeping Load readable.
-type regressorT = tree.Regressor
-
-func newRegressor() *tree.Regressor { return &tree.Regressor{} }
-func newRanker() *ltr.Model         { return &ltr.Model{} }
-func bogVariant(v int) bog.Variant  { return bog.Variant(v) }
-
-func newEmptyModel() *Model {
-	return &Model{BitModels: map[bog.Variant]*tree.Regressor{}}
-}
-
 // modelWire is the on-disk representation of a trained model. Options are
 // stored so that prediction-time behavior (representations, sampling mode)
 // matches training.
@@ -72,9 +61,9 @@ func (m *Model) Save(w io.Writer) error {
 	}
 	sort.Ints(variants)
 	for _, v := range variants {
-		data, eerr := m.BitModels[bogVariant(v)].GobEncode()
+		data, eerr := m.BitModels[bog.Variant(v)].GobEncode()
 		if eerr != nil {
-			return fmt.Errorf("core: save bit model %v: %w", bogVariant(v), eerr)
+			return fmt.Errorf("core: save bit model %v: %w", bog.Variant(v), eerr)
 		}
 		wire.BitModels = append(wire.BitModels, bitModelWire{Variant: v, Data: data})
 	}
@@ -105,20 +94,18 @@ func Load(r io.Reader) (*Model, error) {
 	if wire.Version != wireVersion {
 		return nil, fmt.Errorf("core: model version %d unsupported", wire.Version)
 	}
-	m := newEmptyModel()
-	m.Opts = wire.Opts
-	m.Period = wire.Period
-	for _, bm := range wire.BitModels {
-		reg := newRegressor()
-		if err := reg.GobDecode(bm.Data); err != nil {
-			return nil, err
-		}
-		m.BitModels[bogVariant(bm.Variant)] = reg
-	}
-	decode := func(data []byte) (*regressorT, error) {
-		reg := newRegressor()
+	m := &Model{Opts: wire.Opts, Period: wire.Period, BitModels: map[bog.Variant]*tree.Regressor{}}
+	decode := func(data []byte) (*tree.Regressor, error) {
+		reg := &tree.Regressor{}
 		err := reg.GobDecode(data)
 		return reg, err
+	}
+	for _, bm := range wire.BitModels {
+		reg, err := decode(bm.Data)
+		if err != nil {
+			return nil, err
+		}
+		m.BitModels[bog.Variant(bm.Variant)] = reg
 	}
 	var err error
 	if m.Ensemble, err = decode(wire.Ensemble); err != nil {
@@ -127,7 +114,7 @@ func Load(r io.Reader) (*Model, error) {
 	if m.Signal, err = decode(wire.Signal); err != nil {
 		return nil, err
 	}
-	m.Ranker = newRanker()
+	m.Ranker = &ltr.Model{}
 	if err := m.Ranker.GobDecode(wire.Ranker); err != nil {
 		return nil, err
 	}

@@ -71,7 +71,6 @@ type BuildOptions struct {
 	MinSamples int  // min random paths per endpoint (default 2)
 	MaxSamples int  // max random paths per endpoint (default 12)
 	WithSeqs   bool // also extract per-node sequences (transformer)
-	Variants   []bog.Variant
 	Seed       int64
 	// Engine drives the per-design and per-representation fan-out and
 	// caches representation evaluations (nil = the shared default engine).
@@ -95,9 +94,6 @@ func (o BuildOptions) withDefaults() BuildOptions {
 	}
 	if o.MaxSamples == 0 {
 		o.MaxSamples = 12
-	}
-	if len(o.Variants) == 0 {
-		o.Variants = bog.Variants()
 	}
 	if o.Engine == nil {
 		o.Engine = engine.Default()
@@ -179,9 +175,10 @@ func BuildFromSource(spec designs.Spec, src string, opts BuildOptions) (*DesignD
 	// every worker count.
 	lib := liberty.DefaultPseudoLib()
 	tag := engine.DesignTag(spec.Name, src)
-	reps := make([]*RepData, len(o.Variants))
-	err = o.Engine.ForEachErr(len(o.Variants), func(vi int) error {
-		v := o.Variants[vi]
+	variants := bog.Variants()
+	reps := make([]*RepData, len(variants))
+	err = o.Engine.ForEachErr(len(variants), func(vi int) error {
+		v := variants[vi]
 		rr, rerr := o.Engine.EvalRep(engine.Key{Design: tag, Variant: v}, lib, engine.FixedDesign(design))
 		if rerr != nil {
 			return fmt.Errorf("dataset: %s/%v: %w", spec.Name, v, rerr)
@@ -222,7 +219,7 @@ func BuildFromSource(spec designs.Spec, src string, opts BuildOptions) (*DesignD
 	if err != nil {
 		return nil, err
 	}
-	for vi, v := range o.Variants {
+	for vi, v := range variants {
 		dd.Reps[v] = reps[vi]
 	}
 	return dd, nil
@@ -247,17 +244,12 @@ func BuildAll(specs []designs.Spec, opts BuildOptions) ([]*DesignData, error) {
 	return out, nil
 }
 
-// SignalLabels aggregates bit labels to signal-level max arrival times,
-// excluding primary-output pseudo endpoints (the paper's signal-level task
-// covers sequential signals).
+// SignalLabels aggregates the SOG representation's bit labels to
+// signal-level max arrival times, excluding primary-output pseudo
+// endpoints (the paper's signal-level task covers sequential signals).
+// Every built entry carries all four representations.
 func (dd *DesignData) SignalLabels() map[string]float64 {
 	rep := dd.Reps[bog.SOG]
-	if rep == nil {
-		for _, r := range dd.Reps {
-			rep = r
-			break
-		}
-	}
 	out := map[string]float64{}
 	for i, sig := range rep.EPSignals {
 		if rep.EPIsPO[i] {

@@ -137,6 +137,12 @@ type RepResult struct {
 	key Key
 }
 
+// Key returns the cache identity the result is registered under: the
+// base (design, variant) key, with the EditKey digest chain of every
+// delta that derived it. A result made outside an engine, or Detached,
+// has the zero Key.
+func (rr *RepResult) Key() Key { return rr.key }
+
 // Sharded always returns false: no result carries a shard partition. It
 // stays only because perfbench still calls it, and goes once ROADMAP item
 // 2's benchmark PR stops that.
@@ -205,16 +211,16 @@ func EditKey(base Key, delta bog.Delta) Key {
 // graph is cloned, the delta applied through an incremental STA session
 // opened on the base analyzer's shared consumer adjacency (re-timing only
 // the affected cone — no bit-blast, no full forward pass, no adjacency
-// rebuild), and the session's state handed over uncopied to a fresh
-// immutable RepResult with a lazy extractor of the edited graph, which
-// walks no cone unless a feature is read. What an edit still pays per
-// node is the graph clone and one copy of the five per-node timing
-// vectors; the rest costs the cone, the overlay of consumer lists the
-// chain has changed, and the arrival fingerprint. Derived results are
-// cached in the engine's memory tier under EditKey with the usual
-// single-flight semantics, so concurrent callers of the same (base,
-// delta) share one derivation, and further Edits may chain off the
-// result, each hop sharing the chain root's adjacency.
+// rebuild), and the analyzer the session edited becomes the analyzer of
+// a fresh immutable RepResult, with a lazy extractor of the edited graph
+// that walks no cone and counts no cell unless a feature is read. What an
+// edit still pays per node is the graph clone and one copy of the five
+// per-node timing vectors; the rest costs the cone, the overlay of
+// consumer lists the chain has changed, and the arrival fingerprint.
+// Derived results are cached in the engine's memory tier under EditKey
+// with the usual single-flight semantics, so concurrent callers of the
+// same (base, delta) share one derivation, and further Edits may chain
+// off the result, each hop sharing the chain root's adjacency.
 //
 // Derived entries are deliberately not persisted to the disk tier: their
 // key records the base design tag plus the delta digest, so a warm
@@ -315,14 +321,14 @@ func (e *Engine) resolveEdit(ctx context.Context, key Key, base *RepResult, delt
 }
 
 // derive computes the edited evaluation from the base: clone, a session
-// on the base analyzer (sta.NewIncrementalOn: the vectors are copied, the
-// root adjacency is shared and built only by a built or disk-restored
-// base's first edit), the cone re-time, and a snapshot that takes the
-// session's vectors and adjacency overlay over, since the session is
-// discarded. The result gets a fresh lazy extractor of the edited graph,
-// so a derivation walks no cone unless a caller reads a feature of the
-// result. It is bit-identical to a fresh analysis and extractor of the
-// edited graph; the base is never mutated.
+// on the base analyzer (sta.NewIncrementalOn: the session edits a private
+// analyzer with copied vectors; the root adjacency is shared and built
+// only by a built or disk-restored base's first edit), the cone re-time,
+// and a snapshot, which returns that private analyzer itself, since the
+// session is discarded. The result gets a fresh lazy extractor of the
+// edited graph, so a derivation walks no cone and counts no cell unless a
+// caller reads a feature of the result. It is bit-identical to a fresh
+// analysis and extractor of the edited graph; the base is never mutated.
 func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, error) {
 	g := rr.Graph.Clone()
 	inc, err := sta.NewIncrementalOn(rr.An, g, rr.Arrival)

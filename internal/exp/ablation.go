@@ -64,7 +64,7 @@ func (s *Suite) AblationSampling() (*Table, error) {
 				covrs = append(covrs, metrics.COVR(labels, p.BitAT))
 			}
 		}
-		t.Rows = append(t.Rows, []string{b.name, fmtF(meanOf(rs), 3), fmtF(meanOf(mapes), 0), fmtF(meanOf(covrs), 0)})
+		t.Rows = append(t.Rows, []string{b.name, fmtF(metrics.Mean(rs), 3), fmtF(metrics.Mean(mapes), 0), fmtF(metrics.Mean(covrs), 0)})
 	}
 	return t, nil
 }
@@ -116,7 +116,7 @@ func (s *Suite) AblationEnsembleSize() (*Table, error) {
 			}
 			name += v.String()
 		}
-		t.Rows = append(t.Rows, []string{name, fmtF(meanOf(rs), 3), fmtF(metrics.Std(rs), 3)})
+		t.Rows = append(t.Rows, []string{name, fmtF(metrics.Mean(rs), 3), fmtF(metrics.Std(rs), 3)})
 	}
 	return t, nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"rtltimer/internal/bog"
+	"rtltimer/internal/core"
 	"rtltimer/internal/dataset"
 	"rtltimer/internal/metrics"
 	"rtltimer/internal/synth"
@@ -117,7 +118,7 @@ func (s *Suite) Fig5c() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	labels, preds, _ := coreSignalVectors(dd, cv[di])
+	labels, preds, _ := core.SignalLabelVectors(dd, cv[di])
 	return &Figure{
 		Title:  "Fig 5(c): signal-wise prediction vs label (b18_1)",
 		Series: []Series{{Name: "En", X: labels, Y: preds}},

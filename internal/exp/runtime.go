@@ -22,7 +22,7 @@ func (s *Suite) RuntimeReport() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := coreTrainAll(s, data)
+	model, err := core.Train(data, s.coreOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -90,21 +90,4 @@ func (s *Suite) RuntimeReport() (*Table, error) {
 		},
 	}
 	return t, nil
-}
-
-// coreSignalVectors re-exports the core alignment helper for figures.
-func coreSignalVectors(dd interface {
-	SignalLabels() map[string]float64
-}, p *core.DesignPrediction) (labels, preds, ranks []float64) {
-	truth := dd.SignalLabels()
-	for _, sp := range p.Signals {
-		lab, ok := truth[sp.Name]
-		if !ok {
-			continue
-		}
-		labels = append(labels, lab)
-		preds = append(preds, sp.AT)
-		ranks = append(ranks, sp.RankScore)
-	}
-	return
 }

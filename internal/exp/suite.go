@@ -237,11 +237,3 @@ func signalEval(dd *dataset.DesignData, p *core.DesignPrediction) (r, mape, covr
 }
 
 func fmtF(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
-
-// coreTrainAll trains RTL-Timer on the full dataset (used by analyses that
-// do not require held-out designs, e.g. feature importance).
-func coreTrainAll(s *Suite, data []*dataset.DesignData) (*core.Model, error) {
-	return core.Train(data, s.coreOptions())
-}
-
-func meanOf(xs []float64) float64 { return metrics.Mean(xs) }

@@ -295,14 +295,14 @@ func (s *Suite) Table4FineGrained() (*Table, error) {
 	}
 	for bi, bp := range bitRows {
 		t.Rows = append(t.Rows, []string{"Bit-wise", bp.name(),
-			fmtF(meanOf(bitAcc[bi].r), 2), fmtF(meanOf(bitAcc[bi].mape), 0), fmtF(meanOf(bitAcc[bi].covr), 0)})
+			fmtF(metrics.Mean(bitAcc[bi].r), 2), fmtF(metrics.Mean(bitAcc[bi].mape), 0), fmtF(metrics.Mean(bitAcc[bi].covr), 0)})
 	}
 	t.Rows = append(t.Rows,
-		[]string{"Signal-wise", "Regression w/o bit-wise", fmtF(meanOf(noBitR), 2), "/", fmtF(meanOf(noBitCOVR), 0)},
-		[]string{"Signal-wise", "Ranking w/o bit-wise", "/", "/", fmtF(meanOf(noBitRankCOVR), 0)},
-		[]string{"Signal-wise", "RTL-Timer w/o LTR", "/", "/", fmtF(meanOf(sigCOVRNoLTR), 0)},
-		[]string{"Signal-wise", "RTL-Timer (regression)", fmtF(meanOf(sigR), 2), fmtF(meanOf(sigMAPE), 0), fmtF(meanOf(sigCOVRReg), 0)},
-		[]string{"Signal-wise", "RTL-Timer (ranking)", "/", "/", fmtF(meanOf(sigCOVRRank), 0)},
+		[]string{"Signal-wise", "Regression w/o bit-wise", fmtF(metrics.Mean(noBitR), 2), "/", fmtF(metrics.Mean(noBitCOVR), 0)},
+		[]string{"Signal-wise", "Ranking w/o bit-wise", "/", "/", fmtF(metrics.Mean(noBitRankCOVR), 0)},
+		[]string{"Signal-wise", "RTL-Timer w/o LTR", "/", "/", fmtF(metrics.Mean(sigCOVRNoLTR), 0)},
+		[]string{"Signal-wise", "RTL-Timer (regression)", fmtF(metrics.Mean(sigR), 2), fmtF(metrics.Mean(sigMAPE), 0), fmtF(metrics.Mean(sigCOVRReg), 0)},
+		[]string{"Signal-wise", "RTL-Timer (ranking)", "/", "/", fmtF(metrics.Mean(sigCOVRRank), 0)},
 	)
 	return t, nil
 }

@@ -199,20 +199,20 @@ func (s *Suite) Table6() (*Table, error) {
 	avgRow := func(name string, cols [8][]float64, withMetrics bool) []string {
 		row := []string{name}
 		if withMetrics {
-			row = append(row, fmtF(meanOf(sigRs), 2), fmtF(meanOf(sigMAPEs), 0), fmtF(meanOf(sigCOVRs), 0))
+			row = append(row, fmtF(metrics.Mean(sigRs), 2), fmtF(metrics.Mean(sigMAPEs), 0), fmtF(metrics.Mean(sigCOVRs), 0))
 		} else {
 			row = append(row, "", "", "")
 		}
 		for _, c := range cols {
-			row = append(row, fmtF(meanOf(c), 1))
+			row = append(row, fmtF(metrics.Mean(c), 1))
 		}
 		return row
 	}
 	t.Rows = append(t.Rows, avgRow("Avg1", avg1, true))
 	t.Rows = append(t.Rows, avgRow("Avg2", avg2, false))
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("persistence after placement (pred flow): WNS %+.1f%%, TNS %+.1f%%", meanOf(placedW), meanOf(placedT)),
-		fmt.Sprintf("persistence after post-placement opt:    WNS %+.1f%%, TNS %+.1f%%", meanOf(postW), meanOf(postT)),
+		fmt.Sprintf("persistence after placement (pred flow): WNS %+.1f%%, TNS %+.1f%%", metrics.Mean(placedW), metrics.Mean(placedT)),
+		fmt.Sprintf("persistence after post-placement opt:    WNS %+.1f%%, TNS %+.1f%%", metrics.Mean(postW), metrics.Mean(postT)),
 	)
 	return t, nil
 }

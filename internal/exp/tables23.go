@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"rtltimer/internal/bog"
+	"rtltimer/internal/core"
 	"rtltimer/internal/features"
 	"rtltimer/internal/metrics"
 )
@@ -69,7 +70,7 @@ func (s *Suite) Table2() (*Table, error) {
 		for _, k := range row.keys {
 			vals = append(vals, sums[k]...)
 		}
-		t.Rows = append(t.Rows, []string{row.level, row.feature, fmtF(meanOf(vals), 2)})
+		t.Rows = append(t.Rows, []string{row.level, row.feature, fmtF(metrics.Mean(vals), 2)})
 	}
 	return t, nil
 }
@@ -139,7 +140,7 @@ func (s *Suite) FeatureImportance() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := coreTrainAll(s, data)
+	model, err := core.Train(data, s.coreOptions())
 	if err != nil {
 		return nil, err
 	}

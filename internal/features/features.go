@@ -20,11 +20,11 @@ import (
 // Extractor holds per-design state for feature extraction on one BOG
 // representation.
 //
-// The per-endpoint state — input-cone summaries and rank percentiles — is
-// materialized once, on the first read that needs it (Cone, Rank,
-// PathVector or State), and shared by every later read: a
-// caller that never reads a cone-level or rank feature never pays for the
-// cone walks. An Extractor is safe for concurrent use.
+// Everything it extracts from — the input-cone summaries, the rank
+// percentiles and the cell counts — is materialized once, on the first
+// read that needs it (Cone, Rank, PathVector, DesignVector or State), and
+// shared by every later read: a caller that never reads a feature never
+// pays for a pass over the graph. An Extractor is safe for concurrent use.
 type Extractor struct {
 	G *bog.Graph
 	R *sta.Result
@@ -38,20 +38,23 @@ type Extractor struct {
 	total     float64
 }
 
-// NewExtractor returns the extractor of g under r. It counts g's cells
-// and defers the rest: the per-endpoint input-cone walks and the rank
-// sort run once, on the first read of per-endpoint state. g and r must
-// not change afterwards.
+// NewExtractor returns the extractor of g under r and does no work: the
+// cell counts, the per-endpoint input-cone walks and the rank sort run
+// once, on the first feature read. g and r must not change afterwards.
 func NewExtractor(g *bog.Graph, r *sta.Result) *Extractor {
-	e := &Extractor{G: g, R: r}
-	e.countCells()
-	return e
+	return &Extractor{G: g, R: r}
 }
 
-// materialize walks every endpoint's input cone and ranks the endpoints'
-// pseudo arrival times, once per extractor.
+// materialize counts the cells, walks every endpoint's input cone and
+// ranks the endpoints' pseudo arrival times, once per extractor. An
+// extractor restored by NewExtractorFromState already holds the cones and
+// ranks, so only the count runs.
 func (e *Extractor) materialize() {
 	e.once.Do(func() {
+		e.countCells()
+		if e.cones != nil {
+			return
+		}
 		cones := make([]sta.ConeInfo, len(e.G.Endpoints))
 		w := sta.NewConeWalker(e.G)
 		for ep := range cones {
@@ -107,17 +110,14 @@ func (e *Extractor) State() (cones []sta.ConeInfo, rankPct []float64) {
 // NewExtractorFromState rebuilds an extractor from vectors previously
 // obtained with State, skipping the per-endpoint cone walks and the rank
 // sort. Both vectors must cover len(g.Endpoints) entries; the extractor
-// takes ownership of the slices. The cheap design-level cell counts are
-// recomputed from the graph.
+// takes ownership of the slices. The design-level cell counts are left
+// to the first feature read, like NewExtractor's.
 func NewExtractorFromState(g *bog.Graph, r *sta.Result, cones []sta.ConeInfo, rankPct []float64) (*Extractor, error) {
 	if len(cones) != len(g.Endpoints) || len(rankPct) != len(g.Endpoints) {
 		return nil, fmt.Errorf("features: state covers %d/%d endpoints, graph has %d",
 			len(cones), len(rankPct), len(g.Endpoints))
 	}
-	e := &Extractor{G: g, R: r, cones: cones, rankPct: rankPct}
-	e.once.Do(func() {}) // the state is already materialized
-	e.countCells()
-	return e, nil
+	return &Extractor{G: g, R: r, cones: cones, rankPct: rankPct}, nil
 }
 
 // countCells counts register bits and combinational operators in one pass
@@ -243,5 +243,6 @@ func (e *Extractor) SeqFeatures(path sta.Path) [][]float64 {
 // DesignVector returns the design-level feature vector shared by all
 // endpoints (used by the design WNS/TNS model).
 func (e *Extractor) DesignVector() []float64 {
+	e.materialize()
 	return []float64{log1p(e.seqCells), log1p(e.combCells), log1p(e.total)}
 }

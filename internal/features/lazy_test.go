@@ -78,9 +78,11 @@ func suiteGraphs(t *testing.T, names ...string) []suiteGraph {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestLazyExtractorMatchesEagerOracle: for every suite design and variant,
-// NewExtractor walks no cone, and the first read through each of Cone,
-// Rank, PathVector and State — on its own fresh extractor — answers bit
-// for bit what the eager walk gives.
+// NewExtractor walks no cone and counts no cell, and the first read
+// through each of Cone, Rank, PathVector, State and DesignVector — on its
+// own fresh extractor — answers bit for bit what the eager walk and the
+// graph's own cell counts give. A NewExtractorFromState extractor counts
+// no cell before its first read either, and its DesignVector matches too.
 func TestLazyExtractorMatchesEagerOracle(t *testing.T) {
 	firstReads := []struct {
 		name string
@@ -126,21 +128,49 @@ func TestLazyExtractorMatchesEagerOracle(t *testing.T) {
 				}
 			}
 		}},
+		{"DesignVector", func(t *testing.T, sg suiteGraph, e *Extractor, _ []sta.ConeInfo, _ []float64) {
+			checkDesignVector(t, sg.g, e)
+		}},
 	}
 	for _, sg := range suiteGraphs(t) {
 		t.Run(sg.name, func(t *testing.T) {
 			cones, rank := eagerState(sg.g, sg.r)
 			for _, fr := range firstReads {
 				e := NewExtractor(sg.g, sg.r)
-				if e.cones != nil || e.rankPct != nil {
-					t.Fatalf("NewExtractor walked the cones before any read")
+				if e.cones != nil || e.rankPct != nil || e.seqCells != 0 || e.combCells != 0 || e.total != 0 {
+					t.Fatalf("NewExtractor walked the graph before any read")
 				}
 				fr.read(t, sg, e, cones, rank)
 				if len(e.cones) != len(sg.g.Endpoints) {
 					t.Fatalf("first read through %s left %d of %d cones", fr.name, len(e.cones), len(sg.g.Endpoints))
 				}
 			}
+			restored, err := NewExtractorFromState(sg.g, sg.r, slices.Clone(cones), slices.Clone(rank))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored.seqCells != 0 || restored.combCells != 0 || restored.total != 0 {
+				t.Fatalf("NewExtractorFromState counted cells before any read")
+			}
+			checkDesignVector(t, sg.g, restored)
 		})
+	}
+}
+
+// checkDesignVector asserts e's DesignVector is, bit for bit, the log1p
+// of the graph's own register, combinational and total cell counts.
+func checkDesignVector(t *testing.T, g *bog.Graph, e *Extractor) {
+	t.Helper()
+	seq, comb := float64(g.SeqNodes()), float64(g.CombNodes())
+	want := []float64{math.Log1p(seq), math.Log1p(comb), math.Log1p(seq + comb)}
+	got := e.DesignVector()
+	if len(got) != len(want) {
+		t.Fatalf("DesignVector has %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("DesignVector[%d] = %v, want %v", i, got[i], want[i])
+		}
 	}
 }
 

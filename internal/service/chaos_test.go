@@ -184,14 +184,19 @@ func TestDaemonChaosHarness(t *testing.T) {
 		RequestTimeout: 10 * time.Second,
 		MaxSessions:    64,
 		SessionTTL:     250 * time.Millisecond,
-		ReapInterval:   40 * time.Millisecond,
 	})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
 	// Phase A — overload burst: 16 clients slam the cold daemon at once
-	// through a 3-slot gate. Some are served (and must match the oracle),
-	// the rest are shed 503.
+	// through a 3-slot gate. Survivors are served (and must match the
+	// oracle), the rest are shed 503. The test holds every gate slot while
+	// the burst starts and lets go once the gate has shed a request, so
+	// the burst sheds by construction: left alone, 16 clients can drain
+	// through 3 slots within the 5 ms queue grace.
+	for range cap(svc.gate.slots) {
+		svc.gate.slots <- struct{}{}
+	}
 	var wg sync.WaitGroup
 	for c := 0; c < 16; c++ {
 		wg.Add(1)
@@ -205,6 +210,12 @@ func TestDaemonChaosHarness(t *testing.T) {
 			}
 			checkSurvivor(t, "burst", q, code, ra, body)
 		}(c)
+	}
+	for held := time.Now().Add(10 * time.Second); svc.shed.Load() == 0 && time.Now().Before(held); {
+		time.Sleep(time.Millisecond)
+	}
+	for range cap(svc.gate.slots) {
+		svc.gate.release()
 	}
 	wg.Wait()
 

@@ -51,15 +51,14 @@ type Config struct {
 	// (0 = shed immediately). RequestTimeout is the per-request deadline
 	// wired through the request context (0 = unlimited). MaxSessions
 	// caps the open-session table (0 = unlimited); SessionTTL reaps
-	// sessions idle that long (0 = never), on a ReapInterval cadence
-	// (0 = TTL/4). Clock is the time seam for retention decisions
-	// (nil = time.Now); results never depend on it.
+	// sessions idle that long (0 = never), sweeping every TTL/4. Clock is
+	// the time seam for retention decisions (nil = time.Now); results
+	// never depend on it.
 	MaxInflight    int
 	QueueWait      time.Duration
 	RequestTimeout time.Duration
 	MaxSessions    int
 	SessionTTL     time.Duration
-	ReapInterval   time.Duration
 	Clock          func() time.Time
 }
 
@@ -98,17 +97,17 @@ type benchEntry struct {
 	src, tag string
 }
 
-// session is one client's edit chain over a single base representation.
-// design/variant/head/chain/depth are guarded by the session's own mu;
-// lastUse and inflight are table-level retention state guarded by
-// Service.mu (the reaper reads them without touching sess.mu).
+// session is one client's edit chain over a single base representation;
+// the chain's key is the head's (RepResult.Key). design/variant/head/depth
+// are guarded by the session's own mu; lastUse and inflight are
+// table-level retention state guarded by Service.mu (the reaper reads
+// them without touching sess.mu).
 type session struct {
 	mu      sync.Mutex
 	design  string
 	variant bog.Variant
 	head    *engine.RepResult
-	chain   engine.Key // base key with the accumulated Edit digest chain
-	depth   int        // applied edit batches
+	depth   int // applied edit batches
 
 	lastUse  time.Time // last acquire or release (Service.mu)
 	inflight int       // requests currently using this session (Service.mu)
@@ -158,12 +157,9 @@ func New(cfg Config) (*Service, error) {
 		s.model = m
 	}
 	if cfg.SessionTTL > 0 {
-		interval := cfg.ReapInterval
+		interval := cfg.SessionTTL / 4
 		if interval <= 0 {
-			interval = cfg.SessionTTL / 4
-			if interval <= 0 {
-				interval = cfg.SessionTTL
-			}
+			interval = cfg.SessionTTL
 		}
 		s.startReaper(interval)
 	}
@@ -184,7 +180,6 @@ func validateLimits(cfg Config) error {
 		{"RequestTimeout", "unlimited", cfg.RequestTimeout, cfg.RequestTimeout < 0},
 		{"MaxSessions", "unlimited", cfg.MaxSessions, cfg.MaxSessions < 0},
 		{"SessionTTL", "never", cfg.SessionTTL, cfg.SessionTTL < 0},
-		{"ReapInterval", "TTL/4", cfg.ReapInterval, cfg.ReapInterval < 0},
 		{"MemBudget", "unlimited", cfg.MemBudget, cfg.MemBudget < 0},
 	} {
 		if l.neg {
@@ -525,7 +520,6 @@ func (s *Service) SessionOpen(ctx context.Context, req SessionOpenRequest) (*Ses
 		design:  d.name,
 		variant: v,
 		head:    head,
-		chain:   key,
 		lastUse: s.now(),
 	}
 	s.mu.Lock()
@@ -566,7 +560,7 @@ func (s *Service) state(id string, sess *session) *SessionState {
 		Design:  sess.design,
 		Variant: sess.variant.String(),
 		Depth:   sess.depth,
-		Chain:   sess.chain.Edit,
+		Chain:   sess.head.Key().Edit,
 	}
 }
 
@@ -662,8 +656,9 @@ type SessionEditRequest struct {
 }
 
 // SessionEdit advances the session's chain by one delta. The response
-// chain is engine.EditKey applied to the previous chain, so the mapping
-// between session history and cache identity is exact. A canceled wait
+// chain is the new head's key, engine.EditKey applied to the previous
+// chain, so the mapping between session history and cache identity is
+// exact. A canceled wait
 // leaves the session untouched: the chain advances only on a completed
 // derivation, and the detached derivation (cancel.go) stays cached for
 // the retry.
@@ -684,7 +679,6 @@ func (s *Service) SessionEdit(ctx context.Context, req SessionEditRequest) (*Ses
 		return nil, classifyEngineErr(fmt.Errorf("session %s depth %d: %w", req.Session, sess.depth, eerr))
 	}
 	sess.head = head
-	sess.chain = engine.EditKey(sess.chain, delta)
 	sess.depth++
 	return s.state(req.Session, sess), nil
 }

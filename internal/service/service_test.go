@@ -57,7 +57,6 @@ func TestNewRejectsNegativeLimits(t *testing.T) {
 		{Config{MaxSessions: -1}, "MaxSessions must be >= 0 (0 = unlimited), got -1"},
 		{Config{RequestTimeout: -time.Second}, "RequestTimeout must be >= 0 (0 = unlimited), got -1s"},
 		{Config{SessionTTL: -time.Hour}, "SessionTTL must be >= 0 (0 = never), got -1h0m0s"},
-		{Config{ReapInterval: -time.Second}, "ReapInterval must be >= 0 (0 = TTL/4), got -1s"},
 		{Config{QueueWait: -time.Second}, "QueueWait must be >= 0 (0 = shed immediately), got -1s"},
 		{Config{MaxInflight: -1}, "MaxInflight must be >= 0 (0 = 2×jobs), got -1"},
 		{Config{MemBudget: -1}, "MemBudget must be >= 0 (0 = unlimited), got -1"},

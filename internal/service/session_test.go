@@ -87,11 +87,11 @@ func TestSessionCapEnforced(t *testing.T) {
 func TestSessionIdleReap(t *testing.T) {
 	name := benchNames(t, 1)[0]
 	clk := newFakeClock()
-	// ReapInterval is huge so the background janitor never interferes;
-	// the test calls ReapIdleSessions at chosen clock positions.
-	svc := newService(t, Config{
-		Jobs: 2, SessionTTL: time.Minute, ReapInterval: time.Hour, Clock: clk.Now,
-	})
+	// Close stops the background janitor so it never interferes; the
+	// service stays usable, and the test calls ReapIdleSessions at chosen
+	// clock positions.
+	svc := newService(t, Config{Jobs: 2, SessionTTL: time.Minute, Clock: clk.Now})
+	svc.Close()
 
 	idle := openSession(t, svc, name)
 	if got := svc.Stats().Sessions; got != 1 {

@@ -6,9 +6,9 @@ import "rtltimer/internal/bog"
 // form: cons[off[n]:off[n+1]] lists the consumers of node n, one entry per
 // fanin slot that reads n, in (consumer id, slot) order — the order the
 // analyzer accumulates loads in. ep[n] counts the timing endpoints whose D
-// pin n drives. A consumerCSR is immutable once built: every session and
-// analyzer of an edit chain shares its root's arrays, and whatever an edit
-// changes lives in an overlay (see Incremental).
+// pin n drives. A consumerCSR is immutable once built: every analyzer of
+// an edit chain shares its root's arrays, and whatever an edit changes
+// lives in the analyzer's overlay (see Incremental).
 type consumerCSR struct {
 	off  []int32
 	cons []bog.NodeID
@@ -68,8 +68,8 @@ func (c *consumerCSR) endpoints(n bog.NodeID) int32 {
 
 // adjacency returns the root consumer adjacency the analyzer's sessions
 // share. A built or disk-restored analyzer builds it from its own graph
-// on the first call; an analyzer frozen by Snapshot inherited its
-// session's root at construction and never builds one.
+// on the first call; a session's analyzer holds its root from the moment
+// the session opens and never builds one.
 func (a *Analyzer) adjacency() *consumerCSR {
 	a.adjOnce.Do(func() {
 		if a.csr == nil {
@@ -84,8 +84,17 @@ func (a *Analyzer) adjacency() *consumerCSR {
 // must not be modified. On a built or disk-restored analyzer the first
 // call builds the adjacency.
 func (a *Analyzer) Consumers(n bog.NodeID) []bog.NodeID {
+	a.adjacency()
+	return a.consumers(n)
+}
+
+// consumers is the one consumer lookup: the overlay's list when an edit
+// changed n's, the root's otherwise. It skips adjacency's sync.Once, so
+// the root must already be in place — as it is for every session's
+// analyzer, whose hot loops call it.
+func (a *Analyzer) consumers(n bog.NodeID) []bog.NodeID {
 	if l, ok := a.overlay[n]; ok {
 		return l
 	}
-	return a.adjacency().list(n)
+	return a.csr.list(n)
 }

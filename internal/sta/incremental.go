@@ -10,13 +10,14 @@ import (
 	"rtltimer/internal/liberty"
 )
 
-// Incremental is an editable pseudo-STA session: it owns a mutable graph
-// plus the full per-node timing state (loads, slews, delays, arrivals) and
-// accepts graph deltas, re-timing only what an edit can actually reach
-// instead of re-running a full forward pass. The update is exact, not
-// approximate — after every Apply the session's vectors are bit-identical
-// to what a fresh Analyzer would compute on the edited graph (the
-// property the incremental tests enforce across random edit sequences):
+// Incremental is an editable pseudo-STA session: it edits a private
+// Analyzer — its graph and the full per-node timing state (loads, slews,
+// delays, fanout counts) — plus an arrival vector, accepting graph deltas
+// and re-timing only what an edit can actually reach instead of re-running
+// a full forward pass. The update is exact, not approximate — after every
+// Apply the session's vectors are bit-identical to what a fresh Analyzer
+// would compute on the edited graph (the property the incremental tests
+// enforce across random edit sequences):
 //
 //   - loads change only for nodes whose consumer multiset changed (the two
 //     ends of a re-pointed edge, the fanins of an op swap or insertion);
@@ -33,171 +34,142 @@ import (
 //     moment a recomputed arrival is bit-identical to the old one. Node
 //     ids are topological, so every pop is final.
 //
-// The session reads its fanout adjacency (sorted consumer lists, one entry
-// per fanin slot) from a shared read-only root CSR and keeps a map overlay
-// holding only the lists that differ from it. A list is copied into the
-// overlay on the session's first write to it, so neither the root nor a
-// list inherited from an earlier analyzer of the chain is ever written.
-// A session opened on an analyzer (NewIncrementalOn) reuses that
+// The analyzer reads its fanout adjacency (sorted consumer lists, one
+// entry per fanin slot) from a shared read-only root CSR and keeps a map
+// overlay holding only the lists that differ from it. A list is copied
+// into the overlay on the session's first write to it, so neither the
+// root nor a list inherited from an earlier analyzer of the chain is ever
+// written. A session opened on an analyzer (NewIncrementalOn) reuses that
 // analyzer's root and starts from its overlay, so opening one costs the
-// per-node vector copies and a small map clone rather than an O(graph)
-// adjacency rebuild, and no adjacency rebuild ever runs inside Apply.
-// Cost per Apply is proportional to the affected cone, not the design —
-// the property BenchmarkIncrementalSTA tracks against
-// BenchmarkFullReanalyze.
+// per-node vector copies rather than an O(graph) adjacency rebuild, and
+// no adjacency rebuild ever runs inside Apply. Cost per Apply is
+// proportional to the affected cone, not the design — the property
+// BenchmarkIncrementalSTA tracks against BenchmarkFullReanalyze.
 //
-// An Incremental is single-owner: unlike the immutable Analyzer it must
-// not be shared across goroutines without external locking.
+// Snapshot returns the edited analyzer itself and seals the session. An
+// Incremental is single-owner: unlike an Analyzer others can reach, it
+// must not be shared across goroutines without external locking.
 type Incremental struct {
-	G   *bog.Graph
-	Lib *liberty.PseudoLib
+	G *bog.Graph // the graph being edited, an.G
 
-	load  []float64
-	slew  []float64
-	delay []float64
-	arr   []float64
+	an  *Analyzer // private until Snapshot
+	arr []float64
 
-	fanoutCnt []int32 // per node: consumer list length, the analyzer's Fanout vector
-
-	csr     *consumerCSR                // shared root adjacency, read-only
-	overlay map[bog.NodeID][]bog.NodeID // lists that differ from csr's
 	// owned marks the overlay lists this session copied and may write in
-	// place; nil until the first write, which also clones overlay (it
+	// place; nil until the first write, which also clones an.overlay (it
 	// starts out as the seeding analyzer's map, which is shared).
 	owned map[bog.NodeID]bool
 
 	heap   []bog.NodeID // arrival worklist (binary min-heap)
 	inHeap []bool
 
-	// Scratch dirty sets, owned by the session and cleared per Apply so
-	// the trial/revert hot loop stays allocation-light.
-	loadDirty  map[bog.NodeID]bool // consumer multiset changed
-	cellDirty  map[bog.NodeID]bool // own cell changed (op swap, insert)
-	delayDirty map[bog.NodeID]bool // delay inputs possibly changed
-	arrSeed    map[bog.NodeID]bool // fanin arrival set changed
+	// Dirty lists, truncated per Apply and reused so the trial/revert hot
+	// loop stays allocation-light. A node may appear more than once: every
+	// recompute rebuilds its value from scratch and marks nothing when the
+	// value is unchanged, and push deduplicates the arrival worklist.
+	loadDirty  []bog.NodeID // consumer multiset changed
+	cellDirty  []bog.NodeID // own cell changed (op swap, insert)
+	delayDirty []bog.NodeID // delay inputs possibly changed
+	arrSeed    []bog.NodeID // fanin arrival set changed
 
 	recomputed int64 // cumulative arrival recomputes across Apply calls
-	sealed     bool  // Snapshot handed the state over; Apply refuses
+	sealed     bool  // Snapshot handed the analyzer out; Apply refuses
 }
 
 // NewIncremental builds a session from scratch: one analyzer construction
-// plus one serial forward pass, exactly the cost of a cold Analyze, and
-// a private root adjacency.
+// plus one serial forward pass, exactly the cost of a cold Analyze, and a
+// root adjacency. The session edits that fresh analyzer in place, so
+// nothing is copied.
 func NewIncremental(g *bog.Graph, lib *liberty.PseudoLib) *Incremental {
 	an := NewAnalyzer(g, lib)
-	s, err := NewIncrementalOn(an, g, an.Arrivals(1))
-	if err != nil {
-		// The analyzer and arrivals are of this same graph; a length
-		// mismatch is impossible.
-		panic(err)
-	}
-	return s
+	an.adjacency()
+	return &Incremental{G: g, an: an, arr: an.Arrivals(1), inHeap: make([]bool, len(g.Nodes))}
 }
 
 // NewIncrementalOn seeds a session from an analyzer and its arrival
 // vector (as returned by Arrivals, or frozen with it by Snapshot),
-// skipping every timing pass. The per-node vectors are copied, so the
-// analyzer and arr (typically an immutable cached RepResult's) are never
-// mutated. The session shares the analyzer's root adjacency, building it
-// first if this is the analyzer's first session, and starts from its
-// overlay. g must be a private clone of an.G: the session owns and edits
-// it from here on.
+// skipping every timing pass. The session edits a private analyzer whose
+// per-node vectors and arrivals are copies, so an and arr (typically an
+// immutable cached RepResult's) are never mutated. The private analyzer
+// shares an's root adjacency, built first if this is an's first session,
+// and starts from an's overlay map, which it clones on its first write.
+// g must be a private clone of an.G: the session owns and edits it from
+// here on.
 func NewIncrementalOn(an *Analyzer, g *bog.Graph, arr []float64) (*Incremental, error) {
 	n := len(g.Nodes)
 	if len(an.G.Nodes) != n || len(arr) != n {
 		return nil, fmt.Errorf("sta: incremental seed covers %d nodes with %d arrivals, graph has %d",
 			len(an.G.Nodes), len(arr), n)
 	}
-	return newIncremental(g, an.Lib, an.adjacency(), an.overlay, slices.Clone(an.fanout),
-		an.load, an.slew, an.delay, arr), nil
+	priv := &Analyzer{
+		G: g, Lib: an.Lib,
+		load:    slices.Clone(an.load),
+		slew:    slices.Clone(an.slew),
+		delay:   slices.Clone(an.delay),
+		fanout:  slices.Clone(an.fanout),
+		csr:     an.adjacency(),
+		overlay: an.overlay,
+	}
+	return &Incremental{G: g, an: priv, arr: slices.Clone(arr), inHeap: make([]bool, n)}, nil
 }
 
 // NewIncrementalFromState seeds a session from previously computed
 // period-free state — an Analyzer's State() vectors and an arrival vector
-// from Arrivals — skipping every timing pass, and builds a private root
-// adjacency from g. All vectors are copied, so the source (typically an
-// immutable cached RepResult) is never mutated; g, however, is owned by
-// the session from here on and must be a private clone if the caller's
-// graph is shared.
+// from Arrivals — skipping every timing pass: it is NewAnalyzerFromState
+// followed by NewIncrementalOn, so all vectors are copied and the source
+// (typically an immutable cached RepResult) is never mutated, and the
+// root adjacency is built from g. g, however, is owned by the session
+// from here on and must be a private clone if the caller's graph is
+// shared.
 func NewIncrementalFromState(g *bog.Graph, lib *liberty.PseudoLib, load, slew, delay, arr []float64) (*Incremental, error) {
-	n := len(g.Nodes)
-	if len(load) != n || len(slew) != n || len(delay) != n || len(arr) != n {
-		return nil, fmt.Errorf("sta: incremental state vectors cover %d/%d/%d/%d nodes, graph has %d",
-			len(load), len(slew), len(delay), len(arr), n)
+	an, err := NewAnalyzerFromState(g, lib, load, slew, delay, g.FanoutCounts())
+	if err != nil {
+		return nil, err
 	}
-	return newIncremental(g, lib, newConsumerCSR(g), nil, g.FanoutCounts(), load, slew, delay, arr), nil
-}
-
-// newIncremental is the one session constructor: it takes ownership of
-// fanout and copies the four timing vectors.
-func newIncremental(g *bog.Graph, lib *liberty.PseudoLib, csr *consumerCSR, overlay map[bog.NodeID][]bog.NodeID,
-	fanout []int32, load, slew, delay, arr []float64) *Incremental {
-	return &Incremental{
-		G: g, Lib: lib,
-		load:       slices.Clone(load),
-		slew:       slices.Clone(slew),
-		delay:      slices.Clone(delay),
-		arr:        slices.Clone(arr),
-		fanoutCnt:  fanout,
-		csr:        csr,
-		overlay:    overlay,
-		inHeap:     make([]bool, len(g.Nodes)),
-		loadDirty:  map[bog.NodeID]bool{},
-		cellDirty:  map[bog.NodeID]bool{},
-		delayDirty: map[bog.NodeID]bool{},
-		arrSeed:    map[bog.NodeID]bool{},
-	}
-}
-
-// consumers returns node f's current consumer list (read-only).
-func (s *Incremental) consumers(f bog.NodeID) []bog.NodeID {
-	if l, ok := s.overlay[f]; ok {
-		return l
-	}
-	return s.csr.list(f)
+	return NewIncrementalOn(an, g, arr)
 }
 
 // writable returns node f's consumer list for in-place edits, copying it
-// into the session's overlay on the first write (with room for one more
+// into the analyzer's overlay on the first write (with room for one more
 // consumer). Every list the session did not copy itself — the root's and
 // those inherited from an earlier analyzer of the chain — is shared, and
 // writing one in place would corrupt every analyzer that reads it.
 func (s *Incremental) writable(f bog.NodeID) []bog.NodeID {
 	if s.owned[f] {
-		return s.overlay[f]
+		return s.an.overlay[f]
 	}
 	if s.owned == nil {
 		s.owned = map[bog.NodeID]bool{}
-		s.overlay = maps.Clone(s.overlay)
-		if s.overlay == nil {
-			s.overlay = map[bog.NodeID][]bog.NodeID{}
+		s.an.overlay = maps.Clone(s.an.overlay)
+		if s.an.overlay == nil {
+			s.an.overlay = map[bog.NodeID][]bog.NodeID{}
 		}
 	}
-	cur := s.consumers(f)
+	cur := s.an.consumers(f)
 	l := make([]bog.NodeID, len(cur), len(cur)+1)
 	copy(l, cur)
-	s.overlay[f] = l
+	s.an.overlay[f] = l
 	s.owned[f] = true
 	return l
 }
 
 // FanoutCount returns node n's current fanout edge count.
-func (s *Incremental) FanoutCount(n bog.NodeID) int { return int(s.fanoutCnt[n]) }
+func (s *Incremental) FanoutCount(n bog.NodeID) int { return int(s.an.fanout[n]) }
 
 // EndpointCount returns how many timing endpoints node n drives. Edits
 // that change a node's logic function (fanin re-pointing, op swaps) are
 // only function-preserving at the design level when the node drives no
 // endpoint directly — the optimizer consults this before rewriting.
-func (s *Incremental) EndpointCount(n bog.NodeID) int { return int(s.csr.endpoints(n)) }
+func (s *Incremental) EndpointCount(n bog.NodeID) int { return int(s.an.csr.endpoints(n)) }
 
 // Arrivals returns the current arrival vector. The slice aliases session
 // state: it is valid for reading until the next Apply.
 func (s *Incremental) Arrivals() []float64 { return s.arr }
 
-// State exposes the current period-independent vectors (aliases, valid
-// until the next Apply), mirroring Analyzer.State.
+// State exposes the edited analyzer's period-independent vectors
+// (aliases, valid until the next Apply).
 func (s *Incremental) State() (load, slew, delay []float64, fanout []int32) {
-	return s.load, s.slew, s.delay, s.fanoutCnt
+	return s.an.State()
 }
 
 // Recomputed returns the cumulative number of per-node arrival recomputes
@@ -205,39 +177,23 @@ func (s *Incremental) State() (load, slew, delay []float64, fanout []int32) {
 // actually touched (cone-proportional, not design-proportional).
 func (s *Incremental) Recomputed() int64 { return s.recomputed }
 
-// At materializes the pseudo-STA Result at one clock period: only the
-// endpoint slack loop runs. The per-node vectors alias session state and
-// are valid until the next Apply; the Result is bit-identical to a fresh
-// Analyzer's At on the edited graph.
-func (s *Incremental) At(period float64) *Result {
-	r := &Result{
-		ClockPeriod: period,
-		Arrival:     s.arr,
-		Slew:        s.slew,
-		Load:        s.load,
-		Fanout:      s.fanoutCnt,
-	}
-	finishResult(s.G, s.Lib, r, period)
-	return r
-}
+// At materializes the pseudo-STA Result at one clock period through the
+// edited analyzer: only the endpoint slack loop runs. The per-node vectors
+// alias session state and are valid until the next Apply; the Result is
+// bit-identical to a fresh Analyzer's At on the edited graph.
+func (s *Incremental) At(period float64) *Result { return s.an.At(s.arr, period) }
 
-// Snapshot freezes the session into an Analyzer plus arrival vector by
-// handing its state over instead of copying it: the Analyzer takes the
-// session's graph, its per-node vectors (fanout counts included), its
-// root adjacency and its overlay, and the arrival vector is the session's
-// own. The session is sealed — a later Apply returns an error — so the
-// snapshot is immutable from here on; Recomputed, G and the read
-// accessors keep answering with the frozen state. The intended pattern
-// (the engine's delta-derived cache entries) applies a delta, snapshots
-// and discards the session; a session opened on the snapshot
-// (NewIncrementalOn) continues the chain.
+// Snapshot seals the session and returns the analyzer it edited, with the
+// session's arrival vector: nothing is copied or built. Once sealed, a
+// later Apply returns an error, so the analyzer is immutable from here on
+// and may be shared; Recomputed, G and the read accessors keep answering
+// with the frozen state. The intended pattern (the engine's
+// delta-derived cache entries) applies a delta, snapshots and discards
+// the session; a session opened on the snapshot (NewIncrementalOn)
+// continues the chain.
 func (s *Incremental) Snapshot() (*Analyzer, []float64) {
 	s.sealed = true
-	return &Analyzer{
-		G: s.G, Lib: s.Lib,
-		load: s.load, slew: s.slew, delay: s.delay, fanout: s.fanoutCnt,
-		csr: s.csr, overlay: s.overlay,
-	}, s.arr
+	return s.an, s.arr
 }
 
 // Apply applies the delta to the session's graph and incrementally
@@ -256,14 +212,8 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 	if err := s.G.CheckDelta(d); err != nil {
 		return nil, err
 	}
-	// Dirty sets (session-owned scratch). Iteration order over these maps
-	// is irrelevant: every recompute rebuilds its value from scratch, and
-	// the arrival worklist orders itself by node id.
-	loadDirty, cellDirty, delayDirty, arrSeed := s.loadDirty, s.cellDirty, s.delayDirty, s.arrSeed
-	clear(loadDirty)
-	clear(cellDirty)
-	clear(delayDirty)
-	clear(arrSeed)
+	s.loadDirty, s.cellDirty = s.loadDirty[:0], s.cellDirty[:0]
+	s.delayDirty, s.arrSeed = s.delayDirty[:0], s.arrSeed[:0]
 
 	undo = make(bog.Delta, 0, len(d))
 	for _, e := range d {
@@ -278,10 +228,9 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 			}
 			s.fanoutRemove(old, e.Node)
 			s.fanoutInsert(e.To, e.Node)
-			loadDirty[old] = true
-			loadDirty[e.To] = true
-			delayDirty[e.Node] = true // worst-fanin-slew set changed
-			arrSeed[e.Node] = true    // fanin arrival set changed
+			s.loadDirty = append(s.loadDirty, old, e.To)
+			s.delayDirty = append(s.delayDirty, e.Node) // worst-fanin-slew set changed
+			s.arrSeed = append(s.arrSeed, e.Node)       // fanin arrival set changed
 			undo = append(undo, bog.SetFaninEdit(e.Node, int(e.Slot), old))
 		case bog.EditSetOp:
 			old := s.G.Nodes[e.Node].Op
@@ -291,11 +240,9 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 			if old == e.Op {
 				continue
 			}
-			cellDirty[e.Node] = true
+			s.cellDirty = append(s.cellDirty, e.Node)
 			nd := &s.G.Nodes[e.Node]
-			for j := 0; j < nd.NumFanin(); j++ {
-				loadDirty[nd.Fanin[j]] = true // its input cap changed
-			}
+			s.loadDirty = append(s.loadDirty, nd.Fanin[:nd.NumFanin()]...) // their input cap changed
 			undo = append(undo, bog.SetOpEdit(e.Node, old))
 		case bog.EditInsert:
 			id, ierr := s.G.InsertNode(e.Op, e.Fanin[:editArity(e.Op)]...)
@@ -307,47 +254,48 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 			for j := 0; j < nd.NumFanin(); j++ {
 				f := nd.Fanin[j]
 				s.fanoutInsert(f, id)
-				loadDirty[f] = true
+				s.loadDirty = append(s.loadDirty, f)
 			}
-			loadDirty[id] = true
-			cellDirty[id] = true
-			arrSeed[id] = true
+			s.loadDirty = append(s.loadDirty, id)
+			s.cellDirty = append(s.cellDirty, id)
+			s.arrSeed = append(s.arrSeed, id)
 		}
 	}
 
 	// Phase 1: loads, then slews (a slew is a function of its own load and
 	// cell only, so there is no propagation among slews; a changed slew
 	// dirties exactly the delays of its consumers).
-	for f := range loadDirty {
+	an := s.an
+	for _, f := range s.loadDirty {
 		nl := s.recomputeLoad(f)
-		if nl == s.load[f] {
+		if nl == an.load[f] {
 			continue
 		}
-		s.load[f] = nl
-		delayDirty[f] = true // own delay depends on own load
-		s.refreshSlew(f, delayDirty)
+		an.load[f] = nl
+		s.delayDirty = append(s.delayDirty, f) // own delay depends on own load
+		s.refreshSlew(f)
 	}
-	for n := range cellDirty {
+	for _, n := range s.cellDirty {
 		// An op swap changes the slew formula even when the load is
 		// unchanged, and always changes the node's own delay terms.
-		s.refreshSlew(n, delayDirty)
-		delayDirty[n] = true
+		s.refreshSlew(n)
+		s.delayDirty = append(s.delayDirty, n)
 	}
 
 	// Phase 2: delays. All loads and slews are final, and a delay depends
 	// on nothing but them, so order is irrelevant.
-	for i := range delayDirty {
+	for _, i := range s.delayDirty {
 		ndl := s.recomputeDelay(i)
-		if ndl != s.delay[i] {
-			s.delay[i] = ndl
-			arrSeed[i] = true
+		if ndl != an.delay[i] {
+			an.delay[i] = ndl
+			s.arrSeed = append(s.arrSeed, i)
 		}
 	}
 
 	// Phase 3: arrivals over the downstream cone. The heap pops ids in
 	// ascending (= topological) order and pushes only strictly larger ids,
 	// so every pop reads final fanin arrivals and is itself final.
-	for i := range arrSeed {
+	for _, i := range s.arrSeed {
 		s.push(i)
 	}
 	for len(s.heap) > 0 {
@@ -358,7 +306,7 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 			continue // early cutoff: downstream cannot change
 		}
 		s.arr[i] = na
-		for _, c := range s.consumers(i) {
+		for _, c := range an.consumers(i) {
 			s.push(c)
 		}
 	}
@@ -370,7 +318,7 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 }
 
 // errSealed is Apply's refusal once Snapshot has handed the session's
-// state to an Analyzer.
+// analyzer out.
 var errSealed = errors.New("sta: session was frozen by Snapshot; open a new session on the snapshot")
 
 // editArity mirrors the operator fanin-slot count for delta inserts.
@@ -381,11 +329,12 @@ func editArity(op bog.Op) int {
 
 // grow extends the per-node vectors for one appended node.
 func (s *Incremental) grow() {
-	s.load = append(s.load, 0)
-	s.slew = append(s.slew, 0)
-	s.delay = append(s.delay, 0)
+	an := s.an
+	an.load = append(an.load, 0)
+	an.slew = append(an.slew, 0)
+	an.delay = append(an.delay, 0)
+	an.fanout = append(an.fanout, 0)
 	s.arr = append(s.arr, 0)
-	s.fanoutCnt = append(s.fanoutCnt, 0)
 	s.inHeap = append(s.inHeap, false)
 }
 
@@ -413,8 +362,8 @@ func (s *Incremental) fanoutRemove(f, c bog.NodeID) {
 	// presence).
 	lo := lowerBound(list, c)
 	copy(list[lo:], list[lo+1:])
-	s.overlay[f] = list[:len(list)-1]
-	s.fanoutCnt[f]--
+	s.an.overlay[f] = list[:len(list)-1]
+	s.an.fanout[f]--
 }
 
 // fanoutInsert adds consumer c to f's consumer list, keeping it sorted.
@@ -426,51 +375,48 @@ func (s *Incremental) fanoutInsert(f, c bog.NodeID) {
 	list = append(list, 0)
 	copy(list[lo+1:], list[lo:])
 	list[lo] = c
-	s.overlay[f] = list
-	s.fanoutCnt[f]++
+	s.an.overlay[f] = list
+	s.an.fanout[f]++
 }
 
 // recomputeLoad rebuilds node f's output load from scratch in the
 // analyzer's exact accumulation order: consumer input caps in (consumer
 // id, slot) order, one endpoint cap per driven endpoint, then wire load.
 func (s *Incremental) recomputeLoad(f bog.NodeID) float64 {
+	an := s.an
 	l := 0.0
-	for _, c := range s.consumers(f) {
-		l += s.Lib.Cells[s.G.Nodes[c].Op].InputCap
+	for _, c := range an.consumers(f) {
+		l += an.Lib.Cells[s.G.Nodes[c].Op].InputCap
 	}
-	for k := s.csr.endpoints(f); k > 0; k-- {
+	for k := an.csr.endpoints(f); k > 0; k-- {
 		l += endpointCap
 	}
-	l += s.Lib.WireLoad * float64(s.fanoutCnt[f])
+	l += an.Lib.WireLoad * float64(an.fanout[f])
 	return l
 }
 
 // refreshSlew recomputes node n's slew; when it changes, every consumer's
 // delay becomes dirty (delay depends on the worst fanin slew).
-func (s *Incremental) refreshSlew(n bog.NodeID, delayDirty map[bog.NodeID]bool) {
-	ns := s.recomputeSlew(n)
-	if ns == s.slew[n] {
+func (s *Incremental) refreshSlew(n bog.NodeID) {
+	an := s.an
+	ns := nodeSlew(an.Lib, s.G.Nodes[n].Op, an.load[n])
+	if ns == an.slew[n] {
 		return
 	}
-	s.slew[n] = ns
-	for _, c := range s.consumers(n) {
-		delayDirty[c] = true
-	}
-}
-
-func (s *Incremental) recomputeSlew(n bog.NodeID) float64 {
-	return nodeSlew(s.Lib, s.G.Nodes[n].Op, s.load[n])
+	an.slew[n] = ns
+	s.delayDirty = append(s.delayDirty, an.consumers(n)...)
 }
 
 func (s *Incremental) recomputeDelay(i bog.NodeID) float64 {
+	an := s.an
 	nd := &s.G.Nodes[i]
 	worstSlew := 0.0
 	for j := 0; j < nd.NumFanin(); j++ {
-		if sl := s.slew[nd.Fanin[j]]; sl > worstSlew {
+		if sl := an.slew[nd.Fanin[j]]; sl > worstSlew {
 			worstSlew = sl
 		}
 	}
-	return nodeDelay(s.Lib, nd.Op, s.load[i], worstSlew)
+	return nodeDelay(an.Lib, nd.Op, an.load[i], worstSlew)
 }
 
 func (s *Incremental) recomputeArrival(i bog.NodeID) float64 {
@@ -481,7 +427,7 @@ func (s *Incremental) recomputeArrival(i bog.NodeID) float64 {
 			worst = a
 		}
 	}
-	return worst + s.delay[i]
+	return worst + s.an.delay[i]
 }
 
 // push adds i to the arrival worklist unless already queued.

@@ -144,6 +144,59 @@ func randomDelta(g *bog.Graph, rng *rand.Rand, nEdits int, withInserts bool) bog
 	return d
 }
 
+// repeatedMarksDelta is a deterministic delta that marks nodes dirty more
+// than once within one Apply: one fanin slot re-pointed A->B->A->C, one
+// node's op swapped twice, and two inserts reading the same fanin. The op
+// swaps need a same-arity alternative in the variant's alphabet, which SOG
+// and XAG have and AIG and AIMG do not; there the delta swaps no op.
+func repeatedMarksDelta(g *bog.Graph) bog.Delta {
+	var n bog.NodeID = bog.Nil
+	for i := len(g.Nodes) - 1; i >= 3 && n == bog.Nil; i-- {
+		if g.Nodes[i].NumFanin() > 0 {
+			n = bog.NodeID(i)
+		}
+	}
+	if n == bog.Nil {
+		return nil
+	}
+	a := g.Nodes[n].Fanin[0]
+	var others []bog.NodeID
+	for id := bog.NodeID(0); id < n && len(others) < 2; id++ {
+		if id != a {
+			others = append(others, id)
+		}
+	}
+	b, c := others[0], others[1]
+	d := bog.Delta{
+		bog.SetFaninEdit(n, 0, b),
+		bog.SetFaninEdit(n, 0, a),
+		bog.SetFaninEdit(n, 0, c),
+	}
+	alphabet := operatorAlphabet(g.Variant)
+	for m := n; m > 0; m-- {
+		op := g.Nodes[m].Op
+		if !slices.Contains(alphabet, op) {
+			continue
+		}
+		var alts []bog.Op
+		for _, alt := range alphabet {
+			if alt != op && arityOf(alt) == arityOf(op) {
+				alts = append(alts, alt)
+			}
+		}
+		if len(alts) == 0 {
+			continue
+		}
+		second := op
+		if len(alts) > 1 {
+			second = alts[1]
+		}
+		d = append(d, bog.SetOpEdit(m, alts[0]), bog.SetOpEdit(m, second))
+		break
+	}
+	return append(d, bog.InsertEdit(bog.And, a, c), bog.InsertEdit(bog.Not, a))
+}
+
 // verifyAgainstFresh asserts the incremental session's entire timing state
 // is bit-identical to a from-scratch Analyzer on the (edited) graph,
 // across clock periods.
@@ -175,7 +228,8 @@ func verifyAgainstFresh(t *testing.T, g *bog.Graph, lib *liberty.PseudoLib, inc 
 // seeds each, several delta batches per seed, verified after every batch)
 // applied incrementally must leave arrivals, loads, slews, delays, fanouts
 // and per-period slacks byte-identical to a fresh Analyzer built from the
-// edited graph (run under -race in CI).
+// edited graph (run under -race in CI). Each seed ends with the
+// repeated-marks delta, checked after the hop and after its undo.
 func TestIncrementalMatchesFreshAnalyzer(t *testing.T) {
 	lib := liberty.DefaultPseudoLib()
 	seeds := int64(30)
@@ -198,6 +252,15 @@ func TestIncrementalMatchesFreshAnalyzer(t *testing.T) {
 				}
 				verifyAgainstFresh(t, g, lib, inc)
 			}
+			undo, err := inc.Apply(repeatedMarksDelta(g))
+			if err != nil {
+				t.Fatalf("%v seed %d repeated marks: %v", v, seed, err)
+			}
+			verifyAgainstFresh(t, g, lib, inc)
+			if _, err := inc.Apply(undo); err != nil {
+				t.Fatalf("%v seed %d repeated marks undo: %v", v, seed, err)
+			}
+			verifyAgainstFresh(t, g, lib, inc)
 		}
 	}
 }
@@ -288,10 +351,11 @@ func TestIncrementalSeedsFromAnalyzerState(t *testing.T) {
 	}
 }
 
-// TestIncrementalSnapshotIsImmutable: Snapshot hands the session's own
-// vectors to the returned Analyzer and arrival vector and seals the
-// session, so an Apply after it must fail and leave the graph and every
-// snapshot vector bit-unchanged, while the read accessors keep answering.
+// TestIncrementalSnapshotIsImmutable: Snapshot returns the analyzer the
+// session edited — the session's State slices are the snapshot's — with
+// the session's arrival vector, and seals the session, so an Apply after
+// it must fail and leave the graph and every snapshot vector
+// bit-unchanged, while the read accessors keep answering.
 func TestIncrementalSnapshotIsImmutable(t *testing.T) {
 	lib := liberty.DefaultPseudoLib()
 	g := randomEditGraph(bog.SOG, 17)
@@ -309,6 +373,13 @@ func TestIncrementalSnapshotIsImmutable(t *testing.T) {
 		t.Fatalf("snapshot result covers %d endpoints, want %d", len(r.Slack), len(g.Endpoints))
 	}
 	load, slew, delay, fanout := an.State()
+	il, is, idl, ifo := inc.State()
+	if &il[0] != &load[0] || &is[0] != &slew[0] || &idl[0] != &delay[0] || &ifo[0] != &fanout[0] || &inc.Arrivals()[0] != &arr[0] {
+		t.Fatal("Snapshot returned vectors other than the session's own")
+	}
+	if an.G != g {
+		t.Fatal("Snapshot returned an analyzer of another graph")
+	}
 	frozen := [][]float64{slices.Clone(arr), slices.Clone(load), slices.Clone(slew), slices.Clone(delay)}
 	frozenFanout := slices.Clone(fanout)
 	graph := bog.MarshalGraph(g)

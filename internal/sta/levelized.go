@@ -29,8 +29,11 @@ const endpointCap = 1.1
 // of lists an edit chain changed since that root. Analyzers frozen along
 // one chain share the root's arrays and differ only in their overlays.
 //
-// An Analyzer is immutable after construction and safe for concurrent
-// use; the lazy adjacency build runs once, under a sync.Once.
+// An Analyzer is immutable once anyone else can reach it, and then safe
+// for concurrent use; the lazy adjacency build runs once, under a
+// sync.Once. The one exception to immutability is an incremental
+// session's analyzer, which the session edits in place while it is
+// private — until Snapshot seals the session and hands the analyzer out.
 type Analyzer struct {
 	G   *bog.Graph
 	Lib *liberty.PseudoLib
