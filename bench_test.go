@@ -818,7 +818,8 @@ func BenchmarkEngineBuildJobsMax(b *testing.B) {
 }
 
 // BenchmarkAblationSampling reproduces the path-sampling budget study
-// (design-choice ablation called out in DESIGN.md).
+// (the design-choice ablation `experiments -run ablation-k` writes; see
+// README.md).
 func BenchmarkAblationSampling(b *testing.B) {
 	s := suite()
 	for i := 0; i < b.N; i++ {

@@ -5,8 +5,12 @@
 //
 // Usage:
 //
-//	experiments [-run all|table2|table3|table4|table4overall|table5|table6|fig4|fig5a..fig5d|runtime|importance]
+//	experiments [-run all|table2|table3|table4|table4overall|table5|table6|fig4|fig5a..fig5d|runtime|importance|ablation-k|ablation-ens]
 //	            [-out results] [-folds 10] [-fast]
+//
+// Each distinct model trains once per run and is shared by every
+// requested table and figure that reads it. -run rejects a name that is
+// no experiment before any work starts.
 package main
 
 import (
@@ -23,10 +27,61 @@ import (
 	"rtltimer/internal/exp"
 )
 
+// experiment is one table or figure the command writes; exactly one of
+// table and figure is set.
+type experiment struct {
+	name   string
+	table  func(*exp.Suite) (*exp.Table, error)
+	figure func(*exp.Suite) (*exp.Figure, error)
+}
+
+// experiments lists every experiment in the order a run writes them.
+var experiments = []experiment{
+	{name: "table2", table: (*exp.Suite).Table2},
+	{name: "table3", table: (*exp.Suite).Table3},
+	{name: "table4", table: (*exp.Suite).Table4FineGrained},
+	{name: "table4overall", table: (*exp.Suite).Table4Overall},
+	{name: "table5", table: (*exp.Suite).Table5},
+	{name: "table6", table: (*exp.Suite).Table6},
+	{name: "fig4", figure: (*exp.Suite).Fig4},
+	{name: "fig5a", figure: (*exp.Suite).Fig5a},
+	{name: "fig5b", figure: (*exp.Suite).Fig5b},
+	{name: "fig5c", figure: (*exp.Suite).Fig5c},
+	{name: "fig5d", figure: (*exp.Suite).Fig5d},
+	{name: "runtime", table: (*exp.Suite).RuntimeReport},
+	{name: "importance", table: (*exp.Suite).FeatureImportance},
+	{name: "ablation-k", table: (*exp.Suite).AblationSampling},
+	{name: "ablation-ens", table: (*exp.Suite).AblationEnsembleSize},
+}
+
+// selectExperiments resolves a -run list (comma-separated names, or
+// "all") to the experiments to run, in run order. Every entry must be
+// "all" or an experiment's name.
+func selectExperiments(run string) ([]experiment, error) {
+	known := map[string]bool{"all": true}
+	for _, e := range experiments {
+		known[e.name] = true
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(run, ",") {
+		if !known[name] {
+			return nil, fmt.Errorf("-run: unknown experiment %q", name)
+		}
+		want[name] = true
+	}
+	var out []experiment
+	for _, e := range experiments {
+		if want["all"] || want[e.name] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
-	run := flag.String("run", "all", "which experiment to run")
+	run := flag.String("run", "all", "comma-separated experiments to run, or all")
 	out := flag.String("out", "results", "output directory")
 	folds := flag.Int("folds", 10, "cross-validation folds over designs")
 	fast := flag.Bool("fast", false, "reduced model sizes")
@@ -37,6 +92,10 @@ func main() {
 	stats := flag.Bool("stats", false, "print engine cache statistics at the end of the run")
 	flag.Parse()
 
+	selected, err := selectExperiments(*run)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := engine.ValidateConcurrency(*jobs); err != nil {
 		log.Fatal(err)
 	}
@@ -53,63 +112,26 @@ func main() {
 		CacheDir: *cacheDir,
 	})
 
-	tables := map[string]func() (*exp.Table, error){
-		"table2":        suite.Table2,
-		"table3":        suite.Table3,
-		"table4":        suite.Table4FineGrained,
-		"table4overall": suite.Table4Overall,
-		"table5":        suite.Table5,
-		"table6":        suite.Table6,
-		"runtime":       suite.RuntimeReport,
-		"importance":    suite.FeatureImportance,
-		"ablation-k":    suite.AblationSampling,
-		"ablation-ens":  suite.AblationEnsembleSize,
-	}
-	figures := map[string]func() (*exp.Figure, error){
-		"fig4":  suite.Fig4,
-		"fig5a": suite.Fig5a,
-		"fig5b": suite.Fig5b,
-		"fig5c": suite.Fig5c,
-		"fig5d": suite.Fig5d,
-	}
-	order := []string{"table2", "table3", "table4", "table4overall", "table5", "table6",
-		"fig4", "fig5a", "fig5b", "fig5c", "fig5d", "runtime", "importance",
-		"ablation-k", "ablation-ens"}
-
-	selected := strings.Split(*run, ",")
-	want := func(name string) bool {
-		for _, s := range selected {
-			if s == "all" || s == name {
-				return true
-			}
-		}
-		return false
-	}
-	for _, name := range order {
-		if !want(name) {
-			continue
-		}
+	for _, e := range selected {
 		start := time.Now()
-		if fn, ok := tables[name]; ok {
-			tab, err := fn()
+		if e.table != nil {
+			tab, err := e.table(suite)
 			if err != nil {
-				log.Fatalf("%s: %v", name, err)
+				log.Fatalf("%s: %v", e.name, err)
 			}
 			fmt.Println(tab.Render())
-			must(os.WriteFile(filepath.Join(*out, name+".txt"), []byte(tab.Render()), 0o644))
-			must(os.WriteFile(filepath.Join(*out, name+".csv"), []byte(tab.CSV()), 0o644))
-		} else if fn, ok := figures[name]; ok {
-			fig, err := fn()
+			must(os.WriteFile(filepath.Join(*out, e.name+".txt"), []byte(tab.Render()), 0o644))
+			must(os.WriteFile(filepath.Join(*out, e.name+".csv"), []byte(tab.CSV()), 0o644))
+		} else {
+			fig, err := e.figure(suite)
 			if err != nil {
-				log.Fatalf("%s: %v", name, err)
+				log.Fatalf("%s: %v", e.name, err)
 			}
 			fmt.Println(fig.Summary())
-			must(os.WriteFile(filepath.Join(*out, name+".csv"), []byte(fig.CSV()), 0o644))
-			must(os.WriteFile(filepath.Join(*out, name+".txt"), []byte(fig.Summary()), 0o644))
-		} else {
-			log.Fatalf("unknown experiment %q", name)
+			must(os.WriteFile(filepath.Join(*out, e.name+".csv"), []byte(fig.CSV()), 0o644))
+			must(os.WriteFile(filepath.Join(*out, e.name+".txt"), []byte(fig.Summary()), 0o644))
 		}
-		log.Printf("%s done in %v", name, time.Since(start).Round(time.Millisecond))
+		log.Printf("%s done in %v", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	if *stats {
 		st := suite.CacheStats()

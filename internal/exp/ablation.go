@@ -2,7 +2,6 @@ package exp
 
 import (
 	"rtltimer/internal/bog"
-	"rtltimer/internal/core"
 	"rtltimer/internal/dataset"
 	"rtltimer/internal/designs"
 	"rtltimer/internal/metrics"
@@ -37,31 +36,18 @@ func (s *Suite) AblationSampling() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		copts := s.coreOptions()
-		copts.NoSampling = b.max == 0
+		folds := s.folds(data, 3)
+		preds, err := s.crossPredict(data, folds, s.coreOptions(bog.Variants(), b.max == 0))
+		if err != nil {
+			return nil, err
+		}
 		var rs, mapes, covrs []float64
-		folds := dataset.Folds(len(data), 3, s.Cfg.Seed+7)
-		for _, fold := range folds {
-			inFold := map[int]bool{}
-			for _, d := range fold {
-				inFold[d] = true
-			}
-			var train []*dataset.DesignData
-			for i, dd := range data {
-				if !inFold[i] {
-					train = append(train, dd)
-				}
-			}
-			m, err := core.Train(train, copts)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range fold {
-				p := m.Predict(data[d])
-				labels := data[d].Reps[bog.SOG].EPLabels
-				rs = append(rs, metrics.Pearson(labels, p.BitAT))
-				mapes = append(mapes, metrics.MAPE(labels, p.BitAT))
-				covrs = append(covrs, metrics.COVR(labels, p.BitAT))
+		for _, f := range folds {
+			for _, d := range f.test {
+				r, mape, covr := bitEval(data[d], preds[d].BitAT)
+				rs = append(rs, r)
+				mapes = append(mapes, mape)
+				covrs = append(covrs, covr)
 			}
 		}
 		t.Rows = append(t.Rows, []string{b.name, fmtF(metrics.Mean(rs), 3), fmtF(metrics.Mean(mapes), 0), fmtF(metrics.Mean(covrs), 0)})
@@ -73,50 +59,17 @@ func (s *Suite) AblationSampling() (*Table, error) {
 // (in paper order), quantifying the marginal value of each added BOG
 // variant (§4.3's "omitting any representation decreases accuracy").
 func (s *Suite) AblationEnsembleSize() (*Table, error) {
-	data, err := s.Data()
-	if err != nil {
-		return nil, err
-	}
-	folds := dataset.Folds(len(data), s.Cfg.Folds, s.Cfg.Seed+7)
 	variants := bog.Variants()
 	t := &Table{
 		Title:  "Ablation: ensemble size (representations added in paper order)",
 		Header: []string{"Representations", "Avg bit R", "Std bit R"},
 	}
 	for k := 1; k <= len(variants); k++ {
-		reps := variants[:k]
-		var rs []float64
-		for _, fold := range folds {
-			inFold := map[int]bool{}
-			for _, d := range fold {
-				inFold[d] = true
-			}
-			var train []*dataset.DesignData
-			for i, dd := range data {
-				if !inFold[i] {
-					train = append(train, dd)
-				}
-			}
-			opts := s.coreOptions()
-			opts.Reps = reps
-			m, err := core.Train(train, opts)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range fold {
-				p := m.Predict(data[d])
-				labels := data[d].Reps[reps[0]].EPLabels
-				rs = append(rs, metrics.Pearson(labels, p.BitAT))
-			}
+		a, err := s.scoreReps(variants[:k])
+		if err != nil {
+			return nil, err
 		}
-		name := ""
-		for i, v := range reps {
-			if i > 0 {
-				name += "+"
-			}
-			name += v.String()
-		}
-		t.Rows = append(t.Rows, []string{name, fmtF(metrics.Mean(rs), 3), fmtF(metrics.Std(rs), 3)})
+		t.Rows = append(t.Rows, []string{repsName(variants[:k]), fmtF(metrics.Mean(a.bitR), 3), fmtF(metrics.Std(a.bitR), 3)})
 	}
 	return t, nil
 }

@@ -1,9 +1,14 @@
 package exp
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"rtltimer/internal/bog"
+	"rtltimer/internal/core"
+	"rtltimer/internal/dataset"
 )
 
 // sharedSuite is reused across tests to amortize dataset construction and
@@ -283,5 +288,131 @@ func TestAblationEnsembleSize(t *testing.T) {
 	}
 	if last < first-0.05 {
 		t.Errorf("full ensemble (%.3f) notably below single representation (%.3f)", last, first)
+	}
+}
+
+// TestCrossValidateMatchesDirectTraining checks the cross-validation memo
+// for two configurations other than the default: on the first fold, a
+// model trained directly on the fold's training designs must predict each
+// held-out design bit for bit as the memoized cross-validation does.
+func TestCrossValidateMatchesDirectTraining(t *testing.T) {
+	s := sharedSuite
+	data, err := s.Data()
+	if err != nil {
+		t.Fatal(err)
+	}
+	test := dataset.Folds(len(data), s.Cfg.Folds, s.Cfg.Seed+7)[0]
+	held := map[int]bool{}
+	for _, d := range test {
+		held[d] = true
+	}
+	var train []*dataset.DesignData
+	for i, dd := range data {
+		if !held[i] {
+			train = append(train, dd)
+		}
+	}
+	for _, tc := range []struct {
+		reps       []bog.Variant
+		noSampling bool
+	}{
+		{[]bog.Variant{bog.AIG}, false},
+		{bog.Variants(), true},
+	} {
+		cv, err := s.crossValidate(tc.reps, tc.noSampling)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := s.coreOptions(bog.Variants(), false)
+		opts.Reps = tc.reps
+		opts.NoSampling = tc.noSampling
+		model, err := core.Train(train, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range test {
+			// %v prints every float64 in its shortest exact form, so equal
+			// strings mean equal bits.
+			got, want := fmt.Sprintf("%v", *cv[d]), fmt.Sprintf("%v", *model.Predict(data[d]))
+			if got != want {
+				t.Errorf("%s noSampling=%v: %s: memoized prediction differs from direct training",
+					repsName(tc.reps), tc.noSampling, data[d].Spec.Name)
+			}
+		}
+	}
+}
+
+// TestEachModelTrainsOnce runs every table and figure that reads the
+// cross-validation: together they need exactly eight configurations, and
+// each trains once per suite, so a later read returns the same
+// predictions. The runtime report and the feature importance share one
+// full-data model.
+func TestEachModelTrainsOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	s := sharedSuite
+	for _, read := range []struct {
+		name string
+		run  func() error
+	}{
+		{"table4", func() error { _, err := s.Table4FineGrained(); return err }},
+		{"table4overall", func() error { _, err := s.Table4Overall(); return err }},
+		{"table5", func() error { _, err := s.Table5(); return err }},
+		{"table6", func() error { _, err := s.Table6(); return err }},
+		{"ablation-ens", func() error { _, err := s.AblationEnsembleSize(); return err }},
+		{"fig5b", func() error { _, err := s.Fig5b(); return err }},
+		{"fig5c", func() error { _, err := s.Fig5c(); return err }},
+		{"fig5d", func() error { _, err := s.Fig5d(); return err }},
+	} {
+		if err := read.run(); err != nil {
+			t.Fatalf("%s: %v", read.name, err)
+		}
+	}
+	all := bog.Variants()
+	want := []struct {
+		reps       []bog.Variant
+		noSampling bool
+	}{
+		{all, false}, // RTL-Timer: Table 4, Table 5's ensemble, Table 6, Fig 5
+		{all, true},  // Table 4's "Tree-based w/o sample"
+		{[]bog.Variant{bog.SOG}, false},
+		{[]bog.Variant{bog.AIG}, false},
+		{[]bog.Variant{bog.AIMG}, false},
+		{[]bog.Variant{bog.XAG}, false},
+		{all[:2], false},
+		{all[:3], false},
+	}
+	if len(s.cv) != len(want) {
+		t.Errorf("suite holds %d cross-validated configurations, want %d", len(s.cv), len(want))
+	}
+	for _, w := range want {
+		run, ok := s.cv[cvKey{reps: repsName(w.reps), noSampling: w.noSampling}]
+		if !ok {
+			t.Errorf("configuration %s noSampling=%v never trained", repsName(w.reps), w.noSampling)
+			continue
+		}
+		first, _ := run()
+		again, err := s.crossValidate(w.reps, w.noSampling)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &again[0] != &first[0] {
+			t.Errorf("configuration %s noSampling=%v trained twice", repsName(w.reps), w.noSampling)
+		}
+	}
+
+	reads := 0
+	full := s.full
+	s.full = func() (*core.Model, error) { reads++; return full() }
+	defer func() { s.full = full }()
+	if _, err := s.RuntimeReport(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.FeatureImportance(); err != nil {
+		t.Fatal(err)
+	}
+	if reads != 2 {
+		t.Errorf("runtime report and feature importance read the shared full-data model %d times, want 2", reads)
 	}
 }

@@ -94,7 +94,7 @@ func (s *Suite) Fig5b() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	cv, err := s.CrossValidate()
+	cv, err := s.crossValidate(bog.Variants(), false)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func (s *Suite) Fig5c() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	cv, err := s.CrossValidate()
+	cv, err := s.crossValidate(bog.Variants(), false)
 	if err != nil {
 		return nil, err
 	}
@@ -134,18 +134,11 @@ func (s *Suite) Fig5d() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	cv, err := s.CrossValidate()
+	cv, err := s.crossValidate(bog.Variants(), false)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := synth.Run(dd.Design, synth.Options{
-		Period:       dd.Period,
-		Seed:         dd.Spec.Seed,
-		Groups:       predictedPlan(dd, cv[di]).groups,
-		GroupWeights: []float64{5, 3, 2, 1},
-		RetimeRefs:   predictedPlan(dd, cv[di]).retime,
-		SizingRounds: 42,
-	})
+	opt, err := optSynth(dd, core.PredictedPlan(dd, cv[di]))
 	if err != nil {
 		return nil, err
 	}
@@ -179,18 +172,18 @@ func (s *Suite) Fig4() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := labelPlan(dd)
+	plan := core.LabelPlan(dd)
 	runs := []struct {
 		name string
 		opts synth.Options
 	}{
 		{"default", synth.Options{Period: dd.Period, Seed: dd.Spec.Seed}},
 		{"w/ group", synth.Options{Period: dd.Period, Seed: dd.Spec.Seed,
-			Groups: plan.groups, GroupWeights: plan.weights, SizingRounds: 42}},
+			Groups: plan.Groups, GroupWeights: plan.Weights, SizingRounds: 42}},
 		{"w/ retime", synth.Options{Period: dd.Period, Seed: dd.Spec.Seed,
-			RetimeRefs: plan.retime}},
+			RetimeRefs: plan.Retime}},
 		{"w/ retime+group", synth.Options{Period: dd.Period, Seed: dd.Spec.Seed,
-			Groups: plan.groups, GroupWeights: plan.weights, RetimeRefs: plan.retime, SizingRounds: 42}},
+			Groups: plan.Groups, GroupWeights: plan.Weights, RetimeRefs: plan.Retime, SizingRounds: 42}},
 	}
 	f := &Figure{Title: "Fig 4: optimization options in logic synthesis (b17)", Stats: map[string]float64{}}
 	for _, r := range runs {

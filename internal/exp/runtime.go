@@ -22,7 +22,7 @@ func (s *Suite) RuntimeReport() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := core.Train(data, s.coreOptions())
+	model, err := s.full()
 	if err != nil {
 		return nil, err
 	}
@@ -64,13 +64,9 @@ func (s *Suite) RuntimeReport() (*Table, error) {
 		inferTotal += time.Since(t0)
 
 		// Optimization synthesis (group_path + retime).
-		plan := labelPlan(dd)
+		plan := core.LabelPlan(dd)
 		t0 = time.Now()
-		if _, err := synth.Run(dd.Design, synth.Options{
-			Period: dd.Period, Seed: dd.Spec.Seed,
-			Groups: plan.groups, GroupWeights: plan.weights,
-			RetimeRefs: plan.retime, SizingRounds: 42,
-		}); err != nil {
+		if _, err := optSynth(dd, plan); err != nil {
 			return nil, err
 		}
 		optTotal += time.Since(t0)

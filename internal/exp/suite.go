@@ -40,20 +40,24 @@ type Config struct {
 // FastConfig is a reduced configuration for tests and benchmarks.
 func FastConfig() Config { return Config{Folds: 3, Fast: true} }
 
-// Suite caches the dataset and cross-validated predictions shared by the
+// Suite caches the dataset and the trained models shared by the
 // experiments.
 type Suite struct {
 	Cfg Config
 
-	eng *engine.Engine
+	eng  *engine.Engine
+	data func() ([]*dataset.DesignData, error) // built once
+	full func() (*core.Model, error)           // RTL-Timer trained once on every design
 
-	once sync.Once
-	err  error
-	data []*dataset.DesignData
+	mu sync.Mutex
+	cv map[cvKey]func() ([]*core.DesignPrediction, error)
+}
 
-	cvOnce sync.Once
-	cvErr  error
-	cvPred map[int]*core.DesignPrediction // per design index
+// cvKey names one cross-validated RTL-Timer configuration: the
+// representations it trains on, in order, and whether it samples paths.
+type cvKey struct {
+	reps       string
+	noSampling bool
 }
 
 // NewSuite creates an experiment suite with its own evaluation engine
@@ -67,7 +71,23 @@ func NewSuite(cfg Config) *Suite {
 	if cfg.CacheDir != "" {
 		eng.SetCacheDir(cfg.CacheDir)
 	}
-	return &Suite{Cfg: cfg, eng: eng}
+	s := &Suite{Cfg: cfg, eng: eng, cv: map[cvKey]func() ([]*core.DesignPrediction, error){}}
+	s.data = sync.OnceValues(func() ([]*dataset.DesignData, error) {
+		return dataset.BuildAll(designs.All(), dataset.BuildOptions{
+			WithSeqs: true,
+			Scale:    cfg.Scale,
+			Seed:     cfg.Seed,
+			Engine:   eng,
+		})
+	})
+	s.full = sync.OnceValues(func() (*core.Model, error) {
+		data, err := s.Data()
+		if err != nil {
+			return nil, err
+		}
+		return core.Train(data, s.coreOptions(bog.Variants(), false))
+	})
+	return s
 }
 
 // CacheStats exposes the suite engine's representation-cache counters:
@@ -76,21 +96,15 @@ func NewSuite(cfg Config) *Suite {
 func (s *Suite) CacheStats() engine.Stats { return s.eng.Stats() }
 
 // Data builds (once) the 21-design dataset with sequence features.
-func (s *Suite) Data() ([]*dataset.DesignData, error) {
-	s.once.Do(func() {
-		s.data, s.err = dataset.BuildAll(designs.All(), dataset.BuildOptions{
-			WithSeqs: true,
-			Scale:    s.Cfg.Scale,
-			Seed:     s.Cfg.Seed,
-			Engine:   s.eng,
-		})
-	})
-	return s.data, s.err
-}
+func (s *Suite) Data() ([]*dataset.DesignData, error) { return s.data() }
 
-// coreOptions returns the RTL-Timer training configuration for this suite.
-func (s *Suite) coreOptions() core.Options {
+// coreOptions returns the RTL-Timer training configuration for this suite
+// on representations reps, sampling paths unless noSampling. These two are
+// the only options any experiment varies.
+func (s *Suite) coreOptions(reps []bog.Variant, noSampling bool) core.Options {
 	o := core.DefaultOptions()
+	o.Reps = reps
+	o.NoSampling = noSampling
 	o.Seed = s.Cfg.Seed
 	if s.Cfg.Fast {
 		o.BitTreeOpts.NumTrees = 40
@@ -103,42 +117,68 @@ func (s *Suite) coreOptions() core.Options {
 	return o
 }
 
-// CrossValidate trains RTL-Timer per fold and predicts every design from a
-// model that never saw it. Results are cached for reuse across tables.
-func (s *Suite) CrossValidate() (map[int]*core.DesignPrediction, error) {
-	s.cvOnce.Do(func() {
-		s.cvPred, s.cvErr = s.crossValidateOpts(s.coreOptions())
-	})
-	return s.cvPred, s.cvErr
+// crossValidate predicts every suite design with an RTL-Timer trained, per
+// fold, on the designs outside that fold (coreOptions(reps, noSampling)).
+// The predictions are indexed by design. Each configuration trains once
+// per Suite, and every table and figure that reads it shares the models.
+func (s *Suite) crossValidate(reps []bog.Variant, noSampling bool) ([]*core.DesignPrediction, error) {
+	key := cvKey{reps: repsName(reps), noSampling: noSampling}
+	s.mu.Lock()
+	run, ok := s.cv[key]
+	if !ok {
+		run = sync.OnceValues(func() ([]*core.DesignPrediction, error) {
+			data, err := s.Data()
+			if err != nil {
+				return nil, err
+			}
+			return s.crossPredict(data, s.folds(data, s.Cfg.Folds), s.coreOptions(reps, noSampling))
+		})
+		s.cv[key] = run
+	}
+	s.mu.Unlock()
+	return run()
 }
 
-func (s *Suite) crossValidateOpts(opts core.Options) (map[int]*core.DesignPrediction, error) {
-	data, err := s.Data()
-	if err != nil {
-		return nil, err
-	}
-	// Folds are independent (each trains on its own complement and
-	// predicts its own test designs), so they fan out over the engine;
-	// every fold writes only its own designs' slots.
-	folds := dataset.Folds(len(data), s.Cfg.Folds, s.Cfg.Seed+7)
-	preds := make([]*core.DesignPrediction, len(data))
-	err = s.eng.ForEachErr(len(folds), func(fi int) error {
-		fold := folds[fi]
-		inFold := map[int]bool{}
-		for _, d := range fold {
-			inFold[d] = true
+// fold is one cross-validation split over designs (§4.1): the indices of
+// its held-out designs, and the designs trained on, which exclude them.
+type fold struct {
+	test  []int
+	train []*dataset.DesignData
+}
+
+// folds splits data into k folds, deterministically in (len(data), k,
+// Cfg.Seed). Per-design metrics are accumulated fold by fold, each fold's
+// designs in turn.
+func (s *Suite) folds(data []*dataset.DesignData, k int) []fold {
+	var out []fold
+	for _, test := range dataset.Folds(len(data), k, s.Cfg.Seed+7) {
+		held := map[int]bool{}
+		for _, d := range test {
+			held[d] = true
 		}
-		var train []*dataset.DesignData
+		f := fold{test: test}
 		for i, dd := range data {
-			if !inFold[i] {
-				train = append(train, dd)
+			if !held[i] {
+				f.train = append(f.train, dd)
 			}
 		}
-		model, err := core.Train(train, opts)
+		out = append(out, f)
+	}
+	return out
+}
+
+// crossPredict trains one model per fold and predicts that fold's designs
+// with it, returning the predictions indexed by design. Folds are
+// independent, so they fan out over the engine; every fold writes only
+// its own designs' slots.
+func (s *Suite) crossPredict(data []*dataset.DesignData, folds []fold, opts core.Options) ([]*core.DesignPrediction, error) {
+	preds := make([]*core.DesignPrediction, len(data))
+	err := s.eng.ForEachErr(len(folds), func(fi int) error {
+		model, err := core.Train(folds[fi].train, opts)
 		if err != nil {
 			return err
 		}
-		for _, d := range fold {
+		for _, d := range folds[fi].test {
 			preds[d] = model.Predict(data[d])
 		}
 		return nil
@@ -146,13 +186,16 @@ func (s *Suite) crossValidateOpts(opts core.Options) (map[int]*core.DesignPredic
 	if err != nil {
 		return nil, err
 	}
-	out := map[int]*core.DesignPrediction{}
-	for d, p := range preds {
-		if p != nil {
-			out[d] = p
-		}
+	return preds, nil
+}
+
+// repsName joins representation names with "+", in order ("SOG+AIG").
+func repsName(reps []bog.Variant) string {
+	names := make([]string, len(reps))
+	for i, v := range reps {
+		names[i] = v.String()
 	}
-	return out, nil
+	return strings.Join(names, "+")
 }
 
 // ---- table rendering ----

@@ -14,35 +14,13 @@ import (
 	"rtltimer/internal/ml/tree"
 )
 
-// bitPredictor is one row of Table 4's bit-wise comparison: trained on a
-// set of designs, it predicts arrival times for every labeled endpoint of
-// a test design (aligned with the design's SOG endpoints).
+// bitPredictor is one baseline row of Table 4's bit-wise comparison:
+// trained on a set of designs, it predicts arrival times for every labeled
+// endpoint of a test design (aligned with the design's SOG endpoints).
 type bitPredictor interface {
 	name() string
-	train(train []*dataset.DesignData, s *Suite) error
+	train(train []*dataset.DesignData, s *Suite)
 	predict(dd *dataset.DesignData) []float64
-}
-
-// ---- RTL-Timer rows (tree ensemble, with and without sampling) ----
-
-type coreBit struct {
-	label      string
-	noSampling bool
-	model      *core.Model
-}
-
-func (c *coreBit) name() string { return c.label }
-
-func (c *coreBit) train(train []*dataset.DesignData, s *Suite) error {
-	opts := s.coreOptions()
-	opts.NoSampling = c.noSampling
-	m, err := core.Train(train, opts)
-	c.model = m
-	return err
-}
-
-func (c *coreBit) predict(dd *dataset.DesignData) []float64 {
-	return c.model.Predict(dd).BitAT
 }
 
 // ---- MLP rows (SOG representation) ----
@@ -51,12 +29,11 @@ type mlpBit struct {
 	label      string
 	noSampling bool
 	model      *mlp.Model
-	fast       bool
 }
 
 func (m *mlpBit) name() string { return m.label }
 
-func (m *mlpBit) train(train []*dataset.DesignData, s *Suite) error {
+func (m *mlpBit) train(train []*dataset.DesignData, s *Suite) {
 	var X [][]float64
 	var groups [][]int
 	var labels []float64
@@ -83,7 +60,6 @@ func (m *mlpBit) train(train []*dataset.DesignData, s *Suite) error {
 		opts.Hidden = []int{32, 32}
 	}
 	m.model = mlp.TrainGroupMax(X, groups, labels, opts)
-	return nil
 }
 
 func (m *mlpBit) predict(dd *dataset.DesignData) []float64 {
@@ -114,7 +90,7 @@ type transformerBit struct {
 
 func (t *transformerBit) name() string { return "Transformer" }
 
-func (t *transformerBit) train(train []*dataset.DesignData, s *Suite) error {
+func (t *transformerBit) train(train []*dataset.DesignData, s *Suite) {
 	var samples []transformer.Sample
 	var groups [][]int
 	var labels []float64
@@ -139,7 +115,6 @@ func (t *transformerBit) train(train []*dataset.DesignData, s *Suite) error {
 		opts.Epochs = 2
 	}
 	t.model = transformer.Train(samples, groups, labels, opts)
-	return nil
 }
 
 // globalOf extracts the design+cone prefix of a path vector as the
@@ -196,7 +171,7 @@ func gnnData(dd *dataset.DesignData) *gnn.GraphData {
 	return gd
 }
 
-func (g *gnnBit) train(train []*dataset.DesignData, s *Suite) error {
+func (g *gnnBit) train(train []*dataset.DesignData, s *Suite) {
 	var graphs []*gnn.GraphData
 	for _, dd := range train {
 		graphs = append(graphs, gnnData(dd))
@@ -207,7 +182,6 @@ func (g *gnnBit) train(train []*dataset.DesignData, s *Suite) error {
 		opts.Epochs = 6
 	}
 	g.model = gnn.Train(graphs, opts)
-	return nil
 }
 
 func (g *gnnBit) predict(dd *dataset.DesignData) []float64 {
@@ -224,51 +198,55 @@ func (s *Suite) Table4FineGrained() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	folds := dataset.Folds(len(data), s.Cfg.Folds, s.Cfg.Seed+7)
+	folds := s.folds(data, s.Cfg.Folds)
+	noSample, err := s.crossValidate(bog.Variants(), true)
+	if err != nil {
+		return nil, err
+	}
+	cv, err := s.crossValidate(bog.Variants(), false)
+	if err != nil {
+		return nil, err
+	}
 
-	bitRows := []bitPredictor{
-		&coreBit{label: "Tree-based w/o sample", noSampling: true},
+	// Every bit-wise row holds each design's held-out prediction: the
+	// RTL-Timer rows from the cross-validated models, the baselines
+	// trained per fold here.
+	type bitRow struct {
+		name  string
+		preds [][]float64
+	}
+	bitATs := func(ps []*core.DesignPrediction) [][]float64 {
+		out := make([][]float64, len(ps))
+		for d, p := range ps {
+			out[d] = p.BitAT
+		}
+		return out
+	}
+	bitRows := []bitRow{{"Tree-based w/o sample", bitATs(noSample)}}
+	for _, bp := range []bitPredictor{
 		&mlpBit{label: "MLP"},
 		&mlpBit{label: "MLP w/o sample", noSampling: true},
 		&transformerBit{},
 		&gnnBit{},
-		&coreBit{label: "RTL-Timer"},
+	} {
+		row := bitRow{bp.name(), make([][]float64, len(data))}
+		for _, f := range folds {
+			bp.train(f.train, s)
+			for _, d := range f.test {
+				row.preds[d] = bp.predict(data[d])
+			}
+		}
+		bitRows = append(bitRows, row)
 	}
-	type acc struct{ r, mape, covr []float64 }
-	bitAcc := make([]acc, len(bitRows))
+	bitRows = append(bitRows, bitRow{"RTL-Timer", bitATs(cv)})
 
-	// Signal-level rows accumulated from the RTL-Timer model and the
-	// signal ablations.
+	// Signal-level rows from the RTL-Timer predictions and the signal
+	// ablations.
 	var sigR, sigMAPE, sigCOVRReg, sigCOVRRank, sigCOVRNoLTR []float64
 	var noBitR, noBitCOVR, noBitRankCOVR []float64
-
-	for _, fold := range folds {
-		inFold := map[int]bool{}
-		for _, d := range fold {
-			inFold[d] = true
-		}
-		var train []*dataset.DesignData
-		for i, dd := range data {
-			if !inFold[i] {
-				train = append(train, dd)
-			}
-		}
-		for bi, bp := range bitRows {
-			if err := bp.train(train, s); err != nil {
-				return nil, err
-			}
-			for _, d := range fold {
-				preds := bp.predict(data[d])
-				r, mape, covr := bitEval(data[d], preds)
-				bitAcc[bi].r = append(bitAcc[bi].r, r)
-				bitAcc[bi].mape = append(bitAcc[bi].mape, mape)
-				bitAcc[bi].covr = append(bitAcc[bi].covr, covr)
-			}
-		}
-		// Signal level: RTL-Timer (the last bit row holds the core model).
-		cm := bitRows[len(bitRows)-1].(*coreBit).model
-		for _, d := range fold {
-			p := cm.Predict(data[d])
+	for _, f := range folds {
+		for _, d := range f.test {
+			p := cv[d]
 			r, mape, covrReg, covrRank := signalEval(data[d], p)
 			sigR = append(sigR, r)
 			sigMAPE = append(sigMAPE, mape)
@@ -280,8 +258,8 @@ func (s *Suite) Table4FineGrained() (*Table, error) {
 		}
 		// "w/o bit-wise": model signals directly from slowest-path
 		// signal-aggregated features.
-		nbReg, nbRank := trainNoBitwise(train, s)
-		for _, d := range fold {
+		nbReg, nbRank := trainNoBitwise(f.train, s)
+		for _, d := range f.test {
 			labels, preds, ranks := predictNoBitwise(data[d], nbReg, nbRank)
 			noBitR = append(noBitR, metrics.Pearson(labels, preds))
 			noBitCOVR = append(noBitCOVR, metrics.COVR(labels, preds))
@@ -293,9 +271,18 @@ func (s *Suite) Table4FineGrained() (*Table, error) {
 		Title:  "Table 4 (fine-grained): modeling accuracy comparison and ablation study",
 		Header: []string{"Level", "Method", "R", "MAPE(%)", "COVR(%)"},
 	}
-	for bi, bp := range bitRows {
-		t.Rows = append(t.Rows, []string{"Bit-wise", bp.name(),
-			fmtF(metrics.Mean(bitAcc[bi].r), 2), fmtF(metrics.Mean(bitAcc[bi].mape), 0), fmtF(metrics.Mean(bitAcc[bi].covr), 0)})
+	for _, row := range bitRows {
+		var rs, mapes, covrs []float64
+		for _, f := range folds {
+			for _, d := range f.test {
+				r, mape, covr := bitEval(data[d], row.preds[d])
+				rs = append(rs, r)
+				mapes = append(mapes, mape)
+				covrs = append(covrs, covr)
+			}
+		}
+		t.Rows = append(t.Rows, []string{"Bit-wise", row.name,
+			fmtF(metrics.Mean(rs), 2), fmtF(metrics.Mean(mapes), 0), fmtF(metrics.Mean(covrs), 0)})
 	}
 	t.Rows = append(t.Rows,
 		[]string{"Signal-wise", "Regression w/o bit-wise", fmtF(metrics.Mean(noBitR), 2), "/", fmtF(metrics.Mean(noBitCOVR), 0)},
@@ -393,7 +380,10 @@ func (s *Suite) Table4Overall() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	folds := dataset.Folds(len(data), s.Cfg.Folds, s.Cfg.Seed+7)
+	cv, err := s.crossValidate(bog.Variants(), false)
+	if err != nil {
+		return nil, err
+	}
 
 	// Collected per-design predictions for each method.
 	n := len(data)
@@ -407,58 +397,25 @@ func (s *Suite) Table4Overall() (*Table, error) {
 	for i, dd := range data {
 		labelW[i] = dd.LabelWNS
 		labelT[i] = dd.LabelTNS
+		methods["RTL-Timer"].wns[i] = cv[i].WNS
+		methods["RTL-Timer"].tns[i] = cv[i].TNS
 	}
 
-	for _, fold := range folds {
-		inFold := map[int]bool{}
-		for _, d := range fold {
-			inFold[d] = true
-		}
-		var train []*dataset.DesignData
-		var trainIdx []int
-		for i, dd := range data {
-			if !inFold[i] {
-				train = append(train, dd)
-				trainIdx = append(trainIdx, i)
-			}
-		}
-		// RTL-Timer.
-		cm, err := core.Train(train, s.coreOptions())
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range fold {
-			p := cm.Predict(data[d])
-			methods["RTL-Timer"].wns[d] = p.WNS
-			methods["RTL-Timer"].tns[d] = p.TNS
-		}
-		// Baselines over design-level features.
-		baseRow := func(dd *dataset.DesignData, kind string) []float64 {
-			rep := dd.Reps[bog.SOG]
-			dv := rep.Ext.DesignVector()
-			switch kind {
-			case "SNS-style": // architecture-level proxies only
-				return dv
-			case "ICCAD22-style": // AST-ish: cells + endpoint count
-				return append(append([]float64(nil), dv...), math.Log1p(float64(len(rep.EPRefs))))
-			default: // MasterRTL-style: SOG pseudo timing + design features
-				rawW, rawT := pseudoWNSTNS(dd)
-				return append([]float64{rawW, rawT}, dv...)
-			}
-		}
+	// Baselines over design-level features, trained per fold.
+	for _, f := range s.folds(data, s.Cfg.Folds) {
 		for _, kind := range []string{"SNS-style", "ICCAD22-style", "MasterRTL-style"} {
 			var X [][]float64
 			var yw, yt []float64
-			for _, ti := range trainIdx {
-				X = append(X, baseRow(data[ti], kind))
-				yw = append(yw, labelW[ti])
-				yt = append(yt, labelT[ti])
+			for _, dd := range f.train {
+				X = append(X, baselineRow(dd, kind))
+				yw = append(yw, dd.LabelWNS)
+				yt = append(yt, dd.LabelTNS)
 			}
 			topts := tree.Options{NumTrees: 60, MaxDepth: 3, LearningRate: 0.12, MinLeaf: 2, Lambda: 1, Subsample: 1, Seed: s.Cfg.Seed}
 			wm := tree.TrainL2(X, yw, topts)
 			tm := tree.TrainL2(X, yt, topts)
-			for _, d := range fold {
-				row := baseRow(data[d], kind)
+			for _, d := range f.test {
+				row := baselineRow(data[d], kind)
 				methods[kind].wns[d] = wm.Predict(row)
 				methods[kind].tns[d] = tm.Predict(row)
 			}
@@ -482,6 +439,21 @@ func (s *Suite) Table4Overall() (*Table, error) {
 			fmtF(metrics.MAPE(labelT, methods[m].tns), 0)})
 	}
 	return t, nil
+}
+
+// baselineRow is a design's input row for one overall-timing baseline.
+func baselineRow(dd *dataset.DesignData, kind string) []float64 {
+	rep := dd.Reps[bog.SOG]
+	dv := rep.Ext.DesignVector()
+	switch kind {
+	case "SNS-style": // architecture-level proxies only
+		return dv
+	case "ICCAD22-style": // AST-ish: cells + endpoint count
+		return append(append([]float64(nil), dv...), math.Log1p(float64(len(rep.EPRefs))))
+	default: // MasterRTL-style: SOG pseudo timing + design features
+		rawW, rawT := pseudoWNSTNS(dd)
+		return append([]float64{rawW, rawT}, dv...)
+	}
 }
 
 // pseudoWNSTNS computes the raw pseudo-STA WNS/TNS of a design on its SOG.

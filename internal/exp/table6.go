@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"rtltimer/internal/bog"
 	"rtltimer/internal/core"
@@ -11,67 +10,6 @@ import (
 	"rtltimer/internal/metrics"
 	"rtltimer/internal/synth"
 )
-
-// optPlan holds the group_path groups and retime set derived from either
-// predictions or ground-truth labels.
-type optPlan struct {
-	groups  [][]string // bit endpoint refs per criticality group (g1 first)
-	retime  []string   // bit endpoint refs to retime (top 5% critical)
-	weights []float64
-}
-
-// planFromScores builds the plan from per-signal criticality scores and
-// per-bit arrival scores.
-func planFromScores(dd *dataset.DesignData, signalScore map[string]float64, bitAT []float64) optPlan {
-	rep := dd.Reps[bog.SOG]
-	// Signal groups -> expand to the signal's bit refs.
-	// Sorted-name iteration: group assignment breaks score ties by
-	// index, so the plan must not depend on map iteration order.
-	sigs := make([]string, 0, len(signalScore))
-	for sig := range signalScore {
-		sigs = append(sigs, sig)
-	}
-	sort.Strings(sigs)
-	scores := make([]float64, 0, len(sigs))
-	for _, sig := range sigs {
-		scores = append(scores, signalScore[sig])
-	}
-	bitsOf := map[string][]string{}
-	for i, sig := range rep.EPSignals {
-		if rep.EPIsPO[i] {
-			continue
-		}
-		bitsOf[sig] = append(bitsOf[sig], rep.EPRefs[i])
-	}
-	groups := make([][]string, metrics.NumGroups)
-	for gi, idxs := range metrics.CriticalGroups(scores) {
-		for _, si := range idxs {
-			groups[gi] = append(groups[gi], bitsOf[sigs[si]]...)
-		}
-	}
-	// Retime: top 5% bit endpoints by arrival score.
-	var retime []string
-	bitGroups := metrics.CriticalGroups(bitAT)
-	for _, bi := range bitGroups[0] {
-		retime = append(retime, rep.EPRefs[bi])
-	}
-	return optPlan{groups: groups, retime: retime, weights: []float64{5, 3, 2, 1}}
-}
-
-// predictedPlan derives the plan from a cross-validated RTL-Timer
-// prediction; labelPlan derives it from ground truth.
-func predictedPlan(dd *dataset.DesignData, p *core.DesignPrediction) optPlan {
-	score := map[string]float64{}
-	for _, sp := range p.Signals {
-		score[sp.Name] = sp.RankScore
-	}
-	return planFromScores(dd, score, p.BitAT)
-}
-
-func labelPlan(dd *dataset.DesignData) optPlan {
-	rep := dd.Reps[bog.SOG]
-	return planFromScores(dd, dd.SignalLabels(), rep.EPLabels)
-}
 
 // optOutcome is one optimized-synthesis result relative to the default.
 type optOutcome struct {
@@ -105,15 +43,21 @@ func pct(opt, base float64) float64 {
 	return (opt - base) / base * 100
 }
 
-func runOpt(dd *dataset.DesignData, plan optPlan) (*optOutcome, error) {
-	opt, err := synth.Run(dd.Design, synth.Options{
+// optSynth runs the optimization synthesis flow under a plan: group_path
+// groups, retiming and extra sizing effort (~+45% runtime, §4.5).
+func optSynth(dd *dataset.DesignData, plan core.Plan) (*synth.Result, error) {
+	return synth.Run(dd.Design, synth.Options{
 		Period:       dd.Period,
 		Seed:         dd.Spec.Seed,
-		Groups:       plan.groups,
-		GroupWeights: plan.weights,
-		RetimeRefs:   plan.retime,
-		SizingRounds: 42, // extra optimization effort (~+45% runtime, §4.5)
+		Groups:       plan.Groups,
+		GroupWeights: plan.Weights,
+		RetimeRefs:   plan.Retime,
+		SizingRounds: 42,
 	})
+}
+
+func runOpt(dd *dataset.DesignData, plan core.Plan) (*optOutcome, error) {
+	opt, err := optSynth(dd, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +84,7 @@ func (s *Suite) Table6() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cv, err := s.CrossValidate()
+	cv, err := s.crossValidate(bog.Variants(), false)
 	if err != nil {
 		return nil, err
 	}
@@ -164,11 +108,11 @@ func (s *Suite) Table6() (*Table, error) {
 		sigRs = append(sigRs, r)
 		sigMAPEs = append(sigMAPEs, mape)
 		sigCOVRs = append(sigCOVRs, covrRank)
-		oPred, err := runOpt(dd, predictedPlan(dd, p))
+		oPred, err := runOpt(dd, core.PredictedPlan(dd, p))
 		if err != nil {
 			return nil, err
 		}
-		oReal, err := runOpt(dd, labelPlan(dd))
+		oReal, err := runOpt(dd, core.LabelPlan(dd))
 		if err != nil {
 			return nil, err
 		}

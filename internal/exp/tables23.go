@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"rtltimer/internal/bog"
-	"rtltimer/internal/core"
 	"rtltimer/internal/features"
 	"rtltimer/internal/metrics"
 )
@@ -117,7 +116,7 @@ func (s *Suite) Table3() (*Table, error) {
 	t := &Table{
 		Title:  "Table 3: benchmark design information",
 		Header: []string{"Benchmarks", "#Designs", "Gates", "Endpoints", "HDL Type"},
-		Notes:  []string{"designs are scaled-down structural equivalents; see DESIGN.md"},
+		Notes:  []string{"designs are scaled-down structural equivalents; see internal/designs"},
 	}
 	for _, fam := range order {
 		f := fams[fam]
@@ -136,11 +135,7 @@ func (s *Suite) Table3() (*Table, error) {
 // input features (supports the §4.3 discussion: the cross-representation
 // average dominates; SOG and AIG carry more weight than AIMG/XAG).
 func (s *Suite) FeatureImportance() (*Table, error) {
-	data, err := s.Data()
-	if err != nil {
-		return nil, err
-	}
-	model, err := core.Train(data, s.coreOptions())
+	model, err := s.full()
 	if err != nil {
 		return nil, err
 	}

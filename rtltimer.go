@@ -6,8 +6,8 @@
 // arrival time and slack of every sequential signal of a Verilog design,
 // plus the design-level WNS and TNS, and can annotate the predictions
 // directly onto the source text. The heavy lifting lives in the internal
-// packages (see DESIGN.md for the system inventory); this package exposes
-// the workflow a downstream user needs:
+// packages (README.md describes the commands and subsystems built on
+// them); this package exposes the workflow a downstream user needs:
 //
 //	pred, err := rtltimer.TrainBenchmarkPredictor(rtltimer.Options{})
 //	res, err := pred.PredictVerilog(src)
@@ -190,30 +190,8 @@ func (r *Result) GroundTruth() (wns, tns float64) {
 // most critical group first) and the retime candidate list from the
 // prediction, ready to pass to Synthesize.
 func (r *Result) OptimizationPlan() (groups [][]string, retime []string) {
-	rep := r.data.Reps[bog.SOG]
-	bitsOf := map[string][]string{}
-	for i, sig := range rep.EPSignals {
-		if rep.EPIsPO[i] {
-			continue
-		}
-		bitsOf[sig] = append(bitsOf[sig], rep.EPRefs[i])
-	}
-	var names []string
-	var scores []float64
-	for _, s := range r.pred.Signals {
-		names = append(names, s.Name)
-		scores = append(scores, s.RankScore)
-	}
-	groups = make([][]string, metrics.NumGroups)
-	for gi, idxs := range metrics.CriticalGroups(scores) {
-		for _, si := range idxs {
-			groups[gi] = append(groups[gi], bitsOf[names[si]]...)
-		}
-	}
-	for _, bi := range metrics.CriticalGroups(r.pred.BitAT)[0] {
-		retime = append(retime, r.pred.BitRefs[bi])
-	}
-	return groups, retime
+	plan := core.PredictedPlan(r.data, r.pred)
+	return plan.Groups, plan.Retime
 }
 
 // SynthOptions configures a synthesis run through the substrate.
@@ -359,7 +337,7 @@ func ExploreRewrites(src string, opts RewriteOptions) ([]RewriteReport, error) {
 }
 
 // BenchmarkVerilog returns the generated Verilog of a named benchmark
-// design (see designs in DESIGN.md / paper Table 3).
+// design (see internal/designs / paper Table 3).
 func BenchmarkVerilog(name string) (string, error) {
 	spec, ok := designs.ByName(name)
 	if !ok {
