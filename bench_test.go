@@ -515,6 +515,36 @@ func BenchmarkBitBlast(b *testing.B) {
 	}
 }
 
+// BenchmarkBitBlastSuite is BenchmarkBitBlast over the whole benchmark
+// suite: one op bit-blasts the four BOG variants of all 21 designs, which
+// are parsed and elaborated before the timer starts. A cold build's
+// typical design is a mid-size one, not Rocket3.
+func BenchmarkBitBlastSuite(b *testing.B) {
+	var ds []*elab.Design
+	for _, spec := range designs.All() {
+		parsed, err := verilog.Parse(designs.Generate(spec))
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, err := elab.Elaborate(parsed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds = append(ds, d)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, d := range ds {
+			for _, v := range bog.Variants() {
+				if _, err := bog.Build(d, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkFeatureExtraction is the extraction stage on its own:
 // features.NewExtractor and a State read that forces its walk — one
 // input-cone walk per endpoint plus the rank sort — over the four BOG

@@ -62,13 +62,14 @@ func main() {
 	}
 
 	// Prediction-guided flow: the predicted criticality groups feed
-	// group_path, the predicted top-5% endpoints feed retime.
-	groups, retime := res.OptimizationPlan()
+	// group_path with the plan's weights, the predicted top-5% endpoints
+	// feed retime.
+	groups, weights, retime := res.OptimizationPlan()
 	opt, err := rtltimer.Synthesize(src, rtltimer.SynthOptions{
 		PeriodNS:     res.PeriodNS,
 		Seed:         306,
 		Groups:       groups,
-		GroupWeights: []float64{5, 3, 2, 1},
+		GroupWeights: weights,
 		RetimeRefs:   retime,
 		ExtraEffort:  true,
 	})

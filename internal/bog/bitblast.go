@@ -2,6 +2,8 @@ package bog
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"rtltimer/internal/elab"
 )
@@ -10,10 +12,23 @@ import (
 // variant. The variant's operator alphabet is enforced during construction:
 // gate builders rewrite disallowed operators on the fly, so a single pass
 // produces any of SOG, AIG, AIMG or XAG. The returned graph carries no
-// structural-hash index.
+// structural-hash index. A design whose node bound exceeds what a NodeID
+// can address is refused before anything is allocated.
 func Build(d *elab.Design, v Variant) (*Graph, error) {
+	bound := nodeBound(d, v)
+	if bound > math.MaxInt32 {
+		return nil, fmt.Errorf("bog: %s may bit-blast to %d %v nodes, more than the %d node ids can address", d.Name, bound, v, math.MaxInt32)
+	}
+	// Input and RegQ bits are appended but never hashed.
+	hashed := bound
+	for i := range d.Nodes {
+		if k := d.Nodes[i].Kind; k == elab.OpInput || k == elab.OpRegQ {
+			hashed -= d.Nodes[i].Width
+		}
+	}
+	nodes, slots := reservation(bound, hashed)
 	b := &blaster{
-		g:      NewGraph(d.Name, v),
+		g:      newGraph(d.Name, v, nodes, slots),
 		d:      d,
 		bits:   make([][]NodeID, len(d.Nodes)),
 		done:   make([]bool, len(d.Nodes)),
@@ -67,7 +82,109 @@ func Build(d *elab.Design, v Variant) (*Graph, error) {
 	// graphs at their node arrays; raw leaves every hashed structure
 	// exactly once, so a later rebuild yields the same dedup.
 	b.g.dropIndex()
+	// Copy the nodes out of the reservation, which the bound may exceed
+	// several times over, so a resident graph holds only what was built.
+	b.g.Nodes = slices.Clone(b.g.Nodes)
 	return b.g, nil
+}
+
+// maxReservedNodes caps what Build reserves from a bound: beyond 4M nodes
+// (96 MiB of them) raw and enter grow the graph as they do any other.
+const maxReservedNodes = 1 << 22
+
+// reservation returns the node capacity and structural-hash table size
+// Build starts from, given bounds on all the nodes it can append and on
+// the hashed ones, each capped at maxReservedNodes. A graph that stays
+// within its bounds never regrows its node array or doubles its table.
+func reservation(bound, hashed int) (nodes, slots int) {
+	return min(bound, maxReservedNodes), indexSlots(min(hashed, maxReservedNodes))
+}
+
+// gateBound holds, per variant, the most nodes (raw calls) one OrOf,
+// XorOf or MuxOf call can append; NotOf and AndOf append at most one. The
+// counts follow the rewrites in graph.go: an AIG OR is NOT(AND(NOT, NOT)),
+// a MUX with a constant-0 leg becomes NOT and AND, an AIMG XOR is a NOT
+// feeding a MUX whose legs are never constant, and so on. TestGateBound
+// checks each against the constructors' worst case.
+var gateBound = [NumVariants]struct{ or, xor, mux int }{
+	SOG:  {or: 1, xor: 1, mux: 2},
+	AIG:  {or: 4, xor: 8, mux: 7},
+	AIMG: {or: 1, xor: 2, mux: 2},
+	XAG:  {or: 3, xor: 1, mux: 3},
+}
+
+// nodeBound returns an upper bound on the number of nodes Build(d, v)
+// appends, the two constants included: per word node, each gate
+// constructor call its bit-blasting makes, priced at gateBound's worst
+// case, except that an equality against a constant, the bulk of a case
+// statement's decode, pays one NOT per bit. Widths are read where the
+// blaster loops over them, an operand's for most operators. A blaster
+// change that makes more constructor calls per word op must raise the
+// bound to match; TestNodeBound checks it on every suite design.
+func nodeBound(d *elab.Design, v Variant) int {
+	const not, and = 1, 1
+	c := gateBound[v]
+	or, xor, mux := c.or, c.xor, c.mux
+	xnor := xor + not
+	fa := 2*xor + 2*and + or                             // one bit of addBits
+	tree := func(bits int) int { return max(bits-1, 0) } // gates in reduce
+	n := 2
+	for i := range d.Nodes {
+		nd := &d.Nodes[i]
+		arg := func(k int) int { return d.Nodes[nd.Args[k]].Width }
+		isConst := func(k int) bool { return d.Nodes[nd.Args[k]].Kind == elab.OpConst }
+		switch nd.Kind {
+		case elab.OpInput, elab.OpRegQ:
+			n += nd.Width
+		case elab.OpNot:
+			n += arg(0) * not
+		case elab.OpNeg:
+			n += arg(0) * (not + fa)
+		case elab.OpAnd:
+			n += arg(0) * and
+		case elab.OpOr:
+			n += arg(0) * or
+		case elab.OpXor:
+			n += arg(0) * xor
+		case elab.OpXnor:
+			n += arg(0) * xnor
+		case elab.OpAdd:
+			n += arg(0) * fa
+		case elab.OpSub:
+			n += arg(1)*not + arg(0)*fa
+		case elab.OpMul:
+			w := arg(0)
+			n += w*(w+1)/2*and + w*w*fa
+		case elab.OpShl, elab.OpShr:
+			if !isConst(1) {
+				w := arg(0)
+				n += arg(1)*(w*mux+or) + w*and + not
+			}
+		case elab.OpEq, elab.OpNeq: // Neq adds a NOT
+			bit := xnor
+			if isConst(0) || isConst(1) {
+				bit = not // XNOR with a constant bit is a wire or a NOT
+			}
+			n += arg(0)*bit + tree(arg(0))*and + not
+		case elab.OpLt, elab.OpLe, elab.OpGt, elab.OpGe:
+			// ltBit over either operand order, plus Le's and Ge's NOT.
+			w := max(arg(0), arg(1))
+			n += w*(not+fa) + 2*not
+		case elab.OpLAnd, elab.OpLOr: // two OR trees, then an AND or an OR
+			n += (tree(arg(0))+tree(arg(1))+1)*or + and
+		case elab.OpLNot:
+			n += tree(arg(0))*or + not
+		case elab.OpRedAnd:
+			n += tree(arg(0)) * and
+		case elab.OpRedOr:
+			n += tree(arg(0)) * or
+		case elab.OpRedXor:
+			n += tree(arg(0)) * xor
+		case elab.OpMux:
+			n += nd.Width * mux
+		}
+	}
+	return n
 }
 
 // BuildAll builds all four variants of a design.

@@ -153,12 +153,27 @@ type Graph struct {
 // minIndexSlots is the size of a new structural-hash table.
 const minIndexSlots = 64
 
+// indexSlots returns the size of a structural-hash table that holds n
+// entries without doubling: the smallest power of two, at least
+// minIndexSlots, that n fills to at most three quarters.
+func indexSlots(n int) int {
+	size := minIndexSlots
+	for 3*size < 4*n {
+		size *= 2
+	}
+	return size
+}
+
 // NewGraph returns an empty graph of the given variant with the two
 // constant nodes pre-created (ids 0 and 1).
-func NewGraph(design string, v Variant) *Graph {
-	g := &Graph{Design: design, Variant: v, index: make([]int32, minIndexSlots)}
-	g.Nodes = append(g.Nodes, Node{Op: Const0, Fanin: [3]NodeID{Nil, Nil, Nil}})
-	g.Nodes = append(g.Nodes, Node{Op: Const1, Fanin: [3]NodeID{Nil, Nil, Nil}})
+func NewGraph(design string, v Variant) *Graph { return newGraph(design, v, 0, minIndexSlots) }
+
+// newGraph is NewGraph with room for nodes nodes and an empty
+// structural-hash table of slots slots.
+func newGraph(design string, v Variant, nodes, slots int) *Graph {
+	g := &Graph{Design: design, Variant: v, Nodes: make([]Node, 2, max(nodes, 2)), index: make([]int32, slots)}
+	g.Nodes[0] = Node{Op: Const0, Fanin: [3]NodeID{Nil, Nil, Nil}}
+	g.Nodes[1] = Node{Op: Const1, Fanin: [3]NodeID{Nil, Nil, Nil}}
 	return g
 }
 
@@ -283,11 +298,7 @@ func (g *Graph) raw(n Node) NodeID {
 // built, decoded or cloned graph dedups exactly as it did during the
 // build, and on an edited graph as it would on its clone.
 func (g *Graph) rebuildHash() {
-	size := minIndexSlots
-	for 3*size < 4*len(g.Nodes) {
-		size *= 2
-	}
-	g.index, g.indexed = make([]int32, size), 0
+	g.index, g.indexed = make([]int32, indexSlots(len(g.Nodes))), 0
 	for i := range g.Nodes {
 		if !hashed(g.Nodes[i].Op) {
 			continue

@@ -187,11 +187,12 @@ func (r *Result) GroundTruth() (wns, tns float64) {
 }
 
 // OptimizationPlan derives the group_path groups (bit endpoint references,
-// most critical group first) and the retime candidate list from the
-// prediction, ready to pass to Synthesize.
-func (r *Result) OptimizationPlan() (groups [][]string, retime []string) {
+// most critical group first), each group's group_path weight and the
+// retime candidate list from the prediction, ready to pass to Synthesize
+// as Groups, GroupWeights and RetimeRefs.
+func (r *Result) OptimizationPlan() (groups [][]string, weights []float64, retime []string) {
 	plan := core.PredictedPlan(r.data, r.pred)
-	return plan.Groups, plan.Retime
+	return plan.Groups, plan.Weights, plan.Retime
 }
 
 // SynthOptions configures a synthesis run through the substrate.

@@ -2,8 +2,11 @@ package rtltimer
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"rtltimer/internal/core"
 )
 
 // trainedPredictor is shared across API tests (training is the slow part).
@@ -86,9 +89,12 @@ func TestPublicAPIOptimizationFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, retime := res.OptimizationPlan()
+	groups, weights, retime := res.OptimizationPlan()
 	if len(groups) != 4 {
 		t.Fatalf("groups: %d", len(groups))
+	}
+	if want := core.PredictedPlan(res.data, res.pred).Weights; !slices.Equal(weights, want) {
+		t.Fatalf("group weights %v, the predicted plan's %v", weights, want)
 	}
 	total := 0
 	for _, g := range groups {
@@ -105,7 +111,7 @@ func TestPublicAPIOptimizationFlow(t *testing.T) {
 		PeriodNS:     res.PeriodNS,
 		Seed:         303,
 		Groups:       groups,
-		GroupWeights: []float64{5, 3, 2, 1},
+		GroupWeights: weights,
 		RetimeRefs:   retime,
 		ExtraEffort:  true,
 	})
