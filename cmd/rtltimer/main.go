@@ -251,7 +251,7 @@ func main() {
 		fmt.Printf("  %-28s slack %+.3f ns  rank g%d\n", s.Name, s.Slack, s.Group+1)
 	}
 	if *annotateOut != "" {
-		out, aerr := annotate.Annotate(srcText, pred, annotate.Options{})
+		out, aerr := annotate.Annotate(srcText, pred)
 		if aerr != nil {
 			log.Fatal(aerr)
 		}

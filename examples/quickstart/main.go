@@ -1,6 +1,9 @@
 // Quickstart: train RTL-Timer on the benchmark suite and predict
-// per-signal slack for a small pipelined ALU, without running synthesis on
-// it first — the paper's core use case: timing feedback at the RTL stage.
+// per-signal slack for a small pipelined ALU from its RTL — the paper's
+// core use case: timing feedback at the RTL stage. The prediction itself
+// needs no synthesis, but PredictVerilog also runs the synthesis substrate
+// on the design (once to probe the automatic clock, once at that clock)
+// so the example can print the ground truth beside the prediction.
 package main
 
 import (

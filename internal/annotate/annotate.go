@@ -20,22 +20,16 @@ import (
 	"rtltimer/internal/verilog"
 )
 
-// Options controls annotation output.
-type Options struct {
-	TechName string // defaults to "NanGate45nm-sim"
-	// MaxSummary bounds the trailing summary block for hierarchical
-	// signals (0 = 16).
-	MaxSummary int
-}
+const (
+	// techName is the technology node the header names.
+	techName = "NanGate45nm-sim"
+	// maxSummary bounds the trailing summary block for hierarchical
+	// signals.
+	maxSummary = 16
+)
 
 // Annotate returns the annotated Verilog text.
-func Annotate(src string, pred *core.DesignPrediction, opts Options) (string, error) {
-	if opts.TechName == "" {
-		opts.TechName = "NanGate45nm-sim"
-	}
-	if opts.MaxSummary == 0 {
-		opts.MaxSummary = 16
-	}
+func Annotate(src string, pred *core.DesignPrediction) (string, error) {
 	parsed, err := verilog.Parse(src)
 	if err != nil {
 		return "", fmt.Errorf("annotate: %w", err)
@@ -71,7 +65,7 @@ func Annotate(src string, pred *core.DesignPrediction, opts Options) (string, er
 
 	lines := strings.Split(src, "\n")
 	var out strings.Builder
-	fmt.Fprintf(&out, "// Tech: %s\n", opts.TechName)
+	fmt.Fprintf(&out, "// Tech: %s\n", techName)
 	fmt.Fprintf(&out, "// WNS: %.2fns, TNS: %.2fns  (RTL-Timer prediction @ %.2fns clock)\n",
 		pred.WNS, pred.TNS, pred.Period)
 	for ln, line := range lines {
@@ -91,10 +85,7 @@ func Annotate(src string, pred *core.DesignPrediction, opts Options) (string, er
 	}
 	if len(hier) > 0 {
 		out.WriteString("\n// RTL-Timer: flattened sub-instance signals (worst first):\n")
-		n := len(hier)
-		if n > opts.MaxSummary {
-			n = opts.MaxSummary
-		}
+		n := min(len(hier), maxSummary)
 		for _, s := range hier[:n] {
 			fmt.Fprintf(&out, "//   %-32s Slack@%.2fns rank@g%d\n", s.Name, s.Slack, s.Group+1)
 		}

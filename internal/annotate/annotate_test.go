@@ -37,7 +37,7 @@ func fakePrediction() *core.DesignPrediction {
 }
 
 func TestAnnotateHeader(t *testing.T) {
-	out, err := Annotate(src, fakePrediction(), Options{})
+	out, err := Annotate(src, fakePrediction())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestAnnotateHeader(t *testing.T) {
 }
 
 func TestAnnotateSignalLines(t *testing.T) {
-	out, err := Annotate(src, fakePrediction(), Options{})
+	out, err := Annotate(src, fakePrediction())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestAnnotateSignalLines(t *testing.T) {
 }
 
 func TestAnnotateHierarchicalSummary(t *testing.T) {
-	out, err := Annotate(src, fakePrediction(), Options{})
+	out, err := Annotate(src, fakePrediction())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,18 +85,18 @@ func TestAnnotateHierarchicalSummary(t *testing.T) {
 }
 
 func TestAnnotatedSourceStillParses(t *testing.T) {
-	out, err := Annotate(src, fakePrediction(), Options{})
+	out, err := Annotate(src, fakePrediction())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The annotated file must remain valid Verilog (comments only).
-	if _, err := Annotate(out, fakePrediction(), Options{}); err != nil {
+	if _, err := Annotate(out, fakePrediction()); err != nil {
 		t.Fatalf("annotated output no longer parses: %v", err)
 	}
 }
 
 func TestAnnotateBadSource(t *testing.T) {
-	if _, err := Annotate("not verilog", fakePrediction(), Options{}); err == nil {
+	if _, err := Annotate("not verilog", fakePrediction()); err == nil {
 		t.Error("expected parse error")
 	}
 }

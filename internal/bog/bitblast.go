@@ -187,19 +187,6 @@ func nodeBound(d *elab.Design, v Variant) int {
 	return n
 }
 
-// BuildAll builds all four variants of a design.
-func BuildAll(d *elab.Design) (map[Variant]*Graph, error) {
-	out := make(map[Variant]*Graph, NumVariants)
-	for _, v := range Variants() {
-		g, err := Build(d, v)
-		if err != nil {
-			return nil, err
-		}
-		out[v] = g
-	}
-	return out, nil
-}
-
 type blaster struct {
 	g      *Graph
 	d      *elab.Design

@@ -26,6 +26,20 @@ func mustDesign(t *testing.T, src string) *elab.Design {
 	return d
 }
 
+// buildVariants builds every BOG variant of a design.
+func buildVariants(t *testing.T, d *elab.Design) map[Variant]*Graph {
+	t.Helper()
+	graphs := make(map[Variant]*Graph, NumVariants)
+	for _, v := range Variants() {
+		g, err := Build(d, v)
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		graphs[v] = g
+	}
+	return graphs
+}
+
 // crossCheck simulates the word-level design and every BOG variant side by
 // side on random stimulus and compares all register contents each cycle.
 func crossCheck(t *testing.T, src string, inputs []struct {
@@ -34,10 +48,7 @@ func crossCheck(t *testing.T, src string, inputs []struct {
 }, cycles int, seed int64) {
 	t.Helper()
 	d := mustDesign(t, src)
-	graphs, err := BuildAll(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	graphs := buildVariants(t, d)
 	rng := rand.New(rand.NewSource(seed))
 	wordSim := elab.NewSimulator(d)
 	bitSims := map[Variant]*Simulator{}
@@ -349,11 +360,7 @@ module v(input clk, input [7:0] a, input [7:0] b, input s, output [7:0] out);
     r <= s ? (a ^ b) : (a | b);
   assign out = r;
 endmodule`
-	d := mustDesign(t, src)
-	graphs, err := BuildAll(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	graphs := buildVariants(t, mustDesign(t, src))
 	// AIG must contain only AND/NOT operators.
 	for i := range graphs[AIG].Nodes {
 		op := graphs[AIG].Nodes[i].Op

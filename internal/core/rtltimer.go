@@ -51,21 +51,14 @@ type Options struct {
 	Seed    int64
 
 	// eng fans out per-representation model training and inner OOF folds.
-	// Unexported so gob-serialized models skip it (see serialize.go); nil
-	// selects the shared default engine.
+	// Unexported so gob-serialized models skip it (see serialize.go); Train
+	// sets a nil one to a private engine.New(0) that its inner folds share.
 	eng *engine.Engine
 }
 
-// SetEngine selects the evaluation engine used during training (nil
-// restores the shared default engine).
+// SetEngine selects the evaluation engine used during training (nil gives
+// each Train call a private engine.New(0)).
 func (o *Options) SetEngine(e *engine.Engine) { o.eng = e }
-
-func (o *Options) engine() *engine.Engine {
-	if o.eng != nil {
-		return o.eng
-	}
-	return engine.Default()
-}
 
 // DefaultOptions mirrors the paper's hyper-parameters scaled to this
 // benchmark (100 trees throughout; LambdaMART 100 estimators).
@@ -105,6 +98,9 @@ func Train(data []*dataset.DesignData, opts Options) (*Model, error) {
 	}
 	if len(opts.Reps) == 0 {
 		opts.Reps = bog.Variants()
+	}
+	if opts.eng == nil {
+		opts.eng = engine.New(0)
 	}
 	m := &Model{Opts: opts, BitModels: map[bog.Variant]*tree.Regressor{}, Period: data[0].Period}
 	if err := m.trainBitAndEnsemble(data, 1.0); err != nil {
@@ -177,7 +173,7 @@ func (m *Model) trainBitAndEnsemble(data []*dataset.DesignData, sizeFactor float
 	// The per-representation bit models are independent given the data and
 	// their per-variant seeds, so they train concurrently on the engine.
 	bitModels := make([]*tree.Regressor, len(opts.Reps))
-	err := opts.engine().ForEachErr(len(opts.Reps), func(vi int) error {
+	err := opts.eng.ForEachErr(len(opts.Reps), func(vi int) error {
 		v := opts.Reps[vi]
 		var X [][]float64
 		var groups [][]int
@@ -241,7 +237,7 @@ func (m *Model) oofDesignRows(data []*dataset.DesignData) ([][]float64, error) {
 	}
 	// Inner folds are independent models over disjoint hold-out sets, so
 	// they train concurrently; each writes only its own hold-out rows.
-	err := m.Opts.engine().ForEachErr(innerFolds, func(f int) error {
+	err := m.Opts.eng.ForEachErr(innerFolds, func(f int) error {
 		var trainSet []*dataset.DesignData
 		var holdIdx []int
 		for di, dd := range data {

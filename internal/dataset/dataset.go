@@ -38,7 +38,6 @@ type RepData struct {
 	// Per labeled endpoint, aligned with Groups.
 	EPRefs    []string
 	EPSignals []string
-	EPBits    []int
 	EPIsPO    []bool
 	EPLabels  []float64 // ground-truth netlist arrival time
 	EPPseudo  []float64 // pseudo-STA arrival on this representation
@@ -48,7 +47,6 @@ type RepData struct {
 // DesignData is the complete dataset entry for one design.
 type DesignData struct {
 	Spec   designs.Spec
-	Source string
 	Design *elab.Design
 	Period float64
 
@@ -73,7 +71,8 @@ type BuildOptions struct {
 	WithSeqs   bool // also extract per-node sequences (transformer)
 	Seed       int64
 	// Engine drives the per-design and per-representation fan-out and
-	// caches representation evaluations (nil = the shared default engine).
+	// caches representation evaluations. nil gives the call a private
+	// engine.New(0), whose cache is dropped when the call returns.
 	Engine *engine.Engine
 }
 
@@ -96,7 +95,7 @@ func (o BuildOptions) withDefaults() BuildOptions {
 		o.MaxSamples = 12
 	}
 	if o.Engine == nil {
-		o.Engine = engine.Default()
+		o.Engine = engine.New(0)
 	}
 	return o
 }
@@ -143,7 +142,6 @@ func BuildFromSource(spec designs.Spec, src string, opts BuildOptions) (*DesignD
 	}
 	dd := &DesignData{
 		Spec:   spec,
-		Source: src,
 		Design: design,
 		Reps:   map[bog.Variant]*RepData{},
 	}
@@ -207,7 +205,6 @@ func BuildFromSource(spec designs.Spec, src string, opts BuildOptions) (*DesignD
 			rep.Groups = append(rep.Groups, rows)
 			rep.EPRefs = append(rep.EPRefs, ref)
 			rep.EPSignals = append(rep.EPSignals, g.Endpoints[ep].Ref.Signal)
-			rep.EPBits = append(rep.EPBits, g.Endpoints[ep].Ref.Bit)
 			rep.EPIsPO = append(rep.EPIsPO, g.Endpoints[ep].IsPO)
 			rep.EPLabels = append(rep.EPLabels, label)
 			rep.EPPseudo = append(rep.EPPseudo, r.EndpointAT[ep])

@@ -115,34 +115,3 @@ func TestDesignsAreStructurallyDiverse(t *testing.T) {
 		seen[n] = true
 	}
 }
-
-func TestGeneratedDesignsRoundTripThroughPrinter(t *testing.T) {
-	// Property over the whole suite: parse -> print -> parse -> elaborate
-	// must preserve the design (same register bit count and node profile).
-	for _, spec := range All() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			p1, err := verilog.Parse(Generate(spec))
-			if err != nil {
-				t.Fatal(err)
-			}
-			printed := p1.WriteSource()
-			p2, err := verilog.Parse(printed)
-			if err != nil {
-				t.Fatalf("printed source does not parse: %v", err)
-			}
-			d1, err := elab.Elaborate(p1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d2, err := elab.Elaborate(p2)
-			if err != nil {
-				t.Fatalf("printed source does not elaborate: %v", err)
-			}
-			s1, s2 := d1.Stats(), d2.Stats()
-			if s1.RegBits != s2.RegBits || s1.Signals != s2.Signals {
-				t.Errorf("round trip changed the design: %+v vs %+v", s1, s2)
-			}
-		})
-	}
-}

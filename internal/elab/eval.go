@@ -2,10 +2,10 @@ package elab
 
 import "fmt"
 
-// Simulator evaluates a word-level Design cycle by cycle. It is used by
-// tests to cross-check bit blasting and by the design generator to sanity
-// check generated RTL. Signals wider than 64 bits are not supported (the
-// elaborator enforces this bound).
+// Simulator evaluates a word-level Design cycle by cycle. It is the
+// reference the bit-blast cross-check in package bog's tests compares
+// every BOG variant against. Signals wider than 64 bits are not supported
+// (the elaborator enforces this bound).
 type Simulator struct {
 	d      *Design
 	inputs map[SigID]uint64

@@ -116,6 +116,8 @@ func (e *Engine) callContained(i int, fn func(int) error) (err error) {
 }
 
 // resolveDetached starts a slot's one resolution on a detached goroutine.
+// Only the caller that created the slot (entry reported !existed) calls
+// it, so every later caller, hit or follower, allocates no build closure.
 // The goroutine — not the first caller — owns the build, which is what
 // makes waiting cancelable without making the resolution abortable: a
 // caller that gives up (EvalRepCtx / EditCtx deadline or cancel) simply
@@ -124,23 +126,21 @@ func (e *Engine) callContained(i int, fn func(int) error) (err error) {
 // and wakes every waiter that stayed. Panics in the build body are
 // contained into the slot's error.
 func (e *Engine) resolveDetached(key Key, ent *repEntry, build func() (*RepResult, error)) {
-	ent.once.Do(func() {
-		go func() {
-			defer close(ent.done)
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						ent.err = e.containPanic(r)
-					}
-				}()
-				ent.res, ent.err = build()
+	go func() {
+		defer close(ent.done)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					ent.err = e.containPanic(r)
+				}
 			}()
-			if ent.err != nil {
-				ent.res = nil
-			}
-			e.settleResolved(key, ent)
+			ent.res, ent.err = build()
 		}()
-	})
+		if ent.err != nil {
+			ent.res = nil
+		}
+		e.settleResolved(key, ent)
+	}()
 }
 
 // await blocks until the slot resolves or the context is done, whichever

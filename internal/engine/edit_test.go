@@ -365,10 +365,10 @@ func TestEditRetainDropFollowBase(t *testing.T) {
 		t.Fatalf("Retain(base) evicted %d entries, want 0", after.Evictions-before.Evictions)
 	}
 
-	// Dropping the base drops its derived entries too.
-	eng.Drop(key.Design)
+	// Retaining nothing drops the base and its derived entries too.
+	eng.Retain()
 	if got := eng.Stats().Evictions; got != before.Evictions+2 {
-		t.Fatalf("Drop evicted %d entries total, want %d (base + derived)", got, before.Evictions+2)
+		t.Fatalf("Retain() evicted %d entries total, want %d (base + derived)", got, before.Evictions+2)
 	}
 }
 

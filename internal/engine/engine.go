@@ -61,9 +61,8 @@ type Key struct {
 	Variant bog.Variant
 	// Edit is the delta-digest chain of a derived evaluation ("" for base
 	// builds; see EditKey). Derived entries share their base's Design
-	// verbatim, so cache-lifecycle operations (Retain, Drop) follow the
-	// base with plain equality and no in-band delimiter exists for a
-	// design name to collide with.
+	// verbatim, so Retain follows the base with plain equality and no
+	// in-band delimiter exists for a design name to collide with.
 	Edit string
 }
 
@@ -298,7 +297,7 @@ func (e *Engine) settleResolved(key Key, ent *repEntry) {
 	}
 	if !ent.live && e.reps[key] == ent {
 		// A successful resolution still present in the map: charge it. A
-		// slot dropped mid-build (Reset/Retain/Drop) lives only with its
+		// slot dropped mid-build (Reset/Retain) lives only with its
 		// callers and owes the budget nothing.
 		ent.live = true
 		ent.cost = approxEntryCost(ent.res)
@@ -313,10 +312,12 @@ func (e *Engine) settleResolved(key Key, ent *repEntry) {
 // duplicates — the derivation.
 func (e *Engine) resolveEdit(ctx context.Context, key Key, base *RepResult, delta bog.Delta) (*RepResult, error) {
 	ent, existed := e.entry(key)
-	e.resolveDetached(key, ent, func() (*RepResult, error) {
-		e.edits.Add(1)
-		return base.derive(delta, key, e)
-	})
+	if !existed {
+		e.resolveDetached(key, ent, func() (*RepResult, error) {
+			e.edits.Add(1)
+			return base.derive(delta, key, e)
+		})
+	}
 	return e.await(ctx, ent, existed)
 }
 
@@ -351,9 +352,8 @@ func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, 
 }
 
 type repEntry struct {
-	once sync.Once
-	res  *RepResult
-	err  error
+	res *RepResult
+	err error
 
 	// done is closed by the detached resolver goroutine after the slot has
 	// settled (resolveDetached, cancel.go); res and err are written before
@@ -381,7 +381,7 @@ type repEntry struct {
 // disk (each one is a build avoided), DiskMisses counts lookups that
 // missed the disk tier — including corrupt entries that were quarantined
 // — and DiskWrites counts entries persisted.
-// Evictions counts memory entries released by Reset, Retain or Drop, plus
+// Evictions counts memory entries released by Reset or Retain, plus
 // entries evicted by the memory-budget LRU (SetMemBudget, lru.go).
 // Edits counts delta-derived evaluations computed by RepResult.Edit
 // (cache misses on edit keys — repeated Edits with the same delta are
@@ -422,7 +422,7 @@ type Stats struct {
 
 // Engine is a bounded worker pool with a representation cache. The zero
 // value is not usable; construct with New. An Engine is safe for
-// concurrent use and is typically shared process-wide (Default) or per
+// concurrent use and is typically shared by one command, daemon or
 // experiment suite.
 type Engine struct {
 	jobs int
@@ -483,17 +483,6 @@ func ValidateConcurrency(jobs int) error {
 		return fmt.Errorf("jobs must be >= 0 (0 = all cores), got %d", jobs)
 	}
 	return nil
-}
-
-var (
-	defaultOnce   sync.Once
-	defaultEngine *Engine
-)
-
-// Default returns the shared process-wide engine (GOMAXPROCS jobs).
-func Default() *Engine {
-	defaultOnce.Do(func() { defaultEngine = New(0) })
-	return defaultEngine
 }
 
 // Jobs returns the engine's concurrency bound.
@@ -632,9 +621,11 @@ func (e *Engine) EvalRepCtx(ctx context.Context, key Key, lib *liberty.PseudoLib
 		return nil, fmt.Errorf("engine: EvalRep requires a base key (Edit == \"\"), got edit chain %q; derive edited evaluations with RepResult.Edit", key.Edit)
 	}
 	ent, existed := e.entry(key)
-	e.resolveDetached(key, ent, func() (*RepResult, error) {
-		return e.buildRep(key, lib, src)
-	})
+	if !existed {
+		e.resolveDetached(key, ent, func() (*RepResult, error) {
+			return e.buildRep(key, lib, src)
+		})
+	}
 	return e.await(ctx, ent, existed)
 }
 
@@ -729,18 +720,6 @@ func (e *Engine) Retain(keep ...string) {
 	e.mu.Lock()
 	for k, ent := range e.reps {
 		if !keepSet[k.Design] {
-			e.removeLocked(k, ent)
-		}
-	}
-	e.mu.Unlock()
-}
-
-// Drop removes all cached entries of one design, including delta-derived
-// entries based on it.
-func (e *Engine) Drop(design string) {
-	e.mu.Lock()
-	for k, ent := range e.reps {
-		if k.Design == design {
 			e.removeLocked(k, ent)
 		}
 	}

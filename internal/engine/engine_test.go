@@ -157,6 +157,31 @@ func TestEvalRepSingleFlight(t *testing.T) {
 	}
 }
 
+// TestWarmHitAllocatesNothing: only the caller that creates a cache slot
+// starts its resolution, so a hit on a settled slot allocates nothing.
+func TestWarmHitAllocatesNothing(t *testing.T) {
+	d, src := buildDesign(t)
+	e := New(1)
+	lib := liberty.DefaultPseudoLib()
+	key := Key{Design: DesignTag(d.Name, src), Variant: bog.AIG}
+	design := FixedDesign(d)
+	want, err := e.EvalRep(key, lib, design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, err := e.EvalRep(key, lib, design); err != nil || got != want {
+			t.Fatalf("warm EvalRep returned (%p, %v), want the cached result", got, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warm EvalRep hit allocates %v times, want 0", allocs)
+	}
+	if st := e.Stats(); st.Builds != 1 || st.Hits != 101 {
+		t.Errorf("stats %+v, want 1 build and 101 hits", st)
+	}
+}
+
 // TestRepResultAtMatchesAnalyze pins the period-free cache contract: a
 // K-period sweep through one cached RepResult costs exactly one build per
 // (design, variant) and every At materialization is bit-identical to a
@@ -227,21 +252,22 @@ func TestRetainDropsOtherDesigns(t *testing.T) {
 	if e.Stats().Builds != before+1 {
 		t.Fatal("Retain kept a dropped design's entry")
 	}
-	// Drop releases one design and leaves the others alone.
-	e.Drop(keepTag)
+	// Retaining the other design releases the first and leaves the
+	// retained one alone.
+	e.Retain(dropTag)
 	before = e.Stats().Builds
 	if _, err := e.EvalRep(Key{Design: keepTag, Variant: bog.AIG}, lib, FixedDesign(d)); err != nil {
 		t.Fatal(err)
 	}
 	if e.Stats().Builds != before+1 {
-		t.Fatal("Drop kept the dropped design's entry")
+		t.Fatal("Retain kept a design it was not given")
 	}
 	hitsBefore := e.Stats().Hits
 	if _, err := e.EvalRep(Key{Design: dropTag, Variant: bog.AIG}, lib, FixedDesign(d)); err != nil {
 		t.Fatal(err)
 	}
 	if e.Stats().Hits != hitsBefore+1 {
-		t.Fatal("Drop released an unrelated design's entry")
+		t.Fatal("Retain released a retained design's entry")
 	}
 }
 
@@ -419,9 +445,9 @@ func TestDefaultPolicyEditsMonolithic(t *testing.T) {
 	}
 }
 
-// TestDropKeepsDiskEntryWarm (Retain/Drop x disk tier): dropping a design
-// from the memory tier must not delete its on-disk entry, and the next
-// evaluation after Drop or Retain must warm-load instead of rebuilding.
+// TestDropKeepsDiskEntryWarm (Retain x disk tier): dropping a design from
+// the memory tier must not delete its on-disk entry, and every evaluation
+// after a Retain that dropped it must warm-load instead of rebuilding.
 func TestDropKeepsDiskEntryWarm(t *testing.T) {
 	d, src := buildDesign(t)
 	tag := DesignTag(d.Name, src)
@@ -438,28 +464,18 @@ func TestDropKeepsDiskEntryWarm(t *testing.T) {
 		t.Fatalf("cold stats %+v, want one build persisted", st)
 	}
 
-	e.Drop(tag)
-	if ents, err := os.ReadDir(dir); err != nil || len(ents) == 0 {
-		t.Fatalf("Drop removed the on-disk entry (dir: %v, err: %v)", ents, err)
+	for i := int64(1); i <= 2; i++ {
+		e.Retain() // keep nothing
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) == 0 {
+			t.Fatalf("Retain removed the on-disk entry (dir: %v, err: %v)", ents, err)
+		}
+		again, err := e.EvalRep(key, lib, failingSource(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := e.Stats(); st.Builds != 1 || st.DiskHits != i {
+			t.Fatalf("stats after Retain %d: %+v, want warm load %d and no new build", i, st, i)
+		}
+		requireIdentical(t, cold, again)
 	}
-	after, err := e.EvalRep(key, lib, failingSource(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.Builds != 1 || st.DiskHits != 1 {
-		t.Fatalf("post-Drop stats %+v, want a warm load and no new build", st)
-	}
-	requireIdentical(t, cold, after)
-
-	e.Retain() // keep nothing
-	again, err := e.EvalRep(key, lib, failingSource(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = e.Stats()
-	if st.Builds != 1 || st.DiskHits != 2 {
-		t.Fatalf("post-Retain stats %+v, want a second warm load and no new build", st)
-	}
-	requireIdentical(t, cold, again)
 }

@@ -155,9 +155,6 @@ var featureNames = []string{
 // PathVector output.
 func FeatureNames() []string { return append([]string(nil), featureNames...) }
 
-// NumFeatures is the path-vector length.
-func NumFeatures() int { return len(featureNames) }
-
 func log1p(x float64) float64 { return math.Log1p(x) }
 
 // PathVector extracts the feature vector of one sampled path ending at
@@ -220,9 +217,6 @@ func (e *Extractor) PathVector(ep int, path sta.Path) []float64 {
 
 // nodeSeqDim is the per-node feature width for sequence models.
 const nodeSeqDim = 9 + 4
-
-// NodeSeqDim returns the per-node feature dimension used by SeqFeatures.
-func NodeSeqDim() int { return nodeSeqDim }
 
 // SeqFeatures extracts per-node features along a path for the transformer
 // model: operator one-hot (9) plus normalized fanout, load, slew, arrival.

@@ -45,9 +45,6 @@ endmodule`
 func TestPathVectorShape(t *testing.T) {
 	g, r, ext := setup(t)
 	names := FeatureNames()
-	if len(names) != NumFeatures() {
-		t.Fatal("name/size mismatch")
-	}
 	arrival := slices.Index(names, "ep_arrival_sta")
 	if arrival < 0 {
 		t.Fatal("no ep_arrival_sta feature")
@@ -55,8 +52,8 @@ func TestPathVectorShape(t *testing.T) {
 	for ep := range g.Endpoints {
 		p := r.SlowestPath(g, ep)
 		v := ext.PathVector(ep, p)
-		if len(v) != NumFeatures() {
-			t.Fatalf("vector length %d, want %d", len(v), NumFeatures())
+		if len(v) != len(names) {
+			t.Fatalf("vector length %d, want %d", len(v), len(names))
 		}
 		for i, x := range v {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -118,7 +115,7 @@ func TestSeqFeatures(t *testing.T) {
 		t.Fatalf("seq length %d != path %d", len(seq), len(p))
 	}
 	for _, row := range seq {
-		if len(row) != NodeSeqDim() {
+		if len(row) != nodeSeqDim {
 			t.Fatalf("row dim %d", len(row))
 		}
 		ones := 0

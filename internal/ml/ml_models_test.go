@@ -14,22 +14,6 @@ import (
 	"rtltimer/internal/ml/transformer"
 )
 
-func TestMLPRegression(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n := 1500
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range X {
-		X[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		y[i] = 2*X[i][0] - X[i][1] + 0.5*X[i][0]*X[i][2]
-	}
-	m := mlp.TrainMSE(X, y, mlp.Options{Hidden: []int{32, 32}, Epochs: 40, LR: 3e-3, BatchRows: 256, Seed: 1})
-	pred := m.PredictAll(X)
-	if r := metrics.Pearson(y, pred); r < 0.95 {
-		t.Errorf("train R = %f, want > 0.95", r)
-	}
-}
-
 func TestMLPGroupMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 2000

@@ -127,39 +127,6 @@ func (m *Model) PredictAll(X [][]float64) []float64 {
 	return append([]float64(nil), m.forward(m.input(X, idx)).Data...)
 }
 
-// TrainMSE fits the network with plain squared error.
-func TrainMSE(X [][]float64, y []float64, opts Options) *Model {
-	if len(opts.Hidden) == 0 {
-		opts = mergeDefaults(opts)
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	m := newModel(len(X[0]), opts.Hidden, rng)
-	m.fitScaling(X)
-	optim := ad.NewAdam(opts.LR, m.params()...)
-	n := len(X)
-	perm := rng.Perm(n)
-	for ep := 0; ep < opts.Epochs; ep++ {
-		for start := 0; start < n; start += opts.BatchRows {
-			end := start + opts.BatchRows
-			if end > n {
-				end = n
-			}
-			idx := perm[start:end]
-			xb := m.input(X, idx)
-			pred := m.forward(xb)
-			target := make([]float64, len(idx))
-			for i, r := range idx {
-				target[i] = y[r]
-			}
-			loss := ad.MSELossMasked(pred, target, nil)
-			ad.Backward(loss)
-			optim.Step()
-		}
-		shuffle(perm, rng)
-	}
-	return m
-}
-
 // TrainGroupMax fits the network with the grouped max loss: groups[i]
 // lists the sample rows of endpoint i and labels[i] its arrival time.
 func TrainGroupMax(X [][]float64, groups [][]int, labels []float64, opts Options) *Model {

@@ -438,7 +438,7 @@ func (s *Service) Annotate(ctx context.Context, req AnnotateRequest) (*AnnotateR
 		return nil, classifyEngineErr(derr)
 	}
 	pred := s.model.Predict(dd)
-	out, aerr := annotate.Annotate(d.src, pred, annotate.Options{})
+	out, aerr := annotate.Annotate(d.src, pred)
 	if aerr != nil {
 		return nil, classifyEngineErr(aerr)
 	}

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"rtltimer/internal/bog"
@@ -17,9 +18,6 @@ type Options struct {
 	// Seed drives mapping noise and placement spread; fixed per design so
 	// labels are reproducible.
 	Seed int64
-	// MapNoise is the probability of non-canonical technology-mapping
-	// choices (models tool variability). Zero selects the default 0.08.
-	MapNoise float64
 	// Groups optionally assigns endpoint refs ("sig[3]") to path groups,
 	// most critical group first, enabling group_path-style weighted
 	// optimization effort. Nil = single default group.
@@ -39,12 +37,6 @@ func (o *Options) withDefaults() Options {
 	if out.Period == 0 {
 		out.Period = 0.5
 	}
-	if out.MapNoise == 0 {
-		// Per-design mapping style variation: different designs see
-		// different technology-mapping aggressiveness, as across real tool
-		// versions and option sets.
-		out.MapNoise = 0.06 + 0.30*hash01(uint64(out.Seed), 99)
-	}
 	if out.SizingRounds == 0 {
 		out.SizingRounds = 14
 	}
@@ -61,9 +53,7 @@ type Result struct {
 	// Placed is the timing after pseudo-placement (wire spread applied).
 	Placed *netlist.Timing
 	// PostOpt is the timing after post-placement optimization.
-	PostOpt  *netlist.Timing
-	AIGNodes int
-	Options  Options
+	PostOpt *netlist.Timing
 }
 
 // Labels returns post-synthesis endpoint arrival times keyed by endpoint
@@ -80,25 +70,26 @@ func (r *Result) Labels() map[string]float64 {
 // Run synthesizes the design: AIG construction, balancing, technology
 // mapping (with optional retiming), timing-driven sizing (with optional
 // path groups), then pseudo-placement and post-placement optimization.
+// A negative, NaN or infinite period is an error.
 func Run(d *elab.Design, opts Options) (*Result, error) {
+	if opts.Period < 0 || math.IsNaN(opts.Period) || math.IsInf(opts.Period, 0) {
+		return nil, fmt.Errorf("synth: period must be a finite number of ns >= 0 (0 = 0.5 ns), got %v", opts.Period)
+	}
 	o := opts.withDefaults()
 	aig, err := bog.Build(d, bog.AIG)
 	if err != nil {
 		return nil, fmt.Errorf("synth: %w", err)
 	}
-	return RunOnAIG(aig, o)
-}
-
-// RunOnAIG synthesizes from an already-built AIG (used by tests and by the
-// dataset builder, which shares the AIG with feature extraction).
-func RunOnAIG(aig *bog.Graph, opts Options) (*Result, error) {
-	o := opts.withDefaults()
 	balanced := balance(aig, o.Seed)
 	if err := balanced.Check(); err != nil {
 		return nil, fmt.Errorf("synth: balance: %w", err)
 	}
+	// Per-design mapping style variation: different designs see different
+	// technology-mapping aggressiveness, as across real tool versions and
+	// option sets.
+	mapNoise := 0.06 + 0.30*hash01(uint64(o.Seed), 99)
 	lib := liberty.NanGate45()
-	nl := techmap(balanced, lib, o.Seed, o.MapNoise, nil)
+	nl := techmap(balanced, lib, o.Seed, mapNoise, nil)
 	if err := nl.Check(); err != nil {
 		return nil, fmt.Errorf("synth: techmap: %w", err)
 	}
@@ -122,7 +113,7 @@ func RunOnAIG(aig *bog.Graph, opts Options) (*Result, error) {
 		t := nl.Analyze(o.Period, wires)
 		keep := filterRetime(nl, t, o.RetimeRefs)
 		if len(keep) > 0 {
-			nl = techmap(balanced, lib, o.Seed, o.MapNoise, keep)
+			nl = techmap(balanced, lib, o.Seed, mapNoise, keep)
 			if err := nl.Check(); err != nil {
 				return nil, fmt.Errorf("synth: retime techmap: %w", err)
 			}
@@ -146,13 +137,11 @@ func RunOnAIG(aig *bog.Graph, opts Options) (*Result, error) {
 	postOpt := nl.Analyze(o.Period, placedWires)
 
 	return &Result{
-		Netlist:  nl,
-		Timing:   timing,
-		Report:   nl.PowerArea(),
-		Placed:   placed,
-		PostOpt:  postOpt,
-		AIGNodes: aig.NumNodes(),
-		Options:  o,
+		Netlist: nl,
+		Timing:  timing,
+		Report:  nl.PowerArea(),
+		Placed:  placed,
+		PostOpt: postOpt,
 	}, nil
 }
 

@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -279,5 +281,26 @@ func TestSizingImprovesWNS(t *testing.T) {
 	}
 	if sized.Timing.WNS < noSize.Timing.WNS {
 		t.Errorf("sizing made WNS worse: %.4f -> %.4f", noSize.Timing.WNS, sized.Timing.WNS)
+	}
+}
+
+// TestRunPeriod: a negative, NaN or infinite period is an error that
+// names it, and period 0 runs at the documented 0.5 ns.
+func TestRunPeriod(t *testing.T) {
+	d := mustDesign(t, testSrc)
+	for _, p := range []float64{-1, math.NaN(), math.Inf(1)} {
+		_, err := Run(d, Options{Period: p, Seed: 1})
+		if err == nil {
+			t.Errorf("period %v accepted", p)
+		} else if !strings.Contains(err.Error(), fmt.Sprint(p)) {
+			t.Errorf("period %v: error %q does not name it", p, err)
+		}
+	}
+	res, err := Run(d, Options{Period: 0, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Timing.ClockPeriod != 0.5 {
+		t.Errorf("period 0 ran at %v ns, want 0.5", res.Timing.ClockPeriod)
 	}
 }

@@ -165,7 +165,7 @@ func (p *Predictor) PredictVerilog(src string) (*Result, error) {
 // Annotate returns the source text with slack annotations on every
 // sequential signal declaration (paper §3.5.1).
 func (r *Result) Annotate(src string) (string, error) {
-	return annotate.Annotate(src, r.pred, annotate.Options{})
+	return annotate.Annotate(src, r.pred)
 }
 
 // Accuracy reports the prediction quality against the synthesis
@@ -197,6 +197,8 @@ func (r *Result) OptimizationPlan() (groups [][]string, weights []float64, retim
 
 // SynthOptions configures a synthesis run through the substrate.
 type SynthOptions struct {
+	// PeriodNS is the target clock (0 = 0.5 ns; a negative, NaN or
+	// infinite period is an error).
 	PeriodNS     float64
 	Seed         int64
 	Groups       [][]string // group_path endpoint groups (optional)

@@ -131,6 +131,13 @@ func TestSynthesizeErrors(t *testing.T) {
 	if _, err := Synthesize("not verilog", SynthOptions{}); err == nil {
 		t.Error("expected parse error")
 	}
+	src, err := BenchmarkVerilog("syscdes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Synthesize(src, SynthOptions{PeriodNS: math.NaN()}); err == nil {
+		t.Error("NaN period accepted")
+	}
 }
 
 // TestExploreRewrites exercises the public incremental-STA rewrite
