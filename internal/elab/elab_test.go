@@ -1,9 +1,13 @@
 package elab
 
 import (
+	"fmt"
+	"math/bits"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"rtltimer/internal/verilog"
 )
@@ -364,6 +368,22 @@ func TestElabErrors(t *testing.T) {
 		"unknown module": `module m(input a); foo u0 (.x(a)); endmodule`,
 		"wide signal":    `module m(input [127:0] a, output y); assign y = a[0]; endmodule`,
 		"non-pow2 div":   `module m(input [7:0] a, output [7:0] y); assign y = a / 3; endmodule`,
+		// hi-lo+1 overflows int64 here, and the wrapped width must not
+		// pass the 64-bit check.
+		"width overflow":       `module m(input [0:9223372036854775807] a, output y); assign y = 1'b0; endmodule`,
+		"too-wide replication": `module m(input a, output y); assign y = {64{{64{{64{{64{{64{{64{a}}}}}}}}}}}}; endmodule`,
+		// Each malformed target, as a continuous and as a procedural
+		// assignment: both go through one target splitter.
+		"undeclared target (assign)":        `module m(input a, output y); assign q = a; assign y = a; endmodule`,
+		"undeclared target (always)":        `module m(input a, output reg y); always @(*) begin q = a; y = a; end endmodule`,
+		"part select out of range (assign)": `module m(input [1:0] a, output [7:0] y); assign y[9:8] = a; endmodule`,
+		"part select out of range (always)": `module m(input [1:0] a, output reg [7:0] y);
+			always @(*) begin y = 8'd0; y[9:8] = a; end endmodule`,
+		"variable bit select (assign)": `module m(input a, input [2:0] s, output [7:0] y); assign y[s] = a; endmodule`,
+		"variable bit select (always)": `module m(input a, input [2:0] s, output reg [7:0] y);
+			always @(*) begin y = 8'd0; y[s] = a; end endmodule`,
+		"constant in concatenation (assign)": `module m(input [7:0] a, output [6:0] y); assign {y, 1'b0} = a; endmodule`,
+		"constant in concatenation (always)": `module m(input [7:0] a, output reg [6:0] y); always @(*) {y, 1'b0} = a; endmodule`,
 	}
 	for name, src := range bad {
 		parsed, err := verilog.Parse(src)
@@ -452,5 +472,168 @@ endmodule`)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// elabWithin parses and elaborates src, failing the test when elaboration
+// takes longer than the guard instead of hanging the run.
+func elabWithin(t *testing.T, src string, guard time.Duration) (*Design, error) {
+	t.Helper()
+	parsed, err := verilog.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		d   *Design
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		d, err := Elaborate(parsed)
+		done <- result{d, err}
+	}()
+	select {
+	case r := <-done:
+		return r.d, r.err
+	case <-time.After(guard):
+		t.Fatalf("elaboration still running after %v", guard)
+		return nil, nil
+	}
+}
+
+// TestElabSharedValuesLinear: symbolic execution shares subtrees (a merge
+// puts the old value under both arms, a part write puts it under both
+// slices), so each statement below doubles the tree the value unfolds
+// to. Elaboration must build each shared subtree once: walking it once
+// per path takes time exponential in the statement count.
+func TestElabSharedValuesLinear(t *testing.T) {
+	const k = 64
+	var ifs, parts strings.Builder
+	ifs.WriteString("module m(input [3:0] c, input [7:0] a, output reg [7:0] x);\nalways @(*) begin\n  x = a;\n")
+	parts.WriteString("module m(input [7:0] a, output reg [7:0] x);\nalways @(*) begin\n  x = 8'd0;\n")
+	for i := 0; i < k; i++ {
+		fmt.Fprintf(&ifs, "  if (c[%d]) x = x + 1;\n", i%4)
+		fmt.Fprintf(&parts, "  x[%d] = a[%d];\n", i%8, (3*i+1)%8)
+	}
+	ifs.WriteString("end\nendmodule\n")
+	parts.WriteString("end\nendmodule\n")
+
+	d, err := elabWithin(t, ifs.String(), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := NewSimulator(d)
+	sim.SetInput("a", 200)
+	for c := uint64(0); c < 16; c++ {
+		sim.SetInput("c", c)
+		want := uint64(uint8(200 + k/4*bits.OnesCount64(c)))
+		if got, err := sim.Output("x"); err != nil || got != want {
+			t.Errorf("%d ifs, c=%04b: x = %d, %v; want %d", k, c, got, err, want)
+		}
+	}
+
+	// A constant index the blocking assignments double 64 times: the
+	// constant folding of the index must not unfold the shared sums.
+	d, err = elabWithin(t, "module m(input [7:0] a, output reg y);\nreg [63:0] t;\nalways @(*) begin\n  t = 1;\n"+
+		strings.Repeat("  t = t + t;\n", k)+"  y = a[t - 64'hFFFFFFFFFFFFFFFD];\nend\nendmodule\n", 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim = NewSimulator(d)
+	for _, a := range []uint64{0x08, 0xF7} {
+		sim.SetInput("a", a)
+		if got, err := sim.Output("y"); err != nil || got != a>>3&1 {
+			t.Errorf("a[2^64 - (2^64 - 3)], a=%#x: y = %d, %v; want %d", a, got, err, a>>3&1)
+		}
+	}
+
+	d, err = elabWithin(t, parts.String(), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim = NewSimulator(d)
+	for _, a := range []uint64{0x00, 0xA5, 0x3C, 0xFF, 0x81} {
+		want := uint64(0)
+		for i := 0; i < k; i++ {
+			bit := a >> ((3*i + 1) % 8) & 1
+			want = want&^(1<<(i%8)) | bit<<(i%8)
+		}
+		sim.SetInput("a", a)
+		if got, err := sim.Output("x"); err != nil || got != want {
+			t.Errorf("%d part writes, a=%#x: x = %#x, %v; want %#x", k, a, got, err, want)
+		}
+	}
+}
+
+// TestElabDeepChainIsAnError: each of 100,000 statements `x = x + 1;`
+// nests one more addition in x's value. Building it recurses once per
+// level, and an unbounded build overflows the test's 32 MB stack, which
+// is fatal in Go; it must be an error naming verilog.MaxNesting instead.
+func TestElabDeepChainIsAnError(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(32 << 20))
+	src := "module m(input [7:0] a, output reg [7:0] x);\nalways @(*) begin\n  x = a;\n" +
+		strings.Repeat("  x = x + 1;\n", 100000) + "end\nendmodule\n"
+	_, err := elabWithin(t, src, 10*time.Second)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(verilog.MaxNesting)) {
+		t.Fatalf("got %v, want an error naming the bound %d", err, verilog.MaxNesting)
+	}
+}
+
+// TestElabInstanceFanout: hierarchy depth alone does not bound the
+// instances a design inlines. Ten modules that each instantiate the next
+// ten times ask for 10^10 in 4 KB of source; flattening them must stop at
+// the instance cap with an error naming it.
+func TestElabInstanceFanout(t *testing.T) {
+	_, err := elabWithin(t, fanoutSource(10, 10), 10*time.Second)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxInstances)) {
+		t.Fatalf("got %v, want an error naming the cap %d", err, maxInstances)
+	}
+}
+
+// fanoutSource returns levels modules, each instantiating the next one
+// fanout times; the last is a one-bit buffer.
+func fanoutSource(levels, fanout int) string {
+	var b strings.Builder
+	for l := 0; l < levels; l++ {
+		fmt.Fprintf(&b, "module m%d(input a, output [%d:0] y);\n", l, fanout-1)
+		for i := 0; i < fanout; i++ {
+			if l == levels-1 {
+				fmt.Fprintf(&b, "  assign y[%d] = a;\n", i)
+				continue
+			}
+			fmt.Fprintf(&b, "  wire [%d:0] w%d;\n  m%d u%d (.a(a), .y(w%d));\n  assign y[%d] = ^w%d;\n", fanout-1, i, l+1, i, i, i, i)
+		}
+		b.WriteString("endmodule\n")
+	}
+	return b.String()
+}
+
+// TestElabConcatTargetNamesOneSignalTwice: a concatenated target that
+// names one register twice keeps both writes, as the two-statement form
+// and the continuous form do: expanding every part against the value
+// from before the statement would let the last part overwrite the first.
+func TestElabConcatTargetNamesOneSignalTwice(t *testing.T) {
+	for _, op := range []string{"<=", "="} {
+		d := mustElab(t, `
+module m(input clk, input [7:0] x, output [7:0] y);
+  reg [7:0] r;
+  always @(posedge clk) {r[3:0], r[7:4]} `+op+` x;
+  assign y = r;
+endmodule`)
+		sim := NewSimulator(d)
+		sim.SetInput("x", 0xA5)
+		sim.Step()
+		if v, _ := sim.Reg("r"); v != 0x5A {
+			t.Errorf("{r[3:0], r[7:4]} %s 8'hA5: r = %#x, want 0x5a", op, v)
+		}
+	}
+	d := mustElab(t, `
+module m(input [7:0] x, output [7:0] y);
+  assign {y[3:0], y[7:4]} = x;
+endmodule`)
+	sim := NewSimulator(d)
+	sim.SetInput("x", 0xA5)
+	if v, _ := sim.Output("y"); v != 0x5A {
+		t.Errorf("assign {y[3:0], y[7:4]} = 8'hA5: y = %#x, want 0x5a", v)
 	}
 }

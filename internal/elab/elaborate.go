@@ -2,6 +2,7 @@ package elab
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"rtltimer/internal/verilog"
@@ -31,6 +32,7 @@ func ElaborateModule(src *verilog.Source, topName string) (*Design, error) {
 		d:        newDesign(top.Name),
 		fm:       fm,
 		memo:     map[string]NodeID{},
+		built:    map[builtKey]NodeID{},
 		drivers:  map[string][]partDriver{},
 		regD:     map[string]verilog.Expr{},
 		regClk:   map[string]string{},
@@ -43,13 +45,24 @@ func ElaborateModule(src *verilog.Source, topName string) (*Design, error) {
 type partDriver struct {
 	hi, lo int
 	expr   verilog.Expr
-	line   int
+}
+
+// builtKey is a composite expression built at a context width.
+type builtKey struct {
+	x   verilog.Expr
+	ctx int
 }
 
 type elaborator struct {
-	d        *Design
-	fm       *flatModule
-	memo     map[string]NodeID
+	d    *Design
+	fm   *flatModule
+	memo map[string]NodeID
+	// built memoizes build on composite expressions. Symbolic execution
+	// shares subtrees (a merge puts the old value under both arms), so
+	// without it a chain of statements builds in time exponential in its
+	// length.
+	built    map[builtKey]NodeID
+	depth    int // build calls in progress, bounded by verilog.MaxNesting
 	drivers  map[string][]partDriver
 	regD     map[string]verilog.Expr
 	regClk   map[string]string
@@ -176,7 +189,7 @@ func (e *elaborator) processAlways(ab *verilog.AlwaysBlock) error {
 	seq := !ab.Star && len(ab.Events) > 0
 	var clock string
 	if seq {
-		clock = e.pickClock(ab)
+		clock = pickClock(ab)
 	}
 	st := newState()
 	if err := e.execStmts(ab.Body, st, seq); err != nil {
@@ -208,7 +221,7 @@ func (e *elaborator) processAlways(ab *verilog.AlwaysBlock) error {
 			if len(e.drivers[name]) > 0 {
 				return fmt.Errorf("elab: signal %s driven by both always block and assignment", name)
 			}
-			e.drivers[name] = append(e.drivers[name], partDriver{hi: w - 1, lo: 0, expr: expr, line: ab.Line})
+			e.drivers[name] = append(e.drivers[name], partDriver{hi: w - 1, lo: 0, expr: expr})
 		}
 	}
 	return nil
@@ -217,57 +230,37 @@ func (e *elaborator) processAlways(ab *verilog.AlwaysBlock) error {
 // pickClock chooses the clock from the sensitivity list: the first edge
 // signal that is not read in the block body; remaining edge events (e.g.
 // async resets) are treated as synchronous conditions.
-func (e *elaborator) pickClock(ab *verilog.AlwaysBlock) string {
+func pickClock(ab *verilog.AlwaysBlock) string {
 	reads := map[string]bool{}
-	var walkE func(verilog.Expr)
-	walkE = func(x verilog.Expr) {
-		switch v := x.(type) {
-		case *verilog.Ident:
-			reads[v.Name] = true
-		case *verilog.Unary:
-			walkE(v.X)
-		case *verilog.Binary:
-			walkE(v.L)
-			walkE(v.R)
-		case *verilog.Ternary:
-			walkE(v.Cond)
-			walkE(v.T)
-			walkE(v.F)
-		case *verilog.Index:
-			walkE(v.X)
-			walkE(v.Idx)
-		case *verilog.Range:
-			walkE(v.X)
-		case *verilog.Concat:
-			for _, p := range v.Parts {
-				walkE(p)
-			}
-		case *verilog.Repl:
-			walkE(v.X)
-		}
+	read := func(x verilog.Expr) {
+		// No error: flatten has rewritten the body, so rewrite can walk it.
+		_, _ = rewrite(x, false, func(id *verilog.Ident) (verilog.Expr, error) {
+			reads[id.Name] = true
+			return id, nil
+		})
 	}
-	var walkS func([]verilog.Stmt)
-	walkS = func(stmts []verilog.Stmt) {
+	var walk func([]verilog.Stmt)
+	walk = func(stmts []verilog.Stmt) {
 		for _, s := range stmts {
 			switch v := s.(type) {
 			case *verilog.AssignStmt:
-				walkE(v.RHS)
+				read(v.RHS)
 			case *verilog.IfStmt:
-				walkE(v.Cond)
-				walkS(v.Then)
-				walkS(v.Else)
+				read(v.Cond)
+				walk(v.Then)
+				walk(v.Else)
 			case *verilog.CaseStmt:
-				walkE(v.Subject)
+				read(v.Subject)
 				for _, it := range v.Items {
 					for _, m := range it.Match {
-						walkE(m)
+						read(m)
 					}
-					walkS(it.Body)
+					walk(it.Body)
 				}
 			}
 		}
 	}
-	walkS(ab.Body)
+	walk(ab.Body)
 	for _, ev := range ab.Events {
 		if !reads[ev.Signal] {
 			return ev.Signal
@@ -299,44 +292,13 @@ func (e *elaborator) execStmts(stmts []verilog.Stmt, st *state, seq bool) error 
 }
 
 // substReads replaces identifiers that have pending blocking values.
-func substReads(x verilog.Expr, env map[string]verilog.Expr) verilog.Expr {
-	switch v := x.(type) {
-	case *verilog.Ident:
-		if r, ok := env[v.Name]; ok && r != nil {
-			return r
+func substReads(x verilog.Expr, env map[string]verilog.Expr) (verilog.Expr, error) {
+	return rewrite(x, false, func(id *verilog.Ident) (verilog.Expr, error) {
+		if r := env[id.Name]; r != nil {
+			return r, nil
 		}
-		return v
-	case *verilog.Number:
-		return v
-	case *verilog.Unary:
-		return &verilog.Unary{Op: v.Op, X: substReads(v.X, env)}
-	case *verilog.Binary:
-		return &verilog.Binary{Op: v.Op, L: substReads(v.L, env), R: substReads(v.R, env)}
-	case *verilog.Ternary:
-		return &verilog.Ternary{Cond: substReads(v.Cond, env), T: substReads(v.T, env), F: substReads(v.F, env)}
-	case *verilog.Index:
-		return &verilog.Index{X: substReads(v.X, env), Idx: substReads(v.Idx, env)}
-	case *verilog.Range:
-		return &verilog.Range{X: substReads(v.X, env), Hi: v.Hi, Lo: v.Lo}
-	case *verilog.Concat:
-		parts := make([]verilog.Expr, len(v.Parts))
-		for i, p := range v.Parts {
-			parts[i] = substReads(p, env)
-		}
-		return &verilog.Concat{Parts: parts}
-	case *verilog.Repl:
-		return &verilog.Repl{Count: v.Count, X: substReads(v.X, env)}
-	case *verilog.Cast:
-		return &verilog.Cast{X: substReads(v.X, env), W: v.W}
-	default:
-		return x
-	}
-}
-
-// targetAssign is one full-signal assignment produced from an LHS.
-type targetAssign struct {
-	name string
-	expr verilog.Expr
+		return id, nil
+	})
 }
 
 // curValue returns the expression currently representing the target within
@@ -371,144 +333,130 @@ func astSlice(x verilog.Expr, hi, lo, fullWidth int) verilog.Expr {
 		Lo: &verilog.Number{Value: uint64(lo), Width: 32}}
 }
 
-// expandLHS converts an assignment to an arbitrary lvalue into full-signal
-// assignments. old values come from st according to (nb, seq).
-func (e *elaborator) expandLHS(lhs, rhs verilog.Expr, st *state, nb, seq bool, line int) ([]targetAssign, error) {
+// target is the part of one signal an assignment writes: bits [hi:lo] of
+// name, a signal w bits wide. whole marks a bare name, which takes the
+// value it is given as it is.
+type target struct {
+	name      string
+	hi, lo, w int
+	whole     bool
+}
+
+// lvalue decodes one assignment target: a name, or a constant bit or part
+// select of one.
+func (e *elaborator) lvalue(lhs verilog.Expr, line int) (target, error) {
+	var t target
+	x := lhs
 	switch v := lhs.(type) {
 	case *verilog.Ident:
-		return []targetAssign{{name: v.Name, expr: rhs}}, nil
+		t.whole = true
 	case *verilog.Index:
-		id, ok := v.X.(*verilog.Ident)
-		if !ok {
-			return nil, fmt.Errorf("elab: line %d: unsupported assignment target %s", line, lhs.String())
-		}
 		idx, err := evalConst(v.Idx)
 		if err != nil {
-			return nil, fmt.Errorf("elab: line %d: variable bit-select assignment targets are not supported: %w", line, err)
+			return t, fmt.Errorf("elab: line %d: variable bit-select assignment targets are not supported: %w", line, err)
 		}
-		return e.expandPart(id.Name, int(idx), int(idx), rhs, st, nb, seq, line)
+		x, t.hi, t.lo = v.X, int(idx), int(idx)
 	case *verilog.Range:
-		id, ok := v.X.(*verilog.Ident)
-		if !ok {
-			return nil, fmt.Errorf("elab: line %d: unsupported assignment target %s", line, lhs.String())
-		}
-		hi, err := evalConst(v.Hi)
+		hi, lo, err := constRange(v.Hi, v.Lo)
 		if err != nil {
-			return nil, err
+			return t, fmt.Errorf("elab: line %d: %w", line, err)
 		}
-		lo, err := evalConst(v.Lo)
-		if err != nil {
-			return nil, err
-		}
-		if hi < lo {
-			hi, lo = lo, hi
-		}
-		return e.expandPart(id.Name, int(hi), int(lo), rhs, st, nb, seq, line)
-	case *verilog.Concat:
-		// {a, b} = rhs: split rhs MSB-first.
-		total := 0
-		widths := make([]int, len(v.Parts))
-		for i, p := range v.Parts {
-			w, err := e.lvalueWidth(p, line)
-			if err != nil {
-				return nil, err
-			}
-			widths[i] = w
-			total += w
-		}
-		wideRHS := &verilog.Cast{X: rhs, W: total}
-		var out []targetAssign
-		consumed := 0
-		for i, p := range v.Parts {
-			hi := total - 1 - consumed
-			lo := hi - widths[i] + 1
-			sub := astSlice(wideRHS, hi, lo, total)
-			tas, err := e.expandLHS(p, sub, st, nb, seq, line)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, tas...)
-			consumed += widths[i]
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("elab: line %d: unsupported assignment target %T", line, lhs)
+		x, t.hi, t.lo = v.X, int(hi), int(lo)
 	}
-}
-
-func (e *elaborator) lvalueWidth(lhs verilog.Expr, line int) (int, error) {
-	switch v := lhs.(type) {
-	case *verilog.Ident:
-		return e.width(v.Name)
-	case *verilog.Index:
-		return 1, nil
-	case *verilog.Range:
-		hi, err := evalConst(v.Hi)
-		if err != nil {
-			return 0, err
-		}
-		lo, err := evalConst(v.Lo)
-		if err != nil {
-			return 0, err
-		}
-		if hi < lo {
-			hi, lo = lo, hi
-		}
-		return int(hi-lo) + 1, nil
-	default:
-		return 0, fmt.Errorf("elab: line %d: unsupported lvalue %T", line, lhs)
+	id, ok := x.(*verilog.Ident)
+	if !ok {
+		return t, fmt.Errorf("elab: line %d: unsupported assignment target %s", line, lhs)
 	}
-}
-
-func (e *elaborator) expandPart(name string, hi, lo int, rhs verilog.Expr, st *state, nb, seq bool, line int) ([]targetAssign, error) {
-	w, err := e.width(name)
+	w, err := e.width(id.Name)
 	if err != nil {
-		return nil, err
+		return t, fmt.Errorf("elab: line %d: assignment to undeclared signal %q", line, id.Name)
 	}
-	if hi >= w || lo < 0 {
-		return nil, fmt.Errorf("elab: line %d: part select %s[%d:%d] out of range (width %d)", line, name, hi, lo, w)
+	if t.whole {
+		t.hi = w - 1
+	} else if t.hi >= w || t.lo < 0 {
+		return t, fmt.Errorf("elab: line %d: part select %s[%d:%d] out of range (width %d)", line, id.Name, t.hi, t.lo, w)
 	}
-	old := e.curValue(name, st, nb, seq)
+	t.name, t.w = id.Name, w
+	return t, nil
+}
+
+// splitTarget calls part once for each signal the assignment lhs = rhs
+// writes, with the value that signal's bits take: a concatenation splits
+// rhs MSB-first.
+func (e *elaborator) splitTarget(lhs, rhs verilog.Expr, line int, part func(target, verilog.Expr) error) error {
+	c, ok := lhs.(*verilog.Concat)
+	if !ok {
+		t, err := e.lvalue(lhs, line)
+		if err != nil {
+			return err
+		}
+		return part(t, rhs)
+	}
+	ts := make([]target, len(c.Parts))
+	total := 0
+	for i, p := range c.Parts {
+		t, err := e.lvalue(p, line)
+		if err != nil {
+			return err
+		}
+		ts[i] = t
+		total += t.hi - t.lo + 1
+	}
+	wide := &verilog.Cast{X: rhs, W: total}
+	hi := total - 1
+	for _, t := range ts {
+		lo := hi - (t.hi - t.lo)
+		if err := part(t, astSlice(wide, hi, lo, total)); err != nil {
+			return err
+		}
+		hi = lo - 1
+	}
+	return nil
+}
+
+// expandPart returns the target signal's value after bits [hi:lo] take x:
+// its current value with x in place of those bits.
+func (e *elaborator) expandPart(t target, x verilog.Expr, st *state, nb, seq bool, line int) verilog.Expr {
+	w := t.w
+	old := e.curValue(t.name, st, nb, seq)
 	if old == nil {
-		e.warnf("line %d: partial assignment to %s before full assignment; unassigned bits read as 0", line, name)
+		e.warnf("line %d: partial assignment to %s before full assignment; unassigned bits read as 0", line, t.name)
 		old = &verilog.Number{Value: 0, Width: w, Sized: true}
 	}
 	old = &verilog.Cast{X: old, W: w}
 	var parts []verilog.Expr
-	if hi < w-1 {
-		parts = append(parts, astSlice(old, w-1, hi+1, w))
+	if t.hi < w-1 {
+		parts = append(parts, astSlice(old, w-1, t.hi+1, w))
 	}
-	parts = append(parts, &verilog.Cast{X: rhs, W: hi - lo + 1})
-	if lo > 0 {
-		parts = append(parts, astSlice(old, lo-1, 0, w))
+	parts = append(parts, &verilog.Cast{X: x, W: t.hi - t.lo + 1})
+	if t.lo > 0 {
+		parts = append(parts, astSlice(old, t.lo-1, 0, w))
 	}
-	var full verilog.Expr
 	if len(parts) == 1 {
-		full = parts[0]
-	} else {
-		full = &verilog.Concat{Parts: parts}
+		return parts[0]
 	}
-	return []targetAssign{{name: name, expr: full}}, nil
+	return &verilog.Concat{Parts: parts}
 }
 
+// execAssign stores each part of an assignment before it expands the next,
+// so a concatenation that names one signal twice keeps both writes.
 func (e *elaborator) execAssign(as *verilog.AssignStmt, st *state, seq bool) error {
-	rhs := substReads(as.RHS, st.B)
-	nb := as.NonBlocking && seq
-	tas, err := e.expandLHS(as.LHS, rhs, st, nb, seq, as.Line)
+	rhs, err := substReads(as.RHS, st.B)
 	if err != nil {
 		return err
 	}
-	for _, ta := range tas {
-		if _, ok := e.fm.byName[ta.name]; !ok {
-			return fmt.Errorf("elab: line %d: assignment to undeclared signal %q", as.Line, ta.name)
-		}
-		if nb {
-			st.NB[ta.name] = ta.expr
-		} else {
-			st.B[ta.name] = ta.expr
-		}
+	nb := as.NonBlocking && seq
+	vals := st.B
+	if nb {
+		vals = st.NB
 	}
-	return nil
+	return e.splitTarget(as.LHS, rhs, as.Line, func(t target, x verilog.Expr) error {
+		if !t.whole {
+			x = e.expandPart(t, x, st, nb, seq, as.Line)
+		}
+		vals[t.name] = x
+		return nil
+	})
 }
 
 // mergeStates folds a two-way branch into st: for each assigned target,
@@ -579,7 +527,10 @@ func (e *elaborator) execIf(v *verilog.IfStmt, st *state, seq bool) error {
 		}
 		return e.execStmts(v.Else, st, seq)
 	}
-	cond := substReads(v.Cond, st.B)
+	cond, err := substReads(v.Cond, st.B)
+	if err != nil {
+		return err
+	}
 	thenSt := st.clone()
 	if err := e.execStmts(v.Then, thenSt, seq); err != nil {
 		return err
@@ -593,7 +544,10 @@ func (e *elaborator) execIf(v *verilog.IfStmt, st *state, seq bool) error {
 }
 
 func (e *elaborator) execCase(v *verilog.CaseStmt, st *state, seq bool) error {
-	subj := substReads(v.Subject, st.B)
+	subj, err := substReads(v.Subject, st.B)
+	if err != nil {
+		return err
+	}
 	// Find default arm.
 	var defaultBody []verilog.Stmt
 	var arms []verilog.CaseItem
@@ -615,7 +569,11 @@ func (e *elaborator) execCase(v *verilog.CaseStmt, st *state, seq bool) error {
 		arm := arms[i]
 		var cond verilog.Expr
 		for _, m := range arm.Match {
-			eq := &verilog.Binary{Op: "==", L: subj, R: substReads(m, st.B)}
+			x, err := substReads(m, st.B)
+			if err != nil {
+				return err
+			}
+			eq := &verilog.Binary{Op: "==", L: subj, R: x}
 			if cond == nil {
 				cond = verilog.Expr(eq)
 			} else {
@@ -637,90 +595,24 @@ func (e *elaborator) execCase(v *verilog.CaseStmt, st *state, seq bool) error {
 // ---- Continuous assignments ----
 
 func (e *elaborator) addContAssign(as *verilog.ContAssign) error {
-	// Reuse the LHS expansion machinery with an empty state: partial LHS on
-	// continuous assigns register part drivers directly instead.
-	switch v := as.LHS.(type) {
-	case *verilog.Ident:
-		w, err := e.width(v.Name)
-		if err != nil {
-			return fmt.Errorf("elab: line %d: %w", as.Line, err)
-		}
-		return e.addDriver(v.Name, w-1, 0, as.RHS, as.Line)
-	case *verilog.Index:
-		id, ok := v.X.(*verilog.Ident)
-		if !ok {
-			return fmt.Errorf("elab: line %d: unsupported assign target", as.Line)
-		}
-		idx, err := evalConst(v.Idx)
-		if err != nil {
-			return fmt.Errorf("elab: line %d: %w", as.Line, err)
-		}
-		return e.addDriver(id.Name, int(idx), int(idx), as.RHS, as.Line)
-	case *verilog.Range:
-		id, ok := v.X.(*verilog.Ident)
-		if !ok {
-			return fmt.Errorf("elab: line %d: unsupported assign target", as.Line)
-		}
-		hi, err := evalConst(v.Hi)
-		if err != nil {
-			return err
-		}
-		lo, err := evalConst(v.Lo)
-		if err != nil {
-			return err
-		}
-		if hi < lo {
-			hi, lo = lo, hi
-		}
-		return e.addDriver(id.Name, int(hi), int(lo), as.RHS, as.Line)
-	case *verilog.Concat:
-		total := 0
-		widths := make([]int, len(v.Parts))
-		for i, p := range v.Parts {
-			w, err := e.lvalueWidth(p, as.Line)
-			if err != nil {
-				return err
-			}
-			widths[i] = w
-			total += w
-		}
-		wideRHS := &verilog.Cast{X: as.RHS, W: total}
-		consumed := 0
-		for i, p := range v.Parts {
-			hi := total - 1 - consumed
-			lo := hi - widths[i] + 1
-			sub := &verilog.ContAssign{LHS: p, RHS: astSlice(wideRHS, hi, lo, total), Line: as.Line}
-			if err := e.addContAssign(sub); err != nil {
-				return err
-			}
-			consumed += widths[i]
-		}
-		return nil
-	default:
-		return fmt.Errorf("elab: line %d: unsupported assign target %T", as.Line, as.LHS)
-	}
+	return e.splitTarget(as.LHS, as.RHS, as.Line, func(t target, x verilog.Expr) error {
+		return e.addDriver(t, x, as.Line)
+	})
 }
 
-func (e *elaborator) addDriver(name string, hi, lo int, expr verilog.Expr, line int) error {
-	di, ok := e.fm.byName[name]
-	if !ok {
-		return fmt.Errorf("elab: line %d: assignment to undeclared signal %q", line, name)
+func (e *elaborator) addDriver(t target, expr verilog.Expr, line int) error {
+	if e.fm.byName[t.name].isInput {
+		return fmt.Errorf("elab: line %d: assignment to input port %q", line, t.name)
 	}
-	if di.isInput {
-		return fmt.Errorf("elab: line %d: assignment to input port %q", line, name)
+	if _, isReg := e.regD[t.name]; isReg {
+		return fmt.Errorf("elab: line %d: signal %s driven by both register and assignment", line, t.name)
 	}
-	if _, isReg := e.regD[name]; isReg {
-		return fmt.Errorf("elab: line %d: signal %s driven by both register and assignment", line, name)
-	}
-	if hi >= di.width || lo < 0 {
-		return fmt.Errorf("elab: line %d: assignment to %s[%d:%d] out of range (width %d)", line, name, hi, lo, di.width)
-	}
-	for _, pd := range e.drivers[name] {
-		if lo <= pd.hi && pd.lo <= hi {
-			return fmt.Errorf("elab: line %d: multiple drivers for %s bits [%d:%d]", line, name, hi, lo)
+	for _, pd := range e.drivers[t.name] {
+		if t.lo <= pd.hi && pd.lo <= t.hi {
+			return fmt.Errorf("elab: line %d: multiple drivers for %s bits [%d:%d]", line, t.name, t.hi, t.lo)
 		}
 	}
-	e.drivers[name] = append(e.drivers[name], partDriver{hi: hi, lo: lo, expr: expr, line: line})
+	e.drivers[t.name] = append(e.drivers[t.name], partDriver{hi: t.hi, lo: t.lo, expr: expr})
 	return nil
 }
 
@@ -856,6 +748,11 @@ func (e *elaborator) bool1(n NodeID) NodeID {
 // 4-bit addition keeps the carry, matching Verilog semantics.
 // Self-determined contexts pass ctx = 0.
 func (e *elaborator) build(x verilog.Expr, ctx int) (NodeID, error) {
+	if e.depth == verilog.MaxNesting {
+		return InvalidNode, fmt.Errorf("elab: expression nested deeper than %d levels", verilog.MaxNesting)
+	}
+	e.depth++
+	defer func() { e.depth-- }()
 	switch v := x.(type) {
 	case *verilog.Number:
 		w := v.Width
@@ -868,6 +765,25 @@ func (e *elaborator) build(x verilog.Expr, ctx int) (NodeID, error) {
 		return e.d.Constant(v.Value, w), nil
 	case *verilog.Ident:
 		return e.valueOf(v.Name)
+	}
+	// Names and numbers need no memo: valueOf memoizes the one and the
+	// design's structural hash the other. Hashing also makes a rebuilt
+	// composite the same node, so the memo only saves the walk.
+	key := builtKey{x, ctx}
+	if n, ok := e.built[key]; ok {
+		return n, nil
+	}
+	n, err := e.buildOp(x, ctx)
+	if err != nil {
+		return InvalidNode, err
+	}
+	e.built[key] = n
+	return n, nil
+}
+
+// buildOp constructs the word node for a composite expression.
+func (e *elaborator) buildOp(x verilog.Expr, ctx int) (NodeID, error) {
+	switch v := x.(type) {
 	case *verilog.Unary:
 		uctx := ctx
 		if v.Op != "~" && v.Op != "-" {
@@ -945,16 +861,9 @@ func (e *elaborator) build(x verilog.Expr, ctx int) (NodeID, error) {
 		if err != nil {
 			return InvalidNode, err
 		}
-		hi, err := evalConst(v.Hi)
+		hi, lo, err := constRange(v.Hi, v.Lo)
 		if err != nil {
 			return InvalidNode, fmt.Errorf("elab: non-constant part select: %w", err)
-		}
-		lo, err := evalConst(v.Lo)
-		if err != nil {
-			return InvalidNode, fmt.Errorf("elab: non-constant part select: %w", err)
-		}
-		if hi < lo {
-			hi, lo = lo, hi
 		}
 		w := e.d.Nodes[in].Width
 		if int(hi) >= w || lo < 0 {
@@ -987,6 +896,9 @@ func (e *elaborator) build(x verilog.Expr, ctx int) (NodeID, error) {
 		n, err := e.build(v.X, 0)
 		if err != nil {
 			return InvalidNode, err
+		}
+		if w := int64(e.d.Nodes[n].Width); w*cnt > math.MaxInt32 {
+			return InvalidNode, fmt.Errorf("elab: replication of %d x %d bits is too wide", cnt, w)
 		}
 		args := make([]NodeID, cnt)
 		for i := range args {

@@ -27,12 +27,23 @@ type flatModule struct {
 }
 
 // evalConst evaluates a constant expression (after parameter substitution).
+// It gives up after visiting verilog.MaxNesting nodes: elaboration also
+// asks it about values that blocking assignments have substituted, whose
+// shared subtrees an unbounded walk would unfold to exponential size.
 func evalConst(e verilog.Expr) (int64, error) {
+	budget := verilog.MaxNesting
+	return evalConstIn(e, &budget)
+}
+
+func evalConstIn(e verilog.Expr, budget *int) (int64, error) {
+	if *budget--; *budget < 0 {
+		return 0, fmt.Errorf("elab: constant expression of more than %d nodes", verilog.MaxNesting)
+	}
 	switch x := e.(type) {
 	case *verilog.Number:
 		return int64(x.Value), nil
 	case *verilog.Unary:
-		v, err := evalConst(x.X)
+		v, err := evalConstIn(x.X, budget)
 		if err != nil {
 			return 0, err
 		}
@@ -49,11 +60,11 @@ func evalConst(e verilog.Expr) (int64, error) {
 		}
 		return 0, fmt.Errorf("elab: non-constant unary %q", x.Op)
 	case *verilog.Binary:
-		l, err := evalConst(x.L)
+		l, err := evalConstIn(x.L, budget)
 		if err != nil {
 			return 0, err
 		}
-		r, err := evalConst(x.R)
+		r, err := evalConstIn(x.R, budget)
 		if err != nil {
 			return 0, err
 		}
@@ -112,14 +123,14 @@ func evalConst(e verilog.Expr) (int64, error) {
 		}
 		return 0, fmt.Errorf("elab: non-constant binary %q", x.Op)
 	case *verilog.Ternary:
-		c, err := evalConst(x.Cond)
+		c, err := evalConstIn(x.Cond, budget)
 		if err != nil {
 			return 0, err
 		}
 		if c != 0 {
-			return evalConst(x.T)
+			return evalConstIn(x.T, budget)
 		}
-		return evalConst(x.F)
+		return evalConstIn(x.F, budget)
 	case *verilog.Ident:
 		return 0, fmt.Errorf("elab: unresolved identifier %q in constant expression", x.Name)
 	default:
@@ -127,103 +138,87 @@ func evalConst(e verilog.Expr) (int64, error) {
 	}
 }
 
+// constRange evaluates the bounds of a constant range [hi:lo] and orders
+// them so that hi >= lo.
+func constRange(hiE, loE verilog.Expr) (hi, lo int64, err error) {
+	if hi, err = evalConst(hiE); err != nil {
+		return 0, 0, err
+	}
+	if lo, err = evalConst(loE); err != nil {
+		return 0, 0, err
+	}
+	if hi < lo {
+		hi, lo = lo, hi
+	}
+	return hi, lo, nil
+}
+
+// rewrite copies x with every identifier replaced by ident's result.
+// Part-select bounds and replication counts are constant expressions, not
+// reads of a signal: they are rewritten only when consts is set.
+func rewrite(x verilog.Expr, consts bool, ident func(*verilog.Ident) (verilog.Expr, error)) (verilog.Expr, error) {
+	var err error
+	re := func(x verilog.Expr) verilog.Expr {
+		if err != nil {
+			return nil
+		}
+		var y verilog.Expr
+		y, err = rewrite(x, consts, ident)
+		return y
+	}
+	var out verilog.Expr
+	switch v := x.(type) {
+	case *verilog.Number:
+		return v, nil
+	case *verilog.Ident:
+		return ident(v)
+	case *verilog.Unary:
+		out = &verilog.Unary{Op: v.Op, X: re(v.X)}
+	case *verilog.Binary:
+		out = &verilog.Binary{Op: v.Op, L: re(v.L), R: re(v.R)}
+	case *verilog.Ternary:
+		out = &verilog.Ternary{Cond: re(v.Cond), T: re(v.T), F: re(v.F)}
+	case *verilog.Index:
+		out = &verilog.Index{X: re(v.X), Idx: re(v.Idx)}
+	case *verilog.Range:
+		r := &verilog.Range{X: re(v.X), Hi: v.Hi, Lo: v.Lo}
+		if consts {
+			r.Hi, r.Lo = re(v.Hi), re(v.Lo)
+		}
+		out = r
+	case *verilog.Concat:
+		parts := make([]verilog.Expr, len(v.Parts))
+		for i, p := range v.Parts {
+			parts[i] = re(p)
+		}
+		out = &verilog.Concat{Parts: parts}
+	case *verilog.Repl:
+		r := &verilog.Repl{Count: v.Count, X: re(v.X)}
+		if consts {
+			r.Count = re(v.Count)
+		}
+		out = r
+	default:
+		return nil, fmt.Errorf("elab: unsupported expression %T", x)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // substEnv maps identifier names to replacement expressions: parameters map
 // to constants, signal names map to their prefixed idents.
 type substEnv map[string]verilog.Expr
 
-// substExpr rewrites an expression for inlining under env.
-func substExpr(e verilog.Expr, env substEnv) (verilog.Expr, error) {
-	switch x := e.(type) {
-	case *verilog.Number:
-		return x, nil
-	case *verilog.Ident:
-		if r, ok := env[x.Name]; ok {
+// subst rewrites an expression for inlining under env.
+func (env substEnv) subst(x verilog.Expr) (verilog.Expr, error) {
+	return rewrite(x, true, func(id *verilog.Ident) (verilog.Expr, error) {
+		if r, ok := env[id.Name]; ok {
 			return r, nil
 		}
-		return nil, fmt.Errorf("elab: undeclared identifier %q", x.Name)
-	case *verilog.Unary:
-		in, err := substExpr(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		return &verilog.Unary{Op: x.Op, X: in}, nil
-	case *verilog.Binary:
-		l, err := substExpr(x.L, env)
-		if err != nil {
-			return nil, err
-		}
-		r, err := substExpr(x.R, env)
-		if err != nil {
-			return nil, err
-		}
-		return &verilog.Binary{Op: x.Op, L: l, R: r}, nil
-	case *verilog.Ternary:
-		c, err := substExpr(x.Cond, env)
-		if err != nil {
-			return nil, err
-		}
-		tt, err := substExpr(x.T, env)
-		if err != nil {
-			return nil, err
-		}
-		ff, err := substExpr(x.F, env)
-		if err != nil {
-			return nil, err
-		}
-		return &verilog.Ternary{Cond: c, T: tt, F: ff}, nil
-	case *verilog.Index:
-		in, err := substExpr(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := substExpr(x.Idx, env)
-		if err != nil {
-			return nil, err
-		}
-		return &verilog.Index{X: in, Idx: idx}, nil
-	case *verilog.Range:
-		in, err := substExpr(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := substExpr(x.Hi, env)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := substExpr(x.Lo, env)
-		if err != nil {
-			return nil, err
-		}
-		return &verilog.Range{X: in, Hi: hi, Lo: lo}, nil
-	case *verilog.Concat:
-		parts := make([]verilog.Expr, len(x.Parts))
-		for i, p := range x.Parts {
-			q, err := substExpr(p, env)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = q
-		}
-		return &verilog.Concat{Parts: parts}, nil
-	case *verilog.Repl:
-		cnt, err := substExpr(x.Count, env)
-		if err != nil {
-			return nil, err
-		}
-		in, err := substExpr(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		return &verilog.Repl{Count: cnt, X: in}, nil
-	case *verilog.Cast:
-		in, err := substExpr(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		return &verilog.Cast{X: in, W: x.W}, nil
-	default:
-		return nil, fmt.Errorf("elab: unsupported expression %T", e)
-	}
+		return nil, fmt.Errorf("elab: undeclared identifier %q", id.Name)
+	})
 }
 
 func substStmts(stmts []verilog.Stmt, env substEnv) ([]verilog.Stmt, error) {
@@ -231,17 +226,17 @@ func substStmts(stmts []verilog.Stmt, env substEnv) ([]verilog.Stmt, error) {
 	for _, s := range stmts {
 		switch st := s.(type) {
 		case *verilog.AssignStmt:
-			lhs, err := substExpr(st.LHS, env)
+			lhs, err := env.subst(st.LHS)
 			if err != nil {
 				return nil, err
 			}
-			rhs, err := substExpr(st.RHS, env)
+			rhs, err := env.subst(st.RHS)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, &verilog.AssignStmt{LHS: lhs, RHS: rhs, NonBlocking: st.NonBlocking, Line: st.Line})
 		case *verilog.IfStmt:
-			cond, err := substExpr(st.Cond, env)
+			cond, err := env.subst(st.Cond)
 			if err != nil {
 				return nil, err
 			}
@@ -255,7 +250,7 @@ func substStmts(stmts []verilog.Stmt, env substEnv) ([]verilog.Stmt, error) {
 			}
 			out = append(out, &verilog.IfStmt{Cond: cond, Then: thenB, Else: elseB})
 		case *verilog.CaseStmt:
-			subj, err := substExpr(st.Subject, env)
+			subj, err := env.subst(st.Subject)
 			if err != nil {
 				return nil, err
 			}
@@ -263,7 +258,7 @@ func substStmts(stmts []verilog.Stmt, env substEnv) ([]verilog.Stmt, error) {
 			for _, item := range st.Items {
 				ni := verilog.CaseItem{}
 				for _, mexp := range item.Match {
-					me, err := substExpr(mexp, env)
+					me, err := env.subst(mexp)
 					if err != nil {
 						return nil, err
 					}
@@ -286,12 +281,19 @@ func substStmts(stmts []verilog.Stmt, env substEnv) ([]verilog.Stmt, error) {
 
 // flattenCtx carries state across recursive inlining.
 type flattenCtx struct {
-	src   *verilog.Source
-	fm    *flatModule
-	depth int
+	src       *verilog.Source
+	fm        *flatModule
+	depth     int
+	instances int // modules inlined so far, the top included
 }
 
-const maxHierDepth = 64
+const (
+	maxHierDepth = 64
+	// maxInstances bounds the modules one design inlines. Depth alone does
+	// not bound them: ten modules that each instantiate the next ten times
+	// ask for 10^10 in a few hundred bytes of source.
+	maxInstances = 1 << 16
+)
 
 // flatten inlines the module hierarchy rooted at top into a single flat
 // module with parameters resolved to constants.
@@ -317,7 +319,7 @@ func paramValues(m *verilog.Module, overrides map[string]int64) (map[string]int6
 		for n, v := range vals {
 			env[n] = &verilog.Number{Value: uint64(v), Width: 32}
 		}
-		e, err := substExpr(p.Value, env)
+		e, err := env.subst(p.Value)
 		if err != nil {
 			return nil, fmt.Errorf("parameter %s: %w", p.Name, err)
 		}
@@ -338,6 +340,9 @@ func (fc *flattenCtx) inline(prefix string, m *verilog.Module, overrides map[str
 		return fmt.Errorf("elab: hierarchy deeper than %d (recursive instantiation of %s?)", maxHierDepth, m.Name)
 	}
 	defer func() { fc.depth-- }()
+	if fc.instances++; fc.instances > maxInstances {
+		return fmt.Errorf("elab: more than %d module instances to inline", maxInstances)
+	}
 
 	params, err := paramValues(m, overrides)
 	if err != nil {
@@ -356,29 +361,24 @@ func (fc *flattenCtx) inline(prefix string, m *verilog.Module, overrides map[str
 	for _, decl := range m.Decls {
 		width := 1
 		if decl.Hi != nil {
-			hiE, err := substExpr(decl.Hi, paramEnv)
+			hiE, err := paramEnv.subst(decl.Hi)
 			if err != nil {
 				return fmt.Errorf("elab: module %s: %w", m.Name, err)
 			}
-			loE, err := substExpr(decl.Lo, paramEnv)
+			loE, err := paramEnv.subst(decl.Lo)
 			if err != nil {
 				return fmt.Errorf("elab: module %s: %w", m.Name, err)
 			}
-			hi, err := evalConst(hiE)
+			hi, lo, err := constRange(hiE, loE)
 			if err != nil {
 				return fmt.Errorf("elab: module %s: %w", m.Name, err)
 			}
-			lo, err := evalConst(loE)
-			if err != nil {
-				return fmt.Errorf("elab: module %s: %w", m.Name, err)
-			}
-			if hi < lo {
-				hi, lo = lo, hi
+			// hi-lo wraps past the int64 range, but as a uint64 it is
+			// exact, so this holds however far apart the bounds are.
+			if uint64(hi-lo) >= 64 {
+				return fmt.Errorf("elab: module %s: signal %s wider than 64 bits ([%d:%d])", m.Name, decl.Names[0], hi, lo)
 			}
 			width = int(hi - lo + 1)
-			if width > 64 {
-				return fmt.Errorf("elab: module %s: signal %s wider than 64 bits (%d)", m.Name, decl.Names[0], width)
-			}
 		}
 		for _, name := range decl.Names {
 			flat := name
@@ -403,7 +403,7 @@ func (fc *flattenCtx) inline(prefix string, m *verilog.Module, overrides map[str
 			}
 			fc.fm.decls = append(fc.fm.decls, di)
 			fc.fm.byName[flat] = di
-			env[name] = &verilog.Ident{Name: flat, Line: decl.Line}
+			env[name] = &verilog.Ident{Name: flat}
 		}
 	}
 
@@ -432,11 +432,11 @@ func (fc *flattenCtx) inline(prefix string, m *verilog.Module, overrides map[str
 
 	// Continuous assignments.
 	for _, as := range m.Assigns {
-		lhs, err := substExpr(as.LHS, env)
+		lhs, err := env.subst(as.LHS)
 		if err != nil {
 			return fmt.Errorf("elab: module %s: %w", m.Name, err)
 		}
-		rhs, err := substExpr(as.RHS, env)
+		rhs, err := env.subst(as.RHS)
 		if err != nil {
 			return fmt.Errorf("elab: module %s: %w", m.Name, err)
 		}
@@ -458,7 +458,7 @@ func (fc *flattenCtx) inline(prefix string, m *verilog.Module, overrides map[str
 				}
 			}
 		}
-		fc.fm.always = append(fc.fm.always, &verilog.AlwaysBlock{Events: events, Star: ab.Star, Body: body, Line: ab.Line})
+		fc.fm.always = append(fc.fm.always, &verilog.AlwaysBlock{Events: events, Star: ab.Star, Body: body})
 	}
 
 	// Instances: recurse.
@@ -473,7 +473,7 @@ func (fc *flattenCtx) inline(prefix string, m *verilog.Module, overrides map[str
 		}
 		ov := map[string]int64{}
 		for i, pc := range inst.Params {
-			pe, err := substExpr(pc.Expr, env)
+			pe, err := env.subst(pc.Expr)
 			if err != nil {
 				return fmt.Errorf("elab: instance %s: %w", childPrefix, err)
 			}
@@ -507,7 +507,7 @@ func (fc *flattenCtx) inline(prefix string, m *verilog.Module, overrides map[str
 			if conn.Expr == nil {
 				continue
 			}
-			be, err := substExpr(conn.Expr, env)
+			be, err := env.subst(conn.Expr)
 			if err != nil {
 				return fmt.Errorf("elab: instance %s: %w", childPrefix, err)
 			}

@@ -20,6 +20,7 @@ import (
 	"rtltimer/internal/bog"
 	"rtltimer/internal/designs"
 	"rtltimer/internal/engine"
+	"rtltimer/internal/verilog"
 )
 
 // benchNames returns the first n benchmark design names.
@@ -625,5 +626,42 @@ func TestParseDeltaErrors(t *testing.T) {
 	})
 	if err != nil || len(delta) != 3 {
 		t.Fatalf("happy path: %v, %d edits", err, len(delta))
+	}
+}
+
+// TestHostileSourceIs400: a source nested past verilog.MaxNesting, or one
+// whose hierarchy inlines past the instance cap, is the client's fault.
+// /eval answers 400 naming the bound, and the daemon serves the next
+// request.
+func TestHostileSourceIs400(t *testing.T) {
+	svc := newService(t, Config{Jobs: 2})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	c := srv.Client()
+
+	// Ten modules, each instantiating the next ten times: 10^10 instances.
+	var fanout strings.Builder
+	for l := 0; l < 10; l++ {
+		fmt.Fprintf(&fanout, "module m%d(input a, output [9:0] y);\n", l)
+		for i := 0; i < 10; i++ {
+			if l == 9 {
+				fmt.Fprintf(&fanout, "  assign y[%d] = a;\n", i)
+			} else {
+				fmt.Fprintf(&fanout, "  wire [9:0] w%d;\n  m%d u%d (.a(a), .y(w%d));\n  assign y[%d] = ^w%d;\n", i, l+1, i, i, i, i)
+			}
+		}
+		fanout.WriteString("endmodule\n")
+	}
+	for _, tc := range []struct{ name, src, want string }{
+		{"20,000 nested parentheses", "module m(output y); assign y = " + strings.Repeat("(", 20000) + "1" + strings.Repeat(")", 20000) + "; endmodule", fmt.Sprint(verilog.MaxNesting)},
+		{"10^10 instances", fanout.String(), "65536"},
+	} {
+		code, body := postJSON(t, c, srv.URL+"/eval", EvalRequest{Design: DesignRef{Src: tc.src}, Period: 0.5})
+		if code != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("/eval with %s: %d %s, want 400 naming %s", tc.name, code, body, tc.want)
+		}
+	}
+	if code, body := postJSON(t, c, srv.URL+"/eval", EvalRequest{Design: DesignRef{Bench: benchNames(t, 1)[0]}, Period: 0.5}); code != http.StatusOK {
+		t.Fatalf("/eval after the refusals: %d %s", code, body)
 	}
 }

@@ -18,7 +18,6 @@ type Expr interface {
 // Ident is a reference to a named signal or parameter.
 type Ident struct {
 	Name string
-	Line int
 }
 
 // Number is a literal constant. Width 0 means unsized (context decides).
@@ -26,7 +25,6 @@ type Number struct {
 	Width int    // declared width (0 = unsized)
 	Value uint64 // value (x/z treated as 0)
 	Sized bool
-	Line  int
 	orig  string
 }
 
@@ -201,25 +199,6 @@ type Decl struct {
 	Line   int
 }
 
-// Width returns the declared width given a parameter resolver; scalar = 1.
-func (d *Decl) Width(eval func(Expr) (int64, error)) (int, error) {
-	if d.Hi == nil {
-		return 1, nil
-	}
-	hi, err := eval(d.Hi)
-	if err != nil {
-		return 0, err
-	}
-	lo, err := eval(d.Lo)
-	if err != nil {
-		return 0, err
-	}
-	if hi < lo {
-		hi, lo = lo, hi
-	}
-	return int(hi - lo + 1), nil
-}
-
 // Param is a parameter or localparam definition.
 type Param struct {
 	Name  string
@@ -246,7 +225,6 @@ type AlwaysBlock struct {
 	Events []EdgeEvent // empty slice means @(*)
 	Star   bool
 	Body   []Stmt
-	Line   int
 }
 
 // PortConn is a named connection in a module instance.
@@ -261,19 +239,16 @@ type Instance struct {
 	Name       string
 	Params     []PortConn // named parameter overrides
 	Conns      []PortConn
-	Line       int
 }
 
 // Module is a parsed Verilog module.
 type Module struct {
 	Name      string
-	PortOrder []string
 	Decls     []*Decl
 	Params    []*Param
 	Assigns   []*ContAssign
 	Always    []*AlwaysBlock
 	Instances []*Instance
-	Line      int
 }
 
 // Source is a parsed source file: one or more modules.

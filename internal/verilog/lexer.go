@@ -185,111 +185,20 @@ func (l *Lexer) Next() (Token, error) {
 		l.advance()
 		return tok, nil
 	}
-	// Operators and punctuation.
-	l.advance()
-	two := func(second byte, yes, no TokenKind) TokenKind {
-		if l.peek() == second {
-			l.advance()
-			return yes
-		}
-		return no
-	}
-	switch c {
-	case '(':
-		tok.Kind = TokLParen
-	case ')':
-		tok.Kind = TokRParen
-	case '[':
-		tok.Kind = TokLBracket
-	case ']':
-		tok.Kind = TokRBracket
-	case '{':
-		tok.Kind = TokLBrace
-	case '}':
-		tok.Kind = TokRBrace
-	case ';':
-		tok.Kind = TokSemi
-	case ',':
-		tok.Kind = TokComma
-	case ':':
-		tok.Kind = TokColon
-	case '.':
-		tok.Kind = TokDot
-	case '#':
-		tok.Kind = TokHash
-	case '@':
-		tok.Kind = TokAt
-	case '?':
-		tok.Kind = TokQuestion
-	case '+':
-		tok.Kind = TokPlus
-	case '-':
-		tok.Kind = TokMinus
-	case '*':
-		tok.Kind = TokStar
-	case '/':
-		tok.Kind = TokSlash
-	case '%':
-		tok.Kind = TokPct
-	case '&':
-		tok.Kind = two('&', TokLAnd, TokAnd)
-	case '|':
-		tok.Kind = two('|', TokLOr, TokOr)
-	case '^':
-		tok.Kind = two('~', TokXnor, TokXor)
-	case '~':
-		if l.peek() == '^' {
-			l.advance()
-			tok.Kind = TokXnor
-		} else if l.peek() == '&' {
-			l.advance()
-			tok.Kind = TokNot // ~& treated as NOT(AND-reduce); parser handles via unary
-			tok.Text = "~&"
-		} else if l.peek() == '|' {
-			l.advance()
-			tok.Kind = TokNot
-			tok.Text = "~|"
-		} else {
-			tok.Kind = TokNot
-		}
-	case '!':
-		tok.Kind = two('=', TokNeq, TokLNot)
-	case '=':
-		if l.peek() == '=' {
-			l.advance()
-			if l.peek() == '=' {
+	for _, op := range operators[c] {
+		if strings.HasPrefix(l.src[l.pos:], op.text) {
+			for range op.text {
 				l.advance()
-				tok.Kind = TokCaseEq
-			} else {
-				tok.Kind = TokEq
 			}
-		} else {
-			tok.Kind = TokAssign
+			tok.Kind = op.kind
+			if op.keep {
+				tok.Text = op.text
+			}
+			return tok, nil
 		}
-	case '<':
-		if l.peek() == '=' {
-			l.advance()
-			tok.Kind = TokNBAssign
-		} else if l.peek() == '<' {
-			l.advance()
-			tok.Kind = TokShl
-		} else {
-			tok.Kind = TokLt
-		}
-	case '>':
-		if l.peek() == '=' {
-			l.advance()
-			tok.Kind = TokGe
-		} else if l.peek() == '>' {
-			l.advance()
-			tok.Kind = TokShr
-		} else {
-			tok.Kind = TokGt
-		}
-	default:
-		return tok, l.errf("unexpected character %q", string(c))
 	}
-	return tok, nil
+	l.advance()
+	return tok, l.errf("unexpected character %q", string(c))
 }
 
 // Tokenize lexes the whole input, returning all tokens up to and including

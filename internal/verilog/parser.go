@@ -6,9 +6,18 @@ import (
 
 // Parser is a recursive-descent parser for the supported Verilog subset.
 type Parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // nesting levels entered, bounded by MaxNesting
 }
+
+// MaxNesting bounds how deeply a source may nest statements and
+// expressions, and how deeply elaboration may nest the expressions it
+// builds from them. Both recurse once per level, and a stack overflow is
+// fatal in Go, so a source past the bound is refused with an error. It
+// admits every suite design and a 4,096-arm case statement, whose arms
+// elaboration nests one level each.
+const MaxNesting = 10000
 
 // ParseError is a syntax error with source position.
 type ParseError struct {
@@ -67,66 +76,56 @@ func (p *Parser) expect(k TokenKind) (Token, error) {
 }
 
 func (p *Parser) parseModule() (*Module, error) {
-	start, err := p.expect(TokModule)
-	if err != nil {
+	if _, err := p.expect(TokModule); err != nil {
 		return nil, err
 	}
 	nameTok, err := p.expect(TokIdent)
 	if err != nil {
 		return nil, err
 	}
-	m := &Module{Name: nameTok.Text, Line: start.Line}
+	m := &Module{Name: nameTok.Text}
 
 	// Optional #(parameter ...) header.
 	if p.accept(TokHash) {
 		if _, err := p.expect(TokLParen); err != nil {
 			return nil, err
 		}
-		for {
-			if p.accept(TokParameter) {
-				// fallthrough to name=value
-			}
-			nt, err := p.expect(TokIdent)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokAssign); err != nil {
-				return nil, err
-			}
-			val, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			m.Params = append(m.Params, &Param{Name: nt.Text, Value: val})
-			if !p.accept(TokComma) {
-				break
-			}
+		if err := p.parseList(func() error {
+			p.accept(TokParameter)
+			return p.parseParam(m, false)
+		}); err != nil {
+			return nil, err
 		}
 		if _, err := p.expect(TokRParen); err != nil {
 			return nil, err
 		}
 	}
 
-	// Port list: either simple names or ANSI-style declarations.
+	// Port list: either simple names or ANSI-style declarations of one name
+	// each.
 	if p.accept(TokLParen) {
 		if !p.peekKind(TokRParen) {
-			for {
+			if err := p.parseList(func() error {
 				switch p.cur().Kind {
 				case TokInput, TokOutput, TokInout:
-					d, err := p.parseANSIPortDecl()
+					d, err := p.parsePortHead()
 					if err != nil {
-						return nil, err
+						return err
 					}
+					nt, err := p.expect(TokIdent)
+					if err != nil {
+						return err
+					}
+					d.Names = []string{nt.Text}
 					m.Decls = append(m.Decls, d)
-					m.PortOrder = append(m.PortOrder, d.Names...)
 				case TokIdent:
-					m.PortOrder = append(m.PortOrder, p.next().Text)
+					p.next()
 				default:
-					return nil, p.errf("expected port name or direction, found %s", p.cur())
+					return p.errf("expected port name or direction, found %s", p.cur())
 				}
-				if !p.accept(TokComma) {
-					break
-				}
+				return nil
+			}); err != nil {
+				return nil, err
 			}
 		}
 		if _, err := p.expect(TokRParen); err != nil {
@@ -146,8 +145,11 @@ func (p *Parser) parseModule() (*Module, error) {
 		case TokEOF:
 			return nil, p.errf("unexpected EOF inside module %s", m.Name)
 		case TokInput, TokOutput, TokInout:
-			d, err := p.parsePortDecl()
+			d, err := p.parsePortHead()
 			if err != nil {
+				return nil, err
+			}
+			if d.Names, err = p.parseNames(nil); err != nil {
 				return nil, err
 			}
 			m.Decls = append(m.Decls, d)
@@ -162,76 +164,41 @@ func (p *Parser) parseModule() (*Module, error) {
 			// Treated as 32-bit regs for elaboration purposes.
 			p.next()
 			d := &Decl{IsReg: true, Hi: &Number{Value: 31, Width: 32}, Lo: &Number{Value: 0, Width: 32}, Line: p.cur().Line}
-			for {
-				nt, err := p.expect(TokIdent)
-				if err != nil {
-					return nil, err
-				}
-				d.Names = append(d.Names, nt.Text)
-				if !p.accept(TokComma) {
-					break
-				}
-			}
-			if _, err := p.expect(TokSemi); err != nil {
+			var err error
+			if d.Names, err = p.parseNames(nil); err != nil {
 				return nil, err
 			}
 			m.Decls = append(m.Decls, d)
 		case TokParameter, TokLocalParam:
-			local := p.cur().Kind == TokLocalParam
-			p.next()
-			// Optional range on parameters: skip it.
-			if p.accept(TokLBracket) {
-				if _, err := p.parseExpr(); err != nil {
-					return nil, err
-				}
-				if _, err := p.expect(TokColon); err != nil {
-					return nil, err
-				}
-				if _, err := p.parseExpr(); err != nil {
-					return nil, err
-				}
-				if _, err := p.expect(TokRBracket); err != nil {
-					return nil, err
-				}
+			local := p.next().Kind == TokLocalParam
+			// A parameter's optional range is parsed and ignored.
+			if _, _, err := p.parseRangeOpt(); err != nil {
+				return nil, err
 			}
-			for {
-				nt, err := p.expect(TokIdent)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := p.expect(TokAssign); err != nil {
-					return nil, err
-				}
-				val, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				m.Params = append(m.Params, &Param{Name: nt.Text, Value: val, Local: local})
-				if !p.accept(TokComma) {
-					break
-				}
+			if err := p.parseList(func() error { return p.parseParam(m, local) }); err != nil {
+				return nil, err
 			}
 			if _, err := p.expect(TokSemi); err != nil {
 				return nil, err
 			}
 		case TokAssignKW:
 			p.next()
-			for {
+			if err := p.parseList(func() error {
 				lhs, err := p.parsePrimary()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if _, err := p.expect(TokAssign); err != nil {
-					return nil, err
+					return err
 				}
 				rhs, err := p.parseExpr()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				m.Assigns = append(m.Assigns, &ContAssign{LHS: lhs, RHS: rhs, Line: p.cur().Line})
-				if !p.accept(TokComma) {
-					break
-				}
+				return nil
+			}); err != nil {
+				return nil, err
 			}
 			if _, err := p.expect(TokSemi); err != nil {
 				return nil, err
@@ -252,6 +219,58 @@ func (p *Parser) parseModule() (*Module, error) {
 			return nil, p.errf("unexpected %s in module body", p.cur())
 		}
 	}
+}
+
+// parseList parses one or more comma-separated items.
+func (p *Parser) parseList(item func() error) error {
+	for {
+		if err := item(); err != nil {
+			return err
+		}
+		if !p.accept(TokComma) {
+			return nil
+		}
+	}
+}
+
+// parseNames parses "name, name;". each, when not nil, parses what may
+// follow a name before the next comma.
+func (p *Parser) parseNames(each func(name Token) error) ([]string, error) {
+	var names []string
+	if err := p.parseList(func() error {
+		nt, err := p.expect(TokIdent)
+		if err != nil {
+			return err
+		}
+		names = append(names, nt.Text)
+		if each != nil {
+			return each(nt)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(TokSemi); err != nil {
+		return nil, err
+	}
+	return names, nil
+}
+
+// parseParam parses "name = expr" into a parameter of m.
+func (p *Parser) parseParam(m *Module, local bool) error {
+	nt, err := p.expect(TokIdent)
+	if err != nil {
+		return err
+	}
+	if _, err := p.expect(TokAssign); err != nil {
+		return err
+	}
+	val, err := p.parseExpr()
+	if err != nil {
+		return err
+	}
+	m.Params = append(m.Params, &Param{Name: nt.Text, Value: val, Local: local})
+	return nil
 }
 
 // mergeDecl merges a wire/reg declaration into the module, upgrading an
@@ -294,9 +313,10 @@ func (p *Parser) parseRangeOpt() (hi, lo Expr, err error) {
 	return hi, lo, nil
 }
 
-// parseANSIPortDecl parses "input [7:0] a" style declarations inside the
-// module port list (names continue until a direction keyword or ')').
-func (p *Parser) parseANSIPortDecl() (*Decl, error) {
+// parsePortHead parses what a port declaration starts with, inside the
+// port list or in the module body: the direction, reg or wire, and an
+// optional range.
+func (p *Parser) parsePortHead() (*Decl, error) {
 	d := &Decl{IsPort: true, Line: p.cur().Line}
 	switch p.next().Kind {
 	case TokInput:
@@ -306,55 +326,10 @@ func (p *Parser) parseANSIPortDecl() (*Decl, error) {
 	case TokInout:
 		d.Dir = DirInout
 	}
-	if p.accept(TokReg) {
-		d.IsReg = true
-	}
+	d.IsReg = p.accept(TokReg)
 	p.accept(TokWire)
 	var err error
-	d.Hi, d.Lo, err = p.parseRangeOpt()
-	if err != nil {
-		return nil, err
-	}
-	nt, err := p.expect(TokIdent)
-	if err != nil {
-		return nil, err
-	}
-	d.Names = []string{nt.Text}
-	return d, nil
-}
-
-// parsePortDecl parses a non-ANSI port declaration item:
-// "input [7:0] a, b;".
-func (p *Parser) parsePortDecl() (*Decl, error) {
-	d := &Decl{IsPort: true, Line: p.cur().Line}
-	switch p.next().Kind {
-	case TokInput:
-		d.Dir = DirInput
-	case TokOutput:
-		d.Dir = DirOutput
-	case TokInout:
-		d.Dir = DirInout
-	}
-	if p.accept(TokReg) {
-		d.IsReg = true
-	}
-	p.accept(TokWire)
-	var err error
-	d.Hi, d.Lo, err = p.parseRangeOpt()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		nt, err := p.expect(TokIdent)
-		if err != nil {
-			return nil, err
-		}
-		d.Names = append(d.Names, nt.Text)
-		if !p.accept(TokComma) {
-			break
-		}
-	}
-	if _, err := p.expect(TokSemi); err != nil {
+	if d.Hi, d.Lo, err = p.parseRangeOpt(); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -366,48 +341,35 @@ func (p *Parser) parseNetDecl(m *Module) (*Decl, error) {
 	d := &Decl{Line: p.cur().Line}
 	d.IsReg = p.next().Kind == TokReg
 	var err error
-	d.Hi, d.Lo, err = p.parseRangeOpt()
-	if err != nil {
+	if d.Hi, d.Lo, err = p.parseRangeOpt(); err != nil {
 		return nil, err
 	}
-	for {
-		nt, err := p.expect(TokIdent)
-		if err != nil {
-			return nil, err
-		}
-		d.Names = append(d.Names, nt.Text)
+	d.Names, err = p.parseNames(func(nt Token) error {
 		// Memories (reg [7:0] mem [0:63]) are not supported: reject clearly.
 		if p.peekKind(TokLBracket) {
-			return nil, p.errf("memory arrays are not supported (signal %s)", nt.Text)
+			return p.errf("memory arrays are not supported (signal %s)", nt.Text)
 		}
 		// "wire x = expr;" net initializer becomes a continuous assignment.
 		if !d.IsReg && p.accept(TokAssign) {
 			rhs, err := p.parseExpr()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			m.Assigns = append(m.Assigns, &ContAssign{
-				LHS:  &Ident{Name: nt.Text, Line: nt.Line},
-				RHS:  rhs,
-				Line: nt.Line,
-			})
+			m.Assigns = append(m.Assigns, &ContAssign{LHS: &Ident{Name: nt.Text}, RHS: rhs, Line: nt.Line})
 		}
-		if !p.accept(TokComma) {
-			break
-		}
-	}
-	if _, err := p.expect(TokSemi); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
 func (p *Parser) parseAlways() (*AlwaysBlock, error) {
-	start, err := p.expect(TokAlways)
-	if err != nil {
+	if _, err := p.expect(TokAlways); err != nil {
 		return nil, err
 	}
-	ab := &AlwaysBlock{Line: start.Line}
+	ab := &AlwaysBlock{}
 	if _, err := p.expect(TokAt); err != nil {
 		return nil, err
 	}
@@ -498,20 +460,18 @@ func (p *Parser) parseStmtOrBlock() ([]Stmt, error) {
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	switch p.cur().Kind {
 	case TokSemi:
 		p.next()
 		return nil, nil
 	case TokIf:
 		p.next()
-		if _, err := p.expect(TokLParen); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
+		cond, err := p.parseParenExpr()
 		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRParen); err != nil {
 			return nil, err
 		}
 		thenB, err := p.parseStmtOrBlock()
@@ -529,14 +489,8 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return st, nil
 	case TokCase, TokCasez:
 		p.next()
-		if _, err := p.expect(TokLParen); err != nil {
-			return nil, err
-		}
-		subj, err := p.parseExpr()
+		subj, err := p.parseParenExpr()
 		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRParen); err != nil {
 			return nil, err
 		}
 		cs := &CaseStmt{Subject: subj}
@@ -548,15 +502,12 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			if p.accept(TokDefault) {
 				p.accept(TokColon)
 			} else {
-				for {
+				if err := p.parseList(func() error {
 					e, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
 					item.Match = append(item.Match, e)
-					if !p.accept(TokComma) {
-						break
-					}
+					return err
+				}); err != nil {
+					return nil, err
 				}
 				if _, err := p.expect(TokColon); err != nil {
 					return nil, err
@@ -606,42 +557,23 @@ func (p *Parser) parseStmt() (Stmt, error) {
 }
 
 func (p *Parser) parseInstance() (*Instance, error) {
-	modTok, err := p.expect(TokIdent)
-	if err != nil {
-		return nil, err
-	}
-	inst := &Instance{ModuleName: modTok.Text, Line: modTok.Line}
+	inst := &Instance{ModuleName: p.next().Text}
 	if p.accept(TokHash) {
 		if _, err := p.expect(TokLParen); err != nil {
 			return nil, err
 		}
-		for {
-			if p.accept(TokDot) {
-				nt, err := p.expect(TokIdent)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := p.expect(TokLParen); err != nil {
-					return nil, err
-				}
-				val, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				if _, err := p.expect(TokRParen); err != nil {
-					return nil, err
-				}
-				inst.Params = append(inst.Params, PortConn{Port: nt.Text, Expr: val})
+		if err := p.parseList(func() error {
+			var c PortConn
+			var err error
+			if p.peekKind(TokDot) {
+				c, err = p.parseConn(false)
 			} else {
-				val, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				inst.Params = append(inst.Params, PortConn{Expr: val})
+				c.Expr, err = p.parseExpr()
 			}
-			if !p.accept(TokComma) {
-				break
-			}
+			inst.Params = append(inst.Params, c)
+			return err
+		}); err != nil {
+			return nil, err
 		}
 		if _, err := p.expect(TokRParen); err != nil {
 			return nil, err
@@ -656,32 +588,12 @@ func (p *Parser) parseInstance() (*Instance, error) {
 		return nil, err
 	}
 	if !p.peekKind(TokRParen) {
-		for {
-			if _, err := p.expect(TokDot); err != nil {
-				return nil, err
-			}
-			nt, err := p.expect(TokIdent)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokLParen); err != nil {
-				return nil, err
-			}
-			conn := PortConn{Port: nt.Text}
-			if !p.peekKind(TokRParen) {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				conn.Expr = e
-			}
-			if _, err := p.expect(TokRParen); err != nil {
-				return nil, err
-			}
-			inst.Conns = append(inst.Conns, conn)
-			if !p.accept(TokComma) {
-				break
-			}
+		if err := p.parseList(func() error {
+			c, err := p.parseConn(true)
+			inst.Conns = append(inst.Conns, c)
+			return err
+		}); err != nil {
+			return nil, err
 		}
 	}
 	if _, err := p.expect(TokRParen); err != nil {
@@ -692,6 +604,41 @@ func (p *Parser) parseInstance() (*Instance, error) {
 	}
 	return inst, nil
 }
+
+// parseConn parses ".name(expr)". When optional, the expression may be
+// left out, for an unconnected port.
+func (p *Parser) parseConn(optional bool) (PortConn, error) {
+	if _, err := p.expect(TokDot); err != nil {
+		return PortConn{}, err
+	}
+	nt, err := p.expect(TokIdent)
+	if err != nil {
+		return PortConn{}, err
+	}
+	c := PortConn{Port: nt.Text}
+	if _, err := p.expect(TokLParen); err != nil {
+		return c, err
+	}
+	if !optional || !p.peekKind(TokRParen) {
+		if c.Expr, err = p.parseExpr(); err != nil {
+			return c, err
+		}
+	}
+	_, err = p.expect(TokRParen)
+	return c, err
+}
+
+// nest enters one more level of nesting, or fails past MaxNesting; a
+// caller that succeeds defers p.unnest.
+func (p *Parser) nest() error {
+	if p.depth == MaxNesting {
+		return p.errf("nesting deeper than %d levels", MaxNesting)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *Parser) unnest() { p.depth-- }
 
 // ---- Expression parsing (precedence climbing) ----
 
@@ -719,18 +666,15 @@ var binPrec = map[TokenKind]int{
 	TokPct:      10,
 }
 
-var binOpText = map[TokenKind]string{
-	TokLOr: "||", TokLAnd: "&&", TokOr: "|", TokXor: "^", TokXnor: "~^",
-	TokAnd: "&", TokEq: "==", TokNeq: "!=", TokCaseEq: "==", TokLt: "<",
-	TokGt: ">", TokGe: ">=", TokNBAssign: "<=", TokShl: "<<", TokShr: ">>",
-	TokPlus: "+", TokMinus: "-", TokStar: "*", TokSlash: "/", TokPct: "%",
-}
-
 func (p *Parser) parseExpr() (Expr, error) {
 	return p.parseTernary()
 }
 
 func (p *Parser) parseTernary() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	cond, err := p.parseBinary(1)
 	if err != nil {
 		return nil, err
@@ -762,81 +706,53 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 		if !ok || prec < minPrec {
 			return lhs, nil
 		}
-		opTok := p.next()
+		op := p.next().Kind
 		rhs, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		lhs = &Binary{Op: binOpText[opTok.Kind], L: lhs, R: rhs}
+		text := op.String()
+		if op == TokCaseEq {
+			text = "==" // x and z digits read as 0, so === is ==
+		}
+		lhs = &Binary{Op: text, L: lhs, R: rhs}
 	}
 }
 
+// parseUnary parses prefix operators. Each is spelled as its token, except
+// ~& and ~|, which lex as ~ and carry their spelling, and unary + is
+// dropped.
 func (p *Parser) parseUnary() (Expr, error) {
-	switch p.cur().Kind {
-	case TokNot:
-		t := p.next()
-		x, err := p.parseUnary()
-		if err != nil {
+	switch t := p.cur(); t.Kind {
+	case TokNot, TokLNot, TokMinus, TokPlus, TokAnd, TokOr, TokXor, TokXnor:
+		if err := p.nest(); err != nil {
 			return nil, err
 		}
-		op := "~"
-		if t.Text == "~&" || t.Text == "~|" {
+		defer p.unnest()
+		p.next()
+		x, err := p.parseUnary()
+		if err != nil || t.Kind == TokPlus {
+			return x, err
+		}
+		op := t.Kind.String()
+		if t.Text != "" {
 			op = t.Text
 		}
 		return &Unary{Op: op, X: x}, nil
-	case TokLNot:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "!", X: x}, nil
-	case TokMinus:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "-", X: x}, nil
-	case TokPlus:
-		p.next()
-		return p.parseUnary()
-	case TokAnd:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "&", X: x}, nil
-	case TokOr:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "|", X: x}, nil
-	case TokXor:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "^", X: x}, nil
-	case TokXnor:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "~^", X: x}, nil
-	default:
-		return p.parsePostfix()
 	}
+	return p.parsePrimary()
 }
 
-func (p *Parser) parsePostfix() (Expr, error) {
-	e, err := p.parsePrimary()
+// parseParenExpr parses "( expr )".
+func (p *Parser) parseParenExpr() (Expr, error) {
+	if _, err := p.expect(TokLParen); err != nil {
+		return nil, err
+	}
+	e, err := p.parseExpr()
 	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(TokRParen); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -845,18 +761,14 @@ func (p *Parser) parsePostfix() (Expr, error) {
 func (p *Parser) parsePrimary() (Expr, error) {
 	switch p.cur().Kind {
 	case TokNumber:
-		t := p.next()
-		n, err := ParseNumber(t.Text)
+		n, err := ParseNumber(p.next().Text)
 		if err != nil {
 			return nil, err
 		}
-		n.Line = t.Line
 		return n, nil
 	case TokIdent:
-		t := p.next()
-		var e Expr = &Ident{Name: t.Text, Line: t.Line}
-		for p.peekKind(TokLBracket) {
-			p.next()
+		var e Expr = &Ident{Name: p.next().Text}
+		for p.accept(TokLBracket) {
 			first, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -866,28 +778,17 @@ func (p *Parser) parsePrimary() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				if _, err := p.expect(TokRBracket); err != nil {
-					return nil, err
-				}
 				e = &Range{X: e, Hi: first, Lo: lo}
 			} else {
-				if _, err := p.expect(TokRBracket); err != nil {
-					return nil, err
-				}
 				e = &Index{X: e, Idx: first}
+			}
+			if _, err := p.expect(TokRBracket); err != nil {
+				return nil, err
 			}
 		}
 		return e, nil
 	case TokLParen:
-		p.next()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return p.parseParenExpr()
 	case TokLBrace:
 		p.next()
 		first, err := p.parseExpr()

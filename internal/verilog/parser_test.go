@@ -1,6 +1,8 @@
 package verilog
 
 import (
+	"fmt"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -138,8 +140,14 @@ func TestParseALU(t *testing.T) {
 	if m == nil || m.Name != "alu" {
 		t.Fatalf("top module: %+v", m)
 	}
-	if len(m.PortOrder) != 6 {
-		t.Errorf("ports: got %v", m.PortOrder)
+	ports := 0
+	for _, d := range m.Decls {
+		if d.IsPort {
+			ports += len(d.Names)
+		}
+	}
+	if ports != 6 {
+		t.Errorf("ports: got %d, want 6", ports)
 	}
 	if got := len(m.Assigns); got != 4 {
 		t.Errorf("assigns: got %d, want 4", got)
@@ -341,5 +349,33 @@ func TestQuickNumbersRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestParseDeepNestingIsAnError: a stack overflow is fatal in Go, so a
+// source nested past MaxNesting must come back as a parse error naming
+// the bound. Without the bound the parser dies near 50,000 nested
+// parentheses under the test's 32 MB stack, so the first case nests
+// twice that; the others nest each kind of level the parser counts just
+// past the bound.
+func TestParseDeepNestingIsAnError(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(32 << 20))
+	const n = MaxNesting + 1
+	cases := map[string]string{
+		"parentheses": "module m(output y); assign y = " + strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000) + "; endmodule",
+		"unary":       "module m(input a, output y); assign y = " + strings.Repeat("~", n) + "a; endmodule",
+		"ternary":     "module m(input a, output y); assign y = " + strings.Repeat("a ? a : ", n) + "a; endmodule",
+		"statements":  "module m(input a, output reg y); always @(*) " + strings.Repeat("if (a) ", n) + "y = a; endmodule",
+	}
+	for name, src := range cases {
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxNesting)) {
+			t.Errorf("%s: got %v, want an error naming the bound %d", name, err, MaxNesting)
+		}
+	}
+	// The bound itself parses.
+	src := "module m(output y); assign y = " + strings.Repeat("(", MaxNesting-1) + "1" + strings.Repeat(")", MaxNesting-1) + "; endmodule"
+	if _, err := Parse(src); err != nil {
+		t.Errorf("%d nested parentheses: %v", MaxNesting-1, err)
 	}
 }

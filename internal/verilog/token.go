@@ -9,7 +9,10 @@
 // bit select, part select and the conditional operator.
 package verilog
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // TokenKind enumerates lexical token categories.
 type TokenKind int
@@ -90,36 +93,9 @@ const (
 	TokOrKW // "or" inside sensitivity lists
 )
 
-var keywords = map[string]TokenKind{
-	"module":      TokModule,
-	"endmodule":   TokEndModule,
-	"input":       TokInput,
-	"output":      TokOutput,
-	"inout":       TokInout,
-	"wire":        TokWire,
-	"reg":         TokReg,
-	"assign":      TokAssignKW,
-	"always":      TokAlways,
-	"posedge":     TokPosedge,
-	"negedge":     TokNegedge,
-	"begin":       TokBegin,
-	"end":         TokEnd,
-	"if":          TokIf,
-	"else":        TokElse,
-	"case":        TokCase,
-	"casez":       TokCasez,
-	"endcase":     TokEndCase,
-	"default":     TokDefault,
-	"parameter":   TokParameter,
-	"localparam":  TokLocalParam,
-	"integer":     TokInteger,
-	"genvar":      TokGenvar,
-	"function":    TokFunction,
-	"endfunction": TokEndFunction,
-	"or":          TokOrKW,
-}
-
-var tokenNames = map[TokenKind]string{
+// tokenNames spells every token kind. The lexer's keyword and operator
+// tables are derived from it, so each spelling is written only here.
+var tokenNames = [...]string{
 	TokEOF: "EOF", TokIdent: "identifier", TokNumber: "number", TokString: "string",
 	TokLParen: "(", TokRParen: ")", TokLBracket: "[", TokRBracket: "]",
 	TokLBrace: "{", TokRBrace: "}", TokSemi: ";", TokComma: ",", TokColon: ":",
@@ -138,10 +114,45 @@ var tokenNames = map[TokenKind]string{
 	TokEndFunction: "endfunction", TokOrKW: "or",
 }
 
+// keywords maps each keyword spelling to its kind.
+var keywords = func() map[string]TokenKind {
+	m := map[string]TokenKind{}
+	for k := TokModule; int(k) < len(tokenNames); k++ {
+		m[tokenNames[k]] = k
+	}
+	return m
+}()
+
+// operator is one spelling of a punctuation or operator token. keep marks
+// a spelling the token's Text carries: ~& and ~| lex as ~, and the parser
+// tells them apart by their Text.
+type operator struct {
+	text string
+	kind TokenKind
+	keep bool
+}
+
+// operators lists the operator spellings that start with each byte,
+// longest first, so the lexer takes the longest match. Besides
+// tokenNames' spellings there are ^~ (XNOR) and ~& and ~|.
+var operators = func() (t [256][]operator) {
+	all := []operator{{"^~", TokXnor, false}, {"~&", TokNot, true}, {"~|", TokNot, true}}
+	for k := TokLParen; k <= TokShr; k++ {
+		all = append(all, operator{tokenNames[k], k, false})
+	}
+	for _, op := range all {
+		t[op.text[0]] = append(t[op.text[0]], op)
+	}
+	for _, ops := range t {
+		sort.SliceStable(ops, func(i, j int) bool { return len(ops[i].text) > len(ops[j].text) })
+	}
+	return t
+}()
+
 // String returns a human-readable name for the token kind.
 func (k TokenKind) String() string {
-	if s, ok := tokenNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(tokenNames) {
+		return tokenNames[k]
 	}
 	return fmt.Sprintf("TokenKind(%d)", int(k))
 }
