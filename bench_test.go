@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"rtltimer/internal/bog"
+	"rtltimer/internal/core"
 	"rtltimer/internal/dataset"
 	"rtltimer/internal/designs"
 	"rtltimer/internal/elab"
@@ -244,6 +245,73 @@ func BenchmarkEndToEndPrediction(b *testing.B) {
 		if _, err := pred.PredictVerilog(src); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// ---- Paper-path benchmarks: training and prediction on built data ----
+
+var (
+	paperOnce sync.Once
+	paperData []*dataset.DesignData
+	paperErr  error
+)
+
+// paperCorpus returns five training designs and the held-out Vex_2, built
+// once: five designs are enough for core.Train's inner out-of-fold
+// models. The same corpus pins TestPaperPathDigests' out-of-fold case.
+func paperCorpus(b *testing.B) (train []*dataset.DesignData, held *dataset.DesignData) {
+	b.Helper()
+	paperOnce.Do(func() {
+		var specs []designs.Spec
+		for _, name := range []string{"b17", "syscdes", "b20", "b22", "Vex_1", "Vex_2"} {
+			spec, _ := designs.ByName(name)
+			specs = append(specs, spec)
+		}
+		paperData, paperErr = dataset.BuildAll(specs, dataset.BuildOptions{Seed: 1})
+	})
+	if paperErr != nil {
+		b.Fatal(paperErr)
+	}
+	return paperData[:5], paperData[5]
+}
+
+// paperOptions are TestPaperPathDigests' tree counts on a shared engine.
+func paperOptions() core.Options {
+	opts := core.DefaultOptions()
+	opts.BitTreeOpts.NumTrees = 40
+	opts.EnsembleOpts.NumTrees = 40
+	opts.SignalOpts.NumTrees = 40
+	opts.LTROpts.NumTrees = 30
+	opts.Seed = 1
+	opts.SetEngine(engine.New(0))
+	return opts
+}
+
+// BenchmarkTrain prices core.Train on the five-design corpus: the bit
+// models, the ensemble, the signal models and the inner out-of-fold
+// models behind the WNS/TNS models. Building the corpus is not timed.
+func BenchmarkTrain(b *testing.B) {
+	train, _ := paperCorpus(b)
+	opts := paperOptions()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Train(train, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPredict prices Model.Predict on the held-out design's built
+// data: ensemble rows, signal rows and the design-level models.
+func BenchmarkPredict(b *testing.B) {
+	train, held := paperCorpus(b)
+	m, err := core.Train(train, paperOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Predict(held)
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 	"sort"
 
 	"rtltimer/internal/annotate"
-	"rtltimer/internal/bog"
 	"rtltimer/internal/core"
 	"rtltimer/internal/dataset"
 	"rtltimer/internal/designs"
@@ -240,8 +239,7 @@ func main() {
 	fmt.Printf("predicted WNS %.3f ns, TNS %.2f ns\n", pred.WNS, pred.TNS)
 	fmt.Printf("actual    WNS %.3f ns, TNS %.2f ns  (synthesis substrate ground truth)\n",
 		target.LabelWNS, target.LabelTNS)
-	labels, preds := core.BitLabelVectors(target, pred, bog.SOG)
-	fmt.Printf("bit-wise  R = %.3f over %d endpoints\n", metrics.Pearson(labels, preds), len(labels))
+	fmt.Printf("bit-wise  R = %.3f over %d endpoints\n", metrics.Pearson(target.EPLabels, pred.BitAT), len(target.EPLabels))
 
 	sigs := append([]core.SignalPrediction(nil), pred.Signals...)
 	sort.Slice(sigs, func(i, j int) bool { return sigs[i].Slack < sigs[j].Slack })

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"rtltimer/internal/bog"
 	"rtltimer/internal/dataset"
 	"rtltimer/internal/metrics"
 )
@@ -32,14 +31,12 @@ func PredictedPlan(dd *dataset.DesignData, p *DesignPrediction) Plan {
 
 // LabelPlan derives the plan from the design's ground-truth arrivals.
 func LabelPlan(dd *dataset.DesignData) Plan {
-	rep := dd.Reps[bog.SOG]
-	return newPlan(dd, dd.SignalLabels(), rep.EPRefs, rep.EPLabels)
+	return newPlan(dd, dd.SignalLabels(), dd.EPRefs, dd.EPLabels)
 }
 
 // newPlan builds a plan from per-signal criticality scores and per-bit
 // arrival scores aligned with bitRefs.
 func newPlan(dd *dataset.DesignData, signalScore map[string]float64, bitRefs []string, bitScore []float64) Plan {
-	rep := dd.Reps[bog.SOG]
 	// Sorted-name iteration: group assignment breaks score ties by
 	// index, so the plan must not depend on map iteration order.
 	sigs := make([]string, 0, len(signalScore))
@@ -52,11 +49,10 @@ func newPlan(dd *dataset.DesignData, signalScore map[string]float64, bitRefs []s
 		scores = append(scores, signalScore[sig])
 	}
 	bitsOf := map[string][]string{}
-	for i, sig := range rep.EPSignals {
-		if rep.EPIsPO[i] {
-			continue
+	for _, sig := range dd.Signals() {
+		for _, i := range sig.EPs {
+			bitsOf[sig.Name] = append(bitsOf[sig.Name], dd.EPRefs[i])
 		}
-		bitsOf[sig] = append(bitsOf[sig], rep.EPRefs[i])
 	}
 	groups := make([][]string, metrics.NumGroups)
 	for gi, idxs := range metrics.CriticalGroups(scores) {

@@ -99,34 +99,29 @@ func Train(data []*dataset.DesignData, opts Options) (*Model, error) {
 	if len(opts.Reps) == 0 {
 		opts.Reps = bog.Variants()
 	}
+	for _, dd := range data {
+		for _, v := range opts.Reps {
+			if dd.Reps[v] == nil {
+				return nil, fmt.Errorf("core: design %s lacks representation %v", dd.Spec.Name, v)
+			}
+		}
+	}
 	if opts.eng == nil {
 		opts.eng = engine.New(0)
 	}
 	m := &Model{Opts: opts, BitModels: map[bog.Variant]*tree.Regressor{}, Period: data[0].Period}
-	if err := m.trainBitAndEnsemble(data, 1.0); err != nil {
-		return nil, err
-	}
-	perDesignEns := make([][][]float64, len(data))
-	for di, dd := range data {
-		perDesignEns[di] = m.ensembleRows(dd)
-	}
+	m.trainBitAndEnsemble(data, 1.0)
 
 	// ---- Stage 3: signal-level regression and ranking. ----
 	var sigX [][]float64
 	var sigY []float64
 	var queries []ltr.Query
-	for di, dd := range data {
-		bitPred := m.Ensemble.PredictAll(perDesignEns[di])
+	for _, dd := range data {
+		bitPred := m.Ensemble.PredictAll(m.ensembleRows(dd))
 		feats, labels, _ := m.signalRows(dd, bitPred)
 		sigX = append(sigX, feats...)
 		sigY = append(sigY, labels...)
-		// Ranking query: relevance = 3 - criticality group of the label.
-		groupsOf := metrics.GroupOf(labels)
-		q := ltr.Query{X: feats}
-		for _, g := range groupsOf {
-			q.Rel = append(q.Rel, metrics.NumGroups-1-g)
-		}
-		queries = append(queries, q)
+		queries = append(queries, RankQuery(feats, labels))
 	}
 	sopts := opts.SignalOpts
 	sopts.Seed = opts.Seed + 202
@@ -140,10 +135,7 @@ func Train(data []*dataset.DesignData, opts Options) (*Model, error) {
 	// unseen designs (stacking leak), so the design models are fit on
 	// OUT-OF-FOLD raw features: inner models trained without each design
 	// produce the aggregation features it contributes to training.
-	desX, err := m.oofDesignRows(data)
-	if err != nil {
-		return nil, err
-	}
+	desX := m.oofDesignRows(data)
 	var wnsY, tnsY []float64
 	for _, dd := range data {
 		wnsY = append(wnsY, dd.LabelWNS)
@@ -159,9 +151,19 @@ func Train(data []*dataset.DesignData, opts Options) (*Model, error) {
 	return m, nil
 }
 
+// RankQuery is the LambdaMART query over one design's rows: relevance is
+// 3 - the criticality group of each row's label.
+func RankQuery(X [][]float64, labels []float64) ltr.Query {
+	q := ltr.Query{X: X}
+	for _, g := range metrics.GroupOf(labels) {
+		q.Rel = append(q.Rel, metrics.NumGroups-1-g)
+	}
+	return q
+}
+
 // trainBitAndEnsemble fits stages 1 and 2 on the given designs. sizeFactor
 // scales tree counts (inner OOF folds use smaller models).
-func (m *Model) trainBitAndEnsemble(data []*dataset.DesignData, sizeFactor float64) error {
+func (m *Model) trainBitAndEnsemble(data []*dataset.DesignData, sizeFactor float64) {
 	opts := m.Opts
 	scale := func(o tree.Options) tree.Options {
 		o.NumTrees = int(float64(o.NumTrees) * sizeFactor)
@@ -173,39 +175,14 @@ func (m *Model) trainBitAndEnsemble(data []*dataset.DesignData, sizeFactor float
 	// The per-representation bit models are independent given the data and
 	// their per-variant seeds, so they train concurrently on the engine.
 	bitModels := make([]*tree.Regressor, len(opts.Reps))
-	err := opts.eng.ForEachErr(len(opts.Reps), func(vi int) error {
+	opts.eng.ForEach(len(opts.Reps), func(vi int) {
 		v := opts.Reps[vi]
-		var X [][]float64
-		var groups [][]int
-		var labels []float64
-		for _, dd := range data {
-			rep := dd.Reps[v]
-			if rep == nil {
-				return fmt.Errorf("core: design %s lacks representation %v", dd.Spec.Name, v)
-			}
-			base := len(X)
-			X = append(X, rep.X...)
-			for gi, g := range rep.Groups {
-				rows := make([]int, 0, len(g))
-				for _, r := range g {
-					rows = append(rows, base+r)
-				}
-				if opts.NoSampling {
-					rows = rows[:1] // slowest path only
-				}
-				groups = append(groups, rows)
-				labels = append(labels, rep.EPLabels[gi])
-			}
-		}
+		X, groups, labels := dataset.PathGroups(data, v, opts.NoSampling)
 		topts := scale(opts.BitTreeOpts)
 		topts.Seed = opts.Seed + int64(v)
 		topts.BaseScore = metrics.Mean(labels)
 		bitModels[vi] = tree.Train(X, len(X), tree.GroupMaxObjective(groups, labels), topts)
-		return nil
 	})
-	if err != nil {
-		return err
-	}
 	for vi, v := range opts.Reps {
 		m.BitModels[v] = bitModels[vi]
 	}
@@ -213,18 +190,17 @@ func (m *Model) trainBitAndEnsemble(data []*dataset.DesignData, sizeFactor float
 	var ensY []float64
 	for _, dd := range data {
 		ensX = append(ensX, m.ensembleRows(dd)...)
-		ensY = append(ensY, dd.Reps[opts.Reps[0]].EPLabels...)
+		ensY = append(ensY, dd.EPLabels...)
 	}
 	eopts := scale(opts.EnsembleOpts)
 	eopts.Seed = opts.Seed + 101
 	m.Ensemble = tree.TrainL2(ensX, ensY, eopts)
-	return nil
 }
 
 // oofDesignRows computes design-level feature rows using inner
 // leave-group-out models, so the raw aggregation features carry the same
 // out-of-sample bias they will have at prediction time.
-func (m *Model) oofDesignRows(data []*dataset.DesignData) ([][]float64, error) {
+func (m *Model) oofDesignRows(data []*dataset.DesignData) [][]float64 {
 	const innerFolds = 4
 	rows := make([][]float64, len(data))
 	if len(data) < innerFolds+1 {
@@ -233,11 +209,11 @@ func (m *Model) oofDesignRows(data []*dataset.DesignData) ([][]float64, error) {
 			bitPred := m.Ensemble.PredictAll(m.ensembleRows(dd))
 			rows[di] = m.designRow(dd, bitPred)
 		}
-		return rows, nil
+		return rows
 	}
 	// Inner folds are independent models over disjoint hold-out sets, so
 	// they train concurrently; each writes only its own hold-out rows.
-	err := m.Opts.eng.ForEachErr(innerFolds, func(f int) error {
+	m.Opts.eng.ForEach(innerFolds, func(f int) {
 		var trainSet []*dataset.DesignData
 		var holdIdx []int
 		for di, dd := range data {
@@ -249,20 +225,14 @@ func (m *Model) oofDesignRows(data []*dataset.DesignData) ([][]float64, error) {
 		}
 		inner := &Model{Opts: m.Opts, BitModels: map[bog.Variant]*tree.Regressor{}, Period: m.Period}
 		inner.Opts.Seed = m.Opts.Seed + int64(1000+f)
-		if err := inner.trainBitAndEnsemble(trainSet, 0.5); err != nil {
-			return err
-		}
+		inner.trainBitAndEnsemble(trainSet, 0.5)
 		for _, di := range holdIdx {
 			dd := data[di]
 			bitPred := inner.Ensemble.PredictAll(inner.ensembleRows(dd))
 			rows[di] = inner.designRow(dd, bitPred)
 		}
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return rows
 }
 
 // ensembleRows builds the stage-2 feature rows for every labeled endpoint
@@ -271,27 +241,11 @@ func (m *Model) oofDesignRows(data []*dataset.DesignData) ([][]float64, error) {
 func (m *Model) ensembleRows(dd *dataset.DesignData) [][]float64 {
 	reps := m.Opts.Reps
 	ref := dd.Reps[reps[0]]
-	nEP := len(ref.EPRefs)
+	nEP := len(dd.EPRefs)
 	perRep := make([][]float64, len(reps))
 	for ri, v := range reps {
 		rep := dd.Reps[v]
-		reg := m.BitModels[v]
-		preds := make([]float64, nEP)
-		all := reg.PredictAll(rep.X)
-		for gi, g := range rep.Groups {
-			best := math.Inf(-1)
-			rows := g
-			if m.Opts.NoSampling {
-				rows = g[:1]
-			}
-			for _, r := range rows {
-				if all[r] > best {
-					best = all[r]
-				}
-			}
-			preds[gi] = best
-		}
-		perRep[ri] = preds
+		perRep[ri] = dataset.GroupMax(rep.Groups, m.BitModels[v].PredictAll(rep.X), m.Opts.NoSampling)
 	}
 	rows := make([][]float64, nEP)
 	for i := 0; i < nEP; i++ {
@@ -312,7 +266,7 @@ func (m *Model) ensembleRows(dd *dataset.DesignData) [][]float64 {
 		}
 		v = append(v, maxv, minv, metrics.Mean(stats), metrics.Std(stats))
 		// Design and cone features generalize across designs (§4.3).
-		ep := ref.EPIndex[i]
+		ep := dd.EPIndex[i]
 		cone := ref.Ext.Cone(ep)
 		v = append(v, ref.Ext.Rank(ep),
 			math.Log1p(float64(cone.DrivingRegs)),
@@ -324,104 +278,87 @@ func (m *Model) ensembleRows(dd *dataset.DesignData) [][]float64 {
 	return rows
 }
 
-// signalRows aggregates bit predictions to signal-level feature rows.
-// Returns features, labels (signal max netlist AT) and signal names.
+// signalRows aggregates bit predictions to signal-level feature rows,
+// signals sorted by name. Returns features, labels (signal max netlist AT)
+// and signal names.
 func (m *Model) signalRows(dd *dataset.DesignData, bitPred []float64) ([][]float64, []float64, []string) {
 	rep := dd.Reps[m.Opts.Reps[0]]
-	type agg struct {
-		preds  []float64
-		label  float64
-		rank   float64
-		regs   float64
-		pseudo float64
-	}
-	sigs := map[string]*agg{}
-	var order []string
-	for i, sig := range rep.EPSignals {
-		if rep.EPIsPO[i] {
-			continue
-		}
-		a, ok := sigs[sig]
-		if !ok {
-			a = &agg{label: math.Inf(-1)}
-			sigs[sig] = a
-			order = append(order, sig)
-		}
-		a.preds = append(a.preds, bitPred[i])
-		if rep.EPLabels[i] > a.label {
-			a.label = rep.EPLabels[i]
-		}
-		ep := rep.EPIndex[i]
-		if rank := rep.Ext.Rank(ep); rank > a.rank {
-			a.rank = rank
-		}
-		if r := math.Log1p(float64(rep.Ext.Cone(ep).DrivingRegs)); r > a.regs {
-			a.regs = r
-		}
-		if rep.EPPseudo[i] > a.pseudo {
-			a.pseudo = rep.EPPseudo[i]
-		}
-	}
-	sort.Strings(order)
+	sigs := dd.Signals()
+	sort.Slice(sigs, func(i, j int) bool { return sigs[i].Name < sigs[j].Name })
 	var feats [][]float64
 	var labels []float64
+	var names []string
 	dv := rep.Ext.DesignVector()
-	for _, sig := range order {
-		a := sigs[sig]
-		maxp := a.preds[0]
-		for _, p := range a.preds {
+	for _, sig := range sigs {
+		preds := make([]float64, 0, len(sig.EPs))
+		label := math.Inf(-1)
+		var rank, regs, pseudo float64
+		for _, i := range sig.EPs {
+			preds = append(preds, bitPred[i])
+			if dd.EPLabels[i] > label {
+				label = dd.EPLabels[i]
+			}
+			ep := dd.EPIndex[i]
+			if r := rep.Ext.Rank(ep); r > rank {
+				rank = r
+			}
+			if r := math.Log1p(float64(rep.Ext.Cone(ep).DrivingRegs)); r > regs {
+				regs = r
+			}
+			if rep.EPPseudo[i] > pseudo {
+				pseudo = rep.EPPseudo[i]
+			}
+		}
+		maxp := preds[0]
+		for _, p := range preds {
 			if p > maxp {
 				maxp = p
 			}
 		}
 		row := []float64{
 			maxp,
-			metrics.Mean(a.preds),
-			metrics.Std(a.preds),
-			math.Log1p(float64(len(a.preds))),
-			a.rank,
-			a.regs,
-			a.pseudo, // signal max pseudo-STA arrival (path-level feature)
+			metrics.Mean(preds),
+			metrics.Std(preds),
+			math.Log1p(float64(len(preds))),
+			rank,
+			regs,
+			pseudo, // signal max pseudo-STA arrival (path-level feature)
 		}
 		row = append(row, dv...)
 		feats = append(feats, row)
-		labels = append(labels, a.label)
+		labels = append(labels, label)
+		names = append(names, sig.Name)
 	}
-	return feats, labels, order
+	return feats, labels, names
+}
+
+// SlackSummary returns the WNS and TNS of arrival times at a clock
+// period: slack is period - arrival - Setup, WNS is the least slack (0
+// with no arrivals) and TNS sums the negative slacks.
+func SlackSummary(period float64, arrivals []float64) (wns, tns float64) {
+	wns = math.Inf(1)
+	for _, at := range arrivals {
+		slack := period - at - Setup
+		if slack < wns {
+			wns = slack
+		}
+		if slack < 0 {
+			tns += slack
+		}
+	}
+	if len(arrivals) == 0 {
+		wns = 0
+	}
+	return wns, tns
 }
 
 // designRow builds the WNS/TNS model input for one design.
 func (m *Model) designRow(dd *dataset.DesignData, bitPred []float64) []float64 {
-	rawWNS := math.Inf(1)
-	rawTNS := 0.0
-	for _, at := range bitPred {
-		slack := dd.Period - at - Setup
-		if slack < rawWNS {
-			rawWNS = slack
-		}
-		if slack < 0 {
-			rawTNS += slack
-		}
-	}
-	if len(bitPred) == 0 {
-		rawWNS = 0
-	}
+	rawWNS, rawTNS := SlackSummary(dd.Period, bitPred)
 	rep := dd.Reps[m.Opts.Reps[0]]
 	// Pseudo-STA raw WNS/TNS on the first representation complements the
 	// learned aggregation.
-	psWNS, psTNS := math.Inf(1), 0.0
-	for _, at := range rep.EPPseudo {
-		slack := dd.Period - at - Setup
-		if slack < psWNS {
-			psWNS = slack
-		}
-		if slack < 0 {
-			psTNS += slack
-		}
-	}
-	if len(rep.EPPseudo) == 0 {
-		psWNS = 0
-	}
+	psWNS, psTNS := SlackSummary(dd.Period, rep.EPPseudo)
 	row := []float64{
 		rawWNS, rawTNS,
 		math.Log1p(maxf(0, -rawTNS)),
@@ -473,11 +410,9 @@ func (p *DesignPrediction) SignalByName(name string) (SignalPrediction, bool) {
 
 // Predict runs the full RTL-Timer inference pipeline on one design.
 func (m *Model) Predict(dd *dataset.DesignData) *DesignPrediction {
-	rep := dd.Reps[m.Opts.Reps[0]]
-	ens := m.ensembleRows(dd)
-	bitPred := m.Ensemble.PredictAll(ens)
+	bitPred := m.Ensemble.PredictAll(m.ensembleRows(dd))
 	out := &DesignPrediction{
-		BitRefs: append([]string(nil), rep.EPRefs...),
+		BitRefs: append([]string(nil), dd.EPRefs...),
 		BitAT:   bitPred,
 		Period:  dd.Period,
 	}
@@ -498,13 +433,6 @@ func (m *Model) Predict(dd *dataset.DesignData) *DesignPrediction {
 	out.WNS = m.WNSModel.Predict(drow)
 	out.TNS = -math.Expm1(maxf(0, m.TNSModel.Predict(drow)))
 	return out
-}
-
-// BitLabelVectors returns aligned (label, prediction) slices for bit-wise
-// evaluation of a prediction against a design's ground truth.
-func BitLabelVectors(dd *dataset.DesignData, p *DesignPrediction, rep bog.Variant) (labels, preds []float64) {
-	r := dd.Reps[rep]
-	return r.EPLabels, p.BitAT
 }
 
 // SignalLabelVectors returns aligned (label, prediction AT, rank score)

@@ -55,7 +55,7 @@ func TestTrainPredictCrossDesign(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := m.Predict(test)
-	labels, preds := BitLabelVectors(test, p, bog.SOG)
+	labels, preds := test.EPLabels, p.BitAT
 	if len(labels) != len(preds) || len(labels) == 0 {
 		t.Fatalf("bit vectors: %d vs %d", len(labels), len(preds))
 	}
@@ -81,9 +81,8 @@ func TestEnsembleBeatsWorstSingleRep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pFull := full.Predict(test)
-	labels, predsFull := BitLabelVectors(test, pFull, bog.SOG)
-	rFull := metrics.Pearson(labels, predsFull)
+	labels := test.EPLabels
+	rFull := metrics.Pearson(labels, full.Predict(test).BitAT)
 
 	worst := 1.0
 	for _, v := range bog.Variants() {
@@ -93,9 +92,7 @@ func TestEnsembleBeatsWorstSingleRep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pS := single.Predict(test)
-		_, predsS := BitLabelVectors(test, pS, v)
-		if r := metrics.Pearson(labels, predsS); r < worst {
+		if r := metrics.Pearson(labels, single.Predict(test).BitAT); r < worst {
 			worst = r
 		}
 	}
@@ -118,10 +115,8 @@ func TestSamplingAblationDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, pf := BitLabelVectors(test, full.Predict(test), bog.SOG)
-	_, pa := BitLabelVectors(test, abl.Predict(test), bog.SOG)
-	rFull := metrics.Pearson(labels, pf)
-	rAbl := metrics.Pearson(labels, pa)
+	rFull := metrics.Pearson(test.EPLabels, full.Predict(test).BitAT)
+	rAbl := metrics.Pearson(test.EPLabels, abl.Predict(test).BitAT)
 	if rAbl > rFull+0.1 {
 		t.Errorf("no-sampling ablation much better (%.3f) than full (%.3f)?", rAbl, rFull)
 	}

@@ -26,22 +26,16 @@ import (
 // RepData holds one design's samples under one BOG representation.
 type RepData struct {
 	Graph *bog.Graph
-	STA   *sta.Result
 	Ext   *features.Extractor
 
 	// X are path feature vectors; Groups[i] lists the rows belonging to
-	// labeled endpoint i (first row is always the slowest path).
+	// labeled endpoint i (first row is always the slowest path). Rows are
+	// numbered group by group.
 	X      [][]float64
 	Seqs   [][][]float64 // per row: per-node sequence features (optional)
 	Groups [][]int
 
-	// Per labeled endpoint, aligned with Groups.
-	EPRefs    []string
-	EPSignals []string
-	EPIsPO    []bool
-	EPLabels  []float64 // ground-truth netlist arrival time
-	EPPseudo  []float64 // pseudo-STA arrival on this representation
-	EPIndex   []int     // endpoint index in Graph.Endpoints
+	EPPseudo []float64 // per labeled endpoint: pseudo-STA arrival on this representation
 }
 
 // DesignData is the complete dataset entry for one design.
@@ -51,9 +45,18 @@ type DesignData struct {
 	Period float64
 
 	Synth    *synth.Result
-	Labels   map[string]float64 // endpoint ref -> netlist AT
 	LabelWNS float64
 	LabelTNS float64
+
+	// The labeled-endpoint table: every graph endpoint with a ground-truth
+	// label, in Graph.Endpoints order. bog.Build makes endpoints from the
+	// design's registers and outputs alone, so one table serves all four
+	// representations, aligned with each one's Groups and EPPseudo.
+	EPRefs    []string
+	EPSignals []string
+	EPIsPO    []bool
+	EPLabels  []float64 // ground-truth netlist arrival time
+	EPIndex   []int     // endpoint index in Graph.Endpoints
 
 	Reps map[bog.Variant]*RepData
 }
@@ -163,7 +166,6 @@ func BuildFromSource(spec designs.Spec, src string, opts BuildOptions) (*DesignD
 		return nil, fmt.Errorf("dataset: %s: %w", spec.Name, err)
 	}
 	dd.Synth = synres
-	dd.Labels = synres.Labels()
 	dd.LabelWNS = synres.Timing.WNS
 	dd.LabelTNS = synres.Timing.TNS
 
@@ -174,24 +176,42 @@ func BuildFromSource(spec designs.Spec, src string, opts BuildOptions) (*DesignD
 	lib := liberty.DefaultPseudoLib()
 	tag := engine.DesignTag(spec.Name, src)
 	variants := bog.Variants()
-	reps := make([]*RepData, len(variants))
+	rrs := make([]*engine.RepResult, len(variants))
 	err = o.Engine.ForEachErr(len(variants), func(vi int) error {
-		v := variants[vi]
-		rr, rerr := o.Engine.EvalRep(engine.Key{Design: tag, Variant: v}, lib, engine.FixedDesign(design))
+		rr, rerr := o.Engine.EvalRep(engine.Key{Design: tag, Variant: variants[vi]}, lib, engine.FixedDesign(design))
 		if rerr != nil {
-			return fmt.Errorf("dataset: %s/%v: %w", spec.Name, v, rerr)
+			return fmt.Errorf("dataset: %s/%v: %w", spec.Name, variants[vi], rerr)
 		}
+		rrs[vi] = rr
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// The representations share their endpoints, so the first one's give
+	// the labeled-endpoint table.
+	labels := synres.Labels()
+	for ep, e := range rrs[0].Graph.Endpoints {
+		ref := e.Ref.String()
+		label, ok := labels[ref]
+		if !ok {
+			continue
+		}
+		dd.EPRefs = append(dd.EPRefs, ref)
+		dd.EPSignals = append(dd.EPSignals, e.Ref.Signal)
+		dd.EPIsPO = append(dd.EPIsPO, e.IsPO)
+		dd.EPLabels = append(dd.EPLabels, label)
+		dd.EPIndex = append(dd.EPIndex, ep)
+	}
+	reps := make([]*RepData, len(variants))
+	o.Engine.ForEach(len(variants), func(vi int) {
 		// The cached evaluation is period-free; materialize this design's
 		// clock (slack/WNS/TNS only — the forward pass is shared).
+		rr := rrs[vi]
 		g, r, ext := rr.Graph, rr.At(o.Period), rr.Ext
-		rep := &RepData{Graph: g, STA: r, Ext: ext}
-		rng := rand.New(rand.NewSource(spec.Seed*1000 + int64(v)))
-		for ep := range g.Endpoints {
-			ref := g.Endpoints[ep].Ref.String()
-			label, ok := dd.Labels[ref]
-			if !ok {
-				continue
-			}
+		rep := &RepData{Graph: g, Ext: ext}
+		rng := rand.New(rand.NewSource(spec.Seed*1000 + int64(variants[vi])))
+		for _, ep := range dd.EPIndex {
 			k := sta.SampleCount(ext.Cone(ep).DrivingRegs, o.MinSamples, o.MaxSamples)
 			paths := r.SamplePaths(g, ep, k, rng)
 			var rows []int
@@ -203,19 +223,10 @@ func BuildFromSource(spec designs.Spec, src string, opts BuildOptions) (*DesignD
 				}
 			}
 			rep.Groups = append(rep.Groups, rows)
-			rep.EPRefs = append(rep.EPRefs, ref)
-			rep.EPSignals = append(rep.EPSignals, g.Endpoints[ep].Ref.Signal)
-			rep.EPIsPO = append(rep.EPIsPO, g.Endpoints[ep].IsPO)
-			rep.EPLabels = append(rep.EPLabels, label)
 			rep.EPPseudo = append(rep.EPPseudo, r.EndpointAT[ep])
-			rep.EPIndex = append(rep.EPIndex, ep)
 		}
 		reps[vi] = rep
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	for vi, v := range variants {
 		dd.Reps[v] = reps[vi]
 	}
@@ -241,20 +252,88 @@ func BuildAll(specs []designs.Spec, opts BuildOptions) ([]*DesignData, error) {
 	return out, nil
 }
 
-// SignalLabels aggregates the SOG representation's bit labels to
-// signal-level max arrival times, excluding primary-output pseudo
-// endpoints (the paper's signal-level task covers sequential signals).
-// Every built entry carries all four representations.
-func (dd *DesignData) SignalLabels() map[string]float64 {
-	rep := dd.Reps[bog.SOG]
-	out := map[string]float64{}
-	for i, sig := range rep.EPSignals {
-		if rep.EPIsPO[i] {
+// Signal is one sequential signal: its name and its bits' indices in
+// the labeled-endpoint table.
+type Signal struct {
+	Name string
+	EPs  []int
+}
+
+// Signals groups the labeled endpoints by signal, skipping primary-output
+// pseudo endpoints (the paper's signal-level task covers sequential
+// signals): signals in order of first appearance, each with its endpoints
+// in table order.
+func (dd *DesignData) Signals() []Signal {
+	at := map[string]int{}
+	var out []Signal
+	for i, name := range dd.EPSignals {
+		if dd.EPIsPO[i] {
 			continue
 		}
-		if rep.EPLabels[i] > out[sig] {
-			out[sig] = rep.EPLabels[i]
+		si, ok := at[name]
+		if !ok {
+			si = len(out)
+			at[name] = si
+			out = append(out, Signal{Name: name})
 		}
+		out[si].EPs = append(out[si].EPs, i)
+	}
+	return out
+}
+
+// SignalLabels aggregates the bit labels to signal-level max arrival
+// times. A signal whose labels are all at most 0 is left out.
+func (dd *DesignData) SignalLabels() map[string]float64 {
+	out := map[string]float64{}
+	for _, s := range dd.Signals() {
+		for _, i := range s.EPs {
+			if dd.EPLabels[i] > out[s.Name] {
+				out[s.Name] = dd.EPLabels[i]
+			}
+		}
+	}
+	return out
+}
+
+// PathGroups concatenates one representation's path rows over designs for
+// the grouped max-arrival loss: groups[i] lists the rows of X belonging to
+// the i-th labeled endpoint overall, and labels[i] is its label. With
+// slowestOnly each group keeps only its slowest path.
+func PathGroups(data []*DesignData, v bog.Variant, slowestOnly bool) (X [][]float64, groups [][]int, labels []float64) {
+	for _, dd := range data {
+		rep := dd.Reps[v]
+		base := len(X)
+		X = append(X, rep.X...)
+		for _, g := range rep.Groups {
+			if slowestOnly {
+				g = g[:1]
+			}
+			rows := make([]int, 0, len(g))
+			for _, r := range g {
+				rows = append(rows, base+r)
+			}
+			groups = append(groups, rows)
+		}
+		labels = append(labels, dd.EPLabels...)
+	}
+	return X, groups, labels
+}
+
+// GroupMax returns each group's largest row prediction, pred[r] being row
+// r's. With slowestOnly a group reads only its slowest path.
+func GroupMax(groups [][]int, pred []float64, slowestOnly bool) []float64 {
+	out := make([]float64, len(groups))
+	for gi, g := range groups {
+		if slowestOnly {
+			g = g[:1]
+		}
+		best := math.Inf(-1)
+		for _, r := range g {
+			if pred[r] > best {
+				best = pred[r]
+			}
+		}
+		out[gi] = best
 	}
 	return out
 }

@@ -24,31 +24,33 @@ func buildOne(t *testing.T, name string) *DesignData {
 
 func TestBuildProducesAlignedData(t *testing.T) {
 	dd := buildOne(t, "syscdes")
-	if len(dd.Labels) == 0 {
+	n := len(dd.EPRefs)
+	if n == 0 {
 		t.Fatal("no labels")
+	}
+	if len(dd.EPSignals) != n || len(dd.EPIsPO) != n || len(dd.EPLabels) != n || len(dd.EPIndex) != n {
+		t.Fatal("misaligned endpoint table")
 	}
 	if dd.LabelWNS >= dd.Period {
 		t.Errorf("WNS %f vs period %f", dd.LabelWNS, dd.Period)
 	}
-	var refEPs []string
+	ref := dd.Reps[bog.Variants()[0]]
 	for _, v := range bog.Variants() {
 		rep := dd.Reps[v]
 		if rep == nil {
 			t.Fatalf("missing rep %v", v)
 		}
-		if len(rep.EPRefs) != len(rep.Groups) || len(rep.EPRefs) != len(rep.EPLabels) {
-			t.Fatalf("%v: misaligned arrays", v)
+		if len(rep.Groups) != n || len(rep.EPPseudo) != n {
+			t.Fatalf("%v: %d groups and %d pseudo arrivals for %d endpoints", v, len(rep.Groups), len(rep.EPPseudo), n)
 		}
-		if refEPs == nil {
-			refEPs = rep.EPRefs
-		} else {
-			if len(refEPs) != len(rep.EPRefs) {
-				t.Fatalf("%v: endpoint count differs across reps", v)
-			}
-			for i := range refEPs {
-				if refEPs[i] != rep.EPRefs[i] {
-					t.Fatalf("%v: endpoint order differs at %d: %s vs %s", v, i, refEPs[i], rep.EPRefs[i])
-				}
+		// The one table describes every representation's endpoints.
+		if len(rep.Graph.Endpoints) != len(ref.Graph.Endpoints) {
+			t.Fatalf("%v: %d endpoints, %v has %d", v, len(rep.Graph.Endpoints), bog.Variants()[0], len(ref.Graph.Endpoints))
+		}
+		for i, ep := range dd.EPIndex {
+			e := rep.Graph.Endpoints[ep]
+			if e.Ref.String() != dd.EPRefs[i] || e.Ref.Signal != dd.EPSignals[i] || e.IsPO != dd.EPIsPO[i] {
+				t.Fatalf("%v: endpoint %d is %s (PO %v), the table holds %s (PO %v)", v, ep, e.Ref, e.IsPO, dd.EPRefs[i], dd.EPIsPO[i])
 			}
 		}
 		// Every group's first row must be the slowest path: its vector's
@@ -65,11 +67,11 @@ func TestBuildProducesAlignedData(t *testing.T) {
 				}
 			}
 		}
-		// Labels positive and finite.
-		for i, lab := range rep.EPLabels {
-			if math.IsNaN(lab) || lab <= 0 {
-				t.Fatalf("%v: label[%d] = %f", v, i, lab)
-			}
+	}
+	// Labels positive and finite.
+	for i, lab := range dd.EPLabels {
+		if math.IsNaN(lab) || lab <= 0 {
+			t.Fatalf("label[%d] = %f", i, lab)
 		}
 	}
 }
@@ -78,8 +80,7 @@ func TestPseudoSTACorrelatesWithLabels(t *testing.T) {
 	// Fig. 5(a): RTL pseudo-STA does not match netlist timing but is
 	// clearly correlated — the foundation of learnability.
 	dd := buildOne(t, "b17")
-	rep := dd.Reps[bog.SOG]
-	r := pearson(rep.EPPseudo, rep.EPLabels)
+	r := pearson(dd.Reps[bog.SOG].EPPseudo, dd.EPLabels)
 	if r < 0.4 {
 		t.Errorf("pseudo-STA vs labels R = %f, want > 0.4", r)
 	}
@@ -117,13 +118,43 @@ func TestSignalLabels(t *testing.T) {
 		t.Fatal("no signal labels")
 	}
 	// Signal label is the max over its bits.
-	rep := dd.Reps[bog.SOG]
-	for i, sig := range rep.EPSignals {
-		if rep.EPIsPO[i] {
+	for i, sig := range dd.EPSignals {
+		if dd.EPIsPO[i] {
 			continue
 		}
-		if rep.EPLabels[i] > sl[sig]+1e-12 {
+		if dd.EPLabels[i] > sl[sig]+1e-12 {
 			t.Fatalf("signal %s label below bit label", sig)
+		}
+	}
+	// Signals puts every non-PO endpoint of the table under its signal
+	// exactly once, signals in first-appearance order.
+	var order []string
+	seen := map[string]bool{}
+	for i, sig := range dd.EPSignals {
+		if !dd.EPIsPO[i] && !seen[sig] {
+			seen[sig] = true
+			order = append(order, sig)
+		}
+	}
+	covered := make([]bool, len(dd.EPRefs))
+	sigs := dd.Signals()
+	if len(sigs) != len(order) {
+		t.Fatalf("%d signals, want %d", len(sigs), len(order))
+	}
+	for si, s := range sigs {
+		if s.Name != order[si] {
+			t.Fatalf("signal %d is %s, want %s", si, s.Name, order[si])
+		}
+		for k, i := range s.EPs {
+			if dd.EPSignals[i] != s.Name || dd.EPIsPO[i] || covered[i] || (k > 0 && i <= s.EPs[k-1]) {
+				t.Fatalf("signal %s: endpoint %d (%s) misplaced", s.Name, i, dd.EPRefs[i])
+			}
+			covered[i] = true
+		}
+	}
+	for i, c := range covered {
+		if c == dd.EPIsPO[i] {
+			t.Fatalf("endpoint %s (PO %v) covered %v", dd.EPRefs[i], dd.EPIsPO[i], c)
 		}
 	}
 }

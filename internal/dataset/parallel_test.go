@@ -44,16 +44,19 @@ func TestBuildDeterministicAcrossJobs(t *testing.T) {
 			math.Float64bits(a.LabelTNS) != math.Float64bits(b.LabelTNS) {
 			t.Fatalf("%s: labels differ", name)
 		}
+		sameF64s(t, name+" EPLabels", a.EPLabels, b.EPLabels)
+		for i := range a.EPRefs {
+			if a.EPRefs[i] != b.EPRefs[i] {
+				t.Fatalf("%s: EPRefs[%d] %q != %q", name, i, a.EPRefs[i], b.EPRefs[i])
+			}
+		}
 		if len(a.Reps) != len(b.Reps) {
 			t.Fatalf("%s: rep count %d != %d", name, len(a.Reps), len(b.Reps))
 		}
 		for v, ra := range a.Reps {
 			rb := b.Reps[v]
 			what := name + "/" + v.String()
-			sameF64s(t, what+" EPLabels", ra.EPLabels, rb.EPLabels)
 			sameF64s(t, what+" EPPseudo", ra.EPPseudo, rb.EPPseudo)
-			sameF64s(t, what+" Arrival", ra.STA.Arrival, rb.STA.Arrival)
-			sameF64s(t, what+" Slack", ra.STA.Slack, rb.STA.Slack)
 			if len(ra.X) != len(rb.X) {
 				t.Fatalf("%s: row count %d != %d", what, len(ra.X), len(rb.X))
 			}
@@ -72,11 +75,6 @@ func TestBuildDeterministicAcrossJobs(t *testing.T) {
 					if ga[i] != gb[i] {
 						t.Fatalf("%s: group %d row %d: %d != %d", what, gi, i, ga[i], gb[i])
 					}
-				}
-			}
-			for i := range ra.EPRefs {
-				if ra.EPRefs[i] != rb.EPRefs[i] {
-					t.Fatalf("%s: EPRefs[%d] %q != %q", what, i, ra.EPRefs[i], rb.EPRefs[i])
 				}
 			}
 		}

@@ -60,8 +60,10 @@ type elaborator struct {
 	// built memoizes build on composite expressions. Symbolic execution
 	// shares subtrees (a merge puts the old value under both arms), so
 	// without it a chain of statements builds in time exponential in its
-	// length.
+	// length. Only a subtree whose build made more than two nested build
+	// calls is entered: a cheaper one costs a constant to rebuild.
 	built    map[builtKey]NodeID
+	calls    int // build calls made so far
 	depth    int // build calls in progress, bounded by verilog.MaxNesting
 	drivers  map[string][]partDriver
 	regD     map[string]verilog.Expr
@@ -751,6 +753,7 @@ func (e *elaborator) build(x verilog.Expr, ctx int) (NodeID, error) {
 	if e.depth == verilog.MaxNesting {
 		return InvalidNode, fmt.Errorf("elab: expression nested deeper than %d levels", verilog.MaxNesting)
 	}
+	e.calls++
 	e.depth++
 	defer func() { e.depth-- }()
 	switch v := x.(type) {
@@ -773,11 +776,14 @@ func (e *elaborator) build(x verilog.Expr, ctx int) (NodeID, error) {
 	if n, ok := e.built[key]; ok {
 		return n, nil
 	}
+	calls := e.calls
 	n, err := e.buildOp(x, ctx)
 	if err != nil {
 		return InvalidNode, err
 	}
-	e.built[key] = n
+	if e.calls-calls > 2 {
+		e.built[key] = n
+	}
 	return n, nil
 }
 

@@ -81,8 +81,8 @@ func (s *Suite) Fig5a() (*Figure, error) {
 	f := &Figure{Title: "Fig 5(a): RTL pseudo-STA vs netlist arrival (b18_1)", Stats: map[string]float64{}}
 	for _, v := range bog.Variants() {
 		rep := dd.Reps[v]
-		f.Series = append(f.Series, Series{Name: v.String(), X: rep.EPLabels, Y: rep.EPPseudo})
-		f.Stats["R_"+v.String()] = metrics.Pearson(rep.EPLabels, rep.EPPseudo)
+		f.Series = append(f.Series, Series{Name: v.String(), X: dd.EPLabels, Y: rep.EPPseudo})
+		f.Stats["R_"+v.String()] = metrics.Pearson(dd.EPLabels, rep.EPPseudo)
 	}
 	return f, nil
 }
@@ -99,7 +99,7 @@ func (s *Suite) Fig5b() (*Figure, error) {
 		return nil, err
 	}
 	p := cv[di]
-	labels := dd.Reps[bog.SOG].EPLabels
+	labels := dd.EPLabels
 	f := &Figure{
 		Title:  "Fig 5(b): bit-wise ensemble prediction vs label (b18_1)",
 		Series: []Series{{Name: "En", X: labels, Y: p.BitAT}},

@@ -262,7 +262,7 @@ func (t *Table) CSV() string {
 // bitEval computes per-design bit-wise metrics of arbitrary per-endpoint
 // predictions (aligned with the design's SOG labeled endpoints).
 func bitEval(dd *dataset.DesignData, preds []float64) (r, mape, covr float64) {
-	labels := dd.Reps[bog.SOG].EPLabels
+	labels := dd.EPLabels
 	r = metrics.Pearson(labels, preds)
 	mape = metrics.MAPE(labels, preds)
 	covr = metrics.COVR(labels, preds)

@@ -34,25 +34,7 @@ type mlpBit struct {
 func (m *mlpBit) name() string { return m.label }
 
 func (m *mlpBit) train(train []*dataset.DesignData, s *Suite) {
-	var X [][]float64
-	var groups [][]int
-	var labels []float64
-	for _, dd := range train {
-		rep := dd.Reps[bog.SOG]
-		base := len(X)
-		X = append(X, rep.X...)
-		for gi, g := range rep.Groups {
-			rows := make([]int, 0, len(g))
-			for _, r := range g {
-				rows = append(rows, base+r)
-			}
-			if m.noSampling {
-				rows = rows[:1]
-			}
-			groups = append(groups, rows)
-			labels = append(labels, rep.EPLabels[gi])
-		}
-	}
+	X, groups, labels := dataset.PathGroups(train, bog.SOG, m.noSampling)
 	opts := mlp.DefaultOptions()
 	opts.Seed = s.Cfg.Seed + 11
 	if s.Cfg.Fast {
@@ -64,22 +46,7 @@ func (m *mlpBit) train(train []*dataset.DesignData, s *Suite) {
 
 func (m *mlpBit) predict(dd *dataset.DesignData) []float64 {
 	rep := dd.Reps[bog.SOG]
-	all := m.model.PredictAll(rep.X)
-	out := make([]float64, len(rep.Groups))
-	for gi, g := range rep.Groups {
-		rows := g
-		if m.noSampling {
-			rows = g[:1]
-		}
-		best := math.Inf(-1)
-		for _, r := range rows {
-			if all[r] > best {
-				best = all[r]
-			}
-		}
-		out[gi] = best
-	}
-	return out
+	return dataset.GroupMax(rep.Groups, m.model.PredictAll(rep.X), m.noSampling)
 }
 
 // ---- Transformer row (SOG, sequence features) ----
@@ -91,22 +58,12 @@ type transformerBit struct {
 func (t *transformerBit) name() string { return "Transformer" }
 
 func (t *transformerBit) train(train []*dataset.DesignData, s *Suite) {
-	var samples []transformer.Sample
-	var groups [][]int
-	var labels []float64
+	// Path rows are numbered group by group, so row i is sample i.
+	X, groups, labels := dataset.PathGroups(train, bog.SOG, false)
+	samples := make([]transformer.Sample, 0, len(X))
 	for _, dd := range train {
-		rep := dd.Reps[bog.SOG]
-		for gi, g := range rep.Groups {
-			var grp []int
-			for _, r := range g {
-				grp = append(grp, len(samples))
-				samples = append(samples, transformer.Sample{
-					Seq:    rep.Seqs[r],
-					Global: globalOf(rep.X[r]),
-				})
-			}
-			groups = append(groups, grp)
-			labels = append(labels, rep.EPLabels[gi])
+		for _, seq := range dd.Reps[bog.SOG].Seqs {
+			samples = append(samples, transformer.Sample{Seq: seq, Global: globalOf(X[len(samples)])})
 		}
 	}
 	opts := transformer.DefaultOptions()
@@ -123,18 +80,11 @@ func globalOf(v []float64) []float64 { return v[:7] }
 
 func (t *transformerBit) predict(dd *dataset.DesignData) []float64 {
 	rep := dd.Reps[bog.SOG]
-	out := make([]float64, len(rep.Groups))
-	for gi, g := range rep.Groups {
-		best := math.Inf(-1)
-		for _, r := range g {
-			p := t.model.Predict(&transformer.Sample{Seq: rep.Seqs[r], Global: globalOf(rep.X[r])})
-			if p > best {
-				best = p
-			}
-		}
-		out[gi] = best
+	pred := make([]float64, len(rep.X))
+	for r, x := range rep.X {
+		pred[r] = t.model.Predict(&transformer.Sample{Seq: rep.Seqs[r], Global: globalOf(x)})
 	}
-	return out
+	return dataset.GroupMax(rep.Groups, pred, false)
 }
 
 // ---- GNN baseline row ----
@@ -164,9 +114,9 @@ func gnnData(dd *dataset.DesignData) *gnn.GraphData {
 		}
 		gd.Fanins = append(gd.Fanins, es)
 	}
-	for i, ep := range rep.EPIndex {
+	for i, ep := range dd.EPIndex {
 		gd.EPRows = append(gd.EPRows, int(gr.Endpoints[ep].D))
-		gd.Labels = append(gd.Labels, rep.EPLabels[i])
+		gd.Labels = append(gd.Labels, dd.EPLabels[i])
 	}
 	return gd
 }
@@ -299,40 +249,23 @@ func (s *Suite) Table4FineGrained() (*Table, error) {
 // directly (the paper's "removing bit-wise prediction" ablation).
 func signalDirectFeatures(dd *dataset.DesignData) (X [][]float64, y []float64) {
 	rep := dd.Reps[bog.SOG]
-	type agg struct {
-		vec   []float64
-		label float64
-		bits  float64
-	}
-	sigs := map[string]*agg{}
-	var order []string
-	for i, sig := range rep.EPSignals {
-		if rep.EPIsPO[i] {
-			continue
-		}
-		first := rep.Groups[i][0] // slowest path row
-		v := rep.X[first]
-		a, ok := sigs[sig]
-		if !ok {
-			a = &agg{vec: append([]float64(nil), v...), label: rep.EPLabels[i]}
-			sigs[sig] = a
-			order = append(order, sig)
-		} else {
-			for fi := range a.vec {
-				if v[fi] > a.vec[fi] {
-					a.vec[fi] = v[fi] // elementwise max over bits
+	slowest := func(i int) []float64 { return rep.X[rep.Groups[i][0]] }
+	for _, sig := range dd.Signals() {
+		vec := append([]float64(nil), slowest(sig.EPs[0])...)
+		label := dd.EPLabels[sig.EPs[0]]
+		for _, i := range sig.EPs[1:] {
+			v := slowest(i)
+			for fi := range vec {
+				if v[fi] > vec[fi] {
+					vec[fi] = v[fi] // elementwise max over bits
 				}
 			}
-			if rep.EPLabels[i] > a.label {
-				a.label = rep.EPLabels[i]
+			if dd.EPLabels[i] > label {
+				label = dd.EPLabels[i]
 			}
 		}
-		a.bits++
-	}
-	for _, sig := range order {
-		a := sigs[sig]
-		X = append(X, append(a.vec, math.Log1p(a.bits)))
-		y = append(y, a.label)
+		X = append(X, append(vec, math.Log1p(float64(len(sig.EPs)))))
+		y = append(y, label)
 	}
 	return X, y
 }
@@ -345,11 +278,7 @@ func trainNoBitwise(train []*dataset.DesignData, s *Suite) (*tree.Regressor, *lt
 		dx, dy := signalDirectFeatures(dd)
 		X = append(X, dx...)
 		y = append(y, dy...)
-		q := ltr.Query{X: dx}
-		for _, g := range metrics.GroupOf(dy) {
-			q.Rel = append(q.Rel, metrics.NumGroups-1-g)
-		}
-		queries = append(queries, q)
+		queries = append(queries, core.RankQuery(dx, dy))
 	}
 	topts := tree.DefaultOptions()
 	if s.Cfg.Fast {
@@ -449,29 +378,9 @@ func baselineRow(dd *dataset.DesignData, kind string) []float64 {
 	case "SNS-style": // architecture-level proxies only
 		return dv
 	case "ICCAD22-style": // AST-ish: cells + endpoint count
-		return append(append([]float64(nil), dv...), math.Log1p(float64(len(rep.EPRefs))))
+		return append(append([]float64(nil), dv...), math.Log1p(float64(len(dd.EPRefs))))
 	default: // MasterRTL-style: SOG pseudo timing + design features
-		rawW, rawT := pseudoWNSTNS(dd)
+		rawW, rawT := core.SlackSummary(dd.Period, rep.EPPseudo)
 		return append([]float64{rawW, rawT}, dv...)
 	}
-}
-
-// pseudoWNSTNS computes the raw pseudo-STA WNS/TNS of a design on its SOG.
-func pseudoWNSTNS(dd *dataset.DesignData) (float64, float64) {
-	rep := dd.Reps[bog.SOG]
-	wns := math.Inf(1)
-	tns := 0.0
-	for _, at := range rep.EPPseudo {
-		slack := dd.Period - at - core.Setup
-		if slack < wns {
-			wns = slack
-		}
-		if slack < 0 {
-			tns += slack
-		}
-	}
-	if len(rep.EPPseudo) == 0 {
-		wns = 0
-	}
-	return wns, tns
 }

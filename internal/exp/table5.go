@@ -28,8 +28,7 @@ func (s *Suite) scoreReps(reps []bog.Variant) (repScores, error) {
 	for _, f := range s.folds(data, s.Cfg.Folds) {
 		for _, d := range f.test {
 			p := cv[d]
-			labels := data[d].Reps[reps[0]].EPLabels
-			a.bitR = append(a.bitR, metrics.Pearson(labels, p.BitAT))
+			a.bitR = append(a.bitR, metrics.Pearson(data[d].EPLabels, p.BitAT))
 			sl, sp, ranks := core.SignalLabelVectors(data[d], p)
 			a.sigR = append(a.sigR, metrics.Pearson(sl, sp))
 			a.covr = append(a.covr, metrics.COVR(sl, ranks))

@@ -27,7 +27,7 @@ func (s *Suite) Table2() (*Table, error) {
 		rep := dd.Reps[bog.SOG]
 		for gi, g := range rep.Groups {
 			rows2 = append(rows2, rep.X[g[0]])
-			y = append(y, rep.EPLabels[gi])
+			y = append(y, dd.EPLabels[gi])
 		}
 	}
 	names := features.FeatureNames()
@@ -98,7 +98,7 @@ func (s *Suite) Table3() (*Table, error) {
 		}
 		f.n++
 		gates := dd.Synth.Netlist.CombGates() + dd.Synth.Netlist.SeqGates()
-		eps := len(dd.Reps[bog.SOG].EPRefs)
+		eps := len(dd.EPRefs)
 		if gates < f.minGates {
 			f.minGates = gates
 		}

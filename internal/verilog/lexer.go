@@ -200,20 +200,3 @@ func (l *Lexer) Next() (Token, error) {
 	l.advance()
 	return tok, l.errf("unexpected character %q", string(c))
 }
-
-// Tokenize lexes the whole input, returning all tokens up to and including
-// the EOF token.
-func Tokenize(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var toks []Token
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == TokEOF {
-			return toks, nil
-		}
-	}
-}

@@ -5,10 +5,13 @@ import (
 )
 
 // Parser is a recursive-descent parser for the supported Verilog subset.
+// It is LL(1): it holds the current token and pulls the next from the
+// lexer, so its memory grows with the source's nesting, not its length.
 type Parser struct {
-	toks  []Token
-	pos   int
-	depth int // nesting levels entered, bounded by MaxNesting
+	lx     *Lexer
+	tok    Token
+	lexErr error // the first lexical error; the token stream ends there
+	depth  int   // nesting levels entered, bounded by MaxNesting
 }
 
 // MaxNesting bounds how deeply a source may nest statements and
@@ -29,20 +32,25 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("verilog: parse error at %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-// Parse lexes and parses a complete source file.
+// Parse lexes and parses a complete source file. A lexical error ends the
+// token stream where it occurs, and is returned in place of any parse
+// error that follows it.
 func Parse(src string) (*Source, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := &Parser{lx: NewLexer(src)}
+	p.advance()
 	out := &Source{}
 	for p.cur().Kind != TokEOF {
 		m, err := p.parseModule()
 		if err != nil {
+			if p.lexErr != nil {
+				return nil, p.lexErr
+			}
 			return nil, err
 		}
 		out.Modules = append(out.Modules, m)
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
 	}
 	if len(out.Modules) == 0 {
 		return nil, fmt.Errorf("verilog: no modules found")
@@ -50,14 +58,28 @@ func Parse(src string) (*Source, error) {
 	return out, nil
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// advance pulls the next token from the lexer. After a lexical error the
+// current token stays an EOF.
+func (p *Parser) advance() {
+	if p.lexErr != nil {
+		return
+	}
+	t, err := p.lx.Next()
+	if err != nil {
+		p.lexErr = err
+		t = Token{Kind: TokEOF}
+	}
+	p.tok = t
+}
+
+func (p *Parser) cur() Token  { return p.tok }
+func (p *Parser) next() Token { t := p.tok; p.advance(); return t }
 
 func (p *Parser) peekKind(k TokenKind) bool { return p.cur().Kind == k }
 
 func (p *Parser) accept(k TokenKind) bool {
 	if p.cur().Kind == k {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false

@@ -1,7 +1,9 @@
 package verilog
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -42,8 +44,25 @@ module alu (
 endmodule
 `
 
+// tokenize lexes the whole input, returning all tokens up to and including
+// the EOF token.
+func tokenize(src string) ([]Token, error) {
+	lx := NewLexer(src)
+	var toks []Token
+	for {
+		t, err := lx.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestTokenizeBasics(t *testing.T) {
-	toks, err := Tokenize("module m; endmodule")
+	toks, err := tokenize("module m; endmodule")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +84,7 @@ func TestTokenizeOperators(t *testing.T) {
 		"~^": TokXnor, "^~": TokXnor, "===": TokCaseEq,
 	}
 	for src, want := range cases {
-		toks, err := Tokenize(src)
+		toks, err := tokenize(src)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
@@ -76,7 +95,7 @@ func TestTokenizeOperators(t *testing.T) {
 }
 
 func TestTokenizeComments(t *testing.T) {
-	toks, err := Tokenize("a // line\n /* block\n comment */ b `define X 1\n c")
+	toks, err := tokenize("a // line\n /* block\n comment */ b `define X 1\n c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +112,8 @@ func TestTokenizeComments(t *testing.T) {
 
 func TestTokenizeErrors(t *testing.T) {
 	for _, src := range []string{"/* unterminated", "\"unterminated", "$"} {
-		if _, err := Tokenize(src); err == nil {
-			t.Errorf("Tokenize(%q): expected error", src)
+		if _, err := tokenize(src); err == nil {
+			t.Errorf("tokenize(%q): expected error", src)
 		}
 	}
 }
@@ -309,6 +328,28 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseReportsTheFirstError: the parser pulls tokens as it goes, so
+// a lexical error ends the stream where the parser reaches it and is
+// reported in place of the parse error that follows, while a parse error
+// before it is reported as it is.
+func TestParseReportsTheFirstError(t *testing.T) {
+	for _, c := range []struct {
+		src string
+		lex bool
+	}{
+		{"module m; endmodule $", true},
+		{"module m; wire $ ; endmodule", true},
+		{"module m; wire ; endmodule $", false},
+	} {
+		_, err := Parse(c.src)
+		var le *LexError
+		var pe *ParseError
+		if c.lex && !errors.As(err, &le) || !c.lex && !errors.As(err, &pe) {
+			t.Errorf("Parse(%q) = %v, want a lexical error %v", c.src, err, c.lex)
+		}
+	}
+}
+
 func TestExprStringRoundTrip(t *testing.T) {
 	// Every expression we can parse should re-parse from its String() form
 	// to an identical string (printer fixed point).
@@ -352,17 +393,22 @@ func TestQuickNumbersRoundTrip(t *testing.T) {
 	}
 }
 
+// nestedParens is a module assigning 1 inside n nested parentheses.
+func nestedParens(n int) string {
+	return "module m(output y); assign y = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; endmodule"
+}
+
 // TestParseDeepNestingIsAnError: a stack overflow is fatal in Go, so a
 // source nested past MaxNesting must come back as a parse error naming
 // the bound. Without the bound the parser dies near 50,000 nested
-// parentheses under the test's 32 MB stack, so the first case nests
-// twice that; the others nest each kind of level the parser counts just
-// past the bound.
+// parentheses under the test's 32 MB stack, so the first case nests a
+// million deep; the others nest each kind of level the parser counts
+// just past the bound.
 func TestParseDeepNestingIsAnError(t *testing.T) {
 	defer debug.SetMaxStack(debug.SetMaxStack(32 << 20))
 	const n = MaxNesting + 1
 	cases := map[string]string{
-		"parentheses": "module m(output y); assign y = " + strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000) + "; endmodule",
+		"parentheses": nestedParens(1000000),
 		"unary":       "module m(input a, output y); assign y = " + strings.Repeat("~", n) + "a; endmodule",
 		"ternary":     "module m(input a, output y); assign y = " + strings.Repeat("a ? a : ", n) + "a; endmodule",
 		"statements":  "module m(input a, output reg y); always @(*) " + strings.Repeat("if (a) ", n) + "y = a; endmodule",
@@ -374,8 +420,25 @@ func TestParseDeepNestingIsAnError(t *testing.T) {
 		}
 	}
 	// The bound itself parses.
-	src := "module m(output y); assign y = " + strings.Repeat("(", MaxNesting-1) + "1" + strings.Repeat(")", MaxNesting-1) + "; endmodule"
-	if _, err := Parse(src); err != nil {
+	if _, err := Parse(nestedParens(MaxNesting - 1)); err != nil {
 		t.Errorf("%d nested parentheses: %v", MaxNesting-1, err)
+	}
+}
+
+// TestParseMemoryBoundedByNesting: the parser holds one token at a time,
+// so refusing a 2 MB source of a million nested parentheses allocates
+// next to nothing, where lexing the whole source first would hold a
+// 40-byte token per character.
+func TestParseMemoryBoundedByNesting(t *testing.T) {
+	src := nestedParens(1000000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Parse(src)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxNesting)) {
+		t.Fatalf("got %v, want an error naming the bound %d", err, MaxNesting)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 1 {
+		t.Errorf("refusing %d nested parentheses allocated %.1f MB, want under 1 MB", 1000000, mb)
 	}
 }

@@ -172,8 +172,7 @@ func (r *Result) Annotate(src string) (string, error) {
 // substrate's ground truth for this design: bit-level and signal-level
 // Pearson R and the ranking coverage COVR.
 func (r *Result) Accuracy() (bitR, signalR, covr float64) {
-	labels, preds := core.BitLabelVectors(r.data, r.pred, bog.SOG)
-	bitR = metrics.Pearson(labels, preds)
+	bitR = metrics.Pearson(r.data.EPLabels, r.pred.BitAT)
 	sl, sp, ranks := core.SignalLabelVectors(r.data, r.pred)
 	signalR = metrics.Pearson(sl, sp)
 	covr = metrics.COVR(sl, ranks)
