@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -34,7 +35,6 @@ import (
 	"rtltimer/internal/exp"
 	"rtltimer/internal/features"
 	"rtltimer/internal/liberty"
-	"rtltimer/internal/part"
 	"rtltimer/internal/service"
 	"rtltimer/internal/sta"
 	"rtltimer/internal/verilog"
@@ -315,7 +315,7 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
-// ---- STA and engine benchmarks (reference vs analyzer vs sharded) ----
+// ---- STA and engine benchmarks (reference vs analyzer) ----
 
 var (
 	staGraphOnce sync.Once
@@ -377,77 +377,6 @@ func BenchmarkSTALevelized(b *testing.B) {
 		}
 	}
 }
-
-// benchShards is the shard count of the sharded-STA benchmarks.
-const benchShards = 8
-
-// BenchmarkMonolithicSTA is the sharding baseline: one serial forward
-// max-plus pass over the whole Rocket3 graph.
-func BenchmarkMonolithicSTA(b *testing.B) {
-	g := largestSeedGraph(b)
-	a := sta.NewAnalyzer(g, liberty.DefaultPseudoLib())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arr := a.Arrivals(1)
-		if arr[len(arr)-1] > 1e9 {
-			b.Fatal("bogus arrival")
-		}
-	}
-}
-
-// benchShardedSTA runs the sharded forward pass under one partitioning
-// policy — every shard's serial pass, then Stitch — reporting the
-// partition's replication factor and shape next to the timing so the
-// packer trade-off is visible in the bench trajectory.
-func benchShardedSTA(b *testing.B, newPart func(*bog.Graph, int) (*part.Partition, error)) {
-	g := largestSeedGraph(b)
-	a := sta.NewAnalyzer(g, liberty.DefaultPseudoLib())
-	p, err := newPart(g, benchShards)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sa, err := sta.NewShardedAnalyzer(a, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	locals := make([][]float64, p.K)
-	for i := 0; i < b.N; i++ {
-		for s := range locals {
-			locals[s] = sa.ShardArrivals(s)
-		}
-		arr, err := sa.Stitch(locals)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if arr[len(arr)-1] > 1e9 {
-			b.Fatal("bogus arrival")
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(p.Replication(), "replication_x")
-	b.ReportMetric(float64(p.MaxShardNodes()), "max_shard_nodes")
-	b.ReportMetric(float64(len(g.Nodes)), "graph_nodes")
-}
-
-// BenchmarkShardedSTA is the same forward pass over 8 register-bounded
-// shards, run one after another on one goroutine and stitched into a
-// vector bit-identical to the monolithic pass; its cost over
-// BenchmarkMonolithicSTA is the replication plus the stitch. Uses the
-// default portfolio partitioner (part.New).
-func BenchmarkShardedSTA(b *testing.B) { benchShardedSTA(b, part.New) }
-
-// BenchmarkShardedSTAOverlapAware pins the overlap-aware packer alone
-// (the PR 6 fix); compare its replication_x against the retained greedy
-// baseline below — on Rocket3 the overlap packer replicates ~1.01x where
-// the greedy packer replicated ~2.95x.
-func BenchmarkShardedSTAOverlapAware(b *testing.B) { benchShardedSTA(b, part.NewOverlap) }
-
-// BenchmarkShardedSTAGreedy is the retained PR 5 greedy packer — the
-// replication baseline the overlap-aware numbers are measured against.
-func BenchmarkShardedSTAGreedy(b *testing.B) { benchShardedSTA(b, part.NewGreedy) }
 
 // sweepPeriods is the clock-period grid of BenchmarkSweepEngine (a
 // typical WNS-vs-clock workload).
@@ -822,9 +751,10 @@ func BenchmarkDecodeEntry(b *testing.B) {
 	}
 }
 
-// glitchStore fails every other Get with a transient error — the
-// worst-case "every entry read glitches once" pattern. Under RetryStore
-// every read then pays exactly one backoff slot before healing.
+// glitchStore fails every other Get with EIO, which engine.TransientErr
+// classifies as transient — the worst-case "every entry read glitches
+// once" pattern. Under RetryStore every read then pays exactly one
+// backoff slot before healing.
 type glitchStore struct {
 	engine.Store
 	calls int
@@ -833,7 +763,7 @@ type glitchStore struct {
 func (s *glitchStore) Get(name string) ([]byte, error) {
 	s.calls++
 	if s.calls%2 == 1 {
-		return nil, &engine.InjectedFault{Op: "get", Ordinal: s.calls - 1, IsTransient: true}
+		return nil, syscall.EIO
 	}
 	return s.Store.Get(name)
 }

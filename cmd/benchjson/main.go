@@ -10,12 +10,11 @@
 //
 // Lines that are not benchmark result lines are ignored, so the raw
 // `go test` stream can be piped in unfiltered. Custom b.ReportMetric
-// units (replication_x, max_shard_nodes, ...) are carried through as
-// extra keys when present. A benchmark repeated with -count N records the
-// median of each value over its N lines (the mean of the middle two when
-// N is even), plus the fastest and slowest ns/op as ns_min and ns_max so
-// the spread behind the median is on record; a single line is recorded
-// as it is.
+// units (bitR, WNS_R, ...) are carried through as extra keys when
+// present. A benchmark repeated with -count N records the median of each
+// value over its N lines (the mean of the middle two when N is even),
+// plus the fastest and slowest ns/op as ns_min and ns_max so the spread
+// behind the median is on record; a single line is recorded as it is.
 package main
 
 import (

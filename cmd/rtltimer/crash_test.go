@@ -94,6 +94,20 @@ func corpusResults(t *testing.T, eng *engine.Engine, spec designs.Spec, src stri
 	return out
 }
 
+// backdateTemps ages every leftover ".rep-*" temp file in dir by a day,
+// past the hour a scrub waits before reclaiming one, so the scrub treats
+// a known-dead process's leftovers as stale.
+func backdateTemps(t *testing.T, dir string) {
+	t.Helper()
+	temps, _ := filepath.Glob(filepath.Join(dir, ".rep-*"))
+	old := time.Now().Add(-24 * time.Hour)
+	for _, p := range temps {
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // requireSameResults fails the test unless got carries the same
 // WNS/TNS/slack bits as the undisturbed reference for every variant.
 func requireSameResults(t *testing.T, design string, ref, got map[bog.Variant][]uint64) {
@@ -155,10 +169,11 @@ func TestCrashRecoveryMidBuild(t *testing.T) {
 	}
 
 	// Recovery step 1: scrub. Every stale temp the corpse left is
-	// reclaimed — TempAge 1ns treats any leftover as stale — and every
+	// reclaimed — back-dating marks each leftover stale — and every
 	// published entry must validate: a SIGKILL can never leave a torn
 	// entry visible, because publishes are temp+rename.
-	report, err := engine.ScrubCache(dir, engine.ScrubOptions{TempAge: time.Nanosecond})
+	backdateTemps(t, dir)
+	report, err := engine.ScrubCache(dir, engine.ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +302,8 @@ func TestTwoProcessesShareOneCacheDir(t *testing.T) {
 
 	// The shared directory now holds the whole corpus, every entry valid.
 	total := int64(len(raceCorpus()) * len(bog.Variants()))
-	report, err := engine.ScrubCache(dir, engine.ScrubOptions{TempAge: time.Nanosecond})
+	backdateTemps(t, dir)
+	report, err := engine.ScrubCache(dir, engine.ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

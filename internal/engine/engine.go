@@ -504,14 +504,13 @@ func (e *Engine) SetCacheDir(dir string) {
 		return
 	}
 	e.store = NewRetryStore(NewDirStore(dir))
-	cleanStaleTemps(dir, 0)
+	cleanStaleTemps(dir)
 }
 
 // SetCacheStore points the disk tier at an explicit Store composition —
-// a DirStore with fsync, a FaultStore-wrapped stack under test, or a
-// future remote tier — instead of the default RetryStore-over-DirStore
-// that SetCacheDir builds. nil disables the tier. Call before the engine
-// is shared between goroutines.
+// a DirStore with fsync, or a fault-injecting stack under test — instead
+// of the default RetryStore-over-DirStore that SetCacheDir builds. nil
+// disables the tier. Call before the engine is shared between goroutines.
 func (e *Engine) SetCacheStore(s Store) {
 	e.store = s
 	if s == nil {

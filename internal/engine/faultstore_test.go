@@ -3,11 +3,8 @@
 // drive every failure point of the cache fabric on purpose — torn writes,
 // read EIO, rename failures, bit flips in flight and at rest, injected
 // latency — and prove the engine never panics, never serves a
-// non-bit-identical result, and always degrades to a rebuild.
-//
-// It lives in a non-test file so external packages (CLI harnesses,
-// future daemon load tests) can compose it too, but it has no role in
-// production paths: nothing in the engine constructs one.
+// non-bit-identical result, and always degrades to a rebuild. It is
+// test code: nothing in the engine constructs one.
 package engine
 
 import (

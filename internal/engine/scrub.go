@@ -39,11 +39,8 @@ const staleTempAge = time.Hour
 // cleanStaleTemps removes orphaned ".rep-*" temp files left behind by
 // processes killed between CreateTemp and Rename, so a long-lived shared
 // cache directory does not accumulate dead files. Entirely best-effort;
-// returns how many it reclaimed. age <= 0 selects staleTempAge.
-func cleanStaleTemps(dir string, age time.Duration) int {
-	if age <= 0 {
-		age = staleTempAge
-	}
+// returns how many it reclaimed.
+func cleanStaleTemps(dir string) int {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return 0
@@ -53,7 +50,7 @@ func cleanStaleTemps(dir string, age time.Duration) int {
 		if !strings.HasPrefix(ent.Name(), ".rep-") {
 			continue
 		}
-		if info, err := ent.Info(); err == nil && time.Since(info.ModTime()) > age {
+		if info, err := ent.Info(); err == nil && time.Since(info.ModTime()) > staleTempAge {
 			if os.Remove(filepath.Join(dir, ent.Name())) == nil {
 				n++
 			}
@@ -75,10 +72,6 @@ type ScrubOptions struct {
 	// budget — quarantine is an inspection area, emptied by deleting the
 	// directory.
 	Budget int64
-	// TempAge overrides how old temp files must be to be reclaimed (0 =
-	// the default staleTempAge). Crash-recovery harnesses pass a tiny age
-	// to reclaim a known-dead process's leftovers immediately.
-	TempAge time.Duration
 }
 
 // ScrubReport is what one ScrubCache pass found and did.
@@ -112,7 +105,7 @@ func ScrubCache(dir string, opts ScrubOptions) (*ScrubReport, error) {
 		return nil, err
 	}
 	rep := &ScrubReport{}
-	rep.TempsReclaimed = cleanStaleTemps(dir, opts.TempAge)
+	rep.TempsReclaimed = cleanStaleTemps(dir)
 
 	// Validation uses the default library only as a binding target for
 	// the analyzer/extractor state; every check (checksum, magic, version,

@@ -4,7 +4,7 @@
 // cache fabric is explicit and injectable instead of being whatever the
 // filesystem happens to do.
 //
-// Three layered implementations exist:
+// Two layered implementations exist:
 //
 //   - DirStore: a directory of entries with atomic temp+rename writes
 //     (optionally fsync'ing the entry and its directory before/after the
@@ -13,9 +13,11 @@
 //   - RetryStore: deterministic bounded retry with a fixed backoff
 //     schedule for transient I/O errors (EIO, EINTR, EAGAIN, ...) — no
 //     entropy, no jitter, so retried runs stay reproducible and the
-//     nondeterm lint analyzer stays clean;
-//   - FaultStore (faultstore.go): a test-only deterministic fault
-//     injector that the torture suite drives through every failure point.
+//     nondeterm lint analyzer stays clean.
+//
+// The torture suite adds a third in its test files: FaultStore
+// (faultstore_test.go), a deterministic fault injector it drives through
+// every failure point.
 //
 // SetCacheDir wraps DirStore in RetryStore; SetCacheStore accepts any
 // composition (including future remote/object-store tiers behind the same

@@ -44,7 +44,8 @@ type Config struct {
 	// selects DefaultPeriod's 5%-overconstrained target in OptimizeRep
 	// (Optimize itself requires an explicit positive period).
 	Period float64
-	// MaxPasses bounds full passes over the critical endpoints (0 = 4).
+	// MaxPasses bounds full passes over the critical endpoints (0 = 4;
+	// Optimize refuses a negative count).
 	MaxPasses int
 }
 
@@ -52,7 +53,7 @@ type Config struct {
 const maxEndpoints = 16
 
 func (c *Config) fill() {
-	if c.MaxPasses <= 0 {
+	if c.MaxPasses == 0 {
 		c.MaxPasses = 4
 	}
 }
@@ -81,6 +82,9 @@ func Optimize(inc *sta.Incremental, cfg Config) (*Report, error) {
 	cfg.fill()
 	if cfg.Period <= 0 || math.IsNaN(cfg.Period) || math.IsInf(cfg.Period, 0) {
 		return nil, fmt.Errorf("opt: period must be a finite positive clock period, got %v", cfg.Period)
+	}
+	if cfg.MaxPasses < 0 {
+		return nil, fmt.Errorf("opt: pass count must not be negative, got %d", cfg.MaxPasses)
 	}
 	g := inc.G
 	start := inc.At(cfg.Period)

@@ -121,13 +121,17 @@ func TestOptimizeFindsRebalance(t *testing.T) {
 }
 
 // TestOptimizeRejectsBadPeriod: Optimize requires an explicit positive
-// finite period.
+// finite period, and refuses a negative pass count instead of running the
+// default four passes.
 func TestOptimizeRejectsBadPeriod(t *testing.T) {
 	g := bog.NewGraph("empty", bog.AIG)
 	inc := sta.NewIncremental(g, liberty.DefaultPseudoLib())
-	for _, p := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, err := Optimize(inc, Config{Period: p}); err == nil {
-			t.Fatalf("period %v accepted", p)
+	for _, cfg := range []Config{
+		{Period: 0}, {Period: -1}, {Period: math.NaN()}, {Period: math.Inf(1)},
+		{Period: 1, MaxPasses: -1},
+	} {
+		if _, err := Optimize(inc, cfg); err == nil {
+			t.Fatalf("config %+v accepted", cfg)
 		}
 	}
 }

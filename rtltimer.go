@@ -261,7 +261,8 @@ type RewriteOptions struct {
 	// is 5%-overconstrained against its own critical path, so the search
 	// always starts with violations to fix).
 	PeriodNS float64
-	// Passes bounds the greedy passes over the critical endpoints (0 = 4).
+	// Passes bounds the greedy passes over the critical endpoints (0 = 4;
+	// a negative count is an error).
 	Passes int
 	// Jobs bounds the evaluation engine's concurrency (0 = GOMAXPROCS).
 	Jobs int
