@@ -892,7 +892,7 @@ func BenchmarkFullReanalyze(b *testing.B) {
 		if i%2 == 1 {
 			to = orig
 		}
-		if err := g.SetFanin(n, 0, to); err != nil {
+		if _, err := g.Apply(bog.Delta{bog.SetFaninEdit(n, 0, to)}); err != nil {
 			b.Fatal(err)
 		}
 		an := sta.NewAnalyzer(g, lib)

@@ -4,7 +4,8 @@ package main
 // torture suite (internal/engine/torture_test.go), these re-exec the test
 // binary so a build can be killed with SIGKILL mid-write and two genuinely
 // separate processes can race one cache directory. TestMain dispatches the
-// child roles via environment variables.
+// child roles via environment variables; the same re-exec runs main itself
+// for tests of what the command prints and how it exits.
 
 import (
 	"bytes"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,6 +28,7 @@ const (
 	crashChildEnv = "RTLTIMER_TEST_CRASH_BUILD_DIR"
 	raceChildEnv  = "RTLTIMER_TEST_RACE_BUILD_DIR"
 	raceOrderEnv  = "RTLTIMER_TEST_RACE_ORDER"
+	mainArgsEnv   = "RTLTIMER_TEST_MAIN_ARGS" // newline-separated arguments
 )
 
 func TestMain(m *testing.M) {
@@ -35,6 +38,11 @@ func TestMain(m *testing.M) {
 	}
 	if dir := os.Getenv(raceChildEnv); dir != "" {
 		raceChildBuild(dir, os.Getenv(raceOrderEnv) == "reverse")
+		return
+	}
+	if args := os.Getenv(mainArgsEnv); args != "" {
+		os.Args = append([]string{"rtltimer"}, strings.Split(args, "\n")...)
+		main()
 		return
 	}
 	os.Exit(m.Run())

@@ -103,6 +103,9 @@ func main() {
 	if err := engine.ValidateConcurrency(*jobs); err != nil {
 		log.Fatal(err)
 	}
+	if *optPasses < 0 {
+		log.Fatalf("-opt-passes must not be negative, got %d", *optPasses)
+	}
 	if err := dataset.ValidatePeriod(*period); err != nil {
 		log.Fatalf("-period: %v", err)
 	}

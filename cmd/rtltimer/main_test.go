@@ -3,7 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -98,6 +103,42 @@ func TestFlagValidation(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("ValidateConcurrency(%d) = %v, want error containing %q", tc.jobs, err, tc.wantErr)
+		}
+	}
+}
+
+// TestOptPassesRefusedBeforeWork runs the command in a child process
+// with a negative -opt-passes, on a benchmark and on a module without
+// timing endpoints (whose optimizer run would never reach opt.Optimize):
+// both must exit 1 with an error naming the flag, print nothing on stdout,
+// and refuse before the engine is built, so the -cache-dir they name is
+// never created.
+func TestOptPassesRefusedBeforeWork(t *testing.T) {
+	dir := t.TempDir()
+	noEndpoints := filepath.Join(dir, "noep.v")
+	if err := os.WriteFile(noEndpoints, []byte("module noep(input a, input b);\n  wire c = a & b;\nendmodule\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, design := range [][]string{{"-bench", "syscdes"}, {"-in", noEndpoints}} {
+		cache := filepath.Join(dir, fmt.Sprintf("cache%d", i))
+		args := append(design, "-optimize", "-opt-passes", "-1", "-cache-dir", cache)
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, "\n"))
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: exited with %v, want status 1; stderr:\n%s", design, err, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed to stdout:\n%s", design, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "-opt-passes") {
+			t.Errorf("%v: error does not name the flag: %q", design, stderr.String())
+		}
+		if _, err := os.Stat(cache); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%v: -cache-dir exists after the refusal (%v): the run got past flag checking", design, err)
 		}
 	}
 }

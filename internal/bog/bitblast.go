@@ -11,9 +11,8 @@ import (
 // Build bit-blasts the word-level design into a BOG of the requested
 // variant. The variant's operator alphabet is enforced during construction:
 // gate builders rewrite disallowed operators on the fly, so a single pass
-// produces any of SOG, AIG, AIMG or XAG. The returned graph carries no
-// structural-hash index. A design whose node bound exceeds what a NodeID
-// can address is refused before anything is allocated.
+// produces any of SOG, AIG, AIMG or XAG. A design whose node bound exceeds
+// what a NodeID can address is refused before anything is allocated.
 func Build(d *elab.Design, v Variant) (*Graph, error) {
 	bound := nodeBound(d, v)
 	if bound > math.MaxInt32 {
@@ -28,7 +27,7 @@ func Build(d *elab.Design, v Variant) (*Graph, error) {
 	}
 	nodes, slots := reservation(bound, hashed)
 	b := &blaster{
-		g:      newGraph(d.Name, v, nodes, slots),
+		g:      newBuilder(d.Name, v, nodes, slots),
 		d:      d,
 		bits:   make([][]NodeID, len(d.Nodes)),
 		done:   make([]bool, len(d.Nodes)),
@@ -78,14 +77,10 @@ func Build(d *elab.Design, v Variant) (*Graph, error) {
 	if err := b.g.Check(); err != nil {
 		return nil, err
 	}
-	// The index only serves construction. Dropping it keeps resident
-	// graphs at their node arrays; raw leaves every hashed structure
-	// exactly once, so a later rebuild yields the same dedup.
-	b.g.dropIndex()
 	// Copy the nodes out of the reservation, which the bound may exceed
 	// several times over, so a resident graph holds only what was built.
 	b.g.Nodes = slices.Clone(b.g.Nodes)
-	return b.g, nil
+	return b.g.Graph, nil
 }
 
 // maxReservedNodes caps what Build reserves from a bound: beyond 4M nodes
@@ -188,7 +183,7 @@ func nodeBound(d *elab.Design, v Variant) int {
 }
 
 type blaster struct {
-	g      *Graph
+	g      *Builder
 	d      *elab.Design
 	bits   [][]NodeID // per word node, LSB-first bit vector
 	done   []bool

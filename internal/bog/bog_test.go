@@ -262,8 +262,8 @@ func TestNodeBound(t *testing.T) {
 // appends at most one node.
 func TestGateBound(t *testing.T) {
 	const kinds = 8 // 0, 1, then x0, ~x0, x1, ~x1, x2, ~x2
-	fresh := func(v Variant, combo int) (*Graph, [3]NodeID) {
-		g := NewGraph("gates", v)
+	fresh := func(v Variant, combo int) (*Builder, [3]NodeID) {
+		g := NewBuilder("gates", v)
 		var x, ops [3]NodeID
 		for i := range x {
 			x[i] = g.NewInput(g.AddSigName(fmt.Sprintf("x%d", i)), 0)
@@ -396,7 +396,7 @@ endmodule`
 }
 
 func TestGraphSimplifications(t *testing.T) {
-	g := NewGraph("t", SOG)
+	g := NewBuilder("t", SOG)
 	a := g.NewInput(g.AddSigName("a"), 0)
 	bb := g.NewInput(g.AddSigName("b"), 0)
 	if g.AndOf(a, g.Zero()) != g.Zero() {

@@ -110,10 +110,7 @@ func MarshalGraph(g *Graph) []byte {
 
 // UnmarshalGraph decodes a graph produced by MarshalGraph, validating the
 // wire format and the structural invariants (topological fanin order,
-// variant alphabet, endpoint validity). The returned graph carries no
-// structural-hash index, like a built one; the first structural
-// construction rebuilds it, so further node construction behaves exactly
-// as on the graph that was encoded.
+// variant alphabet, endpoint validity).
 func UnmarshalGraph(data []byte) (*Graph, error) {
 	d := &decoder{buf: data}
 	var magic [4]byte
@@ -266,9 +263,6 @@ func UnmarshalGraph(data []byte) (*Graph, error) {
 	if err := g.Check(); err != nil {
 		return nil, err
 	}
-	// The structural-hash index is left nil: analysis-only consumers (the
-	// cache's warm path) never need it, and Graph.raw rebuilds it lazily on
-	// the first structural construction.
 	return g, nil
 }
 

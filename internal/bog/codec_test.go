@@ -14,7 +14,7 @@ import (
 // endpoint bookkeeping exactly like bit-blasting does.
 func randomGraph(v Variant, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := NewGraph(fmt.Sprintf("rand-%v-%d", v, seed), v)
+	g := NewBuilder(fmt.Sprintf("rand-%v-%d", v, seed), v)
 	var pool []NodeID
 	nIn := 2 + rng.Intn(6)
 	for i := 0; i < nIn; i++ {
@@ -67,7 +67,7 @@ func randomGraph(v Variant, seed int64) *Graph {
 		}
 	}
 	g.Inputs = append(g.Inputs, SignalRef{Signal: "in0", Bit: 0})
-	return g
+	return g.Graph
 }
 
 func graphsEqual(t *testing.T, a, b *Graph) {
@@ -113,32 +113,6 @@ func TestCodecRoundTrip(t *testing.T) {
 				t.Fatalf("%v seed %d: re-encode is not byte-identical", v, seed)
 			}
 		}
-	}
-}
-
-// TestCodecDecodedGraphIsFunctional verifies the rebuilt structural-hash
-// index: constructing an existing node on a decoded graph dedups to the
-// original id instead of appending a duplicate.
-func TestCodecDecodedGraphIsFunctional(t *testing.T) {
-	g := randomGraph(SOG, 7)
-	got, err := UnmarshalGraph(MarshalGraph(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b NodeID = -1, -1
-	for i := range got.Nodes {
-		if got.Nodes[i].Op == And {
-			a, b = got.Nodes[i].Fanin[0], got.Nodes[i].Fanin[1]
-			break
-		}
-	}
-	if a < 0 {
-		t.Skip("random graph has no AND node")
-	}
-	before := got.NumNodes()
-	got.AndOf(a, b)
-	if got.NumNodes() != before {
-		t.Fatal("decoded graph did not dedup an existing AND node")
 	}
 }
 
@@ -238,7 +212,7 @@ func FuzzGraphDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("BOGC"))
-	f.Add(MarshalGraph(NewGraph("tiny", SOG)))
+	f.Add(MarshalGraph(NewBuilder("tiny", SOG).Graph))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := UnmarshalGraph(data)
 		if err != nil {

@@ -124,13 +124,9 @@ type Endpoint struct {
 	IsPO bool
 }
 
-// Graph is a bit-level Boolean operator graph.
-//
-// Only a graph under construction carries a structural-hash index, which
-// the gate constructors use to dedup: Build drops it before returning,
-// every edit (SetFanin, SetOp, InsertNode) drops it, and Clone and
-// UnmarshalGraph never make one. The first structural construction on
-// such a graph rebuilds it from the node array.
+// Graph is a bit-level Boolean operator graph. A finished graph is plain
+// data: a Builder constructs it, and from then on it changes only through
+// a checked Delta (Apply, ApplyFunc).
 type Graph struct {
 	Design    string
 	Variant   Variant
@@ -141,11 +137,20 @@ type Graph struct {
 	// SigNames maps Node.Sig to flattened signal names (shared table for
 	// inputs and registers).
 	SigNames []string
+}
+
+// Builder constructs a graph through the gate constructors, which
+// simplify, rewrite operators the variant lacks, and dedup against a
+// structural-hash table. Only a Builder carries that table: when
+// construction ends the caller keeps the embedded Graph and drops the
+// Builder. Edit only the finished graph; Apply does not update the table.
+type Builder struct {
+	*Graph
 
 	// index is the structural-hash table: open addressing with linear
 	// probing over a power-of-two array of node id + 1, 0 marking an empty
-	// slot. A slot's key is its node's current structure, read from Nodes,
-	// so the table stores nothing else. indexed counts occupied slots.
+	// slot. A slot's key is its node's structure, read from Nodes, so the
+	// table stores nothing else. indexed counts occupied slots.
 	index   []int32
 	indexed int
 }
@@ -164,17 +169,17 @@ func indexSlots(n int) int {
 	return size
 }
 
-// NewGraph returns an empty graph of the given variant with the two
-// constant nodes pre-created (ids 0 and 1).
-func NewGraph(design string, v Variant) *Graph { return newGraph(design, v, 0, minIndexSlots) }
+// NewBuilder returns a builder for an empty graph of the given variant
+// with the two constant nodes pre-created (ids 0 and 1).
+func NewBuilder(design string, v Variant) *Builder { return newBuilder(design, v, 0, minIndexSlots) }
 
-// newGraph is NewGraph with room for nodes nodes and an empty
+// newBuilder is NewBuilder with room for nodes nodes and an empty
 // structural-hash table of slots slots.
-func newGraph(design string, v Variant, nodes, slots int) *Graph {
-	g := &Graph{Design: design, Variant: v, Nodes: make([]Node, 2, max(nodes, 2)), index: make([]int32, slots)}
+func newBuilder(design string, v Variant, nodes, slots int) *Builder {
+	g := &Graph{Design: design, Variant: v, Nodes: make([]Node, 2, max(nodes, 2))}
 	g.Nodes[0] = Node{Op: Const0, Fanin: [3]NodeID{Nil, Nil, Nil}}
 	g.Nodes[1] = Node{Op: Const1, Fanin: [3]NodeID{Nil, Nil, Nil}}
-	return g
+	return &Builder{Graph: g, index: make([]int32, slots)}
 }
 
 // Zero and One return the constant node ids.
@@ -216,7 +221,7 @@ func (g *Graph) AddSigName(name string) int32 {
 }
 
 // hashed reports whether nodes of op are entered in the structural-hash
-// index. Inputs and register outputs are identified by their signal bit
+// table. Inputs and register outputs are identified by their signal bit
 // and never dedup.
 func hashed(op Op) bool { return op != Input && op != RegQ }
 
@@ -234,7 +239,7 @@ func structHash(n *Node) uint64 {
 // findSlot probes for n's structure. It returns the slot holding a node
 // equal to n and that node's id, or the empty slot where n would be
 // entered and Nil.
-func (g *Graph) findSlot(n *Node) (int, NodeID) {
+func (g *Builder) findSlot(n *Node) (int, NodeID) {
 	mask := len(g.index) - 1
 	i := int(structHash(n)) & mask
 	for {
@@ -251,7 +256,7 @@ func (g *Graph) findSlot(n *Node) (int, NodeID) {
 
 // enter stores id in the empty slot i and doubles the table once it is
 // more than three-quarters full.
-func (g *Graph) enter(i int, id NodeID) {
+func (g *Builder) enter(i int, id NodeID) {
 	g.index[i] = int32(id) + 1
 	g.indexed++
 	if 4*g.indexed > 3*len(g.index) {
@@ -272,16 +277,13 @@ func (g *Graph) enter(i int, id NodeID) {
 	}
 }
 
-// raw appends n unless the index already holds an equal node, whose id it
-// returns instead, rebuilding the index first on a graph that has none.
-// Input and RegQ nodes always append and are never indexed.
-func (g *Graph) raw(n Node) NodeID {
+// raw appends n unless the table already holds an equal node, whose id it
+// returns instead. Input and RegQ nodes always append and are never
+// entered.
+func (g *Builder) raw(n Node) NodeID {
 	if !hashed(n.Op) {
 		g.Nodes = append(g.Nodes, n)
 		return NodeID(len(g.Nodes) - 1)
-	}
-	if g.index == nil {
-		g.rebuildHash()
 	}
 	i, id := g.findSlot(&n)
 	if id != Nil {
@@ -293,34 +295,18 @@ func (g *Graph) raw(n Node) NodeID {
 	return id
 }
 
-// rebuildHash reconstructs the structural-hash index from the node array,
-// keeping the first occurrence of each structure, so construction on a
-// built, decoded or cloned graph dedups exactly as it did during the
-// build, and on an edited graph as it would on its clone.
-func (g *Graph) rebuildHash() {
-	g.index, g.indexed = make([]int32, indexSlots(len(g.Nodes))), 0
-	for i := range g.Nodes {
-		if !hashed(g.Nodes[i].Op) {
-			continue
-		}
-		if j, id := g.findSlot(&g.Nodes[i]); id == Nil {
-			g.enter(j, NodeID(i))
-		}
-	}
-}
-
 // NewInput creates a primary-input bit node.
-func (g *Graph) NewInput(sig int32, bit int) NodeID {
+func (g *Builder) NewInput(sig int32, bit int) NodeID {
 	return g.raw(Node{Op: Input, Fanin: [3]NodeID{Nil, Nil, Nil}, Sig: sig, Bit: int32(bit)})
 }
 
 // NewRegQ creates a register-output bit node.
-func (g *Graph) NewRegQ(sig int32, bit int) NodeID {
+func (g *Builder) NewRegQ(sig int32, bit int) NodeID {
 	return g.raw(Node{Op: RegQ, Fanin: [3]NodeID{Nil, Nil, Nil}, Sig: sig, Bit: int32(bit)})
 }
 
 // NotOf builds NOT(a) with simplification.
-func (g *Graph) NotOf(a NodeID) NodeID {
+func (g *Builder) NotOf(a NodeID) NodeID {
 	switch {
 	case a == g.Zero():
 		return g.One()
@@ -334,7 +320,7 @@ func (g *Graph) NotOf(a NodeID) NodeID {
 }
 
 // AndOf builds AND(a, b) with simplification.
-func (g *Graph) AndOf(a, b NodeID) NodeID {
+func (g *Builder) AndOf(a, b NodeID) NodeID {
 	if a > b {
 		a, b = b, a
 	}
@@ -357,7 +343,7 @@ func (g *Graph) AndOf(a, b NodeID) NodeID {
 }
 
 // OrOf builds OR(a, b), rewriting per the variant when OR is not allowed.
-func (g *Graph) OrOf(a, b NodeID) NodeID {
+func (g *Builder) OrOf(a, b NodeID) NodeID {
 	if a > b {
 		a, b = b, a
 	}
@@ -391,7 +377,7 @@ func (g *Graph) OrOf(a, b NodeID) NodeID {
 }
 
 // XorOf builds XOR(a, b), rewriting per the variant when XOR is not allowed.
-func (g *Graph) XorOf(a, b NodeID) NodeID {
+func (g *Builder) XorOf(a, b NodeID) NodeID {
 	if a > b {
 		a, b = b, a
 	}
@@ -423,7 +409,7 @@ func (g *Graph) XorOf(a, b NodeID) NodeID {
 
 // MuxOf builds MUX(sel ? t : e), rewriting per the variant when MUX is not
 // allowed.
-func (g *Graph) MuxOf(sel, t, e NodeID) NodeID {
+func (g *Builder) MuxOf(sel, t, e NodeID) NodeID {
 	switch {
 	case sel == g.One():
 		return t
@@ -457,7 +443,7 @@ func (g *Graph) MuxOf(sel, t, e NodeID) NodeID {
 }
 
 // XnorOf builds XNOR(a, b).
-func (g *Graph) XnorOf(a, b NodeID) NodeID { return g.NotOf(g.XorOf(a, b)) }
+func (g *Builder) XnorOf(a, b NodeID) NodeID { return g.NotOf(g.XorOf(a, b)) }
 
 // FanoutCounts returns the fanout count of every node.
 func (g *Graph) FanoutCounts() []int32 {

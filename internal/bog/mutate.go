@@ -1,34 +1,29 @@
-// Graph mutation: the edit-delta API behind incremental STA. A frozen
-// graph can be edited in place — re-pointing a fanin edge, swapping an
-// operator for a same-arity alternative, appending a fresh node — and an
-// ordered script of such edits (a Delta) has a canonical binary encoding,
-// so deltas can key derived cache entries and be replayed deterministically
-// on any clone of the base graph.
+// Graph mutation: the edit-delta API behind incremental STA. A finished
+// graph changes only through Apply or ApplyFunc running a Delta, an
+// ordered script of edits — re-pointing a fanin edge, swapping an
+// operator for a same-arity alternative, appending a fresh node. A delta
+// has a canonical binary encoding, so deltas can key derived cache entries
+// and be replayed deterministically on any clone of the base graph.
 //
-// Invariants preserved by every edit:
+// CheckDelta is the one edit validator. It accepts only edits that keep
 //
 //   - topological node order: a fanin is always strictly smaller than the
-//     node that reads it, so a mutated graph can never contain a cycle and
+//     node that reads it, so an edited graph can never contain a cycle and
 //     every forward pass stays a single sweep in id order;
-//   - variant alphabet: an edit can only introduce operators the graph's
-//     variant allows;
-//   - no stale dedup: every edit drops the graph's structural-hash index,
-//     so no entry can describe a node's old structure. The next structural
-//     construction rebuilds the index from the node array, keeping the
-//     first owner of each structure, exactly as on a built, cloned or
-//     decoded graph. Edits may create duplicate structures (InsertNode
-//     deliberately skips dedup so a delta's node ids stay deterministic);
-//     the rebuilt index then resolves them to the lowest id.
+//   - the variant alphabet: an edit can only introduce operators the
+//     graph's variant allows.
 //
-// Apply raises the per-edit primitives to delta granularity: the script is
-// validated in full (CheckDelta) before the first node is touched, so a
-// rejected delta leaves the graph byte-identical, and a successful Apply
-// returns the inverse script that undoes it.
+// It validates the whole script before the first node is touched, so a
+// rejected delta leaves the graph byte-identical, and a successful apply
+// returns the inverse script that undoes it. A finished graph carries no
+// structural-hash table (only a Builder does), so an edit has no dedup
+// state to keep; an edited graph may hold duplicate structures.
 package bog
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // EditKind discriminates the delta operations.
@@ -58,11 +53,11 @@ func (k EditKind) String() string {
 // Edit is one graph mutation.
 type Edit struct {
 	Kind  EditKind
-	Node  NodeID    // SetFanin/SetOp: target node
-	Slot  int32     // SetFanin: fanin slot
-	To    NodeID    // SetFanin: new fanin
-	Op    Op        // SetOp/Insert: operator
-	Fanin [3]NodeID // Insert: fanins (unused slots Nil)
+	Node  NodeID    // set-fanin/set-op: target node
+	Slot  int32     // set-fanin: fanin slot
+	To    NodeID    // set-fanin: new fanin
+	Op    Op        // set-op/insert: operator
+	Fanin [3]NodeID // insert: fanins (unused slots Nil)
 }
 
 // SetFaninEdit re-points fanin slot of node n to `to`.
@@ -75,7 +70,15 @@ func SetOpEdit(n NodeID, op Op) Edit {
 	return Edit{Kind: EditSetOp, Node: n, Op: op}
 }
 
-// InsertEdit appends a fresh operator node with the given fanins.
+// InsertEdit appends a fresh operator node with the given fanins. An
+// insert never simplifies and never dedups: its id is the node count at
+// that point, which is what makes delta scripts that address their own
+// insertions deterministic. A set-fanin must point backwards and
+// endpoints are immutable, so no existing node can be re-pointed at an
+// inserted one: inserted nodes feed only later insertions, and an insert
+// perturbs timing through the input load it puts on its fanins. Splicing
+// new logic under an existing consumer would need an id-renumbering
+// rebuild, which is a full re-bit-blast, not a delta.
 func InsertEdit(op Op, fanin ...NodeID) Edit {
 	e := Edit{Kind: EditInsert, Op: op, Fanin: [3]NodeID{Nil, Nil, Nil}}
 	copy(e.Fanin[:], fanin)
@@ -119,98 +122,15 @@ func isOperator(op Op) bool {
 	return false
 }
 
-// dropIndex releases the structural-hash index after an edit; raw
-// rebuilds it from the node array on the next structural construction.
-func (g *Graph) dropIndex() { g.index, g.indexed = nil, 0 }
-
-// SetFanin re-points fanin slot of node n to `to`. The new fanin must
-// precede n (topological order, which also rules out self-loops).
-func (g *Graph) SetFanin(n NodeID, slot int, to NodeID) error {
-	if n < 0 || int(n) >= len(g.Nodes) {
-		return fmt.Errorf("bog: set-fanin node %d outside graph of %d nodes", n, len(g.Nodes))
-	}
-	nd := &g.Nodes[n]
-	if slot < 0 || slot >= nd.NumFanin() {
-		return fmt.Errorf("bog: set-fanin slot %d outside %v node %d's %d fanins", slot, nd.Op, n, nd.NumFanin())
-	}
-	if to < 0 || to >= n {
-		return fmt.Errorf("bog: set-fanin %d -> %d violates topological order", n, to)
-	}
-	if nd.Fanin[slot] == to {
-		return nil
-	}
-	nd.Fanin[slot] = to
-	g.dropIndex()
-	return nil
-}
-
-// SetOp replaces node n's operator with a same-arity operator from the
-// variant's alphabet. Connectivity is untouched.
-func (g *Graph) SetOp(n NodeID, op Op) error {
-	if n < 0 || int(n) >= len(g.Nodes) {
-		return fmt.Errorf("bog: set-op node %d outside graph of %d nodes", n, len(g.Nodes))
-	}
-	nd := &g.Nodes[n]
-	if !isOperator(nd.Op) || !isOperator(op) {
-		return fmt.Errorf("bog: set-op %v -> %v: both must be combinational operators", nd.Op, op)
-	}
-	if arity(op) != nd.NumFanin() {
-		return fmt.Errorf("bog: set-op %v -> %v changes arity %d -> %d", nd.Op, op, nd.NumFanin(), arity(op))
-	}
-	if !g.Variant.allows(op) {
-		return fmt.Errorf("bog: set-op operator %v not allowed in %v", op, g.Variant)
-	}
-	if nd.Op == op {
-		return nil
-	}
-	nd.Op = op
-	g.dropIndex()
-	return nil
-}
-
-// InsertNode appends a fresh operator node with the given fanins and
-// returns its id. Unlike the structural constructors (AndOf, OrOf, ...),
-// InsertNode never simplifies and never dedups: the new id is always the
-// previous node count, which is what makes delta scripts that address
-// their own insertions deterministic.
-//
-// Reachability caveat: because SetFanin enforces topological order
-// (fanin id < node id) and endpoints are immutable, a pre-existing node
-// can never be re-pointed at an inserted node — inserted subtrees can
-// only feed later insertions, never an existing cone or endpoint. Within
-// the edit-delta model, insertion therefore perturbs timing through the
-// input load it puts on its fanins; splicing new logic under an existing
-// consumer would need an id-renumbering rebuild, which is a full
-// re-bit-blast, not a delta.
-func (g *Graph) InsertNode(op Op, fanin ...NodeID) (NodeID, error) {
-	if !isOperator(op) {
-		return Nil, fmt.Errorf("bog: insert of non-operator %v", op)
-	}
-	if !g.Variant.allows(op) {
-		return Nil, fmt.Errorf("bog: insert operator %v not allowed in %v", op, g.Variant)
-	}
-	if len(fanin) != arity(op) {
-		return Nil, fmt.Errorf("bog: insert %v with %d fanins, want %d", op, len(fanin), arity(op))
-	}
-	for i, f := range fanin {
-		if f < 0 || int(f) >= len(g.Nodes) {
-			return Nil, fmt.Errorf("bog: insert fanin %d (%d) outside graph of %d nodes", i, f, len(g.Nodes))
-		}
-	}
-	nd := Node{Op: op, Fanin: [3]NodeID{Nil, Nil, Nil}}
-	copy(nd.Fanin[:], fanin)
-	id := NodeID(len(g.Nodes))
-	g.Nodes = append(g.Nodes, nd)
-	g.dropIndex()
-	return id, nil
-}
-
 // CheckDelta validates an entire edit script against the graph without
-// touching it: every edit must satisfy the same rules the primitives
-// enforce, with inserted nodes of the same delta addressable by later
-// edits. SetOp never changes arity and CheckDelta tracks inserted
+// touching it, with inserted nodes of the same delta addressable by later
+// edits. A set-op never changes arity and CheckDelta tracks inserted
 // operators, so validity is decidable without applying anything — which is
-// what lets Apply reject a bad script with the graph byte-identical.
+// what lets ApplyFunc reject a bad script with the graph byte-identical.
+// A set-fanin's new fanin must precede its node, which also rules out
+// self-loops; a set-op swaps one combinational operator for another of
+// the same arity from the variant's alphabet; an insert appends an
+// operator from that alphabet over existing fanins.
 func (g *Graph) CheckDelta(d Delta) error {
 	nn := NodeID(len(g.Nodes))
 	var inserted []Op // ops of nodes the delta appends, ids nn0, nn0+1, ...
@@ -274,56 +194,65 @@ func (g *Graph) CheckDelta(d Delta) error {
 	return nil
 }
 
-// Apply runs the edit script in order and returns the inverse script that
-// undoes it (inverse edits in reverse application order, no-op edits
-// elided). The delta is validated in full before the first mutation, so on
-// error the graph is untouched. Insertions have no structural inverse —
-// undoing a delta that inserted nodes leaves them behind as fanout-free
-// orphans. An orphan cannot reach any endpoint, but it still loads its
-// fanins (input capacitance), so undo restores timing bit-exactly only
-// for insert-free deltas; with inserts, undo restores logical function
-// but the orphans' residual load shifts nearby delays.
-func (g *Graph) Apply(d Delta) (undo Delta, err error) {
+// ApplyFunc runs the edit script in order and returns the inverse script
+// that undoes it: inverse edits in reverse application order, no-op edits
+// elided. The delta is validated in full (CheckDelta) before the first
+// mutation, so on error the graph is untouched and each is never called.
+// Otherwise, after every edit that changed the graph, each (when non-nil)
+// receives the edit and its inverse, which points into undo and is valid
+// only during the call; an insert has no inverse and comes with nil.
+//
+// Insertions have no structural inverse — undoing a delta that inserted
+// nodes leaves them behind as fanout-free orphans. An orphan cannot reach
+// any endpoint, but it still loads its fanins (input capacitance), so undo
+// restores timing bit-exactly only for insert-free deltas; with inserts,
+// undo restores logical function but the orphans' residual load shifts
+// nearby delays.
+func (g *Graph) ApplyFunc(d Delta, each func(e Edit, inv *Edit)) (undo Delta, err error) {
 	if err := g.CheckDelta(d); err != nil {
 		return nil, err
 	}
 	undo = make(Delta, 0, len(d))
 	for _, e := range d {
+		n := len(undo)
 		switch e.Kind {
 		case EditSetFanin:
-			old := g.Nodes[e.Node].Fanin[e.Slot]
-			if err := g.SetFanin(e.Node, int(e.Slot), e.To); err != nil {
-				return nil, err
+			f := &g.Nodes[e.Node].Fanin[e.Slot]
+			if *f == e.To {
+				continue
 			}
-			if old != e.To {
-				undo = append(undo, SetFaninEdit(e.Node, int(e.Slot), old))
-			}
+			undo = append(undo, SetFaninEdit(e.Node, int(e.Slot), *f))
+			*f = e.To
 		case EditSetOp:
-			old := g.Nodes[e.Node].Op
-			if err := g.SetOp(e.Node, e.Op); err != nil {
-				return nil, err
+			op := &g.Nodes[e.Node].Op
+			if *op == e.Op {
+				continue
 			}
-			if old != e.Op {
-				undo = append(undo, SetOpEdit(e.Node, old))
-			}
+			undo = append(undo, SetOpEdit(e.Node, *op))
+			*op = e.Op
 		case EditInsert:
-			if _, err := g.InsertNode(e.Op, e.Fanin[:arity(e.Op)]...); err != nil {
-				return nil, err
+			// CheckDelta requires the slots past the arity to be Nil.
+			g.Nodes = append(g.Nodes, Node{Op: e.Op, Fanin: e.Fanin})
+		}
+		if each != nil {
+			var inv *Edit
+			if len(undo) > n {
+				inv = &undo[n]
 			}
+			each(e, inv)
 		}
 	}
-	for i, j := 0, len(undo)-1; i < j; i, j = i+1, j-1 {
-		undo[i], undo[j] = undo[j], undo[i]
-	}
+	slices.Reverse(undo)
 	return undo, nil
 }
 
+// Apply is ApplyFunc with no per-edit callback.
+func (g *Graph) Apply(d Delta) (undo Delta, err error) { return g.ApplyFunc(d, nil) }
+
 // Clone returns an independent deep copy of the graph: edits to the clone
 // never touch the original (the engine's Edit path clones the immutable
-// base representation before applying a delta). The clone carries no
-// structural-hash index, like a built, decoded or edited graph; its first
-// structural construction rebuilds one. String contents are shared
-// (strings are immutable in Go).
+// base representation before applying a delta). String contents are
+// shared (strings are immutable in Go).
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		Design:    g.Design,

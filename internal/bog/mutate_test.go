@@ -3,48 +3,10 @@ package bog
 import (
 	"bytes"
 	"encoding/binary"
-	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
-
-// checkHashConsistent verifies the structural-hash invariant of a graph
-// that carries an index (edits drop it, so an edited graph has none):
-// every occupied slot holds a hashed node, the occupancy count is right,
-// and a probe from each node's current structure ends at its own slot, so
-// no entry is stale and none is shadowed by an equal structure earlier in
-// its cluster. (The converse — every node being indexed — is deliberately
-// not an invariant: graphs may hold duplicate structures, and only the
-// first owner of a structure is indexed.)
-func checkHashConsistent(t *testing.T, g *Graph) {
-	t.Helper()
-	if g.index == nil {
-		if g.indexed != 0 {
-			t.Fatalf("no index, but %d entries counted", g.indexed)
-		}
-		return
-	}
-	entries := 0
-	for slot, e := range g.index {
-		if e == 0 {
-			continue
-		}
-		entries++
-		id := NodeID(e - 1)
-		if int(id) >= len(g.Nodes) {
-			t.Fatalf("slot %d points at node %d outside graph of %d nodes", slot, id, len(g.Nodes))
-		}
-		if !hashed(g.Nodes[id].Op) {
-			t.Fatalf("slot %d indexes %v node %d", slot, g.Nodes[id].Op, id)
-		}
-		if at, owner := g.findSlot(&g.Nodes[id]); at != slot || owner != id {
-			t.Fatalf("slot %d holds node %d %+v, but a probe for its structure ends at slot %d (node %d)", slot, id, g.Nodes[id], at, owner)
-		}
-	}
-	if entries != g.indexed {
-		t.Fatalf("%d occupied slots, %d counted", entries, g.indexed)
-	}
-}
 
 // editableNode returns a combinational node with at least one fanin, or
 // Nil if the graph has none.
@@ -55,6 +17,19 @@ func editableNode(g *Graph) NodeID {
 		}
 	}
 	return Nil
+}
+
+// rejects requires a one-edit delta to be refused with the node array
+// left byte-identical.
+func rejects(t *testing.T, g *Graph, e Edit, what string) {
+	t.Helper()
+	before := slices.Clone(g.Nodes)
+	if _, err := g.Apply(Delta{e}); err == nil {
+		t.Fatalf("%v: %s accepted", g.Variant, what)
+	}
+	if !slices.Equal(before, g.Nodes) {
+		t.Fatalf("%v: rejected %s mutated the graph", g.Variant, what)
+	}
 }
 
 func TestSetFaninMaintainsInvariants(t *testing.T) {
@@ -69,7 +44,7 @@ func TestSetFaninMaintainsInvariants(t *testing.T) {
 		if old == to {
 			to = 1
 		}
-		if err := g.SetFanin(n, 0, to); err != nil {
+		if _, err := g.Apply(Delta{SetFaninEdit(n, 0, to)}); err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
 		if g.Nodes[n].Fanin[0] != to {
@@ -78,24 +53,13 @@ func TestSetFaninMaintainsInvariants(t *testing.T) {
 		if err := g.Check(); err != nil {
 			t.Fatalf("%v: edited graph invalid: %v", v, err)
 		}
-		checkIndexDropped(t, g)
 
 		// Rejections: out-of-range node, slot, and topological violations.
-		if err := g.SetFanin(NodeID(len(g.Nodes)), 0, 0); err == nil {
-			t.Fatalf("%v: out-of-range node accepted", v)
-		}
-		if err := g.SetFanin(n, 3, 0); err == nil {
-			t.Fatalf("%v: out-of-range slot accepted", v)
-		}
-		if err := g.SetFanin(n, 0, n); err == nil {
-			t.Fatalf("%v: self-loop accepted", v)
-		}
-		if err := g.SetFanin(n, 0, NodeID(len(g.Nodes)-1)+1); err == nil {
-			t.Fatalf("%v: forward edge accepted", v)
-		}
-		if err := g.SetFanin(0, 0, 0); err == nil {
-			t.Fatalf("%v: editing a constant's fanin accepted", v)
-		}
+		rejects(t, g, SetFaninEdit(NodeID(len(g.Nodes)), 0, 0), "out-of-range node")
+		rejects(t, g, SetFaninEdit(n, 3, 0), "out-of-range slot")
+		rejects(t, g, SetFaninEdit(n, 0, n), "self-loop")
+		rejects(t, g, SetFaninEdit(n, 0, NodeID(len(g.Nodes)-1)+1), "forward edge")
+		rejects(t, g, SetFaninEdit(0, 0, 0), "editing a constant's fanin")
 	}
 }
 
@@ -110,7 +74,7 @@ func TestSetOpMaintainsInvariants(t *testing.T) {
 	if n == Nil {
 		t.Fatal("no AND node")
 	}
-	if err := g.SetOp(n, Or); err != nil {
+	if _, err := g.Apply(Delta{SetOpEdit(n, Or)}); err != nil {
 		t.Fatal(err)
 	}
 	if g.Nodes[n].Op != Or {
@@ -119,22 +83,12 @@ func TestSetOpMaintainsInvariants(t *testing.T) {
 	if err := g.Check(); err != nil {
 		t.Fatalf("edited graph invalid: %v", err)
 	}
-	checkIndexDropped(t, g)
 
-	if err := g.SetOp(n, Not); err == nil {
-		t.Fatal("arity-changing swap accepted")
-	}
-	if err := g.SetOp(n, Input); err == nil {
-		t.Fatal("swap to a source op accepted")
-	}
-	if err := g.SetOp(0, And); err == nil {
-		t.Fatal("swap on a constant accepted")
-	}
+	rejects(t, g, SetOpEdit(n, Not), "arity-changing swap")
+	rejects(t, g, SetOpEdit(n, Input), "swap to a source op")
+	rejects(t, g, SetOpEdit(0, And), "swap on a constant")
 	aig := randomGraph(AIG, 7)
-	an := editableNode(aig)
-	if err := aig.SetOp(an, Or); err == nil {
-		t.Fatal("out-of-alphabet swap accepted")
-	}
+	rejects(t, aig, SetOpEdit(editableNode(aig), Or), "out-of-alphabet swap")
 }
 
 func TestInsertNodeAppendsWithoutDedup(t *testing.T) {
@@ -148,37 +102,107 @@ func TestInsertNodeAppendsWithoutDedup(t *testing.T) {
 	if a < 0 {
 		t.Fatal("no AND node")
 	}
+	// The inserted AND duplicates an existing structure and still appends.
 	before := g.NumNodes()
-	id, err := g.InsertNode(And, a, b)
-	if err != nil {
+	if _, err := g.Apply(Delta{InsertEdit(And, a, b)}); err != nil {
 		t.Fatal(err)
 	}
-	if int(id) != before || g.NumNodes() != before+1 {
-		t.Fatalf("insert id %d / count %d, want append at %d", id, g.NumNodes(), before)
+	if want := (Node{Op: And, Fanin: [3]NodeID{a, b, Nil}}); g.NumNodes() != before+1 || g.Nodes[before] != want {
+		t.Fatalf("insert left %d nodes ending in %+v, want an append of %+v at %d", g.NumNodes(), g.Nodes[g.NumNodes()-1], want, before)
 	}
 	if err := g.Check(); err != nil {
 		t.Fatalf("graph invalid after insert: %v", err)
 	}
-	checkIndexDropped(t, g)
-	// The structural constructor still dedups to the FIRST owner of the
-	// structure, not the duplicate: the index it rebuilds from the node
-	// array keeps the lowest id.
-	if got := g.AndOf(a, b); got == id || g.NumNodes() != before+1 {
-		t.Fatalf("constructor resolved to %d (nodes %d), want the original owner", got, g.NumNodes())
+
+	rejects(t, g, InsertEdit(Input, 0), "insert of a source op")
+	rejects(t, g, InsertEdit(And, a), "arity mismatch")
+	rejects(t, g, InsertEdit(And, a, NodeID(g.NumNodes())), "dangling fanin")
+	rejects(t, randomGraph(AIG, 9), InsertEdit(Or, 0, 1), "out-of-alphabet insert")
+}
+
+// TestApplyFuncReportsEdits pins what ApplyFunc promises its callback on
+// one delta that mixes a real set-fanin, a no-op set-fanin, a set-op, and
+// an insert that a later edit addresses: each sees exactly the edits that
+// changed the graph, in order and after they took effect; every set-fanin
+// and set-op comes with the edit that reverts it and the insert with none;
+// the returned undo is those inverses reversed. A rejected delta calls
+// each zero times and leaves the node array byte-identical.
+func TestApplyFuncReportsEdits(t *testing.T) {
+	g := randomGraph(SOG, 7)
+	var and NodeID = Nil
+	for i := range g.Nodes {
+		if g.Nodes[i].Op == And {
+			and = NodeID(i)
+		}
+	}
+	n := editableNode(g)
+	if and == Nil || n == and {
+		t.Fatal("graph lacks an AND node apart from its last operator")
+	}
+	old := g.Nodes[n].Fanin[0]
+	to := NodeID(0)
+	if old == to {
+		to = 1
+	}
+	ins := NodeID(len(g.Nodes))
+	d := Delta{
+		SetFaninEdit(n, 0, to), // real
+		SetFaninEdit(n, 0, to), // no-op: the first edit already made it
+		SetOpEdit(and, Or),
+		InsertEdit(Not, 1),
+		SetFaninEdit(ins, 0, 0), // addresses the insert
+	}
+	type call struct {
+		e   Edit
+		inv *Edit
+	}
+	want := []call{
+		{d[0], &Edit{Kind: EditSetFanin, Node: n, To: old}},
+		{d[2], &Edit{Kind: EditSetOp, Node: and, Op: And}},
+		{d[3], nil},
+		{d[4], &Edit{Kind: EditSetFanin, Node: ins, To: 1}},
 	}
 
-	if _, err := g.InsertNode(Input, 0); err == nil {
-		t.Fatal("insert of a source op accepted")
+	before := slices.Clone(g.Nodes)
+	var got []call
+	undo, err := g.ApplyFunc(d, func(e Edit, inv *Edit) {
+		last := g.Nodes[len(g.Nodes)-1]
+		if e.Kind == EditSetFanin && g.Nodes[e.Node].Fanin[e.Slot] != e.To ||
+			e.Kind == EditSetOp && g.Nodes[e.Node].Op != e.Op ||
+			e.Kind == EditInsert && (len(g.Nodes) != int(ins)+1 || last.Op != e.Op || last.Fanin != e.Fanin) {
+			t.Errorf("each saw %+v before it took effect", e)
+		}
+		c := call{e: e}
+		if inv != nil {
+			c.inv = new(Edit)
+			*c.inv = *inv
+		}
+		got = append(got, c)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := g.InsertNode(And, a); err == nil {
-		t.Fatal("arity mismatch accepted")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("each saw %+v, want %+v", got, want)
 	}
-	if _, err := g.InsertNode(And, a, NodeID(g.NumNodes())); err == nil {
-		t.Fatal("dangling fanin accepted")
+	if wantUndo := (Delta{*want[3].inv, *want[1].inv, *want[0].inv}); !reflect.DeepEqual(undo, wantUndo) {
+		t.Fatalf("undo %+v, want %+v", undo, wantUndo)
 	}
-	aig := randomGraph(AIG, 9)
-	if _, err := aig.InsertNode(Or, 0, 1); err == nil {
-		t.Fatal("out-of-alphabet insert accepted")
+	if _, err := g.Apply(undo); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(g.Nodes[:len(before)], before) {
+		t.Fatal("undo did not restore the pre-existing nodes")
+	}
+
+	before = slices.Clone(g.Nodes)
+	calls := 0
+	bad := append(slices.Clone(d), SetFaninEdit(n, 0, n)) // ends in a self-loop
+	if _, err := g.ApplyFunc(bad, func(Edit, *Edit) { calls++ }); err == nil {
+		t.Fatal("delta ending in a self-loop accepted")
+	}
+	if calls != 0 || !slices.Equal(before, g.Nodes) {
+		t.Fatalf("rejected delta called each %d times, nodes unchanged %v", calls, slices.Equal(before, g.Nodes))
 	}
 }
 
@@ -211,7 +235,6 @@ func TestApplyUndoRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(before, g.Nodes) {
 			t.Fatalf("%v: undo did not restore the node array", v)
 		}
-		checkIndexDropped(t, g)
 	}
 }
 
@@ -268,7 +291,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	c := g.Clone()
 	graphsEqual(t, g, c)
 	n := editableNode(c)
-	if err := c.SetFanin(n, 0, 0); err != nil {
+	if _, err := c.Apply(Delta{SetFaninEdit(n, 0, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if g.Nodes[n].Fanin[0] == 0 && c.Nodes[n].Fanin[0] == 0 {
@@ -277,21 +300,6 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 	if reflect.DeepEqual(g.Nodes, c.Nodes) {
 		t.Fatal("editing the clone mutated the original")
-	}
-	// The clone is fully functional: constructors dedup against existing
-	// structure through the lazily rebuilt index.
-	var a, b NodeID = -1, -1
-	for i := range c.Nodes {
-		if c.Nodes[i].Op == And {
-			a, b = c.Nodes[i].Fanin[0], c.Nodes[i].Fanin[1]
-		}
-	}
-	if a >= 0 {
-		before := c.NumNodes()
-		c.AndOf(a, b)
-		if c.NumNodes() != before {
-			t.Fatal("clone did not dedup an existing node")
-		}
 	}
 }
 
@@ -325,81 +333,45 @@ func decodeEditStream(data []byte) Delta {
 }
 
 // FuzzIncrementalEdits: arbitrary delta streams applied to real graphs
-// must never panic, never corrupt structural invariants, and never leave
-// a stale structural-hash index — accepted deltas leave a graph that Check
-// passes, whose index (if an all-no-op delta kept it) describes current
-// structure, and on which a constructor returns what it returns on a
-// clone.
+// must never panic and never corrupt structural invariants. A rejected
+// delta leaves the node array byte-identical, the atomicity CheckDelta
+// exists for; an accepted one leaves a graph that Check passes, and its
+// inverse is accepted, restores every node that existed before, and
+// leaves a graph that Check passes.
 func FuzzIncrementalEdits(f *testing.F) {
 	f.Add(int64(0), []byte{})
 	f.Add(int64(1), Delta{SetFaninEdit(40, 0, 2)}.AppendBinary(nil))
 	seed := Delta{InsertEdit(Not, 2), SetOpEdit(30, Or), SetFaninEdit(31, 1, 7)}
 	f.Add(int64(2), seed.AppendBinary(nil))
+	// A valid insert, then an edit of unknown kind: the rejection must
+	// leave no trace of the insert.
+	f.Add(int64(3), []byte{
+		byte(EditInsert), byte(Not), 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
+		byte(numEditKinds), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, graphSeed int64, stream []byte) {
 		v := Variant(uint64(graphSeed) % uint64(NumVariants))
 		g := randomGraph(v, graphSeed)
 		d := decodeEditStream(stream)
+		before := slices.Clone(g.Nodes)
 		undo, err := g.Apply(d)
 		if err != nil {
-			// Rejected deltas must leave a valid graph behind.
-			if cerr := g.Check(); cerr != nil {
-				t.Fatalf("rejected delta corrupted the graph: %v", cerr)
+			if !slices.Equal(before, g.Nodes) {
+				t.Fatalf("rejected delta (%v) changed the node array", err)
 			}
-			checkHashConsistent(t, g)
 			return
 		}
 		if cerr := g.Check(); cerr != nil {
 			t.Fatalf("accepted delta broke invariants: %v", cerr)
 		}
-		checkHashConsistent(t, g)
 		if _, uerr := g.Apply(undo); uerr != nil {
 			t.Fatalf("inverse delta rejected: %v", uerr)
+		}
+		if !slices.Equal(before, g.Nodes[:len(before)]) {
+			t.Fatal("inverse delta did not restore the pre-existing nodes")
 		}
 		if cerr := g.Check(); cerr != nil {
 			t.Fatalf("undo broke invariants: %v", cerr)
 		}
-		checkHashConsistent(t, g)
-		n := NodeID(len(g.Nodes) - 1)
-		constructLikeClone(t, g, int(uint64(graphSeed)%5), n, n/2, n/3)
 	})
-}
-
-// TestRandomEditSequencesKeepHashConsistent drives long random edit
-// sequences through the primitive API directly (not Apply), interleaving
-// structural construction: every edit drops the index, and every
-// construction rebuilds one that dedups exactly as a clone's does.
-func TestRandomEditSequencesKeepHashConsistent(t *testing.T) {
-	for _, v := range Variants() {
-		for seed := int64(0); seed < 10; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			g := randomGraph(v, seed)
-			for step := 0; step < 50; step++ {
-				n := editableNode(g)
-				nodes := len(g.Nodes)
-				switch rng.Intn(3) {
-				case 0:
-					_ = g.SetFanin(n, rng.Intn(3), NodeID(rng.Intn(int(n))))
-				case 1:
-					for _, op := range []Op{And, Or, Xor} {
-						if g.Variant.allows(op) && arity(op) == g.Nodes[n].NumFanin() {
-							_ = g.SetOp(n, op)
-							break
-						}
-					}
-				case 2:
-					// Interleaved construction rebuilds the dropped index.
-					constructLikeClone(t, g, 1, NodeID(rng.Intn(int(n))), NodeID(rng.Intn(int(n))), Nil)
-					checkHashConsistent(t, g)
-					continue
-				}
-				if len(g.Nodes) != nodes {
-					t.Fatalf("%v seed %d: an edit changed the node count", v, seed)
-				}
-			}
-			if err := g.Check(); err != nil {
-				t.Fatalf("%v seed %d: %v", v, seed, err)
-			}
-			checkHashConsistent(t, g)
-		}
-	}
 }

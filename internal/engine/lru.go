@@ -13,8 +13,8 @@
 //   - every lookup (hit or miss) stamps the slot with a monotone
 //     last-touch sequence number under the engine mutex;
 //   - whenever the outstanding charge exceeds the budget, settled entries
-//     are evicted least-recently-touched first, ties broken by key
-//     ordering, until the cache fits. The entry that just settled is
+//     are evicted least-recently-touched first (no two slots share a
+//     sequence number) until the cache fits. The entry that just settled is
 //     exempt from its own settlement's eviction pass, so progress is
 //     guaranteed even under a budget smaller than one entry.
 //
@@ -62,9 +62,7 @@ func (e *Engine) MemUsed() int64 {
 // per-endpoint extractor state (charged whether or not a lazy extractor
 // has walked yet, so the charge — and with it the eviction order — never
 // depends on which entries a caller read features from), and the
-// signal-name table. A resident graph carries no structural-hash index
-// (Build drops it; decoded and cloned graphs never have one), so nothing
-// is charged for it. A derived entry owns exactly these: its graph clone
+// signal-name table. A derived entry owns exactly these: its graph clone
 // and the vectors of the analyzer its session edited. The consumer
 // adjacency an edited base builds on its first edit (~4 B per edge and
 // 8 B per node, shared by every entry derived from it) and each derived
@@ -90,11 +88,15 @@ func approxEntryCost(res *RepResult) int64 {
 }
 
 // evictOverBudgetLocked evicts settled entries least-recently-touched
-// first (key order breaks ties) until the outstanding charge fits the
-// budget. keep, when non-nil, is the entry whose settlement triggered the
-// pass and is never evicted by it — it is by definition the hottest entry,
-// and exempting it guarantees progress under any budget. Callers hold
-// e.mu.
+// first until the outstanding charge fits the budget. keep, when non-nil,
+// is the entry whose settlement triggered the pass and is never evicted by
+// it — it is by definition the hottest entry, and exempting it guarantees
+// progress under any budget. Callers hold e.mu.
+//
+// The victim is unique, so map order cannot pick it: every slot is created
+// by entry, which stamps it with a fresh touchSeq under e.mu, and each
+// later lookup restamps only the one slot it touches, so no two slots
+// ever share a seq.
 func (e *Engine) evictOverBudgetLocked(keep *repEntry) {
 	for e.memBudget > 0 && e.memUsed > e.memBudget {
 		var victimKey Key
@@ -103,8 +105,7 @@ func (e *Engine) evictOverBudgetLocked(keep *repEntry) {
 			if !ent.live || ent == keep {
 				continue
 			}
-			if victim == nil || ent.seq < victim.seq ||
-				(ent.seq == victim.seq && keyLess(k, victimKey)) {
+			if victim == nil || ent.seq < victim.seq {
 				victimKey, victim = k, ent
 			}
 		}
@@ -113,18 +114,4 @@ func (e *Engine) evictOverBudgetLocked(keep *repEntry) {
 		}
 		e.removeLocked(victimKey, victim)
 	}
-}
-
-// keyLess orders cache keys (Design, Variant, Edit) for the eviction
-// tiebreak. Touch sequence numbers are unique per engine, so the tiebreak
-// only decides between entries that were never touched — but determinism
-// must not depend on that staying true.
-func keyLess(a, b Key) bool {
-	if a.Design != b.Design {
-		return a.Design < b.Design
-	}
-	if a.Variant != b.Variant {
-		return a.Variant < b.Variant
-	}
-	return a.Edit < b.Edit
 }

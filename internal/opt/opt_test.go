@@ -74,29 +74,29 @@ func TestOptimizeNeverRegresses(t *testing.T) {
 // optimizer must find at least one reassociation and improve WNS.
 func TestOptimizeFindsRebalance(t *testing.T) {
 	lib := liberty.DefaultPseudoLib()
-	g := bog.NewGraph("skew", bog.SOG)
-	sig := g.AddSigName("in")
-	early1 := g.NewInput(sig, 0)
-	early2 := g.NewInput(sig, 1)
+	b := bog.NewBuilder("skew", bog.SOG)
+	sig := b.AddSigName("in")
+	early1 := b.NewInput(sig, 0)
+	early2 := b.NewInput(sig, 1)
+	late := b.NewInput(sig, 2)
+	q := b.NewRegQ(b.AddSigName("r"), 0)
+	g := b.Graph
 	// A long inverter chain makes `late` arrive far after the two fresh
-	// inputs (InsertNode bypasses the constructors' double-negation
-	// simplification).
-	late := g.NewInput(sig, 2)
+	// inputs (an insert bypasses the constructors' double-negation
+	// simplification); late is then buried in the inner AND.
+	var d bog.Delta
 	for i := 0; i < 12; i++ {
-		id, err := g.InsertNode(bog.Not, late)
-		if err != nil {
-			t.Fatal(err)
-		}
-		late = id
+		d = append(d, bog.InsertEdit(bog.Not, late))
+		late = bog.NodeID(g.NumNodes() + i)
 	}
-	inner := g.AndOf(late, early1) // late buried in the inner node
-	outer := g.AndOf(inner, early2)
-	rsig := g.AddSigName("r")
-	q := g.NewRegQ(rsig, 0)
+	inner := bog.NodeID(g.NumNodes() + len(d))
+	d = append(d, bog.InsertEdit(bog.And, early1, late), bog.InsertEdit(bog.And, early2, inner))
+	if _, err := g.Apply(d); err != nil {
+		t.Fatal(err)
+	}
 	g.Endpoints = append(g.Endpoints, bog.Endpoint{
-		Ref: bog.SignalRef{Signal: "r", Bit: 0}, D: outer, Q: q,
+		Ref: bog.SignalRef{Signal: "r", Bit: 0}, D: inner + 1, Q: q,
 	})
-	_ = rsig
 
 	inc := sta.NewIncremental(g, lib)
 	period := 0.95 * (inc.At(1).EndpointAT[0] + lib.Setup)
@@ -124,8 +124,7 @@ func TestOptimizeFindsRebalance(t *testing.T) {
 // finite period, and refuses a negative pass count instead of running the
 // default four passes.
 func TestOptimizeRejectsBadPeriod(t *testing.T) {
-	g := bog.NewGraph("empty", bog.AIG)
-	inc := sta.NewIncremental(g, liberty.DefaultPseudoLib())
+	inc := sta.NewIncremental(bog.NewBuilder("empty", bog.AIG).Graph, liberty.DefaultPseudoLib())
 	for _, cfg := range []Config{
 		{Period: 0}, {Period: -1}, {Period: math.NaN()}, {Period: math.Inf(1)},
 		{Period: 1, MaxPasses: -1},

@@ -198,7 +198,7 @@ func (s *Incremental) Snapshot() (*Analyzer, []float64) {
 
 // Apply applies the delta to the session's graph and incrementally
 // re-times the affected cone. It returns the inverse delta (see
-// bog.Graph.Apply); for insert-free deltas — the optimizer's trial/revert
+// bog.Graph.ApplyFunc); for insert-free deltas — the optimizer's trial/revert
 // loop — applying that inverse restores every node's timing bit-exactly.
 // A delta with insertions leaves orphan nodes behind on undo, whose
 // residual input load shifts their fanins' timing (the session stays
@@ -209,57 +209,10 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 	if s.sealed {
 		return nil, errSealed
 	}
-	if err := s.G.CheckDelta(d); err != nil {
-		return nil, err
-	}
 	s.loadDirty, s.cellDirty = s.loadDirty[:0], s.cellDirty[:0]
 	s.delayDirty, s.arrSeed = s.delayDirty[:0], s.arrSeed[:0]
-
-	undo = make(bog.Delta, 0, len(d))
-	for _, e := range d {
-		switch e.Kind {
-		case bog.EditSetFanin:
-			old := s.G.Nodes[e.Node].Fanin[e.Slot]
-			if err := s.G.SetFanin(e.Node, int(e.Slot), e.To); err != nil {
-				return nil, err
-			}
-			if old == e.To {
-				continue
-			}
-			s.fanoutRemove(old, e.Node)
-			s.fanoutInsert(e.To, e.Node)
-			s.loadDirty = append(s.loadDirty, old, e.To)
-			s.delayDirty = append(s.delayDirty, e.Node) // worst-fanin-slew set changed
-			s.arrSeed = append(s.arrSeed, e.Node)       // fanin arrival set changed
-			undo = append(undo, bog.SetFaninEdit(e.Node, int(e.Slot), old))
-		case bog.EditSetOp:
-			old := s.G.Nodes[e.Node].Op
-			if err := s.G.SetOp(e.Node, e.Op); err != nil {
-				return nil, err
-			}
-			if old == e.Op {
-				continue
-			}
-			s.cellDirty = append(s.cellDirty, e.Node)
-			nd := &s.G.Nodes[e.Node]
-			s.loadDirty = append(s.loadDirty, nd.Fanin[:nd.NumFanin()]...) // their input cap changed
-			undo = append(undo, bog.SetOpEdit(e.Node, old))
-		case bog.EditInsert:
-			id, ierr := s.G.InsertNode(e.Op, e.Fanin[:editArity(e.Op)]...)
-			if ierr != nil {
-				return nil, ierr
-			}
-			s.grow()
-			nd := &s.G.Nodes[id]
-			for j := 0; j < nd.NumFanin(); j++ {
-				f := nd.Fanin[j]
-				s.fanoutInsert(f, id)
-				s.loadDirty = append(s.loadDirty, f)
-			}
-			s.loadDirty = append(s.loadDirty, id)
-			s.cellDirty = append(s.cellDirty, id)
-			s.arrSeed = append(s.arrSeed, id)
-		}
+	if undo, err = s.G.ApplyFunc(d, s.edited); err != nil {
+		return nil, err
 	}
 
 	// Phase 1: loads, then slews (a slew is a function of its own load and
@@ -310,22 +263,42 @@ func (s *Incremental) Apply(d bog.Delta) (undo bog.Delta, err error) {
 			s.push(c)
 		}
 	}
-
-	for i, j := 0, len(undo)-1; i < j; i, j = i+1, j-1 {
-		undo[i], undo[j] = undo[j], undo[i]
-	}
 	return undo, nil
+}
+
+// edited updates the fanout adjacency for one edit ApplyFunc made and
+// marks what it dirtied; inv is the edit's inverse (nil for an insert).
+func (s *Incremental) edited(e bog.Edit, inv *bog.Edit) {
+	switch e.Kind {
+	case bog.EditSetFanin:
+		old := inv.To
+		s.fanoutRemove(old, e.Node)
+		s.fanoutInsert(e.To, e.Node)
+		s.loadDirty = append(s.loadDirty, old, e.To)
+		s.delayDirty = append(s.delayDirty, e.Node) // worst-fanin-slew set changed
+		s.arrSeed = append(s.arrSeed, e.Node)       // fanin arrival set changed
+	case bog.EditSetOp:
+		s.cellDirty = append(s.cellDirty, e.Node)
+		nd := &s.G.Nodes[e.Node]
+		s.loadDirty = append(s.loadDirty, nd.Fanin[:nd.NumFanin()]...) // their input cap changed
+	case bog.EditInsert:
+		id := bog.NodeID(len(s.G.Nodes) - 1)
+		s.grow()
+		nd := &s.G.Nodes[id]
+		for j := 0; j < nd.NumFanin(); j++ {
+			f := nd.Fanin[j]
+			s.fanoutInsert(f, id)
+			s.loadDirty = append(s.loadDirty, f)
+		}
+		s.loadDirty = append(s.loadDirty, id)
+		s.cellDirty = append(s.cellDirty, id)
+		s.arrSeed = append(s.arrSeed, id)
+	}
 }
 
 // errSealed is Apply's refusal once Snapshot has handed the session's
 // analyzer out.
 var errSealed = errors.New("sta: session was frozen by Snapshot; open a new session on the snapshot")
-
-// editArity mirrors the operator fanin-slot count for delta inserts.
-func editArity(op bog.Op) int {
-	n := bog.Node{Op: op}
-	return n.NumFanin()
-}
 
 // grow extends the per-node vectors for one appended node.
 func (s *Incremental) grow() {

@@ -37,7 +37,7 @@ func operatorAlphabet(v bog.Variant) []bog.Op {
 // in package bog and is not exported).
 func randomEditGraph(v bog.Variant, seed int64) *bog.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := bog.NewGraph(fmt.Sprintf("edit-%v-%d", v, seed), v)
+	g := bog.NewBuilder(fmt.Sprintf("edit-%v-%d", v, seed), v)
 	var pool []bog.NodeID
 	for i := 0; i < 2+rng.Intn(5); i++ {
 		sig := g.AddSigName(fmt.Sprintf("in%d", i))
@@ -83,7 +83,7 @@ func randomEditGraph(v bog.Variant, seed int64) *bog.Graph {
 			})
 		}
 	}
-	return g
+	return g.Graph
 }
 
 // randomDelta draws a random edit script valid for g: fanin re-pointing,

@@ -130,9 +130,10 @@ func TestSummaryMatchesAt(t *testing.T) {
 		}
 	}
 
-	g := bog.NewGraph("no-endpoints", bog.SOG)
-	in := g.AddSigName("in")
-	g.AndOf(g.NewInput(in, 0), g.NewInput(in, 1))
+	b := bog.NewBuilder("no-endpoints", bog.SOG)
+	in := b.AddSigName("in")
+	b.AndOf(b.NewInput(in, 0), b.NewInput(in, 1))
+	g := b.Graph
 	a := sta.NewAnalyzer(g, lib)
 	if r := same(g, a, a.Arrivals(1), 0.5); r.WNS != 0 || r.TNS != 0 {
 		t.Fatalf("no endpoints: WNS %v TNS %v, want 0 and 0", r.WNS, r.TNS)

@@ -24,7 +24,7 @@ import (
 // optimization every synthesis tool performs, and the main source of
 // structural divergence between the RTL-level graph and the netlist.
 func balance(g *bog.Graph, seed int64) *bog.Graph {
-	nb := bog.NewGraph(g.Design, bog.AIG)
+	nb := bog.NewBuilder(g.Design, bog.AIG)
 	fo := g.FanoutCounts()
 	for _, ep := range g.Endpoints {
 		fo[ep.D]++ // endpoint uses pin the driver
@@ -108,7 +108,7 @@ func balance(g *bog.Graph, seed int64) *bog.Graph {
 		}
 		nb.Endpoints = append(nb.Endpoints, nep)
 	}
-	return nb
+	return nb.Graph
 }
 
 // mapper covers a (balanced) AIG with library cells.
