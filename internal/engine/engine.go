@@ -2,10 +2,14 @@
 // every workload that fans out over designs, BOG representations or
 // cross-validation folds runs through one Engine, which provides
 //
-//   - a bounded worker pool (ForEach / ForEachErr) shared across nesting
-//     levels — an inner fan-out running inside a pooled task falls back to
-//     inline execution instead of deadlocking or oversubscribing, so the
-//     total concurrency stays at the configured jobs count;
+//   - a bounded, work-conserving worker pool (ForEach / ForEachErr)
+//     shared across nesting levels: the caller and the pool goroutines it
+//     starts each keep taking the next unstarted task until none remain,
+//     so a fan-out of unequal tasks (the four variants of one design)
+//     keeps every worker busy; an inner fan-out running inside a pooled
+//     task falls back to inline execution instead of deadlocking or
+//     oversubscribing, so the total concurrency stays at the configured
+//     jobs count, and at jobs=1 every task runs inline in index order;
 //   - a two-tier representation cache keyed on (design, variant) with
 //     single-flight semantics: EvalRep consults memory first, then (when a
 //     cache directory is configured with SetCacheDir) a content-addressed
@@ -528,10 +532,19 @@ func (e *Engine) CacheDir() string { return e.cacheDir }
 func (e *Engine) SetShards(int) {}
 
 // ForEach runs fn(0) … fn(n-1) on the bounded pool and waits for all of
-// them. When the pool is saturated — including every nested ForEach once
-// the outer level holds all slots — the task runs inline on the caller,
-// which bounds total concurrency and makes nesting deadlock-free. fn must
-// confine its writes to per-index data.
+// them. Workers pull: the caller and every pool goroutine it starts take
+// the next unstarted index from one per-call counter until none remain,
+// so no worker idles while a task is still waiting, whatever the tasks
+// cost. For each index it takes, the caller first hands it to a new pool
+// goroutine if a slot is free and otherwise runs it inline. Hence:
+//
+//   - at most jobs tasks run at once: jobs-1 pool slots plus the caller;
+//   - a nested ForEach finds the slots its outer level holds taken and
+//     runs inline, so nesting cannot deadlock or oversubscribe;
+//   - at jobs=1 every task runs inline, in index order.
+//
+// fn must confine its writes to per-index data; results are then the same
+// for every jobs value.
 //
 // A panicking task no longer kills the process from an anonymous pool
 // goroutine: panics are recovered into *PanicError (cancel.go), the
@@ -539,34 +552,56 @@ func (e *Engine) SetShards(int) {}
 // on the caller — where the caller's own containment (a detached
 // resolution, ForEachErr, an HTTP handler wrapper) can absorb it.
 func (e *Engine) ForEach(n int, fn func(i int)) {
-	pc := panicCollector{eng: e}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	f := &fanOut{sem: e.sem, fn: fn, n: n, pc: panicCollector{eng: e}}
+	for i := f.take(); i < n; i = f.take() {
 		select {
 		case e.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-e.sem }()
-				defer pc.capture(i)
-				fn(i)
-			}(i)
+			f.wg.Add(1)
+			go f.help(i)
 		default:
-			func() {
-				defer pc.capture(i)
-				fn(i)
-			}()
+			f.run(i)
 		}
 	}
-	wg.Wait()
-	pc.rethrow()
+	f.wg.Wait()
+	f.pc.rethrow()
 }
 
-// ForEachErr is ForEach for fallible tasks: once any task fails, tasks
-// that have not started yet are skipped (in-flight tasks finish), and the
-// lowest-index error among the tasks that ran is returned. A panicking
-// task is contained into a *PanicError and competes as that task's error —
-// ForEachErr never re-raises.
+// fanOut is one ForEach call: the engine's slots, the shared counter its
+// workers take indices from, the join and the panic collector.
+type fanOut struct {
+	sem  chan struct{}
+	fn   func(int)
+	n    int
+	next atomic.Int64 // the lowest index no worker has taken yet
+	wg   sync.WaitGroup
+	pc   panicCollector
+}
+
+// take claims the next unstarted index; n or more means none remain.
+func (f *fanOut) take() int { return int(f.next.Add(1) - 1) }
+
+// run executes task i with its panic contained.
+func (f *fanOut) run(i int) {
+	defer f.pc.capture(i)
+	f.fn(i)
+}
+
+// help is a pool goroutine's body: it runs task i, then keeps taking
+// indices until none remain, and frees its slot on the way out.
+func (f *fanOut) help(i int) {
+	defer f.wg.Done()
+	defer func() { <-f.sem }()
+	for ; i < f.n; i = f.take() {
+		f.run(i)
+	}
+}
+
+// ForEachErr is ForEach for fallible tasks, on the same pulling workers
+// and bounds: once any task fails, tasks that have not started yet are
+// skipped (in-flight tasks finish), and the lowest-index error among the
+// tasks that ran is returned. A panicking task is contained into a
+// *PanicError and competes as that task's error — ForEachErr never
+// re-raises.
 func (e *Engine) ForEachErr(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var failed atomic.Bool

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rtltimer/internal/bog"
 	"rtltimer/internal/designs"
@@ -56,6 +57,76 @@ func TestForEachNestedNoDeadlock(t *testing.T) {
 		})
 		if count != 8*8*4 {
 			t.Fatalf("jobs=%d: nested count %d", jobs, count)
+		}
+	}
+}
+
+// TestForEachKeepsWorkersBusy: a pool goroutine keeps taking tasks after
+// its first. At jobs 2 the caller hands task 0 to the one pool slot and
+// runs task 1 itself; task 0 waits until task 1 has started, and task 1
+// waits until tasks 2 and 3 have finished, which only the pool goroutine
+// can run. A pool goroutine that exited after task 0 would leave them
+// unstarted until task 1 gives up.
+func TestForEachKeepsWorkersBusy(t *testing.T) {
+	const wait = 5 * time.Second
+	started1 := make(chan struct{})
+	var done23 sync.WaitGroup
+	done23.Add(2)
+	finished23 := make(chan struct{})
+	go func() { done23.Wait(); close(finished23) }()
+	var timedOut [2]atomic.Bool
+	New(2).ForEach(4, func(i int) {
+		switch i {
+		case 0:
+			select {
+			case <-started1:
+			case <-time.After(wait):
+				timedOut[0].Store(true)
+			}
+		case 1:
+			close(started1)
+			select {
+			case <-finished23:
+			case <-time.After(wait):
+				timedOut[1].Store(true)
+			}
+		default:
+			done23.Done()
+		}
+	})
+	if timedOut[0].Load() {
+		t.Fatalf("task 0 waited %v for task 1 to start", wait)
+	}
+	if timedOut[1].Load() {
+		t.Fatalf("task 1 waited %v for tasks 2 and 3: the pool goroutine stopped taking tasks", wait)
+	}
+}
+
+// TestForEachNeverExceedsJobs: however the workers pull, at most jobs
+// tasks run at once (jobs-1 pool slots plus the caller), with fan-outs
+// nested inside tasks too. Each task's busy section is counted; a worker
+// is in at most one at a time, since a nested fan-out starts after its
+// task's section ends.
+func TestForEachNeverExceedsJobs(t *testing.T) {
+	for _, jobs := range []int{1, 2, 3, 8} {
+		e := New(jobs)
+		var running, peak atomic.Int32
+		busy := func() {
+			now := running.Add(1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+			time.Sleep(50 * time.Microsecond)
+			running.Add(-1)
+		}
+		e.ForEach(6, func(int) {
+			busy()
+			e.ForEach(5, func(int) {
+				busy()
+				e.ForEach(3, func(int) { busy() })
+			})
+		})
+		if p := peak.Load(); p > int32(jobs) {
+			t.Fatalf("jobs=%d: %d tasks ran at once", jobs, p)
 		}
 	}
 }

@@ -8,11 +8,11 @@
 // testable through httptest without spawning a process.
 //
 // Failures are classified, not flattened: client mistakes (decode,
-// validation, unknown session) are 400, internal faults (contained
-// panics, unexpected errors) are 500, shed load is 503 with Retry-After,
-// an expired request deadline is 504, and a client that hung up gets the
-// nginx-style 499 — the status nobody reads but the access log keeps
-// honest. GET /healthz answers liveness, GET /readyz readiness.
+// validation, unknown session) are 400, a body past the 64 MiB cap is
+// 413, internal faults (contained panics, unexpected errors) are 500,
+// shed load is 503 with Retry-After, an expired request deadline is 504,
+// and a client that hung up gets the nginx-style 499 — the status nobody
+// reads but the access log keeps honest. GET /healthz answers liveness, GET /readyz readiness.
 package service
 
 import (
@@ -28,7 +28,8 @@ import (
 
 // maxRequestBody bounds request bodies (inline Verilog sources included):
 // the daemon serves trusted engineering clients, but an accidental
-// multi-gigabyte POST must not take the resident engine down with it.
+// multi-gigabyte POST must not take the resident engine down with it. A
+// longer body is refused whole with a 413, never decoded as its prefix.
 const maxRequestBody = 64 << 20
 
 // statusClientClosedRequest is nginx's non-standard 499 "client closed
@@ -199,7 +200,9 @@ type errorResponse struct {
 // passing the request context through so deadlines and client disconnects
 // reach the engine's cancelable waits. Errors map through errorStatus; a
 // decode failure is the client's 400 unless the context died first — a
-// body cut off by the deadline or a hangup is not a malformed request.
+// body cut off by the deadline or a hangup is not a malformed request —
+// or the body ran past maxRequestBody, which is a 413 wherever the
+// decoder stood when it hit the cap.
 func post[Req any, Resp any](s *Service, fn func(*Service, context.Context, Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -207,9 +210,14 @@ func post[Req any, Resp any](s *Service, fn func(*Service, context.Context, Req)
 			return
 		}
 		var req Req
-		if err := decodeStrict(io.LimitReader(r.Body, maxRequestBody), &req); err != nil {
+		if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxRequestBody), &req); err != nil {
 			if ctxErr := r.Context().Err(); ctxErr != nil {
 				writeError(w, errorStatus(ctxErr), ctxErr)
+				return
+			}
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d MiB limit", maxRequestBody>>20))
 				return
 			}
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
@@ -226,20 +234,23 @@ func post[Req any, Resp any](s *Service, fn func(*Service, context.Context, Req)
 
 // decodeStrict decodes exactly one JSON value from r into v: unknown
 // fields are an error, and so is any non-whitespace byte after the value.
+// The rest of the body is checked by decoding it too, which scans it once:
+// Decoder.Token would rescan the buffered whitespace after every read, so
+// a value followed by megabytes of spaces, read off a socket a few KiB at
+// a time, would cost minutes of CPU.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	tok, err := dec.Token()
-	switch {
+	switch err := dec.Decode(&struct{}{}); {
 	case err == io.EOF:
 		return nil
 	case err != nil:
 		return fmt.Errorf("trailing data after the JSON value: %w", err)
 	}
-	return fmt.Errorf("trailing data after the JSON value: %v", tok)
+	return errors.New("trailing data after the JSON value: a second value")
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

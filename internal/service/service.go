@@ -311,7 +311,7 @@ func (s *Service) Eval(ctx context.Context, req EvalRequest) (*EvalResponse, err
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	reps, err := buildSweepReps(ctx, s.eng, d.tag, d.src)
+	reps, err := buildSweepReps(ctx, s.eng, d.tag, d.src, want)
 	if err != nil {
 		return nil, classifyEngineErr(err)
 	}
@@ -354,7 +354,7 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, 
 	if rerr != nil {
 		return nil, badRequest(rerr)
 	}
-	reps, berr := buildSweepReps(ctx, s.eng, d.tag, d.src)
+	reps, berr := buildSweepReps(ctx, s.eng, d.tag, d.src, bog.Variants())
 	if berr != nil {
 		return nil, classifyEngineErr(berr)
 	}
@@ -390,7 +390,7 @@ func (s *Service) Fmax(ctx context.Context, req FmaxRequest) (*FmaxResponse, err
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	reps, berr := buildSweepReps(ctx, s.eng, d.tag, d.src)
+	reps, berr := buildSweepReps(ctx, s.eng, d.tag, d.src, bog.Variants())
 	if berr != nil {
 		return nil, classifyEngineErr(berr)
 	}

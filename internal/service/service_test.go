@@ -9,9 +9,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -277,6 +279,17 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) (int, []b
 	return resp.StatusCode, out.Bytes()
 }
 
+// spaces is an endless stream of JSON whitespace, so a test can send a
+// body of any length without holding it.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
 // TestHTTPSurface exercises the wire layer: happy paths, method
 // discipline, strict decoding, and error payloads.
 func TestHTTPSurface(t *testing.T) {
@@ -286,18 +299,9 @@ func TestHTTPSurface(t *testing.T) {
 	defer srv.Close()
 	c := srv.Client()
 
-	code, body := postJSON(t, c, srv.URL+"/eval", EvalRequest{Design: DesignRef{Bench: name}, Period: 0.5})
-	if code != http.StatusOK {
-		t.Fatalf("/eval: %d %s", code, body)
-	}
-	var er EvalResponse
-	if err := json.Unmarshal(body, &er); err != nil || len(er.Results) != len(bog.Variants()) {
-		t.Fatalf("/eval payload: %v %s", err, body)
-	}
-	// A variant subset answers in request order, each entry equal to the
-	// full answer's; a variant named twice, in any case, is a 400 naming
-	// it.
-	code, body = postJSON(t, c, srv.URL+"/eval", EvalRequest{Design: DesignRef{Bench: name}, Period: 0.5, Variants: []string{"xag", "SOG"}})
+	// A variant subset, asked first on the fresh service, builds only the
+	// variants it lists; the full request then builds the other two.
+	code, body := postJSON(t, c, srv.URL+"/eval", EvalRequest{Design: DesignRef{Bench: name}, Period: 0.5, Variants: []string{"xag", "SOG"}})
 	if code != http.StatusOK {
 		t.Fatalf("/eval subset: %d %s", code, body)
 	}
@@ -305,6 +309,22 @@ func TestHTTPSurface(t *testing.T) {
 	if err := json.Unmarshal(body, &sub); err != nil {
 		t.Fatal(err)
 	}
+	if b := svc.Stats().Stats.Builds; b != 2 {
+		t.Fatalf("/eval subset [xag SOG] on a fresh service made %d builds, want 2", b)
+	}
+	code, body = postJSON(t, c, srv.URL+"/eval", EvalRequest{Design: DesignRef{Bench: name}, Period: 0.5})
+	if code != http.StatusOK {
+		t.Fatalf("/eval: %d %s", code, body)
+	}
+	var er EvalResponse
+	if err := json.Unmarshal(body, &er); err != nil || len(er.Results) != len(bog.Variants()) {
+		t.Fatalf("/eval payload: %v %s", err, body)
+	}
+	if b := svc.Stats().Stats.Builds; b != int64(len(bog.Variants())) {
+		t.Fatalf("/eval after the subset: %d builds in all, want %d", b, len(bog.Variants()))
+	}
+	// The subset answers in request order, each entry equal to the full
+	// answer's; a variant named twice, in any case, is a 400 naming it.
 	full := map[string]VariantResult{}
 	for _, r := range er.Results {
 		full[r.Variant] = r
@@ -347,21 +367,35 @@ func TestHTTPSurface(t *testing.T) {
 	}
 	// A body holds one JSON value: trailing garbage or a second request
 	// is a 400 naming the trailing data; a trailing newline is whitespace.
+	// A body past the 64 MiB cap is a 413 naming the limit wherever the
+	// decoder stands when it reaches the cap, never answered as the prefix
+	// the cap leaves; a body of exactly the cap is served. The padded
+	// bodies stream through readers, so the test holds none of them.
 	one := fmt.Sprintf(`{"design":{"bench":%q},"period":0.5}`, name)
+	pad := func(n int) io.Reader { return io.LimitReader(spaces{}, int64(n)) }
 	for _, tc := range []struct {
-		body string
+		name string
+		body io.Reader
 		code int
+		want string
 	}{
-		{one + " garbage", http.StatusBadRequest},
-		{one + one, http.StatusBadRequest},
-		{one + "\n", http.StatusOK},
+		{"garbage after a query", strings.NewReader(one + " garbage"), http.StatusBadRequest, "trailing data"},
+		{"two queries", strings.NewReader(one + one), http.StatusBadRequest, "trailing data"},
+		{"a query and a newline", strings.NewReader(one + "\n"), http.StatusOK, ""},
+		{"a query, 64 MiB of spaces and a second query", io.MultiReader(strings.NewReader(one), pad(maxRequestBody), strings.NewReader(one)), http.StatusRequestEntityTooLarge, "64 MiB limit"},
+		{"a query starting past the cap", io.MultiReader(pad(maxRequestBody), strings.NewReader(one)), http.StatusRequestEntityTooLarge, "64 MiB limit"},
+		{"a query padded to exactly the cap", io.MultiReader(strings.NewReader(one), pad(maxRequestBody-len(one))), http.StatusOK, ""},
 	} {
-		code, _, body, err := postRaw(c, srv.URL+"/eval", strings.NewReader(tc.body))
+		// The JSON decoder keeps whitespace buffered until the next token,
+		// so a padded body costs the handler up to the cap in buffer;
+		// return it before the next body, so the test peaks at one body's.
+		debug.FreeOSMemory()
+		code, _, body, err := postRaw(c, srv.URL+"/eval", tc.body)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if code != tc.code || (code == http.StatusBadRequest && !strings.Contains(string(body), "trailing data")) {
-			t.Fatalf("body %q: %d %s, want %d", tc.body, code, body, tc.code)
+		if code != tc.code || !strings.Contains(string(body), tc.want) {
+			t.Fatalf("%s: %d %s, want %d naming %q", tc.name, code, body, tc.code, tc.want)
 		}
 	}
 	// /annotate without a model says how to get one.
