@@ -267,7 +267,7 @@ func paperCorpus(b *testing.B) (train []*dataset.DesignData, held *dataset.Desig
 			spec, _ := designs.ByName(name)
 			specs = append(specs, spec)
 		}
-		paperData, paperErr = dataset.BuildAll(specs, dataset.BuildOptions{Seed: 1})
+		paperData, paperErr = dataset.BuildAll(specs, dataset.BuildOptions{})
 	})
 	if paperErr != nil {
 		b.Fatal(paperErr)

@@ -27,10 +27,13 @@
 // -cache-dir persists representations across runs. Processes may share
 // one directory: each builds the entries it misses, and publishes are
 // atomic, so a duplicate build rewrites the same bytes. -cache-scrub is
-// the offline maintenance mode: it validates every entry the way a warm
-// load would, quarantines corrupt and retired ones under quarantine/,
-// reclaims temp files orphaned by killed processes, and (with
-// -cache-budget) evicts least-recently-modified entries to a size budget.
+// the offline maintenance mode: it reads every entry through the store a
+// warm load uses and validates it the way a warm load would, quarantines
+// corrupt and other-format ones under quarantine/ (one specimen per
+// distinct corrupt entry), counts entries it cannot read and leaves them
+// in place, reclaims temp files orphaned by killed processes (no run
+// opening the cache does), and (with -cache-budget) evicts
+// least-recently-modified entries to a size budget.
 package main
 
 import (
@@ -179,7 +182,7 @@ func main() {
 	var train []*dataset.DesignData
 	var err error
 	if *loadModel == "" {
-		opts := dataset.BuildOptions{Seed: *seed, Engine: eng}
+		opts := dataset.BuildOptions{Engine: eng}
 		var trainSpecs []designs.Spec
 		for _, s := range designs.All() {
 			if s.Name == *bench {
@@ -196,7 +199,7 @@ func main() {
 
 	// Target design.
 	target, err := dataset.BuildFromSource(targetSpec, srcText,
-		dataset.BuildOptions{Seed: *seed, Period: *period, Engine: eng})
+		dataset.BuildOptions{Period: *period, Engine: eng})
 	if err != nil {
 		log.Fatal(err)
 	}

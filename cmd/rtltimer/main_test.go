@@ -45,6 +45,9 @@ func TestParseSweep(t *testing.T) {
 		{in: "NaN:0.9:13", wantErr: true},
 		{in: "0.3:NaN:13", wantErr: true},
 		{in: "0.3:+Inf:13", wantErr: true},
+		// Finite bounds whose steps overflow on the way: (hi-lo)*2 is +Inf.
+		{in: "1:1.7e308:3", wantErr: true},
+		{in: "1:1.7e308:2", want: []float64{1, 1.7e308}},
 
 		// A sweep needs at least its two endpoints, and a step count an
 		// allocation can survive.

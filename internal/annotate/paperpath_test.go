@@ -76,7 +76,7 @@ func paperPath(t *testing.T, trainNames []string, held string) (model, annotated
 		}
 		specs = append(specs, spec)
 	}
-	data, err := dataset.BuildAll(specs, dataset.BuildOptions{Seed: 1, Engine: eng})
+	data, err := dataset.BuildAll(specs, dataset.BuildOptions{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,6 @@ type BuildOptions struct {
 	MinSamples int  // min random paths per endpoint (default 2)
 	MaxSamples int  // max random paths per endpoint (default 12)
 	WithSeqs   bool // also extract per-node sequences (transformer)
-	Seed       int64
 	// Engine drives the per-design and per-representation fan-out and
 	// caches representation evaluations. nil gives the call a private
 	// engine.New(0), whose cache is dropped when the call returns.

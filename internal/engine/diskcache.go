@@ -33,10 +33,12 @@
 // temp+rename (readers never observe a partial entry) and transient I/O
 // errors are retried on a fixed schedule. Entries are advisory: any read
 // that fails validation (bad checksum, truncation, size mismatch, codec
-// error) is moved to quarantine/ — counted in Stats.Quarantined, so
-// corruption is visible instead of being re-read forever — and the caller
-// falls through to a rebuild. Real I/O errors (anything but not-exist)
-// count in Stats.DiskErrors. The entry name is the SHA-256 of (a frozen
+// error) is moved to quarantine/ by quarantine, the one helper the
+// offline scrub (scrub.go) moves entries with too — counted in
+// Stats.Quarantined, so corruption is visible instead of being re-read
+// forever — and the caller falls through to a rebuild. Real I/O errors
+// (anything but not-exist) count in Stats.DiskErrors and leave the entry
+// where it is. The entry name is the SHA-256 of (a frozen
 // format salt, design tag — which itself embeds the SHA-256 of the source
 // — BOG variant, library fingerprint), so a change to any input simply
 // misses instead of deserializing stale state. A format bump keeps the
@@ -55,9 +57,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"math"
+	"strings"
 
 	"rtltimer/internal/bog"
 	"rtltimer/internal/features"
@@ -101,29 +105,43 @@ func sealEntry(body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
 }
 
-// quarantinePrefix is the store namespace invalid entries are moved to.
-// On this hot read path quarantined files keep their entry name, so a
-// recurring corruption of one entry overwrites its previous specimen
-// (probing for a free ordinal here would cost extra store reads per
-// failure and perturb ordinal-keyed fault plans); the offline scrub's
-// quarantineFile (scrub.go) does uniquify, so evidence accumulated across
-// maintenance passes is never destroyed.
-const quarantinePrefix = "quarantine/"
+// Entry, temp and specimen names. Every entry name ends in entrySuffix;
+// every temp file DirStore.Put writes before renaming it into place
+// starts with tempPrefix, which no entry name does, so reads never see
+// one and only the scrub reclaims it; quarantined specimens live under
+// quarantinePrefix.
+const (
+	entrySuffix      = ".rep"
+	tempPrefix       = ".rep-"
+	quarantinePrefix = "quarantine/"
+)
 
-// quarantine moves an invalid entry out of the serving namespace so it is
-// never re-read (and re-rejected) again, preserving the bytes for
-// inspection. Best-effort on both legs: if the copy fails the delete
-// still proceeds — stopping the re-read loop matters more than keeping
-// the specimen — and if the delete fails the entry simply gets one more
-// chance to be overwritten by the rebuild's Put. The copy-then-delete
-// can, in principle, race a concurrent process renaming a fresh valid
-// entry over the same name (the fresh entry would be deleted); that
-// degrades to one extra rebuild, never to a wrong result, exactly like
-// every other advisory failure here.
-func (e *Engine) quarantine(name string, data []byte) {
-	e.store.Put(quarantinePrefix+name, data)
-	e.store.Delete(name)
-	e.quarantined.Add(1)
+// specimenName is where quarantine keeps the bytes of an invalid entry:
+// quarantine/<stem>-<CRC-32 of the bytes, 8 hex digits>.rep. Two
+// different corruptions of one entry get two names and identical bytes
+// collapse into one, so evidence accumulates without probing for a free
+// name. The CRC is the IEEE polynomial, not the entry checksum's
+// Castagnoli: the CRC-32C of any sealed body is one constant (the
+// residue 0x48674bc7), so it would give every checksum-valid specimen
+// of an entry the same name.
+func specimenName(name string, data []byte) string {
+	return fmt.Sprintf("%s%s-%08x%s", quarantinePrefix, strings.TrimSuffix(name, entrySuffix), crc32.ChecksumIEEE(data), entrySuffix)
+}
+
+// quarantine moves an invalid entry out of the serving namespace of s so
+// it is never re-read (and re-rejected) again, keeping its bytes under
+// specimenName for inspection: one Put and one Delete. A warm load and
+// the scrub both call it. Best-effort on both legs: if the copy fails the
+// delete still proceeds — stopping the re-read loop matters more than
+// keeping the specimen — and if the delete fails the entry simply gets
+// one more chance to be overwritten by a rebuild's Put. The
+// copy-then-delete can, in principle, race a concurrent process renaming
+// a fresh valid entry over the same name (the fresh entry would be
+// deleted); that degrades to one extra rebuild, never to a wrong result,
+// exactly like every other advisory failure here.
+func quarantine(s Store, name string, data []byte) {
+	s.Put(specimenName(name, data), data)
+	s.Delete(name)
 }
 
 // getEntry reads one entry through the store, classifying the miss:
@@ -163,7 +181,7 @@ func entryName(key Key, lib *liberty.PseudoLib) string {
 	h.Write([]byte{byte(key.Variant)})
 	frame(key.Design)
 	frame(lib.Fingerprint())
-	return hex.EncodeToString(h.Sum(nil)) + ".rep"
+	return hex.EncodeToString(h.Sum(nil)) + entrySuffix
 }
 
 // diskLoad restores a representation evaluation from the on-disk tier.
@@ -180,7 +198,8 @@ func (e *Engine) diskLoad(key Key, lib *liberty.PseudoLib) (res *RepResult, ok b
 	res = decodeEntry(data, lib)
 	if res == nil {
 		if _, version, intact := openEntry(data); !intact || version == entryVersion {
-			e.quarantine(name, data)
+			quarantine(e.store, name, data)
+			e.quarantined.Add(1)
 		}
 		return nil, false
 	}

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"rtltimer/internal/bog"
 	"rtltimer/internal/elab"
@@ -294,34 +293,6 @@ func TestDiskCacheDisabledByDefault(t *testing.T) {
 	st := e.Stats()
 	if st.DiskHits != 0 || st.DiskMisses != 0 || st.DiskWrites != 0 {
 		t.Fatalf("disk counters moved without a cache dir: %+v", st)
-	}
-}
-
-// TestSetCacheDirSweepsStaleTemps: orphaned temp files older than the
-// stale age are reclaimed; fresh temps (a live writer) and real entries
-// are left alone.
-func TestSetCacheDirSweepsStaleTemps(t *testing.T) {
-	dir := t.TempDir()
-	stale := filepath.Join(dir, ".rep-stale")
-	fresh := filepath.Join(dir, ".rep-fresh")
-	entry := filepath.Join(dir, "0123.rep")
-	for _, p := range []string{stale, fresh, entry} {
-		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old := time.Now().Add(-2 * staleTempAge)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
-	}
-	New(1).SetCacheDir(dir)
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatal("stale temp file survived the sweep")
-	}
-	for _, p := range []string{fresh, entry} {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("%s was removed by the sweep: %v", p, err)
-		}
 	}
 }
 

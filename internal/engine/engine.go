@@ -494,13 +494,14 @@ func (e *Engine) Jobs() int { return e.jobs }
 
 // SetCacheDir enables the persistent on-disk representation tier rooted at
 // dir: a RetryStore (deterministic bounded backoff for transient I/O
-// errors) over a DirStore (atomic temp+rename writes). The directory is
-// created lazily on the first write; entries are advisory — corrupt,
-// truncated or version-mismatched files are quarantined and rebuilt — so
-// pointing several processes at one directory is safe: each builds what
-// it misses, and a duplicate build publishes the same bytes. Temp files
-// orphaned by killed writers are swept on the way in. Call before the
-// engine is shared between goroutines.
+// errors) over a DirStore (atomic temp+rename writes). It touches no file:
+// the directory is created lazily on the first write, and temp files
+// orphaned by killed writers stay until a ScrubCache reclaims them. Entries
+// are advisory — corrupt or truncated files are quarantined and rebuilt,
+// and an entry of another format version is rebuilt over — so pointing
+// several processes at one directory is safe: each builds what it misses,
+// and a duplicate build publishes the same bytes. Call before the engine
+// is shared between goroutines.
 func (e *Engine) SetCacheDir(dir string) {
 	e.cacheDir = dir
 	if dir == "" {
@@ -508,7 +509,6 @@ func (e *Engine) SetCacheDir(dir string) {
 		return
 	}
 	e.store = NewRetryStore(NewDirStore(dir))
-	cleanStaleTemps(dir)
 }
 
 // SetCacheStore points the disk tier at an explicit Store composition —

@@ -9,6 +9,7 @@ package engine
 
 import (
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -17,9 +18,10 @@ import (
 const FaultEvery = -1
 
 // InjectedFault is the error type FaultStore returns for planned
-// failures. IsTransient steers RetryStore's classifier, so one plan can
-// model both a glitch that a retry heals and a persistently failing
-// device.
+// failures. It unwraps to an errno the way a real device's error does:
+// EIO when IsTransient, which RetryStore's classifier retries, and EROFS
+// otherwise, which it passes through, so one plan can model both a glitch
+// that a retry heals and a persistently failing device.
 type InjectedFault struct {
 	Op          string // "get", "put"
 	Ordinal     int
@@ -34,8 +36,13 @@ func (f *InjectedFault) Error() string {
 	return "engine: injected " + kind + " " + f.Op + " fault"
 }
 
-// Transient implements the classifier hook read by TransientErr.
-func (f *InjectedFault) Transient() bool { return f.IsTransient }
+// Unwrap returns the errno TransientErr classifies the fault by.
+func (f *InjectedFault) Unwrap() error {
+	if f.IsTransient {
+		return syscall.EIO
+	}
+	return syscall.EROFS
+}
 
 // FaultPlan is a deterministic fault schedule. Every map is keyed by the
 // per-operation ordinal (Gets and Puts are counted separately, from 0, in

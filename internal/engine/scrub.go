@@ -1,28 +1,30 @@
-// Cache maintenance: the stale-temp sweep that runs on SetCacheDir, and
-// ScrubCache — the explicit offline maintenance pass behind the CLIs'
-// -cache-scrub mode. Scrubbing validates every entry the way a warm load
+// Cache maintenance: ScrubCache, the explicit offline pass behind the
+// CLIs' -cache-scrub mode, and the cache directory's only janitor.
+// Scrubbing reads every entry through the store composition SetCacheDir
+// builds (RetryStore over DirStore), validates it the way a warm load
 // would (checksum, magic, version, codec, shape), then recomputes the
-// arrival fingerprint that a load trusts, quarantines the invalid ones
-// along with entries of retired formats that nothing reads any more,
-// reclaims temp files orphaned by killed processes, and optionally
+// arrival fingerprint that a load trusts. It quarantines the invalid ones,
+// along with entries of other formats, through the one quarantine helper
+// a warm load uses (diskcache.go). Like a load, it leaves an entry it
+// cannot read where it is and counts it. It reclaims temp files orphaned
+// by killed processes — no engine open sweeps them — and optionally
 // enforces a size budget by evicting the least-recently-modified entries
-// first. Subdirectories are never scanned: a "claims/" directory left by
-// an older version that coordinated builds through claim files is inert,
-// and may be deleted.
+// first. Subdirectories are never scanned, and only names ending in
+// ".rep" are entries: a "claims/" directory or a ".shard" file left by
+// an older version is inert, and may be deleted.
 //
 // Scrubbing is safe to run concurrently with live engines sharing the
 // directory: entries are advisory, so the worst a lost race can cost is
-// one rebuild, and quarantine/eviction never rewrite entry bytes — they
-// only move or remove whole files.
+// one rebuild. Quarantine copies an entry's bytes and then deletes it, so
+// a live process renaming a fresh entry over the name in between loses
+// that entry to the delete; eviction removes whole files. Neither ever
+// rewrites the bytes of an entry that stays.
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,38 +33,29 @@ import (
 	"rtltimer/internal/liberty"
 )
 
-// staleTempAge is how old a leftover temp file must be before a sweep
+// staleTempAge is how old a leftover temp file must be before a scrub
 // reclaims it; generous enough that no live writer — entries are written
 // in one Write+Rename — can be holding one.
 const staleTempAge = time.Hour
 
-// cleanStaleTemps removes orphaned ".rep-*" temp files left behind by
-// processes killed between CreateTemp and Rename, so a long-lived shared
-// cache directory does not accumulate dead files. Entirely best-effort;
+// cleanStaleTemps deletes through s the temp files among ents that are
+// older than staleTempAge: the leftovers of processes killed between
+// CreateTemp and Rename, which no read ever sees. Entirely best-effort;
 // returns how many it reclaimed.
-func cleanStaleTemps(dir string) int {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
+func cleanStaleTemps(s Store, ents []os.DirEntry) int {
 	n := 0
 	for _, ent := range ents {
-		if !strings.HasPrefix(ent.Name(), ".rep-") {
+		if !strings.HasPrefix(ent.Name(), tempPrefix) {
 			continue
 		}
 		if info, err := ent.Info(); err == nil && time.Since(info.ModTime()) > staleTempAge {
-			if os.Remove(filepath.Join(dir, ent.Name())) == nil {
+			if s.Delete(ent.Name()) == nil {
 				n++
 			}
 		}
 	}
 	return n
 }
-
-// retiredShardSuffix names the per-shard arrival entries older caches
-// hold. No engine reads them any more, so a scrub quarantines them
-// regardless of their contents.
-const retiredShardSuffix = ".shard"
 
 // ScrubOptions configures one ScrubCache pass.
 type ScrubOptions struct {
@@ -78,8 +71,9 @@ type ScrubOptions struct {
 type ScrubReport struct {
 	Scanned        int   // entries examined
 	Valid          int   // entries that passed full validation
-	Quarantined    int   // invalid or retired entries moved to quarantine/
-	TempsReclaimed int   // stale ".rep-*" temp files removed
+	Quarantined    int   // invalid or other-format entries moved to quarantine/
+	Unreadable     int   // entries whose read failed after retries, left in place
+	TempsReclaimed int   // stale temp files removed
 	Evicted        int   // valid entries removed by the size budget
 	BytesBefore    int64 // valid entry bytes before the budget GC
 	BytesAfter     int64 // valid entry bytes after the budget GC
@@ -89,23 +83,27 @@ type ScrubReport struct {
 func (r *ScrubReport) String() string {
 	s := fmt.Sprintf("scanned %d entries: %d valid, %d quarantined; reclaimed %d stale temps",
 		r.Scanned, r.Valid, r.Quarantined, r.TempsReclaimed)
+	if r.Unreadable > 0 {
+		s += fmt.Sprintf("; %d unreadable", r.Unreadable)
+	}
 	if r.Evicted > 0 || r.BytesBefore != r.BytesAfter {
 		s += fmt.Sprintf("; budget evicted %d entries (%d -> %d bytes)", r.Evicted, r.BytesBefore, r.BytesAfter)
 	}
 	return s
 }
 
-// ScrubCache validates every cache entry under dir, quarantines corrupt
-// and retired ones, reclaims stale temps, and applies the optional size
-// budget. The error is non-nil only when the directory itself cannot be
-// read — per-entry failures are what the scrub exists to absorb.
+// ScrubCache validates every cache entry under dir, quarantines invalid
+// ones, counts the ones it cannot read, reclaims stale temps, and applies
+// the optional size budget. The error is non-nil only when the directory
+// itself cannot be read — per-entry failures are what the scrub exists to
+// absorb.
 func ScrubCache(dir string, opts ScrubOptions) (*ScrubReport, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	rep := &ScrubReport{}
-	rep.TempsReclaimed = cleanStaleTemps(dir)
+	store := NewRetryStore(NewDirStore(dir))
+	rep := &ScrubReport{TempsReclaimed: cleanStaleTemps(store, ents)}
 
 	// Validation uses the default library only as a binding target for
 	// the analyzer/extractor state; every check (checksum, magic, version,
@@ -120,23 +118,17 @@ func ScrubCache(dir string, opts ScrubOptions) (*ScrubReport, error) {
 	var valid []entry
 	for _, ent := range ents {
 		name := ent.Name()
-		if ent.IsDir() || strings.HasPrefix(name, ".rep-") {
-			continue
-		}
-		isRep := strings.HasSuffix(name, ".rep")
-		if !isRep && !strings.HasSuffix(name, retiredShardSuffix) {
+		if ent.IsDir() || !strings.HasSuffix(name, entrySuffix) {
 			continue
 		}
 		rep.Scanned++
-		ok := false
-		if isRep {
-			if data, err := os.ReadFile(filepath.Join(dir, name)); err == nil {
-				res := decodeEntry(data, lib)
-				ok = res != nil && ArrivalDigest(res.Arrival) == res.ArrivalSHA256
-			}
+		data, err := store.Get(name)
+		if err != nil {
+			rep.Unreadable++
+			continue
 		}
-		if !ok {
-			quarantineFile(dir, name)
+		if res := decodeEntry(data, lib); res == nil || ArrivalDigest(res.Arrival) != res.ArrivalSHA256 {
+			quarantine(store, name, data)
 			rep.Quarantined++
 			continue
 		}
@@ -163,43 +155,13 @@ func ScrubCache(dir string, opts ScrubOptions) (*ScrubReport, error) {
 			if rep.BytesAfter <= opts.Budget {
 				break
 			}
-			if os.Remove(filepath.Join(dir, v.name)) == nil {
+			if store.Delete(v.name) == nil {
 				rep.Evicted++
 				rep.BytesAfter -= v.size
 			}
 		}
 	}
 	return rep, nil
-}
-
-// quarantineFile moves one invalid entry into dir/quarantine/ by rename,
-// best-effort (cross-filesystem caches fall back to leaving the file;
-// the next engine read will quarantine it through the store instead).
-// A name already present in quarantine/ — the same entry corrupted,
-// rebuilt and corrupted again across scrubs — gets an ordinal suffix
-// (<name>.1, <name>.2, ...) instead of overwriting the earlier specimen:
-// quarantine exists to preserve evidence, and the suffix is a counter,
-// never a wall-clock reading (nondeterm contract).
-func quarantineFile(dir, name string) {
-	qdir := filepath.Join(dir, "quarantine")
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		return
-	}
-	dst := filepath.Join(qdir, name)
-	// Bounded probe: a pathological corruption loop must not scan forever;
-	// past the bound the newest specimen is simply not preserved (the
-	// source file stays put for the next scrub to retry).
-	const maxSpecimens = 10000
-	for i := 1; ; i++ {
-		if _, err := os.Lstat(dst); errors.Is(err, fs.ErrNotExist) {
-			break
-		}
-		if i > maxSpecimens {
-			return
-		}
-		dst = filepath.Join(qdir, fmt.Sprintf("%s.%d", name, i))
-	}
-	os.Rename(filepath.Join(dir, name), dst)
 }
 
 // ParseSizeBudget parses a human-friendly byte size for -cache-budget:

@@ -1,11 +1,11 @@
 package engine
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"encoding/binary"
-	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,9 +14,10 @@ import (
 )
 
 // TestScrubCacheQuarantinesCorruptEntries: a scrub pass over a cache with
-// one corrupted .rep, one corrupted .shard and one well-formed .shard of
-// the retired per-shard format moves exactly those three into quarantine/,
-// leaves the valid entries serving, and reports the tally.
+// one corrupted entry and one entry it cannot read (a symlink to itself)
+// moves only the corrupted one into quarantine/, counts the other as
+// unreadable and leaves it where it is, as a warm load would, leaves the
+// valid entries serving, and reports the tally.
 func TestScrubCacheQuarantinesCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
 	_, tag := populateCache(t, dir, 2)
@@ -25,22 +26,8 @@ func TestScrubCacheQuarantinesCorruptEntries(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, badRep), []byte("corrupt"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Hand-made .shard files: one corrupt, one well-formed in the retired
-	// format (magic "RTLS", version 1, node count, arrivals, SHA-256 of
-	// everything before it). Nothing reads either any more.
-	badShard := "deadbeef.shard"
-	if err := os.WriteFile(filepath.Join(dir, badShard), []byte("also corrupt"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	oldShard := "cafef00d.shard"
-	old := []byte("RTLS")
-	old = binary.LittleEndian.AppendUint32(old, 1)
-	old = binary.LittleEndian.AppendUint32(old, 2)
-	for _, arr := range []float64{0.25, 0.5} {
-		old = binary.LittleEndian.AppendUint64(old, math.Float64bits(arr))
-	}
-	sum := sha256.Sum256(old)
-	if err := os.WriteFile(filepath.Join(dir, oldShard), append(old, sum[:]...), 0o644); err != nil {
+	loop := filepath.Join(dir, "loop.rep")
+	if err := os.Symlink("loop.rep", loop); err != nil {
 		t.Fatal(err)
 	}
 
@@ -49,16 +36,23 @@ func TestScrubCacheQuarantinesCorruptEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	variants := len(bog.Variants())
-	if rep.Scanned != variants+2 || rep.Valid != variants-1 || rep.Quarantined != 3 {
-		t.Fatalf("report %+v, want %d scanned, %d valid, 3 quarantined", rep, variants+2, variants-1)
+	if rep.Scanned != variants+1 || rep.Valid != variants-1 || rep.Quarantined != 1 || rep.Unreadable != 1 {
+		t.Fatalf("report %+v, want %d scanned, %d valid, 1 quarantined, 1 unreadable", rep, variants+1, variants-1)
 	}
-	for _, name := range []string{badRep, badShard, oldShard} {
-		if _, err := os.Stat(filepath.Join(dir, "quarantine", name)); err != nil {
-			t.Fatalf("%s not in quarantine: %v", name, err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Fatalf("%s still in the serving namespace", name)
-		}
+	if !strings.HasSuffix(rep.String(), "; 1 unreadable") {
+		t.Fatalf("report %q does not name the unreadable entry", rep)
+	}
+	if _, err := os.Stat(filepath.Join(dir, specimenName(badRep, []byte("corrupt")))); err != nil {
+		t.Fatalf("%s not in quarantine: %v", badRep, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, badRep)); !os.IsNotExist(err) {
+		t.Fatalf("%s still in the serving namespace", badRep)
+	}
+	if target, err := os.Readlink(loop); err != nil || target != "loop.rep" {
+		t.Fatalf("the unreadable entry moved: %q, %v", target, err)
+	}
+	if q, _ := filepath.Glob(filepath.Join(dir, "quarantine", "loop*")); len(q) != 0 {
+		t.Fatalf("the unreadable entry was quarantined: %v", q)
 	}
 	// The surviving entries still serve a warm engine; the quarantined one
 	// rebuilds.
@@ -73,13 +67,14 @@ func TestScrubCacheQuarantinesCorruptEntries(t *testing.T) {
 	if st := e.Stats(); st.DiskHits != int64(variants-1) || st.Builds != 1 {
 		t.Fatalf("post-scrub stats %+v, want %d hits and 1 rebuild", st, variants-1)
 	}
-	// A second scrub over the repaired cache is clean and idempotent.
+	// A second scrub over the repaired cache quarantines nothing, and
+	// still cannot read the loop.
 	rep2, err := ScrubCache(dir, ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Quarantined != 0 || rep2.Valid != variants {
-		t.Fatalf("second scrub %+v, want all %d valid", rep2, variants)
+	if rep2.Quarantined != 0 || rep2.Valid != variants || rep2.Unreadable != 1 {
+		t.Fatalf("second scrub %+v, want all %d valid and 1 unreadable", rep2, variants)
 	}
 }
 
@@ -119,7 +114,7 @@ func TestScrubCacheChecksFingerprint(t *testing.T) {
 	if rep.Scanned != variants || rep.Valid != variants-1 || rep.Quarantined != 1 {
 		t.Fatalf("report %+v, want %d scanned, %d valid, 1 quarantined", rep, variants, variants-1)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "quarantine", name)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, specimenName(name, bad))); err != nil {
 		t.Fatalf("the entry is not in quarantine: %v", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -147,20 +142,26 @@ func TestScrubCacheChecksFingerprint(t *testing.T) {
 	}
 }
 
-// TestScrubQuarantineAccumulatesSpecimens is the name-collision regression
-// (the resident-service bugfix): quarantineFile used to rename over any
-// earlier specimen of the same entry name, so "corrupt -> scrub -> rebuild
-// -> corrupt -> scrub" silently destroyed the first piece of evidence. Each
-// repeat must land under an ordinal suffix instead.
+// TestScrubQuarantineAccumulatesSpecimens: "corrupt -> scrub -> rebuild
+// -> corrupt -> scrub" must never destroy the first piece of evidence.
+// Each distinct corruption of one entry lands under its own specimen
+// name, including two that keep a valid checksum (whose CRC-32C is the
+// same constant), and a repeat of identical bytes collapses into the
+// specimen already there.
 func TestScrubQuarantineAccumulatesSpecimens(t *testing.T) {
 	dir := t.TempDir()
 	name := "cafef00d.rep"
-	corrupt := func(body string) {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+	bodies := [][]byte{
+		[]byte("first corruption"),
+		[]byte("second corruption"),
+		sealEntry([]byte("RTLR sealed but malformed")),
+		sealEntry([]byte("RTLR sealed and malformed too")),
+		[]byte("first corruption"),
+	}
+	for _, body := range bodies {
+		if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	scrub := func() {
 		rep, err := ScrubCache(dir, ScrubOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -168,36 +169,27 @@ func TestScrubQuarantineAccumulatesSpecimens(t *testing.T) {
 		if rep.Quarantined != 1 {
 			t.Fatalf("report %+v, want 1 quarantined", rep)
 		}
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("%s still in the serving namespace after scrub", name)
+		}
 	}
-	corrupt("first corruption")
-	scrub()
-	corrupt("second corruption")
-	scrub()
-	corrupt("third corruption")
-	scrub()
-
-	// All three specimens survive, distinguishable and in order.
-	want := map[string]string{
-		name:        "first corruption",
-		name + ".1": "second corruption",
-		name + ".2": "third corruption",
-	}
-	for qname, body := range want {
-		data, err := os.ReadFile(filepath.Join(dir, "quarantine", qname))
+	for _, body := range bodies {
+		data, err := os.ReadFile(filepath.Join(dir, specimenName(name, body)))
 		if err != nil {
-			t.Fatalf("specimen %s missing: %v", qname, err)
+			t.Fatalf("specimen of %q missing: %v", body, err)
 		}
-		if string(data) != body {
-			t.Errorf("specimen %s holds %q, want %q (overwritten?)", qname, data, body)
+		if !bytes.Equal(data, body) {
+			t.Errorf("specimen holds %q, want %q (overwritten?)", data, body)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-		t.Fatalf("%s still in the serving namespace after scrub", name)
+	if q, _ := filepath.Glob(filepath.Join(dir, "quarantine", "cafef00d-*.rep")); len(q) != len(bodies)-1 {
+		t.Fatalf("quarantine holds %v, want %d distinct specimens", q, len(bodies)-1)
 	}
 }
 
-// TestScrubCacheReclaimsTemps: stale temp files are swept; fresh ones
-// (live writers) survive.
+// TestScrubCacheReclaimsTemps: the scrub is the only janitor. Opening an
+// engine on the directory touches no file; the scrub then sweeps the stale
+// temp files, and fresh ones (live writers) survive it.
 func TestScrubCacheReclaimsTemps(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]bool{ // name -> stale
@@ -217,12 +209,18 @@ func TestScrubCacheReclaimsTemps(t *testing.T) {
 			}
 		}
 	}
+	New(1).SetCacheDir(dir)
+	for name := range files {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("opening an engine removed %s: %v", name, err)
+		}
+	}
 	rep, err := ScrubCache(dir, ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.TempsReclaimed != 2 {
-		t.Fatalf("report %+v, want 2 temps reclaimed", rep)
+	if rep.TempsReclaimed != 2 || rep.Scanned != 0 {
+		t.Fatalf("report %+v, want 2 temps reclaimed and no entry scanned", rep)
 	}
 	for name, stale := range files {
 		_, err := os.Stat(filepath.Join(dir, name))

@@ -35,7 +35,7 @@ import (
 )
 
 // Store is the disk tier's I/O interface. Entry names are slash-separated
-// relative paths ("<digest>.rep", "quarantine/<digest>.rep");
+// relative paths ("<digest>.rep", "quarantine/<digest>-<crc>.rep");
 // implementations map them to whatever addressing their backend has. All
 // methods must be safe for concurrent use by multiple goroutines and — for
 // shared-directory backends — multiple processes.
@@ -90,7 +90,7 @@ func (s *DirStore) Get(name string) ([]byte, error) {
 
 // Put writes payload to a temp file in the destination directory, makes
 // it world-readable, optionally fsyncs, and renames it into place. The
-// ".rep-" temp prefix is the one the stale-temp sweep reclaims after a
+// temp name starts with tempPrefix, the one the scrub reclaims after a
 // crash.
 func (s *DirStore) Put(name string, payload []byte) error {
 	path := s.path(name)
@@ -98,7 +98,7 @@ func (s *DirStore) Put(name string, payload []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ".rep-*")
+	tmp, err := os.CreateTemp(dir, tempPrefix+"*")
 	if err != nil {
 		return err
 	}
@@ -138,8 +138,8 @@ func syncDir(dir string) {
 }
 
 // List walks the store and returns every entry name (slash separated,
-// sorted). Temp files are included — the scrub inventory wants them — and
-// a missing root directory is an empty store, not an error.
+// sorted). Temp files are included, and a missing root directory is an
+// empty store, not an error.
 func (s *DirStore) List() ([]string, error) {
 	var names []string
 	err := filepath.WalkDir(s.Dir, func(path string, d fs.DirEntry, err error) error {
@@ -246,14 +246,9 @@ var transientErrnos = []error{
 	syscall.EMFILE,
 }
 
-// TransientErr reports whether err is worth retrying. Injected faults may
-// also implement interface{ Transient() bool } to steer the classifier
-// explicitly.
+// TransientErr reports whether err is worth retrying: whether it wraps
+// one of transientErrnos.
 func TransientErr(err error) bool {
-	var tr interface{ Transient() bool }
-	if errors.As(err, &tr) {
-		return tr.Transient()
-	}
 	for _, e := range transientErrnos {
 		if errors.Is(err, e) {
 			return true

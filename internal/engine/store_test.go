@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -161,8 +162,9 @@ func TestRetryStoreExhaustsSchedule(t *testing.T) {
 	}
 }
 
-// TestTransientErrClassification covers both classifier paths: the
-// Transient() hook and the errno allowlist.
+// TestTransientErrClassification: errors are classified by the errno they
+// wrap alone, so an injected fault is transient exactly when it unwraps to
+// EIO, as a real device's error is.
 func TestTransientErrClassification(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -171,6 +173,8 @@ func TestTransientErrClassification(t *testing.T) {
 		{nil, false},
 		{&InjectedFault{Op: "get", IsTransient: true}, true},
 		{&InjectedFault{Op: "get"}, false},
+		{fmt.Errorf("wrapped: %w", &InjectedFault{Op: "put", IsTransient: true}), true},
+		{syscall.EROFS, false},
 		{syscall.EIO, true},
 		{syscall.EINTR, true},
 		{syscall.EAGAIN, true},
@@ -226,7 +230,7 @@ func TestFaultStoreBitFlips(t *testing.T) {
 	s3 := NewFaultStore(inner, FaultPlan{GetErr: map[int]bool{FaultEvery: true, 0: false}})
 	_, err := s3.Get("y.rep")
 	var inj *InjectedFault
-	if !errors.As(err, &inj) || inj.Transient() {
+	if !errors.As(err, &inj) || inj.IsTransient {
 		t.Fatalf("ordinal 0: %v, want the exact (permanent) entry over the wildcard", err)
 	}
 	if _, err := s3.Get("y.rep"); !TransientErr(err) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -138,7 +139,8 @@ func TestTortureTransientReadHealsInvisibly(t *testing.T) {
 // TestTortureQuarantineStopsReReads: a corrupt entry is read exactly once.
 // The first engine quarantines it (preserving the bytes) and rebuilds; the
 // rebuild's write repairs the serving namespace, so the next engine gets a
-// clean disk hit; the specimen stays in quarantine/ untouched.
+// clean disk hit. A second, different corruption of the same entry is
+// quarantined beside the first specimen, never over it.
 func TestTortureQuarantineStopsReReads(t *testing.T) {
 	dir := t.TempDir()
 	_, tag := populateCache(t, dir, 1)
@@ -146,40 +148,49 @@ func TestTortureQuarantineStopsReReads(t *testing.T) {
 	key := Key{Design: tag, Variant: bog.XAG}
 	name := entryName(key, lib)
 	path := filepath.Join(dir, name)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	d, _ := buildDesign(t)
+	var specimens [][]byte
+	for _, bit := range []int{0x40, 0x02} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= byte(bit)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		specimens = append(specimens, data)
 
-	e := New(1)
-	e.SetCacheDir(dir)
-	if _, err := e.EvalRep(key, lib, FixedDesign(d)); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.Quarantined != 1 || st.Builds != 1 || st.DiskErrors != 0 {
-		t.Fatalf("stats %+v, want exactly one quarantine and one rebuild", st)
-	}
-	specimen, err := os.ReadFile(filepath.Join(dir, "quarantine", name))
-	if err != nil {
-		t.Fatalf("corrupt bytes not preserved in quarantine/: %v", err)
-	}
-	if string(specimen) != string(data) {
-		t.Fatal("quarantined specimen does not match the corrupt entry")
-	}
+		e := New(1)
+		e.SetCacheDir(dir)
+		if _, err := e.EvalRep(key, lib, FixedDesign(d)); err != nil {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		if st.Quarantined != 1 || st.Builds != 1 || st.DiskErrors != 0 {
+			t.Fatalf("stats %+v, want exactly one quarantine and one rebuild", st)
+		}
 
-	e2 := New(1)
-	e2.SetCacheDir(dir)
-	if _, err := e2.EvalRep(key, lib, failingSource(t)); err != nil {
-		t.Fatal(err)
+		e2 := New(1)
+		e2.SetCacheDir(dir)
+		if _, err := e2.EvalRep(key, lib, failingSource(t)); err != nil {
+			t.Fatal(err)
+		}
+		if st := e2.Stats(); st.DiskHits != 1 || st.Builds != 0 || st.Quarantined != 0 {
+			t.Fatalf("repaired entry not served cleanly: %+v", st)
+		}
 	}
-	if st := e2.Stats(); st.DiskHits != 1 || st.Builds != 0 || st.Quarantined != 0 {
-		t.Fatalf("repaired entry not served cleanly: %+v", st)
+	for i, want := range specimens {
+		got, err := os.ReadFile(filepath.Join(dir, specimenName(name, want)))
+		if err != nil {
+			t.Fatalf("corruption %d not preserved in quarantine/: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("specimen %d does not match the corrupt entry", i)
+		}
+	}
+	if q, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*.rep")); len(q) != len(specimens) {
+		t.Fatalf("quarantine holds %v, want one specimen per corruption", q)
 	}
 }
 

@@ -31,7 +31,7 @@ func (s *Suite) AblationSampling() (*Table, error) {
 	for _, b := range budgets {
 		// K = 0 is modeled by NoSampling (groups truncated to the slowest
 		// path); the dataset always materializes at least one sample.
-		opts := dataset.BuildOptions{Seed: s.Cfg.Seed, Scale: s.Cfg.Scale, MinSamples: max(1, b.min), MaxSamples: max(1, b.max), Engine: s.eng}
+		opts := dataset.BuildOptions{Scale: s.Cfg.Scale, MinSamples: max(1, b.min), MaxSamples: max(1, b.max), Engine: s.eng}
 		data, err := dataset.BuildAll(subset, opts)
 		if err != nil {
 			return nil, err

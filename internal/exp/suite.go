@@ -76,7 +76,6 @@ func NewSuite(cfg Config) *Suite {
 		return dataset.BuildAll(designs.All(), dataset.BuildOptions{
 			WithSeqs: true,
 			Scale:    cfg.Scale,
-			Seed:     cfg.Seed,
 			Engine:   eng,
 		})
 	})

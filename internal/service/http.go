@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 
 	"rtltimer/internal/engine"
 )
@@ -234,24 +235,42 @@ func post[Req any, Resp any](s *Service, fn func(*Service, context.Context, Req)
 
 // decodeStrict decodes exactly one JSON value from r into v: unknown
 // fields are an error, and so is any non-whitespace byte after the value.
-// The rest of the body is checked by decoding it too, which scans it once:
-// Decoder.Token would rescan the buffered whitespace after every read, so
-// a value followed by megabytes of spaces, read off a socket a few KiB at
-// a time, would cost minutes of CPU.
+// The rest of the body is scanned, not decoded: what the decoder buffered
+// past the value, then r itself, one fixed-size chunk at a time, failing
+// at the first byte that is not JSON whitespace. Decoding it instead would
+// keep every whitespace byte buffered until the next token, so a value
+// followed by 64 MiB of spaces would cost a buffer twice that size. A
+// read error (a body past the cap, a hangup) is wrapped, not replaced.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	switch err := dec.Decode(&struct{}{}); {
-	case err == io.EOF:
-		return nil
-	case err != nil:
-		return fmt.Errorf("trailing data after the JSON value: %w", err)
+	chunk := trailingChunks.Get().(*[4 << 10]byte)
+	defer trailingChunks.Put(chunk)
+	for _, rest := range [...]io.Reader{dec.Buffered(), r} {
+		for {
+			n, err := rest.Read(chunk[:])
+			for _, c := range chunk[:n] {
+				if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+					return fmt.Errorf("trailing data after the JSON value: %q", c)
+				}
+			}
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return fmt.Errorf("trailing data after the JSON value: %w", err)
+			}
+		}
 	}
-	return errors.New("trailing data after the JSON value: a second value")
+	return nil
 }
+
+// trailingChunks recycles the chunks decodeStrict scans with, so a
+// request does not allocate one.
+var trailingChunks = sync.Pool{New: func() any { return new([4 << 10]byte) }}
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorResponse{Error: err.Error()})

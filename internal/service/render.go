@@ -85,6 +85,11 @@ func ParseSweep(s string) ([]float64, error) {
 	for i := range periods {
 		periods[i] = lo + (hi-lo)*float64(i)/float64(steps-1)
 	}
+	// The periods rise with i, so only the last can have overflowed: near
+	// the largest float64, (hi-lo)*i does before the division.
+	if math.IsInf(periods[steps-1], 1) {
+		return nil, fmt.Errorf("-sweep wants a range whose steps stay finite, got %q", s)
+	}
 	return periods, nil
 }
 

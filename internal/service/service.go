@@ -433,7 +433,7 @@ func (s *Service) Annotate(ctx context.Context, req AnnotateRequest) (*AnnotateR
 		return nil, err
 	}
 	dd, derr := dataset.BuildFromSource(d.spec, d.src,
-		dataset.BuildOptions{Seed: s.seed, Period: req.Period, Engine: s.eng})
+		dataset.BuildOptions{Period: req.Period, Engine: s.eng})
 	if derr != nil {
 		return nil, classifyEngineErr(derr)
 	}

@@ -13,6 +13,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -290,6 +291,30 @@ func (spaces) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// TestDecodeStrictTrailingSpaceIsBounded: the check after the value scans
+// the rest of the body in fixed-size chunks instead of buffering it, so a
+// query followed by 8 MiB of spaces allocates well under a megabyte (a
+// decoder that buffers the padding allocates four times its size).
+func TestDecodeStrictTrailingSpaceIsBounded(t *testing.T) {
+	body := io.MultiReader(strings.NewReader(`{"session":"s1","period":0.5}`), io.LimitReader(spaces{}, 8<<20))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var req SessionEvalRequest
+	err := decodeStrict(body, &req)
+	runtime.ReadMemStats(&after)
+	if err != nil || req.Session != "s1" || req.Period != 0.5 {
+		t.Fatalf("decoded %+v, %v", req, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("decoding a query and 8 MiB of trailing spaces allocated %d bytes", alloc)
+	}
+	// A stray byte past the first chunk is still found.
+	err = decodeStrict(io.MultiReader(strings.NewReader(`{"session":"s1"}`), io.LimitReader(spaces{}, 5<<10), strings.NewReader("x")), &req)
+	if err == nil || !strings.Contains(err.Error(), "trailing data after the JSON value") {
+		t.Fatalf("stray byte after 5 KiB of spaces: %v", err)
+	}
+}
+
 // TestHTTPSurface exercises the wire layer: happy paths, method
 // discipline, strict decoding, and error payloads.
 func TestHTTPSurface(t *testing.T) {
@@ -386,9 +411,10 @@ func TestHTTPSurface(t *testing.T) {
 		{"a query starting past the cap", io.MultiReader(pad(maxRequestBody), strings.NewReader(one)), http.StatusRequestEntityTooLarge, "64 MiB limit"},
 		{"a query padded to exactly the cap", io.MultiReader(strings.NewReader(one), pad(maxRequestBody-len(one))), http.StatusOK, ""},
 	} {
-		// The JSON decoder keeps whitespace buffered until the next token,
-		// so a padded body costs the handler up to the cap in buffer;
-		// return it before the next body, so the test peaks at one body's.
+		// The JSON decoder keeps the whitespace before a value buffered
+		// until the value ends, so a body padded before its query costs
+		// the handler up to the cap in buffer; return it before the next
+		// body, so the test peaks at one body's.
 		debug.FreeOSMemory()
 		code, _, body, err := postRaw(c, srv.URL+"/eval", tc.body)
 		if err != nil {

@@ -43,8 +43,9 @@ type Options struct {
 	ExcludeDesign string
 	// Seed controls all randomized components.
 	Seed int64
-	// Jobs bounds the evaluation engine's concurrency (0 = GOMAXPROCS).
-	// Results are identical for every jobs value.
+	// Jobs bounds the evaluation engine's concurrency (0 = GOMAXPROCS; a
+	// negative count is an error). Results are identical for every jobs
+	// value.
 	Jobs int
 	// CacheDir enables the persistent on-disk representation cache
 	// ("" = memory only): training and prediction then warm-start by
@@ -86,6 +87,9 @@ type Result struct {
 // representation ensemble, the signal regressor and ranker, and the
 // WNS/TNS models.
 func TrainBenchmarkPredictor(opts Options) (*Predictor, error) {
+	if err := checkSettings(opts.Jobs, opts.Period); err != nil {
+		return nil, err
+	}
 	var specs []designs.Spec
 	for _, s := range designs.All() {
 		if s.Name == opts.ExcludeDesign {
@@ -93,14 +97,11 @@ func TrainBenchmarkPredictor(opts Options) (*Predictor, error) {
 		}
 		specs = append(specs, s)
 	}
-	if err := dataset.ValidatePeriod(opts.Period); err != nil {
-		return nil, fmt.Errorf("rtltimer: %w", err)
-	}
 	eng := engine.New(opts.Jobs)
 	if opts.CacheDir != "" {
 		eng.SetCacheDir(opts.CacheDir)
 	}
-	data, err := dataset.BuildAll(specs, dataset.BuildOptions{Seed: opts.Seed, Engine: eng})
+	data, err := dataset.BuildAll(specs, dataset.BuildOptions{Engine: eng})
 	if err != nil {
 		return nil, err
 	}
@@ -123,6 +124,19 @@ func TrainBenchmarkPredictor(opts Options) (*Predictor, error) {
 	return &Predictor{model: m, opts: opts, eng: eng}, nil
 }
 
+// checkSettings refuses, before any work, a jobs count or clock period the
+// CLIs refuse: a negative jobs count (engine.New would silently run
+// GOMAXPROCS workers instead) and a negative, NaN or infinite period.
+func checkSettings(jobs int, period float64) error {
+	if err := engine.ValidateConcurrency(jobs); err != nil {
+		return fmt.Errorf("rtltimer: %w", err)
+	}
+	if err := dataset.ValidatePeriod(period); err != nil {
+		return fmt.Errorf("rtltimer: %w", err)
+	}
+	return nil
+}
+
 // PredictVerilog runs the full RTL-Timer inference pipeline on Verilog
 // source text: parse, elaborate, bit-blast into the four representations,
 // pseudo-STA with register-oriented path sampling, then model inference.
@@ -131,7 +145,6 @@ func TrainBenchmarkPredictor(opts Options) (*Predictor, error) {
 func (p *Predictor) PredictVerilog(src string) (*Result, error) {
 	spec := designs.Spec{Name: "user", Seed: p.opts.Seed + 777}
 	dd, err := dataset.BuildFromSource(spec, src, dataset.BuildOptions{
-		Seed:   p.opts.Seed,
 		Period: p.opts.Period,
 		Engine: p.eng,
 	})
@@ -259,12 +272,14 @@ func Synthesize(src string, opts SynthOptions) (*SynthReport, error) {
 type RewriteOptions struct {
 	// PeriodNS is the target clock for the search (0 = each representation
 	// is 5%-overconstrained against its own critical path, so the search
-	// always starts with violations to fix).
+	// always starts with violations to fix; a negative, NaN or infinite
+	// period is an error).
 	PeriodNS float64
 	// Passes bounds the greedy passes over the critical endpoints (0 = 4;
 	// a negative count is an error).
 	Passes int
-	// Jobs bounds the evaluation engine's concurrency (0 = GOMAXPROCS).
+	// Jobs bounds the evaluation engine's concurrency (0 = GOMAXPROCS; a
+	// negative count is an error).
 	Jobs int
 	// CacheDir enables the persistent representation cache ("" = memory
 	// only); a warm cache skips the Verilog frontend and every base
@@ -301,6 +316,12 @@ type RewriteReport struct {
 // for every Jobs value. A design without timing endpoints (no registers
 // or outputs to constrain) yields zeroed reports with no edits tried.
 func ExploreRewrites(src string, opts RewriteOptions) ([]RewriteReport, error) {
+	if err := checkSettings(opts.Jobs, opts.PeriodNS); err != nil {
+		return nil, err
+	}
+	if opts.Passes < 0 {
+		return nil, fmt.Errorf("rtltimer: passes must not be negative, got %d", opts.Passes)
+	}
 	eng := engine.New(opts.Jobs)
 	if opts.CacheDir != "" {
 		eng.SetCacheDir(opts.CacheDir)

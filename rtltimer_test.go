@@ -2,6 +2,7 @@ package rtltimer
 
 import (
 	"math"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -48,6 +49,46 @@ func TestTrainBenchmarkPredictorRejectsBadPeriod(t *testing.T) {
 	for _, p := range []float64{-1, math.NaN(), math.Inf(1)} {
 		if _, err := TrainBenchmarkPredictor(Options{Fast: true, Period: p}); err == nil || !strings.Contains(err.Error(), "period") {
 			t.Errorf("Period %v: err = %v, want an error naming the period", p, err)
+		}
+	}
+}
+
+// TestTrainBenchmarkPredictorRejectsBadJobs: a negative jobs count is
+// refused before anything is built, not run as GOMAXPROCS workers; the
+// cache directory stays empty.
+func TestTrainBenchmarkPredictorRejectsBadJobs(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := TrainBenchmarkPredictor(Options{Fast: true, Jobs: -1, CacheDir: dir}); err == nil || !strings.Contains(err.Error(), "jobs") {
+		t.Fatalf("Jobs -1: err = %v, want an error naming jobs", err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("the refused run wrote %d cache files (%v)", len(ents), err)
+	}
+}
+
+// TestExploreRewritesRejectsBadSettings: ExploreRewrites refuses what the
+// CLI refuses, with an error naming the setting, before any design is
+// built — so on a source that does not even parse, the setting is what
+// the error names, not the parser.
+func TestExploreRewritesRejectsBadSettings(t *testing.T) {
+	small, err := BenchmarkVerilog("b22")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const unparsable = "module broken("
+	for _, tc := range []struct {
+		name string
+		src  string
+		opts RewriteOptions
+		want string
+	}{
+		{"negative jobs", small, RewriteOptions{Jobs: -1}, "jobs"},
+		{"negative period", small, RewriteOptions{PeriodNS: -1}, "period"},
+		{"NaN period", unparsable, RewriteOptions{PeriodNS: math.NaN()}, "period"},
+		{"negative passes", unparsable, RewriteOptions{Passes: -1}, "passes"},
+	} {
+		if _, err := ExploreRewrites(tc.src, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want an error naming %s", tc.name, err, tc.want)
 		}
 	}
 }
