@@ -620,7 +620,8 @@ func BenchmarkArrivalDigest(b *testing.B) {
 // BenchmarkEngineWarmLoad is the same workload served by a warm on-disk
 // representation cache: per iteration, a fresh engine restores all four
 // variants from disk — no parsing, no bit-blasting, no forward pass, no
-// cone walks. The warm/cold ratio is the cache's headline win and is
+// cone walks, and no analyzer static state, which a restore builds only
+// on first use. The warm/cold ratio is the cache's headline win and is
 // tracked per PR in CI.
 func BenchmarkEngineWarmLoad(b *testing.B) {
 	spec, ok := designs.ByName("Rocket3")
@@ -710,8 +711,8 @@ func (s *memStore) Delete(name string) error {
 // iteration, a fresh engine restores the four variants of the largest
 // benchmark design from a map-backed store filled before the timer
 // starts — checksum, graph codec, vector decode and the analyzer and
-// extractor restores, with no file I/O. BenchmarkEngineWarmLoad adds the
-// store reads.
+// extractor restores (neither builds its timing state until first use),
+// with no file I/O. BenchmarkEngineWarmLoad adds the store reads.
 func BenchmarkDecodeEntry(b *testing.B) {
 	spec, ok := designs.ByName("Rocket3")
 	if !ok {

@@ -29,11 +29,12 @@
 // atomic, so a duplicate build rewrites the same bytes. -cache-scrub is
 // the offline maintenance mode: it reads every entry through the store a
 // warm load uses and validates it the way a warm load would, quarantines
-// corrupt and other-format ones under quarantine/ (one specimen per
-// distinct corrupt entry), counts entries it cannot read and leaves them
-// in place, reclaims temp files orphaned by killed processes (no run
-// opening the cache does), and (with -cache-budget) evicts
-// least-recently-modified entries to a size budget.
+// corrupt ones under quarantine/ (one specimen per distinct corrupt
+// entry), counts the entries it cannot read and the intact ones of
+// another entry version and leaves both in place, reclaims temp files
+// orphaned by killed processes (no run opening the cache does), and
+// (with -cache-budget) evicts least-recently-modified entries to a size
+// budget.
 package main
 
 import (
@@ -71,7 +72,7 @@ func main() {
 	optimize := flag.Bool("optimize", false, "run the incremental-STA reassociation optimizer on every representation")
 	optPasses := flag.Int("opt-passes", 4, "greedy passes of the -optimize loop")
 	cacheDir := flag.String("cache-dir", "", "persistent representation cache directory (empty = memory only)")
-	cacheScrub := flag.Bool("cache-scrub", false, "validate every entry under -cache-dir, quarantine corrupt and retired ones, reclaim stale temps, then exit")
+	cacheScrub := flag.Bool("cache-scrub", false, "validate every entry under -cache-dir, quarantine corrupt ones, reclaim stale temps, then exit")
 	cacheBudget := flag.String("cache-budget", "", "with -cache-scrub: evict least-recently-modified entries until the cache fits this size (e.g. 64M, 2G)")
 	stats := flag.Bool("stats", false, "print engine cache statistics at the end of the run")
 	flag.Parse()

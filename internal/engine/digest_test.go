@@ -133,12 +133,17 @@ func TestEveryResultCarriesItsDigest(t *testing.T) {
 	checkEdit("detached edit", built, detached)
 }
 
-// TestPersistedArrivalDigest pins the version-3 entry layout on every
+// TestPersistedArrivalDigest pins the version-4 entry layout on every
 // suite entry (21 designs × 4 variants), parsed by offset: the magic,
-// version 3, the graph blob, which must equal bog.MarshalGraph of the cold
+// version 4, the graph blob, which must equal bog.MarshalGraph of the cold
 // build, the raw arrival fingerprint, which must equal both ArrivalDigest
 // of the persisted arrival vector and the cold build's ArrivalSHA256, the
-// persisted vectors, and the CRC-32C (Castagnoli) of every preceding byte.
+// persisted arrival, cone and rank vectors, and the CRC-32C (Castagnoli)
+// of every preceding byte. The analyzer's static vectors are not
+// persisted; the decoded entry rebuilds them, and its extractor its
+// timing view, on first use, and both must then be bit-identical to the
+// cold build's: the analyzer's State and every endpoint's slowest-path
+// features.
 func TestPersistedArrivalDigest(t *testing.T) {
 	lib := liberty.DefaultPseudoLib()
 	store := NewDirStore(t.TempDir())
@@ -162,10 +167,10 @@ func TestPersistedArrivalDigest(t *testing.T) {
 			}
 			blob := bog.MarshalGraph(rr.Graph)
 			n, ep := len(rr.Graph.Nodes), len(rr.Graph.Endpoints)
-			if want := 12 + len(blob) + 32 + n*(4*8+4) + ep*(3*4+8) + 4; len(data) != want {
+			if want := 12 + len(blob) + 32 + 8*n + 20*ep + 4; len(data) != want {
 				t.Fatalf("%s/%v: entry of %d bytes, want %d", spec.Name, v, len(data), want)
 			}
-			if string(data[:4]) != "RTLR" || binary.LittleEndian.Uint32(data[4:]) != 3 {
+			if string(data[:4]) != "RTLR" || binary.LittleEndian.Uint32(data[4:]) != 4 {
 				t.Fatalf("%s/%v: header %q version %d", spec.Name, v, data[:4], binary.LittleEndian.Uint32(data[4:]))
 			}
 			if binary.LittleEndian.Uint32(data[8:]) != uint32(len(blob)) || !bytes.Equal(data[12:12+len(blob)], blob) {
@@ -179,17 +184,6 @@ func TestPersistedArrivalDigest(t *testing.T) {
 			}
 			if want := ArrivalDigest(arrival); digest != want || digest != rr.ArrivalSHA256 {
 				t.Fatalf("%s/%v: persisted fingerprint %s, recomputed %s, cold build %s", spec.Name, v, digest, want, rr.ArrivalSHA256)
-			}
-			load, slew, delay, fanout := rr.An.State()
-			for _, want := range [][]float64{load, slew, delay} {
-				var got []float64
-				if got, rest = readF64s(rest, n); !sameBits(got, want) {
-					t.Fatalf("%s/%v: a persisted analyzer vector differs from the cold build's", spec.Name, v)
-				}
-			}
-			gotFanout, rest := readI32s(rest, n)
-			if !slices.Equal(gotFanout, fanout) {
-				t.Fatalf("%s/%v: the persisted fanout differs from the cold build's", spec.Name, v)
 			}
 			cones, rank := rr.Ext.State()
 			for i, c := range cones {
@@ -207,6 +201,25 @@ func TestPersistedArrivalDigest(t *testing.T) {
 			body := data[:len(data)-len(rest)]
 			if got, want := binary.LittleEndian.Uint32(rest), crc32.Checksum(body, castagnoli); got != want {
 				t.Fatalf("%s/%v: checksum %08x, CRC-32C of the body %08x", spec.Name, v, got, want)
+			}
+
+			restored := decodeEntry(data, lib)
+			if restored == nil {
+				t.Fatalf("%s/%v: the entry does not decode", spec.Name, v)
+			}
+			// The extractor's first read builds the analyzer's static state
+			// through its timing view.
+			r := rr.At(0)
+			for i := range rr.Graph.Endpoints {
+				p := r.SlowestPath(rr.Graph, i)
+				if !sameBits(restored.Ext.PathVector(i, p), rr.Ext.PathVector(i, p)) {
+					t.Fatalf("%s/%v: endpoint %d's restored path features differ from the cold build's", spec.Name, v, i)
+				}
+			}
+			load, slew, delay, fanout := rr.An.State()
+			gl, gs, gd, gf := restored.An.State()
+			if !sameBits(gl, load) || !sameBits(gs, slew) || !sameBits(gd, delay) || !slices.Equal(gf, fanout) {
+				t.Fatalf("%s/%v: the restored analyzer's static state differs from the cold build's", spec.Name, v)
 			}
 		}
 		e.Reset()

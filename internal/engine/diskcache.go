@@ -1,10 +1,13 @@
 // The on-disk tier of the representation cache: content-addressed entries
-// that persist everything a warm load would otherwise recompute — the
-// variant graph (via the bog binary codec), the arrival fingerprint, the
-// analyzer's static load/slew/delay/fanout vectors, the period-free
-// arrival vector, and the extractor's per-endpoint cone/rank state. A warm
-// EvalRep is therefore pure deserialization: no parsing, no bit-blasting,
-// no forward max-plus pass, no cone walks, no re-hashing.
+// that persist what a warm load cannot cheaply recompute — the variant
+// graph (via the bog binary codec), the arrival fingerprint, the
+// period-free arrival vector, and the extractor's per-endpoint cone/rank
+// state. A warm EvalRep is therefore deserialization: no parsing, no
+// bit-blasting, no forward max-plus pass, no cone walks, no re-hashing.
+// The analyzer's static load/slew/delay/fanout vectors are not persisted:
+// two passes over the graph rebuild them, and only on first use
+// (sta.NewLazyAnalyzer), which Summary and CriticalPeriod — all a timing
+// query reads — never trigger.
 //
 // Entry format (all integers little-endian):
 //
@@ -13,10 +16,6 @@
 //	graphLen uint32, graph blob (bog codec; yields node count n, endpoint count E)
 //	digest   [32]byte — the raw SHA-256 behind ArrivalDigest(arrival)
 //	arrival  [n]float64
-//	load     [n]float64
-//	slew     [n]float64
-//	delay    [n]float64
-//	fanout   [n]int32
 //	cones    [E]{nodes, drivingRegs, inputs int32}
 //	rankpct  [E]float64
 //	checksum uint32 — CRC-32C (Castagnoli) of every preceding byte
@@ -26,7 +25,8 @@
 // shape check). It authenticates nothing — whoever can write the cache
 // directory can recompute it, as they could the SHA-256 it replaced — so
 // a load trusts the persisted fingerprint exactly as it trusts the
-// persisted vectors, and the offline scrub (scrub.go) recomputes it.
+// persisted arrival vector, and the offline scrub (scrub.go) recomputes
+// it.
 //
 // All I/O below this layer goes through the Store interface (store.go):
 // SetCacheDir composes RetryStore over DirStore, so writes are atomic
@@ -79,8 +79,9 @@ import (
 // retired entries from a bit-blaster that read a constant shift amount of
 // 2^63 or more as a negative int, so that 2^64-1 shifted by one the other
 // way. Version 3 replaced the trailing SHA-256 with a CRC-32C and
-// persisted the arrival fingerprint.
-const entryVersion = 3
+// persisted the arrival fingerprint. Version 4 dropped the analyzer's
+// static vectors, which a load rebuilds from the graph on first use.
+const entryVersion = 4
 
 // entryNameSalt is the format salt entry names hash: entryVersion and
 // bog.CodecVersion as they were when names were frozen. Keeping it fixed
@@ -197,13 +198,21 @@ func (e *Engine) diskLoad(key Key, lib *liberty.PseudoLib) (res *RepResult, ok b
 	}
 	res = decodeEntry(data, lib)
 	if res == nil {
-		if _, version, intact := openEntry(data); !intact || version == entryVersion {
+		if !otherVersion(data) {
 			quarantine(e.store, name, data)
 			e.quarantined.Add(1)
 		}
 		return nil, false
 	}
 	return res, true
+}
+
+// otherVersion reports whether data is an intact entry of another entry
+// version: stale, not corrupt. A load misses it and the rebuild
+// overwrites it; the scrub leaves it in place.
+func otherVersion(data []byte) bool {
+	_, version, intact := openEntry(data)
+	return intact && version != entryVersion
 }
 
 // openEntry checks an entry's checksum and magic, returning its body (the
@@ -237,15 +246,11 @@ func decodeEntry(data []byte, lib *liberty.PseudoLib) *RepResult {
 	}
 	rest = rest[graphLen:]
 	n, ep := len(g.Nodes), len(g.Endpoints)
-	if len(rest) != digestSize+n*(4*8+4)+ep*(3*4+8) {
+	if len(rest) != digestSize+8*n+ep*(3*4+8) {
 		return nil
 	}
 	digest := hex.EncodeToString(rest[:digestSize])
 	arrival, rest := readF64s(rest[digestSize:], n)
-	load, rest := readF64s(rest, n)
-	slew, rest := readF64s(rest, n)
-	delay, rest := readF64s(rest, n)
-	fanout, rest := readI32s(rest, n)
 	cones := make([]sta.ConeInfo, ep)
 	for i := range cones {
 		cones[i].Nodes = int(int32(binary.LittleEndian.Uint32(rest)))
@@ -254,11 +259,8 @@ func decodeEntry(data []byte, lib *liberty.PseudoLib) *RepResult {
 		rest = rest[12:]
 	}
 	rankPct, _ := readF64s(rest, ep)
-	an, err := sta.NewAnalyzerFromState(g, lib, load, slew, delay, fanout)
-	if err != nil {
-		return nil
-	}
-	ext, err := features.NewExtractorFromState(g, an.At(arrival, 0), cones, rankPct)
+	an := sta.NewLazyAnalyzer(g, lib)
+	ext, err := features.RestoreExtractor(g, an, arrival, cones, rankPct)
 	if err != nil {
 		return nil
 	}
@@ -274,10 +276,9 @@ func (e *Engine) diskStore(key Key, lib *liberty.PseudoLib, res *RepResult) bool
 
 func encodeEntry(res *RepResult) []byte {
 	blob := bog.MarshalGraph(res.Graph)
-	load, slew, delay, fanout := res.An.State()
 	cones, rankPct := res.Ext.State()
 	n, ep := len(res.Graph.Nodes), len(res.Graph.Endpoints)
-	buf := make([]byte, 0, 12+len(blob)+digestSize+n*(4*8+4)+ep*(3*4+8)+checksumSize)
+	buf := make([]byte, 0, 12+len(blob)+digestSize+8*n+ep*(3*4+8)+checksumSize)
 	buf = append(buf, entryMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, entryVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
@@ -286,12 +287,6 @@ func encodeEntry(res *RepResult) []byte {
 	// malformed one would fail the shape check on load, never be served.
 	buf, _ = hex.AppendDecode(buf, []byte(res.ArrivalSHA256))
 	buf = appendF64s(buf, res.Arrival)
-	buf = appendF64s(buf, load)
-	buf = appendF64s(buf, slew)
-	buf = appendF64s(buf, delay)
-	for _, v := range fanout {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-	}
 	for _, c := range cones {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(c.Nodes)))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(c.DrivingRegs)))
@@ -314,12 +309,4 @@ func readF64s(b []byte, n int) ([]float64, []byte) {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out, b[8*n:]
-}
-
-func readI32s(b []byte, n int) ([]int32, []byte) {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out, b[4*n:]
 }

@@ -526,6 +526,96 @@ func TestConcurrentDerivesShareAdjacency(t *testing.T) {
 	}
 }
 
+// TestRestoredStateConcurrentFirstUse: a freshly disk-restored result
+// builds its analyzer's static state, and its extractor its timing view,
+// on first use. Four goroutines make that first use at once — an At, a
+// feature read and two derives, each opening a session with
+// sta.NewIncrementalOn — so the lazy builds race their first readers (run
+// under -race in CI). Every answer must be bit-identical to the cold
+// build's, and each derive to a fresh analysis of its edited graph.
+func TestRestoredStateConcurrentFirstUse(t *testing.T) {
+	dir := t.TempDir()
+	spec := designs.All()[0]
+	src := designs.Generate(spec)
+	lib := liberty.DefaultPseudoLib()
+	key := Key{Design: DesignTag(spec.Name, src), Variant: bog.AIG}
+	cold, err := New(1).withDir(dir).EvalRep(key, lib, LazyDesign(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(4).withDir(dir)
+	rr, err := eng.EvalRep(key, lib, failingSource(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); st.DiskHits != 1 {
+		t.Fatalf("stats %+v: the result was not restored from disk", st)
+	}
+
+	// Two re-points on the two highest-id editable endpoint drivers.
+	g := rr.Graph
+	var deltas []bog.Delta
+	for i := len(g.Endpoints) - 1; i >= 0 && len(deltas) < 2; i-- {
+		n := g.Endpoints[i].D
+		if g.Nodes[n].NumFanin() > 0 && (len(deltas) == 0 || deltas[0][0].Node != n) {
+			deltas = append(deltas, bog.Delta{bog.SetFaninEdit(n, 0, bog.NodeID(len(deltas)))})
+		}
+	}
+	if len(deltas) < 2 {
+		t.Fatalf("found %d editable endpoint drivers, want 2", len(deltas))
+	}
+	const period = 0.5
+	ep := len(g.Endpoints) - 1
+	path := cold.At(0).SlowestPath(cold.Graph, ep)
+
+	var (
+		at      *sta.Result
+		pv      []float64
+		derived [2]*RepResult
+		errs    [2]error
+		wg      sync.WaitGroup
+	)
+	start := make(chan struct{})
+	race := func(f func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			f()
+		}()
+	}
+	race(func() { at = rr.At(period) })
+	race(func() { pv = rr.Ext.PathVector(ep, path) })
+	for i := range deltas {
+		race(func() { derived[i], errs[i] = rr.Edit(deltas[i]) })
+	}
+	close(start)
+	wg.Wait()
+
+	want := cold.At(period)
+	sameVec(t, "Load", want.Load, at.Load)
+	sameVec(t, "Slew", want.Slew, at.Slew)
+	sameVec(t, "Slack", want.Slack, at.Slack)
+	if !slices.Equal(want.Fanout, at.Fanout) {
+		t.Fatal("the restored fanout differs from the cold build's")
+	}
+	sameVec(t, "PathVector", cold.Ext.PathVector(ep, path), pv)
+	for i, d := range deltas {
+		if errs[i] != nil {
+			t.Fatalf("derive %d: %v", i, errs[i])
+		}
+		eg := cold.Graph.Clone()
+		if _, err := eg.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+		want, got := sta.Analyze(eg, lib, period), derived[i].At(period)
+		sameVec(t, "derived Arrival", want.Arrival, got.Arrival)
+		sameVec(t, "derived Load", want.Load, got.Load)
+		sameVec(t, "derived Slew", want.Slew, got.Slew)
+		sameVec(t, "derived Slack", want.Slack, got.Slack)
+	}
+}
+
 // TestEditWithoutEngine: a RepResult assembled outside any engine still
 // supports Edit (uncached derivation).
 func TestEditWithoutEngine(t *testing.T) {

@@ -23,8 +23,11 @@
 // (design, variant) and materializes each period with RepResult.At, which
 // costs only the endpoint slack loop. The disk tier makes that one-time
 // cost survive the process: a warm run deserializes the graph, the
-// analyzer state and the arrival vector instead of bit-blasting and
-// re-running the forward pass (see diskcache.go for the entry format).
+// arrival vector and the extractor's cone state instead of bit-blasting
+// and re-running the forward pass, and its analyzer rebuilds its static
+// load/slew/delay state from the graph only when a caller first needs it
+// — a timing query (RepResult.Summary, CriticalPeriod) never does (see
+// diskcache.go for the entry format).
 //
 // Determinism is a hard requirement (tests assert byte-identical results
 // at jobs=1 and jobs=8, and warm disk loads against cold builds): tasks
@@ -115,7 +118,8 @@ func LazyDesign(src string) DesignSource {
 // vector (one forward pass, shared by every period) with its digest, and
 // the feature extractor. All fields are immutable and shared between
 // cache users (the extractor materializes its per-endpoint state once, on
-// the first read by any user). Period-dependent views come from Summary
+// the first read by any user, and a disk-restored analyzer its static
+// state on its first At or Edit). Period-dependent views come from Summary
 // (WNS and TNS only, allocation-free) or At (per-endpoint vectors too);
 // edited variants of the design are derived (and cached) with Edit.
 type RepResult struct {
@@ -130,7 +134,8 @@ type RepResult struct {
 	// Ext is the feature extractor. Built and derived results carry a lazy
 	// one (features.NewExtractor) that walks the endpoint cones only when
 	// a feature is first read, which the timing queries never do; disk
-	// loads restore the persisted cone state eagerly.
+	// loads restore the persisted cone and rank state, and their extractor
+	// takes its timing view (At at period 0) on the first read.
 	Ext *features.Extractor
 
 	// eng/key tie the result back to its cache slot so Edit can register

@@ -59,10 +59,11 @@ func (e *Engine) MemUsed() int64 {
 // from its graph and vector sizes: the node table (op, fanin, signal
 // coordinates, padding), the four per-node float64 vectors the analyzer
 // and cache hold (arrival, load, slew, delay), the fanout vector,
-// per-endpoint extractor state (charged whether or not a lazy extractor
-// has walked yet, so the charge — and with it the eviction order — never
-// depends on which entries a caller read features from), and the
-// signal-name table. A derived entry owns exactly these: its graph clone
+// per-endpoint extractor state, and the signal-name table. A
+// disk-restored analyzer's static vectors and a lazy extractor's state
+// are charged whether or not they have been built yet, so the charge —
+// and with it the eviction order — never depends on which entries a
+// caller timed or read features from. A derived entry owns exactly these: its graph clone
 // and the vectors of the analyzer its session edited. The consumer
 // adjacency an edited base builds on its first edit (~4 B per edge and
 // 8 B per node, shared by every entry derived from it) and each derived

@@ -3,10 +3,12 @@
 // Scrubbing reads every entry through the store composition SetCacheDir
 // builds (RetryStore over DirStore), validates it the way a warm load
 // would (checksum, magic, version, codec, shape), then recomputes the
-// arrival fingerprint that a load trusts. It quarantines the invalid ones,
-// along with entries of other formats, through the one quarantine helper
-// a warm load uses (diskcache.go). Like a load, it leaves an entry it
-// cannot read where it is and counts it. It reclaims temp files orphaned
+// arrival fingerprint that a load trusts. It quarantines the invalid ones
+// through the one quarantine helper a warm load uses (diskcache.go). Like
+// a load, it leaves an entry it cannot read where it is and counts it,
+// and it leaves an intact entry of another entry version in place too: a
+// load of that version's binary serves it, a load of this one misses it
+// and overwrites it with its rebuild. It reclaims temp files orphaned
 // by killed processes — no engine open sweeps them — and optionally
 // enforces a size budget by evicting the least-recently-modified entries
 // first. Subdirectories are never scanned, and only names ending in
@@ -59,11 +61,11 @@ func cleanStaleTemps(s Store, ents []os.DirEntry) int {
 
 // ScrubOptions configures one ScrubCache pass.
 type ScrubOptions struct {
-	// Budget caps the total bytes of valid entries; when exceeded,
-	// entries are evicted oldest-modification-time first until the cache
-	// fits. 0 disables the GC. Quarantined bytes do not count toward the
-	// budget — quarantine is an inspection area, emptied by deleting the
-	// directory.
+	// Budget caps the total bytes of the entries left in place, valid or
+	// of another entry version; when exceeded, entries are evicted
+	// oldest-modification-time first until the cache fits. 0 disables the
+	// GC. Quarantined bytes do not count toward the budget — quarantine is
+	// an inspection area, emptied by deleting the directory.
 	Budget int64
 }
 
@@ -71,12 +73,13 @@ type ScrubOptions struct {
 type ScrubReport struct {
 	Scanned        int   // entries examined
 	Valid          int   // entries that passed full validation
-	Quarantined    int   // invalid or other-format entries moved to quarantine/
+	Quarantined    int   // invalid entries moved to quarantine/
 	Unreadable     int   // entries whose read failed after retries, left in place
+	OtherVersion   int   // intact entries of another entry version, left in place
 	TempsReclaimed int   // stale temp files removed
-	Evicted        int   // valid entries removed by the size budget
-	BytesBefore    int64 // valid entry bytes before the budget GC
-	BytesAfter     int64 // valid entry bytes after the budget GC
+	Evicted        int   // entries removed by the size budget
+	BytesBefore    int64 // valid and other-version entry bytes before the budget GC
+	BytesAfter     int64 // the same after the budget GC
 }
 
 // String renders the report the way the CLIs print it.
@@ -86,6 +89,9 @@ func (r *ScrubReport) String() string {
 	if r.Unreadable > 0 {
 		s += fmt.Sprintf("; %d unreadable", r.Unreadable)
 	}
+	if r.OtherVersion > 0 {
+		s += fmt.Sprintf("; %d of another entry version", r.OtherVersion)
+	}
 	if r.Evicted > 0 || r.BytesBefore != r.BytesAfter {
 		s += fmt.Sprintf("; budget evicted %d entries (%d -> %d bytes)", r.Evicted, r.BytesBefore, r.BytesAfter)
 	}
@@ -93,10 +99,10 @@ func (r *ScrubReport) String() string {
 }
 
 // ScrubCache validates every cache entry under dir, quarantines invalid
-// ones, counts the ones it cannot read, reclaims stale temps, and applies
-// the optional size budget. The error is non-nil only when the directory
-// itself cannot be read — per-entry failures are what the scrub exists to
-// absorb.
+// ones, counts the ones it cannot read and those of another entry
+// version, reclaims stale temps, and applies the optional size budget.
+// The error is non-nil only when the directory itself cannot be read —
+// per-entry failures are what the scrub exists to absorb.
 func ScrubCache(dir string, opts ScrubOptions) (*ScrubReport, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -115,7 +121,7 @@ func ScrubCache(dir string, opts ScrubOptions) (*ScrubReport, error) {
 		size  int64
 		mtime time.Time
 	}
-	var valid []entry
+	var kept []entry
 	for _, ent := range ents {
 		name := ent.Name()
 		if ent.IsDir() || !strings.HasSuffix(name, entrySuffix) {
@@ -127,7 +133,9 @@ func ScrubCache(dir string, opts ScrubOptions) (*ScrubReport, error) {
 			rep.Unreadable++
 			continue
 		}
-		if res := decodeEntry(data, lib); res == nil || ArrivalDigest(res.Arrival) != res.ArrivalSHA256 {
+		res := decodeEntry(data, lib)
+		stale := res == nil && otherVersion(data)
+		if !stale && (res == nil || ArrivalDigest(res.Arrival) != res.ArrivalSHA256) {
 			quarantine(store, name, data)
 			rep.Quarantined++
 			continue
@@ -136,8 +144,12 @@ func ScrubCache(dir string, opts ScrubOptions) (*ScrubReport, error) {
 		if err != nil {
 			continue
 		}
-		rep.Valid++
-		valid = append(valid, entry{name: name, size: info.Size(), mtime: info.ModTime()})
+		if stale {
+			rep.OtherVersion++
+		} else {
+			rep.Valid++
+		}
+		kept = append(kept, entry{name: name, size: info.Size(), mtime: info.ModTime()})
 		rep.BytesBefore += info.Size()
 	}
 	rep.BytesAfter = rep.BytesBefore
@@ -145,13 +157,13 @@ func ScrubCache(dir string, opts ScrubOptions) (*ScrubReport, error) {
 	if opts.Budget > 0 && rep.BytesBefore > opts.Budget {
 		// Oldest-modified first; ties break on name so the eviction
 		// order is deterministic even across same-second mtimes.
-		sort.Slice(valid, func(i, j int) bool {
-			if !valid[i].mtime.Equal(valid[j].mtime) {
-				return valid[i].mtime.Before(valid[j].mtime)
+		sort.Slice(kept, func(i, j int) bool {
+			if !kept[i].mtime.Equal(kept[j].mtime) {
+				return kept[i].mtime.Before(kept[j].mtime)
 			}
-			return valid[i].name < valid[j].name
+			return kept[i].name < kept[j].name
 		})
-		for _, v := range valid {
+		for _, v := range kept {
 			if rep.BytesAfter <= opts.Budget {
 				break
 			}

@@ -78,6 +78,64 @@ func TestScrubCacheQuarantinesCorruptEntries(t *testing.T) {
 	}
 }
 
+// TestScrubCacheLeavesOtherVersions: an intact entry of another entry
+// version is stale, not corrupt — a warm load misses it and the rebuild
+// overwrites it — so the scrub leaves it in place and counts it apart,
+// one sealed at the previous version and one at the next alike, while a
+// corrupt entry beside them is still quarantined. The size budget evicts
+// stale entries like valid ones.
+func TestScrubCacheLeavesOtherVersions(t *testing.T) {
+	dir := t.TempDir()
+	_, tag := populateCache(t, dir, 2)
+	lib := liberty.DefaultPseudoLib()
+	reseal := func(v bog.Variant, version uint32) string {
+		name := entryName(Key{Design: tag, Variant: v}, lib)
+		orig, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := clone(orig[:len(orig)-checksumSize])
+		binary.LittleEndian.PutUint32(body[4:], version)
+		if err := os.WriteFile(filepath.Join(dir, name), sealEntry(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return name
+	}
+	stale := []string{reseal(bog.SOG, entryVersion-1), reseal(bog.AIG, entryVersion+1)}
+	bad := entryName(Key{Design: tag, Variant: bog.XAG}, lib)
+	if err := os.WriteFile(filepath.Join(dir, bad), []byte("corrupt"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := ScrubCache(dir, ScrubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Scanned != 4 || rep.Valid != 1 || rep.Quarantined != 1 || rep.OtherVersion != 2 {
+		t.Fatalf("report %+v, want 4 scanned, 1 valid, 1 quarantined, 2 of another version", rep)
+	}
+	if !strings.HasSuffix(rep.String(), "; 2 of another entry version") {
+		t.Fatalf("report %q does not count the other-version entries", rep)
+	}
+	for _, name := range stale {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("the other-version entry %s moved: %v", name, err)
+		}
+	}
+	if q, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*.rep")); len(q) != 1 || !strings.HasPrefix(filepath.Base(q[0]), strings.TrimSuffix(bad, entrySuffix)) {
+		t.Fatalf("quarantine holds %v, want the corrupt entry alone", q)
+	}
+
+	// A budget of one byte evicts everything it kept, stale entries too.
+	rep, err = ScrubCache(dir, ScrubOptions{Budget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Quarantined != 0 || rep.Evicted != 3 || rep.BytesAfter != 0 {
+		t.Fatalf("budget report %+v, want 0 quarantined and all 3 kept entries evicted", rep)
+	}
+}
+
 // TestScrubCacheChecksFingerprint: a warm load trusts the persisted
 // arrival fingerprint, so the scrub recomputes it. An entry whose checksum
 // is valid but whose fingerprint disagrees with its arrival vector is
@@ -146,16 +204,19 @@ func TestScrubCacheChecksFingerprint(t *testing.T) {
 // -> corrupt -> scrub" must never destroy the first piece of evidence.
 // Each distinct corruption of one entry lands under its own specimen
 // name, including two that keep a valid checksum (whose CRC-32C is the
-// same constant), and a repeat of identical bytes collapses into the
-// specimen already there.
+// same constant) and the current entry version, and a repeat of identical
+// bytes collapses into the specimen already there.
 func TestScrubQuarantineAccumulatesSpecimens(t *testing.T) {
 	dir := t.TempDir()
 	name := "cafef00d.rep"
+	sealed := func(s string) []byte {
+		return sealEntry(append(binary.LittleEndian.AppendUint32([]byte("RTLR"), entryVersion), s...))
+	}
 	bodies := [][]byte{
 		[]byte("first corruption"),
 		[]byte("second corruption"),
-		sealEntry([]byte("RTLR sealed but malformed")),
-		sealEntry([]byte("RTLR sealed and malformed too")),
+		sealed("sealed but malformed"),
+		sealed("sealed and malformed too"),
 		[]byte("first corruption"),
 	}
 	for _, body := range bodies {

@@ -21,15 +21,21 @@ import (
 // representation.
 //
 // Everything it extracts from — the input-cone summaries, the rank
-// percentiles and the cell counts — is materialized once, on the first
-// read that needs it (Cone, Rank, PathVector, DesignVector or State), and
-// shared by every later read: a caller that never reads a feature never
-// pays for a pass over the graph. An Extractor is safe for concurrent use.
+// percentiles, the cell counts and, for a restored extractor, its timing
+// view — is materialized once, on the first read that needs it (Cone,
+// Rank, PathVector, SeqFeatures, DesignVector or State), and shared by
+// every later read: a caller that never reads a feature never pays for a
+// pass over the graph. An Extractor is safe for concurrent use.
 type Extractor struct {
 	G *bog.Graph
-	R *sta.Result
+
+	// an and arr are a restored extractor's source for its timing view r,
+	// which it takes on the first read (see RestoreExtractor).
+	an  *sta.Analyzer
+	arr []float64
 
 	once    sync.Once
+	r       *sta.Result    // the period-free timing view the path features read
 	cones   []sta.ConeInfo // per endpoint
 	rankPct []float64      // per endpoint: pseudo-STA arrival percentile
 
@@ -42,15 +48,18 @@ type Extractor struct {
 // cell counts, the per-endpoint input-cone walks and the rank sort run
 // once, on the first feature read. g and r must not change afterwards.
 func NewExtractor(g *bog.Graph, r *sta.Result) *Extractor {
-	return &Extractor{G: g, R: r}
+	return &Extractor{G: g, r: r}
 }
 
-// materialize counts the cells, walks every endpoint's input cone and
-// ranks the endpoints' pseudo arrival times, once per extractor. An
-// extractor restored by NewExtractorFromState already holds the cones and
-// ranks, so only the count runs.
+// materialize takes a restored extractor's timing view, counts the cells,
+// walks every endpoint's input cone and ranks the endpoints' pseudo
+// arrival times, once per extractor. An extractor restored from state
+// already holds the cones and ranks, so only the view and the count run.
 func (e *Extractor) materialize() {
 	e.once.Do(func() {
+		if e.r == nil {
+			e.r = e.an.At(e.arr, 0)
+		}
 		e.countCells()
 		if e.cones != nil {
 			return
@@ -60,7 +69,7 @@ func (e *Extractor) materialize() {
 		for ep := range cones {
 			cones[ep] = w.InputCone(ep)
 		}
-		e.cones, e.rankPct = cones, rankPercentiles(e.R.EndpointAT)
+		e.cones, e.rankPct = cones, rankPercentiles(e.r.EndpointAT)
 	})
 }
 
@@ -111,13 +120,40 @@ func (e *Extractor) State() (cones []sta.ConeInfo, rankPct []float64) {
 // obtained with State, skipping the per-endpoint cone walks and the rank
 // sort. Both vectors must cover len(g.Endpoints) entries; the extractor
 // takes ownership of the slices. The design-level cell counts are left
-// to the first feature read, like NewExtractor's.
+// to the first feature read, like NewExtractor's. The engine's disk tier
+// restores with RestoreExtractor; this stays only because perfbench still
+// calls it.
 func NewExtractorFromState(g *bog.Graph, r *sta.Result, cones []sta.ConeInfo, rankPct []float64) (*Extractor, error) {
+	if err := checkState(g, cones, rankPct); err != nil {
+		return nil, err
+	}
+	return &Extractor{G: g, r: r, cones: cones, rankPct: rankPct}, nil
+}
+
+// RestoreExtractor is NewExtractorFromState for the engine's disk tier,
+// which persists no timing view: the extractor takes an.At(arr, 0) on its
+// first feature read instead of at restore, so a restored representation
+// that only answers timing queries never builds a lazy analyzer's static
+// state for it. arr must cover len(g.Nodes) entries; the extractor takes
+// ownership of every slice.
+func RestoreExtractor(g *bog.Graph, an *sta.Analyzer, arr []float64, cones []sta.ConeInfo, rankPct []float64) (*Extractor, error) {
+	if len(arr) != len(g.Nodes) {
+		return nil, fmt.Errorf("features: arrival vector covers %d nodes, graph has %d", len(arr), len(g.Nodes))
+	}
+	if err := checkState(g, cones, rankPct); err != nil {
+		return nil, err
+	}
+	return &Extractor{G: g, an: an, arr: arr, cones: cones, rankPct: rankPct}, nil
+}
+
+// checkState checks that restored per-endpoint vectors cover g's
+// endpoints.
+func checkState(g *bog.Graph, cones []sta.ConeInfo, rankPct []float64) error {
 	if len(cones) != len(g.Endpoints) || len(rankPct) != len(g.Endpoints) {
-		return nil, fmt.Errorf("features: state covers %d/%d endpoints, graph has %d",
+		return fmt.Errorf("features: state covers %d/%d endpoints, graph has %d",
 			len(cones), len(rankPct), len(g.Endpoints))
 	}
-	return &Extractor{G: g, R: r, cones: cones, rankPct: rankPct}, nil
+	return nil
 }
 
 // countCells counts register bits and combinational operators in one pass
@@ -191,9 +227,9 @@ func (e *Extractor) PathVector(ep int, path sta.Path) []float64 {
 		case bog.Mux:
 			nMux++
 		}
-		fo = append(fo, float64(e.R.Fanout[n]))
-		load = append(load, e.R.Load[n])
-		slew = append(slew, e.R.Slew[n])
+		fo = append(fo, float64(e.r.Fanout[n]))
+		load = append(load, e.r.Load[n])
+		slew = append(slew, e.r.Slew[n])
 	}
 	sum := func(xs []float64) float64 {
 		s := 0.0
@@ -204,13 +240,13 @@ func (e *Extractor) PathVector(ep int, path sta.Path) []float64 {
 	}
 	last := path[len(path)-1]
 	v = append(v,
-		e.R.Arrival[e.G.Endpoints[ep].D], // endpoint pseudo-STA arrival
+		e.r.Arrival[e.G.Endpoints[ep].D], // endpoint pseudo-STA arrival
 		float64(len(path)),
 		nAnd, nOr, nXor, nNot, nMux,
 		sum(fo), metrics.Mean(fo), metrics.Std(fo),
 		sum(load), metrics.Mean(load), metrics.Std(load),
 		sum(slew), metrics.Mean(slew), metrics.Std(slew),
-		e.R.Arrival[last], // arrival along this particular path
+		e.r.Arrival[last], // arrival along this particular path
 	)
 	return v
 }
@@ -221,14 +257,15 @@ const nodeSeqDim = 9 + 4
 // SeqFeatures extracts per-node features along a path for the transformer
 // model: operator one-hot (9) plus normalized fanout, load, slew, arrival.
 func (e *Extractor) SeqFeatures(path sta.Path) [][]float64 {
+	e.materialize()
 	out := make([][]float64, len(path))
 	for i, n := range path {
 		row := make([]float64, nodeSeqDim)
 		row[int(e.G.Nodes[n].Op)] = 1
-		row[9] = log1p(float64(e.R.Fanout[n]))
-		row[10] = e.R.Load[n] / 10
-		row[11] = e.R.Slew[n] * 10
-		row[12] = e.R.Arrival[n]
+		row[9] = log1p(float64(e.r.Fanout[n]))
+		row[10] = e.r.Load[n] / 10
+		row[11] = e.r.Slew[n] * 10
+		row[12] = e.r.Arrival[n]
 		out[i] = row
 	}
 	return out

@@ -235,27 +235,38 @@ func post[Req any, Resp any](s *Service, fn func(*Service, context.Context, Req)
 
 // decodeStrict decodes exactly one JSON value from r into v: unknown
 // fields are an error, and so is any non-whitespace byte after the value.
-// The rest of the body is scanned, not decoded: what the decoder buffered
-// past the value, then r itself, one fixed-size chunk at a time, failing
-// at the first byte that is not JSON whitespace. Decoding it instead would
-// keep every whitespace byte buffered until the next token, so a value
-// followed by 64 MiB of spaces would cost a buffer twice that size. A
-// read error (a body past the cap, a hangup) is wrapped, not replaced.
+// Whitespace around the value is scanned, not decoded, one fixed-size
+// chunk at a time: the decoder would keep every whitespace byte buffered
+// until the next token, so a value padded with 64 MiB of spaces on either
+// side would cost a buffer twice that size. The leading scan hands the
+// decoder the chunk from the value's first byte on, then r; the trailing
+// scan reads what the decoder buffered past the value, then the rest of
+// the body, failing at the first byte that is not JSON whitespace. A read
+// error (a body past the cap, a hangup) is returned or wrapped, never
+// replaced.
 func decodeStrict(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
+	chunk := scanChunks.Get().(*[4 << 10]byte)
+	defer scanChunks.Put(chunk)
+	body := &leadReader{r: r}
+	for body.lead == nil && body.err == nil {
+		n, err := r.Read(chunk[:])
+		if i := nonSpace(chunk[:n]); i < n {
+			body.lead = chunk[i:n]
+		}
+		body.err = err
+	}
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	chunk := trailingChunks.Get().(*[4 << 10]byte)
-	defer trailingChunks.Put(chunk)
-	for _, rest := range [...]io.Reader{dec.Buffered(), r} {
+	// Reading body into chunk may move its unread lead to the chunk's
+	// start; copy handles the overlap, and one read drains the lead.
+	for _, rest := range [...]io.Reader{dec.Buffered(), body} {
 		for {
 			n, err := rest.Read(chunk[:])
-			for _, c := range chunk[:n] {
-				if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-					return fmt.Errorf("trailing data after the JSON value: %q", c)
-				}
+			if i := nonSpace(chunk[:n]); i < n {
+				return fmt.Errorf("trailing data after the JSON value: %q", chunk[i])
 			}
 			if err == io.EOF {
 				break
@@ -268,9 +279,41 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// trailingChunks recycles the chunks decodeStrict scans with, so a
-// request does not allocate one.
-var trailingChunks = sync.Pool{New: func() any { return new([4 << 10]byte) }}
+// nonSpace returns the index of the first byte of b that is not JSON
+// whitespace, or len(b).
+func nonSpace(b []byte) int {
+	for i, c := range b {
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return i
+		}
+	}
+	return len(b)
+}
+
+// leadReader is a request body after its leading whitespace: lead, the
+// rest of the chunk the value starts in, then the error the last leading
+// read returned, if any, then r.
+type leadReader struct {
+	lead []byte
+	err  error
+	r    io.Reader
+}
+
+func (l *leadReader) Read(p []byte) (int, error) {
+	if len(l.lead) > 0 {
+		n := copy(p, l.lead)
+		l.lead = l.lead[n:]
+		return n, nil
+	}
+	if l.err != nil {
+		return 0, l.err
+	}
+	return l.r.Read(p)
+}
+
+// scanChunks recycles the chunks decodeStrict scans with, so a request
+// does not allocate one.
+var scanChunks = sync.Pool{New: func() any { return new([4 << 10]byte) }}
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorResponse{Error: err.Error()})

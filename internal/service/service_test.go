@@ -315,6 +315,38 @@ func TestDecodeStrictTrailingSpaceIsBounded(t *testing.T) {
 	}
 }
 
+// TestDecodeStrictLeadingSpaceIsBounded: whitespace before the value is
+// scanned in the same fixed-size chunks, so a query preceded by 8 MiB of
+// spaces allocates well under a megabyte too (a decoder that buffers the
+// padding allocates four times its size). Leading padding does not hide a
+// stray byte after the value, a body of spaces alone still fails as an
+// empty one does, and a query that starts past the first chunk decodes.
+func TestDecodeStrictLeadingSpaceIsBounded(t *testing.T) {
+	body := io.MultiReader(io.LimitReader(spaces{}, 8<<20), strings.NewReader(`{"session":"s1","period":0.5}`))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var req SessionEvalRequest
+	err := decodeStrict(body, &req)
+	runtime.ReadMemStats(&after)
+	if err != nil || req.Session != "s1" || req.Period != 0.5 {
+		t.Fatalf("decoded %+v, %v", req, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("decoding 8 MiB of leading spaces and a query allocated %d bytes", alloc)
+	}
+	err = decodeStrict(io.MultiReader(io.LimitReader(spaces{}, 5<<10), strings.NewReader(`{"session":"s1"} x`)), &req)
+	if err == nil || !strings.Contains(err.Error(), "trailing data after the JSON value") {
+		t.Fatalf("stray byte after a padded value: %v", err)
+	}
+	if err := decodeStrict(io.LimitReader(spaces{}, 5<<10), &req); err != io.EOF {
+		t.Fatalf("a body of spaces alone: %v, want EOF", err)
+	}
+	req = SessionEvalRequest{}
+	if err := decodeStrict(io.MultiReader(io.LimitReader(spaces{}, 4<<10-3), strings.NewReader("\t{\"session\":\"s2\"}\n")), &req); err != nil || req.Session != "s2" {
+		t.Fatalf("a value straddling the first chunk: %+v, %v", req, err)
+	}
+}
+
 // TestHTTPSurface exercises the wire layer: happy paths, method
 // discipline, strict decoding, and error payloads.
 func TestHTTPSurface(t *testing.T) {

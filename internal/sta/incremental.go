@@ -88,28 +88,23 @@ func NewIncremental(g *bog.Graph, lib *liberty.PseudoLib) *Incremental {
 
 // NewIncrementalOn seeds a session from an analyzer and its arrival
 // vector (as returned by Arrivals, or frozen with it by Snapshot),
-// skipping every timing pass. The session edits a private analyzer whose
-// per-node vectors and arrivals are copies, so an and arr (typically an
-// immutable cached RepResult's) are never mutated. The private analyzer
-// shares an's root adjacency, built first if this is an's first session,
-// and starts from an's overlay map, which it clones on its first write.
-// g must be a private clone of an.G: the session owns and edits it from
-// here on.
+// skipping every timing pass but a lazy analyzer's static-state build,
+// which runs here if nothing has run it yet. The session edits a private
+// analyzer whose per-node vectors and arrivals are copies, so an and arr
+// (typically an immutable cached RepResult's) are never mutated. The
+// private analyzer shares an's root adjacency, built first if this is
+// an's first session, and starts from an's overlay map, which it clones
+// on its first write. g must be a private clone of an.G: the session owns
+// and edits it from here on.
 func NewIncrementalOn(an *Analyzer, g *bog.Graph, arr []float64) (*Incremental, error) {
 	n := len(g.Nodes)
 	if len(an.G.Nodes) != n || len(arr) != n {
 		return nil, fmt.Errorf("sta: incremental seed covers %d nodes with %d arrivals, graph has %d",
 			len(an.G.Nodes), len(arr), n)
 	}
-	priv := &Analyzer{
-		G: g, Lib: an.Lib,
-		load:    slices.Clone(an.load),
-		slew:    slices.Clone(an.slew),
-		delay:   slices.Clone(an.delay),
-		fanout:  slices.Clone(an.fanout),
-		csr:     an.adjacency(),
-		overlay: an.overlay,
-	}
+	an.static()
+	priv := withState(g, an.Lib, slices.Clone(an.load), slices.Clone(an.slew), slices.Clone(an.delay), slices.Clone(an.fanout))
+	priv.csr, priv.overlay = an.adjacency(), an.overlay
 	return &Incremental{G: g, an: priv, arr: slices.Clone(arr), inHeap: make([]bool, n)}, nil
 }
 
@@ -169,7 +164,8 @@ func (s *Incremental) Arrivals() []float64 { return s.arr }
 // State exposes the edited analyzer's period-independent vectors
 // (aliases, valid until the next Apply).
 func (s *Incremental) State() (load, slew, delay []float64, fanout []int32) {
-	return s.an.State()
+	an := s.an
+	return an.load, an.slew, an.delay, an.fanout
 }
 
 // Recomputed returns the cumulative number of per-node arrival recomputes

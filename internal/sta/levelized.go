@@ -19,9 +19,15 @@ const endpointCap = 1.1
 // graph structure alone, and because a node's output slew does not depend
 // on its inputs' arrival, the slew term of every delay is static too — so
 // one Analyze call reduces to a single serial forward max-plus pass over
-// each node's fanins plus the endpoint slack loop. Construction costs one
-// reference-style pass; every subsequent Analyze allocates only the
-// arrival vector and the Result slices.
+// each node's fanins plus the endpoint slack loop. Building that static
+// state costs two passes over the nodes (buildStatic); every subsequent
+// Analyze allocates only the arrival vector and the Result slices.
+//
+// NewAnalyzer builds the static state at once. An analyzer restored from
+// the engine's disk tier (NewLazyAnalyzer) builds it on first use — the
+// first At, Arrivals, State or NewIncrementalOn — so a restored
+// representation that only answers Summary and CriticalPeriod, which read
+// nothing but the endpoints and the arrival vector, never pays for it.
 //
 // The analyzer also holds the read-only consumer adjacency its
 // incremental sessions start from (NewIncrementalOn): a root CSR, built
@@ -30,18 +36,20 @@ const endpointCap = 1.1
 // one chain share the root's arrays and differ only in their overlays.
 //
 // An Analyzer is immutable once anyone else can reach it, and then safe
-// for concurrent use; the lazy adjacency build runs once, under a
-// sync.Once. The one exception to immutability is an incremental
-// session's analyzer, which the session edits in place while it is
-// private — until Snapshot seals the session and hands the analyzer out.
+// for concurrent use; the lazy static-state and adjacency builds each run
+// once, under a sync.Once. The one exception to immutability is an
+// incremental session's analyzer, which the session edits in place while
+// it is private — until Snapshot seals the session and hands the analyzer
+// out.
 type Analyzer struct {
 	G   *bog.Graph
 	Lib *liberty.PseudoLib
 
-	load   []float64 // static per-node output load
-	slew   []float64 // static per-node output slew
-	delay  []float64 // per-node arrival increment (sources: absolute arrival)
-	fanout []int32
+	staticOnce sync.Once // guards the four static vectors (see static)
+	load       []float64 // static per-node output load
+	slew       []float64 // static per-node output slew
+	delay      []float64 // per-node arrival increment (sources: absolute arrival)
+	fanout     []int32
 
 	adjOnce sync.Once
 	csr     *consumerCSR                // root adjacency (see adjacency)
@@ -52,34 +60,55 @@ type Analyzer struct {
 // lib. The floating-point accumulation order matches AnalyzeReference
 // exactly so that results stay bit-identical.
 func NewAnalyzer(g *bog.Graph, lib *liberty.PseudoLib) *Analyzer {
+	a := NewLazyAnalyzer(g, lib)
+	a.static()
+	return a
+}
+
+// NewLazyAnalyzer returns the analyzer of g under lib without building its
+// static state: the first At, Arrivals, State or NewIncrementalOn builds
+// it, bit-identical to NewAnalyzer's, and Summary and CriticalPeriod never
+// do. It is the engine's disk restore, whose entries persist no static
+// vectors.
+func NewLazyAnalyzer(g *bog.Graph, lib *liberty.PseudoLib) *Analyzer {
+	return &Analyzer{G: g, Lib: lib}
+}
+
+// static builds the analyzer's static state unless it is already in
+// place; every reader of the four vectors calls it first.
+func (a *Analyzer) static() {
+	a.staticOnce.Do(a.buildStatic)
+}
+
+// buildStatic computes the static state in two passes over the nodes, in
+// AnalyzeReference's accumulation order, so every vector is bit-identical
+// to the reference's. Pass 1 adds each consumer's input cap to its
+// fanins' loads in consumer-id order and counts fanout; the endpoint caps
+// follow. Pass 2 adds each node's wire load, which completes its load,
+// then computes its slew and delay: a node's fanins precede it, so the
+// slews its delay reads are final.
+func (a *Analyzer) buildStatic() {
+	g, lib := a.G, a.Lib
 	n := len(g.Nodes)
-	a := &Analyzer{
-		G: g, Lib: lib,
-		load:   make([]float64, n),
-		slew:   make([]float64, n),
-		delay:  make([]float64, n),
-		fanout: g.FanoutCounts(),
-	}
-	// Loads: consumer input caps (in consumer-id order), endpoint caps,
-	// then wire load — the reference accumulation order, so the float
-	// accumulation stays bit-identical.
+	a.load = make([]float64, n)
+	a.slew = make([]float64, n)
+	a.delay = make([]float64, n)
+	a.fanout = make([]int32, n)
 	for i := range g.Nodes {
 		nd := &g.Nodes[i]
 		cell := &lib.Cells[nd.Op]
 		for j := 0; j < nd.NumFanin(); j++ {
-			a.load[nd.Fanin[j]] += cell.InputCap
+			f := nd.Fanin[j]
+			a.load[f] += cell.InputCap
+			a.fanout[f]++
 		}
 	}
 	for _, ep := range g.Endpoints {
 		a.load[ep.D] += endpointCap
 	}
-	for i := range a.load {
-		a.load[i] += lib.WireLoad * float64(a.fanout[i])
-	}
-	// Slews and delay increments. Operator slews depend only on loads, so
-	// the worst fanin slew entering each delay is static as well.
 	for i := range g.Nodes {
 		nd := &g.Nodes[i]
+		a.load[i] += lib.WireLoad * float64(a.fanout[i])
 		worstSlew := 0.0
 		for j := 0; j < nd.NumFanin(); j++ {
 			if s := a.slew[nd.Fanin[j]]; s > worstSlew {
@@ -89,6 +118,13 @@ func NewAnalyzer(g *bog.Graph, lib *liberty.PseudoLib) *Analyzer {
 		a.delay[i] = nodeDelay(lib, nd.Op, a.load[i], worstSlew)
 		a.slew[i] = nodeSlew(lib, nd.Op, a.load[i])
 	}
+}
+
+// withState returns an analyzer of g whose static state is the given
+// vectors, which it takes ownership of; it never builds its own.
+func withState(g *bog.Graph, lib *liberty.PseudoLib, load, slew, delay []float64, fanout []int32) *Analyzer {
+	a := &Analyzer{G: g, Lib: lib, load: load, slew: slew, delay: delay, fanout: fanout}
+	a.staticOnce.Do(func() {})
 	return a
 }
 
@@ -119,11 +155,11 @@ func nodeDelay(lib *liberty.PseudoLib, op bog.Op, load, worstSlew float64) float
 	}
 }
 
-// State exposes the analyzer's period-independent per-node vectors for
-// persistence (the engine's on-disk representation cache). The returned
-// slices alias the analyzer's immutable state and must be treated as
-// read-only.
+// State exposes the analyzer's period-independent per-node vectors,
+// building them first if no read has yet. The returned slices alias the
+// analyzer's immutable state and must be treated as read-only.
 func (a *Analyzer) State() (load, slew, delay []float64, fanout []int32) {
+	a.static()
 	return a.load, a.slew, a.delay, a.fanout
 }
 
@@ -131,15 +167,16 @@ func (a *Analyzer) State() (load, slew, delay []float64, fanout []int32) {
 // obtained with State, skipping every precomputation pass. All four
 // vectors must cover len(g.Nodes) entries; the analyzer takes ownership of
 // the slices. Callers are responsible for pairing the state with the same
-// (graph, library) it was computed from — the engine's cache keys entries
-// by a digest of both.
+// (graph, library) it was computed from. The engine's disk tier no longer
+// persists the vectors (it restores with NewLazyAnalyzer); this stays
+// only because perfbench still calls it.
 func NewAnalyzerFromState(g *bog.Graph, lib *liberty.PseudoLib, load, slew, delay []float64, fanout []int32) (*Analyzer, error) {
 	n := len(g.Nodes)
 	if len(load) != n || len(slew) != n || len(delay) != n || len(fanout) != n {
 		return nil, fmt.Errorf("sta: state vectors cover %d/%d/%d/%d nodes, graph has %d",
 			len(load), len(slew), len(delay), len(fanout), n)
 	}
-	return &Analyzer{G: g, Lib: lib, load: load, slew: slew, delay: delay, fanout: fanout}, nil
+	return withState(g, lib, load, slew, delay, fanout), nil
 }
 
 // Analyze runs pseudo-STA at the given clock period: a serial forward
@@ -153,6 +190,7 @@ func (a *Analyzer) Analyze(period float64) *Result {
 // the clock — so one Arrivals call can back any number of At
 // materializations. The pass is always serial; jobs is ignored.
 func (a *Analyzer) Arrivals(jobs int) []float64 {
+	a.static()
 	arr := make([]float64, len(a.G.Nodes))
 	for i := range a.G.Nodes {
 		nd := &a.G.Nodes[i]
@@ -175,6 +213,7 @@ func (a *Analyzer) Arrivals(jobs int) []float64 {
 // cache users), so no copies are made. Callers that need only WNS and TNS
 // should use Summary, which allocates nothing.
 func (a *Analyzer) At(arr []float64, period float64) *Result {
+	a.static()
 	r := &Result{
 		ClockPeriod: period,
 		Arrival:     arr,
@@ -188,7 +227,8 @@ func (a *Analyzer) At(arr []float64, period float64) *Result {
 
 // Summary returns the WNS and TNS of At(arr, period) without allocating:
 // it runs the same endpoint slack loop but records no per-endpoint
-// vectors, so both numbers are bit-identical to At's.
+// vectors, so both numbers are bit-identical to At's. It reads no static
+// state, so it never builds a lazy analyzer's.
 func (a *Analyzer) Summary(arr []float64, period float64) (wns, tns float64) {
 	return slackLoop(a.G, a.Lib, arr, period, nil, nil)
 }
@@ -197,7 +237,7 @@ func (a *Analyzer) Summary(arr []float64, period float64) (wns, tns float64) {
 // slack is exactly zero: its arrival (floored at 0) plus setup. Slack is
 // period − arrival − setup, so in exact arithmetic no shorter period has
 // WNS >= 0; rounded, Summary's WNS at this period can read one ulp below
-// zero.
+// zero. Like Summary, it never builds a lazy analyzer's static state.
 func (a *Analyzer) CriticalPeriod(arr []float64) float64 {
 	worst := 0.0
 	for _, ep := range a.G.Endpoints {
