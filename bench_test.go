@@ -545,10 +545,10 @@ func BenchmarkBitBlastSuite(b *testing.B) {
 // BenchmarkFeatureExtraction is the extraction stage on its own:
 // features.NewExtractor and a State read that forces its walk — one
 // input-cone walk per endpoint plus the rank sort — over the four BOG
-// variants of the largest benchmark design. A cold build no longer pays
-// this stage (the extractor is lazy); a build that persists to the disk
-// tier, and the first feature read of any other, does. The graphs and
-// their timing results are built before the timer starts.
+// variants of the largest benchmark design. No build or disk load pays
+// this stage (the extractor is lazy); the first feature read of a result
+// does. The graphs and their timing results are built before the timer
+// starts.
 func BenchmarkFeatureExtraction(b *testing.B) {
 	spec, ok := designs.ByName("Rocket3")
 	if !ok {
@@ -710,9 +710,9 @@ func (s *memStore) Delete(name string) error {
 // BenchmarkDecodeEntry is the decode stage of a warm load on its own: per
 // iteration, a fresh engine restores the four variants of the largest
 // benchmark design from a map-backed store filled before the timer
-// starts — checksum, graph codec, vector decode and the analyzer and
-// extractor restores (neither builds its timing state until first use),
-// with no file I/O. BenchmarkEngineWarmLoad adds the store reads.
+// starts — checksum, graph codec, arrival decode and the lazy analyzer
+// and extractor (neither builds anything until first use), with no file
+// I/O. BenchmarkEngineWarmLoad adds the store reads.
 func BenchmarkDecodeEntry(b *testing.B) {
 	spec, ok := designs.ByName("Rocket3")
 	if !ok {

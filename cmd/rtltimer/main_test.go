@@ -49,8 +49,10 @@ func TestParseSweep(t *testing.T) {
 		{in: "1:1.7e308:3", wantErr: true},
 		{in: "1:1.7e308:2", want: []float64{1, 1.7e308}},
 
-		// A sweep needs at least its two endpoints, and a step count an
-		// allocation can survive.
+		// A sweep needs at least its two endpoints, and at most 10,000
+		// points.
+		{in: "0.3:0.9:10000", want: linspace(0.3, 0.9, 10000)},
+		{in: "0.3:0.9:10001", wantErr: true},
 		{in: "0.3:0.9:1", wantErr: true},
 		{in: "0.3:0.9:0", wantErr: true},
 		{in: "0.3:0.9:-5", wantErr: true},

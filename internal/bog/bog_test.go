@@ -72,8 +72,10 @@ func crossCheck(t *testing.T, src string, inputs []struct {
 		for _, bs := range bitSims {
 			bs.Step()
 		}
-		for _, sigID := range d.SeqSignals() {
-			sig := d.Signals[sigID]
+		for _, sig := range d.Signals {
+			if !sig.IsReg {
+				continue
+			}
 			want, _ := wordSim.Reg(sig.Name)
 			for v, bs := range bitSims {
 				got := bs.RegWord(sig.Name, sig.Width)

@@ -420,8 +420,14 @@ endmodule`)
 	if st.Regs != 1 || st.RegBits != 8 || st.Inputs != 2 || st.Outputs != 1 {
 		t.Errorf("stats: %+v", st)
 	}
-	if len(d.SeqSignals()) != 1 {
-		t.Errorf("seq signals: %v", d.SeqSignals())
+	regs := 0
+	for _, s := range d.Signals {
+		if s.IsReg {
+			regs++
+		}
+	}
+	if regs != 1 {
+		t.Errorf("%d register signals, want 1", regs)
 	}
 }
 

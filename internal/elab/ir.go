@@ -6,10 +6,7 @@
 // (package bog).
 package elab
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SigID identifies a signal in the design's signal table.
 type SigID int32
@@ -151,20 +148,6 @@ func (d *Design) SignalID(name string) (SigID, bool) {
 
 // NumNodes returns the node count.
 func (d *Design) NumNodes() int { return len(d.Nodes) }
-
-// SeqSignals returns all sequential (register) signals sorted by name.
-func (d *Design) SeqSignals() []SigID {
-	var out []SigID
-	for i, s := range d.Signals {
-		if s.IsReg {
-			out = append(out, SigID(i))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return d.Signals[out[i]].Name < d.Signals[out[j]].Name
-	})
-	return out
-}
 
 func (d *Design) addSignal(s Signal) SigID {
 	id := SigID(len(d.Signals))

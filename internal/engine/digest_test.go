@@ -133,17 +133,18 @@ func TestEveryResultCarriesItsDigest(t *testing.T) {
 	checkEdit("detached edit", built, detached)
 }
 
-// TestPersistedArrivalDigest pins the version-4 entry layout on every
+// TestPersistedArrivalDigest pins the version-5 entry layout on every
 // suite entry (21 designs × 4 variants), parsed by offset: the magic,
-// version 4, the graph blob, which must equal bog.MarshalGraph of the cold
+// version 5, the graph blob, which must equal bog.MarshalGraph of the cold
 // build, the raw arrival fingerprint, which must equal both ArrivalDigest
 // of the persisted arrival vector and the cold build's ArrivalSHA256, the
-// persisted arrival, cone and rank vectors, and the CRC-32C (Castagnoli)
-// of every preceding byte. The analyzer's static vectors are not
-// persisted; the decoded entry rebuilds them, and its extractor its
-// timing view, on first use, and both must then be bit-identical to the
-// cold build's: the analyzer's State and every endpoint's slowest-path
-// features.
+// persisted arrival vector, and the CRC-32C (Castagnoli) of every
+// preceding byte. Neither the analyzer's static vectors nor the
+// extractor's cones and ranks are persisted; the decoded entry rebuilds
+// them, and its extractor its timing view, on first use, and all must
+// then be bit-identical to the cold build's: every endpoint's
+// slowest-path features, the extractor's State (cones walked on the
+// decoded graph, ranks from its arrivals) and the analyzer's State.
 func TestPersistedArrivalDigest(t *testing.T) {
 	lib := liberty.DefaultPseudoLib()
 	store := NewDirStore(t.TempDir())
@@ -166,11 +167,11 @@ func TestPersistedArrivalDigest(t *testing.T) {
 				t.Fatalf("%s/%v: %v", spec.Name, v, err)
 			}
 			blob := bog.MarshalGraph(rr.Graph)
-			n, ep := len(rr.Graph.Nodes), len(rr.Graph.Endpoints)
-			if want := 12 + len(blob) + 32 + 8*n + 20*ep + 4; len(data) != want {
+			n := len(rr.Graph.Nodes)
+			if want := 12 + len(blob) + 32 + 8*n + 4; len(data) != want {
 				t.Fatalf("%s/%v: entry of %d bytes, want %d", spec.Name, v, len(data), want)
 			}
-			if string(data[:4]) != "RTLR" || binary.LittleEndian.Uint32(data[4:]) != 4 {
+			if string(data[:4]) != "RTLR" || binary.LittleEndian.Uint32(data[4:]) != 5 {
 				t.Fatalf("%s/%v: header %q version %d", spec.Name, v, data[:4], binary.LittleEndian.Uint32(data[4:]))
 			}
 			if binary.LittleEndian.Uint32(data[8:]) != uint32(len(blob)) || !bytes.Equal(data[12:12+len(blob)], blob) {
@@ -178,28 +179,15 @@ func TestPersistedArrivalDigest(t *testing.T) {
 			}
 			rest := data[12+len(blob):]
 			digest := hex.EncodeToString(rest[:32])
-			arrival, rest := readF64s(rest[32:], n)
+			arrival := readF64s(rest[32:], n)
 			if !sameBits(arrival, rr.Arrival) {
 				t.Fatalf("%s/%v: the persisted arrival vector differs from the cold build's", spec.Name, v)
 			}
 			if want := ArrivalDigest(arrival); digest != want || digest != rr.ArrivalSHA256 {
 				t.Fatalf("%s/%v: persisted fingerprint %s, recomputed %s, cold build %s", spec.Name, v, digest, want, rr.ArrivalSHA256)
 			}
-			cones, rank := rr.Ext.State()
-			for i, c := range cones {
-				got := rest[12*i:]
-				if int(int32(binary.LittleEndian.Uint32(got))) != c.Nodes ||
-					int(int32(binary.LittleEndian.Uint32(got[4:]))) != c.DrivingRegs ||
-					int(int32(binary.LittleEndian.Uint32(got[8:]))) != c.Inputs {
-					t.Fatalf("%s/%v: cone[%d] differs from the cold build's", spec.Name, v, i)
-				}
-			}
-			gotRank, rest := readF64s(rest[12*ep:], ep)
-			if !sameBits(gotRank, rank) {
-				t.Fatalf("%s/%v: the persisted rank percentiles differ from the cold build's", spec.Name, v)
-			}
-			body := data[:len(data)-len(rest)]
-			if got, want := binary.LittleEndian.Uint32(rest), crc32.Checksum(body, castagnoli); got != want {
+			body := data[:len(data)-4]
+			if got, want := binary.LittleEndian.Uint32(data[len(body):]), crc32.Checksum(body, castagnoli); got != want {
 				t.Fatalf("%s/%v: checksum %08x, CRC-32C of the body %08x", spec.Name, v, got, want)
 			}
 
@@ -215,6 +203,11 @@ func TestPersistedArrivalDigest(t *testing.T) {
 				if !sameBits(restored.Ext.PathVector(i, p), rr.Ext.PathVector(i, p)) {
 					t.Fatalf("%s/%v: endpoint %d's restored path features differ from the cold build's", spec.Name, v, i)
 				}
+			}
+			cones, rank := rr.Ext.State()
+			gotCones, gotRank := restored.Ext.State()
+			if !slices.Equal(gotCones, cones) || !sameBits(gotRank, rank) {
+				t.Fatalf("%s/%v: the restored extractor's cones and ranks differ from the cold build's", spec.Name, v)
 			}
 			load, slew, delay, fanout := rr.An.State()
 			gl, gs, gd, gf := restored.An.State()

@@ -1,23 +1,22 @@
 // The on-disk tier of the representation cache: content-addressed entries
-// that persist what a warm load cannot cheaply recompute — the variant
-// graph (via the bog binary codec), the arrival fingerprint, the
-// period-free arrival vector, and the extractor's per-endpoint cone/rank
-// state. A warm EvalRep is therefore deserialization: no parsing, no
-// bit-blasting, no forward max-plus pass, no cone walks, no re-hashing.
-// The analyzer's static load/slew/delay/fanout vectors are not persisted:
-// two passes over the graph rebuild them, and only on first use
-// (sta.NewLazyAnalyzer), which Summary and CriticalPeriod — all a timing
-// query reads — never trigger.
+// that persist what a timing query reads and a warm load cannot cheaply
+// recompute — the variant graph (via the bog binary codec), the arrival
+// fingerprint and the period-free arrival vector. A warm EvalRep is
+// therefore deserialization: no parsing, no bit-blasting, no forward
+// max-plus pass, no re-hashing. Nothing else is persisted. The analyzer's
+// static load/slew/delay/fanout vectors are rebuilt by two passes over the
+// graph, and only on first use (sta.NewLazyAnalyzer), which Summary and
+// CriticalPeriod — all a timing query reads — never trigger; the
+// extractor's cones, ranks and cell counts are rebuilt on its first
+// feature read (features.NewLazyExtractor), which no timing query makes.
 //
 // Entry format (all integers little-endian):
 //
 //	magic    [4]byte "RTLR"
 //	version  uint32 (entryVersion)
-//	graphLen uint32, graph blob (bog codec; yields node count n, endpoint count E)
+//	graphLen uint32, graph blob (bog codec; yields node count n)
 //	digest   [32]byte — the raw SHA-256 behind ArrivalDigest(arrival)
 //	arrival  [n]float64
-//	cones    [E]{nodes, drivingRegs, inputs int32}
-//	rankpct  [E]float64
 //	checksum uint32 — CRC-32C (Castagnoli) of every preceding byte
 //
 // The checksum detects torn writes and bit rot: every single-bit flip,
@@ -64,7 +63,6 @@ import (
 	"strings"
 
 	"rtltimer/internal/bog"
-	"rtltimer/internal/features"
 	"rtltimer/internal/liberty"
 	"rtltimer/internal/sta"
 )
@@ -81,7 +79,9 @@ import (
 // way. Version 3 replaced the trailing SHA-256 with a CRC-32C and
 // persisted the arrival fingerprint. Version 4 dropped the analyzer's
 // static vectors, which a load rebuilds from the graph on first use.
-const entryVersion = 4
+// Version 5 dropped the extractor's cone and rank vectors, which only a
+// feature read needs and which the loaded extractor rebuilds on that read.
+const entryVersion = 5
 
 // entryNameSalt is the format salt entry names hash: entryVersion and
 // bog.CodecVersion as they were when names were frozen. Keeping it fixed
@@ -245,26 +245,12 @@ func decodeEntry(data []byte, lib *liberty.PseudoLib) *RepResult {
 		return nil
 	}
 	rest = rest[graphLen:]
-	n, ep := len(g.Nodes), len(g.Endpoints)
-	if len(rest) != digestSize+8*n+ep*(3*4+8) {
+	n := len(g.Nodes)
+	if len(rest) != digestSize+8*n {
 		return nil
 	}
 	digest := hex.EncodeToString(rest[:digestSize])
-	arrival, rest := readF64s(rest[digestSize:], n)
-	cones := make([]sta.ConeInfo, ep)
-	for i := range cones {
-		cones[i].Nodes = int(int32(binary.LittleEndian.Uint32(rest)))
-		cones[i].DrivingRegs = int(int32(binary.LittleEndian.Uint32(rest[4:])))
-		cones[i].Inputs = int(int32(binary.LittleEndian.Uint32(rest[8:])))
-		rest = rest[12:]
-	}
-	rankPct, _ := readF64s(rest, ep)
-	an := sta.NewLazyAnalyzer(g, lib)
-	ext, err := features.RestoreExtractor(g, an, arrival, cones, rankPct)
-	if err != nil {
-		return nil
-	}
-	return &RepResult{Graph: g, An: an, Arrival: arrival, ArrivalSHA256: digest, Ext: ext}
+	return newResult(g, sta.NewLazyAnalyzer(g, lib), readF64s(rest[digestSize:], n), digest)
 }
 
 // diskStore persists a freshly built evaluation, reporting whether an
@@ -276,9 +262,7 @@ func (e *Engine) diskStore(key Key, lib *liberty.PseudoLib, res *RepResult) bool
 
 func encodeEntry(res *RepResult) []byte {
 	blob := bog.MarshalGraph(res.Graph)
-	cones, rankPct := res.Ext.State()
-	n, ep := len(res.Graph.Nodes), len(res.Graph.Endpoints)
-	buf := make([]byte, 0, 12+len(blob)+digestSize+8*n+ep*(3*4+8)+checksumSize)
+	buf := make([]byte, 0, 12+len(blob)+digestSize+8*len(res.Arrival)+checksumSize)
 	buf = append(buf, entryMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, entryVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
@@ -287,12 +271,6 @@ func encodeEntry(res *RepResult) []byte {
 	// malformed one would fail the shape check on load, never be served.
 	buf, _ = hex.AppendDecode(buf, []byte(res.ArrivalSHA256))
 	buf = appendF64s(buf, res.Arrival)
-	for _, c := range cones {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(c.Nodes)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(c.DrivingRegs)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(c.Inputs)))
-	}
-	buf = appendF64s(buf, rankPct)
 	return sealEntry(buf)
 }
 
@@ -303,10 +281,10 @@ func appendF64s(buf []byte, xs []float64) []byte {
 	return buf
 }
 
-func readF64s(b []byte, n int) ([]float64, []byte) {
+func readF64s(b []byte, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return out, b[8*n:]
+	return out
 }

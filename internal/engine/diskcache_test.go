@@ -346,6 +346,25 @@ func FuzzEntryDecode(f *testing.F) {
 	})
 }
 
+// TestEncodeEntryReadsNoExtractor: an entry holds nothing of the
+// extractor, so a build that writes one walks no cone. A result with no
+// extractor at all encodes to the same bytes as the built one.
+func TestEncodeEntryReadsNoExtractor(t *testing.T) {
+	e := New(1)
+	lib := liberty.DefaultPseudoLib()
+	for _, v := range bog.Variants() {
+		rr, err := e.EvalRep(Key{Design: DesignTag("tiny", fuzzSeedSrc), Variant: v}, lib, LazyDesign(fuzzSeedSrc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare := *rr
+		bare.Ext = nil
+		if !bytes.Equal(encodeEntry(&bare), encodeEntry(rr)) {
+			t.Fatalf("%v: the entry of a result without an extractor differs from the built one's", v)
+		}
+	}
+}
+
 func (e *Engine) withDir(dir string) *Engine { e.SetCacheDir(dir); return e }
 
 func clone(b []byte) []byte { return append([]byte(nil), b...) }

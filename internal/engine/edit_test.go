@@ -527,12 +527,13 @@ func TestConcurrentDerivesShareAdjacency(t *testing.T) {
 }
 
 // TestRestoredStateConcurrentFirstUse: a freshly disk-restored result
-// builds its analyzer's static state, and its extractor its timing view,
-// on first use. Four goroutines make that first use at once — an At, a
-// feature read and two derives, each opening a session with
-// sta.NewIncrementalOn — so the lazy builds race their first readers (run
-// under -race in CI). Every answer must be bit-identical to the cold
-// build's, and each derive to a fresh analysis of its edited graph.
+// builds its analyzer's static state, and its extractor its timing view
+// and its cone walks, on first use. Four goroutines make that first use
+// at once — an At, a feature read and two derives, each opening a
+// session with sta.NewIncrementalOn — so the lazy builds race their
+// first readers (run under -race in CI). Every answer must be
+// bit-identical to the cold build's, and each derive to a fresh analysis
+// of its edited graph.
 func TestRestoredStateConcurrentFirstUse(t *testing.T) {
 	dir := t.TempDir()
 	spec := designs.All()[0]

@@ -22,12 +22,13 @@
 // curves) pays one bit-blast and one forward pass per
 // (design, variant) and materializes each period with RepResult.At, which
 // costs only the endpoint slack loop. The disk tier makes that one-time
-// cost survive the process: a warm run deserializes the graph, the
-// arrival vector and the extractor's cone state instead of bit-blasting
-// and re-running the forward pass, and its analyzer rebuilds its static
-// load/slew/delay state from the graph only when a caller first needs it
-// — a timing query (RepResult.Summary, CriticalPeriod) never does (see
-// diskcache.go for the entry format).
+// cost survive the process: a warm run deserializes the graph and the
+// arrival vector instead of bit-blasting and re-running the forward pass.
+// Its analyzer rebuilds its static load/slew/delay state from the graph
+// only when a caller first needs it, and its extractor walks the endpoint
+// cones only when a feature is first read; a timing query
+// (RepResult.Summary, CriticalPeriod) does neither (see diskcache.go for
+// the entry format).
 //
 // Determinism is a hard requirement (tests assert byte-identical results
 // at jobs=1 and jobs=8, and warm disk loads against cold builds): tasks
@@ -131,11 +132,11 @@ type RepResult struct {
 	// fingerprint never re-hash the vector. Disk entries persist it, so a
 	// disk load restores it without hashing; -cache-scrub recomputes it.
 	ArrivalSHA256 string
-	// Ext is the feature extractor. Built and derived results carry a lazy
-	// one (features.NewExtractor) that walks the endpoint cones only when
-	// a feature is first read, which the timing queries never do; disk
-	// loads restore the persisted cone and rank state, and their extractor
-	// takes its timing view (At at period 0) on the first read.
+	// Ext is the feature extractor. Every result, built, derived or
+	// loaded, carries a lazy one (features.NewLazyExtractor, made by
+	// newResult) that takes its timing view (At at period 0), counts the
+	// cells and walks the endpoint cones only when a feature is first
+	// read, which the timing queries never do.
 	Ext *features.Extractor
 
 	// eng/key tie the result back to its cache slot so Edit can register
@@ -336,9 +337,10 @@ func (e *Engine) resolveEdit(ctx context.Context, key Key, base *RepResult, delt
 // only by a built or disk-restored base's first edit), the cone re-time,
 // and a snapshot, which returns that private analyzer itself, since the
 // session is discarded. The result gets a fresh lazy extractor of the
-// edited graph, so a derivation walks no cone and counts no cell unless a
-// caller reads a feature of the result. It is bit-identical to a fresh
-// analysis and extractor of the edited graph; the base is never mutated.
+// edited graph, so a derivation takes no timing view, walks no cone and
+// counts no cell unless a caller reads a feature of the result. It is
+// bit-identical to a fresh analysis and extractor of the edited graph;
+// the base is never mutated.
 func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, error) {
 	g := rr.Graph.Clone()
 	inc, err := sta.NewIncrementalOn(rr.An, g, rr.Arrival)
@@ -349,15 +351,23 @@ func (rr *RepResult) derive(delta bog.Delta, key Key, eng *Engine) (*RepResult, 
 		return nil, err
 	}
 	an, arr := inc.Snapshot()
+	res := newResult(g, an, arr, ArrivalDigest(arr))
+	res.eng, res.key = eng, key
+	return res, nil
+}
+
+// newResult assembles the result of graph g under analyzer an with the
+// period-free arrival vector arr and its fingerprint digest. Builds,
+// derives and disk loads all make their results here, each with one lazy
+// extractor that reads nothing until a feature is first read.
+func newResult(g *bog.Graph, an *sta.Analyzer, arr []float64, digest string) *RepResult {
 	return &RepResult{
 		Graph:         g,
 		An:            an,
 		Arrival:       arr,
-		ArrivalSHA256: ArrivalDigest(arr),
-		Ext:           features.NewExtractor(g, an.At(arr, 0)),
-		eng:           eng,
-		key:           key,
-	}, nil
+		ArrivalSHA256: digest,
+		Ext:           features.NewLazyExtractor(g, an, arr),
+	}
 }
 
 type repEntry struct {
@@ -670,8 +680,7 @@ func (e *Engine) EvalRepCtx(ctx context.Context, key Key, lib *liberty.PseudoLib
 
 // buildRep is the single-flight resolution body behind EvalRepCtx: a disk
 // load, otherwise the from-scratch build — frontend, bit-blast, one serial
-// forward pass, a lazy extractor — and its disk publish, whose encoding
-// reads the extractor's state and so walks the cones. It runs on the
+// forward pass, a lazy extractor — and its disk publish. It runs on the
 // detached resolver goroutine, at most once per slot; the engine's
 // parallelism comes from fanning builds out across pool workers.
 func (e *Engine) buildRep(key Key, lib *liberty.PseudoLib, src DesignSource) (*RepResult, error) {
@@ -693,13 +702,7 @@ func (e *Engine) buildRep(key Key, lib *liberty.PseudoLib, src DesignSource) (*R
 	}
 	an := sta.NewAnalyzer(g, lib)
 	arr := an.Arrivals(1)
-	res := e.adopt(&RepResult{
-		Graph:         g,
-		An:            an,
-		Arrival:       arr,
-		ArrivalSHA256: ArrivalDigest(arr),
-		Ext:           features.NewExtractor(g, an.At(arr, 0)),
-	}, key)
+	res := e.adopt(newResult(g, an, arr, ArrivalDigest(arr)), key)
 	if e.store != nil && e.diskStore(key, lib, res) {
 		e.diskWrites.Add(1)
 	}

@@ -21,7 +21,7 @@ import (
 // representation.
 //
 // Everything it extracts from — the input-cone summaries, the rank
-// percentiles, the cell counts and, for a restored extractor, its timing
+// percentiles, the cell counts and, for a lazy extractor, its timing
 // view — is materialized once, on the first read that needs it (Cone,
 // Rank, PathVector, SeqFeatures, DesignVector or State), and shared by
 // every later read: a caller that never reads a feature never pays for a
@@ -29,8 +29,8 @@ import (
 type Extractor struct {
 	G *bog.Graph
 
-	// an and arr are a restored extractor's source for its timing view r,
-	// which it takes on the first read (see RestoreExtractor).
+	// an and arr are a lazy extractor's source for its timing view r,
+	// which it takes on the first read (see NewLazyExtractor).
 	an  *sta.Analyzer
 	arr []float64
 
@@ -51,10 +51,21 @@ func NewExtractor(g *bog.Graph, r *sta.Result) *Extractor {
 	return &Extractor{G: g, r: r}
 }
 
-// materialize takes a restored extractor's timing view, counts the cells,
+// NewLazyExtractor returns the extractor of g under the analyzer an and
+// the period-free arrival vector arr, and does no work: its timing view
+// an.At(arr, 0), the cell counts, the input-cone walks and the rank sort
+// all run once, on the first feature read, so a representation that only
+// answers timing queries never pays for them, nor builds a lazy
+// analyzer's static state for them. arr must cover len(g.Nodes) entries;
+// g, an and arr must not change afterwards.
+func NewLazyExtractor(g *bog.Graph, an *sta.Analyzer, arr []float64) *Extractor {
+	return &Extractor{G: g, an: an, arr: arr}
+}
+
+// materialize takes a lazy extractor's timing view, counts the cells,
 // walks every endpoint's input cone and ranks the endpoints' pseudo
 // arrival times, once per extractor. An extractor restored from state
-// already holds the cones and ranks, so only the view and the count run.
+// already holds the cones and ranks, so only the count runs.
 func (e *Extractor) materialize() {
 	e.once.Do(func() {
 		if e.r == nil {
@@ -105,12 +116,11 @@ func (e *Extractor) Rank(ep int) float64 {
 	return e.rankPct[ep]
 }
 
-// State exposes the extractor's per-endpoint vectors for persistence (the
-// engine's on-disk representation cache), materializing them first if no
-// read has yet. The input-cone walks behind them are the expensive part
-// of extraction — one backward DFS per endpoint — which is exactly what a
-// warm cache load wants to skip. The returned slices alias the
-// extractor's state and must be treated as read-only.
+// State exposes the extractor's per-endpoint vectors, materializing them
+// first if no read has yet; NewExtractorFromState rebuilds an extractor
+// from them. The input-cone walks behind them are the expensive part of
+// extraction — one backward DFS per endpoint. The returned slices alias
+// the extractor's state and must be treated as read-only.
 func (e *Extractor) State() (cones []sta.ConeInfo, rankPct []float64) {
 	e.materialize()
 	return e.cones, e.rankPct
@@ -120,40 +130,14 @@ func (e *Extractor) State() (cones []sta.ConeInfo, rankPct []float64) {
 // obtained with State, skipping the per-endpoint cone walks and the rank
 // sort. Both vectors must cover len(g.Endpoints) entries; the extractor
 // takes ownership of the slices. The design-level cell counts are left
-// to the first feature read, like NewExtractor's. The engine's disk tier
-// restores with RestoreExtractor; this stays only because perfbench still
-// calls it.
+// to the first feature read, like NewExtractor's. The engine persists no
+// extractor state; this stays only because perfbench still calls it.
 func NewExtractorFromState(g *bog.Graph, r *sta.Result, cones []sta.ConeInfo, rankPct []float64) (*Extractor, error) {
-	if err := checkState(g, cones, rankPct); err != nil {
-		return nil, err
-	}
-	return &Extractor{G: g, r: r, cones: cones, rankPct: rankPct}, nil
-}
-
-// RestoreExtractor is NewExtractorFromState for the engine's disk tier,
-// which persists no timing view: the extractor takes an.At(arr, 0) on its
-// first feature read instead of at restore, so a restored representation
-// that only answers timing queries never builds a lazy analyzer's static
-// state for it. arr must cover len(g.Nodes) entries; the extractor takes
-// ownership of every slice.
-func RestoreExtractor(g *bog.Graph, an *sta.Analyzer, arr []float64, cones []sta.ConeInfo, rankPct []float64) (*Extractor, error) {
-	if len(arr) != len(g.Nodes) {
-		return nil, fmt.Errorf("features: arrival vector covers %d nodes, graph has %d", len(arr), len(g.Nodes))
-	}
-	if err := checkState(g, cones, rankPct); err != nil {
-		return nil, err
-	}
-	return &Extractor{G: g, an: an, arr: arr, cones: cones, rankPct: rankPct}, nil
-}
-
-// checkState checks that restored per-endpoint vectors cover g's
-// endpoints.
-func checkState(g *bog.Graph, cones []sta.ConeInfo, rankPct []float64) error {
 	if len(cones) != len(g.Endpoints) || len(rankPct) != len(g.Endpoints) {
-		return fmt.Errorf("features: state covers %d/%d endpoints, graph has %d",
+		return nil, fmt.Errorf("features: state covers %d/%d endpoints, graph has %d",
 			len(cones), len(rankPct), len(g.Endpoints))
 	}
-	return nil
+	return &Extractor{G: g, r: r, cones: cones, rankPct: rankPct}, nil
 }
 
 // countCells counts register bits and combinational operators in one pass

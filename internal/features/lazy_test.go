@@ -39,11 +39,14 @@ func eagerState(g *bog.Graph, r *sta.Result) ([]sta.ConeInfo, []float64) {
 	return cones, rank
 }
 
-// suiteGraph is one suite design's graph under one variant, with the
-// period-free timing result the engine hands its extractor.
+// suiteGraph is one suite design's graph under one variant, with its
+// analyzer, its period-free arrival vector and the timing view at period 0
+// that an extractor reads.
 type suiteGraph struct {
 	name string
 	g    *bog.Graph
+	an   *sta.Analyzer
+	arr  []float64
 	r    *sta.Result
 }
 
@@ -69,7 +72,8 @@ func suiteGraphs(t *testing.T, names ...string) []suiteGraph {
 				t.Fatal(err)
 			}
 			an := sta.NewAnalyzer(g, lib)
-			out = append(out, suiteGraph{spec.Name + "/" + v.String(), g, an.At(an.Arrivals(1), 0)})
+			arr := an.Arrivals(1)
+			out = append(out, suiteGraph{spec.Name + "/" + v.String(), g, an, arr, an.At(arr, 0)})
 		}
 	}
 	return out
@@ -78,10 +82,11 @@ func suiteGraphs(t *testing.T, names ...string) []suiteGraph {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestLazyExtractorMatchesEagerOracle: for every suite design and variant,
-// NewExtractor walks no cone and counts no cell, and the first read
-// through each of Cone, Rank, PathVector, State and DesignVector — on its
-// own fresh extractor — answers bit for bit what the eager walk and the
-// graph's own cell counts give. A NewExtractorFromState extractor counts
+// NewExtractor and NewLazyExtractor walk no cone and count no cell, and
+// NewLazyExtractor takes no timing view, and the first read through each
+// of Cone, Rank, PathVector, State and DesignVector — on its own fresh
+// extractor of each kind — answers bit for bit what the eager walk and
+// the graph's own cell counts give. A NewExtractorFromState extractor counts
 // no cell before its first read either, and its DesignVector matches too.
 func TestLazyExtractorMatchesEagerOracle(t *testing.T) {
 	firstReads := []struct {
@@ -136,13 +141,18 @@ func TestLazyExtractorMatchesEagerOracle(t *testing.T) {
 		t.Run(sg.name, func(t *testing.T) {
 			cones, rank := eagerState(sg.g, sg.r)
 			for _, fr := range firstReads {
-				e := NewExtractor(sg.g, sg.r)
-				if e.cones != nil || e.rankPct != nil || e.seqCells != 0 || e.combCells != 0 || e.total != 0 {
-					t.Fatalf("NewExtractor walked the graph before any read")
+				lazy := NewLazyExtractor(sg.g, sg.an, sg.arr)
+				if lazy.r != nil {
+					t.Fatalf("NewLazyExtractor took its timing view before any read")
 				}
-				fr.read(t, sg, e, cones, rank)
-				if len(e.cones) != len(sg.g.Endpoints) {
-					t.Fatalf("first read through %s left %d of %d cones", fr.name, len(e.cones), len(sg.g.Endpoints))
+				for _, e := range []*Extractor{NewExtractor(sg.g, sg.r), lazy} {
+					if e.cones != nil || e.rankPct != nil || e.seqCells != 0 || e.combCells != 0 || e.total != 0 {
+						t.Fatalf("the extractor walked the graph before any read")
+					}
+					fr.read(t, sg, e, cones, rank)
+					if len(e.cones) != len(sg.g.Endpoints) {
+						t.Fatalf("first read through %s left %d of %d cones", fr.name, len(e.cones), len(sg.g.Endpoints))
+					}
 				}
 			}
 			restored, err := NewExtractorFromState(sg.g, sg.r, slices.Clone(cones), slices.Clone(rank))

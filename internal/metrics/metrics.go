@@ -169,38 +169,6 @@ func COVR(labels, preds []float64) float64 {
 	return total / float64(m) * 100
 }
 
-// PairAccuracy returns the fraction of item pairs whose relative order the
-// prediction preserves (a Kendall-style ranking score in [0, 1]). Pairs
-// with tied labels carry no order information and are skipped; pairs with
-// tied predictions recover neither direction and count as half-correct,
-// so a constant predictor scores 0.5 (chance level) instead of the
-// one-sided credit a strict < comparison would hand it.
-func PairAccuracy(labels, preds []float64) float64 {
-	n := len(labels)
-	if n < 2 || len(preds) != n {
-		return 0
-	}
-	ok, tot := 0.0, 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if labels[i] == labels[j] {
-				continue
-			}
-			tot++
-			switch {
-			case preds[i] == preds[j]:
-				ok += 0.5
-			case (labels[i] < labels[j]) == (preds[i] < preds[j]):
-				ok++
-			}
-		}
-	}
-	if tot == 0 {
-		return 0
-	}
-	return ok / float64(tot)
-}
-
 // Histogram bins values into n equal-width bins over [min, max] of the
 // data, returning bin centers and counts (used for the Fig. 4/5(d)
 // arrival-time distributions).

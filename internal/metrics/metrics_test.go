@@ -130,32 +130,6 @@ func TestCOVRQuickBounded(t *testing.T) {
 	}
 }
 
-func TestPairAccuracy(t *testing.T) {
-	y := []float64{1, 2, 3}
-	if p := PairAccuracy(y, y); !almostEq(p, 1, 1e-12) {
-		t.Errorf("perfect = %f", p)
-	}
-	if p := PairAccuracy(y, []float64{3, 2, 1}); !almostEq(p, 0, 1e-12) {
-		t.Errorf("reversed = %f", p)
-	}
-}
-
-func TestPairAccuracyConstantPredictor(t *testing.T) {
-	// A constant predictor recovers no ordering: every informative pair is
-	// prediction-tied and must score exactly chance level, not the
-	// one-sided credit of a strict < comparison.
-	y := []float64{1, 2, 3, 4}
-	if p := PairAccuracy(y, []float64{7, 7, 7, 7}); !almostEq(p, 0.5, 1e-12) {
-		t.Errorf("constant predictor = %f, want 0.5", p)
-	}
-	// Partial ties: of the three informative pairs, the prediction orders
-	// (1,3) and (2,3) correctly and ties (1,2) -> (1 + 1 + 0.5) / 3.
-	y3 := []float64{1, 2, 3}
-	if p := PairAccuracy(y3, []float64{1, 1, 2}); !almostEq(p, 2.5/3, 1e-12) {
-		t.Errorf("partial ties = %f, want 5/6", p)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	centers, counts := Histogram([]float64{0, 0.1, 0.9, 1.0}, 2)
 	if len(centers) != 2 || len(counts) != 2 {

@@ -28,14 +28,6 @@ func New(rows, cols int) *Tensor {
 	return &Tensor{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromData wraps row-major data (not copied).
-func FromData(rows, cols int, data []float64) *Tensor {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("autodiff: data length %d != %d x %d", len(data), rows, cols))
-	}
-	return &Tensor{Rows: rows, Cols: cols, Data: data}
-}
-
 // Param creates a trainable tensor initialized with scaled Gaussian noise.
 func Param(rows, cols int, rng *rand.Rand) *Tensor {
 	t := New(rows, cols)
@@ -196,24 +188,6 @@ func ReLU(a *Tensor) *Tensor {
 			if v > 0 {
 				a.Grad[i] += c.Grad[i]
 			}
-		}
-	}
-	return c
-}
-
-// Tanh applies tanh elementwise.
-func Tanh(a *Tensor) *Tensor {
-	c := child(a.Rows, a.Cols, a)
-	for i, v := range a.Data {
-		c.Data[i] = math.Tanh(v)
-	}
-	c.backward = func() {
-		if a.Grad == nil {
-			return
-		}
-		for i := range a.Data {
-			c1 := c.Data[i]
-			a.Grad[i] += c.Grad[i] * (1 - c1*c1)
 		}
 	}
 	return c

@@ -41,8 +41,9 @@ func TestMatMulGrad(t *testing.T) {
 	b := Param(4, 2, rng)
 	target := []float64{1, -1, 0.5}
 	checkGrads(t, []*Tensor{a, b}, func() *Tensor {
-		c := MatMul(a, b)
-		s := MatMul(c, FromData(2, 1, []float64{1, 1})) // reduce cols
+		ones := New(2, 1)
+		ones.Data[0], ones.Data[1] = 1, 1
+		s := MatMul(MatMul(a, b), ones) // reduce cols
 		return MSELossMasked(s, target, nil)
 	})
 }
@@ -53,9 +54,7 @@ func TestReLUTanhGrad(t *testing.T) {
 	w := Param(3, 1, rng)
 	target := []float64{0.3, -0.7}
 	checkGrads(t, []*Tensor{a, w}, func() *Tensor {
-		h := ReLU(a)
-		h2 := Tanh(h)
-		return MSELossMasked(MatMul(h2, w), target, nil)
+		return MSELossMasked(MatMul(ReLU(a), w), target, nil)
 	})
 }
 

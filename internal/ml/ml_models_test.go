@@ -78,14 +78,28 @@ func TestLambdaMARTOrdersItems(t *testing.T) {
 		queries = append(queries, q)
 	}
 	model := ltr.Train(queries, ltr.Options{NumTrees: 40, MaxDepth: 4, LearningRate: 0.15, MinLeaf: 3, Sigma: 1, Seed: 3})
-	// Evaluate pair accuracy on a fresh query.
+	// Pair accuracy on a fresh query: the share of item pairs of unequal
+	// relevance whose scores order them the same way, a tied score
+	// counting half.
 	testQ := queries[0]
 	scores := model.ScoreAll(testQ.X)
-	rels := make([]float64, len(testQ.Rel))
-	for i, r := range testQ.Rel {
-		rels[i] = float64(r)
+	rels := testQ.Rel
+	ok, pairs := 0.0, 0
+	for i := range rels {
+		for j := i + 1; j < len(rels); j++ {
+			if rels[i] == rels[j] {
+				continue
+			}
+			pairs++
+			switch {
+			case scores[i] == scores[j]:
+				ok += 0.5
+			case (rels[i] < rels[j]) == (scores[i] < scores[j]):
+				ok++
+			}
+		}
 	}
-	if pa := metrics.PairAccuracy(rels, scores); pa < 0.8 {
+	if pa := ok / float64(pairs); pa < 0.8 {
 		t.Errorf("pair accuracy = %f, want > 0.8", pa)
 	}
 }

@@ -339,9 +339,6 @@ func (r *Regressor) PredictAll(X [][]float64) []float64 {
 	return out
 }
 
-// NumTrees returns the number of fitted trees.
-func (r *Regressor) NumTrees() int { return len(r.trees) }
-
 // GainImportance returns per-feature cumulative split gain, normalized to
 // sum to 1 (0s when untrained). Used for the paper's feature-importance
 // discussion (§4.3).

@@ -43,8 +43,8 @@ func TestTrainL2Nonlinear(t *testing.T) {
 	if r2 < 0.95 {
 		t.Errorf("test R2 = %f, want > 0.95", r2)
 	}
-	if reg.NumTrees() != 60 {
-		t.Errorf("trees: %d", reg.NumTrees())
+	if len(reg.trees) != 60 {
+		t.Errorf("trees: %d", len(reg.trees))
 	}
 }
 
@@ -126,7 +126,7 @@ func TestPredictMatchesBinnedScoring(t *testing.T) {
 
 func TestEmptyAndDegenerate(t *testing.T) {
 	reg := TrainL2(nil, nil, DefaultOptions())
-	if reg.NumTrees() != 0 {
+	if len(reg.trees) != 0 {
 		t.Error("trained trees on empty data")
 	}
 	// Constant target: prediction equals the constant.

@@ -54,10 +54,17 @@ func buildSweepReps(ctx context.Context, eng *engine.Engine, tag, src string, va
 	return out, nil
 }
 
+// maxSweepSteps bounds the points of one sweep. Each point renders one
+// line of every variant's WNS and TNS, so the answer and the allocation
+// behind it grow linearly with the points, whatever the request's size:
+// about 1 MB of text and 15 MB of allocation per 10,000 points.
+const maxSweepSteps = 10_000
+
 // ParseSweep parses and validates a lo:hi:steps period range into the
 // period list: bounds must be finite, positive and strictly increasing,
 // and a sweep needs at least two points (a single period is not a curve —
-// use a single-period query instead of a degenerate sweep).
+// use a single-period query instead of a degenerate sweep) and at most
+// maxSweepSteps.
 func ParseSweep(s string) ([]float64, error) {
 	parts := strings.Split(s, ":")
 	if len(parts) != 3 {
@@ -77,9 +84,8 @@ func ParseSweep(s string) ([]float64, error) {
 	if steps < 2 {
 		return nil, fmt.Errorf("-sweep wants steps >= 2 (a curve needs at least its two endpoints), got %q", s)
 	}
-	const maxSteps = 1_000_000
-	if steps > maxSteps {
-		return nil, fmt.Errorf("-sweep wants steps <= %d, got %q", maxSteps, s)
+	if steps > maxSweepSteps {
+		return nil, fmt.Errorf("-sweep wants steps <= %d, got %q", maxSweepSteps, s)
 	}
 	periods := make([]float64, steps)
 	for i := range periods {

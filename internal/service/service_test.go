@@ -721,6 +721,37 @@ func TestParseDeltaErrors(t *testing.T) {
 	}
 }
 
+// TestSweepPointsAreBounded: a /sweep of more than 10,000 points is a 400
+// naming the bound, refused before any build, and a /sweep of 10,000
+// points, build included, allocates under 32 MB.
+func TestSweepPointsAreBounded(t *testing.T) {
+	svc := newService(t, Config{Jobs: 2})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	c := srv.Client()
+	ref := DesignRef{Bench: "syscdes"}
+
+	code, body := postJSON(t, c, srv.URL+"/sweep", SweepRequest{Design: ref, Sweep: "0.3:0.9:10001"})
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "10000") {
+		t.Fatalf("/sweep of 10,001 points: %d %s, want 400 naming 10000", code, body)
+	}
+	if st := svc.Stats().Stats; st.Builds != 0 {
+		t.Fatalf("the refused sweep ran %d builds", st.Builds)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, body = postJSON(t, c, srv.URL+"/sweep", SweepRequest{Design: ref, Sweep: "0.3:0.9:10000"})
+	runtime.ReadMemStats(&after)
+	var resp SweepResponse
+	if code != http.StatusOK || json.Unmarshal(body, &resp) != nil || resp.Points != 10000 {
+		t.Fatalf("/sweep of 10,000 points: %d, %d points", code, resp.Points)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 32<<20 {
+		t.Fatalf("/sweep of 10,000 points allocated %d bytes", alloc)
+	}
+}
+
 // TestHostileSourceIs400: a source nested past verilog.MaxNesting, or one
 // whose hierarchy inlines past the instance cap, is the client's fault.
 // /eval answers 400 naming the bound, and the daemon serves the next
